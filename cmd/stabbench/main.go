@@ -1,5 +1,5 @@
-// Command stabbench regenerates the paper's experiment tables (DESIGN.md
-// E1..E12d).
+// Command stabbench regenerates the paper's experiment tables (E1..E20;
+// -list prints them).
 //
 // Usage:
 //

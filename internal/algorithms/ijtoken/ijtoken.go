@@ -7,12 +7,12 @@
 // Israeli and Jalfon's protocol lives in a token-passing model: a move
 // transfers a token from one process to a neighbor, which is a joint write
 // the locally-shared-memory model of package protocol cannot express (a
-// process may only write its own state). Per the substitution rule recorded
-// in DESIGN.md, this package therefore analyzes the protocol's defining
-// stochastic process directly: the system state is the set of occupied
-// nodes, a step picks one token uniformly at random (the central randomized
-// scheduler) and moves it to a uniformly random neighbor, merging on
-// contact. Expected single-token times come from exact Markov hitting-time
+// process may only write its own state). This package therefore analyzes
+// the protocol's defining stochastic process directly: the system state is
+// the set of occupied nodes, a step picks one token uniformly at random
+// (the central randomized scheduler) and moves it to a uniformly random
+// neighbor, merging on contact. Expected single-token times come from
+// exact Markov hitting-time
 // analysis over the 2^N-1 occupancy sets, or Monte-Carlo simulation for
 // larger graphs.
 package ijtoken

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 
 	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
@@ -228,16 +227,9 @@ func (b *ballGrower) growTo(ctx context.Context, k int) error {
 // distances — the canonical form every consumer (seed sets, cache files,
 // local-distance mapping) shares. The returned slices are fresh.
 func (b *ballGrower) sorted() ([]int64, []int) {
-	globals := b.ball.Globals()
-	order := make([]int, len(globals))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return globals[order[i]] < globals[order[j]] })
-	outG := make([]int64, len(order))
+	outG, order := statespace.CanonicalOrder(b.ball.Globals())
 	outD := make([]int, len(order))
 	for i, o := range order {
-		outG[i] = globals[o]
 		outD[i] = b.dist[o]
 	}
 	return outG, outD

@@ -1,7 +1,7 @@
 package checker
 
 import (
-	"sort"
+	"slices"
 
 	"weakstab/internal/statespace"
 
@@ -38,27 +38,20 @@ func (sp *Space) FindStronglyFairLasso() FairLasso {
 	if !ok {
 		return FairLasso{}
 	}
-	comp := sp.sccs()
-	legit := sp.LegitSet()
-	// Group states per component; iterate components in ascending id
-	// order so witnesses are deterministic across runs.
-	members := map[int32][]int32{}
-	var order []int32
-	for s, c := range comp {
-		if !legit[s] {
-			if members[c] == nil {
-				order = append(order, c)
-			}
-			members[c] = append(members[c], int32(s))
-		}
+	comp, count := sp.sccs()
+	// Iterate components in ascending id order, members in ascending
+	// state order, so witnesses are deterministic across runs.
+	start, members := bucketComponents(comp, count)
+	parent := make([]int32, len(comp)) // pathWithin's scratch, -1 between calls
+	for i := range parent {
+		parent[i] = -1
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, c := range order {
-		states := members[c]
-		if !sp.componentHasCycle(states, comp) {
+	for c := 0; c < count; c++ {
+		states := members[start[c]:start[c+1]]
+		if !sp.componentHasCycle(states) {
 			continue
 		}
-		if lasso := sp.tryComponentWalk(det, states, comp); lasso.Found {
+		if lasso := sp.tryComponentWalk(det, states, comp, parent); lasso.Found {
 			return lasso
 		}
 	}
@@ -66,50 +59,75 @@ func (sp *Space) FindStronglyFairLasso() FairLasso {
 }
 
 // sccs returns the component id of every state in the illegitimate
-// subgraph (legitimate states get -1), through the shared statespace
-// Tarjan. On a frontier-explored SubSpace the condensation runs over the
-// reachable subgraph only — BuildFrom closes the successor relation before
-// sealing, so Tarjan sees every edge of the region it condenses.
-func (sp *Space) sccs() []int32 {
+// subgraph (legitimate states get -1) and the component count, through
+// the shared statespace Tarjan. On a frontier-explored SubSpace the
+// condensation runs over the reachable subgraph only — BuildFrom closes
+// the successor relation before sealing, so Tarjan sees every edge of the
+// region it condenses.
+func (sp *Space) sccs() ([]int32, int) {
 	legit := sp.LegitSet()
 	include := make([]bool, sp.NumStates())
 	for s := range include {
 		include[s] = !legit[s]
 	}
 	off, succ, _ := sp.CSR()
-	comp, _ := statespace.SCC(sp.NumStates(), off, succ, include)
-	return comp
+	return statespace.SCC(sp.NumStates(), off, succ, include)
+}
+
+// componentSizes counts the states of each of the count components in
+// comp (entries of -1 belong to no component).
+func componentSizes(comp []int32, count int) []int32 {
+	size := make([]int32, count)
+	for _, c := range comp {
+		if c >= 0 {
+			size[c]++
+		}
+	}
+	return size
+}
+
+// bucketComponents groups the states of comp by component with one
+// counting sort: the members of component c are
+// members[start[c]:start[c+1]], in ascending state order.
+func bucketComponents(comp []int32, count int) (start, members []int32) {
+	next := componentSizes(comp, count)
+	start = make([]int32, count+1)
+	for c, n := range next {
+		start[c+1] = start[c] + n
+	}
+	copy(next, start) // next[c]: the write cursor of component c
+	members = make([]int32, start[count])
+	for s, c := range comp {
+		if c >= 0 {
+			members[next[c]] = int32(s)
+			next[c]++
+		}
+	}
+	return start, members
 }
 
 // componentHasCycle reports whether the component contains a cycle: more
 // than one state, or a single state with a self-loop.
-func (sp *Space) componentHasCycle(states []int32, comp []int32) bool {
-	if len(states) > 1 {
-		return true
-	}
-	s := states[0]
-	for _, t := range sp.Succ(int(s)) {
-		if t == s {
-			return true
-		}
-	}
-	return false
+func (sp *Space) componentHasCycle(states []int32) bool {
+	return len(states) > 1 || sp.hasSelfLoop(states[0])
+}
+
+// hasSelfLoop reports whether s is among its own successors.
+func (sp *Space) hasSelfLoop(s int32) bool {
+	return slices.Contains(sp.Succ(int(s)), s)
 }
 
 // tryComponentWalk builds a closed walk covering every internal edge of the
-// component and checks strong fairness of the induced records.
-func (sp *Space) tryComponentWalk(det protocol.Deterministic, states []int32, comp []int32) FairLasso {
-	inComp := map[int32]bool{}
-	for _, s := range states {
-		inComp[s] = true
-	}
+// component and checks strong fairness of the induced records. parent is
+// pathWithin's scratch space.
+func (sp *Space) tryComponentWalk(det protocol.Deterministic, states []int32, comp []int32, parent []int32) FairLasso {
 	cid := comp[states[0]]
 	// Collect internal edges.
 	type edge struct{ from, to int32 }
 	var edges []edge
 	for _, s := range states {
 		for _, t := range sp.Succ(int(s)) {
-			if comp[t] == cid && inComp[t] {
+			if comp[t] == cid {
 				edges = append(edges, edge{from: s, to: t})
 			}
 		}
@@ -124,13 +142,13 @@ func (sp *Space) tryComponentWalk(det protocol.Deterministic, states []int32, co
 	var walk []int32
 	walk = append(walk, cur)
 	for _, e := range edges {
-		for _, step := range sp.pathWithin(cur, e.from, inComp) {
+		for _, step := range sp.pathWithin(cur, e.from, comp, parent) {
 			walk = append(walk, step)
 		}
 		walk = append(walk, e.to)
 		cur = e.to
 	}
-	for _, step := range sp.pathWithin(cur, start, inComp) {
+	for _, step := range sp.pathWithin(cur, start, comp, parent) {
 		walk = append(walk, step)
 	}
 	// Induce step records: for each consecutive pair, find an activation
@@ -155,35 +173,37 @@ func (sp *Space) tryComponentWalk(det protocol.Deterministic, states []int32, co
 }
 
 // pathWithin returns the interior+destination states of a shortest path
-// from src to dst staying inside the component (empty if src == dst).
-func (sp *Space) pathWithin(src, dst int32, inComp map[int32]bool) []int32 {
+// from src to dst staying inside src's component (empty if src == dst).
+// parent is scratch space over all states, -1 on entry and restored to -1
+// on return.
+func (sp *Space) pathWithin(src, dst int32, comp []int32, parent []int32) []int32 {
 	if src == dst {
 		return nil
 	}
-	parent := map[int32]int32{src: -1}
+	cid := comp[src]
+	parent[src] = src // seen
 	queue := []int32{src}
+	defer func() {
+		for _, s := range queue {
+			parent[s] = -1
+		}
+	}()
 	for head := 0; head < len(queue); head++ {
 		s := queue[head]
 		for _, t := range sp.Succ(int(s)) {
-			if !inComp[t] {
-				continue
-			}
-			if _, seen := parent[t]; seen {
+			if comp[t] != cid || parent[t] >= 0 {
 				continue
 			}
 			parent[t] = s
+			queue = append(queue, t)
 			if t == dst {
 				var rev []int32
 				for cur := t; cur != src; cur = parent[cur] {
 					rev = append(rev, cur)
 				}
-				out := make([]int32, 0, len(rev))
-				for i := len(rev) - 1; i >= 0; i-- {
-					out = append(out, rev[i])
-				}
-				return out
+				slices.Reverse(rev)
+				return rev
 			}
-			queue = append(queue, t)
 		}
 	}
 	return nil

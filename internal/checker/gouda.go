@@ -63,19 +63,15 @@ func (sp *Space) GoudaFairLasso(cycle []protocol.Configuration) bool {
 // fails (which would refute Theorem 5 on this instance).
 func (sp *Space) NoGoudaFairDivergence() (protocol.Configuration, bool) {
 	canReach := sp.reverseReach()
-	comp := sp.sccs()
+	comp, count := sp.sccs()
 	legit := sp.LegitSet()
-	members := map[int32][]int32{}
-	for s, c := range comp {
-		if c >= 0 {
-			members[c] = append(members[c], int32(s))
-		}
-	}
-	for _, states := range members {
-		if !sp.componentHasCycle(states, comp) {
+	start, members := bucketComponents(comp, count)
+	for c := 0; c < count; c++ {
+		states := members[start[c]:start[c+1]]
+		if !sp.componentHasCycle(states) {
 			continue
 		}
-		cid := comp[states[0]]
+		cid := int32(c)
 		escapes := false
 		for _, s := range states {
 			if !canReach[s] {

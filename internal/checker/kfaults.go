@@ -133,26 +133,15 @@ func (sp *Space) checkKFaults(k int, dist []int, canReach, diverging []bool) KFa
 func (sp *Space) divergingStates() []bool {
 	// Seed: illegitimate terminal states and states on illegitimate
 	// cycles. A state s lies on an illegitimate cycle iff its SCC (within
-	// the illegitimate subgraph) has a cycle.
-	comp := sp.sccs()
-	members := map[int32][]int32{}
-	for s, c := range comp {
-		if c >= 0 {
-			members[c] = append(members[c], int32(s))
-		}
-	}
+	// the illegitimate subgraph) has a cycle: more than one state, or a
+	// singleton with a self-loop.
+	comp, count := sp.sccs()
+	size := componentSizes(comp, count)
 	legit := sp.LegitSet()
 	bad := make([]bool, sp.NumStates())
-	for _, states := range members {
-		if sp.componentHasCycle(states, comp) {
-			for _, s := range states {
-				bad[s] = true
-			}
-		}
-	}
-	for s := range bad {
-		if !legit[s] && sp.IsTerminal(s) {
-			bad[s] = true
+	for s, c := range comp {
+		if c >= 0 { // exactly the illegitimate states
+			bad[s] = size[c] > 1 || sp.hasSelfLoop(int32(s)) || sp.IsTerminal(s)
 		}
 	}
 	// Backward closure through illegitimate states: a BFS over the shared

@@ -118,6 +118,7 @@ type Manager struct {
 	inflight map[string]*Job // queued/running jobs by Key (singleflight)
 	lru      *resultLRU
 	seq      int64
+	running  int64 // jobs in StateRunning: the service.jobs.running gauge
 	draining bool
 
 	queue    chan *Job
@@ -344,29 +345,22 @@ func (m *Manager) worker() {
 		skip := j.state != StateQueued // canceled while queued
 		if !skip {
 			j.state = StateRunning
+			m.setRunningLocked(m.running + 1)
 		}
 		m.mu.Unlock()
 		if skip {
 			continue
 		}
-		m.gauge("service.jobs.running").Set(m.running())
 		resp, err := Execute(j.ctx, j.Request, m.jobDeps(j))
 		m.finish(j, resp, err)
-		m.gauge("service.jobs.running").Set(m.running())
 	}
 }
 
-// running counts running jobs (for the gauge).
-func (m *Manager) running() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, j := range m.jobs {
-		if j.state == StateRunning {
-			n++
-		}
-	}
-	return n
+// setRunningLocked records the running-job count and publishes it on the
+// gauge. Caller holds m.mu, so gauge updates land in transition order.
+func (m *Manager) setRunningLocked(n int64) {
+	m.running = n
+	m.gauge("service.jobs.running").Set(n)
 }
 
 // jobDeps derives the job's execution dependencies: with feeds enabled,
@@ -398,6 +392,9 @@ func (m *Manager) finish(j *Job, resp *Response, err error) {
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
 		m.mu.Unlock()
 		return
+	}
+	if j.state == StateRunning {
+		m.setRunningLocked(m.running - 1)
 	}
 	switch {
 	case err == nil:

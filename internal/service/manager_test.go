@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"weakstab/internal/algorithms/tokenring"
+	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/spacecache"
@@ -472,5 +473,58 @@ func TestCancelQueuedJob(t *testing.T) {
 	// never called.
 	if l, e := cb.legit.Load(), cb.enabled.Load(); l != 0 || e != 0 {
 		t.Errorf("canceled queued job explored anyway (legit=%d enabled=%d), want 0", l, e)
+	}
+}
+
+// TestRunningGauge pins service.jobs.running: with N jobs held inside
+// Execute it reads N, and once they drain (one of them canceled while
+// running) it reads 0.
+func TestRunningGauge(t *testing.T) {
+	const N = 3
+	gates := make(map[int]*gateAlg, N)
+	for i := 0; i < N; i++ {
+		inner, err := tokenring.New(5 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates[5+i] = newGateAlg(inner)
+	}
+	o := obs.New()
+	m := NewManager(Config{
+		Deps: Deps{Obs: o, Build: func(r Request) (protocol.Algorithm, scheduler.Policy, error) {
+			return gates[r.N], scheduler.CentralPolicy{}, nil
+		}},
+		Workers: N,
+	})
+	defer m.Shutdown(context.Background())
+	gauge := o.Gauge("service.jobs.running")
+
+	jobs := make([]*Job, N)
+	for i := range jobs {
+		j, _, err := m.Submit(ringRequest(5 + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	for _, g := range gates {
+		<-g.entered // every worker is provably inside Execute
+	}
+	if got := gauge.Value(); got != N {
+		t.Fatalf("running gauge = %d with %d jobs inside Execute, want %d", got, N, N)
+	}
+
+	if err := m.Cancel(jobs[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gates {
+		g.gate.Store(false)
+		close(g.release)
+	}
+	for _, j := range jobs {
+		<-j.Done()
+	}
+	if got := gauge.Value(); got != 0 {
+		t.Fatalf("running gauge = %d after every job finished, want 0", got)
 	}
 }

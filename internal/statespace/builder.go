@@ -151,20 +151,23 @@ func (b *Builder) explore(ctx context.Context) error {
 		edgesBefore := int64(len(b.succ))
 		level := b.table.Globals()[lo:hi] // expansion only reads, so no insert moves it
 		numChunks := (len(level) + frontierGrain - 1) / frontierGrain
-		if cap(b.chunks) < numChunks {
-			b.chunks = make([]frontierChunk, numChunks)
+		if len(b.chunks) < numChunks {
+			// Keep the existing chunks: their buffers are reused below.
+			b.chunks = append(b.chunks, make([]frontierChunk, numChunks-len(b.chunks))...)
 		}
 		chunks := b.chunks[:numChunks]
 
 		// Parallel expansion of the level: rows with global targets, plus
 		// read-only dedup resolutions of the targets already discovered.
+		// Each chunk refills the buffers it had in earlier shells, so the
+		// steady state allocates nothing per shell.
 		ForRanges(len(level), b.workers, frontierGrain, func(clo, chi int) bool {
 			ex := b.pool.Get().(*explorer)
 			defer b.pool.Put(ex)
-			ck := frontierChunk{
-				deg:   make([]int32, chi-clo),
-				legit: make([]bool, chi-clo),
-			}
+			ck := &chunks[clo/frontierGrain]
+			ck.deg = slices.Grow(ck.deg[:0], chi-clo)[:chi-clo]
+			ck.legit = slices.Grow(ck.legit[:0], chi-clo)[:chi-clo]
+			ck.to, ck.local, ck.prob = ck.to[:0], ck.local[:0], ck.prob[:0]
 			for i := clo; i < chi; i++ {
 				g := level[i]
 				ex.cfg = b.enc.Decode(g, ex.cfg)
@@ -185,7 +188,6 @@ func (b *Builder) explore(ctx context.Context) error {
 					ck.prob = append(ck.prob, ex.outP[j])
 				}
 			}
-			chunks[clo/frontierGrain] = ck
 			return true
 		})
 		if failErr != nil {
@@ -196,28 +198,25 @@ func (b *Builder) explore(ctx context.Context) error {
 		// the CSR, assigning local ids to newly discovered targets in
 		// deterministic order.
 		for _, ck := range chunks {
-			at := 0
-			for r, d := range ck.deg {
-				b.legit = append(b.legit, ck.legit[r])
-				for j := 0; j < int(d); j++ {
-					l := ck.local[at]
-					if l < 0 {
-						// Inclusive cap: the maxStates-th discovered state is
-						// admitted; only the one after fails. The Len check
-						// short-circuits first so the re-resolving Lookup
-						// (the parallel-phase id may be stale — an earlier
-						// row of this stitch can have discovered the target)
-						// only runs once the table is full.
-						if int64(b.table.Len()) >= b.maxStates && b.table.Lookup(ck.to[at]) < 0 {
-							return fmt.Errorf("statespace: frontier exploration exceeds the %d-state cap", b.maxStates)
-						}
-						l = b.table.Add(ck.to[at])
+			b.legit = append(b.legit, ck.legit...)
+			b.prob = append(b.prob, ck.prob...)
+			for i, l := range ck.local {
+				if l < 0 {
+					// Inclusive cap: the maxStates-th discovered state is
+					// admitted; only the one after fails. The Len check
+					// short-circuits first so the re-resolving Lookup (the
+					// parallel-phase id may be stale — an earlier row of this
+					// stitch can have discovered the target) only runs once
+					// the table is full.
+					if int64(b.table.Len()) >= b.maxStates && b.table.Lookup(ck.to[i]) < 0 {
+						return fmt.Errorf("statespace: frontier exploration exceeds the %d-state cap", b.maxStates)
 					}
-					b.succ = append(b.succ, l)
-					b.prob = append(b.prob, ck.prob[at])
-					at++
+					l = b.table.Add(ck.to[i])
 				}
-				b.off = append(b.off, int64(len(b.succ)))
+				b.succ = append(b.succ, l)
+			}
+			for _, d := range ck.deg {
+				b.off = append(b.off, b.off[len(b.off)-1]+int64(d))
 			}
 		}
 		// Observe the completed shell from the serial stitch: counters
@@ -302,13 +301,8 @@ func (b *Builder) seal(move bool) *SubSpace {
 	// give the snapshot the sealed binary-search table over its sorted
 	// globals (a snapshot never grows, so it needs no hash table at all).
 	// The builder's own discovery-order state is untouched.
-	globals := b.table.Globals()
-	order := canonicalOrder(globals)
+	sorted, order := CanonicalOrder(b.table.Globals())
 	ss.off, ss.succ, ss.prob, ss.Legit = permuteCSR(order, b.off, b.succ, b.prob, b.legit)
-	sorted := make([]int64, len(order))
-	for newID, old := range order {
-		sorted[newID] = globals[old]
-	}
 	ss.table = NewSortedDedup(sorted)
 	return ss
 }

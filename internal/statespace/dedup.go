@@ -1,36 +1,44 @@
 package statespace
 
+import "math/bits"
+
 // Dedup assigns dense local ids to sparse global configuration indexes —
 // the visited set of every frontier exploration (BuildFrom's reachable
 // subspaces, the checker's fault-ball enumeration). Small index ranges get
-// a dense int32 array (one probe, no hashing); large ranges get a sharded
-// hash table whose memory is proportional to the number of *discovered*
-// states, not the range — which is the whole point of frontier
-// exploration, whose subspaces routinely live inside index ranges far too
-// large to allocate a visited array for.
+// a dense int32 array (one probe, no hashing); large ranges get a flat
+// open-addressing hash table whose memory is proportional to the number of
+// *discovered* states, not the range — which is the whole point of
+// frontier exploration, whose subspaces routinely live inside index ranges
+// far too large to allocate a visited array for.
+//
+// The hash table is one power-of-two []int32 of slots. A slot holds -1
+// when empty and otherwise a local id, i.e. an index into globals, which
+// stores the key itself; probing is linear from a Fibonacci hash of the
+// global. The table doubles when it would become more than half full,
+// rebuilding its slots from globals — no tombstones, no per-entry
+// allocation, no Go map.
 //
 // Concurrency contract: Lookup is safe from any number of goroutines while
-// no Add is running (shards are plain maps; the frontier engine alternates
-// a parallel read-only expansion phase with a serial insertion phase).
-// Add itself must be serialized by the caller — id assignment order is
-// what makes frontier exploration deterministic.
-
-// dedupShards is the shard count of the sparse table. Sharding bounds the
-// per-map rehash cost as the discovered set grows and keeps the table
-// ready for concurrent per-shard insertion if a future engine wants it.
-const dedupShards = 256
+// no Add is running (Lookup only reads slots and globals; the frontier
+// engine alternates a parallel read-only expansion phase with a serial
+// insertion phase). Add itself must be serialized by the caller — id
+// assignment order is what makes frontier exploration deterministic.
 
 // DenseDedupLimit is the index-range size up to which Dedup uses the dense
 // visited array (4 bytes per configuration of the range) instead of the
-// sharded table.
+// hash table. The dense array wins below it: one probe, no hashing.
 const DenseDedupLimit = 1 << 22
+
+// minDedupSlots is the initial slot count of a hash table.
+const minDedupSlots = 1 << 10
 
 // Dedup maps global configuration indexes to the dense local ids
 // [0, Len()), in insertion order. The zero value is not usable; call
 // NewDedup (growable) or NewSortedDedup (sealed, binary-searched).
 type Dedup struct {
 	dense   []int32 // global -> local id, -1 when absent (small ranges)
-	shards  []map[int64]int32
+	slots   []int32 // open-addressing table: -1 empty, else a local id (large ranges)
+	shift   uint    // 64 - log2(len(slots)): the hash keeps the top bits
 	sorted  bool    // sealed: globals strictly ascending, Lookup binary-searches
 	globals []int64 // local id -> global index, insertion order
 }
@@ -45,18 +53,50 @@ func NewDedup(total int64) *Dedup {
 		}
 		return d
 	}
-	d.shards = make([]map[int64]int32, dedupShards)
-	for i := range d.shards {
-		d.shards[i] = make(map[int64]int32)
-	}
+	d.rehash(minDedupSlots)
 	return d
 }
 
-// shardOf spreads global indexes over the shards by Fibonacci hashing (the
-// indexes themselves are highly structured — mixed-radix neighbors differ
-// by one weight — so the raw low bits would collide pathologically).
-func shardOf(g int64) int {
-	return int((uint64(g) * 0x9e3779b97f4a7c15) >> 56)
+// home returns g's first probe slot by Fibonacci hashing (the indexes
+// themselves are highly structured — mixed-radix neighbors differ by one
+// weight — so the raw low bits would collide pathologically).
+func (d *Dedup) home(g int64) int {
+	return int((uint64(g) * 0x9e3779b97f4a7c15) >> d.shift)
+}
+
+// rehash rebuilds the slots at the given power-of-two size from globals,
+// assigning each global its id in globals.
+func (d *Dedup) rehash(size int) {
+	if cap(d.slots) >= size {
+		d.slots = d.slots[:size]
+	} else {
+		d.slots = make([]int32, size)
+	}
+	for i := range d.slots {
+		d.slots[i] = -1
+	}
+	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for id, g := range d.globals {
+		i := d.home(g)
+		for d.slots[i] >= 0 {
+			i = (i + 1) & mask
+		}
+		d.slots[i] = int32(id)
+	}
+}
+
+// probe returns the slot holding g, or the empty slot where g would go.
+func (d *Dedup) probe(g int64) int {
+	mask := len(d.slots) - 1
+	i := d.home(g)
+	for {
+		id := d.slots[i]
+		if id < 0 || d.globals[id] == g {
+			return i
+		}
+		i = (i + 1) & mask
+	}
 }
 
 // Lookup returns the local id of g, or -1 when g has not been added.
@@ -79,10 +119,7 @@ func (d *Dedup) Lookup(g int64) int32 {
 	if d.dense != nil {
 		return d.dense[g]
 	}
-	if id, ok := d.shards[shardOf(g)][g]; ok {
-		return id
-	}
-	return -1
+	return d.slots[d.probe(g)]
 }
 
 // Add inserts g if absent and returns its local id (existing or newly
@@ -101,13 +138,17 @@ func (d *Dedup) Add(g int64) int32 {
 		d.globals = append(d.globals, g)
 		return id
 	}
-	shard := d.shards[shardOf(g)]
-	if id, ok := shard[g]; ok {
+	i := d.probe(g)
+	if id := d.slots[i]; id >= 0 {
 		return id
 	}
 	id := int32(len(d.globals))
-	shard[g] = id
 	d.globals = append(d.globals, g)
+	if 2*len(d.globals) > len(d.slots) {
+		d.rehash(2 * len(d.slots)) // places g with the rest
+	} else {
+		d.slots[i] = id
+	}
 	return id
 }
 
@@ -155,9 +196,10 @@ func (d *Dedup) Renumber(order []int32) {
 		remapped[newID] = g
 		if d.dense != nil {
 			d.dense[g] = int32(newID)
-		} else {
-			d.shards[shardOf(g)][g] = int32(newID)
 		}
 	}
 	d.globals = remapped
+	if d.dense == nil {
+		d.rehash(len(d.slots))
+	}
 }

@@ -5,8 +5,8 @@
 // k-stabilization literature, the forward closure of L, a single suspect
 // configuration) pay for the region's closure, not for the whole space.
 // The result is a SubSpace: a weighted CSR over dense *local* indexes plus
-// a local↔global mapping (a sharded dedup table when the index range is
-// too large for a dense visited array).
+// a local↔global mapping (a flat open-addressing dedup table when the
+// index range is too large for a dense visited array).
 //
 // Determinism: exploration alternates a parallel expansion phase (workers
 // claim fixed-grain chunks of the current BFS level and compute successor
@@ -23,9 +23,10 @@
 package statespace
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"weakstab/internal/protocol"
@@ -242,15 +243,28 @@ func BuildFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol sche
 	return BuildFromContext(ctx, a, pol, seeds, opt)
 }
 
-// canonicalOrder returns the permutation (new id -> old id) that sorts
-// local ids into ascending-global order.
-func canonicalOrder(globals []int64) []int32 {
-	order := make([]int32, len(globals))
-	for i := range order {
-		order[i] = int32(i)
+// CanonicalOrder sorts a duplicate-free global list indexed by id into
+// ascending-global order: it returns the sorted globals and the
+// permutation order (new id -> old id), so sorted[i] == globals[order[i]].
+// The input is not modified. Every canonical form in the pipeline — sealed
+// subspaces, canonicalized BuildFrom results, the sorted fault ball — goes
+// through this one sort.
+func CanonicalOrder(globals []int64) (sorted []int64, order []int32) {
+	type pair struct {
+		g  int64
+		id int32
 	}
-	sort.Slice(order, func(i, j int) bool { return globals[order[i]] < globals[order[j]] })
-	return order
+	pairs := make([]pair, len(globals))
+	for i, g := range globals {
+		pairs[i] = pair{g, int32(i)}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.g, b.g) })
+	sorted = make([]int64, len(pairs))
+	order = make([]int32, len(pairs))
+	for i, p := range pairs {
+		sorted[i], order[i] = p.g, p.id
+	}
+	return sorted, order
 }
 
 // permuteCSR writes the CSR triple and legitimacy vector permuted by order
@@ -289,7 +303,7 @@ func permuteCSR(order []int32, off []int64, succ []int32, prob []float64, legit 
 // *set* and aligns subspace iteration order with full-space iteration
 // order (so analyses pick identical witnesses).
 func (ss *SubSpace) canonicalize() {
-	order := canonicalOrder(ss.table.Globals())
+	_, order := CanonicalOrder(ss.table.Globals())
 	sorted := true
 	for i, old := range order {
 		if int(old) != i {
