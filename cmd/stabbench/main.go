@@ -34,7 +34,7 @@ func run() int {
 		trials   = flag.Int("trials", 0, "Monte-Carlo trials override (0 = defaults)")
 		workers  = flag.Int("workers", 0, "state-space exploration workers (0 = all CPUs)")
 		cacheDir = flag.String("cache", "", "on-disk space cache directory: repeated runs load explored spaces instead of rebuilding them")
-		mmap     = flag.Bool("mmap", true, "zero-copy mmap-backed cache loads (bit-equal to -mmap=false, which stream-decodes)")
+		mmap     = flag.Bool("mmap", true, "zero-copy mmap-backed cache loads (bit-equal to -mmap=false, which reads into heap arrays)")
 	)
 	var of cli.ObsFlags
 	var pf cli.ProfileFlags

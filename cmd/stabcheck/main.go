@@ -119,7 +119,7 @@ func run(args []string, out io.Writer) error {
 		maxStates = fs.Int64("max-states", 0, "state space cap (0 = default)")
 		workers   = fs.Int("workers", 0, "exploration worker-pool size (0 = all CPUs)")
 		cacheDir  = fs.String("cache", "", "on-disk space cache directory: repeated runs load the explored space instead of rebuilding it")
-		mmap      = fs.Bool("mmap", true, "zero-copy mmap-backed cache loads (bit-equal to -mmap=false, which stream-decodes)")
+		mmap      = fs.Bool("mmap", true, "zero-copy mmap-backed cache loads (bit-equal to -mmap=false, which reads into heap arrays)")
 		jsonOut   = fs.Bool("json", false, "emit the result as JSON — the exact document stabserve's result endpoint returns")
 		mcMode    = fs.Bool("mc", false, "estimate stabilization times by Monte Carlo simulation on the explored space instead of the exact Markov solve (seeded by -seed; bit-identical across -workers)")
 		trials    = fs.Int("trials", 0, "-mc walker count (0 = 10000)")
@@ -202,7 +202,7 @@ func run(args []string, out io.Writer) error {
 			// The text report renders inside the job, while the explored
 			// system is still open — -witness and -lasso walk it without
 			// a second exploration.
-			deps.Inspect = func(resp *service.Response, ts statespace.TransitionSystem) {
+			deps.Inspect = func(resp *service.Response, ts *statespace.Space) {
 				if resp.MC != nil {
 					printMC(out, resp)
 					return
@@ -242,7 +242,7 @@ func run(args []string, out io.Writer) error {
 // document. It runs inside the job (service.Deps.Inspect) while the
 // explored system is still open, which is what lets -witness and -lasso
 // walk the space without a second exploration.
-func printReport(out io.Writer, resp *service.Response, ts statespace.TransitionSystem, witness, lasso bool) {
+func printReport(out io.Writer, resp *service.Response, ts *statespace.Space, witness, lasso bool) {
 	rep := resp.CoreReport
 	fmt.Fprint(out, rep)
 	if rep.FairLassoFound {

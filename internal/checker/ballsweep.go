@@ -274,7 +274,7 @@ func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol schedule
 // returns them) and, optionally, its sealed closure subspace — the
 // warm-cache resume path. ss may be nil: the closure is then explored from
 // the ball at the next Seal. ss is deep-copied, never aliased or mutated.
-func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals []int64, dist []int, ss *statespace.SubSpace, opt statespace.Options) (*BallSweep, error) {
+func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals []int64, dist []int, ss *statespace.Space, opt statespace.Options) (*BallSweep, error) {
 	if len(globals) != len(dist) {
 		return nil, fmt.Errorf("checker: ball of %d globals with %d distances", len(globals), len(dist))
 	}
@@ -315,13 +315,13 @@ func (s *BallSweep) GrowToContext(ctx context.Context, k int) error { return s.b
 // of the new states only. The snapshot is independent of the sweep: Grow
 // and Seal again freely. An empty ball (empty legitimate set) seals to a
 // nil subspace with empty globals, mirroring BallClosure.
-func (s *BallSweep) Seal() (*statespace.SubSpace, []int64, []int, error) {
+func (s *BallSweep) Seal() (*statespace.Space, []int64, []int, error) {
 	return s.SealContext(context.Background())
 }
 
 // SealContext is Seal with cooperative cancellation of the closure
 // exploration, checked at every BFS shell boundary.
-func (s *BallSweep) SealContext(ctx context.Context) (*statespace.SubSpace, []int64, []int, error) {
+func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64, []int, error) {
 	globals, dist := s.ball.sorted()
 	if len(globals) == 0 {
 		return nil, globals, dist, nil
@@ -354,8 +354,8 @@ type BallStore interface {
 // (instance, policy, seed set) key — the shape of spacecache.Cache's
 // LoadSubSpace/StoreSubSpace.
 type SubSpaceStore interface {
-	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, bool)
-	StoreSubSpace(ss *statespace.SubSpace, seeds []int64) error
+	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool)
+	StoreSubSpace(ss *statespace.Space, seeds []int64) error
 }
 
 // Sources injects the optional on-disk persistence into the ball
@@ -378,7 +378,7 @@ func (src Sources) build() SubSpaceBuilder {
 	if src.Build != nil {
 		return src.Build
 	}
-	return func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, error) {
+	return func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error) {
 		return statespace.BuildFromContext(ctx, a, pol, seeds, opt)
 	}
 }
@@ -388,7 +388,7 @@ func (src Sources) build() SubSpaceBuilder {
 // entirely (no legitimacy scan, no mutation BFS), and the closure then
 // loads or builds through src.Build. On a fully warm cache the pipeline
 // runs zero algorithm callbacks of any kind.
-func BallClosureWith(src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.SubSpace, []int64, []int, error) {
+func BallClosureWith(src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
 	return BallClosureWithContext(context.Background(), src, a, pol, k, opt)
 }
 
@@ -396,7 +396,7 @@ func BallClosureWith(src Sources, a protocol.Algorithm, pol scheduler.Policy, k 
 // of both stages: the ball enumeration checks ctx per mutation shell and
 // the closure exploration per BFS shell. A cancelled pipeline stores
 // nothing (the injected stores only see completed artifacts).
-func BallClosureWithContext(ctx context.Context, src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.SubSpace, []int64, []int, error) {
+func BallClosureWithContext(ctx context.Context, src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
 	globals, ballDist, ok := []int64(nil), []int(nil), false
 	if src.Balls != nil {
 		globals, ballDist, ok = src.Balls.LoadBall(a, k, statespace.StateCap(opt.MaxStates))
@@ -426,7 +426,7 @@ func BallClosureWithContext(ctx context.Context, src Sources, a protocol.Algorit
 // an incremental sweep (BallVerdictsOver computes the whole 0..k range
 // when a caller wants them all from one subspace). A nil subspace yields
 // the vacuous verdict.
-func BallVerdictAt(ss *statespace.SubSpace, localDist []int, k int) KFaultVerdict {
+func BallVerdictAt(ss *statespace.Space, localDist []int, k int) KFaultVerdict {
 	if ss == nil {
 		return KFaultVerdict{K: k, Possible: true, Certain: true}
 	}
@@ -456,7 +456,7 @@ type SweepResult struct {
 	// legitimate set is empty), with Globals/Dist the matching ball. When
 	// the last radius was served from a warm cache, Sub may own a zero-copy
 	// file mapping — Close it when done (a no-op otherwise).
-	Sub     *statespace.SubSpace
+	Sub     *statespace.Space
 	Globals []int64
 	Dist    []int
 }
@@ -497,7 +497,7 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 			return nil, fmt.Errorf("checker: sweep canceled at radius %d: %w", k, err)
 		}
 		var (
-			ss      *statespace.SubSpace
+			ss      *statespace.Space
 			globals []int64
 			dist    []int
 			hit     bool
@@ -607,11 +607,11 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 // through. The parameter is structural, so this package stays independent
 // of the cache layer.
 func CacheSources(c interface {
-	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.SubSpace, bool, error)
+	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.Space, bool, error)
 	LoadBall(a protocol.Algorithm, k int, maxStates int64) ([]int64, []int, bool)
 	StoreBall(a protocol.Algorithm, k int, globals []int64, dist []int) error
-	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, bool)
-	StoreSubSpace(ss *statespace.SubSpace, seeds []int64) error
+	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool)
+	StoreSubSpace(ss *statespace.Space, seeds []int64) error
 }) Sources {
 	return Sources{Build: BuilderFromCache(c), Balls: c, Subs: c}
 }

@@ -111,7 +111,7 @@ func intsEqual(a, b []int) bool {
 
 // subSpacesEqual compares every persisted array of two subspaces —
 // bit-equality of the canonical form.
-func subSpacesEqual(t *testing.T, a, b *statespace.SubSpace) bool {
+func subSpacesEqual(t *testing.T, a, b *statespace.Space) bool {
 	t.Helper()
 	if (a == nil) != (b == nil) {
 		return false
@@ -229,7 +229,7 @@ func TestResumeBallSweepParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, base := range []*statespace.SubSpace{ss, nil} {
+	for _, base := range []*statespace.Space{ss, nil} {
 		sweep, err := ResumeBallSweep(ring, pol, k, globals, dist, base, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -15,7 +15,7 @@
 //
 // Every check is subspace-native: the checker runs over any
 // statespace.TransitionSystem, so the same passes decide the properties of
-// a full index-range Space and of a frontier-explored SubSpace (where the
+// the full index range and of a frontier-explored closure (where the
 // properties quantify over the reachable states only — sound for any
 // forward-closed region, e.g. the k-fault ball's closure).
 //
@@ -58,9 +58,9 @@ func ExploreWith(a protocol.Algorithm, pol scheduler.Policy, maxStates int64, wo
 	return &Space{ts}, nil
 }
 
-// FromSpace wraps an already-built transition system — a full
-// statespace.Space or a frontier-explored statespace.SubSpace — in the
-// checker view.
+// FromSpace wraps an already-built transition system — a
+// statespace.Space over the full index range or over a frontier-explored
+// closure — in the checker view.
 func FromSpace(ts statespace.TransitionSystem) *Space { return &Space{ts} }
 
 // ClosureResult reports on the strong closure property.

@@ -60,7 +60,7 @@ func (sp *Space) FindStronglyFairLasso() FairLasso {
 
 // sccs returns the component id of every state in the illegitimate
 // subgraph (legitimate states get -1) and the component count, through
-// the shared statespace Tarjan. On a frontier-explored SubSpace the
+// the shared statespace Tarjan. On a frontier-explored closure the
 // condensation runs over the reachable subgraph only — BuildFrom closes
 // the successor relation before sealing, so Tarjan sees every edge of the
 // region it condenses.

@@ -37,9 +37,9 @@ import (
 // would re-grow the backing array on every append once len reaches cap)
 // and configurations are decoded into one reused buffer.
 //
-// On a SubSpace, mutations leaving the explored set are skipped: the
-// distance is then relative to the subspace (exact whenever the subspace
-// contains the full mutation ball, as BallVerdicts' does).
+// On an explored closure, mutations leaving it are skipped: the distance
+// is then relative to the closure (exact whenever the closure contains
+// the full mutation ball, as BallVerdicts' does).
 func (sp *Space) DistanceToLegitimate() []int {
 	a := sp.Algorithm()
 	n := a.Graph().N()
@@ -195,7 +195,7 @@ func FaultBallContext(ctx context.Context, a protocol.Algorithm, k int, workers 
 // over spacecache.Cache.BuildSubSpaceContext satisfies it without this
 // package depending on the cache). Implementations honor ctx with
 // statespace.BuildFromContext's shell-boundary semantics.
-type SubSpaceBuilder func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, error)
+type SubSpaceBuilder func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error)
 
 // BallClosure enumerates the distance-≤k fault ball (FaultBall) and
 // frontier-explores its forward closure (statespace.BuildFrom) — exactly
@@ -205,7 +205,7 @@ type SubSpaceBuilder func(ctx context.Context, a protocol.Algorithm, pol schedul
 // and the per-k verdicts (BallVerdictsOver). When the legitimate set is
 // empty there is nothing to explore: the subspace is nil and globals is
 // empty, with no error.
-func BallClosure(a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.SubSpace, []int64, []int, error) {
+func BallClosure(a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
 	return BallClosureUsing(nil, a, pol, k, opt)
 }
 
@@ -215,7 +215,7 @@ func BallClosure(a protocol.Algorithm, pol scheduler.Policy, k int, opt statespa
 // load-or-build here, so the one-ball-enumeration + one-closure shape
 // lives in exactly one place. Callers that also persist the ball
 // enumeration itself pass a full Sources via BallClosureWith.
-func BallClosureUsing(build SubSpaceBuilder, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.SubSpace, []int64, []int, error) {
+func BallClosureUsing(build SubSpaceBuilder, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
 	return BallClosureWith(Sources{Build: build}, a, pol, k, opt)
 }
 
@@ -225,9 +225,9 @@ func BallClosureUsing(build SubSpaceBuilder, a protocol.Algorithm, pol scheduler
 // discarding the hit flag. The parameter is structural, so this package
 // stays independent of the cache layer.
 func BuilderFromCache(c interface {
-	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.SubSpace, bool, error)
+	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.Space, bool, error)
 }) SubSpaceBuilder {
-	return func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, error) {
+	return func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error) {
 		ss, _, err := c.BuildSubSpaceContext(ctx, a, pol, seeds, opt)
 		return ss, err
 	}
@@ -239,7 +239,7 @@ func BuilderFromCache(c interface {
 // distance, closure states discovered beyond the ball are marked -1 (they
 // are not initial configurations of any k'-fault scenario). A nil
 // subspace (BallClosure's empty-legitimate-set result) yields nil.
-func BallLocalDistances(ss *statespace.SubSpace, globals []int64, ballDist []int) []int {
+func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) []int {
 	if ss == nil {
 		return nil
 	}
@@ -262,7 +262,7 @@ func BallLocalDistances(ss *statespace.SubSpace, globals []int64, ballDist []int
 // e.g. for per-distance hitting times — compute it once. A nil subspace
 // (BallClosure's empty-legitimate-set result) yields VacuousVerdicts, so
 // the whole ball pipeline composes without a caller-side guard.
-func BallVerdictsOver(ss *statespace.SubSpace, localDist []int, k int) []KFaultVerdict {
+func BallVerdictsOver(ss *statespace.Space, localDist []int, k int) []KFaultVerdict {
 	if ss == nil {
 		return VacuousVerdicts(k)
 	}

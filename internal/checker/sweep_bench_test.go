@@ -3,8 +3,8 @@ package checker
 // PR-5 benchmarks: the incremental k-fault sweep against the per-k
 // from-scratch pipeline on the 14-ring (3^14 ≈ 4.8M configurations, balls
 // of a few thousand states), and the closed-form seed enumeration against
-// the full-range legitimacy scan it replaces. BENCH_pr5.md snapshots the
-// results.
+// the full-range legitimacy scan it replaces. The sweep-ball workload of
+// bench/ measures the sweep end to end.
 
 import (
 	"testing"

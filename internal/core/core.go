@@ -105,9 +105,9 @@ type Options struct {
 	// the instance's space, and populates it otherwise. A loaded space is
 	// bit-identical to a built one, so the report is unchanged either way.
 	CacheDir string
-	// NoMmap forces cache loads onto the streaming decode path instead of
-	// the default zero-copy mmap path. The two are bit-equal; decoding
-	// trades load time for freedom from mapping lifetimes.
+	// NoMmap forces cache loads onto heap arrays (statespace.Read) instead
+	// of the default zero-copy mmap path. The two are bit-equal; the heap
+	// path trades load time for freedom from mapping lifetimes.
 	NoMmap bool
 	// Obs receives analysis metrics and progress events (nil falls back to
 	// obs.Default(); both nil disables instrumentation). Reports are
@@ -123,15 +123,6 @@ func (o Options) openCache() (*spacecache.Cache, error) {
 	}
 	cache.SetMmap(!o.NoMmap)
 	return cache, nil
-}
-
-// closeSystem releases the mapping of a cache-loaded zero-copy system; on
-// anything else it is a no-op. Analyses that consume a system internally
-// (AnalyzeWith, AnalyzeFrom) close it before returning.
-func closeSystem(ts statespace.TransitionSystem) {
-	if c, ok := ts.(interface{ Close() error }); ok {
-		c.Close()
-	}
 }
 
 // spaceOptions lowers the analysis options to exploration options.
@@ -170,7 +161,7 @@ func AnalyzeWithContext(ctx context.Context, a protocol.Algorithm, pol scheduler
 	if err != nil {
 		return nil, fmt.Errorf("core: exploring %s: %w", a.Name(), err)
 	}
-	defer closeSystem(ts)
+	defer ts.Close() // releases a cache load's mapping; no-op otherwise
 	return AnalyzeSpaceContext(ctx, ts)
 }
 
@@ -198,7 +189,7 @@ func AnalyzeFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler
 	if err != nil {
 		return nil, fmt.Errorf("core: exploring %s from %d seeds: %w", a.Name(), len(seeds), err)
 	}
-	defer closeSystem(ss)
+	defer ss.Close()
 	return AnalyzeSpaceContext(ctx, ss)
 }
 
@@ -235,15 +226,15 @@ func SweepKFaultsContext(ctx context.Context, a protocol.Algorithm, pol schedule
 }
 
 // AnalyzeSpace runs the full classification over an already-explored
-// transition system — a full statespace.Space or a frontier-explored
-// statespace.SubSpace — without any further enumeration. Over a subspace,
-// every property is restricted to the explored (reachable) states; this is
-// sound because a subspace is closed under successors.
+// transition system — a statespace.Space over the full index range or
+// over a frontier-explored closure — without any further enumeration.
+// Over a closure, every property is restricted to the explored (reachable)
+// states; this is sound because a closure is closed under successors.
 //
 // A zero-copy mapped system (loaded through the cache's mmap path) is
 // pinned for the duration of the analysis, so a concurrent Close cannot
 // unmap the arrays mid-pass.
-func AnalyzeSpace(ts statespace.TransitionSystem) (*Report, error) {
+func AnalyzeSpace(ts *statespace.Space) (*Report, error) {
 	return AnalyzeSpaceContext(context.Background(), ts)
 }
 
@@ -251,16 +242,11 @@ func AnalyzeSpace(ts statespace.TransitionSystem) (*Report, error) {
 // checked between the checker and Markov phases and, inside the
 // hitting-time solve, at solver-block boundaries
 // (markov.HittingTimesContext).
-func AnalyzeSpaceContext(ctx context.Context, ts statespace.TransitionSystem) (*Report, error) {
-	if p, ok := ts.(interface {
-		Acquire() error
-		Release() error
-	}); ok {
-		if err := p.Acquire(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		defer p.Release()
+func AnalyzeSpaceContext(ctx context.Context, ts *statespace.Space) (*Report, error) {
+	if err := ts.Acquire(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	defer ts.Release()
 	// Phase timings go to the process observer — AnalyzeSpace takes no
 	// options, and the phases matter per run, not per call site.
 	o := obs.Default()

@@ -37,7 +37,7 @@ func EstimateHittingTimeContext(ctx context.Context, a protocol.Algorithm, pol s
 	if err != nil {
 		return nil, fmt.Errorf("core: exploring %s: %w", a.Name(), err)
 	}
-	defer closeSystem(ts)
+	defer ts.Close()
 	return EstimateSpaceContext(ctx, ts, withCoreDefaults(opt, mcOpt))
 }
 
@@ -45,7 +45,7 @@ func EstimateHittingTimeContext(ctx context.Context, a protocol.Algorithm, pol s
 // already-explored transition system, targeting its legitimate set. A
 // zero-copy mapped system is pinned for the duration (mc.New/RunContext
 // acquire it), so a concurrent Close cannot unmap the CSR mid-walk.
-func EstimateSpaceContext(ctx context.Context, ts statespace.TransitionSystem, mcOpt mc.Options) (*mc.Result, error) {
+func EstimateSpaceContext(ctx context.Context, ts *statespace.Space, mcOpt mc.Options) (*mc.Result, error) {
 	done := obs.Or(mcOpt.Obs).Phase("mc")
 	defer done()
 	e, err := mc.New(ts, markov.TargetFromSpace(ts))

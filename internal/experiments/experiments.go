@@ -31,8 +31,8 @@ type Options struct {
 	// previously explored spaces instead of rebuilding them. Results are
 	// bit-identical with or without it.
 	CacheDir string
-	// NoMmap forces cache loads onto the streaming decode path instead of
-	// the default zero-copy mmap path (bit-equal either way).
+	// NoMmap forces cache loads onto heap arrays (statespace.Read) instead
+	// of the default zero-copy mmap path (bit-equal either way).
 	NoMmap bool
 }
 

@@ -288,9 +288,8 @@ func FromAlgorithm(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) 
 // FromSpace builds the chain over an already-explored transition system's
 // weighted view with zero copying: the chain aliases the system's CSR
 // arrays directly, so constructing it allocates nothing per transition.
-// The system may be a full statespace.Space or a frontier-explored
-// statespace.SubSpace — the analyses run over whichever state indexing it
-// uses. Terminal states stay absorbing (empty rows). Rows are validated
+// The system may span the full index range or a frontier-explored
+// closure — the analyses run over whichever state indexing it uses. Terminal states stay absorbing (empty rows). Rows are validated
 // (positive probabilities summing to 1) in parallel without materializing
 // anything.
 func FromSpace(sp statespace.TransitionSystem) (*Chain, error) {

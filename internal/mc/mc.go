@@ -2,8 +2,9 @@
 // regime where the exact Markov solve no longer fits: it estimates the
 // stabilization-time distribution of the randomized scheduler's chain by
 // walking the probabilistic transition relation directly on the explored
-// CSR — a full statespace.Space, a frontier SubSpace, or a zero-copy
-// mmap-backed cache load; warm sampling never decodes a transition.
+// CSR — a full statespace.Space, a frontier-explored closure, or a
+// zero-copy mmap-backed cache load; warm sampling never decodes a
+// transition.
 //
 // The design is throughput- and reproducibility-first:
 //
@@ -153,7 +154,7 @@ func (r *Result) ECDF(t float64) float64 {
 
 // System is the slice of the transition-system surface the estimator
 // walks: the explored CSR and its pool size. Every
-// statespace.TransitionSystem (Space, SubSpace, mapped or heap-decoded)
+// statespace.TransitionSystem (full range or closure, mapped or read)
 // satisfies it; tests satisfy it with hand-built chains.
 type System interface {
 	// NumStates returns the number of states of the system.

@@ -37,7 +37,7 @@ type Deps struct {
 	// the response assembled and the explored transition system still
 	// open — the attachment point for witness and lasso extraction
 	// (stabcheck's -witness/-lasso stay on the shared path through it).
-	Inspect func(resp *Response, ts statespace.TransitionSystem)
+	Inspect func(resp *Response, ts *statespace.Space)
 }
 
 // build resolves the instance builder.
@@ -83,7 +83,7 @@ func Execute(ctx context.Context, req Request, deps Deps) (*Response, error) {
 // forward closure of explicit seed configurations — through the disk
 // cache, under an "explore" phase timing. The ball triple is non-nil
 // only on the ball-closure path.
-func exploreSystem(ctx context.Context, id Request, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, deps Deps) (ts statespace.TransitionSystem, ballSS *statespace.SubSpace, ballGlobals []int64, ballDist []int, err error) {
+func exploreSystem(ctx context.Context, id Request, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, deps Deps) (ts, ballSS *statespace.Space, ballGlobals []int64, ballDist []int, err error) {
 	exploreDone := obs.Or(deps.Obs).Phase("explore")
 	defer exploreDone()
 	switch {
@@ -118,7 +118,7 @@ func executeReport(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 	if err != nil {
 		return nil, err
 	}
-	defer closeSystem(ts)
+	defer ts.Close() // releases a cache load's mapping; no-op otherwise
 
 	rep, err := core.AnalyzeSpaceContext(ctx, ts)
 	if err != nil {
@@ -165,7 +165,7 @@ func executeMC(ctx context.Context, id Request, a protocol.Algorithm, pol schedu
 	if err != nil {
 		return nil, err
 	}
-	defer closeSystem(ts)
+	defer ts.Close()
 
 	res, err := core.EstimateSpaceContext(ctx, ts, mc.Options{
 		Trials:   id.Trials,
@@ -210,14 +210,6 @@ func executeSweep(ctx context.Context, id Request, a protocol.Algorithm, pol sch
 		res.Sub.Close()
 	}
 	return resp, nil
-}
-
-// closeSystem releases the mapping of a zero-copy cache-loaded system
-// once the job is done with it; a no-op for built or decoded systems.
-func closeSystem(ts statespace.TransitionSystem) {
-	if c, ok := ts.(interface{ Close() error }); ok {
-		c.Close()
-	}
 }
 
 // ParseSeeds parses "1,0,2;0,0,0" into configurations of n states — the

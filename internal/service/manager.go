@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -26,6 +27,11 @@ var (
 	ErrDraining = errors.New("service: manager is draining")
 	// ErrNotFound reports an unknown job id.
 	ErrNotFound = errors.New("service: no such job")
+	// ErrPanic fails a job whose execution panicked — an algorithm whose
+	// guard or action panics, say. The panic is recovered at the job
+	// boundary, so it fails that job alone; the error wraps the panic value
+	// and the stack.
+	ErrPanic = errors.New("service: job panicked")
 )
 
 // State is a job's lifecycle state.
@@ -351,9 +357,23 @@ func (m *Manager) worker() {
 		if skip {
 			continue
 		}
-		resp, err := Execute(j.ctx, j.Request, m.jobDeps(j))
+		resp, err := m.execute(j)
 		m.finish(j, resp, err)
 	}
+}
+
+// execute runs one job. A panic anywhere in it — including one that
+// statespace.ForRanges re-raises from an exploration worker — becomes an
+// ErrPanic failure of this job, so the worker, and every other in-flight
+// job, goes on.
+func (m *Manager) execute(j *Job) (resp *Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.counter("service.jobs.panicked").Add(1)
+			resp, err = nil, fmt.Errorf("%w: %v\n%s", ErrPanic, r, debug.Stack())
+		}
+	}()
+	return Execute(j.ctx, j.Request, m.jobDeps(j))
 }
 
 // setRunningLocked records the running-job count and publishes it on the

@@ -528,3 +528,55 @@ func TestRunningGauge(t *testing.T) {
 		t.Fatalf("running gauge = %d after every job finished, want 0", got)
 	}
 }
+
+// panicAlg panics in its guard, as a buggy algorithm would, from inside
+// the exploration's worker pool.
+type panicAlg struct{ protocol.Algorithm }
+
+func (panicAlg) EnabledAction(protocol.Configuration, int) int { panic("guard exploded") }
+
+// TestPanickingJobFailsAlone pins panic isolation: a job whose algorithm
+// panics ends Failed with ErrPanic and is counted, and the same Manager
+// then completes a normal job.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	inner, err := tokenring.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	m := NewManager(Config{
+		Deps: Deps{Obs: o, Build: func(r Request) (protocol.Algorithm, scheduler.Policy, error) {
+			if r.N == 5 {
+				return panicAlg{inner}, scheduler.CentralPolicy{}, nil
+			}
+			return buildInstance(r)
+		}},
+		Workers: 1,
+	})
+	defer m.Shutdown(context.Background())
+
+	bad, _, err := m.Submit(ringRequest(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.Result(); !errors.Is(err, ErrPanic) {
+		t.Fatalf("panicking job err = %v, want ErrPanic", err)
+	}
+	if state, _, _, _ := bad.Status(); state != StateFailed {
+		t.Fatalf("panicking job state = %s, want %s", state, StateFailed)
+	}
+	if got := o.Counter("service.jobs.panicked").Value(); got != 1 {
+		t.Fatalf("service.jobs.panicked = %d, want 1", got)
+	}
+
+	good, _, err := m.Submit(ringRequest(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := good.Result(); err != nil || resp == nil {
+		t.Fatalf("job after a panic: resp=%v err=%v", resp != nil, err)
+	}
+	if state, _, _, _ := good.Status(); state != StateDone {
+		t.Fatalf("job after a panic ended %s, want %s", state, StateDone)
+	}
+}

@@ -4,10 +4,10 @@ package spacecache
 // instance (tokenring N=11, modulus 3: 3^11 = 177147 configurations,
 // ~10^6 transitions under the central policy). Cold is a full parallel
 // exploration plus the cache write; warm is a pure load, measured on both
-// load paths — streaming decode (O(bytes) copied to heap) and zero-copy
-// mmap (validate + alias; the ≥5x warm-path claim of BENCH_pr6.md).
-// BENCH_pr4.md records the cold/warm numbers and CI snapshots them as
-// BENCH_pr4.json; the decode-vs-mmap pair lands in BENCH_pr6.json.
+// load paths — statespace.Read (O(bytes) copied to heap) and zero-copy
+// mmap (validate + alias). The serve-mixed workload of bench/ measures the
+// same pair end to end as spacecache.load_decode.ms and
+// spacecache.load_mmap.ms.
 
 import (
 	"testing"
@@ -101,15 +101,14 @@ func benchWarmLoad(b *testing.B, mmap bool) {
 	}
 }
 
-// BenchmarkWarmLoadDecode is the streaming decode path: every section is
-// read, validated and copied into fresh heap arrays.
+// BenchmarkWarmLoadDecode is the heap path: statespace.Read copies the
+// file into an aligned buffer and validates it in full.
 func BenchmarkWarmLoadDecode(b *testing.B) { benchWarmLoad(b, false) }
 
 // BenchmarkWarmLoadMmap is the steady-state zero-copy path: after the
 // first load validates the file in full, the validation memo recognizes
 // the unchanged inode and later loads skip the O(bytes) passes — mmap,
-// alias, unpack the legitimacy bits, done. This is the sublinear warm
-// path the ≥5x claim of BENCH_pr6.md is about.
+// alias, unpack the legitimacy bits, done: the sublinear warm path.
 func BenchmarkWarmLoadMmap(b *testing.B) { benchWarmLoad(b, true) }
 
 // BenchmarkWarmLoadMmapFirst is the first mapped load in a process: the

@@ -7,7 +7,7 @@ import (
 	"os"
 )
 
-// mmapSupported: no zero-copy path on this platform; loads stream-decode.
+// mmapSupported: no zero-copy path on this platform; loads use statespace.Read.
 const mmapSupported = false
 
 func mmapOpen(path string) ([]byte, func() error, os.FileInfo, error) {

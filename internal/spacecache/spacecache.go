@@ -50,12 +50,13 @@ import (
 //
 // Where the platform supports it, loads are zero-copy by default: the
 // cache file is mmap'd read-only and the CSR sections alias the mapping
-// (statespace.MapSpace/MapSubSpace), so a warm analysis touches only the
-// pages it reads instead of decoding every byte. Systems loaded this way
-// own a mapping and should be Closed by the caller when done (a finalizer
-// reclaims forgotten ones); callers that cannot tolerate that ownership
-// turn the path off with SetMmap(false) and get plain decoded heap
-// arrays, bit-equal by construction.
+// (statespace.Map), so a warm analysis touches only the pages it reads
+// instead of decoding every byte. Systems loaded this way own a mapping
+// and should be Closed by the caller when done (a finalizer reclaims
+// forgotten ones); callers that cannot tolerate that ownership turn the
+// path off with SetMmap(false) and get heap arrays from statespace.Read,
+// which runs the same decoder over a copy of the file — bit-equal by
+// construction.
 //
 // The first mapped load of an entry validates the whole file (checksum
 // and structure). Its (device, inode, size, mtime) identity is then
@@ -132,7 +133,7 @@ func (c *Cache) Dir() string {
 }
 
 // SetMmap toggles the zero-copy mmap load path, on by default where the
-// platform supports it. Off means every load stream-decodes into heap
+// platform supports it. Off means every load reads the file into heap
 // arrays with no Close obligation. A nil cache ignores the call.
 func (c *Cache) SetMmap(on bool) {
 	if c != nil {
@@ -211,199 +212,171 @@ func SubKey(a protocol.Algorithm, pol scheduler.Policy, seeds []int64) string {
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-func (c *Cache) spacePath(key string) string { return filepath.Join(c.dir, key+".space") }
-func (c *Cache) subPath(key string) string   { return filepath.Join(c.dir, key+".subspace") }
+// entryOf names the cache entry of a full space (sub false) or of the
+// closure of a seed set: its kind, which is also its filename extension,
+// and its key.
+func entryOf(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, sub bool) (kind, key string) {
+	if sub {
+		return "subspace", SubKey(a, pol, seeds)
+	}
+	return "space", Key(a, pol)
+}
 
-// LoadSpace returns the cached full space of (a, pol), or (nil, false) on
-// any miss — no file, or a file that fails validation (truncated,
-// corrupted, wrong version, or beyond opt.MaxStates). A miss is never an
-// error: the caller rebuilds and the rebuild's Store overwrites bad bytes.
+// load returns the cached entry, or (nil, false) on any miss — no file,
+// or a file that fails validation (truncated, corrupted, wrong version,
+// wrong instance, beyond opt.MaxStates) or holds the other kind of
+// system. A miss is never an error: the caller rebuilds and the rebuild's
+// store overwrites bad bytes.
 //
 // With the mmap path enabled (the default) a hit is zero-copy and the
-// returned space owns a file mapping — Close it when done. Buffers the
-// mapped loader declines (ErrNotMappable) fall back to the decode path
-// below, bit-equal.
-func (c *Cache) LoadSpace(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*statespace.Space, bool) {
+// returned space owns a file mapping — Close it when done. Anything Map
+// declines (ErrNotMappable) or rejects falls back to statespace.Read,
+// which re-derives the hit-or-miss verdict on its own. Both readers check
+// opt.MaxStates at the header, so an oversized entry costs a 32-byte read.
+func (c *Cache) load(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, sub bool, opt statespace.Options) (*statespace.Space, bool) {
 	if c == nil {
 		return nil, false
 	}
 	o := obs.Or(opt.Obs)
-	key := Key(a, pol)
-	path := c.spacePath(key)
+	kind, key := entryOf(a, pol, seeds, sub)
+	path := filepath.Join(c.dir, key+"."+kind)
+	// A closure carries Globals; the full index range does not.
+	isKind := func(sp *statespace.Space) bool { return (sp.Globals() != nil) == sub }
 	if c.MmapEnabled() {
 		if data, unmap, fi, err := mmapOpen(path); err == nil {
-			var sp *statespace.Space
+			mapFile := statespace.Map
 			if st, ok := stampOf(fi); ok && c.trustedStamp(path, st) {
-				sp, err = statespace.MapSpaceTrusted(data, a, pol, opt.Workers, opt.MaxStates, unmap)
-			} else {
-				sp, err = statespace.MapSpace(data, a, pol, opt.Workers, opt.MaxStates, unmap)
+				mapFile = statespace.MapTrusted
 			}
-			if err == nil {
+			sp, err := mapFile(data, a, pol, opt.Workers, opt.MaxStates, unmap)
+			if err == nil && isKind(sp) {
 				touch(path)
 				c.memoize(path)
-				observeLoad(o, "space", key, "mmap", true, fi.Size())
+				observeLoad(o, kind, key, "mmap", true, fi.Size())
 				return sp, true
 			}
-			unmap()
-			// Fall through: ErrNotMappable (and any validation failure)
-			// degrades to the streaming decoder, which re-derives the
-			// hit-or-miss verdict on its own.
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		observeLoad(o, "space", key, "", false, 0)
-		return nil, false
-	}
-	defer f.Close()
-	// The reader enforces opt.MaxStates up front (a full space spans the
-	// whole index range, so the cap rejects before any byte is decoded).
-	sp, err := statespace.ReadSpace(f, a, pol, opt.Workers, opt.MaxStates)
-	if err != nil {
-		observeLoad(o, "space", key, "", false, 0)
-		return nil, false
-	}
-	touch(path)
-	observeLoad(o, "space", key, "decode", true, sizeOf(f))
-	return sp, true
-}
-
-// StoreSpace persists sp under its canonical key, atomically (temp file +
-// rename). A nil cache stores nothing.
-func (c *Cache) StoreSpace(sp *statespace.Space) error {
-	if c == nil {
-		return nil
-	}
-	key := Key(sp.Alg, sp.Pol)
-	err := c.atomicWrite(c.spacePath(key), sp)
-	if err == nil {
-		observeStore(obs.Default(), "space", key)
-	}
-	return err
-}
-
-// LoadSubSpace returns the cached subspace of (a, pol, seed set), or
-// (nil, false) on any miss, with the same degrade-to-rebuild and
-// mmap-ownership contracts as LoadSpace.
-func (c *Cache) LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.SubSpace, bool) {
-	if c == nil {
-		return nil, false
-	}
-	o := obs.Or(opt.Obs)
-	key := SubKey(a, pol, seeds)
-	path := c.subPath(key)
-	if c.MmapEnabled() {
-		if data, unmap, fi, err := mmapOpen(path); err == nil {
-			var ss *statespace.SubSpace
-			if st, ok := stampOf(fi); ok && c.trustedStamp(path, st) {
-				ss, err = statespace.MapSubSpaceTrusted(data, a, pol, opt.Workers, opt.MaxStates, unmap)
-			} else {
-				ss, err = statespace.MapSubSpace(data, a, pol, opt.Workers, opt.MaxStates, unmap)
-			}
 			if err == nil {
-				touch(path)
-				c.memoize(path)
-				observeLoad(o, "subspace", key, "mmap", true, fi.Size())
-				return ss, true
+				sp.Close()
+			} else {
+				unmap()
 			}
-			unmap()
 		}
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		observeLoad(o, "subspace", key, "", false, 0)
-		return nil, false
+	if f, err := os.Open(path); err == nil {
+		defer f.Close()
+		sp, err := statespace.Read(f, a, pol, opt.Workers, opt.MaxStates)
+		if err == nil && isKind(sp) {
+			touch(path)
+			observeLoad(o, kind, key, "decode", true, sizeOf(f))
+			return sp, true
+		}
 	}
-	defer f.Close()
-	// The reader enforces opt.MaxStates at the header, before the arrays
-	// are decoded — an oversized entry costs a 32-byte read, not a full
-	// materialization.
-	ss, err := statespace.ReadSubSpace(f, a, pol, opt.Workers, opt.MaxStates)
-	if err != nil {
-		observeLoad(o, "subspace", key, "", false, 0)
-		return nil, false
-	}
-	touch(path)
-	observeLoad(o, "subspace", key, "decode", true, sizeOf(f))
-	return ss, true
+	observeLoad(o, kind, key, "", false, 0)
+	return nil, false
 }
 
-// StoreSubSpace persists ss under the canonical key of its seed set,
-// atomically. The seeds must be the ones the subspace was built from.
-func (c *Cache) StoreSubSpace(ss *statespace.SubSpace, seeds []int64) error {
+// store persists sp as the entry load finds it under, atomically (temp
+// file + rename). A nil cache stores nothing.
+func (c *Cache) store(sp *statespace.Space, seeds []int64, sub bool) error {
 	if c == nil {
 		return nil
 	}
-	key := SubKey(ss.Alg, ss.Pol, seeds)
-	err := c.atomicWrite(c.subPath(key), ss)
+	kind, key := entryOf(sp.Alg, sp.Pol, seeds, sub)
+	err := c.atomicWrite(filepath.Join(c.dir, key+"."+kind), sp)
 	if err == nil {
-		observeStore(obs.Default(), "subspace", key)
+		observeStore(obs.Default(), kind, key)
 	}
 	return err
 }
 
-// BuildSpace is statespace.Build behind the cache: a hit loads the space
-// without touching the algorithm at all; a miss explores and persists the
-// result. hit reports which path ran. A failed store (full or read-only
-// disk) is deliberately not an error — the built space is valid and is
-// returned; the next run simply misses again. The cache never turns a
-// successful analysis into a failure, only a slower one.
-func (c *Cache) BuildSpace(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
-	return c.BuildSpaceContext(context.Background(), a, pol, opt)
-}
-
-// BuildSpaceContext is BuildSpace with cooperative cancellation of the
-// exploration (statespace.BuildContext semantics). A cancelled build
-// stores nothing — the cache only ever sees completed spaces, and the
-// atomic temp-and-rename write means no partial entry can appear even on
-// a crash.
-func (c *Cache) BuildSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
-	if sp, ok := c.LoadSpace(a, pol, opt); ok {
+// build is the load-or-explore shared by the Build* methods: a hit loads
+// the system without touching the algorithm at all; a miss explores and
+// persists the result. A failed store (full or read-only disk) is
+// deliberately not an error — the built system is valid and is returned;
+// the next run simply misses again. The cache never turns a successful
+// analysis into a failure, only a slower one. A cancelled exploration
+// stores nothing, and the atomic write means no partial entry can appear
+// even on a crash.
+func (c *Cache) build(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, sub bool, opt statespace.Options) (*statespace.Space, bool, error) {
+	if sp, ok := c.load(a, pol, seeds, sub, opt); ok {
 		return sp, true, nil
 	}
-	sp, err = statespace.BuildContext(ctx, a, pol, opt)
+	var (
+		sp  *statespace.Space
+		err error
+	)
+	if sub {
+		sp, err = statespace.BuildFromContext(ctx, a, pol, seeds, opt)
+	} else {
+		sp, err = statespace.BuildContext(ctx, a, pol, opt)
+	}
 	if err != nil {
 		return nil, false, err
 	}
-	_ = c.StoreSpace(sp) // best-effort persistence; see the doc comment
+	_ = c.store(sp, seeds, sub)
 	return sp, false, nil
+}
+
+// LoadSpace returns the cached full space of (a, pol), with load's miss
+// and mmap-ownership contracts.
+func (c *Cache) LoadSpace(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*statespace.Space, bool) {
+	return c.load(a, pol, nil, false, opt)
+}
+
+// StoreSpace persists a full space under its canonical key.
+func (c *Cache) StoreSpace(sp *statespace.Space) error { return c.store(sp, nil, false) }
+
+// LoadSubSpace returns the cached closure of (a, pol, seed set), with
+// load's miss and mmap-ownership contracts.
+func (c *Cache) LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool) {
+	return c.load(a, pol, seeds, true, opt)
+}
+
+// StoreSubSpace persists a closure under the canonical key of its seed
+// set. The seeds must be the ones it was built from.
+func (c *Cache) StoreSubSpace(ss *statespace.Space, seeds []int64) error {
+	return c.store(ss, seeds, true)
+}
+
+// BuildSpace is statespace.Build behind the cache; hit reports which path
+// ran (see build).
+func (c *Cache) BuildSpace(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
+	return c.build(context.Background(), a, pol, nil, false, opt)
+}
+
+// BuildSpaceContext is BuildSpace with cooperative cancellation of the
+// exploration (statespace.BuildContext semantics).
+func (c *Cache) BuildSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
+	return c.build(ctx, a, pol, nil, false, opt)
 }
 
 // BuildSubSpace is statespace.BuildFrom behind the cache, with the same
 // contract as BuildSpace.
-func (c *Cache) BuildSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.SubSpace, hit bool, err error) {
-	return c.BuildSubSpaceContext(context.Background(), a, pol, seeds, opt)
+func (c *Cache) BuildSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.Space, hit bool, err error) {
+	return c.build(context.Background(), a, pol, seeds, true, opt)
 }
 
 // BuildSubSpaceContext is BuildSubSpace with BuildSpaceContext's
-// cancellation and no-partial-entry contract.
-func (c *Cache) BuildSubSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.SubSpace, hit bool, err error) {
-	if ss, ok := c.LoadSubSpace(a, pol, seeds, opt); ok {
-		return ss, true, nil
-	}
-	ss, err = statespace.BuildFromContext(ctx, a, pol, seeds, opt)
-	if err != nil {
-		return nil, false, err
-	}
-	_ = c.StoreSubSpace(ss, seeds) // best-effort persistence
-	return ss, false, nil
+// cancellation.
+func (c *Cache) BuildSubSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.Space, hit bool, err error) {
+	return c.build(ctx, a, pol, seeds, true, opt)
 }
 
 // BuildSubSpaceFromConfigs is BuildSubSpace with the seed set given as
 // configurations, validated and encoded by the same shared helper
 // statespace.BuildFromConfigs uses.
-func (c *Cache) BuildSubSpaceFromConfigs(a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.SubSpace, bool, error) {
+func (c *Cache) BuildSubSpaceFromConfigs(a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.Space, bool, error) {
 	return c.BuildSubSpaceFromConfigsContext(context.Background(), a, pol, cfgs, opt)
 }
 
 // BuildSubSpaceFromConfigsContext is BuildSubSpaceFromConfigs with
-// BuildSpaceContext's cancellation and no-partial-entry contract.
-func (c *Cache) BuildSubSpaceFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.SubSpace, bool, error) {
+// BuildSpaceContext's cancellation.
+func (c *Cache) BuildSubSpaceFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.Space, bool, error) {
 	seeds, err := statespace.EncodeConfigs(a, cfgs)
 	if err != nil {
 		return nil, false, err
 	}
-	return c.BuildSubSpaceContext(ctx, a, pol, seeds, opt)
+	return c.build(ctx, a, pol, seeds, true, opt)
 }
 
 // atomicWrite streams the system to a temp file in the cache directory and

@@ -256,6 +256,48 @@ func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsWrongKind pins the entry-kind check: the readers accept
+// a full space and a closure alike, so a .space file holding a closure,
+// or a .subspace file holding a full space, must be a miss on both load
+// paths — never served as the other kind.
+func TestLoadRejectsWrongKind(t *testing.T) {
+	c := openTemp(t)
+	a := ring(t, 5)
+	pol := scheduler.CentralPolicy{}
+	seeds := []int64{0, 7}
+	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.BuildSubSpace(a, pol, seeds, statespace.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	spacePath := filepath.Join(c.Dir(), Key(a, pol)+".space")
+	subPath := filepath.Join(c.Dir(), SubKey(a, pol, seeds)+".subspace")
+	full, err := os.ReadFile(spacePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := os.ReadFile(subPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(spacePath, sub, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(subPath, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{true, false} {
+		c.SetMmap(mmap)
+		if sp, ok := c.LoadSpace(a, pol, statespace.Options{}); ok {
+			t.Fatalf("mmap=%v: closure served as a full space (%d states)", mmap, sp.States)
+		}
+		if ss, ok := c.LoadSubSpace(a, pol, seeds, statespace.Options{}); ok {
+			t.Fatalf("mmap=%v: full space served as a closure (%d states)", mmap, ss.States)
+		}
+	}
+}
+
 // TestLoadRespectsStateCap pins that a cached system larger than the
 // caller's cap is not served: the rebuild enforces the cap's error.
 func TestLoadRespectsStateCap(t *testing.T) {

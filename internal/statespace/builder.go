@@ -5,13 +5,13 @@
 // per k re-explores the shared interior every time. Builder keeps the
 // exploration state alive between seed waves instead: Extend adds seeds
 // and explores exactly the states not yet discovered, and Seal snapshots
-// the current closure as a canonical SubSpace without disturbing the
+// the current closure as a canonical Space without disturbing the
 // builder — so a k=0..kmax sweep pays for one exploration of the final
 // closure, total, while still observing a sealed subspace at every k.
 //
 // Sealing canonicalizes a *copy*: the builder's own table and CSR stay in
 // discovery order, which is what makes further Extend calls valid. Because
-// a SubSpace is a pure function of (algorithm, policy, seed set) —
+// an explored closure is a pure function of (algorithm, policy, seed set) —
 // canonicalization erases discovery order — a sealed snapshot is
 // bit-identical to BuildFrom over the union of all seed waves, which the
 // parity tests pin.
@@ -84,19 +84,22 @@ func NewBuilder(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Build
 }
 
 // ResumeFrom returns a builder whose already-explored closure is a deep
-// copy of the sealed subspace ss — the resume path of incremental sweeps
+// copy of the sealed closure ss — the resume path of incremental sweeps
 // whose earlier radii were loaded from an on-disk cache rather than
 // explored in this process. ss is not touched or aliased: the builder can
-// grow while the subspace keeps serving analyses. ss must be closed under
-// successors, which every SubSpace produced by BuildFrom, Seal or
-// ReadSubSpace is.
-func ResumeFrom(ss *SubSpace, opt Options) (*Builder, error) {
+// grow while ss keeps serving analyses. ss must be a seed-set closure
+// (non-nil Globals), which every Space produced by BuildFrom or Seal, and
+// every loaded one of them, is.
+func ResumeFrom(ss *Space, opt Options) (*Builder, error) {
 	b, err := NewBuilder(ss.Alg, ss.Pol, opt)
 	if err != nil {
 		return nil, err
 	}
 	if int64(ss.States) > b.maxStates {
 		return nil, fmt.Errorf("statespace: resumed subspace of %d states exceeds the %d-state cap", ss.States, b.maxStates)
+	}
+	if ss.Globals() == nil {
+		return nil, fmt.Errorf("statespace: ResumeFrom needs a seed-set closure, not the full index range")
 	}
 	off, succ, prob := ss.CSR()
 	b.off = slices.Clone(off)
@@ -270,21 +273,21 @@ func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
 	return b.explore(ctx)
 }
 
-// Seal snapshots the current closure as a canonical SubSpace — local ids
+// Seal snapshots the current closure as a canonical Space — local ids
 // in ascending-global order, bit-identical to BuildFrom over the union of
 // every seed set extended so far. The snapshot is independent of the
 // builder: later Extend calls grow the builder without disturbing it.
 // Sealing an empty builder (no seeds ever admitted) returns nil.
-func (b *Builder) Seal() *SubSpace { return b.seal(false) }
+func (b *Builder) Seal() *Space { return b.seal(false) }
 
-// seal builds the canonical SubSpace; with move=true it takes ownership of
+// seal builds the canonical Space; with move=true it takes ownership of
 // the builder's arrays instead of copying (the one-shot BuildFrom path —
 // the builder must not be used afterwards).
-func (b *Builder) seal(move bool) *SubSpace {
+func (b *Builder) seal(move bool) *Space {
 	if b.table.Len() == 0 {
 		return nil
 	}
-	ss := &SubSpace{
+	ss := &Space{
 		Alg:     b.alg,
 		Pol:     b.pol,
 		Enc:     b.enc,

@@ -40,7 +40,7 @@ func TestBuilderWavesMatchBuildFrom(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertSubSpaceEqual(t, want, got)
+				assertSpaceEqual(t, want, got)
 				if b.Len() != got.NumStates() {
 					t.Fatalf("wave %d: builder holds %d states, sealed %d", w, b.Len(), got.NumStates())
 				}
@@ -74,7 +74,7 @@ func TestBuilderSealIsolation(t *testing.T) {
 	}
 	_ = b.Seal()
 	// The first snapshot still equals the from-scratch build of its seeds.
-	assertSubSpaceEqual(t, want, first)
+	assertSpaceEqual(t, want, first)
 	// And it still answers queries through its own table.
 	if _, ok := first.StateOf(want.Config(0)); !ok {
 		t.Fatal("sealed snapshot lost its state lookup after builder growth")
@@ -113,9 +113,9 @@ func TestBuilderResumeFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSubSpaceEqual(t, want, got)
+	assertSpaceEqual(t, want, got)
 	// The adopted subspace must be untouched by the growth.
-	assertSubSpaceEqual(t, ref, base)
+	assertSpaceEqual(t, ref, base)
 }
 
 // TestBuilderCapSemantics pins the inclusive cap across waves: the cap

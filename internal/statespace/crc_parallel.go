@@ -1,5 +1,5 @@
-// Parallel CRC-32C. The mapped load path checksums the whole buffer in one
-// pass before any section is trusted, and on acceptance-scale files that
+// Parallel CRC-32C. The decoder checksums the whole buffer in one pass
+// before any section is trusted, and on acceptance-scale files that
 // single hardware-assisted sweep is the largest cost left on the warm
 // path. CRC is linear over GF(2), so the buffer splits into per-worker
 // chunks whose checksums stitch together exactly — crc32Combine extends a

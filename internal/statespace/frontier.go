@@ -4,9 +4,9 @@
 // from it — so analyses over a bounded region (the k-fault ball of the
 // k-stabilization literature, the forward closure of L, a single suspect
 // configuration) pay for the region's closure, not for the whole space.
-// The result is a SubSpace: a weighted CSR over dense *local* indexes plus
-// a local↔global mapping (a flat open-addressing dedup table when the
-// index range is too large for a dense visited array).
+// The result is a Space over dense *local* ids plus the local↔global
+// Dedup table (a flat open-addressing hash table when the index range is
+// too large for a dense visited array).
 //
 // Determinism: exploration alternates a parallel expansion phase (workers
 // claim fixed-grain chunks of the current BFS level and compute successor
@@ -14,7 +14,7 @@
 // read-only dedup table) with a serial stitch phase that assigns local ids
 // to newly discovered states in chunk-and-row order. After the BFS
 // terminates, local ids are canonicalized to ascending-global order, so
-// the SubSpace — rows, probabilities, legitimacy, and every analysis run
+// the Space — rows, probabilities, legitimacy, and every analysis run
 // over it — is a pure function of (algorithm, policy, seed set),
 // independent of worker count and discovery schedule. Because BFS closes
 // the successor relation before the space is sealed, downstream
@@ -27,127 +27,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 )
-
-// SubSpace is a frontier-explored transition system: exactly the states
-// reachable from the seed set, indexed by dense local ids in ascending
-// order of their global (mixed-radix) indexes. It implements
-// TransitionSystem, so every analysis that runs over a Space runs over a
-// SubSpace unchanged — on local indexes.
-type SubSpace struct {
-	Alg protocol.Algorithm
-	Pol scheduler.Policy
-	Enc *protocol.Encoder
-	// States is the number of discovered states.
-	States int
-	// Legit[s]: local state s is legitimate.
-	Legit []bool
-	// Workers is the resolved exploration worker-pool size, reused as the
-	// default pool size of the analyses run over this subspace.
-	Workers int
-
-	table *Dedup // global -> local, aliases globalIdx through Globals()
-
-	off  []int64   // row offsets, len States+1
-	succ []int32   // successor local indexes, sorted ascending per row
-	prob []float64 // transition probabilities aligned with succ
-
-	// mapped is non-nil when the CSR and Globals arrays alias an external
-	// mapped buffer (MapSubSpace); see mapped.go for the lifecycle.
-	mapped *mapping
-
-	revOnce sync.Once
-	rev     Reverse
-}
-
-// Succ returns the deduplicated successor local indexes of s, sorted
-// ascending. The slice aliases the subspace; callers must not modify it.
-func (ss *SubSpace) Succ(s int) []int32 { return ss.succ[ss.off[s]:ss.off[s+1]] }
-
-// Prob returns the transition probabilities aligned with Succ(s). The
-// slice aliases the subspace; callers must not modify it.
-func (ss *SubSpace) Prob(s int) []float64 { return ss.prob[ss.off[s]:ss.off[s+1]] }
-
-// Degree returns the number of distinct successors of s.
-func (ss *SubSpace) Degree(s int) int { return int(ss.off[s+1] - ss.off[s]) }
-
-// IsTerminal reports whether local state s has no successors.
-func (ss *SubSpace) IsTerminal(s int) bool { return ss.off[s] == ss.off[s+1] }
-
-// Edges returns the total number of stored transitions.
-func (ss *SubSpace) Edges() int64 { return int64(len(ss.succ)) }
-
-// CSR exposes the raw forward CSR triple (local indexes) without copying.
-// Callers must not modify the slices.
-func (ss *SubSpace) CSR() (off []int64, succ []int32, prob []float64) {
-	return ss.off, ss.succ, ss.prob
-}
-
-// Reverse returns the predecessor view of the subspace, built on first use
-// and cached. Note the view is subspace-relative: predecessors outside the
-// reachable set do not exist here — which is exactly what forward-looking
-// analyses (reachability of L, divergence, hitting times) of reachable
-// states need, since the subspace is closed under successors.
-func (ss *SubSpace) Reverse() Reverse {
-	ss.revOnce.Do(func() {
-		ss.rev = ReverseCSR(ss.States, ss.off, ss.succ, ss.Workers)
-	})
-	return ss.rev
-}
-
-// GlobalIndex returns the global (mixed-radix) index of local state s.
-func (ss *SubSpace) GlobalIndex(s int) int64 { return ss.table.Globals()[s] }
-
-// Globals returns the global indexes of all discovered states in local-id
-// (= ascending global) order. The slice aliases the subspace.
-func (ss *SubSpace) Globals() []int64 { return ss.table.Globals() }
-
-// LocalIndex returns the local id of the global index g, or -1 when g was
-// not discovered.
-func (ss *SubSpace) LocalIndex(g int64) int32 { return ss.table.Lookup(g) }
-
-// Config decodes local state s into a fresh configuration.
-func (ss *SubSpace) Config(s int) protocol.Configuration {
-	return ss.Enc.Decode(ss.GlobalIndex(s), nil)
-}
-
-// ConfigInto implements TransitionSystem.
-func (ss *SubSpace) ConfigInto(s int, dst protocol.Configuration) protocol.Configuration {
-	return ss.Enc.Decode(ss.GlobalIndex(s), dst)
-}
-
-// Algorithm implements TransitionSystem.
-func (ss *SubSpace) Algorithm() protocol.Algorithm { return ss.Alg }
-
-// Policy implements TransitionSystem.
-func (ss *SubSpace) Policy() scheduler.Policy { return ss.Pol }
-
-// NumStates implements TransitionSystem.
-func (ss *SubSpace) NumStates() int { return ss.States }
-
-// TotalConfigs implements TransitionSystem: the size of the full index
-// range the subspace was carved out of.
-func (ss *SubSpace) TotalConfigs() int64 { return ss.Enc.Total() }
-
-// IsLegit implements TransitionSystem.
-func (ss *SubSpace) IsLegit(s int) bool { return ss.Legit[s] }
-
-// LegitSet implements TransitionSystem.
-func (ss *SubSpace) LegitSet() []bool { return ss.Legit }
-
-// PoolWorkers implements TransitionSystem.
-func (ss *SubSpace) PoolWorkers() int { return ss.Workers }
-
-// StateOf implements TransitionSystem: ok is false when cfg was not
-// discovered by the frontier exploration.
-func (ss *SubSpace) StateOf(cfg protocol.Configuration) (int32, bool) {
-	l := ss.table.Lookup(ss.Enc.Encode(cfg))
-	return l, l >= 0
-}
 
 // frontierGrain is the chunk size workers claim from the current BFS
 // level. It is a constant — never derived from the worker count — so the
@@ -171,7 +54,7 @@ type frontierChunk struct {
 // BuildFrom explores the forward closure of the seed set (global
 // configuration indexes under the canonical encoder of a, i.e.
 // protocol.NewEncoder(a, 0)) under pol with a parallel frontier BFS and
-// returns the discovered subspace. Duplicate seeds are deduplicated.
+// returns the discovered closure. Duplicate seeds are deduplicated.
 // opt.MaxStates caps the number of *discovered* states (0 means
 // DefaultMaxStates) — unlike Build, the full index range may exceed the
 // int32 state-index limit, since only discovered states need local ids.
@@ -180,15 +63,15 @@ type frontierChunk struct {
 // BuildFrom is the one-shot face of the resumable Builder: callers that
 // grow their seed set incrementally (the checker's k-fault sweeps) keep a
 // Builder alive and Extend it instead of rebuilding per wave.
-func BuildFrom(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt Options) (*SubSpace, error) {
+func BuildFrom(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt Options) (*Space, error) {
 	return BuildFromContext(context.Background(), a, pol, seeds, opt)
 }
 
 // BuildFromContext is BuildFrom with cooperative cancellation: ctx is
 // checked at every BFS shell boundary, so a cancelled exploration returns
 // an error wrapping ctx.Err() at the next shell without producing a
-// subspace.
-func BuildFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt Options) (*SubSpace, error) {
+// space.
+func BuildFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt Options) (*Space, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("statespace: BuildFrom needs at least one seed")
 	}
@@ -229,13 +112,13 @@ func EncodeConfigs(a protocol.Algorithm, cfgs []protocol.Configuration) ([]int64
 
 // BuildFromConfigs is BuildFrom with the seed set given as configurations;
 // each is validated against the process state domains before encoding.
-func BuildFromConfigs(a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt Options) (*SubSpace, error) {
+func BuildFromConfigs(a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt Options) (*Space, error) {
 	return BuildFromConfigsContext(context.Background(), a, pol, cfgs, opt)
 }
 
 // BuildFromConfigsContext is BuildFromConfigs with cooperative
 // cancellation, with BuildFromContext's semantics.
-func BuildFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt Options) (*SubSpace, error) {
+func BuildFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt Options) (*Space, error) {
 	seeds, err := EncodeConfigs(a, cfgs)
 	if err != nil {
 		return nil, err
@@ -302,8 +185,8 @@ func permuteCSR(order []int32, off []int64, succ []int32, prob []float64, legit 
 // BFS schedule; ascending-global order is a canonical function of the seed
 // *set* and aligns subspace iteration order with full-space iteration
 // order (so analyses pick identical witnesses).
-func (ss *SubSpace) canonicalize() {
-	_, order := CanonicalOrder(ss.table.Globals())
+func (sp *Space) canonicalize() {
+	_, order := CanonicalOrder(sp.table.Globals())
 	sorted := true
 	for i, old := range order {
 		if int(old) != i {
@@ -314,6 +197,6 @@ func (ss *SubSpace) canonicalize() {
 	if sorted {
 		return
 	}
-	ss.off, ss.succ, ss.prob, ss.Legit = permuteCSR(order, ss.off, ss.succ, ss.prob, ss.Legit)
-	ss.table.Renumber(order)
+	sp.off, sp.succ, sp.prob, sp.Legit = permuteCSR(order, sp.off, sp.succ, sp.prob, sp.Legit)
+	sp.table.Renumber(order)
 }

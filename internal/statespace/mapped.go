@@ -1,28 +1,25 @@
-// Zero-copy loading of serialized transition systems. The streaming
-// readers in serial.go decode every section into fresh heap arrays — an
-// O(bytes) copy on every warm load. The mapped loader takes the opposite
-// deal: given the file's bytes as one contiguous buffer (in practice a
-// read-only mmap established by internal/spacecache), it validates the
-// header, section counts, padding and CRC-32C once, then aliases the
-// int64/int32/float64 section payloads in place via unsafe.Slice — format
-// v2 guarantees every payload sits on an 8-byte boundary relative to the
-// (page-aligned) buffer start, so the aliased slices are well-aligned by
-// construction, and the loader verifies it anyway. Only the bit-packed
-// legitimacy vector is decoded (it cannot alias []bool; at one bit per
-// state it is the cheapest section by far). The result is a Space or
-// SubSpace whose CSR arrays are backed by the page cache: an analysis
-// touches only the pages it actually reads.
+// Zero-copy loading of serialized transition systems. Given the file's
+// bytes as one contiguous buffer (in practice a read-only mmap established
+// by internal/spacecache), Map validates the header, section counts,
+// padding and CRC-32C once, then aliases the int64/int32/float64 section
+// payloads in place via unsafe.Slice — format v2 guarantees every payload
+// sits on an 8-byte boundary relative to the (page-aligned) buffer start,
+// so the aliased slices are well-aligned by construction, and the loader
+// verifies it anyway. Only the bit-packed legitimacy vector is decoded (it
+// cannot alias []bool; at one bit per state it is the cheapest section by
+// far). The result is a Space whose CSR arrays are backed by the page
+// cache: an analysis touches only the pages it actually reads.
 //
-// The byte order of the format is little-endian; on a big-endian host, or
-// when the buffer is not 8-byte aligned, MapSpace/MapSubSpace fail with
-// ErrNotMappable and the caller falls back to the streaming decode path —
-// which produces bit-equal arrays, so the two paths are interchangeable
-// everywhere downstream.
+// mapSystem is also the decoder behind Read, which runs it over a heap
+// copy of the stream. The byte order of the format is little-endian; on a
+// big-endian host, or when the buffer is not 8-byte aligned, Map fails
+// with ErrNotMappable and the caller falls back to Read, which then
+// converts each section into a fresh host-order array instead of aliasing.
 //
-// Ownership: a mapped system holds a reference-counted mapping. Analyses
+// Ownership: a mapped space holds a reference-counted mapping. Analyses
 // that must not race an unmap pin it with Acquire/Release; Close is
 // idempotent and defers the actual unmap until the last reference drops.
-// Materialize promotes a mapped system to ordinary heap arrays for callers
+// Materialize promotes a mapped space to ordinary heap arrays for callers
 // that outlive the mapping or mutate the arrays (copy-on-write, one copy).
 package statespace
 
@@ -44,7 +41,7 @@ import (
 // host — a big-endian machine, or a buffer whose base address is not
 // 8-byte aligned (mmap always is; ad-hoc sub-slices may not be). It marks
 // structural unfitness, not corruption: the same bytes remain loadable
-// through the streaming decode path.
+// through Read.
 var ErrNotMappable = errors.New("statespace: buffer not zero-copy mappable on this host")
 
 // hostLittleEndian reports whether the running host stores integers in the
@@ -55,7 +52,7 @@ var hostLittleEndian = func() bool {
 }()
 
 // mapping tracks the lifetime of the externally owned buffer a mapped
-// system aliases. Acquire pins the buffer for the duration of an analysis;
+// space aliases. Acquire pins the buffer for the duration of an analysis;
 // Close marks the mapping dead and unmaps as soon as the last pin drops
 // (immediately, when none is held). All methods are safe for concurrent
 // use.
@@ -108,8 +105,8 @@ func (m *mapping) close() error {
 	return nil
 }
 
-// Mapped reports whether the space's CSR arrays alias an external mapped
-// buffer (loaded by MapSpace) rather than ordinary heap memory.
+// Mapped reports whether the space's arrays alias an external mapped
+// buffer (loaded by Map) rather than ordinary heap memory.
 func (sp *Space) Mapped() bool { return sp.mapped != nil }
 
 // Acquire pins the mapped buffer backing the space so a concurrent Close
@@ -134,8 +131,8 @@ func (sp *Space) Release() error {
 
 // Close releases the mapped buffer backing the space. It is idempotent and
 // safe concurrently with pinned analyses: the unmap is deferred until the
-// last Acquire is released. After Close the space's CSR accessors must not
-// be used (unpinned) — callers needing the data past Close use Materialize
+// last Acquire is released. After Close the space's accessors must not be
+// used (unpinned) — callers needing the data past Close use Materialize
 // first. Close on an unmapped space is a no-op.
 func (sp *Space) Close() error {
 	if sp.mapped == nil {
@@ -156,80 +153,17 @@ func (sp *Space) Materialize() error {
 	sp.off = slices.Clone(sp.off)
 	sp.succ = slices.Clone(sp.succ)
 	sp.prob = slices.Clone(sp.prob)
+	if sp.table != nil {
+		sp.table = NewSortedDedup(slices.Clone(sp.table.Globals()))
+	}
 	m := sp.mapped
 	sp.mapped = nil
 	runtime.SetFinalizer(sp, nil)
 	return m.close()
 }
 
-// detachMapping drops (and closes) the mapping after the receiver's arrays
-// have been replaced by decoded ones.
-func (sp *Space) detachMapping() {
-	if sp.mapped == nil {
-		return
-	}
-	m := sp.mapped
-	sp.mapped = nil
-	runtime.SetFinalizer(sp, nil)
-	m.close()
-}
-
-// Mapped reports whether the subspace's CSR and Globals arrays alias an
-// external mapped buffer (loaded by MapSubSpace).
-func (ss *SubSpace) Mapped() bool { return ss.mapped != nil }
-
-// Acquire pins the mapped buffer backing the subspace; see (*Space).Acquire.
-func (ss *SubSpace) Acquire() error {
-	if ss.mapped == nil {
-		return nil
-	}
-	return ss.mapped.acquire()
-}
-
-// Release undoes one Acquire; see (*Space).Release.
-func (ss *SubSpace) Release() error {
-	if ss.mapped == nil {
-		return nil
-	}
-	return ss.mapped.release()
-}
-
-// Close releases the mapped buffer backing the subspace; see (*Space).Close.
-func (ss *SubSpace) Close() error {
-	if ss.mapped == nil {
-		return nil
-	}
-	return ss.mapped.close()
-}
-
-// Materialize promotes a mapped subspace to ordinary heap arrays (CSR and
-// Globals) and closes the mapping; see (*Space).Materialize.
-func (ss *SubSpace) Materialize() error {
-	if ss.mapped == nil {
-		return nil
-	}
-	ss.off = slices.Clone(ss.off)
-	ss.succ = slices.Clone(ss.succ)
-	ss.prob = slices.Clone(ss.prob)
-	ss.table = NewSortedDedup(slices.Clone(ss.Globals()))
-	m := ss.mapped
-	ss.mapped = nil
-	runtime.SetFinalizer(ss, nil)
-	return m.close()
-}
-
-func (ss *SubSpace) detachMapping() {
-	if ss.mapped == nil {
-		return
-	}
-	m := ss.mapped
-	ss.mapped = nil
-	runtime.SetFinalizer(ss, nil)
-	m.close()
-}
-
-// mappedArrays is the outcome of mapSystem: section payloads aliasing the
-// buffer (nil when empty) plus the decoded legitimacy vector.
+// mappedArrays is the outcome of mapSystem: the section payloads (nil
+// when empty) plus the decoded legitimacy vector.
 type mappedArrays struct {
 	off     []int64
 	succ    []int32
@@ -238,242 +172,184 @@ type mappedArrays struct {
 	globals []int64
 }
 
-// mapCount verifies the 8-byte length prefix at data[at:] carries the
-// header-implied element count — the mapped twin of readCount.
-func mapCount(data []byte, at, want int64, section string) error {
-	if got := int64(binary.LittleEndian.Uint64(data[at:])); got != want {
-		return fmt.Errorf("statespace: %s section has %d entries, want %d", section, got, want)
-	}
-	return nil
-}
-
-// mapPad verifies the zero padding behind a section payload ending at
-// data[at:] — the mapped twin of readPad.
-func mapPad(data []byte, at, size int64, section string) error {
-	for _, x := range data[at : at+pad8(size)] {
-		if x != 0 {
-			return fmt.Errorf("statespace: nonzero %s section padding", section)
-		}
-	}
-	return nil
-}
-
-// aliasI64s returns data[at:] reinterpreted as n int64s without copying.
-func aliasI64s(data []byte, at, n int64) ([]int64, error) {
+// section returns the n little-endian values at data[at:]: aliased in
+// place when alias is set (the caller has checked the host byte order), or
+// converted into a fresh host-order slice.
+func section[T int32 | int64 | float64](data []byte, at, n int64, alias bool) ([]T, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	p := unsafe.Pointer(&data[at])
-	if uintptr(p)%8 != 0 {
+	size := int64(unsafe.Sizeof(T(0)))
+	src := data[at : at+n*size]
+	if !alias {
+		out := make([]T, n)
+		leCopy(bytesOf(out), src, int(size))
+		return out, nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(src))
+	if uintptr(p)%uintptr(size) != 0 {
 		return nil, ErrNotMappable
 	}
-	return unsafe.Slice((*int64)(p), n), nil
+	return unsafe.Slice((*T)(p), n), nil
 }
 
-// aliasI32s returns data[at:] reinterpreted as n int32s without copying.
-func aliasI32s(data []byte, at, n int64) ([]int32, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	p := unsafe.Pointer(&data[at])
-	if uintptr(p)%4 != 0 {
-		return nil, ErrNotMappable
-	}
-	return unsafe.Slice((*int32)(p), n), nil
-}
-
-// aliasF64s returns data[at:] reinterpreted as n float64s without copying.
-func aliasF64s(data []byte, at, n int64) ([]float64, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	p := unsafe.Pointer(&data[at])
-	if uintptr(p)%8 != 0 {
-		return nil, ErrNotMappable
-	}
-	return unsafe.Slice((*float64)(p), n), nil
-}
-
-// mapSystem validates a format-v2 buffer end to end — header fields,
-// section counts, padding, CRC-32C, CSR structure — and returns arrays
-// aliasing its sections. It performs every check the streaming reader
-// performs (the two paths accept exactly the same byte strings, modulo
-// ErrNotMappable), but touches the bytes only twice: once for the
-// hardware-assisted checksum, once for validation scans.
+// mapSystem validates a format-v2 buffer whose header h has already been
+// parsed and bound — section counts, padding, CRC-32C, CSR structure — and
+// returns its arrays, aliasing data when alias is set and copying
+// otherwise. It is the format's only decoder: Map and Read both end here,
+// so they accept exactly the same byte strings. It touches the bytes only
+// twice: once for the hardware-assisted checksum, once for validation
+// scans.
 //
 // With trusted set, the O(bytes) passes — checksum and the array content
 // validators — are skipped: the caller vouches that these exact bytes
 // already passed a full validation (the spacecache keys that promise on
 // the file's inode identity). Layout, counts and alignment are still
 // checked, so a trusted load of the wrong-shaped buffer fails cleanly.
-func mapSystem(data []byte, wantKind byte, trusted bool) (serialHeader, mappedArrays, error) {
+func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, error) {
 	var arr mappedArrays
-	if !hostLittleEndian {
-		return serialHeader{}, arr, ErrNotMappable
+	if alias && !hostLittleEndian {
+		return arr, ErrNotMappable
 	}
-	if int64(len(data)) < 32 {
-		return serialHeader{}, arr, fmt.Errorf("statespace: buffer of %d bytes too short for a serialized space", len(data))
+	l := h.layout()
+	if need := l.end + 8; int64(len(data)) < need {
+		return arr, fmt.Errorf("statespace: buffer of %d bytes truncated for a %d-byte serialized system", len(data), need)
 	}
-	h, err := parseHeader([32]byte(data[0:32]), wantKind)
-	if err != nil {
-		return serialHeader{}, arr, err
+	type count struct {
+		at, want int64
+		name     string
 	}
-	// Cheap truncation gate before any layout arithmetic: it also bounds
-	// states and edges by the buffer length, so the offset sums below
-	// cannot overflow (every term is < 8·len(data)).
-	if h.states > int64(len(data))/8 || h.edges > int64(len(data))/4 {
-		return serialHeader{}, arr, fmt.Errorf("statespace: buffer of %d bytes truncated for %d states, %d edges", len(data), h.states, h.edges)
-	}
-
-	// Section layout. Format v2 makes it a pure function of the header:
-	// every count is 8 bytes, every payload zero-padded to an 8-byte
-	// boundary.
-	offAt := int64(32 + 8)
-	offBytes := (h.states + 1) * 8
-	succAt := offAt + offBytes + 8
-	succBytes := h.edges * 4
-	probAt := succAt + succBytes + pad8(succBytes) + 8
-	probBytes := h.edges * 8
-	legitAt := probAt + probBytes + 8
-	legitBytes := (h.states + 7) / 8
-	end := legitAt + legitBytes + pad8(legitBytes)
-	globAt, globBytes := int64(0), int64(0)
+	counts := []count{{l.off, h.states + 1, "off"}, {l.succ, h.edges, "succ"}, {l.prob, h.edges, "prob"}, {l.legit, h.states, "legit"}}
 	if h.kind == kindSubSpace {
-		globAt = end + 8
-		globBytes = h.states * 8
-		end = globAt + globBytes
+		counts = append(counts, count{l.globals, h.states, "globals"})
 	}
-	need := end + 8 // CRC trailer
-	if int64(len(data)) < need {
-		return serialHeader{}, arr, fmt.Errorf("statespace: buffer of %d bytes truncated for a %d-byte serialized system", len(data), need)
-	}
-
-	if err := mapCount(data, offAt-8, h.states+1, "off"); err != nil {
-		return serialHeader{}, arr, err
-	}
-	if err := mapCount(data, succAt-8, h.edges, "succ"); err != nil {
-		return serialHeader{}, arr, err
-	}
-	if err := mapCount(data, probAt-8, h.edges, "prob"); err != nil {
-		return serialHeader{}, arr, err
-	}
-	if err := mapCount(data, legitAt-8, h.states, "legit"); err != nil {
-		return serialHeader{}, arr, err
-	}
-	if h.kind == kindSubSpace {
-		if err := mapCount(data, globAt-8, h.states, "globals"); err != nil {
-			return serialHeader{}, arr, err
+	for _, c := range counts {
+		if got := int64(binary.LittleEndian.Uint64(data[c.at-8:])); got != c.want {
+			return arr, fmt.Errorf("statespace: %s section has %d entries, want %d", c.name, got, c.want)
 		}
 	}
 
+	succEnd, legitBytes := l.succ+h.edges*4, (h.states+7)/8
 	if !trusted {
-		// Integrity before structure, exactly like the streaming reader: a
-		// corrupted file reports corruption, not a confusing shape error.
-		want := checksumParallel(data[:end])
-		if got := binary.LittleEndian.Uint64(data[end:]); got != uint64(want) {
-			return serialHeader{}, arr, fmt.Errorf("statespace: checksum mismatch (file %#x, computed %#x): corrupted cache file", got, want)
+		// Integrity before structure: a corrupted file reports corruption,
+		// not a confusing shape error.
+		want := checksumParallel(data[:l.end])
+		if got := binary.LittleEndian.Uint64(data[l.end:]); got != uint64(want) {
+			return arr, fmt.Errorf("statespace: checksum mismatch (file %#x, computed %#x): corrupted cache file", got, want)
 		}
-		if err := mapPad(data, succAt+succBytes, succBytes, "succ"); err != nil {
-			return serialHeader{}, arr, err
-		}
-		if err := mapPad(data, legitAt+legitBytes, legitBytes, "legit"); err != nil {
-			return serialHeader{}, arr, err
+		for _, pad := range [][]byte{data[succEnd : l.prob-8], data[l.legit+legitBytes : l.legit+legitBytes+pad8(legitBytes)]} {
+			for _, x := range pad {
+				if x != 0 {
+					return arr, fmt.Errorf("statespace: nonzero section padding")
+				}
+			}
 		}
 	}
 
-	if arr.off, err = aliasI64s(data, offAt, h.states+1); err != nil {
-		return serialHeader{}, arr, err
+	var err error
+	if arr.off, err = section[int64](data, l.off, h.states+1, alias); err != nil {
+		return arr, err
 	}
-	if arr.succ, err = aliasI32s(data, succAt, h.edges); err != nil {
-		return serialHeader{}, arr, err
+	if arr.succ, err = section[int32](data, l.succ, h.edges, alias); err != nil {
+		return arr, err
 	}
-	if arr.prob, err = aliasF64s(data, probAt, h.edges); err != nil {
-		return serialHeader{}, arr, err
+	if arr.prob, err = section[float64](data, l.prob, h.edges, alias); err != nil {
+		return arr, err
 	}
-	if arr.legit, err = unpackBools(data[legitAt:legitAt+legitBytes], h.states); err != nil {
-		return serialHeader{}, arr, err
+	if arr.legit, err = unpackBools(data[l.legit:l.legit+legitBytes], h.states); err != nil {
+		return arr, err
 	}
 	if h.kind == kindSubSpace {
-		if arr.globals, err = aliasI64s(data, globAt, h.states); err != nil {
-			return serialHeader{}, arr, err
+		if arr.globals, err = section[int64](data, l.globals, h.states, alias); err != nil {
+			return arr, err
 		}
 	}
 
 	if !trusted {
 		if err := validateOffsets(h.states, h.edges, arr.off); err != nil {
-			return serialHeader{}, arr, err
+			return arr, err
 		}
 		if err := validateSucc(h.states, arr.succ); err != nil {
-			return serialHeader{}, arr, err
+			return arr, err
 		}
 		if h.kind == kindSubSpace {
 			if err := validateGlobals(h.states, h.total, arr.globals); err != nil {
-				return serialHeader{}, arr, err
+				return arr, err
 			}
 		}
 	}
-	return h, arr, nil
+	return arr, nil
 }
 
-// MapSpace interprets data — the complete bytes of a full space serialized
-// by (*Space).WriteTo, typically a read-only mmap of a cache file — as a
-// transition system whose CSR arrays alias data in place (zero-copy; only
-// the bit-packed legitimacy vector is decoded). Validation is equivalent
-// to ReadSpace's: the two paths accept the same bytes and produce
+// newSpace assembles a decoded or mapped system bound to (a, pol).
+func newSpace(a protocol.Algorithm, pol scheduler.Policy, enc *protocol.Encoder, h serialHeader, arr mappedArrays, workers int) *Space {
+	sp := &Space{
+		Alg:    a,
+		Pol:    pol,
+		Enc:    enc,
+		States: int(h.states),
+		Legit:  arr.legit,
+		off:    arr.off,
+		succ:   arr.succ,
+		prob:   arr.prob,
+	}
+	if h.kind == kindSpace {
+		sp.Workers = resolveWorkers(workers, sp.States)
+	} else {
+		sp.Workers = resolveWorkers(workers, math.MaxInt)
+		// A loaded closure never grows: the sealed binary-search table over
+		// its ascending Globals avoids both the dense O(range) array and the
+		// per-entry hash insertion of a growable dedup (a Builder
+		// re-adopting the closure builds its own).
+		sp.table = NewSortedDedup(arr.globals)
+	}
+	return sp
+}
+
+// Map interprets data — the complete bytes of a system serialized by
+// WriteTo, typically a read-only mmap of a cache file — as a Space whose
+// arrays alias data in place (zero-copy; only the bit-packed legitimacy
+// vector is decoded). It accepts the same bytes as Read and produces
 // bit-equal arrays. ErrNotMappable (big-endian host, misaligned buffer)
-// means the caller should fall back to ReadSpace; any other error means
-// the bytes themselves are unusable.
+// means the caller should fall back to Read; any other error means the
+// bytes themselves are unusable. workers and maxStates are Read's.
 //
 // unmap, when non-nil, is invoked exactly once — by Close, the final
 // Release after a Close, Materialize, or a GC finalizer safety net — when
 // the returned space is done with the buffer. On error, ownership of the
 // buffer stays with the caller and unmap is not invoked.
-func MapSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*Space, error) {
+func Map(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*Space, error) {
 	return mapSpace(data, a, pol, workers, maxStates, unmap, false)
 }
 
-// MapSpaceTrusted is MapSpace minus the O(bytes) integrity passes
-// (checksum, padding scans, CSR content validators). The caller asserts
-// that these exact bytes already passed a full MapSpace or ReadSpace
-// validation and have not changed since — the spacecache keys that
-// promise on the backing file's (device, inode, size, mtime) identity,
-// which every rewrite path invalidates via rename. Layout, counts and
-// alignment are still checked.
-func MapSpaceTrusted(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*Space, error) {
+// MapTrusted is Map minus the O(bytes) integrity passes (checksum,
+// padding scans, CSR content validators). The caller asserts that these
+// exact bytes already passed a full Map or Read validation and have not
+// changed since — the spacecache keys that promise on the backing file's
+// (device, inode, size, mtime) identity, which every rewrite path
+// invalidates via rename. Layout, counts and alignment are still checked.
+func MapTrusted(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*Space, error) {
 	return mapSpace(data, a, pol, workers, maxStates, unmap, true)
 }
 
 func mapSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error, trusted bool) (*Space, error) {
-	enc, err := protocol.NewEncoder(a, 0)
-	if err != nil {
-		return nil, fmt.Errorf("statespace: %w", err)
+	if len(data) < 32 {
+		return nil, fmt.Errorf("statespace: buffer of %d bytes too short for a serialized space", len(data))
 	}
-	if enc.Total() > math.MaxInt32 {
-		return nil, fmt.Errorf("statespace: %d configurations exceed the int32 index range", enc.Total())
-	}
-	if enc.Total() > StateCap(maxStates) {
-		return nil, fmt.Errorf("statespace: %d configurations exceed the %d-state cap", enc.Total(), StateCap(maxStates))
-	}
-	h, arr, err := mapSystem(data, kindSpace, trusted)
+	h, err := parseHeader([32]byte(data[0:32]))
 	if err != nil {
 		return nil, err
 	}
-	if h.total != enc.Total() || h.states != enc.Total() {
-		return nil, fmt.Errorf("statespace: serialized space has %d of %d configurations, want the full %d of %s",
-			h.states, h.total, enc.Total(), a.Name())
+	enc, err := bind(h, a, maxStates)
+	if err != nil {
+		return nil, err
 	}
-	sp := &Space{
-		Alg:     a,
-		Pol:     pol,
-		Enc:     enc,
-		States:  int(h.states),
-		Legit:   arr.legit,
-		Workers: resolveWorkers(workers, int(enc.Total())),
-		off:     arr.off,
-		succ:    arr.succ,
-		prob:    arr.prob,
-		mapped:  &mapping{unmap: unmap},
+	arr, err := mapSystem(data, h, trusted, true)
+	if err != nil {
+		return nil, err
 	}
+	sp := newSpace(a, pol, enc, h, arr, workers)
+	sp.mapped = &mapping{unmap: unmap}
 	if unmap != nil {
 		// Safety net for owners that drop the space without closing it
 		// (one-shot experiment paths): reclaim the mapping when the space
@@ -481,55 +357,4 @@ func mapSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers i
 		runtime.SetFinalizer(sp, func(sp *Space) { sp.Close() })
 	}
 	return sp, nil
-}
-
-// MapSubSpace is MapSpace for a frontier subspace stream written by
-// (*SubSpace).WriteTo: the CSR sections and the Globals vector alias data
-// in place, and the local-id table is the sealed binary-search view over
-// the aliased Globals (no rebuild, no copy). maxStates caps the state
-// count exactly as ReadSubSpace does.
-func MapSubSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*SubSpace, error) {
-	return mapSubSpace(data, a, pol, workers, maxStates, unmap, false)
-}
-
-// MapSubSpaceTrusted is MapSubSpace with the same trusted-bytes contract
-// as MapSpaceTrusted: skip the O(bytes) integrity passes for a buffer the
-// caller has already validated and pinned by file identity.
-func MapSubSpaceTrusted(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*SubSpace, error) {
-	return mapSubSpace(data, a, pol, workers, maxStates, unmap, true)
-}
-
-func mapSubSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error, trusted bool) (*SubSpace, error) {
-	enc, err := protocol.NewEncoder(a, 0)
-	if err != nil {
-		return nil, fmt.Errorf("statespace: %w", err)
-	}
-	h, arr, err := mapSystem(data, kindSubSpace, trusted)
-	if err != nil {
-		return nil, err
-	}
-	if h.states > StateCap(maxStates) {
-		return nil, fmt.Errorf("statespace: serialized subspace has %d states, beyond the %d-state cap", h.states, StateCap(maxStates))
-	}
-	if h.total != enc.Total() {
-		return nil, fmt.Errorf("statespace: serialized subspace lives in a %d-configuration range, want %d for %s",
-			h.total, enc.Total(), a.Name())
-	}
-	ss := &SubSpace{
-		Alg:     a,
-		Pol:     pol,
-		Enc:     enc,
-		States:  int(h.states),
-		Legit:   arr.legit,
-		Workers: resolveWorkers(workers, math.MaxInt),
-		table:   NewSortedDedup(arr.globals),
-		off:     arr.off,
-		succ:    arr.succ,
-		prob:    arr.prob,
-		mapped:  &mapping{unmap: unmap},
-	}
-	if unmap != nil {
-		runtime.SetFinalizer(ss, func(ss *SubSpace) { ss.Close() })
-	}
-	return ss, nil
 }

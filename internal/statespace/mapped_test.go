@@ -1,7 +1,7 @@
 package statespace
 
-// Tests of the zero-copy mapped loader: bit-equal parity with the
-// streaming decoder, the fallback matrix (misaligned buffers, truncation,
+// Tests of the zero-copy mapped loader: bit-equal parity with Read, the
+// big-endian copy path, the fallback matrix (misaligned buffers, truncation,
 // corruption, count/structure inconsistencies), and the Acquire/Release/
 // Close lifecycle — including Close racing in-flight readers, which the
 // race-enabled CI job runs under the race detector.
@@ -12,6 +12,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -37,7 +38,7 @@ func testSpaceBytes(t *testing.T) (*Space, *tokenring.Algorithm, []byte) {
 	return sp, a, buf.Bytes()
 }
 
-func testSubSpaceBytes(t *testing.T) (*SubSpace, *tokenring.Algorithm, []byte) {
+func testSubSpaceBytes(t *testing.T) (*Space, *tokenring.Algorithm, []byte) {
 	t.Helper()
 	a, err := tokenring.New(5)
 	if err != nil {
@@ -78,7 +79,7 @@ func TestSerialAlignment(t *testing.T) {
 	if len(data)%8 != 0 {
 		t.Errorf("serialized length %d not a multiple of 8", len(data))
 	}
-	h, err := parseHeader([32]byte(data[:32]), kindSubSpace)
+	h, err := parseHeader([32]byte(data[:32]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,16 +98,16 @@ func TestSerialAlignment(t *testing.T) {
 
 func TestMapSpaceParity(t *testing.T) {
 	sp, a, data := testSpaceBytes(t)
-	mapped, err := MapSpace(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
+	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
 	if err != nil {
-		t.Fatalf("MapSpace: %v", err)
+		t.Fatalf("Map: %v", err)
 	}
 	if !mapped.Mapped() {
-		t.Fatal("MapSpace result not marked mapped")
+		t.Fatal("Map result not marked mapped")
 	}
-	decoded, err := ReadSpace(bytes.NewReader(data), a, scheduler.CentralPolicy{}, 1, 0)
+	decoded, err := Read(bytes.NewReader(data), a, scheduler.CentralPolicy{}, 1, 0)
 	if err != nil {
-		t.Fatalf("ReadSpace: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
 	for _, got := range []*Space{mapped, decoded} {
 		if got.States != sp.States || !reflect.DeepEqual(got.Legit, sp.Legit) {
@@ -130,15 +131,15 @@ func TestMapSpaceParity(t *testing.T) {
 
 func TestMapSubSpaceParity(t *testing.T) {
 	ss, a, data := testSubSpaceBytes(t)
-	mapped, err := MapSubSpace(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
+	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
 	if err != nil {
-		t.Fatalf("MapSubSpace: %v", err)
+		t.Fatalf("Map: %v", err)
 	}
-	decoded, err := ReadSubSpace(bytes.NewReader(data), a, scheduler.CentralPolicy{}, 1, 0)
+	decoded, err := Read(bytes.NewReader(data), a, scheduler.CentralPolicy{}, 1, 0)
 	if err != nil {
-		t.Fatalf("ReadSubSpace: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
-	for _, got := range []*SubSpace{mapped, decoded} {
+	for _, got := range []*Space{mapped, decoded} {
 		if got.States != ss.States || !reflect.DeepEqual(got.Legit, ss.Legit) {
 			t.Fatal("loaded subspace differs in states/legitimacy")
 		}
@@ -169,11 +170,11 @@ func TestMapMisalignedBuffer(t *testing.T) {
 	_, a, data := testSpaceBytes(t)
 	for rem := uintptr(1); rem < 8; rem++ {
 		mis := copyAt(data, rem)
-		_, err := MapSpace(mis, a, scheduler.CentralPolicy{}, 1, 0, nil)
+		_, err := Map(mis, a, scheduler.CentralPolicy{}, 1, 0, nil)
 		if !errors.Is(err, ErrNotMappable) {
-			t.Fatalf("base%%8=%d: MapSpace err = %v, want ErrNotMappable", rem, err)
+			t.Fatalf("base%%8=%d: Map err = %v, want ErrNotMappable", rem, err)
 		}
-		if _, err := ReadSpace(bytes.NewReader(mis), a, scheduler.CentralPolicy{}, 1, 0); err != nil {
+		if _, err := Read(bytes.NewReader(mis), a, scheduler.CentralPolicy{}, 1, 0); err != nil {
 			t.Fatalf("base%%8=%d: decode fallback failed: %v", rem, err)
 		}
 	}
@@ -184,8 +185,8 @@ func TestMapMisalignedBuffer(t *testing.T) {
 func TestMapTruncatedTail(t *testing.T) {
 	_, a, data := testSubSpaceBytes(t)
 	for _, n := range []int{0, 16, 32, 40, len(data) / 2, len(data) - 9, len(data) - 8, len(data) - 1} {
-		if _, err := MapSubSpace(copyAt(data[:n], 0), a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatalf("MapSubSpace accepted a %d-byte prefix of %d bytes", n, len(data))
+		if _, err := Map(copyAt(data[:n], 0), a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Fatalf("Map accepted a %d-byte prefix of %d bytes", n, len(data))
 		}
 	}
 }
@@ -194,7 +195,7 @@ func TestMapCorruptPayload(t *testing.T) {
 	_, a, data := testSpaceBytes(t)
 	bad := copyAt(data, 0)
 	bad[64] ^= 0x40
-	_, err := MapSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil)
+	_, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil)
 	if err == nil || errors.Is(err, ErrNotMappable) {
 		t.Fatalf("corrupted payload: err = %v, want checksum mismatch", err)
 	}
@@ -211,11 +212,11 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		bad := copyAt(data, 0)
 		binary.LittleEndian.PutUint64(bad[globCount:], uint64(ss.States-1))
 		refreshCRC(bad)
-		if _, err := MapSubSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("MapSubSpace accepted a globals count != state count")
+		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Fatal("Map accepted a globals count != state count")
 		}
-		if _, err := ReadSubSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("ReadSubSpace accepted a globals count != state count")
+		if _, err := Read(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
+			t.Fatal("Read accepted a globals count != state count")
 		}
 	})
 
@@ -228,16 +229,16 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		binary.LittleEndian.PutUint64(bad[first:], g1)
 		binary.LittleEndian.PutUint64(bad[first+8:], g0)
 		refreshCRC(bad)
-		if _, err := MapSubSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("MapSubSpace accepted non-ascending globals")
+		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Fatal("Map accepted non-ascending globals")
 		}
-		if _, err := ReadSubSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("ReadSubSpace accepted non-ascending globals")
+		if _, err := Read(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
+			t.Fatal("Read accepted non-ascending globals")
 		}
 	})
 
 	t.Run("nonzero-padding", func(t *testing.T) {
-		h, err := parseHeader([32]byte(data[:32]), kindSubSpace)
+		h, err := parseHeader([32]byte(data[:32]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,11 +249,11 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		succPadAt := 40 + (h.states+1)*8 + 8 + h.edges*4
 		bad[succPadAt] = 0xff
 		refreshCRC(bad)
-		if _, err := MapSubSpace(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("MapSubSpace accepted nonzero section padding")
+		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Fatal("Map accepted nonzero section padding")
 		}
-		if _, err := ReadSubSpace(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("ReadSubSpace accepted nonzero section padding")
+		if _, err := Read(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
+			t.Fatal("Read accepted nonzero section padding")
 		}
 	})
 }
@@ -262,7 +263,7 @@ func TestMapGlobalsConsistency(t *testing.T) {
 func TestMappingLifecycle(t *testing.T) {
 	_, a, data := testSpaceBytes(t)
 	unmapped := 0
-	sp, err := MapSpace(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, func() error {
+	sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, func() error {
 		unmapped++
 		return nil
 	})
@@ -298,7 +299,7 @@ func TestMappingLifecycle(t *testing.T) {
 func TestMaterialize(t *testing.T) {
 	ss, a, data := testSubSpaceBytes(t)
 	buf := copyAt(data, 0)
-	mapped, err := MapSubSpace(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
+	mapped, err := Map(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
 		clear(buf)
 		return nil
 	})
@@ -332,7 +333,7 @@ func TestMapConcurrentClose(t *testing.T) {
 	wantOff, _, _ := ss.CSR()
 	for round := 0; round < 20; round++ {
 		buf := copyAt(data, 0)
-		mapped, err := MapSubSpace(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
+		mapped, err := Map(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
 			clear(buf)
 			return nil
 		})
@@ -372,14 +373,14 @@ func TestMapConcurrentClose(t *testing.T) {
 
 // TestMapTrustedParityAndShape pins the trusted fast path: on bytes that
 // already passed a full validation it produces the same arrays as
-// MapSpace, and shape errors — misalignment, truncation — are still
+// Map, and shape errors — misalignment, truncation — are still
 // caught. Only the O(bytes) integrity passes are the caller's vouched-for
 // territory (the spacecache vouches via inode-identity stamps).
 func TestMapTrustedParityAndShape(t *testing.T) {
 	sp, a, data := testSpaceBytes(t)
-	got, err := MapSpaceTrusted(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
+	got, err := MapTrusted(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
 	if err != nil {
-		t.Fatalf("MapSpaceTrusted: %v", err)
+		t.Fatalf("MapTrusted: %v", err)
 	}
 	off, succ, prob := got.CSR()
 	wantOff, wantSucc, wantProb := sp.CSR()
@@ -387,19 +388,48 @@ func TestMapTrustedParityAndShape(t *testing.T) {
 		!reflect.DeepEqual(prob, wantProb) || !reflect.DeepEqual(got.Legit, sp.Legit) {
 		t.Fatal("trusted load differs from the built space")
 	}
-	if _, err := MapSpaceTrusted(copyAt(data, 4), a, scheduler.CentralPolicy{}, 1, 0, nil); !errors.Is(err, ErrNotMappable) {
+	if _, err := MapTrusted(copyAt(data, 4), a, scheduler.CentralPolicy{}, 1, 0, nil); !errors.Is(err, ErrNotMappable) {
 		t.Fatalf("misaligned trusted load: err = %v, want ErrNotMappable", err)
 	}
-	if _, err := MapSpaceTrusted(copyAt(data[:len(data)-16], 0), a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+	if _, err := MapTrusted(copyAt(data[:len(data)-16], 0), a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
 		t.Fatal("trusted load accepted a truncated buffer")
 	}
 
 	ss, sa, sdata := testSubSpaceBytes(t)
-	mss, err := MapSubSpaceTrusted(copyAt(sdata, 0), sa, scheduler.CentralPolicy{}, 1, 0, nil)
+	mss, err := MapTrusted(copyAt(sdata, 0), sa, scheduler.CentralPolicy{}, 1, 0, nil)
 	if err != nil {
-		t.Fatalf("MapSubSpaceTrusted: %v", err)
+		t.Fatalf("MapTrusted: %v", err)
 	}
 	if mss.States != ss.States || !reflect.DeepEqual(mss.Globals(), ss.Globals()) {
 		t.Fatal("trusted subspace load differs from the built subspace")
+	}
+}
+
+// TestMapSystemCopyMatchesAlias runs the decoder's copying mode — the one
+// Read takes on big-endian hosts — on this host and pins it bit-equal to
+// the aliasing mode, for a full space and for a closure.
+func TestMapSystemCopyMatchesAlias(t *testing.T) {
+	_, _, full := testSpaceBytes(t)
+	_, _, sub := testSubSpaceBytes(t)
+	for _, data := range [][]byte{full, sub} {
+		h, err := parseHeader([32]byte(data[:32]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		aliased, err := mapSystem(copyAt(data, 0), h, false, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied, err := mapSystem(copyAt(data, 3), h, false, false)
+		if err != nil {
+			t.Fatalf("copying decode of a misaligned buffer: %v", err)
+		}
+		if !reflect.DeepEqual(aliased.off, copied.off) || !reflect.DeepEqual(aliased.succ, copied.succ) ||
+			!reflect.DeepEqual(aliased.legit, copied.legit) || !reflect.DeepEqual(aliased.globals, copied.globals) {
+			t.Fatal("copied arrays differ from aliased ones")
+		}
+		if !slices.Equal(bytesOf(aliased.prob), bytesOf(copied.prob)) {
+			t.Fatal("copied probabilities differ bitwise from aliased ones")
+		}
 	}
 }

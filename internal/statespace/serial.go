@@ -1,25 +1,25 @@
-// On-disk serialization of explored transition systems. A Space or
-// SubSpace is, at rest, four flat arrays (the CSR triple off/succ/prob plus
-// the legitimacy vector) — and, for a SubSpace, the Globals() vector that
-// ties local ids back to the mixed-radix index range. WriteTo streams them
-// as a versioned little-endian binary: a fixed header (magic, format
-// version, kind, dimensions), length-prefixed sections in a fixed order,
-// and a trailing checksum of everything before it. ReadFrom is the exact
-// inverse and rejects anything it cannot trust: wrong magic or version,
-// kind mismatch, dimension or section-length inconsistencies, truncation,
-// and checksum failures.
+// On-disk serialization of explored transition systems. A Space is, at
+// rest, four flat arrays (the CSR triple off/succ/prob plus the legitimacy
+// vector) and, for a seed-set closure, the Globals vector that ties local
+// ids back to the mixed-radix index range. WriteTo streams them as a
+// versioned little-endian binary: a fixed header (magic, format version,
+// kind, dimensions), length-prefixed sections in a fixed order, and a
+// trailing checksum of everything before it.
 //
 // Format v2 lays every section payload out on an 8-byte boundary (the
 // header, counts and int64/float64 payloads are naturally 8-wide; the succ
-// and legit payloads are zero-padded up to it) so that the zero-copy
-// mapped loader (mapped.go) can alias the int64/float64/int32 sections of
-// a page-aligned mmap directly via unsafe.Slice. Readers reject nonzero
-// padding and spare legitimacy bits, keeping the byte stream a *bijection*
-// of the explored arrays: an accepted stream re-serializes bit-identically.
-// The checksum is CRC-32C (Castagnoli), hardware-accelerated on the hosts
-// that matter — an order of magnitude faster than the CRC-64 of format v1,
-// which would otherwise dominate the mapped warm-load path — stored as the
-// low 32 bits of the 8-byte little-endian trailer.
+// and legit payloads are zero-padded up to it), so the section layout is a
+// pure function of the header and the int64/float64/int32 payloads of an
+// 8-aligned buffer can be aliased in place. Readers reject nonzero padding
+// and spare legitimacy bits, keeping the byte stream a *bijection* of the
+// explored arrays: an accepted stream re-serializes bit-identically. The
+// checksum is CRC-32C (Castagnoli), hardware-accelerated on the hosts that
+// matter, stored as the low 32 bits of the 8-byte little-endian trailer.
+//
+// There is one decoder, mapSystem (mapped.go), and two ways to feed it:
+// Map hands it a complete buffer (in practice a read-only mmap) and keeps
+// the arrays aliasing it; Read copies a stream into an 8-aligned heap
+// buffer first. Both accept exactly the same byte strings by construction.
 //
 // The format stores only what exploration computed — never the algorithm
 // or policy, which are pure code. A reader therefore binds the arrays to
@@ -38,32 +38,32 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
+	"unsafe"
 
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 )
 
 // SerialVersion is the on-disk format version written by WriteTo and
-// required by ReadFrom. Bump it on any incompatible layout change; stale
-// cache files then fail the version gate and are rebuilt. Version 2
+// required by the readers. Bump it on any incompatible layout change;
+// stale cache files then fail the version gate and are rebuilt. Version 2
 // introduced 8-byte section alignment and the CRC-32C trailer.
 const SerialVersion = 2
 
 // serialMagic opens every serialized system ("WSSC": weakstab space cache).
 var serialMagic = [4]byte{'W', 'S', 'S', 'C'}
 
-// Kind discriminates the two transition-system layouts in the header.
+// Kind discriminates the two layouts in the header.
 const (
 	kindSpace    = 0 // full index range: States == Enc.Total()
-	kindSubSpace = 1 // frontier subspace: + Globals section
+	kindSubSpace = 1 // seed-set closure: + Globals section
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// serialChunk is the element count encoded per buffered write/read. 8 KiB
-// buffers keep the loops in cache while amortizing Write/Read calls.
-const serialChunk = 1 << 10
+// serialChunk is the byte size of the buffer the legitimacy vector is
+// bit-packed through on write.
+const serialChunk = 1 << 13
 
 // crcWriter counts and checksums everything written through it.
 type crcWriter struct {
@@ -79,70 +79,42 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// crcReader counts and checksums everything read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-	n   int64
-}
-
-func (cr *crcReader) full(p []byte) error {
-	n, err := io.ReadFull(cr.r, p)
-	cr.crc = crc32.Update(cr.crc, crcTable, p[:n])
-	cr.n += int64(n)
-	return err
-}
-
 // WriteTo implements io.WriterTo: it streams the space in the versioned
-// binary cache format. The byte stream is a pure function of the explored
-// arrays (worker counts, cached reverse views and the algorithm/policy
-// objects are not part of it).
+// binary cache format, with a Globals section when the space is a seed-set
+// closure. The byte stream is a pure function of the explored arrays
+// (worker counts, cached reverse views and the algorithm/policy objects
+// are not part of it).
 func (sp *Space) WriteTo(w io.Writer) (int64, error) {
-	return writeSystem(w, kindSpace, sp.Enc.Total(), int64(sp.States),
-		sp.off, sp.succ, sp.prob, sp.Legit, nil)
-}
-
-// WriteTo implements io.WriterTo for a frontier-explored subspace: the
-// Space layout plus the Globals section mapping local ids to mixed-radix
-// indexes.
-func (ss *SubSpace) WriteTo(w io.Writer) (int64, error) {
-	return writeSystem(w, kindSubSpace, ss.Enc.Total(), int64(ss.States),
-		ss.off, ss.succ, ss.prob, ss.Legit, ss.Globals())
-}
-
-func writeSystem(w io.Writer, kind byte, total, states int64,
-	off []int64, succ []int32, prob []float64, legit []bool, globals []int64) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := &crcWriter{w: bw}
 
 	var hdr [32]byte
 	copy(hdr[0:4], serialMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], SerialVersion)
-	hdr[6] = kind
-	hdr[7] = 0 // reserved
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(states))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(succ)))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(total))
+	if sp.table != nil {
+		hdr[6] = kindSubSpace
+	}
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(sp.States))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(sp.succ)))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(sp.Enc.Total()))
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return cw.n, err
 	}
-
-	if err := writeI64s(cw, off); err != nil {
-		return cw.n, err
+	err := writeSection(cw, sp.off)
+	if err == nil {
+		err = writeSection(cw, sp.succ)
 	}
-	if err := writeI32s(cw, succ); err != nil {
-		return cw.n, err
+	if err == nil {
+		err = writeSection(cw, sp.prob)
 	}
-	if err := writeF64s(cw, prob); err != nil {
-		return cw.n, err
+	if err == nil {
+		err = writeBools(cw, sp.Legit)
 	}
-	if err := writeBools(cw, legit); err != nil {
-		return cw.n, err
+	if err == nil && sp.table != nil {
+		err = writeSection(cw, sp.table.Globals())
 	}
-	if kind == kindSubSpace {
-		if err := writeI64s(cw, globals); err != nil {
-			return cw.n, err
-		}
+	if err != nil {
+		return cw.n, err
 	}
 
 	// Trailer: CRC-32C of everything above in the low 32 bits of an 8-byte
@@ -168,72 +140,52 @@ func writeCount(cw *crcWriter, n int) error {
 func pad8(size int64) int64 { return -size & 7 }
 
 // writePad zero-pads a section payload of size bytes to the next 8-byte
-// boundary, keeping the following section — and with it every int64 and
-// float64 payload of the stream — 8-aligned for the zero-copy mapped
-// loader.
+// boundary, keeping the following section 8-aligned.
 func writePad(cw *crcWriter, size int64) error {
-	pad := pad8(size)
-	if pad == 0 {
-		return nil
-	}
 	var zeros [7]byte
-	_, err := cw.Write(zeros[:pad])
+	_, err := cw.Write(zeros[:pad8(size)])
 	return err
 }
 
-func writeI64s(cw *crcWriter, v []int64) error {
-	if err := writeCount(cw, len(v)); err != nil {
-		return err
+// bytesOf views a numeric slice as its raw host-order bytes.
+func bytesOf[T int32 | int64 | float64](v []T) []byte {
+	if len(v) == 0 {
+		return nil
 	}
-	var buf [serialChunk * 8]byte
-	for len(v) > 0 {
-		c := min(len(v), serialChunk)
-		for i, x := range v[:c] {
-			binary.LittleEndian.PutUint64(buf[i*8:], uint64(x))
-		}
-		if _, err := cw.Write(buf[:c*8]); err != nil {
-			return err
-		}
-		v = v[c:]
-	}
-	return nil
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(v[0])))
 }
 
-func writeI32s(cw *crcWriter, v []int32) error {
-	if err := writeCount(cw, len(v)); err != nil {
-		return err
-	}
-	var buf [serialChunk * 4]byte
-	n := len(v)
-	for len(v) > 0 {
-		c := min(len(v), serialChunk)
-		for i, x := range v[:c] {
-			binary.LittleEndian.PutUint32(buf[i*4:], uint32(x))
+// leCopy copies size-byte words from src to dst, converting between
+// little-endian and the host byte order. The conversion is its own
+// inverse, so it serves writes (host → file) and decoding reads (file →
+// host) alike; on a little-endian host it is a plain copy.
+func leCopy(dst, src []byte, size int) {
+	for i := 0; i+size <= len(src); i += size {
+		if size == 4 {
+			binary.NativeEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(src[i:]))
+		} else {
+			binary.NativeEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(src[i:]))
 		}
-		if _, err := cw.Write(buf[:c*4]); err != nil {
-			return err
-		}
-		v = v[c:]
 	}
-	return writePad(cw, int64(n)*4)
 }
 
-func writeF64s(cw *crcWriter, v []float64) error {
+// writeSection writes a length-prefixed little-endian numeric section,
+// zero-padded to the next 8-byte boundary. On a little-endian host the
+// array's own bytes are the payload.
+func writeSection[T int32 | int64 | float64](cw *crcWriter, v []T) error {
 	if err := writeCount(cw, len(v)); err != nil {
 		return err
 	}
-	var buf [serialChunk * 8]byte
-	for len(v) > 0 {
-		c := min(len(v), serialChunk)
-		for i, x := range v[:c] {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-		}
-		if _, err := cw.Write(buf[:c*8]); err != nil {
-			return err
-		}
-		v = v[c:]
+	raw := bytesOf(v)
+	if !hostLittleEndian {
+		le := make([]byte, len(raw))
+		leCopy(le, raw, int(unsafe.Sizeof(v[0])))
+		raw = le
 	}
-	return nil
+	if _, err := cw.Write(raw); err != nil {
+		return err
+	}
+	return writePad(cw, int64(len(raw)))
 }
 
 // writeBools bit-packs the legitimacy vector, eight states per byte, LSB
@@ -269,9 +221,8 @@ type serialHeader struct {
 	total  int64
 }
 
-// parseHeader decodes and validates the fixed 32-byte header — the shared
-// front door of the streaming (readHeader) and mapped (mapped.go) readers.
-func parseHeader(hdr [32]byte, wantKind byte) (serialHeader, error) {
+// parseHeader decodes and validates the fixed 32-byte header.
+func parseHeader(hdr [32]byte) (serialHeader, error) {
 	if [4]byte(hdr[0:4]) != serialMagic {
 		return serialHeader{}, fmt.Errorf("statespace: bad magic %q (not a serialized space)", hdr[0:4])
 	}
@@ -284,154 +235,66 @@ func parseHeader(hdr [32]byte, wantKind byte) (serialHeader, error) {
 		edges:  int64(binary.LittleEndian.Uint64(hdr[16:24])),
 		total:  int64(binary.LittleEndian.Uint64(hdr[24:32])),
 	}
-	if h.kind != wantKind {
-		return serialHeader{}, fmt.Errorf("statespace: serialized kind %d, want %d (full space vs subspace mismatch)", h.kind, wantKind)
+	if h.kind != kindSpace && h.kind != kindSubSpace {
+		return serialHeader{}, fmt.Errorf("statespace: unknown serialized kind %d", h.kind)
 	}
-	// Plausibility bounds: states fit the int32 id range, and a merged CSR
-	// can never hold more than states² distinct transitions (the section
-	// readers additionally grow their arrays incrementally, so even a
-	// header that lies within these bounds cannot force an allocation
-	// larger than the bytes actually present in the stream).
-	if h.states < 0 || h.states > math.MaxInt32 || h.edges < 0 || h.edges > h.states*h.states || h.total < h.states {
+	// Plausibility bounds: states fit the int32 id range, a merged CSR can
+	// never hold more than states² distinct transitions, and the section
+	// layout computed from the header cannot overflow int64.
+	if h.states < 0 || h.states > math.MaxInt32 || h.edges < 0 || h.edges > h.states*h.states ||
+		h.edges > math.MaxInt64/16 || h.total < h.states {
 		return serialHeader{}, fmt.Errorf("statespace: implausible dimensions (states=%d edges=%d total=%d)", h.states, h.edges, h.total)
 	}
 	return h, nil
 }
 
-func readHeader(cr *crcReader, wantKind byte) (serialHeader, error) {
-	var hdr [32]byte
-	if err := cr.full(hdr[:]); err != nil {
-		return serialHeader{}, fmt.Errorf("statespace: reading header: %w", err)
-	}
-	return parseHeader(hdr, wantKind)
+// layout is where each section payload of a format-v2 stream starts: a
+// pure function of the header, since every count is 8 bytes and every
+// payload is zero-padded to an 8-byte boundary.
+type layout struct {
+	off, succ, prob, legit, globals int64
+	end                             int64 // the CRC trailer; the stream is end+8 bytes
 }
 
-func readCount(cr *crcReader, want int64, section string) error {
-	var b [8]byte
-	if err := cr.full(b[:]); err != nil {
-		return fmt.Errorf("statespace: reading %s length: %w", section, err)
+func (h serialHeader) layout() layout {
+	var l layout
+	l.off = 32 + 8
+	l.succ = l.off + (h.states+1)*8 + 8
+	l.prob = l.succ + h.edges*4 + pad8(h.edges*4) + 8
+	l.legit = l.prob + h.edges*8 + 8
+	legitBytes := (h.states + 7) / 8
+	l.end = l.legit + legitBytes + pad8(legitBytes)
+	if h.kind == kindSubSpace {
+		l.globals = l.end + 8
+		l.end = l.globals + h.states*8
 	}
-	if got := int64(binary.LittleEndian.Uint64(b[:])); got != want {
-		return fmt.Errorf("statespace: %s section has %d entries, want %d", section, got, want)
-	}
-	return nil
+	return l
 }
 
-// readPad consumes the zero padding behind a section payload of size
-// bytes, rejecting nonzero bytes — padding carries no information, so an
-// accepted stream must re-serialize bit-identically.
-func readPad(cr *crcReader, size int64, section string) error {
-	pad := pad8(size)
-	if pad == 0 {
-		return nil
+// bind checks a header against the instance a reader binds it to and
+// against the state cap, before any section is touched: a full space must
+// span a's whole index range, and a closure must live inside it. The cap
+// is Options.MaxStates' (0 = DefaultMaxStates), so an oversized cached
+// system costs a header read, not a decode.
+func bind(h serialHeader, a protocol.Algorithm, maxStates int64) (*protocol.Encoder, error) {
+	enc, err := protocol.NewEncoder(a, 0)
+	if err != nil {
+		return nil, fmt.Errorf("statespace: %w", err)
 	}
-	var b [7]byte
-	if err := cr.full(b[:pad]); err != nil {
-		return fmt.Errorf("statespace: reading %s padding: %w", section, err)
+	if h.total != enc.Total() || (h.kind == kindSpace && h.states != h.total) {
+		return nil, fmt.Errorf("statespace: serialized system has %d of %d configurations, not one of the %d of %s",
+			h.states, h.total, enc.Total(), a.Name())
 	}
-	for _, x := range b[:pad] {
-		if x != 0 {
-			return fmt.Errorf("statespace: nonzero %s section padding", section)
-		}
+	if h.states > StateCap(maxStates) {
+		return nil, fmt.Errorf("statespace: serialized system has %d states, beyond the %d-state cap", h.states, StateCap(maxStates))
 	}
-	return nil
-}
-
-// serialPrealloc caps the element count a section reader allocates before
-// any payload byte has been read. Sections at most this long (the common
-// case by orders of magnitude) get one exact allocation; longer ones grow
-// by append as bytes actually arrive — so a corrupt or hostile header
-// claiming a gigantic section cannot force more than ~64 MB of allocation
-// before the stream runs dry and the read fails.
-const serialPrealloc = 1 << 23
-
-func readI64s(cr *crcReader, n int64, section string) ([]int64, error) {
-	if err := readCount(cr, n, section); err != nil {
-		return nil, err
-	}
-	out := make([]int64, 0, min(n, serialPrealloc))
-	var buf [serialChunk * 8]byte
-	for int64(len(out)) < n {
-		c := min(n-int64(len(out)), serialChunk)
-		if err := cr.full(buf[:c*8]); err != nil {
-			return nil, fmt.Errorf("statespace: reading %s: %w", section, err)
-		}
-		for i := int64(0); i < c; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-	}
-	return out, nil
-}
-
-func readI32s(cr *crcReader, n int64, section string) ([]int32, error) {
-	if err := readCount(cr, n, section); err != nil {
-		return nil, err
-	}
-	out := make([]int32, 0, min(n, serialPrealloc*2))
-	var buf [serialChunk * 4]byte
-	for int64(len(out)) < n {
-		c := min(n-int64(len(out)), serialChunk)
-		if err := cr.full(buf[:c*4]); err != nil {
-			return nil, fmt.Errorf("statespace: reading %s: %w", section, err)
-		}
-		for i := int64(0); i < c; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[i*4:])))
-		}
-	}
-	if err := readPad(cr, n*4, section); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func readF64s(cr *crcReader, n int64, section string) ([]float64, error) {
-	if err := readCount(cr, n, section); err != nil {
-		return nil, err
-	}
-	out := make([]float64, 0, min(n, serialPrealloc))
-	var buf [serialChunk * 8]byte
-	for int64(len(out)) < n {
-		c := min(n-int64(len(out)), serialChunk)
-		if err := cr.full(buf[:c*8]); err != nil {
-			return nil, fmt.Errorf("statespace: reading %s: %w", section, err)
-		}
-		for i := int64(0); i < c; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-	}
-	return out, nil
-}
-
-func readBools(cr *crcReader, n int64, section string) ([]bool, error) {
-	if err := readCount(cr, n, section); err != nil {
-		return nil, err
-	}
-	out := make([]bool, 0, min(n, serialPrealloc*8))
-	var buf [serialChunk]byte
-	for int64(len(out)) < n {
-		c := min(n-int64(len(out)), serialChunk*8)
-		nb := (c + 7) / 8
-		if err := cr.full(buf[:nb]); err != nil {
-			return nil, fmt.Errorf("statespace: reading %s: %w", section, err)
-		}
-		for i := int64(0); i < c; i++ {
-			out = append(out, buf[i/8]&(1<<(i%8)) != 0)
-		}
-		// Spare bits beyond the final element carry no information; reject
-		// nonzero ones so accepted streams stay bijective with the arrays.
-		if c%8 != 0 && buf[nb-1]>>(c%8) != 0 {
-			return nil, fmt.Errorf("statespace: nonzero spare bits in %s section", section)
-		}
-	}
-	if err := readPad(cr, (n+7)/8, section); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return enc, nil
 }
 
 // unpackBools decodes a bit-packed section payload (LSB first) into a
 // fresh bool slice of n elements, rejecting nonzero spare bits in the
-// final byte — the mapped loader's equivalent of readBools' decode step.
+// final byte: they carry no information, so accepted streams stay
+// bijective with the arrays.
 func unpackBools(packed []byte, n int64) ([]bool, error) {
 	out := make([]bool, n)
 	// Whole bytes expand through a precomputed 8-bool pattern per byte
@@ -458,9 +321,8 @@ var boolPatterns = func() (t [256][8]bool) {
 	return
 }()
 
-// validateOffsets checks the CSR row-offset invariants shared by the
-// streaming and mapped readers: exactly states+1 entries spanning
-// [0, edges] monotonically.
+// validateOffsets checks the CSR row-offset invariants: exactly states+1
+// entries spanning [0, edges] monotonically.
 func validateOffsets(states, edges int64, off []int64) error {
 	if int64(len(off)) != states+1 {
 		return fmt.Errorf("statespace: off section has %d entries for %d states", len(off), states)
@@ -481,11 +343,11 @@ func validateSucc(states int64, succ []int32) error {
 	if len(succ) == 0 {
 		return nil
 	}
-	// Hot on every load of either path: reduce to the maximum successor as
-	// an unsigned value (a negative one wraps huge; states is capped at
-	// MaxInt32 by the header check, so one unsigned bound covers both
-	// violations), in parallel chunks on large arrays, and rescan for the
-	// exact culprit only on failure.
+	// Hot on every load: reduce to the maximum successor as an unsigned
+	// value (a negative one wraps huge; states is capped at MaxInt32 by the
+	// header check, so one unsigned bound covers both violations), in
+	// parallel chunks on large arrays, and rescan for the exact culprit
+	// only on failure.
 	const grain = 1 << 19
 	var m uint32
 	if len(succ) >= 2*grain {
@@ -529,11 +391,10 @@ func maxSucc(succ []int32) uint32 {
 	return max(m0, m1, m2, m3)
 }
 
-// validateGlobals checks a subspace's Globals section against the header
+// validateGlobals checks a closure's Globals section against the header
 // it arrived with: exactly one global per state — an explicit
-// length-vs-state-count consistency check the section's own length prefix
-// cannot vouch for on the mapped path — strictly ascending within the
-// instance's [0, total) index range.
+// length-vs-state-count check the section's own length prefix cannot vouch
+// for — strictly ascending within the instance's [0, total) index range.
 func validateGlobals(states, total int64, globals []int64) error {
 	if int64(len(globals)) != states {
 		return fmt.Errorf("statespace: globals section has %d entries for %d states", len(globals), states)
@@ -548,173 +409,89 @@ func validateGlobals(states, total int64, globals []int64) error {
 	return nil
 }
 
-// readBody reads and validates sections and trailer after the header. The
-// returned arrays satisfy the CSR invariants (off monotone from 0 to edges,
-// succ within [0, states)).
-func readBody(cr *crcReader, br io.Reader, h serialHeader) (off []int64, succ []int32, prob []float64, legit []bool, globals []int64, err error) {
-	if off, err = readI64s(cr, h.states+1, "off"); err != nil {
-		return
+// Read decodes a system serialized by WriteTo — a full space or a
+// seed-set closure, as its header says — and binds it to the given
+// algorithm and policy (which the format deliberately does not store: they
+// are code, not data). workers sizes the analysis pools of the loaded
+// space (0 = NumCPU) and maxStates caps its state count exactly as
+// Options.MaxStates caps a fresh exploration (0 = DefaultMaxStates).
+//
+// The header and the cap are checked before anything else is read. The
+// rest of the stream is then copied into an 8-aligned heap buffer, which
+// mapSystem validates and decodes exactly as it does a mapped file; the
+// result owns that buffer and reports Mapped() == false. Bytes after the
+// trailer are not read.
+func Read(r io.Reader, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64) (*Space, error) {
+	var hdr [32]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("statespace: reading header: %w", err)
 	}
-	if succ, err = readI32s(cr, h.edges, "succ"); err != nil {
-		return
+	h, err := parseHeader(hdr)
+	if err != nil {
+		return nil, err
 	}
-	if prob, err = readF64s(cr, h.edges, "prob"); err != nil {
-		return
+	enc, err := bind(h, a, maxStates)
+	if err != nil {
+		return nil, err
 	}
-	if legit, err = readBools(cr, h.states, "legit"); err != nil {
-		return
+	data, err := readAligned(r, hdr, h.layout().end+8)
+	if err != nil {
+		return nil, err
 	}
-	if h.kind == kindSubSpace {
-		if globals, err = readI64s(cr, h.states, "globals"); err != nil {
-			return
+	arr, err := mapSystem(data, h, false, hostLittleEndian)
+	if err != nil {
+		return nil, err
+	}
+	return newSpace(a, pol, enc, h, arr, workers), nil
+}
+
+// readGrain is the first buffer size readAligned allocates for a reader
+// that cannot tell how many bytes it holds. The buffer then doubles only
+// when full, so a header that lies about its dimensions cannot make Read
+// allocate much more than twice the bytes the stream actually delivers.
+const readGrain = 1 << 16
+
+// readAligned returns the size-byte stream that starts with hdr and
+// continues with r, in a heap buffer whose base is 8-aligned. A seekable
+// reader (a file, an in-memory reader) that holds the whole rest of the
+// stream gets the full buffer at once.
+func readAligned(r io.Reader, hdr [32]byte, size int64) ([]byte, error) {
+	first := min(size, readGrain)
+	if s, ok := r.(io.Seeker); ok && remaining(s) >= size-32 {
+		first = size
+	}
+	buf := alignedBytes(first)
+	have := int64(copy(buf, hdr[:]))
+	for have < size {
+		if have == int64(len(buf)) {
+			grown := alignedBytes(min(size, 2*have))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := io.ReadFull(r, buf[have:])
+		have += int64(n)
+		if err != nil {
+			return nil, fmt.Errorf("statespace: reading a %d-byte serialized system: %w", size, err)
 		}
 	}
-
-	// Trailer: the stored CRC (not itself checksummed) must match the
-	// running one. Checked before the structural validation below so a
-	// corrupted file reports corruption, not a confusing shape error.
-	want := cr.crc
-	var sum [8]byte
-	if _, err = io.ReadFull(br, sum[:]); err != nil {
-		err = fmt.Errorf("statespace: reading checksum: %w", err)
-		return
-	}
-	if got := binary.LittleEndian.Uint64(sum[:]); got != uint64(want) {
-		err = fmt.Errorf("statespace: checksum mismatch (file %#x, computed %#x): corrupted cache file", got, want)
-		return
-	}
-
-	if err = validateOffsets(h.states, h.edges, off); err != nil {
-		return
-	}
-	if err = validateSucc(h.states, succ); err != nil {
-		return
-	}
-	if h.kind == kindSubSpace {
-		err = validateGlobals(h.states, h.total, globals)
-	}
-	return
+	return buf, nil
 }
 
-// ReadFrom implements io.ReaderFrom: it replaces sp's explored arrays with
-// a stream written by (*Space).WriteTo. The receiver must already be bound
-// to its algorithm, policy and encoder (Alg, Pol, Enc non-nil — see
-// ReadSpace for the usual entry point); the stream's dimensions are
-// validated against the encoder, so a file from a different instance is
-// rejected even before cache-key hygiene.
-func (sp *Space) ReadFrom(r io.Reader) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	cr := &crcReader{r: br}
-	h, err := readHeader(cr, kindSpace)
+// remaining returns how many bytes s holds past its current offset, or -1
+// when it cannot tell.
+func remaining(s io.Seeker) int64 {
+	cur, err := s.Seek(0, io.SeekCurrent)
 	if err != nil {
-		return cr.n, err
+		return -1
 	}
-	if h.total != sp.Enc.Total() || h.states != sp.Enc.Total() {
-		return cr.n, fmt.Errorf("statespace: serialized space has %d of %d configurations, want the full %d of %s",
-			h.states, h.total, sp.Enc.Total(), sp.Alg.Name())
+	end, err := s.Seek(0, io.SeekEnd)
+	if _, err2 := s.Seek(cur, io.SeekStart); err != nil || err2 != nil {
+		return -1
 	}
-	off, succ, prob, legit, _, err := readBody(cr, br, h)
-	if err != nil {
-		return cr.n + 8, err
-	}
-	// The replaced arrays may have aliased a mapping; the receiver now owns
-	// fresh decoded arrays, so drop (and close) it.
-	sp.detachMapping()
-	sp.States = int(h.states)
-	sp.Legit = legit
-	sp.off, sp.succ, sp.prob = off, succ, prob
-	// The forward CSR changed, so any reverse view cached on this receiver
-	// is stale: reset it so the next Reverse() rebuilds from the loaded
-	// arrays. (ReadFrom must not run concurrently with any use of sp.)
-	sp.revOnce = sync.Once{}
-	sp.rev = Reverse{}
-	return cr.n + 8, nil
+	return end - cur
 }
 
-// ReadFrom implements io.ReaderFrom for a subspace stream written by
-// (*SubSpace).WriteTo. The receiver must already be bound to its algorithm,
-// policy and encoder; the dedup table is rebuilt from the Globals section
-// (whose canonical ascending order doubles as the local-id order, exactly
-// as BuildFrom leaves it).
-func (ss *SubSpace) ReadFrom(r io.Reader) (int64, error) {
-	return ss.readFromCapped(r, IndexLimit)
-}
-
-// readFromCapped is ReadFrom with a state cap checked right after the
-// header, before any section is materialized — so a caller bounding memory
-// with Options.MaxStates never decodes an oversized cached subspace only
-// to reject it.
-func (ss *SubSpace) readFromCapped(r io.Reader, maxStates int64) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	cr := &crcReader{r: br}
-	h, err := readHeader(cr, kindSubSpace)
-	if err != nil {
-		return cr.n, err
-	}
-	if h.states > maxStates {
-		return cr.n, fmt.Errorf("statespace: serialized subspace has %d states, beyond the %d-state cap", h.states, maxStates)
-	}
-	if h.total != ss.Enc.Total() {
-		return cr.n, fmt.Errorf("statespace: serialized subspace lives in a %d-configuration range, want %d for %s",
-			h.total, ss.Enc.Total(), ss.Alg.Name())
-	}
-	off, succ, prob, legit, globals, err := readBody(cr, br, h)
-	if err != nil {
-		return cr.n + 8, err
-	}
-	ss.detachMapping()
-	ss.States = int(h.states)
-	ss.Legit = legit
-	ss.off, ss.succ, ss.prob = off, succ, prob
-	// The Globals section was validated strictly ascending, and a loaded
-	// subspace never grows: the sealed binary-search table avoids both the
-	// dense O(range) array and the per-entry hash insertion of a growable
-	// dedup (a Builder re-adopting this subspace builds its own).
-	ss.table = NewSortedDedup(globals)
-	// Reset the cached reverse view: it described the replaced CSR.
-	ss.revOnce = sync.Once{}
-	ss.rev = Reverse{}
-	return cr.n + 8, nil
-}
-
-// ReadSpace reads a full space serialized by (*Space).WriteTo and binds it
-// to the given algorithm and policy (which the format deliberately does not
-// store — they are code, not data). workers sizes the analysis pools of the
-// loaded space (0 = NumCPU) and maxStates caps it exactly as Options.
-// MaxStates caps a fresh Build (0 = DefaultMaxStates) — a full space always
-// spans the whole index range, so the cap is checked against the encoder
-// before a single byte is read.
-func ReadSpace(r io.Reader, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64) (*Space, error) {
-	enc, err := protocol.NewEncoder(a, 0)
-	if err != nil {
-		return nil, fmt.Errorf("statespace: %w", err)
-	}
-	if enc.Total() > math.MaxInt32 {
-		return nil, fmt.Errorf("statespace: %d configurations exceed the int32 index range", enc.Total())
-	}
-	if enc.Total() > StateCap(maxStates) {
-		return nil, fmt.Errorf("statespace: %d configurations exceed the %d-state cap", enc.Total(), StateCap(maxStates))
-	}
-	sp := &Space{Alg: a, Pol: pol, Enc: enc, Workers: resolveWorkers(workers, int(enc.Total()))}
-	if _, err := sp.ReadFrom(r); err != nil {
-		return nil, err
-	}
-	return sp, nil
-}
-
-// ReadSubSpace reads a subspace serialized by (*SubSpace).WriteTo and binds
-// it to the given algorithm and policy. workers sizes the analysis pools of
-// the loaded subspace (0 = NumCPU) and maxStates caps its state count
-// exactly as Options.MaxStates caps a fresh BuildFrom (0 =
-// DefaultMaxStates), rejected at the header before the arrays are decoded.
-func ReadSubSpace(r io.Reader, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64) (*SubSpace, error) {
-	enc, err := protocol.NewEncoder(a, 0)
-	if err != nil {
-		return nil, fmt.Errorf("statespace: %w", err)
-	}
-	ss := &SubSpace{Alg: a, Pol: pol, Enc: enc, Workers: resolveWorkers(workers, math.MaxInt)}
-	if _, err := ss.readFromCapped(r, StateCap(maxStates)); err != nil {
-		return nil, err
-	}
-	return ss, nil
+// alignedBytes returns n zero bytes whose base address is 8-aligned.
+func alignedBytes(n int64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(make([]uint64, (n+7)/8)))), n)
 }

@@ -1,20 +1,19 @@
 package statespace
 
-// Native fuzzing of the serialization readers. The frontier/dedup/serial
-// stack feeds every cached analysis, so the contract under hostile bytes
-// must be absolute: an arbitrary mutation of a serialized space either
-// fails cleanly (an error — wrong magic, shape violation, checksum
-// mismatch) or decodes to a system whose re-serialization reproduces the
-// input bytes exactly (the CRC-32C passed, so the payload was untouched).
-// Panics, hangs and silently-wrong spaces are all failures. Seeds are
-// valid serializations of small explored systems; the fuzzer mutates from
-// there into the interesting near-valid region.
+// Native fuzzing of the readers. The frontier/dedup/serial stack feeds
+// every cached analysis, so the contract under hostile bytes must be
+// absolute: an arbitrary mutation of a serialized system either fails
+// cleanly (an error — wrong magic, wrong instance, shape violation,
+// checksum mismatch) or decodes to a system whose re-serialization
+// reproduces the input bytes exactly (the CRC-32C passed, so the payload
+// was untouched). Panics, hangs and silently-wrong spaces are all
+// failures. The targets share two bodies and differ in their seeds — a
+// full space or a closure — and in the instances they read into, so a
+// stream for one instance must also never load into another.
 //
-// The zero-copy mapped loader is held to a stronger bar still: on a
-// little-endian host with an aligned buffer it must accept exactly the
-// byte strings the streaming decoder accepts — covering, among the shared
-// validation, the Globals-vs-state-count consistency check — and produce
-// bit-equal arrays for them (FuzzMapSpace, FuzzMapSubSpace).
+// Map and Read share one decoder, so they accept the same byte strings
+// by construction; FuzzMapSpace and FuzzMapSubSpace hold them to it, on
+// acceptance and on bit-equal arrays.
 
 import (
 	"bytes"
@@ -23,24 +22,37 @@ import (
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
+	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 )
 
-func fuzzRing(f *testing.F, n int) *tokenring.Algorithm {
+// fuzzInstances returns tokenring(4), whose full space has 3^4 = 81
+// configurations, and tokenring(5), whose closures live in 2^5 = 32.
+func fuzzInstances(f *testing.F) []protocol.Algorithm {
 	f.Helper()
-	a, err := tokenring.New(n)
-	if err != nil {
-		f.Fatal(err)
+	var algs []protocol.Algorithm
+	for _, n := range []int{4, 5} {
+		a, err := tokenring.New(n)
+		if err != nil {
+			f.Fatal(err)
+		}
+		algs = append(algs, a)
 	}
-	return a
+	return algs
 }
 
-// FuzzReadSpace mutates serialized full spaces: ReadSpace must error or
-// round-trip bit-identically, never panic.
-func FuzzReadSpace(f *testing.F) {
-	a := fuzzRing(f, 4)
+// serialized returns the WriteTo bytes of a's full space (seeds nil) or
+// of the closure of seeds in a.
+func serialized(f *testing.F, a protocol.Algorithm, seeds []int64) []byte {
+	f.Helper()
 	pol := scheduler.CentralPolicy{}
-	sp, err := Build(a, pol, Options{})
+	var sp *Space
+	var err error
+	if seeds == nil {
+		sp, err = Build(a, pol, Options{})
+	} else {
+		sp, err = BuildFrom(a, pol, seeds, Options{})
+	}
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -48,177 +60,108 @@ func FuzzReadSpace(f *testing.F) {
 	if _, err := sp.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	// (mutations cover truncations)
+	return buf.Bytes()
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadSpace(bytes.NewReader(data), a, pol, 1, 0)
+// checkRead: Read must error or round-trip bit-identically, never panic,
+// and an accepted stream must belong to the instance it was read for.
+func checkRead(t *testing.T, data []byte, algs []protocol.Algorithm) {
+	pol := scheduler.CentralPolicy{}
+	for _, a := range algs {
+		got, err := Read(bytes.NewReader(data), a, pol, 1, 0)
 		if err != nil {
-			return
+			continue
+		}
+		if want := got.Enc.Total(); got.TotalConfigs() != want || int64(got.States) > want {
+			t.Fatalf("system of %d states in %d configurations accepted for a %d-configuration instance",
+				got.States, got.TotalConfigs(), want)
 		}
 		var out bytes.Buffer
 		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("accepted space failed to re-serialize: %v", err)
+			t.Fatalf("accepted system failed to re-serialize: %v", err)
 		}
-		// ReadSpace consumed exactly out.Len() bytes; trailing garbage is
+		// Read consumes exactly out.Len() bytes; trailing garbage is
 		// legitimately ignored, but the consumed prefix must match — the
 		// checksum leaves no room for an accepted-but-different payload.
 		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatalf("accepted space re-serializes to %d bytes differing from its input", out.Len())
+			t.Fatalf("accepted system re-serializes to %d bytes differing from its input", out.Len())
 		}
-	})
+	}
 }
 
-// FuzzReadSubSpace is the subspace analogue, with the Globals section and
-// its strict-ascent validation in play.
-func FuzzReadSubSpace(f *testing.F) {
-	a := fuzzRing(f, 5)
+// checkMap cross-checks Map against Read on an aligned copy of data: on
+// this host (big-endian hosts skip) the two must agree on acceptance and
+// produce bit-equal arrays.
+func checkMap(t *testing.T, data []byte, algs []protocol.Algorithm) {
+	if !hostLittleEndian {
+		t.Skip("mapped loads fall back on big-endian hosts")
+	}
 	pol := scheduler.CentralPolicy{}
-	seeds := []int64{0, 1, 7, 13} // inside tokenring(5)'s 2^5-configuration range
-	ss, err := BuildFrom(a, pol, seeds, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ss.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:40])
-	f.Add([]byte("WSSC\x01\x00\x01"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadSubSpace(bytes.NewReader(data), a, pol, 1, 0)
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("accepted subspace failed to re-serialize: %v", err)
-		}
-		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatalf("accepted subspace re-serializes to %d bytes differing from its input", out.Len())
-		}
-	})
-}
-
-// FuzzReadFromSubSpace drives the lower-level ReadFrom seam directly on a
-// receiver bound to a mismatched instance, so the dimension validation
-// paths get fuzzed too: a stream for one instance must never load into
-// another.
-func FuzzReadFromSubSpace(f *testing.F) {
-	a := fuzzRing(f, 5)
-	other := fuzzRing(f, 4)
-	pol := scheduler.CentralPolicy{}
-	ss, err := BuildFrom(a, pol, []int64{0, 3}, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ss.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadSubSpace(bytes.NewReader(data), other, pol, 1, 0)
-		if err != nil {
-			return
-		}
-		// tokenring(4) lives in a 3^4 = 81-configuration range, the seeded
-		// tokenring(5) stream in a 2^5 = 32 one: any accepted stream must
-		// carry the receiver's total (the seed corpus entry itself must be
-		// rejected).
-		if got.TotalConfigs() != 81 {
-			t.Fatalf("subspace with total %d accepted for an 81-configuration instance", got.TotalConfigs())
-		}
-	})
-}
-
-// FuzzMapSpace cross-checks the zero-copy loader against the streaming
-// decoder on mutated full-space bytes: on this host (aligned buffer;
-// big-endian hosts skip inside the loop) the two must agree byte-for-byte
-// on acceptance, arrays and re-serialization. The mapped loader ignores
-// trailing garbage exactly like the stream reader, so equality is over
-// the consumed prefix.
-func FuzzMapSpace(f *testing.F) {
-	a := fuzzRing(f, 4)
-	pol := scheduler.CentralPolicy{}
-	sp, err := Build(a, pol, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := sp.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !hostLittleEndian {
-			t.Skip("mapped loads fall back on big-endian hosts")
-		}
-		mapped, mapErr := MapSpace(copyAt(data, 0), a, pol, 1, 0, nil)
-		decoded, decErr := ReadSpace(bytes.NewReader(data), a, pol, 1, 0)
+	for _, a := range algs {
+		mapped, mapErr := Map(copyAt(data, 0), a, pol, 1, 0, nil)
+		decoded, decErr := Read(bytes.NewReader(data), a, pol, 1, 0)
 		if errors.Is(mapErr, ErrNotMappable) {
 			t.Fatalf("aligned little-endian buffer reported ErrNotMappable")
 		}
 		if (mapErr == nil) != (decErr == nil) {
-			t.Fatalf("paths disagree on acceptance: map=%v decode=%v", mapErr, decErr)
+			t.Fatalf("readers disagree on acceptance: map=%v read=%v", mapErr, decErr)
 		}
 		if mapErr != nil {
-			return
-		}
-		mo, ms, mp := mapped.CSR()
-		do, ds, dp := decoded.CSR()
-		if mapped.States != decoded.States || !reflect.DeepEqual(mapped.Legit, decoded.Legit) ||
-			!reflect.DeepEqual(mo, do) || !reflect.DeepEqual(ms, ds) || !reflect.DeepEqual(mp, dp) {
-			t.Fatalf("mapped and decoded spaces differ for the same accepted bytes")
-		}
-		var out bytes.Buffer
-		if _, err := mapped.WriteTo(&out); err != nil {
-			t.Fatalf("accepted mapped space failed to re-serialize: %v", err)
-		}
-		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatalf("accepted mapped space re-serializes to %d bytes differing from its input", out.Len())
-		}
-	})
-}
-
-// FuzzMapSubSpace is the subspace analogue, with the Globals section —
-// its state-count consistency and strict-ascent validation — in play on
-// the mapped path.
-func FuzzMapSubSpace(f *testing.F) {
-	a := fuzzRing(f, 5)
-	pol := scheduler.CentralPolicy{}
-	ss, err := BuildFrom(a, pol, []int64{0, 1, 7, 13}, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ss.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:40])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !hostLittleEndian {
-			t.Skip("mapped loads fall back on big-endian hosts")
-		}
-		mapped, mapErr := MapSubSpace(copyAt(data, 0), a, pol, 1, 0, nil)
-		decoded, decErr := ReadSubSpace(bytes.NewReader(data), a, pol, 1, 0)
-		if errors.Is(mapErr, ErrNotMappable) {
-			t.Fatalf("aligned little-endian buffer reported ErrNotMappable")
-		}
-		if (mapErr == nil) != (decErr == nil) {
-			t.Fatalf("paths disagree on acceptance: map=%v decode=%v", mapErr, decErr)
-		}
-		if mapErr != nil {
-			return
+			continue
 		}
 		mo, ms, mp := mapped.CSR()
 		do, ds, dp := decoded.CSR()
 		if mapped.States != decoded.States || !reflect.DeepEqual(mapped.Legit, decoded.Legit) ||
 			!reflect.DeepEqual(mo, do) || !reflect.DeepEqual(ms, ds) || !reflect.DeepEqual(mp, dp) ||
 			!reflect.DeepEqual(mapped.Globals(), decoded.Globals()) {
-			t.Fatalf("mapped and decoded subspaces differ for the same accepted bytes")
+			t.Fatalf("mapped and read systems differ for the same accepted bytes")
 		}
-	})
+	}
+}
+
+// FuzzReadSpace mutates a serialized full space of tokenring(4) and reads
+// it into both instances.
+func FuzzReadSpace(f *testing.F) {
+	algs := fuzzInstances(f)
+	f.Add(serialized(f, algs[0], nil))
+	f.Fuzz(func(t *testing.T, data []byte) { checkRead(t, data, algs) })
+}
+
+// FuzzReadSubSpace mutates a serialized closure of tokenring(5), with the
+// Globals section and its strict-ascent validation in play.
+func FuzzReadSubSpace(f *testing.F) {
+	algs := fuzzInstances(f)
+	sub := serialized(f, algs[1], []int64{0, 1, 7, 13})
+	f.Add(sub)
+	f.Add(sub[:40])
+	f.Add([]byte("WSSC\x02\x00\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) { checkRead(t, data, algs) })
+}
+
+// FuzzReadFromSubSpace reads mutated tokenring(5) closures into
+// tokenring(4) only, so the dimension validation paths get fuzzed: the
+// seed itself must be rejected, and anything accepted must carry the
+// receiver's 81-configuration total.
+func FuzzReadFromSubSpace(f *testing.F) {
+	algs := fuzzInstances(f)
+	f.Add(serialized(f, algs[1], []int64{0, 3}))
+	f.Fuzz(func(t *testing.T, data []byte) { checkRead(t, data, algs[:1]) })
+}
+
+// FuzzMapSpace cross-checks Map against Read on mutated full-space bytes.
+func FuzzMapSpace(f *testing.F) {
+	algs := fuzzInstances(f)
+	f.Add(serialized(f, algs[0], nil))
+	f.Fuzz(func(t *testing.T, data []byte) { checkMap(t, data, algs) })
+}
+
+// FuzzMapSubSpace cross-checks Map against Read on mutated closure bytes,
+// with the Globals section — its state-count consistency and strict-ascent
+// validation — in play on the mapped path.
+func FuzzMapSubSpace(f *testing.F) {
+	algs := fuzzInstances(f)
+	sub := serialized(f, algs[1], []int64{0, 1, 7, 13})
+	f.Add(sub)
+	f.Add(sub[:40])
+	f.Fuzz(func(t *testing.T, data []byte) { checkMap(t, data, algs) })
 }

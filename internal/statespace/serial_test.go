@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -13,7 +14,8 @@ import (
 	"weakstab/internal/scheduler"
 )
 
-// assertSpaceEqual checks bit-equality of every persisted field.
+// assertSpaceEqual checks bit-equality of every persisted field, and that
+// the local↔global mapping answers lookups exactly like the original.
 func assertSpaceEqual(t *testing.T, want, got *Space) {
 	t.Helper()
 	if want.States != got.States {
@@ -38,37 +40,12 @@ func assertSpaceEqual(t *testing.T, want, got *Space) {
 			t.Fatalf("prob[%d] = %x, want %x", i, math.Float64bits(got.prob[i]), math.Float64bits(want.prob[i]))
 		}
 	}
-}
-
-func assertSubSpaceEqual(t *testing.T, want, got *SubSpace) {
-	t.Helper()
-	if want.States != got.States {
-		t.Fatalf("States = %d, want %d", got.States, want.States)
-	}
-	if !slices.Equal(want.Legit, got.Legit) {
-		t.Fatal("Legit vectors differ")
-	}
-	if !slices.Equal(want.off, got.off) {
-		t.Fatal("off arrays differ")
-	}
-	if !slices.Equal(want.succ, got.succ) {
-		t.Fatal("succ arrays differ")
-	}
-	if len(want.prob) != len(got.prob) {
-		t.Fatalf("prob length %d, want %d", len(got.prob), len(want.prob))
-	}
-	for i := range want.prob {
-		if math.Float64bits(want.prob[i]) != math.Float64bits(got.prob[i]) {
-			t.Fatalf("prob[%d] differs", i)
-		}
-	}
-	if !slices.Equal(want.Globals(), got.Globals()) {
+	if !slices.Equal(want.Globals(), got.Globals()) || (want.Globals() == nil) != (got.Globals() == nil) {
 		t.Fatal("Globals vectors differ")
 	}
-	// The rebuilt dedup table must answer lookups exactly like the original.
-	for i, g := range want.Globals() {
-		if got.LocalIndex(g) != int32(i) {
-			t.Fatalf("LocalIndex(%d) = %d, want %d", g, got.LocalIndex(g), i)
+	for s := 0; s < want.States; s++ {
+		if g := want.GlobalIndex(s); got.LocalIndex(g) != int32(s) {
+			t.Fatalf("LocalIndex(%d) = %d, want %d", g, got.LocalIndex(g), s)
 		}
 	}
 }
@@ -88,9 +65,12 @@ func TestSpaceRoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 			}
-			got, err := ReadSpace(bytes.NewReader(buf.Bytes()), tc.alg, tc.pol, 0, 0)
+			got, err := Read(bytes.NewReader(buf.Bytes()), tc.alg, tc.pol, 0, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got.Mapped() {
+				t.Fatal("Read result reports Mapped")
 			}
 			assertSpaceEqual(t, sp, got)
 		})
@@ -100,7 +80,7 @@ func TestSpaceRoundTrip(t *testing.T) {
 func TestSubSpaceRoundTrip(t *testing.T) {
 	for _, tc := range frontierMatrix(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			// Seed with the legitimate set: a nontrivial strict subspace.
+			// Seed with the legitimate set: a nontrivial strict closure.
 			full, err := Build(tc.alg, tc.pol, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -119,11 +99,11 @@ func TestSubSpaceRoundTrip(t *testing.T) {
 			if _, err := ss.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadSubSpace(bytes.NewReader(buf.Bytes()), tc.alg, tc.pol, 0, 0)
+			got, err := Read(bytes.NewReader(buf.Bytes()), tc.alg, tc.pol, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSubSpaceEqual(t, ss, got)
+			assertSpaceEqual(t, ss, got)
 		})
 	}
 }
@@ -152,7 +132,7 @@ func TestReadRejectsTruncation(t *testing.T) {
 	// boundary neighborhood, and one byte short of complete.
 	cuts := []int{0, 3, 17, 31, 32, 40, len(data) / 3, len(data) / 2, len(data) - 9, len(data) - 1}
 	for _, cut := range cuts {
-		if _, err := ReadSpace(bytes.NewReader(data[:cut]), sp.Alg, sp.Pol, 0, 0); err == nil {
+		if _, err := Read(bytes.NewReader(data[:cut]), sp.Alg, sp.Pol, 0, 0); err == nil {
 			t.Fatalf("truncation at %d of %d bytes not rejected", cut, len(data))
 		}
 	}
@@ -166,14 +146,14 @@ func TestReadRejectsCorruption(t *testing.T) {
 	for _, at := range []int{40, len(data) / 4, len(data) / 2, len(data) - 12} {
 		bad := bytes.Clone(data)
 		bad[at] ^= 0x40
-		if _, err := ReadSpace(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil {
+		if _, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil {
 			t.Fatalf("corrupted byte at %d not rejected", at)
 		}
 	}
 	// Corrupting the stored checksum itself must also fail.
 	bad := bytes.Clone(data)
 	bad[len(bad)-1] ^= 0x01
-	if _, err := ReadSpace(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil ||
+	if _, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Fatal("corrupted trailer checksum not rejected as a checksum mismatch")
 	}
@@ -183,7 +163,7 @@ func TestReadRejectsVersionMismatch(t *testing.T) {
 	data, sp := serializedFixture(t)
 	bad := bytes.Clone(data)
 	binary.LittleEndian.PutUint16(bad[4:6], SerialVersion+1)
-	_, err := ReadSpace(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0)
+	_, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version mismatch not rejected, err=%v", err)
 	}
@@ -193,17 +173,28 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	data, sp := serializedFixture(t)
 	bad := bytes.Clone(data)
 	bad[0] = 'X'
-	if _, err := ReadSpace(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil ||
+	if _, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Fatal("bad magic not rejected")
 	}
 }
 
+// TestReadRejectsKindMismatch: the header's kind decides the layout, so an
+// unknown kind is refused outright, and a full-space stream relabelled as
+// a closure no longer matches its own layout (it lacks the Globals
+// section) on either reader. Which kind a cache entry must hold is
+// spacecache's check.
 func TestReadRejectsKindMismatch(t *testing.T) {
 	data, sp := serializedFixture(t)
-	if _, err := ReadSubSpace(bytes.NewReader(data), sp.Alg, sp.Pol, 0, 0); err == nil ||
-		!strings.Contains(err.Error(), "kind") {
-		t.Fatal("full-space stream accepted as a subspace")
+	for _, kind := range []byte{kindSubSpace, 2, 0xff} {
+		bad := bytes.Clone(data)
+		bad[6] = kind
+		if _, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil {
+			t.Fatalf("kind %d: full-space stream accepted", kind)
+		}
+		if _, err := Map(copyAt(bad, 0), sp.Alg, sp.Pol, 0, 0, nil); err == nil {
+			t.Fatalf("kind %d: full-space buffer mapped", kind)
+		}
 	}
 }
 
@@ -213,12 +204,56 @@ func TestReadRejectsWrongInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSpace(bytes.NewReader(data), ring6, scheduler.CentralPolicy{}, 0, 0); err == nil {
+	if _, err := Read(bytes.NewReader(data), ring6, scheduler.CentralPolicy{}, 0, 0); err == nil {
 		t.Fatal("n=5 stream accepted for an n=6 instance")
 	}
 }
 
-// TestSubSpaceReadAnalysesMatch pins that a loaded subspace is
+// TestReadCapBeforeBody: a system beyond the state cap is refused at its
+// header, so only those 32 bytes are consumed.
+func TestReadCapBeforeBody(t *testing.T) {
+	data, sp := serializedFixture(t)
+	r := bytes.NewReader(data)
+	if _, err := Read(r, sp.Alg, sp.Pol, 0, int64(sp.States-1)); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("over-cap stream: err = %v, want a cap error", err)
+	}
+	if read := len(data) - r.Len(); read != 32 {
+		t.Fatalf("over-cap stream consumed %d bytes, want the 32-byte header", read)
+	}
+	if _, err := Read(bytes.NewReader(data), sp.Alg, sp.Pol, 0, int64(sp.States)); err != nil {
+		t.Fatalf("stream at exactly the cap rejected: %v", err)
+	}
+}
+
+// TestReadBoundedAllocation feeds a header claiming MaxInt32 states — 16
+// GiB of offsets alone — followed by a few bytes. Read must fail having
+// allocated only what the bytes that arrived justify.
+func TestReadBoundedAllocation(t *testing.T) {
+	ring, err := tokenring.New(31) // modulus 2: 2^31 configurations
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [32]byte
+	copy(hdr[0:4], serialMagic[:])
+	binary.LittleEndian.PutUint16(hdr[4:6], SerialVersion)
+	hdr[6] = kindSubSpace
+	binary.LittleEndian.PutUint64(hdr[8:16], math.MaxInt32)
+	binary.LittleEndian.PutUint64(hdr[24:32], 1<<31)
+	stream := append(hdr[:], make([]byte, 24)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Read(bytes.NewReader(stream), ring, scheduler.CentralPolicy{}, 1, IndexLimit)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("lying header accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("lying header made Read allocate %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// TestSubSpaceReadAnalysesMatch pins that a loaded closure is
 // indistinguishable from the built one under the analyses: identical
 // reverse CSR and identical decoded configurations.
 func TestSubSpaceReadAnalysesMatch(t *testing.T) {
@@ -235,13 +270,13 @@ func TestSubSpaceReadAnalysesMatch(t *testing.T) {
 	if _, err := ss.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSubSpace(bytes.NewReader(buf.Bytes()), ring, pol, 0, 0)
+	got, err := Read(bytes.NewReader(buf.Bytes()), ring, pol, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRev, gotRev := ss.Reverse(), got.Reverse()
 	if !reflect.DeepEqual(wantRev, gotRev) {
-		t.Fatal("reverse CSR differs between built and loaded subspace")
+		t.Fatal("reverse CSR differs between built and loaded closure")
 	}
 	for s := 0; s < ss.NumStates(); s++ {
 		if !ss.Config(s).Equal(got.Config(s)) {

@@ -86,33 +86,49 @@ func resolveWorkers(workers, limit int) int {
 	return workers
 }
 
-// Space is the explored transition system: states are configuration
-// indexes under Enc, and the successors of s — deduplicated, sorted
-// ascending, with the transition probabilities of the policy's randomized
-// scheduler (Definition 6: uniform over the policy's activation subsets)
-// — are the CSR row Succ(s)/Prob(s). States with no enabled process have
-// empty rows (terminal; the Markov view treats them as absorbing).
+// Space is an explored transition system: a set of configurations closed
+// under successors, indexed by dense local state ids. The successors of s
+// — deduplicated, sorted ascending, with the transition probabilities of
+// the policy's randomized scheduler (Definition 6: uniform over the
+// policy's activation subsets) — are the CSR row Succ(s)/Prob(s). States
+// with no enabled process have empty rows (terminal; the Markov view
+// treats them as absorbing).
+//
+// Build explores the full index range, where the local id of a
+// configuration is its mixed-radix index under Enc. BuildFrom and the
+// frontier Builder explore the forward closure of a seed set — a fault
+// ball, the closure of L — whose local ids are the discovered states in
+// ascending-global order, tied back to the index range by a Dedup table.
+// Every analysis runs over either unchanged, on local ids.
 type Space struct {
 	Alg    protocol.Algorithm
 	Pol    scheduler.Policy
 	Enc    *protocol.Encoder
 	States int
-	Legit  []bool // Legit[s]: configuration s is legitimate
+	Legit  []bool // Legit[s]: state s is legitimate
 	// Workers is the resolved exploration worker-pool size, reused as the
 	// default pool size of the analyses run over this space.
 	Workers int
 
+	// table maps global indexes to local ids; nil means the full index
+	// range, where the two coincide.
+	table *Dedup
+
 	off  []int64   // row offsets, len States+1
-	succ []int32   // successor state indexes, sorted per row
+	succ []int32   // successor local ids, sorted per row
 	prob []float64 // transition probabilities aligned with succ
 
-	// mapped is non-nil when the CSR arrays alias an external mapped
-	// buffer (MapSpace); see mapped.go for the Close/Acquire lifecycle.
+	// mapped is non-nil when the CSR and Globals arrays alias an external
+	// mapped buffer (Map); see mapped.go for the Close/Acquire lifecycle.
 	mapped *mapping
 
 	revOnce sync.Once
 	rev     Reverse
 }
+
+// SubSpace is the former name of a Space explored from a seed set. It
+// remains as an alias for code written against it.
+type SubSpace = Space
 
 // Succ returns the deduplicated successor state indexes of s, sorted
 // ascending. The slice aliases the space; callers must not modify it.
@@ -142,7 +158,10 @@ func (sp *Space) CSR() (off []int64, succ []int32, prob []float64) {
 
 // Reverse returns the predecessor view of the space, built on first use
 // and cached, so the checker's reachability passes and the Markov analyses
-// of the same space share one reverse CSR.
+// of the same space share one reverse CSR. The view is space-relative:
+// predecessors outside an explored closure do not exist here, which is
+// exactly what forward-looking analyses need, since the space is closed
+// under successors.
 func (sp *Space) Reverse() Reverse {
 	sp.revOnce.Do(func() {
 		sp.rev = ReverseCSR(sp.States, sp.off, sp.succ, sp.Workers)
@@ -150,9 +169,39 @@ func (sp *Space) Reverse() Reverse {
 	return sp.rev
 }
 
-// Config decodes state index s into a fresh configuration.
+// GlobalIndex returns the global (mixed-radix) index of local state s.
+func (sp *Space) GlobalIndex(s int) int64 {
+	if sp.table == nil {
+		return int64(s)
+	}
+	return sp.table.Globals()[s]
+}
+
+// Globals returns the global indexes of all states in local-id (=
+// ascending global) order, or nil for the full index range. The slice
+// aliases the space.
+func (sp *Space) Globals() []int64 {
+	if sp.table == nil {
+		return nil
+	}
+	return sp.table.Globals()
+}
+
+// LocalIndex returns the local id of the global index g, or -1 when g is
+// not a state of the space.
+func (sp *Space) LocalIndex(g int64) int32 {
+	if sp.table == nil {
+		if g < 0 || g >= int64(sp.States) {
+			return -1
+		}
+		return int32(g)
+	}
+	return sp.table.Lookup(g)
+}
+
+// Config decodes state s into a fresh configuration.
 func (sp *Space) Config(s int) protocol.Configuration {
-	return sp.Enc.Decode(int64(s), nil)
+	return sp.Enc.Decode(sp.GlobalIndex(s), nil)
 }
 
 // edge is one pre-merge transition of the row under construction. Targets

@@ -5,15 +5,13 @@ import (
 	"weakstab/internal/scheduler"
 )
 
-// TransitionSystem is the analysis-facing contract shared by the
-// full-index-range Space and the frontier-explored SubSpace: a weighted CSR
-// graph over dense state indexes with a legitimacy vector, a cached
+// TransitionSystem is the analysis-facing contract of a Space: a weighted
+// CSR graph over dense state ids with a legitimacy vector, a cached
 // predecessor view, and configuration decoding. The checker's closure,
 // convergence and lasso passes, the Markov chain (markov.FromSpace) and the
 // core decision procedure all run against this interface, so every analysis
-// is subspace-native: it operates on whatever state indexing the underlying
-// system uses (global mixed-radix indexes for Space, discovery-order local
-// indexes for SubSpace) without knowing which.
+// works on whichever set of states was explored — the full index range or
+// the forward closure of a seed set — without knowing which.
 type TransitionSystem interface {
 	// Algorithm returns the explored algorithm.
 	Algorithm() protocol.Algorithm
@@ -22,8 +20,8 @@ type TransitionSystem interface {
 	// NumStates returns the number of states of the system.
 	NumStates() int
 	// TotalConfigs returns the size of the full configuration space the
-	// system lives in. Equal to NumStates for a Space; for a SubSpace,
-	// NumStates/TotalConfigs is the explored (reachable) fraction.
+	// system lives in. Equal to NumStates for the full index range; for an
+	// explored closure, NumStates/TotalConfigs is the explored fraction.
 	TotalConfigs() int64
 	// IsLegit reports whether state s is legitimate.
 	IsLegit(s int) bool
@@ -55,15 +53,12 @@ type TransitionSystem interface {
 	// decode buffer.
 	ConfigInto(s int, dst protocol.Configuration) protocol.Configuration
 	// StateOf returns the state index of cfg within the system. ok is
-	// false when cfg is not part of the system — possible only for a
-	// SubSpace (a Space contains every configuration of the index range).
+	// false when cfg is not part of the system — possible only for an
+	// explored closure (the full range contains every configuration).
 	StateOf(cfg protocol.Configuration) (int32, bool)
 }
 
-var (
-	_ TransitionSystem = (*Space)(nil)
-	_ TransitionSystem = (*SubSpace)(nil)
-)
+var _ TransitionSystem = (*Space)(nil)
 
 // Algorithm implements TransitionSystem.
 func (sp *Space) Algorithm() protocol.Algorithm { return sp.Alg }
@@ -74,8 +69,8 @@ func (sp *Space) Policy() scheduler.Policy { return sp.Pol }
 // NumStates implements TransitionSystem.
 func (sp *Space) NumStates() int { return sp.States }
 
-// TotalConfigs implements TransitionSystem: a Space always covers the full
-// index range.
+// TotalConfigs implements TransitionSystem: the size of the full index
+// range the space lives in.
 func (sp *Space) TotalConfigs() int64 { return sp.Enc.Total() }
 
 // IsLegit implements TransitionSystem.
@@ -89,11 +84,11 @@ func (sp *Space) PoolWorkers() int { return sp.Workers }
 
 // ConfigInto implements TransitionSystem.
 func (sp *Space) ConfigInto(s int, dst protocol.Configuration) protocol.Configuration {
-	return sp.Enc.Decode(int64(s), dst)
+	return sp.Enc.Decode(sp.GlobalIndex(s), dst)
 }
 
-// StateOf implements TransitionSystem: every in-domain configuration is a
-// state of the full space.
+// StateOf implements TransitionSystem.
 func (sp *Space) StateOf(cfg protocol.Configuration) (int32, bool) {
-	return int32(sp.Enc.Encode(cfg)), true
+	l := sp.LocalIndex(sp.Enc.Encode(cfg))
+	return l, l >= 0
 }
