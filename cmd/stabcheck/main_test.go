@@ -108,6 +108,13 @@ func TestGoldenJSONMC(t *testing.T) {
 	runGolden(t, "json_mc_tokenring6", "-alg", "tokenring", "-n", "6", "-mc", "-trials", "2000", "-json")
 }
 
+// TestGoldenJSONMCHerman11 pins a sampler run over rows up to 2,048
+// successors wide (herman(11) under the synchronous daemon), the row
+// shape the tokenring golden never reaches.
+func TestGoldenJSONMCHerman11(t *testing.T) {
+	runGolden(t, "json_mc_herman11", "-alg", "herman", "-n", "11", "-policy", "synchronous", "-mc", "-trials", "20000", "-json")
+}
+
 func TestGoldenCacheWarmRuns(t *testing.T) {
 	// Cold and warm runs through one cache directory must render
 	// byte-identical output, for the report, the ball pipeline and the

@@ -169,6 +169,10 @@ func TestWorkerBitIdentity(t *testing.T) {
 		{Trials: 5000, Seed: 42, Workers: 8, Batch: 128},
 		{Trials: 5000, Seed: 42, Workers: 7, Batch: 17},
 		{Trials: 5000, Seed: 42, Workers: 16, Batch: 5000},
+		{Trials: 5000, Seed: 42, Workers: 3, Batch: 1},
+		{Trials: 5000, Seed: 42, Workers: 3, Batch: 7},
+		{Trials: 5000, Seed: 42, Workers: 3, Batch: 8},
+		{Trials: 5000, Seed: 42, Workers: 3, Batch: 9},
 	} {
 		got, err := e.Run(opt)
 		if err != nil {
