@@ -3,72 +3,64 @@ package mc
 import (
 	"testing"
 
+	"weakstab/internal/algorithms/herman"
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/markov"
+	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
 )
 
-// BenchmarkMCWalk measures raw sampling throughput on a real explored
-// space (tokenring n=8 under the central daemon, 16.8M configurations
-// restricted by exploration). The metric that matters is walker-steps/s
-// — the tentpole targets >= 1e8 steps/s per box.
-func BenchmarkMCWalk(b *testing.B) {
-	a, err := tokenring.New(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp, err := statespace.Build(a, scheduler.CentralPolicy{}, statespace.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := New(sp, markov.TargetFromSpace(sp))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(Options{Trials: 100_000, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.WalkerSteps
-	}
-	b.StopTimer()
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(steps)/sec, "walker-steps/s")
-	}
-	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+// walkCases are the spaces the walk benchmarks sample: tokenring(8) under
+// the central daemon (16.8M configurations restricted by exploration,
+// rows at most 8 wide) and herman(11) under the synchronous daemon (2,048
+// states, rows up to 2,048 wide — the shape the mc-herman workload walks).
+var walkCases = []struct {
+	name   string
+	build  func() (protocol.Algorithm, error)
+	policy scheduler.Policy
+}{
+	{"tokenring8/central", func() (protocol.Algorithm, error) { return tokenring.New(8) }, scheduler.CentralPolicy{}},
+	{"herman11/synchronous", func() (protocol.Algorithm, error) { return herman.New(11) }, scheduler.SynchronousPolicy{}},
 }
 
+// BenchmarkMCWalk measures raw sampling throughput on real explored
+// spaces; the metric that matters is walker-steps/s.
+func BenchmarkMCWalk(b *testing.B) { benchWalk(b, 0) }
+
 // BenchmarkMCWalkSingleWorker isolates per-core throughput.
-func BenchmarkMCWalkSingleWorker(b *testing.B) {
-	a, err := tokenring.New(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp, err := statespace.Build(a, scheduler.CentralPolicy{}, statespace.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := New(sp, markov.TargetFromSpace(sp))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		res, err := e.Run(Options{Trials: 100_000, Seed: int64(i), Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.WalkerSteps
-	}
-	b.StopTimer()
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(steps)/sec, "walker-steps/s")
+func BenchmarkMCWalkSingleWorker(b *testing.B) { benchWalk(b, 1) }
+
+func benchWalk(b *testing.B, workers int) {
+	for _, c := range walkCases {
+		b.Run(c.name, func(b *testing.B) {
+			a, err := c.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp, err := statespace.Build(a, c.policy, statespace.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := New(sp, markov.TargetFromSpace(sp))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(Options{Trials: 100_000, Seed: int64(i), Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.WalkerSteps
+			}
+			b.StopTimer()
+			sec := b.Elapsed().Seconds()
+			if sec > 0 {
+				b.ReportMetric(float64(steps)/sec, "walker-steps/s")
+			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
+		})
 	}
 }

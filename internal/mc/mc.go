@@ -9,10 +9,13 @@
 // The design is throughput- and reproducibility-first:
 //
 //   - Per-row inverse-CDF sampling tables are precomputed once per space
-//     (one cumulative-probability array aliasing the CSR layout), so a
-//     walker step is a hash, a row lookup and a short search — no
+//     (a cumulative-probability array and a guide table, both aliasing
+//     the CSR layout), so a walker step is a hash, a row lookup and a
+//     short search that the guide table starts next to its answer — no
 //     allocation, no decoding, no branching on algorithm structure.
-//   - Walkers run in flat batches sharded across a worker pool. Every
+//   - Walkers run in flat batches sharded across a worker pool; inside a
+//     batch a fixed number of lanes step their walkers in lockstep so
+//     the walkers' independent memory loads overlap. Every
 //     walker draws from a counter-based stream keyed by
 //     sim.TrialSeed(seed, trial) (à la netsim/rng.go), so each
 //     trajectory is a pure function of (space, target, seed, trial) and
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -168,10 +172,10 @@ type System interface {
 }
 
 // Estimator holds the per-space sampling tables: the CSR triple aliased
-// from the transition system plus one precomputed cumulative-probability
-// array (the per-row inverse CDF). Build it once per space with New and
-// run it any number of times; the estimator itself is immutable after
-// construction and safe for concurrent Runs.
+// from the transition system plus a precomputed cumulative-probability
+// array and its guide table (the per-row inverse CDF). Build it once per
+// space with New and run it any number of times; the estimator itself is
+// immutable after construction and safe for concurrent Runs.
 type Estimator struct {
 	ts     System
 	target []bool
@@ -179,9 +183,14 @@ type Estimator struct {
 	off  []int64
 	succ []int32
 	// cum[i] is the within-row cumulative probability at CSR position i:
-	// sampling state s inverts it with one search over
-	// cum[off[s]:off[s+1]].
+	// sampling state s inverts it over cum[off[s]:off[s+1]], starting
+	// the search where guide points.
 	cum []float64
+	// guide[a+k], for the row of degree d starting at CSR position a, is
+	// the row offset a search for any u in bucket k =
+	// min(int(u·d), d-1) may start from: never past the first position
+	// whose cum exceeds u (Chen–Asau indexed search; see sample).
+	guide []int32
 	// nonTarget lists the non-target state indexes, the support of the
 	// uniform start distribution.
 	nonTarget []int32
@@ -211,6 +220,7 @@ func New(ts System, target []bool) (*Estimator, error) {
 		off:     off,
 		succ:    succ,
 		cum:     make([]float64, len(prob)),
+		guide:   make([]int32, len(prob)),
 		workers: resolveWorkers(0, ts),
 	}
 	var (
@@ -244,6 +254,7 @@ func New(ts System, target []bool) (*Estimator, error) {
 				mu.Unlock()
 				return false
 			}
+			e.fillGuide(a, b)
 		}
 		return true
 	})
@@ -256,6 +267,45 @@ func New(ts System, target []bool) (*Estimator, error) {
 		}
 	}
 	return e, nil
+}
+
+// guideMargin lowers each guide bucket's left edge k/d, so float rounding
+// in a draw's int(u·d) can only move its search start earlier.
+const guideMargin = 1e-12
+
+// fillGuide builds the guide table of the row at CSR positions [a, b):
+// guide[a+k] is the offset of the first position whose cum exceeds the
+// lowered edge of bucket k, or of the row's last position if none does.
+// Every u a draw maps to bucket k is at or above that edge, and cum is
+// nondecreasing, so the search from there never starts past u's answer.
+func (e *Estimator) fillGuide(a, b int64) {
+	d := b - a
+	j := int64(0)
+	for k := int64(0); k < d; k++ {
+		edge := float64(k) / float64(d) * (1 - guideMargin)
+		for j < d-1 && e.cum[a+j] <= edge {
+			j++
+		}
+		e.guide[a+k] = int32(j)
+	}
+}
+
+// sample inverts the CDF of the row at CSR positions [a, b) at u in
+// [0, 1): it returns the first position whose cum exceeds u, clamped to
+// the row's last position when float rounding leaves every cum <= u.
+// With as many guide buckets as positions, the scan from the guide entry
+// averages about two comparisons over u.
+func sample(cum []float64, guide []int32, a, b int64, u float64) int64 {
+	d := b - a
+	k := int64(u * float64(d))
+	if k > d-1 {
+		k = d - 1
+	}
+	i := a + int64(guide[a+k])
+	for i < b-1 && cum[i] <= u {
+		i++
+	}
+	return i
 }
 
 // pin acquires a zero-copy mapped system against concurrent unmapping
@@ -356,6 +406,11 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 		failErr  error
 	)
 	stop.Store(int64(numBatches))
+	if opt.TargetCI <= 0 {
+		// Without early stopping every trial contributes, so the hits
+		// fit; an early-stopped run grows Steps only as far as it gets.
+		res.Steps = make([]float64, 0, trials)
+	}
 
 	// merge folds batch b into the result. Caller holds mu; batches
 	// arrive here strictly in batch order, so the accumulation order —
@@ -435,14 +490,43 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 	if failErr != nil {
 		return nil, failErr
 	}
-	res.Summary = stats.Summarize(res.Steps)
-	res.CDF = stats.CDF(res.Steps, nil)
+	sorted := sortedHits(res.Steps)
+	res.Summary = stats.SummarizeSorted(sorted)
+	res.CDF = stats.CDFSorted(sorted, nil)
 	return &res, nil
+}
+
+// sortedHits returns the hit times in ascending order, leaving steps in
+// trial order. Hit times are integers, so while the largest is below the
+// sample size a counting sort over a histogram no longer than the sample
+// orders them in linear time; otherwise it falls back to slices.Sort.
+func sortedHits(steps []float64) []float64 {
+	sorted := make([]float64, len(steps))
+	top := 0.0
+	for _, v := range steps {
+		top = max(top, v)
+	}
+	if top >= float64(len(steps)) {
+		copy(sorted, steps)
+		slices.Sort(sorted)
+		return sorted
+	}
+	counts := make([]int, int(top)+1)
+	for _, v := range steps {
+		counts[int(v)]++
+	}
+	i := 0
+	for v, c := range counts {
+		for end := i + c; i < end; i++ {
+			sorted[i] = float64(v)
+		}
+	}
+	return sorted
 }
 
 // prefixMeanCI computes the mean and normal-theory 95% half-width from
 // running moments — the stopping rule's view of the merged prefix. The
-// final Result recomputes both from the full sample (stats.Summarize);
+// final Result recomputes both from the full sorted sample;
 // tiny floating differences between the two never affect determinism
 // because each is computed in one fixed order.
 func prefixMeanCI(n int, sum, sumsq float64) (mean, ci float64) {
@@ -460,65 +544,92 @@ func prefixMeanCI(n int, sum, sumsq float64) (mean, ci float64) {
 	return mean, 1.96 * math.Sqrt(variance/float64(n))
 }
 
-// runBatch walks trials [lo, hi). The only allocation is the batch's own
-// hit-times slice; the walk itself is allocation-free.
-func (e *Estimator) runBatch(lo, hi int, seed int64, maxSteps, from int) batchOut {
-	out := batchOut{steps: make([]float64, 0, hi-lo)}
-	off, succ, cum, target := e.off, e.succ, e.cum, e.target
-	for t := lo; t < hi; t++ {
-		st := walkerStream(seed, t)
-		s := int32(from)
-		if from < 0 {
-			i := int(st.float(startCoord) * float64(len(e.nonTarget)))
-			if i >= len(e.nonTarget) {
-				i = len(e.nonTarget) - 1
-			}
-			s = e.nonTarget[i]
+// lanes is how many walkers a batch steps in lockstep. Each pass moves
+// every lane one step, so the lanes' independent loads of off, guide, cum
+// and succ overlap instead of each waiting on the one before.
+const lanes = 8
+
+// Outcomes other than a hit time in a batch's per-trial slots.
+const (
+	slotDivergent = -1
+	slotCensored  = -2
+)
+
+// walker is the trial one lane is stepping.
+type walker struct {
+	st    stream
+	trial int
+	steps int
+	s     int32
+}
+
+// start places the walker of trial t on its start state.
+func (e *Estimator) start(seed int64, t, from int) walker {
+	w := walker{st: walkerStream(seed, t), trial: t, s: int32(from)}
+	if from < 0 {
+		i := int(w.st.float(startCoord) * float64(len(e.nonTarget)))
+		if i >= len(e.nonTarget) {
+			i = len(e.nonTarget) - 1
 		}
-		steps := 0
-		for {
+		w.s = e.nonTarget[i]
+	}
+	return w
+}
+
+// runBatch walks trials [lo, hi), lanes at a time: a lane whose walker
+// finishes takes the batch's next trial. Each outcome lands in its
+// trial's slot, and the hits are then compacted in place, so they come
+// out in trial order however the lanes interleave. The only allocation
+// is the slots slice; the walk itself is allocation-free.
+func (e *Estimator) runBatch(lo, hi int, seed int64, maxSteps, from int) batchOut {
+	off, succ, cum, guide, target := e.off, e.succ, e.cum, e.guide, e.target
+	slots := make([]float64, hi-lo)
+	var (
+		ln     [lanes]walker
+		n      int // lanes in use: ln[:n]
+		walked int64
+	)
+	for ; n < lanes && lo+n < hi; n++ {
+		ln[n] = e.start(seed, lo+n, from)
+	}
+	next := lo + n
+	for n > 0 {
+		for l := 0; l < n; l++ {
+			w := &ln[l]
+			s := w.s
+			var outcome float64
 			if target[s] {
-				out.steps = append(out.steps, float64(steps))
-				break
-			}
-			a, b := off[s], off[s+1]
-			if a == b {
-				out.divergent++ // absorbing non-target: T = +Inf, proved
-				break
-			}
-			if steps >= maxSteps {
-				out.censored++ // budget exhausted: T > MaxSteps, undecided
-				break
-			}
-			u := st.float(uint64(steps))
-			// Invert the row CDF: the first position with cum > u. Short
-			// rows scan (the common case: degree <= processes under the
-			// central policy); long rows binary-search. The branch
-			// depends only on the row, so trajectories stay pure.
-			var i int64
-			if b-a <= 16 {
-				i = a
-				for i < b-1 && cum[i] <= u {
-					i++
-				}
+				outcome = float64(w.steps)
+			} else if a, b := off[s], off[s+1]; a == b {
+				outcome = slotDivergent // absorbing non-target: T = +Inf, proved
+			} else if w.steps >= maxSteps {
+				outcome = slotCensored // budget exhausted: T > MaxSteps, undecided
 			} else {
-				lo, hi := a, b
-				for lo < hi {
-					m := (lo + hi) >> 1
-					if cum[m] > u {
-						hi = m
-					} else {
-						lo = m + 1
-					}
-				}
-				i = lo
-				if i == b {
-					i = b - 1 // float rounding: clamp into the row
-				}
+				w.s = succ[sample(cum, guide, a, b, w.st.float(uint64(w.steps)))]
+				w.steps++
+				continue
 			}
-			s = succ[i]
-			steps++
-			out.walked++
+			slots[w.trial-lo] = outcome
+			walked += int64(w.steps)
+			if next < hi {
+				*w = e.start(seed, next, from)
+				next++
+			} else {
+				n--
+				*w = ln[n]
+				l-- // the lane moved into l steps in this pass too
+			}
+		}
+	}
+	out := batchOut{steps: slots[:0], walked: walked}
+	for _, v := range slots {
+		switch v {
+		case slotDivergent:
+			out.divergent++
+		case slotCensored:
+			out.censored++
+		default:
+			out.steps = append(out.steps, v)
 		}
 	}
 	return out

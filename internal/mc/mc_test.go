@@ -2,8 +2,11 @@ package mc
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -338,8 +341,168 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestLongRowSampling exercises the binary-search branch (> 16
-// successors) and checks the empirical law matches the row.
+// refSample is the row search the guide table replaced, kept as the
+// oracle: the first position in [a, b) whose cum exceeds u, by a linear
+// scan on rows of at most 16 positions and a binary search clamped into
+// the row on longer ones.
+func refSample(cum []float64, a, b int64, u float64) int64 {
+	if b-a <= 16 {
+		i := a
+		for i < b-1 && cum[i] <= u {
+			i++
+		}
+		return i
+	}
+	lo, hi := a, b
+	for lo < hi {
+		m := (lo + hi) >> 1
+		if cum[m] > u {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == b {
+		lo = b - 1
+	}
+	return lo
+}
+
+// TestGuideSampleMatchesReference pins the guide-table search to
+// refSample on crafted rows — uniform, skewed by 1e-12 entries, and short
+// of 1 so the clamp fires — at every boundary draw: 0, each cum value and
+// bucket edge k/d with their float neighbours, 1-2⁻⁵³, and random draws.
+func TestGuideSampleMatchesReference(t *testing.T) {
+	type row struct {
+		name  string
+		probs []float64
+		clamp bool // the row's last cum rounds below 1
+	}
+	var rows []row
+	for _, d := range []int{1, 2, 3, 16, 17, 64, 2048} {
+		uniform := make([]float64, d)
+		for i := range uniform {
+			uniform[i] = 1 / float64(d)
+		}
+		rows = append(rows, row{name: fmt.Sprintf("uniform/%d", d), probs: uniform})
+		if d == 1 {
+			continue
+		}
+		// Every fourth entry shares the mass; the rest are 1e-12, so runs
+		// of near-equal cum values straddle the bucket edges.
+		skewed := make([]float64, d)
+		heavy := (d + 3) / 4
+		for i := range skewed {
+			skewed[i] = 1e-12
+		}
+		for i := 0; i < d; i += 4 {
+			skewed[i] = (1 - float64(d-heavy)*1e-12) / float64(heavy)
+		}
+		rows = append(rows, row{name: fmt.Sprintf("skewed/%d", d), probs: skewed})
+		short := slices.Clone(uniform)
+		short[d-1] -= 5e-10
+		rows = append(rows, row{name: fmt.Sprintf("short/%d", d), probs: short, clamp: true})
+	}
+	tenths := make([]float64, 10) // 0.1 ten times sums to 1-2⁻⁵³
+	for i := range tenths {
+		tenths[i] = 0.1
+	}
+	rows = append(rows, row{name: "tenths", probs: tenths, clamp: true})
+	// A first cum of exactly k/d where the float just below it still
+	// lands in bucket k (int(u·d) rounds up): without the guide margin,
+	// bucket k would start past that draw's answer.
+	for _, kd := range [][2]int{{9, 10}, {3, 13}} {
+		k, d := kd[0], kd[1]
+		edge := make([]float64, d)
+		edge[0] = float64(k) / float64(d)
+		for i := 1; i < d; i++ {
+			edge[i] = (1 - edge[0]) / float64(d-1)
+		}
+		rows = append(rows, row{name: fmt.Sprintf("edge/%d/%d", k, d), probs: edge})
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			// State 0 is a one-successor row, so the crafted row of state 1
+			// starts at CSR position a = 1, not 0.
+			d := int64(len(r.probs))
+			c := &chain{
+				off:  []int64{0, 1, 1 + d},
+				succ: make([]int32, 1+d),
+				prob: append([]float64{1}, r.probs...),
+			}
+			e, err := New(c, []bool{true, true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := int64(1), 1+d
+			if r.clamp && e.cum[b-1] >= 1 {
+				t.Fatalf("last cum = %v, want below 1 so the clamp fires", e.cum[b-1])
+			}
+			draws := []float64{0, 1 - 0x1p-53}
+			near := func(v float64) {
+				draws = append(draws, v, math.Nextafter(v, 0), math.Nextafter(v, 1))
+			}
+			for i := a; i < b; i++ {
+				near(e.cum[i])
+			}
+			for k := int64(0); k < d; k++ {
+				near(float64(k) / float64(d))
+			}
+			for i := 0; i < 100_000; i++ {
+				draws = append(draws, rng.Float64())
+			}
+			for _, u := range draws {
+				if u < 0 || u >= 1 {
+					continue
+				}
+				if got, want := sample(e.cum, e.guide, a, b, u), refSample(e.cum, a, b, u); got != want {
+					t.Fatalf("u=%v: guide search gives position %d, reference %d", u, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSortedHitsMatchesSort: the counting sort gives exactly what
+// slices.Sort gives, on both sides of its fallback (largest hit at least
+// the sample size), and leaves the trial-order input untouched.
+func TestSortedHitsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	ints := func(n, top int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(rng.Intn(top + 1))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []float64
+	}{
+		{"empty", nil},
+		{"zero", []float64{0}},
+		{"counting", ints(5000, 300)},
+		{"top just below size", append(ints(99, 98), 99)},
+		{"top equals size", append(ints(99, 98), 100)},
+		{"fallback", ints(5000, 1_000_000)},
+	} {
+		in := slices.Clone(tc.steps)
+		want := slices.Clone(tc.steps)
+		slices.Sort(want)
+		got := sortedHits(in)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: sortedHits differs from slices.Sort", tc.name)
+		}
+		if !slices.Equal(in, tc.steps) {
+			t.Errorf("%s: sortedHits reordered its input", tc.name)
+		}
+	}
+}
+
+// TestLongRowSampling walks a 40-successor row and checks every walker
+// takes its one step to a target.
 func TestLongRowSampling(t *testing.T) {
 	const fanout = 40
 	rows := make([][]tr, fanout+1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
@@ -42,8 +43,10 @@ func (t *TrialResult) observe(res Result) {
 }
 
 func (t *TrialResult) finish() {
-	t.Summary = stats.Summarize(t.Rounds)
-	t.CDF = stats.CDF(t.Rounds, nil)
+	sorted := slices.Clone(t.Rounds)
+	slices.Sort(sorted)
+	t.Summary = stats.SummarizeSorted(sorted)
+	t.CDF = stats.CDFSorted(sorted, nil)
 }
 
 // observeTrial emits one netsim.trial progress event (batch position, the

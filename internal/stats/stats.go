@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -24,12 +24,16 @@ type Summary struct {
 // Summarize computes descriptive statistics. An empty sample yields a zero
 // Summary.
 func Summarize(sample []float64) Summary {
-	n := len(sample)
+	return SummarizeSorted(sortedCopy(sample))
+}
+
+// SummarizeSorted is Summarize over a sample already in ascending order,
+// for callers that sort once and summarize more than once.
+func SummarizeSorted(sorted []float64) Summary {
+	n := len(sorted)
 	if n == 0 {
 		return Summary{}
 	}
-	sorted := append([]float64(nil), sample...)
-	sort.Float64s(sorted)
 	sum := 0.0
 	for _, v := range sorted {
 		sum += v
@@ -92,19 +96,29 @@ var DefaultQuantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1}
 // given quantiles (DefaultQuantiles when qs is nil), using the same linear
 // interpolation as Quantile. An empty sample yields nil.
 func CDF(sample []float64, qs []float64) []CDFPoint {
-	if len(sample) == 0 {
+	return CDFSorted(sortedCopy(sample), qs)
+}
+
+// CDFSorted is CDF over a sample already in ascending order.
+func CDFSorted(sorted []float64, qs []float64) []CDFPoint {
+	if len(sorted) == 0 {
 		return nil
 	}
 	if qs == nil {
 		qs = DefaultQuantiles
 	}
-	sorted := append([]float64(nil), sample...)
-	sort.Float64s(sorted)
 	out := make([]CDFPoint, len(qs))
 	for i, q := range qs {
 		out[i] = CDFPoint{P: q, Value: Quantile(sorted, q)}
 	}
 	return out
+}
+
+// sortedCopy returns the sample in ascending order, leaving it untouched.
+func sortedCopy(sample []float64) []float64 {
+	sorted := slices.Clone(sample)
+	slices.Sort(sorted)
+	return sorted
 }
 
 // FormatCDF renders CDF points as "p10=… p25=… … max=…" (quantile 1 is

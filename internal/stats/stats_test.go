@@ -36,6 +36,28 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestSortedVariantsMatch: the sorted-input entry points give exactly what
+// Summarize and CDF give on the unsorted sample.
+func TestSortedVariantsMatch(t *testing.T) {
+	in := []float64{9, 1, 4, 4, 0, 13, 2, 7, 1, 5}
+	sorted := []float64{0, 1, 1, 2, 4, 4, 5, 7, 9, 13}
+	if got, want := SummarizeSorted(sorted), Summarize(in); got != want {
+		t.Fatalf("SummarizeSorted = %+v, Summarize = %+v", got, want)
+	}
+	got, want := CDFSorted(sorted, nil), CDF(in, nil)
+	if len(got) != len(want) {
+		t.Fatalf("CDFSorted has %d points, CDF %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("point %d: CDFSorted %+v, CDF %+v", i, got[i], want[i])
+		}
+	}
+	if SummarizeSorted(nil) != (Summary{}) || CDFSorted(nil, nil) != nil {
+		t.Fatal("empty sorted sample must give a zero Summary and a nil CDF")
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	sorted := []float64{0, 10, 20, 30, 40}
 	tests := []struct{ q, want float64 }{
