@@ -33,7 +33,7 @@ func benchExperiment(b *testing.B, id string) {
 	opt := experiments.Options{Quick: true, Seed: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, opt); err != nil {
+		if err := e.Run(b.Context(), io.Discard, opt); err != nil {
 			b.Fatalf("%s failed: %v", id, err)
 		}
 	}
@@ -388,11 +388,11 @@ func benchFrontierBall(b *testing.B, build func() (protocol.Algorithm, error), p
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		globals, _, err := checker.FaultBall(alg, k, 0, 0)
+		globals, _, err := checker.FaultBallContext(b.Context(), alg, k, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ss, err := statespace.BuildFrom(alg, pol, globals, statespace.Options{})
+		ss, err := statespace.BuildFromContext(b.Context(), alg, pol, globals, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -447,7 +447,11 @@ func BenchmarkAnalyzeSharedSpace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := core.AnalyzeWith(alg, scheduler.CentralPolicy{}, core.Options{})
+		sp, err := statespace.BuildContext(b.Context(), alg, scheduler.CentralPolicy{}, statespace.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := core.AnalyzeSpaceContext(b.Context(), sp)
 		if err != nil {
 			b.Fatal(err)
 		}

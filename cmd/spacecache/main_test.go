@@ -29,7 +29,7 @@ func primeCache(t *testing.T) (dir string, keys []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := cache.BuildSpace(a, pol, statespace.Options{}); err != nil {
+		if _, _, err := cache.BuildSpaceContext(t.Context(), a, pol, statespace.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		key := spacecache.Key(a, pol)

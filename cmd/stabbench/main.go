@@ -11,12 +11,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"weakstab/internal/cli"
 	"weakstab/internal/experiments"
+	"weakstab/internal/spacecache"
 )
 
 func main() {
@@ -75,10 +77,16 @@ func run() int {
 		orun.AddExtra("experiment", *runID)
 	}
 
-	opt := experiments.Options{Quick: *quick, Seed: *seed, Trials: *trials, Workers: *workers, CacheDir: *cacheDir, NoMmap: !*mmap}
+	ctx := context.Background()
 	runErr := func() error {
+		cache, err := spacecache.Open(*cacheDir)
+		if err != nil {
+			return err
+		}
+		cache.SetMmap(*mmap)
+		opt := experiments.Options{Quick: *quick, Seed: *seed, Trials: *trials, Workers: *workers, Cache: cache}
 		if *runID == "" {
-			if err := experiments.RunAll(os.Stdout, opt); err != nil {
+			if err := experiments.RunAll(ctx, os.Stdout, opt); err != nil {
 				return err
 			}
 			fmt.Println("all experiments verified against the paper's claims")
@@ -86,7 +94,7 @@ func run() int {
 		}
 		fmt.Printf("==== %s — %s ====\n", exp.ID, exp.Title)
 		fmt.Printf("paper claim: %s\n\n", exp.PaperClaim)
-		return exp.Run(os.Stdout, opt)
+		return exp.Run(ctx, os.Stdout, opt)
 	}()
 	if err := stopProf(); runErr == nil {
 		runErr = err

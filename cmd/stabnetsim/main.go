@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -116,11 +117,11 @@ func run(args []string, out io.Writer) error {
 			what = "re-stabilization rounds"
 			fmt.Fprintf(out, "%d trials from a legitimate configuration with %d corrupted processes (seed %d)\n",
 				*trials, *restabilize, *seed)
-			res, err = netsim.Restabilization(a, *trials, *restabilize, opts)
+			res, err = netsim.RestabilizationContext(context.Background(), a, *trials, *restabilize, opts)
 		} else {
 			what = "convergence rounds"
 			fmt.Fprintf(out, "%d trials from uniformly random configurations (seed %d)\n", *trials, *seed)
-			res, err = netsim.Trials(a, *trials, opts)
+			res, err = netsim.TrialsContext(context.Background(), a, *trials, opts)
 		}
 		if err != nil {
 			return err

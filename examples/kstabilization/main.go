@@ -3,13 +3,14 @@
 // space size: the legitimate set is enumerated in closed form (no pass
 // over the configuration space), the distance-≤k balls grow incrementally
 // (each radius extends the previous ball and its explored closure —
-// checker.SweepKFaults), and the checker and Markov analyses run
+// checker.SweepKFaultsContext), and the checker and Markov analyses run
 // subspace-native over the final closure. With -cache DIR the per-k balls
 // and closure subspaces are persisted, so a rerun loads everything from
 // disk and explores nothing.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -41,7 +42,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := checker.SweepKFaults(checker.CacheSources(cache), alg, pol, maxFaults, statespace.Options{}, false)
+	ctx := context.Background()
+	res, err := checker.SweepKFaultsContext(ctx, cache, alg, pol, maxFaults, statespace.Options{}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(ss))
+	h, err := chain.HittingTimesContext(ctx, markov.TargetFromSpace(ss))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package checker
 
-// Acceptance pin: the ball-seeded frontier path (FaultBall + BuildFrom +
-// BallVerdicts) must reproduce the full-space k-fault classification
+// Acceptance pin: the ball-seeded frontier path (FaultBallContext +
+// BuildFromContext + BallVerdicts) must reproduce the full-space k-fault classification
 // bit-for-bit — same ball sizes, same possible/certain verdicts, same
 // counterexample configuration — while exploring only the ball's forward
 // closure, for every algorithm × policy in the matrix and every worker
@@ -66,7 +66,7 @@ func TestBallVerdictsMatchFullSpace(t *testing.T) {
 			want = append(want, full.CheckKFaults(k, dist))
 		}
 		for _, workers := range []int{1, 4} {
-			got, ballSp, err := BallVerdicts(tc.alg, tc.pol, maxK, statespace.Options{Workers: workers})
+			got, ballSp, err := BallVerdicts(t.Context(), tc.alg, tc.pol, maxK, statespace.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
@@ -95,9 +95,9 @@ func TestBallVerdictsMatchFullSpace(t *testing.T) {
 	}
 }
 
-// TestFaultBallMatchesDistanceVector pins FaultBall's enumeration against
-// the full-space distance vector: the ball is exactly the states with
-// distance ≤ k, with matching distances.
+// TestFaultBallMatchesDistanceVector pins FaultBallContext's enumeration
+// against the full-space distance vector: the ball is exactly the states
+// with distance ≤ k, with matching distances.
 func TestFaultBallMatchesDistanceVector(t *testing.T) {
 	for _, tc := range ballMatrix(t) {
 		full, err := Explore(tc.alg, tc.pol, 0)
@@ -106,7 +106,7 @@ func TestFaultBallMatchesDistanceVector(t *testing.T) {
 		}
 		dist := full.DistanceToLegitimate()
 		for k := 0; k <= 2; k++ {
-			globals, ballDist, err := FaultBall(tc.alg, k, 0, 0)
+			globals, ballDist, err := FaultBallContext(t.Context(), tc.alg, k, 0, 0)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
@@ -138,11 +138,11 @@ func TestFaultBallMatchesDistanceVector(t *testing.T) {
 // of growing past the state cap.
 func TestFaultBallRespectsCap(t *testing.T) {
 	a := mustTokenRing(t, 6)
-	if _, _, err := FaultBall(a, 2, 0, 40); err == nil {
+	if _, _, err := FaultBallContext(t.Context(), a, 2, 0, 40); err == nil {
 		t.Fatal("ball larger than the cap accepted")
 	}
 	// L itself has 24 configurations; a cap above the k=1 ball passes.
-	globals, _, err := FaultBall(a, 1, 0, 1000)
+	globals, _, err := FaultBallContext(t.Context(), a, 1, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestBallPipelineExploresOnce(t *testing.T) {
 	total := enc.Total()
 
 	const k = 1
-	ss, globals, ballDist, err := BallClosure(a, pol, k, statespace.Options{})
+	ss, globals, ballDist, err := BallClosureContext(t.Context(), nil, a, pol, k, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBallPipelineExploresOnce(t *testing.T) {
 	// exploration — this is the regression guard for the double-exploration
 	// bug (the old path cost 2× both counters).
 	b := &countingAlg{Algorithm: inner}
-	wrapped, _, err := BallVerdicts(b, pol, k, statespace.Options{})
+	wrapped, _, err := BallVerdicts(t.Context(), b, pol, k, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,12 +116,12 @@ func TestFaultBallCapBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	globals, _, err := FaultBall(ring, 1, 0, 0)
+	globals, _, err := FaultBallContext(t.Context(), ring, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	B := int64(len(globals))
-	legits, _, err := FaultBall(ring, 0, 0, 0)
+	legits, _, err := FaultBallContext(t.Context(), ring, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFaultBallCapBoundary(t *testing.T) {
 
 	// Ball of exactly B states: caps B and B+1 succeed, B-1 fails.
 	for _, cap := range []int64{B, B + 1} {
-		got, _, err := FaultBall(ring, 1, 0, cap)
+		got, _, err := FaultBallContext(t.Context(), ring, 1, 0, cap)
 		if err != nil {
 			t.Fatalf("maxStates=%d on a %d-state ball: %v", cap, B, err)
 		}
@@ -140,17 +140,17 @@ func TestFaultBallCapBoundary(t *testing.T) {
 			t.Fatalf("maxStates=%d: ball has %d states, want %d", cap, len(got), B)
 		}
 	}
-	if _, _, err := FaultBall(ring, 1, 0, B-1); err == nil ||
+	if _, _, err := FaultBallContext(t.Context(), ring, 1, 0, B-1); err == nil ||
 		!strings.Contains(err.Error(), "cap") {
 		t.Fatalf("maxStates=%d must fail on a %d-state ball, got err=%v", B-1, B, err)
 	}
 
 	// Legitimate set of exactly maxStates is admitted (k=0: nothing to
 	// grow); one fewer fails at admission.
-	if got, _, err := FaultBall(ring, 0, 0, L); err != nil || int64(len(got)) != L {
+	if got, _, err := FaultBallContext(t.Context(), ring, 0, 0, L); err != nil || int64(len(got)) != L {
 		t.Fatalf("maxStates=%d on |L|=%d: got %d states, err=%v", L, L, len(got), err)
 	}
-	if _, _, err := FaultBall(ring, 0, 0, L-1); err == nil ||
+	if _, _, err := FaultBallContext(t.Context(), ring, 0, 0, L-1); err == nil ||
 		!strings.Contains(err.Error(), "legitimate set") {
 		t.Fatalf("|L|=%d must exceed the %d-state cap at admission, got err=%v", L, L-1, err)
 	}

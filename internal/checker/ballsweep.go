@@ -6,16 +6,17 @@ package checker
 // enumeration and ONE closure exploration, not kmax of each. ballGrower
 // keeps the mutation BFS resumable (grow one shell at a time), BallSweep
 // pairs it with a resumable statespace.Builder for the closure, and
-// SweepKFaults drives the walk upward — sealing a canonical subspace and
-// classifying the k-fault verdict at every radius, stopping early at the
-// smallest k that breaks convergence when asked. Every sealed snapshot is
-// bit-identical to the from-scratch FaultBall/BallClosure at that k
-// (pinned by the parity tests), so incremental is purely a cost saving.
+// SweepKFaultsContext drives the walk upward — sealing a canonical
+// subspace and classifying the k-fault verdict at every radius, stopping
+// early at the smallest k that breaks convergence when asked. Every sealed
+// snapshot is bit-identical to the from-scratch
+// FaultBallContext/BallClosureContext at that k (pinned by the parity
+// tests), so incremental is purely a cost saving.
 //
-// Sources injects the on-disk persistence (internal/spacecache) without a
-// package dependency: the ball enumeration persists under an (instance, k)
-// key and the sealed closures under their seed-set keys, so a warm sweep
-// is O(ball) end to end — zero legitimacy scans, zero exploration.
+// An optional *spacecache.Cache adds on-disk persistence (nil means no
+// caching): the ball enumeration persists under an (instance, k) key and
+// the sealed closures under their seed-set keys, so a warm sweep is
+// O(ball) end to end — zero legitimacy scans, zero exploration.
 
 import (
 	"context"
@@ -26,6 +27,7 @@ import (
 	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 )
 
@@ -67,7 +69,7 @@ func newBallGrower(ctx context.Context, a protocol.Algorithm, workers int, maxSt
 		return nil, err
 	}
 	// Inclusive cap: a legitimate set of exactly maxStates is admitted,
-	// matching the seed admission of statespace.BuildFrom.
+	// matching the seed admission of statespace.BuildFromContext.
 	if int64(b.ball.Len()) > b.maxStates {
 		return nil, fmt.Errorf("checker: legitimate set of %d configurations exceeds the %d-state cap", b.ball.Len(), b.maxStates)
 	}
@@ -236,31 +238,25 @@ func (b *ballGrower) sorted() ([]int64, []int) {
 }
 
 // BallSweep is a resumable k-fault sweep: the fault ball and its forward
-// closure, both grown incrementally. Grow extends the ball by one mutation
-// shell; Seal explores exactly the closure states not yet discovered and
-// snapshots a canonical subspace plus the sorted ball — bit-identical to
-// the from-scratch FaultBall + BallClosure at the current radius. A k+1
-// sweep therefore extends the k ball and its subspace instead of
-// restarting.
+// closure, both grown incrementally. GrowToContext extends the ball one
+// mutation shell at a time; SealContext explores exactly the closure
+// states not yet discovered and snapshots a canonical subspace plus the
+// sorted ball — bit-identical to the from-scratch FaultBallContext +
+// BallClosureContext at the current radius. A k+1 sweep therefore extends
+// the k ball and its subspace instead of restarting.
 type BallSweep struct {
 	a       protocol.Algorithm
 	pol     scheduler.Policy
 	opt     statespace.Options
 	ball    *ballGrower
-	builder *statespace.Builder // lazily created at first Seal
+	builder *statespace.Builder // lazily created at first seal
 }
 
-// NewBallSweep returns the radius-0 sweep: the ball is the legitimate set
-// itself, enumerated in closed form when a implements
-// protocol.LegitEnumerator and by a legitimacy scan otherwise. opt has
-// BallClosure's semantics (MaxStates caps ball and closure alike; results
-// are independent of Workers).
-func NewBallSweep(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*BallSweep, error) {
-	return NewBallSweepContext(context.Background(), a, pol, opt)
-}
-
-// NewBallSweepContext is NewBallSweep with cooperative cancellation of the
-// radius-0 seeding (the legitimacy scan on the no-enumerator path).
+// NewBallSweepContext returns the radius-0 sweep: the ball is the
+// legitimate set itself, enumerated in closed form when a implements
+// protocol.LegitEnumerator and by a legitimacy scan otherwise, which
+// checks ctx per chunk. opt has BallClosureContext's semantics (MaxStates
+// caps ball and closure alike; results are independent of Workers).
 func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*BallSweep, error) {
 	ball, err := newBallGrower(ctx, a, opt.Workers, opt.MaxStates)
 	if err != nil {
@@ -270,10 +266,11 @@ func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol schedule
 }
 
 // ResumeBallSweep rebuilds a sweep at radius k from a previously produced
-// ball (globals and aligned distances, as FaultBall or a cache entry
-// returns them) and, optionally, its sealed closure subspace — the
+// ball (globals and aligned distances, as FaultBallContext or a cache
+// entry returns them) and, optionally, its sealed closure subspace — the
 // warm-cache resume path. ss may be nil: the closure is then explored from
-// the ball at the next Seal. ss is deep-copied, never aliased or mutated.
+// the ball at the next SealContext. ss is deep-copied, never aliased or
+// mutated.
 func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals []int64, dist []int, ss *statespace.Space, opt statespace.Options) (*BallSweep, error) {
 	if len(globals) != len(dist) {
 		return nil, fmt.Errorf("checker: ball of %d globals with %d distances", len(globals), len(dist))
@@ -297,30 +294,19 @@ func (s *BallSweep) K() int { return s.ball.k }
 // BallSize returns the number of configurations in the current ball.
 func (s *BallSweep) BallSize() int { return s.ball.ball.Len() }
 
-// Grow extends the ball from radius K to K+1 — one mutation shell, no
-// transition exploration (that happens at Seal).
-func (s *BallSweep) Grow() error { return s.ball.grow(context.Background()) }
-
-// GrowTo grows the ball to radius k (a no-op when already there).
-func (s *BallSweep) GrowTo(k int) error { return s.ball.growTo(context.Background(), k) }
-
-// GrowToContext is GrowTo with cooperative cancellation, checked once per
-// mutation shell.
+// GrowToContext grows the ball to radius k (a no-op when already there) —
+// mutation shells only, no transition exploration (that happens at
+// SealContext). ctx is checked once per shell.
 func (s *BallSweep) GrowToContext(ctx context.Context, k int) error { return s.ball.growTo(ctx, k) }
 
-// Seal explores the forward closure of every ball configuration not yet
-// explored and returns a canonical snapshot: the closure subspace plus the
-// ball's globals and exact fault distances in ascending-global order —
-// exactly what BallClosure returns from scratch, at the incremental cost
-// of the new states only. The snapshot is independent of the sweep: Grow
-// and Seal again freely. An empty ball (empty legitimate set) seals to a
-// nil subspace with empty globals, mirroring BallClosure.
-func (s *BallSweep) Seal() (*statespace.Space, []int64, []int, error) {
-	return s.SealContext(context.Background())
-}
-
-// SealContext is Seal with cooperative cancellation of the closure
-// exploration, checked at every BFS shell boundary.
+// SealContext explores the forward closure of every ball configuration
+// not yet explored and returns a canonical snapshot: the closure subspace
+// plus the ball's globals and exact fault distances in ascending-global
+// order — exactly what BallClosureContext returns from scratch, at the
+// incremental cost of the new states only. The snapshot is independent of
+// the sweep: grow and seal again freely. An empty ball (empty legitimate
+// set) seals to a nil subspace with empty globals, mirroring
+// BallClosureContext. ctx is checked at every BFS shell boundary.
 func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64, []int, error) {
 	globals, dist := s.ball.sorted()
 	if len(globals) == 0 {
@@ -341,80 +327,35 @@ func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64
 	return s.builder.Seal(), globals, dist, nil
 }
 
-// BallStore persists ball enumerations under an (instance, k) key — the
-// shape of spacecache.Cache's LoadBall/StoreBall, taken structurally so
-// this package stays independent of the cache layer. Loads return ok=false
-// on any miss; stores are best-effort.
-type BallStore interface {
-	LoadBall(a protocol.Algorithm, k int, maxStates int64) (globals []int64, dist []int, ok bool)
-	StoreBall(a protocol.Algorithm, k int, globals []int64, dist []int) error
-}
-
-// SubSpaceStore loads and persists sealed closure subspaces under their
-// (instance, policy, seed set) key — the shape of spacecache.Cache's
-// LoadSubSpace/StoreSubSpace.
-type SubSpaceStore interface {
-	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool)
-	StoreSubSpace(ss *statespace.Space, seeds []int64) error
-}
-
-// Sources injects the optional on-disk persistence into the ball
-// pipelines. The zero value means "no caching": everything is enumerated
-// and explored in process.
-type Sources struct {
-	// Build explores the forward closure of a seed set (nil means
-	// statespace.BuildFrom). A cache's load-or-build satisfies it.
-	Build SubSpaceBuilder
-	// Balls persists ball enumerations under (instance, k) keys.
-	Balls BallStore
-	// Subs loads and persists sealed closure subspaces; SweepKFaults uses
-	// it to make warm sweeps exploration-free.
-	Subs SubSpaceStore
-}
-
-// build resolves the closure builder, defaulting to
-// statespace.BuildFromContext.
-func (src Sources) build() SubSpaceBuilder {
-	if src.Build != nil {
-		return src.Build
-	}
-	return func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error) {
-		return statespace.BuildFromContext(ctx, a, pol, seeds, opt)
-	}
-}
-
-// BallClosureWith is BallClosure with both persistence hooks injected: a
-// ball cached under the (instance, k) key skips the seed enumeration
-// entirely (no legitimacy scan, no mutation BFS), and the closure then
-// loads or builds through src.Build. On a fully warm cache the pipeline
-// runs zero algorithm callbacks of any kind.
-func BallClosureWith(src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
-	return BallClosureWithContext(context.Background(), src, a, pol, k, opt)
-}
-
-// BallClosureWithContext is BallClosureWith with cooperative cancellation
-// of both stages: the ball enumeration checks ctx per mutation shell and
-// the closure exploration per BFS shell. A cancelled pipeline stores
-// nothing (the injected stores only see completed artifacts).
-func BallClosureWithContext(ctx context.Context, src Sources, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
-	globals, ballDist, ok := []int64(nil), []int(nil), false
-	if src.Balls != nil {
-		globals, ballDist, ok = src.Balls.LoadBall(a, k, statespace.StateCap(opt.MaxStates))
-	}
+// BallClosureContext enumerates the distance-≤k fault ball
+// (FaultBallContext) and frontier-explores its forward closure — exactly
+// once each. It returns the closure subspace together with the ball's
+// global indexes and exact fault distances, so one exploration can feed
+// both a full classification report (core.AnalyzeSpaceContext over the
+// subspace) and the per-k verdicts (BallVerdictsOver). When the legitimate
+// set is empty there is nothing to explore: the subspace is nil and
+// globals is empty, with no error.
+//
+// A non-nil cache persists both stages: a ball cached under the
+// (instance, k) key skips the seed enumeration entirely (no legitimacy
+// scan, no mutation BFS), and the closure loads or builds through the
+// cache, so a fully warm pipeline runs zero algorithm callbacks. ctx is
+// checked per mutation shell and per BFS shell; a cancelled pipeline
+// stores nothing.
+func BallClosureContext(ctx context.Context, cache *spacecache.Cache, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
+	globals, ballDist, ok := cache.LoadBall(a, k, statespace.StateCap(opt.MaxStates))
 	if !ok {
 		var err error
 		globals, ballDist, err = FaultBallContext(ctx, a, k, opt.Workers, opt.MaxStates)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if src.Balls != nil {
-			_ = src.Balls.StoreBall(a, k, globals, ballDist) // best-effort persistence
-		}
+		_ = cache.StoreBall(a, k, globals, ballDist) // best-effort persistence
 	}
 	if len(globals) == 0 {
 		return nil, globals, ballDist, nil
 	}
-	ss, err := src.build()(ctx, a, pol, globals, opt)
+	ss, _, err := cache.BuildSubSpaceContext(ctx, a, pol, globals, opt)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("checker: %w", err)
 	}
@@ -444,7 +385,7 @@ type SweepResult struct {
 	// radius k (0 when the legitimate set is empty).
 	ClosureStates []int
 	// CacheHits[k] reports whether radius k was served entirely from the
-	// injected stores (no enumeration, no exploration).
+	// cache (no enumeration, no exploration).
 	CacheHits []bool
 	// BreaksCertainAt is the smallest walked k whose certain-convergence
 	// verdict fails (-1 if none did), i.e. the largest tolerable fault
@@ -461,28 +402,23 @@ type SweepResult struct {
 	Dist    []int
 }
 
-// SweepKFaults walks k = 0..kmax with one incremental ball enumeration and
-// one incremental closure exploration in total: each radius extends the
-// previous ball and subspace instead of restarting, and every per-k verdict
-// is bit-identical to the from-scratch BallVerdicts at that k. With
-// stopAtBreak the walk ends at the smallest k whose certain-convergence
-// verdict fails — the "how many faults can the system absorb" search loop.
+// SweepKFaultsContext walks k = 0..kmax with one incremental ball
+// enumeration and one incremental closure exploration in total: each
+// radius extends the previous ball and subspace instead of restarting, and
+// every per-k verdict is bit-identical to the from-scratch BallVerdicts at
+// that k. With stopAtBreak the walk ends at the smallest k whose
+// certain-convergence verdict fails — the "how many faults can the system
+// absorb" search loop.
 //
-// The injected src makes the sweep cache-aware end to end: radii whose
+// A non-nil cache makes the sweep cache-aware end to end: radii whose
 // ball and closure are both persisted are served with zero algorithm
 // callbacks, and the sweep resumes incremental exploration at the first
-// radius that misses.
-func SweepKFaults(src Sources, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt statespace.Options, stopAtBreak bool) (*SweepResult, error) {
-	return SweepKFaultsContext(context.Background(), src, a, pol, kmax, opt, stopAtBreak)
-}
-
-// SweepKFaultsContext is SweepKFaults with cooperative cancellation: ctx
-// is checked at every sweep-radius boundary, and threads through to the
-// shell-granular checks of the ball enumeration and closure exploration —
-// so a cancelled sweep returns an error wrapping ctx.Err() without
-// finishing the walk, and the injected stores only ever see completed
-// radii.
-func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt statespace.Options, stopAtBreak bool) (*SweepResult, error) {
+// radius that misses. ctx is checked at every sweep-radius boundary and
+// threads through to the shell-granular checks of the ball enumeration
+// and closure exploration, so a cancelled sweep returns an error wrapping
+// ctx.Err() without finishing the walk, and the cache only ever sees
+// completed radii.
+func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt statespace.Options, stopAtBreak bool) (*SweepResult, error) {
 	if kmax < 0 {
 		return nil, fmt.Errorf("checker: negative sweep radius %d", kmax)
 	}
@@ -501,32 +437,28 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 			globals []int64
 			dist    []int
 			hit     bool
-			// ballStored: the store already holds this radius's ball (it
+			// ballStored: the cache already holds this radius's ball (it
 			// was just loaded), so sealing must not rewrite it.
 			ballStored bool
 		)
 		if sweep == nil {
-			// Warm path: serve radius k entirely from the stores.
-			if src.Balls != nil {
-				if g, d, ok := src.Balls.LoadBall(a, k, maxStates); ok {
-					if len(g) == 0 {
-						globals, dist, hit = g, d, true
-					} else if src.Subs != nil {
-						if loaded, ok := src.Subs.LoadSubSpace(a, pol, g, opt); ok {
-							ss, globals, dist, hit = loaded, g, d, true
-						}
+			// Warm path: serve radius k entirely from the cache.
+			if g, d, ok := cache.LoadBall(a, k, maxStates); ok {
+				if len(g) == 0 {
+					globals, dist, hit = g, d, true
+				} else if loaded, ok := cache.LoadSubSpace(a, pol, g, opt); ok {
+					ss, globals, dist, hit = loaded, g, d, true
+				}
+				if !hit {
+					// Ball cached, closure not: resume the sweep from the
+					// ball (and the previous radius's closure, if any) so
+					// sealing explores only what is missing.
+					resumed, err := ResumeBallSweep(a, pol, k, g, d, res.Sub, opt)
+					if err != nil {
+						return nil, err
 					}
-					if !hit {
-						// Ball cached, closure not: resume the sweep from the
-						// ball (and the previous radius's closure, if any) so
-						// Seal explores only what is missing.
-						resumed, err := ResumeBallSweep(a, pol, k, g, d, res.Sub, opt)
-						if err != nil {
-							return nil, err
-						}
-						sweep = resumed
-						ballStored = true
-					}
+					sweep = resumed
+					ballStored = true
 				}
 			}
 			if sweep == nil && !hit {
@@ -551,11 +483,11 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 			if ss, globals, dist, err = sweep.SealContext(ctx); err != nil {
 				return nil, err
 			}
-			if src.Balls != nil && !ballStored {
-				_ = src.Balls.StoreBall(a, k, globals, dist) // best-effort persistence
+			if !ballStored {
+				_ = cache.StoreBall(a, k, globals, dist) // best-effort persistence
 			}
-			if ss != nil && src.Subs != nil {
-				_ = src.Subs.StoreSubSpace(ss, globals) // best-effort persistence
+			if ss != nil {
+				_ = cache.StoreSubSpace(ss, globals) // best-effort persistence
 			}
 		}
 		v := BallVerdictAt(ss, BallLocalDistances(ss, globals, dist), k)
@@ -598,20 +530,4 @@ func SweepKFaultsContext(ctx context.Context, src Sources, a protocol.Algorithm,
 		}
 	}
 	return res, nil
-}
-
-// CacheSources adapts an on-disk cache with the shape of *spacecache.Cache
-// to the full Sources of the ball pipelines: closure load-or-build, ball
-// persistence, and sealed-subspace persistence. All methods of the cache
-// are nil-receiver-safe, so a missing -cache flag threads straight
-// through. The parameter is structural, so this package stays independent
-// of the cache layer.
-func CacheSources(c interface {
-	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.Space, bool, error)
-	LoadBall(a protocol.Algorithm, k int, maxStates int64) ([]int64, []int, bool)
-	StoreBall(a protocol.Algorithm, k int, globals []int64, dist []int) error
-	LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool)
-	StoreSubSpace(ss *statespace.Space, seeds []int64) error
-}) Sources {
-	return Sources{Build: BuilderFromCache(c), Balls: c, Subs: c}
 }

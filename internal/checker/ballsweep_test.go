@@ -137,17 +137,17 @@ func subSpacesEqual(t *testing.T, a, b *statespace.Space) bool {
 	return true
 }
 
-// TestFaultBallEnumeratorMatchesScan pins FaultBall's closed-form seeding
-// bit-equal to the legitimacy-scan seeding, for every enumerator algorithm
-// and radius — the two paths must be indistinguishable downstream.
+// TestFaultBallEnumeratorMatchesScan pins FaultBallContext's closed-form
+// seeding bit-equal to the legitimacy-scan seeding, for every enumerator
+// algorithm and radius — the two paths must be indistinguishable downstream.
 func TestFaultBallEnumeratorMatchesScan(t *testing.T) {
 	for _, a := range enumeratorAlgorithms(t) {
 		for k := 0; k <= 2; k++ {
-			gEnum, dEnum, err := FaultBall(a, k, 0, 0)
+			gEnum, dEnum, err := FaultBallContext(t.Context(), a, k, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gScan, dScan, err := FaultBall(scanOnly{a}, k, 0, 0)
+			gScan, dScan, err := FaultBallContext(t.Context(), scanOnly{a}, k, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,10 +159,10 @@ func TestFaultBallEnumeratorMatchesScan(t *testing.T) {
 	}
 }
 
-// TestBallSweepIncrementalParity pins the tentpole bit-equality: growing
-// one BallSweep through k = 0..K and sealing at every radius yields, at
-// each k, exactly the globals, distances and subspace arrays of a
-// from-scratch FaultBall + BallClosure at that k — for every policy and
+// TestBallSweepIncrementalParity pins the tentpole bit-equality: growing one
+// BallSweep through k = 0..K and sealing at every radius yields, at each k,
+// exactly the globals, distances and subspace arrays of a from-scratch
+// FaultBallContext + BallClosureContext at that k — for every policy and
 // across worker counts.
 func TestBallSweepIncrementalParity(t *testing.T) {
 	const kmax = 2
@@ -180,19 +180,19 @@ func TestBallSweepIncrementalParity(t *testing.T) {
 		} {
 			for _, workers := range []int{1, 3, 8} {
 				opt := statespace.Options{Workers: workers}
-				sweep, err := NewBallSweep(a, pol, opt)
+				sweep, err := NewBallSweepContext(t.Context(), a, pol, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for k := 0; k <= kmax; k++ {
-					if err := sweep.GrowTo(k); err != nil {
+					if err := sweep.GrowToContext(t.Context(), k); err != nil {
 						t.Fatal(err)
 					}
-					ss, globals, dist, err := sweep.Seal()
+					ss, globals, dist, err := sweep.SealContext(t.Context())
 					if err != nil {
 						t.Fatal(err)
 					}
-					refSS, refG, refD, err := BallClosure(a, pol, k, opt)
+					refSS, refG, refD, err := BallClosureContext(t.Context(), nil, a, pol, k, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -221,11 +221,11 @@ func TestResumeBallSweepParity(t *testing.T) {
 	pol := scheduler.DistributedPolicy{}
 	opt := statespace.Options{}
 	const k = 1
-	ss, globals, dist, err := BallClosure(ring, pol, k, opt)
+	ss, globals, dist, err := BallClosureContext(t.Context(), nil, ring, pol, k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSS, refG, refD, err := BallClosure(ring, pol, k+1, opt)
+	refSS, refG, refD, err := BallClosureContext(t.Context(), nil, ring, pol, k+1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +237,10 @@ func TestResumeBallSweepParity(t *testing.T) {
 		if sweep.K() != k {
 			t.Fatalf("resumed sweep at radius %d, want %d", sweep.K(), k)
 		}
-		if err := sweep.Grow(); err != nil {
+		if err := sweep.GrowToContext(t.Context(), k+1); err != nil {
 			t.Fatal(err)
 		}
-		gotSS, gotG, gotD, err := sweep.Seal()
+		gotSS, gotG, gotD, err := sweep.SealContext(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestSweepKFaultsMatchesFromScratch(t *testing.T) {
 	n := int64(inner.Graph().N())
 
 	counted := &countingEnumAlg{LegitEnumerator: inner}
-	res, err := SweepKFaults(Sources{}, counted, pol, kmax, opt, false)
+	res, err := SweepKFaultsContext(t.Context(), nil, counted, pol, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSweepKFaultsMatchesFromScratch(t *testing.T) {
 		t.Errorf("sweep made %d EnabledAction calls, want exactly %d (one incremental exploration)", got, n*states)
 	}
 
-	ref, _, err := BallVerdicts(inner, pol, kmax, opt)
+	ref, _, err := BallVerdicts(t.Context(), inner, pol, kmax, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSweepKFaultsMatchesFromScratch(t *testing.T) {
 
 	// Early stop: the token ring breaks certain convergence at k=1, so a
 	// stop-at-break sweep must end there without exploring radius 2.
-	stopped, err := SweepKFaults(Sources{}, inner, pol, kmax, opt, true)
+	stopped, err := SweepKFaultsContext(t.Context(), nil, inner, pol, kmax, opt, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestSweepKFaultsScanAccounting(t *testing.T) {
 	pol := scheduler.CentralPolicy{}
 	counted := &countingAlg{Algorithm: scanOnly{inner}}
 	const kmax = 2
-	res, err := SweepKFaults(Sources{}, counted, pol, kmax, statespace.Options{}, false)
+	res, err := SweepKFaultsContext(t.Context(), nil, counted, pol, kmax, statespace.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,12 +360,12 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SweepKFaults(CacheSources(cache), inner, pol, kmax, opt, false)
+	cold, err := SweepKFaultsContext(t.Context(), cache, inner, pol, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counted := &countingEnumAlg{LegitEnumerator: inner}
-	warm, err := SweepKFaults(CacheSources(cache), counted, pol, kmax, opt, false)
+	warm, err := SweepKFaultsContext(t.Context(), cache, counted, pol, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +393,11 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 
 	// Prefix-warm resume: a cache holding only radii 0..kmax serves a
 	// kmax+1 sweep warm up to kmax and explores just the last shell.
-	extended, err := SweepKFaults(CacheSources(cache), inner, pol, kmax+1, opt, false)
+	extended, err := SweepKFaultsContext(t.Context(), cache, inner, pol, kmax+1, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := BallVerdicts(inner, pol, kmax+1, opt)
+	ref, _, err := BallVerdicts(t.Context(), inner, pol, kmax+1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 		}
 	}
 	counted2 := &countingEnumAlg{LegitEnumerator: inner}
-	resumed, err := SweepKFaults(CacheSources(cache), counted2, pol, kmax, opt, false)
+	resumed, err := SweepKFaultsContext(t.Context(), cache, counted2, pol, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,6 +449,62 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 	}
 }
 
+// countingBallAlg forwards the closed-form enumeration while counting
+// every exploration callback — Legitimate, guards and enumeration alike —
+// so a warm run's "zero callbacks" claim is exact.
+type countingBallAlg struct {
+	protocol.LegitEnumerator
+	calls atomic.Int64
+}
+
+func (c *countingBallAlg) Legitimate(cfg protocol.Configuration) bool {
+	c.calls.Add(1)
+	return c.LegitEnumerator.Legitimate(cfg)
+}
+
+func (c *countingBallAlg) EnabledAction(cfg protocol.Configuration, p int) int {
+	c.calls.Add(1)
+	return c.LegitEnumerator.EnabledAction(cfg, p)
+}
+
+func (c *countingBallAlg) EnumerateLegitimate(yield func(protocol.Configuration) bool) {
+	c.calls.Add(1)
+	c.LegitEnumerator.EnumerateLegitimate(yield)
+}
+
+// TestBallWarmPipelineZeroCallbacks pins the warm single-k pipeline: with
+// ball and closure both cached, BallClosureContext (the
+// `stabcheck -reachable -kfaults` path) performs zero legitimacy scans and
+// zero exploration callbacks.
+func TestBallWarmPipelineZeroCallbacks(t *testing.T) {
+	inner, err := tokenring.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := scheduler.CentralPolicy{}
+	opt := statespace.Options{}
+	c, err := spacecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 1
+	coldSS, coldG, coldD, err := BallClosureContext(t.Context(), c, inner, pol, k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingBallAlg{LegitEnumerator: inner}
+	warmSS, warmG, warmD, err := BallClosureContext(t.Context(), c, counted, pol, k, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := counted.calls.Load(); got != 0 {
+		t.Fatalf("warm ball pipeline made %d algorithm callbacks, want 0", got)
+	}
+	if warmSS.NumStates() != coldSS.NumStates() || len(warmG) != len(coldG) || len(warmD) != len(coldD) {
+		t.Fatal("warm ball pipeline result differs from cold")
+	}
+}
+
 // TestSweepKFaultsEmptyLegitimateSet pins the vacuous path: an empty L
 // (the Lemma-4 ablation modulus) sweeps to vacuous verdicts at every
 // radius with a nil subspace.
@@ -457,7 +513,7 @@ func TestSweepKFaultsEmptyLegitimateSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SweepKFaults(Sources{}, ablation, scheduler.CentralPolicy{}, 2, statespace.Options{}, false)
+	res, err := SweepKFaultsContext(t.Context(), nil, ablation, scheduler.CentralPolicy{}, 2, statespace.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

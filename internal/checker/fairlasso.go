@@ -61,9 +61,9 @@ func (sp *Space) FindStronglyFairLasso() FairLasso {
 // sccs returns the component id of every state in the illegitimate
 // subgraph (legitimate states get -1) and the component count, through
 // the shared statespace Tarjan. On a frontier-explored closure the
-// condensation runs over the reachable subgraph only — BuildFrom closes
-// the successor relation before sealing, so Tarjan sees every edge of the
-// region it condenses.
+// condensation runs over the reachable subgraph only — BuildFromContext
+// closes the successor relation before sealing, so Tarjan sees every edge
+// of the region it condenses.
 func (sp *Space) sccs() ([]int32, int) {
 	legit := sp.LegitSet()
 	include := make([]bool, sp.NumStates())

@@ -12,12 +12,12 @@ package checker
 // an already-built system (historically the full space). BallVerdicts is
 // the frontier path: it enumerates the distance-≤k ball directly (a BFS
 // over single-process mutations, no transition exploration), frontier-
-// explores only the ball's forward closure (statespace.BuildFrom), and
-// classifies over that subspace — bit-identical verdicts at the cost of
+// explores only the ball's forward closure (statespace.BuildFromContext),
+// and classifies over that subspace — bit-identical verdicts at the cost of
 // the ball's closure instead of the whole configuration space. The ball
 // enumeration seeds from the algorithm's closed-form legitimate set
 // (protocol.LegitEnumerator) when available, so the pipeline is strictly
-// ball-sized; BallSweep and SweepKFaults (ballsweep.go) make it
+// ball-sized; BallSweep and SweepKFaultsContext (ballsweep.go) make it
 // incremental across k on top of the same machinery.
 
 import (
@@ -153,30 +153,24 @@ func (sp *Space) divergingStates() []bool {
 	return bad
 }
 
-// FaultBall enumerates every configuration at fault distance at most k
-// from the legitimate set of a, without exploring any transition. The seed
-// set L comes from the algorithm's closed-form enumeration when it
-// implements protocol.LegitEnumerator — zero full-range passes — and from
-// a parallel legitimacy scan of the index range otherwise; either way a
-// BFS over single-process mutations truncated at depth k grows the ball.
+// FaultBallContext enumerates every configuration at fault distance at
+// most k from the legitimate set of a, without exploring any transition.
+// The seed set L comes from the algorithm's closed-form enumeration when
+// it implements protocol.LegitEnumerator — zero full-range passes — and
+// from a parallel legitimacy scan of the index range otherwise; either way
+// a BFS over single-process mutations truncated at depth k grows the ball.
 // It returns the ball's global configuration indexes in ascending order
 // with the aligned exact fault distances. Memory is proportional to the
 // ball, not the range (statespace.Dedup); time is O(|L| × Σ_p |domain_p|)
 // plus O(range) only on the scan path. maxStates caps the ball size (0
 // means statespace.DefaultMaxStates), mirroring every other exploration
-// path.
+// path. ctx is checked before every mutation shell (and per chunk of the
+// legitimacy scan), so a cancelled enumeration returns an error wrapping
+// ctx.Err() in bounded time.
 //
-// FaultBall is the one-shot face of the resumable BallSweep: callers
-// walking k upward (the smallest-k-that-breaks search) keep a BallSweep
-// alive and Grow it instead of re-enumerating per k.
-func FaultBall(a protocol.Algorithm, k int, workers int, maxStates int64) ([]int64, []int, error) {
-	return FaultBallContext(context.Background(), a, k, workers, maxStates)
-}
-
-// FaultBallContext is FaultBall with cooperative cancellation: ctx is
-// checked before every mutation shell (and per chunk of the legitimacy
-// scan on the no-enumerator path), so a cancelled enumeration returns an
-// error wrapping ctx.Err() in bounded time.
+// FaultBallContext is the one-shot face of the resumable BallSweep:
+// callers walking k upward (the smallest-k-that-breaks search) keep a
+// BallSweep alive and grow it instead of re-enumerating per k.
 func FaultBallContext(ctx context.Context, a protocol.Algorithm, k int, workers int, maxStates int64) ([]int64, []int, error) {
 	b, err := newBallGrower(ctx, a, workers, maxStates)
 	if err != nil {
@@ -189,56 +183,13 @@ func FaultBallContext(ctx context.Context, a protocol.Algorithm, k int, workers 
 	return g, d, nil
 }
 
-// SubSpaceBuilder explores the forward closure of a seed set — the shape
-// of statespace.BuildFromContext, which BallClosure uses directly, and of
-// the load-or-build wrappers an on-disk space cache provides (a closure
-// over spacecache.Cache.BuildSubSpaceContext satisfies it without this
-// package depending on the cache). Implementations honor ctx with
-// statespace.BuildFromContext's shell-boundary semantics.
-type SubSpaceBuilder func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error)
-
-// BallClosure enumerates the distance-≤k fault ball (FaultBall) and
-// frontier-explores its forward closure (statespace.BuildFrom) — exactly
-// once each. It returns the closure subspace together with the ball's
-// global indexes and exact fault distances, so one exploration can feed
-// both a full classification report (core.AnalyzeSpace over the subspace)
-// and the per-k verdicts (BallVerdictsOver). When the legitimate set is
-// empty there is nothing to explore: the subspace is nil and globals is
-// empty, with no error.
-func BallClosure(a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
-	return BallClosureUsing(nil, a, pol, k, opt)
-}
-
-// BallClosureUsing is BallClosure with the closure exploration delegated
-// to build (nil means statespace.BuildFrom) — the cached pipelines of
-// stabcheck, the experiments and the examples inject a space-cache
-// load-or-build here, so the one-ball-enumeration + one-closure shape
-// lives in exactly one place. Callers that also persist the ball
-// enumeration itself pass a full Sources via BallClosureWith.
-func BallClosureUsing(build SubSpaceBuilder, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
-	return BallClosureWith(Sources{Build: build}, a, pol, k, opt)
-}
-
-// BuilderFromCache adapts any load-or-build source with the shape of
-// spacecache.Cache.BuildSubSpaceContext (which is nil-receiver-safe, so a
-// missing -cache flag threads straight through) to a SubSpaceBuilder,
-// discarding the hit flag. The parameter is structural, so this package
-// stays independent of the cache layer.
-func BuilderFromCache(c interface {
-	BuildSubSpaceContext(context.Context, protocol.Algorithm, scheduler.Policy, []int64, statespace.Options) (*statespace.Space, bool, error)
-}) SubSpaceBuilder {
-	return func(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, error) {
-		ss, _, err := c.BuildSubSpaceContext(ctx, a, pol, seeds, opt)
-		return ss, err
-	}
-}
-
 // BallLocalDistances maps the ball enumeration (globals and aligned fault
-// distances, as returned by FaultBall or BallClosure) onto the local state
-// ids of the ball's closure subspace: ball members carry their exact
-// distance, closure states discovered beyond the ball are marked -1 (they
-// are not initial configurations of any k'-fault scenario). A nil
-// subspace (BallClosure's empty-legitimate-set result) yields nil.
+// distances, as returned by FaultBallContext or BallClosureContext) onto
+// the local state ids of the ball's closure subspace: ball members carry
+// their exact distance, closure states discovered beyond the ball are
+// marked -1 (they are not initial configurations of any k'-fault
+// scenario). A nil subspace (BallClosureContext's empty-legitimate-set
+// result) yields nil.
 func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) []int {
 	if ss == nil {
 		return nil
@@ -256,12 +207,13 @@ func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) [
 // BallVerdictsOver classifies the k-fault convergence properties for every
 // k' in 0..k over an already-built ball closure — no exploration of any
 // kind happens here, so a caller that has the subspace in hand (from
-// BallClosure, or loaded from an on-disk cache) pays only for the verdict
-// scans. localDist is the per-local-state fault-distance vector
+// BallClosureContext, or loaded from an on-disk cache) pays only for the
+// verdict scans. localDist is the per-local-state fault-distance vector
 // (BallLocalDistances), taken precomputed so callers that also need it —
 // e.g. for per-distance hitting times — compute it once. A nil subspace
-// (BallClosure's empty-legitimate-set result) yields VacuousVerdicts, so
-// the whole ball pipeline composes without a caller-side guard.
+// (BallClosureContext's empty-legitimate-set result) yields
+// VacuousVerdicts, so the whole ball pipeline composes without a
+// caller-side guard.
 func BallVerdictsOver(ss *statespace.Space, localDist []int, k int) []KFaultVerdict {
 	if ss == nil {
 		return VacuousVerdicts(k)
@@ -289,14 +241,16 @@ func VacuousVerdicts(k int) []KFaultVerdict {
 
 // BallVerdicts classifies the k-fault convergence properties for every
 // k' in 0..k by frontier exploration: only the distance-≤k ball and its
-// forward closure are ever built — once, via BallClosure — so the cost
-// scales with the ball, not the configuration space. The verdicts are
-// bit-identical to running CheckKFaults over the full space (the ball
-// contains every configuration at distance ≤ k by construction, and every
-// execution from the ball stays inside the explored closure). The subspace
-// is returned for further analysis (e.g. hitting times of the ball states).
-func BallVerdicts(a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) ([]KFaultVerdict, *Space, error) {
-	ss, globals, ballDist, err := BallClosure(a, pol, k, opt)
+// forward closure are ever built — once, via BallClosureContext without a
+// cache — so the cost scales with the ball, not the configuration space.
+// The verdicts are bit-identical to running CheckKFaults over the full
+// space (the ball contains every configuration at distance ≤ k by
+// construction, and every execution from the ball stays inside the
+// explored closure); they are the from-scratch reference the incremental
+// and cached pipelines are pinned against. The subspace is returned for
+// further analysis (e.g. hitting times of the ball states).
+func BallVerdicts(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) ([]KFaultVerdict, *Space, error) {
+	ss, globals, ballDist, err := BallClosureContext(ctx, nil, a, pol, k, opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -42,7 +42,7 @@ func BenchmarkFaultBallEnumeration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		globals, _, err := FaultBall(a, 2, 0, 0)
+		globals, _, err := FaultBallContext(b.Context(), a, 2, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func BenchmarkBallVerdicts(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		verdicts, _, err := BallVerdicts(a, scheduler.CentralPolicy{}, 2, statespace.Options{})
+		verdicts, _, err := BallVerdicts(b.Context(), a, scheduler.CentralPolicy{}, 2, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,6 +5,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -50,6 +51,9 @@ func parseFault(item string) (netsim.Fault, error) {
 			d, err := intArgs(parts[2:], 1)
 			if err != nil {
 				return bad("%v", err)
+			}
+			if d[0] < 1 {
+				return bad("need D >= 1")
 			}
 			return &netsim.Latency{D: netsim.Fixed(d[0])}, nil
 		case "uniform":
@@ -146,8 +150,8 @@ func floatArgs(parts []string, n int) ([]float64, error) {
 	out := make([]float64, n)
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(p, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q", p)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad number %q (want a finite number)", p)
 		}
 		out[i] = v
 	}

@@ -7,6 +7,8 @@ import (
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/spacecache"
+	"weakstab/internal/statespace"
 )
 
 // countingAlg counts Legitimate evaluations — the one callback only
@@ -26,9 +28,33 @@ func (c *countingAlg) Legitimate(cfg protocol.Configuration) bool {
 	return c.Deterministic.Legitimate(cfg)
 }
 
+// analyzeCached loads or builds the full space of a under pol through a
+// cache rooted at dir and classifies it. It fails the test when the load
+// disagrees with wantHit.
+func analyzeCached(t *testing.T, dir string, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, wantHit bool) *Report {
+	t.Helper()
+	cache, err := spacecache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, hit, err := cache.BuildSpaceContext(t.Context(), a, pol, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	if hit != wantHit {
+		t.Fatalf("%s: cache hit %v, want %v", pol.Name(), hit, wantHit)
+	}
+	rep, err := AnalyzeSpaceContext(t.Context(), ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestAnalyzeCachedParity pins the cache's end-to-end contract on the
-// decision procedure: a warm AnalyzeWith run performs zero exploration and
-// renders a bit-identical report — hierarchy verdicts, expected hitting
+// decision procedure: a warm load-then-analyze run performs zero exploration
+// and renders a bit-identical report — hierarchy verdicts, expected hitting
 // times, radii and all.
 func TestAnalyzeCachedParity(t *testing.T) {
 	inner, err := tokenring.New(6)
@@ -39,15 +65,9 @@ func TestAnalyzeCachedParity(t *testing.T) {
 		scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}, scheduler.SynchronousPolicy{},
 	} {
 		dir := t.TempDir()
-		cold, err := AnalyzeWith(inner, pol, Options{CacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cold := analyzeCached(t, dir, inner, pol, statespace.Options{}, false)
 		warm := &countingAlg{Deterministic: inner}
-		rep, err := AnalyzeWith(warm, pol, Options{CacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := analyzeCached(t, dir, warm, pol, statespace.Options{}, true)
 		if warm.calls.Load() != 0 {
 			t.Fatalf("%s: warm run made %d exploration calls, want 0 (cache missed)", pol.Name(), warm.calls.Load())
 		}
@@ -68,16 +88,28 @@ func TestAnalyzeFromCachedParity(t *testing.T) {
 	}
 	pol := scheduler.CentralPolicy{}
 	seeds := []protocol.Configuration{{1, 0, 2, 1, 0, 3}, {0, 0, 0, 0, 0, 0}}
-	dir := t.TempDir()
-	cold, err := AnalyzeFrom(inner, pol, seeds, Options{CacheDir: dir})
+	cache, err := spacecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	analyzeFrom := func(a protocol.Algorithm, wantHit bool) *Report {
+		ss, hit, err := cache.BuildSubSpaceFromConfigsContext(t.Context(), a, pol, seeds, statespace.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		if hit != wantHit {
+			t.Fatalf("cache hit %v, want %v", hit, wantHit)
+		}
+		rep, err := AnalyzeSpaceContext(t.Context(), ss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	cold := analyzeFrom(inner, false)
 	warm := &countingAlg{Deterministic: inner}
-	rep, err := AnalyzeFrom(warm, pol, seeds, Options{CacheDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := analyzeFrom(warm, true)
 	if warm.calls.Load() != 0 {
 		t.Fatalf("warm frontier run made %d exploration calls, want 0", warm.calls.Load())
 	}
@@ -100,18 +132,13 @@ func TestAnalyzeCachedLargeInstance(t *testing.T) {
 	}
 	pol := scheduler.CentralPolicy{}
 	dir := t.TempDir()
-	cold, err := AnalyzeWith(inner, pol, Options{CacheDir: dir, MaxStates: 1 << 21})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := statespace.Options{MaxStates: 1 << 21}
+	cold := analyzeCached(t, dir, inner, pol, opt, false)
 	if cold.States < 100_000 {
 		t.Fatalf("instance has %d states, want ≥ 10^5 for the acceptance-scale check", cold.States)
 	}
 	warm := &countingAlg{Deterministic: inner}
-	rep, err := AnalyzeWith(warm, pol, Options{CacheDir: dir, MaxStates: 1 << 21})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := analyzeCached(t, dir, warm, pol, opt, true)
 	if warm.calls.Load() != 0 {
 		t.Fatalf("warm run explored (%d algorithm calls), want a pure cache load", warm.calls.Load())
 	}

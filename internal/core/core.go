@@ -1,7 +1,7 @@
 // Package core is the paper's contribution as an executable decision
-// procedure: given an algorithm instance and a scheduler policy, it decides
-// exactly where the instance sits in the stabilization hierarchy of
-// Definitions 1–3,
+// procedure: given the explored transition system of an algorithm instance
+// under a scheduler policy, it decides exactly where the instance sits in the
+// stabilization hierarchy of Definitions 1–3,
 //
 //	deterministic self-stabilizing
 //	  ⊂ probabilistically self-stabilizing (randomized scheduler, Def 2+6)
@@ -23,9 +23,6 @@ import (
 	"weakstab/internal/checker"
 	"weakstab/internal/markov"
 	"weakstab/internal/obs"
-	"weakstab/internal/protocol"
-	"weakstab/internal/scheduler"
-	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 )
 
@@ -88,166 +85,32 @@ type Report struct {
 
 	// TotalConfigs is the size of the full configuration space the analyzed
 	// system lives in. Equal to States for a full-space analysis; for a
-	// frontier-explored subspace (AnalyzeFrom), States/TotalConfigs is the
-	// reachable fraction and every property above quantifies over the
-	// explored (reachable) states only.
+	// frontier-explored subspace, States/TotalConfigs is the reachable
+	// fraction and every property above quantifies over the explored
+	// (reachable) states only.
 	TotalConfigs int64
 }
 
-// Options tunes Analyze.
-type Options struct {
-	// MaxStates caps the explored configuration space (0 for the default).
-	MaxStates int64
-	// Workers sets the exploration worker-pool size (0 for NumCPU).
-	Workers int
-	// CacheDir, when non-empty, names an on-disk space cache directory
-	// (internal/spacecache): exploration is skipped when the cache holds
-	// the instance's space, and populates it otherwise. A loaded space is
-	// bit-identical to a built one, so the report is unchanged either way.
-	CacheDir string
-	// NoMmap forces cache loads onto heap arrays (statespace.Read) instead
-	// of the default zero-copy mmap path. The two are bit-equal; the heap
-	// path trades load time for freedom from mapping lifetimes.
-	NoMmap bool
-	// Obs receives analysis metrics and progress events (nil falls back to
-	// obs.Default(); both nil disables instrumentation). Reports are
-	// bit-identical with observability on or off.
-	Obs *obs.Observer
-}
-
-// openCache opens the options' cache with the options' load mode applied.
-func (o Options) openCache() (*spacecache.Cache, error) {
-	cache, err := spacecache.Open(o.CacheDir)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	cache.SetMmap(!o.NoMmap)
-	return cache, nil
-}
-
-// spaceOptions lowers the analysis options to exploration options.
-func (o Options) spaceOptions() statespace.Options {
-	return statespace.Options{MaxStates: o.MaxStates, Workers: o.Workers, Obs: o.Obs}
-}
-
-// Analyze classifies the algorithm under the policy. maxStates caps the
-// explored configuration space (0 for the default).
-func Analyze(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) (*Report, error) {
-	return AnalyzeWith(a, pol, Options{MaxStates: maxStates})
-}
-
-// AnalyzeWith classifies the algorithm under the policy, building the
-// transition system exactly once: the checker consumes its unweighted view
-// and the Markov analysis its weighted view of the same space, and every
-// reachability pass of both shares the space's cached reverse CSR. With
-// Options.CacheDir set, "once" extends across process runs: the explored
-// space is persisted and later invocations load it instead of exploring.
-func AnalyzeWith(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Report, error) {
-	return AnalyzeWithContext(context.Background(), a, pol, opt)
-}
-
-// AnalyzeWithContext is AnalyzeWith with cooperative cancellation: the
-// exploration checks ctx at chunk granularity and the analysis at its
-// phase and solver-block boundaries, so a cancelled classification returns
-// an error wrapping ctx.Err() in bounded time and stores nothing.
-func AnalyzeWithContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Report, error) {
-	cache, err := opt.openCache()
-	if err != nil {
-		return nil, err
-	}
-	done := obs.Or(opt.Obs).Phase("explore")
-	ts, _, err := cache.BuildSpaceContext(ctx, a, pol, opt.spaceOptions())
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: exploring %s: %w", a.Name(), err)
-	}
-	defer ts.Close() // releases a cache load's mapping; no-op otherwise
-	return AnalyzeSpaceContext(ctx, ts)
-}
-
-// AnalyzeFrom classifies the behavior of the algorithm on the subspace
-// reachable from the seed configurations: a frontier BFS
-// (statespace.BuildFrom) discovers only the forward closure of the seeds,
-// and every property of the report quantifies over those states. The cost
-// scales with the reachable region, not the configuration space — the
-// k-fault and unsupportive-environment analyses this enables explore balls
-// of thousands of states inside spaces of millions.
-func AnalyzeFrom(a protocol.Algorithm, pol scheduler.Policy, seeds []protocol.Configuration, opt Options) (*Report, error) {
-	return AnalyzeFromContext(context.Background(), a, pol, seeds, opt)
-}
-
-// AnalyzeFromContext is AnalyzeFrom with AnalyzeWithContext's cancellation
-// semantics (frontier-shell granularity during exploration).
-func AnalyzeFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []protocol.Configuration, opt Options) (*Report, error) {
-	cache, err := opt.openCache()
-	if err != nil {
-		return nil, err
-	}
-	done := obs.Or(opt.Obs).Phase("explore")
-	ss, _, err := cache.BuildSubSpaceFromConfigsContext(ctx, a, pol, seeds, opt.spaceOptions())
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: exploring %s from %d seeds: %w", a.Name(), len(seeds), err)
-	}
-	defer ss.Close()
-	return AnalyzeSpaceContext(ctx, ss)
-}
-
-// SweepKFaults walks the k-fault hierarchy k = 0..kmax incrementally
-// (checker.SweepKFaults): one ball enumeration and one closure exploration
-// in total, each radius extending the previous instead of restarting, with
-// per-k verdicts bit-identical to from-scratch runs. With stopAtBreak the
-// walk ends at the smallest k whose certain-convergence verdict fails —
-// the "largest tolerable fault count" search. Algorithms that know their
-// legitimate set in closed form (protocol.LegitEnumerator) never pay a
-// full-range pass of any kind. With Options.CacheDir set, the ball
-// enumerations and sealed closures persist across process runs, so a warm
-// sweep is exploration-free.
-func SweepKFaults(a protocol.Algorithm, pol scheduler.Policy, kmax int, opt Options, stopAtBreak bool) (*checker.SweepResult, error) {
-	return SweepKFaultsContext(context.Background(), a, pol, kmax, opt, stopAtBreak)
-}
-
-// SweepKFaultsContext is SweepKFaults with cooperative cancellation at
-// sweep-radius granularity (checker.SweepKFaultsContext semantics): a
-// cancelled sweep stops at the next radius boundary and never persists a
-// partial radius.
-func SweepKFaultsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt Options, stopAtBreak bool) (*checker.SweepResult, error) {
-	cache, err := opt.openCache()
-	if err != nil {
-		return nil, err
-	}
-	done := obs.Or(opt.Obs).Phase("sweep")
-	res, err := checker.SweepKFaultsContext(ctx, checker.CacheSources(cache), a, pol, kmax, opt.spaceOptions(), stopAtBreak)
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("core: sweeping %s: %w", a.Name(), err)
-	}
-	return res, nil
-}
-
-// AnalyzeSpace runs the full classification over an already-explored
-// transition system — a statespace.Space over the full index range or
-// over a frontier-explored closure — without any further enumeration.
-// Over a closure, every property is restricted to the explored (reachable)
-// states; this is sound because a closure is closed under successors.
+// AnalyzeSpaceContext runs the full classification over an
+// already-explored transition system — a statespace.Space over the full
+// index range or over a frontier-explored closure — without any further
+// enumeration. Over a closure, every property is restricted to the
+// explored (reachable) states; this is sound because a closure is closed
+// under successors. Exploration is the caller's: service.Execute is the
+// one orchestrator that explores (through the space cache) and then calls
+// this.
 //
 // A zero-copy mapped system (loaded through the cache's mmap path) is
 // pinned for the duration of the analysis, so a concurrent Close cannot
-// unmap the arrays mid-pass.
-func AnalyzeSpace(ts *statespace.Space) (*Report, error) {
-	return AnalyzeSpaceContext(context.Background(), ts)
-}
-
-// AnalyzeSpaceContext is AnalyzeSpace with cooperative cancellation: ctx is
-// checked between the checker and Markov phases and, inside the
-// hitting-time solve, at solver-block boundaries
+// unmap the arrays mid-pass. ctx is checked between the checker and Markov
+// phases and, inside the hitting-time solve, at solver-block boundaries
 // (markov.HittingTimesContext).
 func AnalyzeSpaceContext(ctx context.Context, ts *statespace.Space) (*Report, error) {
 	if err := ts.Acquire(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	defer ts.Release()
-	// Phase timings go to the process observer — AnalyzeSpace takes no
+	// Phase timings go to the process observer — the analysis takes no
 	// options, and the phases matter per run, not per call site.
 	o := obs.Default()
 	a := ts.Algorithm()

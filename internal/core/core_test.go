@@ -12,12 +12,25 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
 
+// analyzeFull explores the full configuration space of a under pol and
+// classifies it — the explore-then-analyze order of service.Execute.
+func analyzeFull(t testing.TB, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*Report, error) {
+	t.Helper()
+	ts, err := statespace.BuildContext(t.Context(), a, pol, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer ts.Close()
+	return AnalyzeSpaceContext(t.Context(), ts)
+}
+
 func analyze(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) *Report {
 	t.Helper()
-	rep, err := Analyze(a, pol, 0)
+	rep, err := analyzeFull(t, a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"weakstab/internal/markov"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
@@ -68,7 +69,7 @@ func TestAnalyzeSubSpaceFullSeedParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := AnalyzeSpace(full)
+		want, err := AnalyzeSpaceContext(t.Context(), full)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -77,11 +78,11 @@ func TestAnalyzeSubSpaceFullSeedParity(t *testing.T) {
 			seeds[i] = int64(i)
 		}
 		for _, workers := range []int{1, 4} {
-			ss, err := statespace.BuildFrom(tc.alg, tc.pol, seeds, statespace.Options{Workers: workers})
+			ss, err := statespace.BuildFromContext(t.Context(), tc.alg, tc.pol, seeds, statespace.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
-			got, err := AnalyzeSpace(ss)
+			got, err := AnalyzeSpaceContext(t.Context(), ss)
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
@@ -127,14 +128,14 @@ func TestSubSpaceAnalysesBitEqualOnClosure(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 
-		ball, _, err := checker.FaultBall(tc.alg, 1, 0, 0)
+		ball, _, err := checker.FaultBallContext(t.Context(), tc.alg, 1, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		seedSets := [][]int64{ball, ball[:1]} // k=1 ball; singleton legitimate seed
 		for si, seeds := range seedSets {
 			for _, workers := range []int{1, 4} {
-				ss, err := statespace.BuildFrom(tc.alg, tc.pol, seeds, statespace.Options{Workers: workers})
+				ss, err := statespace.BuildFromContext(t.Context(), tc.alg, tc.pol, seeds, statespace.Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s seeds#%d w=%d: %v", tc.name, si, workers, err)
 				}
@@ -163,41 +164,48 @@ func TestSubSpaceAnalysesBitEqualOnClosure(t *testing.T) {
 	}
 }
 
-// TestAnalyzeFrom covers the seed-configuration entry point: parity with
-// AnalyzeSpace over the same closure, and seed validation errors.
+// TestAnalyzeFrom covers the seed-configuration entry point of
+// service.Execute (explicit -from seeds, loaded or built through the
+// space cache, here the nil no-op cache): parity with the closure built
+// from the encoded seed globals, and seed validation errors.
 func TestAnalyzeFrom(t *testing.T) {
 	ring, err := tokenring.New(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pol := scheduler.CentralPolicy{}
+	var cache *spacecache.Cache
 	seeds := []protocol.Configuration{{1, 1, 1, 1, 1}}
-	got, err := AnalyzeFrom(ring, pol, seeds, Options{})
+	fromCfgs, _, err := cache.BuildSubSpaceFromConfigsContext(t.Context(), ring, pol, seeds, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := statespace.BuildFromConfigs(ring, pol, seeds, statespace.Options{})
+	got, err := AnalyzeSpaceContext(t.Context(), fromCfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := AnalyzeSpace(ss)
+	globals, err := statespace.EncodeConfigs(ring, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.States != want.States || got.TotalConfigs != want.TotalConfigs ||
-		got.Closure != want.Closure || got.PossibleConvergence != want.PossibleConvergence ||
-		got.CertainConvergence != want.CertainConvergence ||
-		got.ProbabilisticConvergence != want.ProbabilisticConvergence ||
-		got.ExpectedSteps != want.ExpectedSteps {
-		t.Fatalf("AnalyzeFrom report %+v differs from AnalyzeSpace %+v", got, want)
+	ss, err := statespace.BuildFromContext(t.Context(), ring, pol, globals, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AnalyzeSpaceContext(t.Context(), ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Fatalf("seed-configuration report %+v differs from seed-global report %+v", got, want)
 	}
 	if got.States >= int(got.TotalConfigs) {
 		t.Fatalf("seed closure covers the whole space (%d of %d)", got.States, got.TotalConfigs)
 	}
-	if _, err := AnalyzeFrom(ring, pol, []protocol.Configuration{{1, 1}}, Options{}); err == nil {
+	if _, _, err := cache.BuildSubSpaceFromConfigsContext(t.Context(), ring, pol, []protocol.Configuration{{1, 1}}, statespace.Options{}); err == nil {
 		t.Fatal("short seed accepted")
 	}
-	if _, err := AnalyzeFrom(ring, pol, nil, Options{}); err == nil {
+	if _, _, err := cache.BuildSubSpaceFromConfigsContext(t.Context(), ring, pol, nil, statespace.Options{}); err == nil {
 		t.Fatal("empty seed set accepted")
 	}
 }

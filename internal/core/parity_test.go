@@ -91,11 +91,15 @@ func TestAnalyzeParityWithTwoPassReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference exploration: %v", label, err)
 			}
-			want, err := core.AnalyzeSpace(ref)
+			want, err := core.AnalyzeSpaceContext(t.Context(), ref)
 			if err != nil {
 				t.Fatalf("%s: reference analysis: %v", label, err)
 			}
-			got, err := core.AnalyzeWith(a, pol, core.Options{Workers: 3})
+			ts, err := statespace.BuildContext(t.Context(), a, pol, statespace.Options{Workers: 3})
+			if err != nil {
+				t.Fatalf("%s: engine exploration: %v", label, err)
+			}
+			got, err := core.AnalyzeSpaceContext(t.Context(), ts)
 			if err != nil {
 				t.Fatalf("%s: engine analysis: %v", label, err)
 			}

@@ -13,6 +13,7 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
 
@@ -68,7 +69,7 @@ func TestHierarchySweepAllAlgorithms(t *testing.T) {
 	}
 	for _, a := range algs {
 		for _, pol := range pols {
-			rep, err := Analyze(a, pol, 0)
+			rep, err := analyzeFull(t, a, pol, statespace.Options{})
 			if err != nil {
 				t.Fatalf("%s under %s: %v", a.Name(), pol.Name(), err)
 			}
@@ -123,11 +124,11 @@ func TestTransformerNeverWeakens(t *testing.T) {
 	}
 	for _, det := range dets {
 		for _, pol := range pols {
-			raw, err := Analyze(det, pol, 0)
+			raw, err := analyzeFull(t, det, pol, statespace.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			trans, err := Analyze(transformer.New(det), pol, 0)
+			trans, err := analyzeFull(t, transformer.New(det), pol, statespace.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"text/tabwriter"
 
 	"weakstab/internal/algorithms/centers"
-	"weakstab/internal/core"
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
@@ -26,7 +26,7 @@ func init() {
 	})
 }
 
-func runE16(w io.Writer, opt Options) error {
+func runE16(ctx context.Context, w io.Writer, opt Options) error {
 	type instance struct {
 		name    string
 		build   func() (*graph.Graph, error)
@@ -55,7 +55,7 @@ func runE16(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		rf, err := core.AnalyzeWith(finder, scheduler.CentralPolicy{}, core.Options{Workers: opt.Workers})
+		rf, err := analyze(ctx, finder, scheduler.CentralPolicy{}, opt)
 		if err != nil {
 			return err
 		}
@@ -66,7 +66,7 @@ func runE16(w io.Writer, opt Options) error {
 		for _, pol := range []scheduler.Policy{
 			scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}, scheduler.SynchronousPolicy{},
 		} {
-			re, err := core.AnalyzeWith(elector, pol, core.Options{Workers: opt.Workers})
+			re, err := analyze(ctx, elector, pol, opt)
 			if err != nil {
 				return err
 			}

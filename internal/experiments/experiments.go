@@ -9,9 +9,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
+
+	"weakstab/internal/core"
+	"weakstab/internal/protocol"
+	"weakstab/internal/scheduler"
+	"weakstab/internal/spacecache"
+	"weakstab/internal/statespace"
 )
 
 // Options tunes experiment execution.
@@ -25,15 +32,11 @@ type Options struct {
 	// Workers sets the state-space exploration worker-pool size
 	// (0 means runtime.NumCPU()).
 	Workers int
-	// CacheDir, when non-empty, names an on-disk space cache directory
-	// (internal/spacecache): experiments that explore overlapping
-	// instances (E12a/E12c share transformed token rings; E18 reruns) load
-	// previously explored spaces instead of rebuilding them. Results are
-	// bit-identical with or without it.
-	CacheDir string
-	// NoMmap forces cache loads onto heap arrays (statespace.Read) instead
-	// of the default zero-copy mmap path (bit-equal either way).
-	NoMmap bool
+	// Cache, when non-nil, is an on-disk space cache: experiments that
+	// explore overlapping instances (E12a/E12c share transformed token
+	// rings; E18 and E19 reruns) load previously explored spaces instead of
+	// rebuilding them. Results are bit-identical with or without it.
+	Cache *spacecache.Cache
 }
 
 func (o Options) seed() int64 {
@@ -53,6 +56,17 @@ func (o Options) trials(def, quick int) int {
 	return def
 }
 
+// analyze explores the full configuration space of a under pol and
+// classifies it — the full-space report of the theorem-level experiments.
+func analyze(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt Options) (*core.Report, error) {
+	ts, err := statespace.BuildContext(ctx, a, pol, statespace.Options{Workers: opt.Workers})
+	if err != nil {
+		return nil, err
+	}
+	defer ts.Close()
+	return core.AnalyzeSpaceContext(ctx, ts)
+}
+
 // Experiment is one reproducible artifact of the paper.
 type Experiment struct {
 	// ID is the experiment identifier (E1..E12d).
@@ -63,7 +77,7 @@ type Experiment struct {
 	PaperClaim string
 	// Run executes the experiment, writing its report to w. It returns an
 	// error iff the measured behavior contradicts the claim.
-	Run func(w io.Writer, opt Options) error
+	Run func(ctx context.Context, w io.Writer, opt Options) error
 }
 
 var registry = map[string]Experiment{}
@@ -113,10 +127,10 @@ func ByID(id string) (Experiment, bool) {
 
 // RunAll executes every experiment in order, writing each report to w,
 // separated by headers. It stops at the first contradiction.
-func RunAll(w io.Writer, opt Options) error {
+func RunAll(ctx context.Context, w io.Writer, opt Options) error {
 	for _, e := range All() {
 		fmt.Fprintf(w, "==== %s — %s ====\n", e.ID, e.Title)
-		if err := e.Run(w, opt); err != nil {
+		if err := e.Run(ctx, w, opt); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Fprintln(w)

@@ -51,7 +51,7 @@ func TestEveryExperimentPassesQuick(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var sb strings.Builder
-			if err := e.Run(&sb, Options{Quick: true, Seed: 1}); err != nil {
+			if err := e.Run(t.Context(), &sb, Options{Quick: true, Seed: 1}); err != nil {
 				t.Fatalf("%s contradicts the paper: %v\noutput:\n%s", e.ID, err, sb.String())
 			}
 			if sb.Len() == 0 {
@@ -63,7 +63,7 @@ func TestEveryExperimentPassesQuick(t *testing.T) {
 
 func TestRunAllStopsOnFailure(t *testing.T) {
 	// RunAll over the real registry (quick) must succeed end to end.
-	if err := RunAll(io.Discard, Options{Quick: true, Seed: 1}); err != nil {
+	if err := RunAll(t.Context(), io.Discard, Options{Quick: true, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -78,7 +78,7 @@ func TestEveryExperimentPassesFull(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if err := e.Run(io.Discard, Options{Seed: 1}); err != nil {
+			if err := e.Run(t.Context(), io.Discard, Options{Seed: 1}); err != nil {
 				t.Fatalf("%s contradicts the paper at full size: %v", e.ID, err)
 			}
 		})
@@ -116,7 +116,7 @@ func TestDifferentSeedsStillVerify(t *testing.T) {
 			if !ok {
 				t.Fatal("missing experiment")
 			}
-			if err := e.Run(io.Discard, Options{Quick: true, Seed: seed}); err != nil {
+			if err := e.Run(t.Context(), io.Discard, Options{Quick: true, Seed: seed}); err != nil {
 				t.Fatalf("%s fails under seed %d: %v", id, seed, err)
 			}
 		}

@@ -9,6 +9,7 @@ package experiments
 // varying only the scheduler.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -59,14 +60,14 @@ func init() {
 	})
 }
 
-func runE13(w io.Writer, opt Options) error {
+func runE13(ctx context.Context, w io.Writer, opt Options) error {
 	a, err := tokenring.New(6)
 	if err != nil {
 		return err
 	}
 	// One shared exploration feeds both the fault-distance checker and the
 	// exact Markov recovery times.
-	ts, err := statespace.Build(a, scheduler.CentralPolicy{}, statespace.Options{Workers: opt.Workers})
+	ts, err := statespace.BuildContext(ctx, a, scheduler.CentralPolicy{}, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}
@@ -77,7 +78,7 @@ func runE13(w io.Writer, opt Options) error {
 		return err
 	}
 	target := markov.TargetFromSpace(ts)
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(ctx, target)
 	if err != nil {
 		return err
 	}
@@ -113,7 +114,7 @@ func runE13(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE14(w io.Writer, opt Options) error {
+func runE14(ctx context.Context, w io.Writer, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.seed()))
 	trials := opt.trials(300, 50)
 	sizes := []int{8, 16}
@@ -173,7 +174,7 @@ func randomConfig(a interface {
 	return cfg
 }
 
-func runE15(w io.Writer, opt Options) error {
+func runE15(ctx context.Context, w io.Writer, opt Options) error {
 	g, err := graph.Ring(4)
 	if err != nil {
 		return err
@@ -199,7 +200,7 @@ func runE15(w io.Writer, opt Options) error {
 		{trans, scheduler.SynchronousPolicy{}, core.ClassProbabilistic},
 	}
 	for _, r := range rows {
-		rep, err := core.AnalyzeWith(r.alg, r.pol, core.Options{Workers: opt.Workers})
+		rep, err := analyze(ctx, r.alg, r.pol, opt)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -38,7 +39,7 @@ func init() {
 	})
 }
 
-func runE1(w io.Writer, opt Options) error {
+func runE1(ctx context.Context, w io.Writer, opt Options) error {
 	a, err := tokenring.New(6)
 	if err != nil {
 		return err
@@ -99,7 +100,7 @@ func figure2Script() (*leadertree.Algorithm, protocol.Configuration, [][]int, er
 	return a, init, script, nil
 }
 
-func runE2(w io.Writer, opt Options) error {
+func runE2(ctx context.Context, w io.Writer, opt Options) error {
 	a, init, script, err := figure2Script()
 	if err != nil {
 		return err
@@ -139,7 +140,7 @@ func runE2(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE3(w io.Writer, opt Options) error {
+func runE3(ctx context.Context, w io.Writer, opt Options) error {
 	g, err := graph.Chain(4)
 	if err != nil {
 		return err

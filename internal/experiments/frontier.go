@@ -2,13 +2,14 @@ package experiments
 
 // E18 demonstrates the frontier-explored reachable-subspace engine on the
 // k-fault workload: classifying the distance-≤k fault ball needs only the
-// ball's forward closure (statespace.BuildFrom), not the full
+// ball's forward closure (statespace.BuildFromContext), not the full
 // configuration space, and the verdicts are bit-identical to the
 // full-space ones. The experiment runs both paths, verifies the parity,
 // and tabulates how many states each explores — the frontier cost follows
 // the ball, the classic cost follows the space.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -16,7 +17,6 @@ import (
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/checker"
 	"weakstab/internal/scheduler"
-	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
@@ -34,7 +34,7 @@ func init() {
 	})
 }
 
-func runE18(w io.Writer, opt Options) error {
+func runE18(ctx context.Context, w io.Writer, opt Options) error {
 	// The 10-ring (3^10 = 59049 configurations) in both modes: the k=1
 	// ball's closure is ~2% of the space, small enough to exhibit the
 	// asymmetry; quick mode stops at k=1 (whose closure the k=2 run
@@ -49,16 +49,11 @@ func runE18(w io.Writer, opt Options) error {
 		return err
 	}
 	pol := scheduler.CentralPolicy{}
-	cache, err := spacecache.Open(opt.CacheDir)
-	if err != nil {
-		return err
-	}
-	cache.SetMmap(!opt.NoMmap)
 	ssOpt := statespace.Options{Workers: opt.Workers}
 
 	// Full-space reference verdicts (the classic path) — through the cache,
 	// so an E18 rerun loads the space instead of rebuilding it.
-	fullTS, _, err := cache.BuildSpace(inner, pol, ssOpt)
+	fullTS, _, err := opt.Cache.BuildSpaceContext(ctx, inner, pol, ssOpt)
 	if err != nil {
 		return err
 	}
@@ -69,7 +64,7 @@ func runE18(w io.Writer, opt Options) error {
 	// Ball-seeded frontier verdicts (the reachable-only path): one ball
 	// enumeration, one closure exploration — skipped entirely on a cache
 	// hit — then the verdict scans over the built subspace.
-	ballSS, globals, ballDist, err := checker.BallClosureUsing(checker.BuilderFromCache(cache), inner, pol, maxK, ssOpt)
+	ballSS, globals, ballDist, err := checker.BallClosureContext(ctx, opt.Cache, inner, pol, maxK, ssOpt)
 	if err != nil {
 		return err
 	}
@@ -103,7 +98,7 @@ func runE18(w io.Writer, opt Options) error {
 	// path: closure of L under the coin-toss transformer, verified
 	// convergent with probability 1 on the subspace.
 	trans := transformer.New(inner)
-	ss, _, _, err := checker.BallClosureUsing(checker.BuilderFromCache(cache), trans, scheduler.DistributedPolicy{}, 0, ssOpt)
+	ss, _, _, err := checker.BallClosureContext(ctx, opt.Cache, trans, scheduler.DistributedPolicy{}, 0, ssOpt)
 	if err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ package experiments
 // increasingly unsupportive networks.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -44,20 +45,20 @@ func init() {
 	})
 }
 
-func runNetsimValidation(w io.Writer, opt Options) error {
-	if err := netsimExactParity(w, opt); err != nil {
+func runNetsimValidation(ctx context.Context, w io.Writer, opt Options) error {
+	if err := netsimExactParity(ctx, w, opt); err != nil {
 		return err
 	}
-	if err := netsimStatisticalParity(w, opt); err != nil {
+	if err := netsimStatisticalParity(ctx, w, opt); err != nil {
 		return err
 	}
-	return netsimLossSweep(w, opt)
+	return netsimLossSweep(ctx, w, opt)
 }
 
 // netsimExactParity replays every configuration of Dijkstra's rooted ring
 // through the fault-free network and demands the convergence round equal
 // the exact synchronous hitting time, state by state.
-func netsimExactParity(w io.Writer, opt Options) error {
+func netsimExactParity(ctx context.Context, w io.Writer, opt Options) error {
 	n, k := 5, 5
 	if opt.Quick {
 		n, k = 4, 4
@@ -66,7 +67,7 @@ func netsimExactParity(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	sp, err := statespace.Build(a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
+	sp, err := statespace.BuildContext(ctx, a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}
@@ -74,7 +75,7 @@ func netsimExactParity(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(sp))
+	h, err := chain.HittingTimesContext(ctx, markov.TargetFromSpace(sp))
 	if err != nil {
 		return err
 	}
@@ -87,7 +88,7 @@ func netsimExactParity(w io.Writer, opt Options) error {
 	cfg := make(protocol.Configuration, n)
 	for g := int64(0); g < sp.Enc.Total(); g++ {
 		cfg = sp.Enc.Decode(g, cfg)
-		res, err := netsim.RunOn(top, a, cfg, netsim.Options{MaxRounds: 1000, Seed: opt.seed()})
+		res, err := netsim.RunOnContext(ctx, top, a, cfg, netsim.Options{MaxRounds: 1000, Seed: opt.seed()})
 		if err != nil {
 			return err
 		}
@@ -116,14 +117,14 @@ func netsimExactParity(w io.Writer, opt Options) error {
 // netsimStatisticalParity compares the empirical mean convergence round of
 // Herman's ring over the fault-free network against the exact uniform-start
 // mean hitting time.
-func netsimStatisticalParity(w io.Writer, opt Options) error {
+func netsimStatisticalParity(ctx context.Context, w io.Writer, opt Options) error {
 	n := 7
 	trials := opt.trials(800, 200)
 	a, err := herman.New(n)
 	if err != nil {
 		return err
 	}
-	sp, err := statespace.Build(a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
+	sp, err := statespace.BuildContext(ctx, a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}
@@ -131,7 +132,7 @@ func netsimStatisticalParity(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	h, err := chain.HittingTimes(markov.TargetFromSpace(sp))
+	h, err := chain.HittingTimesContext(ctx, markov.TargetFromSpace(sp))
 	if err != nil {
 		return err
 	}
@@ -141,7 +142,7 @@ func netsimStatisticalParity(w io.Writer, opt Options) error {
 	}
 	exact /= float64(len(h))
 
-	res, err := netsim.Trials(a, trials, netsim.Options{MaxRounds: 1_000_000, Seed: opt.seed()})
+	res, err := netsim.TrialsContext(ctx, a, trials, netsim.Options{MaxRounds: 1_000_000, Seed: opt.seed()})
 	if err != nil {
 		return err
 	}
@@ -169,7 +170,7 @@ func netsimStatisticalParity(w io.Writer, opt Options) error {
 // problem the paper resolves with randomness. Here message loss itself is
 // the symmetry breaker, so the faulty rows must converge while the
 // fault-free row is allowed (expected, even) to fail.
-func netsimLossSweep(w io.Writer, opt Options) error {
+func netsimLossSweep(ctx context.Context, w io.Writer, opt Options) error {
 	n, faults := 4096, 128
 	trials := opt.trials(20, 6)
 	if opt.Quick {
@@ -194,7 +195,7 @@ func netsimLossSweep(w io.Writer, opt Options) error {
 		if p > 0 {
 			fs = []netsim.Fault{&netsim.Loss{P: p}}
 		}
-		res, err := netsim.Restabilization(a, trials, faults, netsim.Options{
+		res, err := netsim.RestabilizationContext(ctx, a, trials, faults, netsim.Options{
 			MaxRounds: budget, Seed: opt.seed(), Faults: fs,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -18,7 +19,6 @@ import (
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/sim"
-	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 	"weakstab/internal/transformer"
 )
@@ -70,7 +70,7 @@ func transformerFor(inner protocol.Deterministic) protocol.Algorithm {
 	return transformer.New(inner)
 }
 
-func runE11(w io.Writer, opt Options) error {
+func runE11(ctx context.Context, w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "N\tmN\tbits")
 	for _, n := range []int{3, 4, 5, 6, 8, 12, 24, 60, 120, 720, 5040, 360360, 720720} {
@@ -94,7 +94,7 @@ func runE11(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE12a(w io.Writer, opt Options) error {
+func runE12a(ctx context.Context, w io.Writer, opt Options) error {
 	sizes := []int{3, 4, 5, 6, 7}
 	if opt.Quick {
 		sizes = []int{3, 4, 5}
@@ -121,7 +121,7 @@ func runE12a(w io.Writer, opt Options) error {
 		row := make([]string, 0, len(cells))
 		var rawDist float64
 		for i, cell := range cells {
-			mean, err := meanHittingTime(cell.alg, cell.pol, opt)
+			mean, err := meanHittingTime(ctx, cell.alg, cell.pol, opt)
 			if err != nil {
 				return err
 			}
@@ -158,16 +158,11 @@ func runE12a(w io.Writer, opt Options) error {
 // non-legitimate configurations under the policy's randomized scheduler.
 // The space cap is the engine's index limit: the SCC-condensed sparse
 // solver removed the solver-side ceiling that used to bound this analysis.
-// With opt.CacheDir set, the explored space is persisted and reused — the
+// With opt.Cache set, the explored space is persisted and reused — the
 // same transformed token rings appear in E12a, E12c and E12d, so a cached
 // sweep explores each instance once across the whole suite.
-func meanHittingTime(a protocol.Algorithm, pol scheduler.Policy, opt Options) (float64, error) {
-	cache, err := spacecache.Open(opt.CacheDir)
-	if err != nil {
-		return 0, err
-	}
-	cache.SetMmap(!opt.NoMmap)
-	ts, _, err := cache.BuildSpace(a, pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
+func meanHittingTime(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt Options) (float64, error) {
+	ts, _, err := opt.Cache.BuildSpaceContext(ctx, a, pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
 	if err != nil {
 		return 0, err
 	}
@@ -177,7 +172,7 @@ func meanHittingTime(a protocol.Algorithm, pol scheduler.Policy, opt Options) (f
 		return 0, err
 	}
 	target := markov.TargetFromSpace(ts)
-	h, err := chain.HittingTimes(target)
+	h, err := chain.HittingTimesContext(ctx, target)
 	if err != nil {
 		return 0, err
 	}
@@ -188,7 +183,7 @@ func meanHittingTime(a protocol.Algorithm, pol scheduler.Policy, opt Options) (f
 	return s.Mean, nil
 }
 
-func runE12b(w io.Writer, opt Options) error {
+func runE12b(ctx context.Context, w io.Writer, opt Options) error {
 	rng := rand.New(rand.NewSource(opt.seed()))
 	trials := opt.trials(400, 60)
 	sizes := []int{8, 16, 32, 64}
@@ -244,7 +239,7 @@ func runE12b(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE12c(w io.Writer, opt Options) error {
+func runE12c(ctx context.Context, w io.Writer, opt Options) error {
 	biases := []float64{0.1, 0.25, 0.5, 0.75, 0.9}
 	a, err := tokenring.New(5)
 	if err != nil {
@@ -262,7 +257,7 @@ func runE12c(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		tokenMean, err := meanHittingTime(tr, scheduler.DistributedPolicy{}, opt)
+		tokenMean, err := meanHittingTime(ctx, tr, scheduler.DistributedPolicy{}, opt)
 		if err != nil {
 			return err
 		}
@@ -270,7 +265,7 @@ func runE12c(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		spMean, err := meanHittingTime(spTr, scheduler.SynchronousPolicy{}, opt)
+		spMean, err := meanHittingTime(ctx, spTr, scheduler.SynchronousPolicy{}, opt)
 		if err != nil {
 			return err
 		}
@@ -286,7 +281,7 @@ func runE12c(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE12d(w io.Writer, opt Options) error {
+func runE12d(ctx context.Context, w io.Writer, opt Options) error {
 	sizes := []int{3, 5, 7}
 	if opt.Quick {
 		sizes = []int{3, 5}
@@ -301,7 +296,7 @@ func runE12d(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		transMean, err := meanHittingTime(transformer.New(a), scheduler.DistributedPolicy{}, opt)
+		transMean, err := meanHittingTime(ctx, transformer.New(a), scheduler.DistributedPolicy{}, opt)
 		if err != nil {
 			return err
 		}
@@ -310,7 +305,7 @@ func runE12d(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		hermanMean, err := meanHittingTime(h, scheduler.SynchronousPolicy{}, opt)
+		hermanMean, err := meanHittingTime(ctx, h, scheduler.SynchronousPolicy{}, opt)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,8 @@ package experiments
 
 // E19 demonstrates the incremental k-fault sweep: walking k = 0..kmax with
 // one ball enumeration and one closure exploration in total (each radius
-// extends the previous ball and subspace — checker.SweepKFaults), seeded
+// extends the previous ball and subspace — checker.SweepKFaultsContext),
+// seeded
 // from the closed-form legitimate set (protocol.LegitEnumerator), so the
 // whole pipeline is strictly ball-sized: no pass over the index range of
 // any kind. The experiment verifies every per-k verdict against the
@@ -12,6 +13,7 @@ package experiments
 // collapse at the first fault) and none for Dijkstra's ring with K ≥ N.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -20,7 +22,6 @@ import (
 	"weakstab/internal/algorithms/dijkstra"
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/checker"
-	"weakstab/internal/core"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
@@ -53,7 +54,7 @@ func (c *sweepCountingAlg) Legitimate(cfg protocol.Configuration) bool {
 	return c.LegitEnumerator.Legitimate(cfg)
 }
 
-func runE19(w io.Writer, opt Options) error {
+func runE19(ctx context.Context, w io.Writer, opt Options) error {
 	n := 10
 	kmax := 2
 	if opt.Quick {
@@ -71,7 +72,7 @@ func runE19(w io.Writer, opt Options) error {
 	// else may call back at all — a full-range pass would show up as
 	// ~|space| extra calls.
 	counted := &sweepCountingAlg{LegitEnumerator: inner}
-	res, err := checker.SweepKFaults(checker.Sources{}, counted, pol, kmax, ssOpt, false)
+	res, err := checker.SweepKFaultsContext(ctx, nil, counted, pol, kmax, ssOpt, false)
 	if err != nil {
 		return err
 	}
@@ -89,7 +90,7 @@ func runE19(w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "k\tball configs\tclosure states\tpossible\tcertain\tfrom-scratch agrees")
 	for k, v := range res.Verdicts {
-		ref, _, err := checker.BallVerdicts(inner, pol, k, ssOpt)
+		ref, _, err := checker.BallVerdicts(ctx, inner, pol, k, ssOpt)
 		if err != nil {
 			return err
 		}
@@ -118,7 +119,7 @@ func runE19(w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	dres, err := core.SweepKFaults(dk, pol, dn, opt.coreOptions(), true)
+	dres, err := checker.SweepKFaultsContext(ctx, opt.Cache, dk, pol, dn, ssOpt, true)
 	if err != nil {
 		return err
 	}
@@ -132,9 +133,4 @@ func runE19(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "shape: the k+1 sweep extends the k ball and its subspace instead of restarting;")
 	fmt.Fprintln(w, "       closed-form L makes the pipeline strictly ball-sized")
 	return nil
-}
-
-// coreOptions lowers experiment options to core analysis options.
-func (o Options) coreOptions() core.Options {
-	return core.Options{Workers: o.Workers, CacheDir: o.CacheDir, NoMmap: o.NoMmap}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -26,7 +27,7 @@ func init() {
 	})
 }
 
-func runE17(w io.Writer, opt Options) error {
+func runE17(ctx context.Context, w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "instance\tstart\tmean\tmedian\tp90\tp99\tp99/mean")
 
@@ -68,7 +69,7 @@ func runE17(w io.Writer, opt Options) error {
 		)
 	}
 	for _, c := range cases {
-		ts, err := statespace.Build(c.alg, c.pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
+		ts, err := statespace.BuildContext(ctx, c.alg, c.pol, statespace.Options{MaxStates: statespace.IndexLimit, Workers: opt.Workers})
 		if err != nil {
 			return err
 		}

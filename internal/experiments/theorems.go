@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -9,7 +10,6 @@ import (
 	"weakstab/internal/algorithms/syncpair"
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/checker"
-	"weakstab/internal/core"
 	"weakstab/internal/graph"
 	"weakstab/internal/markov"
 	"weakstab/internal/protocol"
@@ -106,7 +106,7 @@ func deterministicInstances(quick bool) ([]protocol.Algorithm, error) {
 	return algs, nil
 }
 
-func runE4(w io.Writer, opt Options) error {
+func runE4(ctx context.Context, w io.Writer, opt Options) error {
 	algs, err := deterministicInstances(opt.Quick)
 	if err != nil {
 		return err
@@ -130,7 +130,7 @@ func runE4(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE5(w io.Writer, opt Options) error {
+func runE5(ctx context.Context, w io.Writer, opt Options) error {
 	sizes := []int{3, 4, 5, 6, 7}
 	if opt.Quick {
 		sizes = []int{3, 4, 5}
@@ -180,7 +180,7 @@ func runE5(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE6(w io.Writer, opt Options) error {
+func runE6(ctx context.Context, w io.Writer, opt Options) error {
 	// Theorem 3's proof works on an anonymous 4-chain whose local neighbor
 	// labeling is mirror-equivariant — the labeling is the adversary's
 	// choice in an impossibility argument. (With the library's default
@@ -293,7 +293,7 @@ func checkEquivariance(a *leadertree.Algorithm, perm []int) error {
 	return nil
 }
 
-func runE7(w io.Writer, opt Options) error {
+func runE7(ctx context.Context, w io.Writer, opt Options) error {
 	maxN := 6
 	if opt.Quick {
 		maxN = 5
@@ -344,7 +344,7 @@ func runE7(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE8(w io.Writer, opt Options) error {
+func runE8(ctx context.Context, w io.Writer, opt Options) error {
 	a, err := tokenring.New(6)
 	if err != nil {
 		return err
@@ -368,7 +368,7 @@ func runE8(w io.Writer, opt Options) error {
 	// The same instance under the randomized central scheduler: prob-1
 	// convergence everywhere with finite expected times (Gouda fairness
 	// route via Theorem 7).
-	rep, err := core.AnalyzeWith(a, scheduler.CentralPolicy{}, core.Options{Workers: opt.Workers})
+	rep, err := analyze(ctx, a, scheduler.CentralPolicy{}, opt)
 	if err != nil {
 		return err
 	}
@@ -381,7 +381,7 @@ func runE8(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE9(w io.Writer, opt Options) error {
+func runE9(ctx context.Context, w io.Writer, opt Options) error {
 	algs, err := deterministicInstances(opt.Quick)
 	if err != nil {
 		return err
@@ -390,7 +390,7 @@ func runE9(w io.Writer, opt Options) error {
 	fmt.Fprintln(tw, "instance\tpolicy\tweak\tprob-1\tE[steps] mean\tmax")
 	for _, a := range algs {
 		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}} {
-			rep, err := core.AnalyzeWith(a, pol, core.Options{Workers: opt.Workers})
+			rep, err := analyze(ctx, a, pol, opt)
 			if err != nil {
 				return err
 			}
@@ -413,7 +413,7 @@ func runE9(w io.Writer, opt Options) error {
 	return nil
 }
 
-func runE10(w io.Writer, opt Options) error {
+func runE10(ctx context.Context, w io.Writer, opt Options) error {
 	g4, err := graph.Chain(4)
 	if err != nil {
 		return err
@@ -434,16 +434,16 @@ func runE10(w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "instance\traw sync prob-1\ttrans sync prob-1\ttrans dist prob-1")
 	for _, inner := range inners {
-		rawOne, err := probOneEverywhere(inner, scheduler.SynchronousPolicy{}, opt.Workers)
+		rawOne, err := probOneEverywhere(ctx, inner, scheduler.SynchronousPolicy{}, opt.Workers)
 		if err != nil {
 			return err
 		}
 		trans := transformerFor(inner)
-		syncOne, err := probOneEverywhere(trans, scheduler.SynchronousPolicy{}, opt.Workers)
+		syncOne, err := probOneEverywhere(ctx, trans, scheduler.SynchronousPolicy{}, opt.Workers)
 		if err != nil {
 			return err
 		}
-		distOne, err := probOneEverywhere(trans, scheduler.DistributedPolicy{}, opt.Workers)
+		distOne, err := probOneEverywhere(ctx, trans, scheduler.DistributedPolicy{}, opt.Workers)
 		if err != nil {
 			return err
 		}
@@ -458,8 +458,8 @@ func runE10(w io.Writer, opt Options) error {
 	return nil
 }
 
-func probOneEverywhere(a protocol.Algorithm, pol scheduler.Policy, workers int) (bool, error) {
-	ts, err := statespace.Build(a, pol, statespace.Options{MaxStates: markov.DefaultMaxStates, Workers: workers})
+func probOneEverywhere(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, workers int) (bool, error) {
+	ts, err := statespace.BuildContext(ctx, a, pol, statespace.Options{MaxStates: markov.DefaultMaxStates, Workers: workers})
 	if err != nil {
 		return false, err
 	}

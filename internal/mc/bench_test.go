@@ -49,7 +49,7 @@ func benchWalk(b *testing.B, workers int) {
 			b.ResetTimer()
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				res, err := e.Run(Options{Trials: 100_000, Seed: int64(i), Workers: workers})
+				res, err := e.RunContext(b.Context(), Options{Trials: 100_000, Seed: int64(i), Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -80,7 +80,7 @@ func TestMCMeanMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Run(Options{Trials: trials, Seed: 1009})
+			res, err := e.RunContext(t.Context(), Options{Trials: trials, Seed: 1009})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestMCCDFWithinDKW(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.Run(Options{Trials: trials, Seed: 1013, From: &from})
+			res, err := e.RunContext(t.Context(), Options{Trials: trials, Seed: 1013, From: &from})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestMCWorkerIdentityOnSpaces(t *testing.T) {
 			}
 			var base *Result
 			for _, workers := range []int{1, 5, 13} {
-				res, err := e.Run(Options{Trials: 4000, Seed: 77, Workers: workers, Batch: 256})
+				res, err := e.RunContext(t.Context(), Options{Trials: 4000, Seed: 77, Workers: workers, Batch: 256})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -309,7 +309,7 @@ func sample(cum []float64, guide []int32, a, b int64, u float64) int64 {
 }
 
 // pin acquires a zero-copy mapped system against concurrent unmapping
-// (the same contract core.AnalyzeSpace honors); a no-op release for
+// (the same contract core.AnalyzeSpaceContext honors); a no-op release for
 // everything else.
 func pin(ts System) (release func(), err error) {
 	if p, ok := ts.(interface {
@@ -345,15 +345,10 @@ type batchOut struct {
 	walked    int64
 }
 
-// Run estimates with the given options.
-func (e *Estimator) Run(opt Options) (*Result, error) {
-	return e.RunContext(context.Background(), opt)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked at
-// batch boundaries, so a cancelled run stops claiming batches and
-// returns an error wrapping ctx.Err() in bounded time, producing no
-// result. A successful run is unaffected by ctx.
+// RunContext estimates with the given options. ctx is checked at batch
+// boundaries, so a cancelled run stops claiming batches and returns an
+// error wrapping ctx.Err() in bounded time, producing no result. A
+// successful run is unaffected by ctx.
 func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error) {
 	trials := opt.Trials
 	if trials <= 0 {

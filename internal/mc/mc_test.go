@@ -61,7 +61,7 @@ func TestGeometricMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(Options{Trials: 20000, Seed: 7, From: intp(0)})
+	res, err := e.RunContext(t.Context(), Options{Trials: 20000, Seed: 7, From: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestUniformStartSkipsTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(Options{Trials: 500, Seed: 1})
+	res, err := e.RunContext(t.Context(), Options{Trials: 500, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDivergentAndCensored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(Options{Trials: 4000, Seed: 3, From: intp(0)})
+	res, err := e.RunContext(t.Context(), Options{Trials: 4000, Seed: 3, From: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDivergentAndCensored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := e2.Run(Options{Trials: 100, Seed: 1, MaxSteps: 64, From: intp(0)})
+	res2, err := e2.RunContext(t.Context(), Options{Trials: 100, Seed: 1, MaxSteps: 64, From: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWorkerBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := e.Run(Options{Trials: 5000, Seed: 42, Workers: 1, Batch: 128})
+	base, err := e.RunContext(t.Context(), Options{Trials: 5000, Seed: 42, Workers: 1, Batch: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWorkerBitIdentity(t *testing.T) {
 		{Trials: 5000, Seed: 42, Workers: 3, Batch: 8},
 		{Trials: 5000, Seed: 42, Workers: 3, Batch: 9},
 	} {
-		got, err := e.Run(opt)
+		got, err := e.RunContext(t.Context(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestWorkerBitIdentity(t *testing.T) {
 		}
 	}
 	// A different seed must actually change the sample.
-	other, err := e.Run(Options{Trials: 5000, Seed: 43, Workers: 1, Batch: 128})
+	other, err := e.RunContext(t.Context(), Options{Trials: 5000, Seed: 43, Workers: 1, Batch: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestEarlyStopDeterministic(t *testing.T) {
 	}
 	var prev *Result
 	for _, workers := range []int{1, 4, 9} {
-		res, err := e.Run(Options{Trials: 100000, Seed: 5, Workers: workers, Batch: 250, TargetCI: 0.5, From: intp(0)})
+		res, err := e.RunContext(t.Context(), Options{Trials: 100000, Seed: 5, Workers: workers, Batch: 250, TargetCI: 0.5, From: intp(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,14 +235,14 @@ func TestEarlyStopNoisy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.Run(Options{Trials: 200000, Seed: 11, From: intp(0)})
+	full, err := e.RunContext(t.Context(), Options{Trials: 200000, Seed: 11, From: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	target := 4 * full.CIHalfWidth() // reachable well before 200k trials
 	var prev *Result
 	for _, workers := range []int{1, 6} {
-		res, err := e.Run(Options{Trials: 200000, Seed: 11, Workers: workers, Batch: 1000, TargetCI: target, From: intp(0)})
+		res, err := e.RunContext(t.Context(), Options{Trials: 200000, Seed: 11, Workers: workers, Batch: 1000, TargetCI: target, From: intp(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestECDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(Options{Trials: 10000, Seed: 2, From: intp(0)})
+	res, err := e.RunContext(t.Context(), Options{Trials: 10000, Seed: 2, From: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,21 +318,21 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(Options{From: intp(5)}); err == nil {
+	if _, err := e.RunContext(t.Context(), Options{From: intp(5)}); err == nil {
 		t.Fatal("out-of-range start state accepted")
 	}
-	if _, err := e.Run(Options{From: intp(-1)}); err == nil {
+	if _, err := e.RunContext(t.Context(), Options{From: intp(-1)}); err == nil {
 		t.Fatal("negative start state accepted")
 	}
 	all, err := New(geometric(), []bool{true, true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := all.Run(Options{}); err == nil {
+	if _, err := all.RunContext(t.Context(), Options{}); err == nil {
 		t.Fatal("all-target uniform start accepted")
 	}
 	// An explicit start state inside the target set is fine: T = 0.
-	res, err := all.Run(Options{Trials: 10, From: intp(0)})
+	res, err := all.RunContext(t.Context(), Options{Trials: 10, From: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestLongRowSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(Options{Trials: fanout * 1000, Seed: 9, From: intp(0)})
+	res, err := e.RunContext(t.Context(), Options{Trials: fanout * 1000, Seed: 9, From: intp(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

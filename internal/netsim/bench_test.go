@@ -39,7 +39,7 @@ func BenchmarkNetSimRounds(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := RunOn(top, a, init, opts)
+				res, err := RunOnContext(b.Context(), top, a, init, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -235,16 +235,11 @@ type engine struct {
 	shardOf []int32
 }
 
-// Run executes a from init over the configured network until a legitimacy
-// check succeeds or the round budget is exhausted.
-func Run(a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
-	return RunContext(context.Background(), a, init, opts)
-}
-
-// RunContext is Run with cooperative cancellation: ctx is checked at
-// legitimacy-check round boundaries (every Options.CheckEvery rounds), so
-// a cancelled simulation returns an error wrapping ctx.Err() within one
-// check interval.
+// RunContext executes a from init over the configured network until a
+// legitimacy check succeeds or the round budget is exhausted. ctx is
+// checked at legitimacy-check round boundaries (every Options.CheckEvery
+// rounds), so a cancelled simulation returns an error wrapping ctx.Err()
+// within one check interval.
 func RunContext(ctx context.Context, a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
 	t, err := NewTopology(a)
 	if err != nil {
@@ -253,13 +248,8 @@ func RunContext(ctx context.Context, a protocol.Algorithm, init protocol.Configu
 	return RunOnContext(ctx, t, a, init, opts)
 }
 
-// RunOn is Run with a prebuilt Topology (amortizing the precomputation
-// across the runs of a trial batch).
-func RunOn(t *Topology, a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
-	return RunOnContext(context.Background(), t, a, init, opts)
-}
-
-// RunOnContext is RunOn with RunContext's cancellation semantics.
+// RunOnContext is RunContext with a prebuilt Topology (amortizing the
+// precomputation across the runs of a trial batch).
 func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
 	if len(init) != t.n {
 		return Result{}, fmt.Errorf("netsim: initial configuration has %d states, topology %d", len(init), t.n)

@@ -58,7 +58,7 @@ func TestSyncParityDijkstra(t *testing.T) {
 		if math.IsInf(h[g], 1) {
 			t.Fatalf("state %d: dijkstra must converge under the synchronous daemon", g)
 		}
-		res, err := RunOn(top, a, cfg, Options{MaxRounds: 500, Seed: 1})
+		res, err := RunOnContext(t.Context(), top, a, cfg, Options{MaxRounds: 500, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestSyncParityTokenRingDivergence(t *testing.T) {
 	cfg := make(protocol.Configuration, 6)
 	for g := int64(0); g < sp.Enc.Total(); g += 11 { // subsample: ~373 states
 		cfg = sp.Enc.Decode(g, cfg)
-		res, err := RunOn(top, a, cfg, Options{MaxRounds: 300, Seed: 1})
+		res, err := RunOnContext(t.Context(), top, a, cfg, Options{MaxRounds: 300, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSyncParityHerman(t *testing.T) {
 	exact /= float64(len(h))
 
 	const trials = 600
-	res, err := Trials(a, trials, Options{MaxRounds: 100_000, Seed: 42})
+	res, err := TrialsContext(t.Context(), a, trials, Options{MaxRounds: 100_000, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDeterminismAcrossSharding(t *testing.T) {
 	}
 	run := func(workers, shards int) outcome {
 		faults := faultStack()
-		res, err := Run(a, init, Options{
+		res, err := RunContext(t.Context(), a, init, Options{
 			MaxRounds: 60, Seed: 99, Faults: faults,
 			Workers: workers, Shards: shards, Record: true,
 		})
@@ -297,12 +297,12 @@ func TestTrialsReplayable(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{MaxRounds: 2000, Seed: 13, Faults: []Fault{&Loss{P: 0.15}}}
-	first, err := Trials(a, 10, opts)
+	first, err := TrialsContext(t.Context(), a, 10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts2 := Options{MaxRounds: 2000, Seed: 13, Faults: []Fault{&Loss{P: 0.15}}}
-	second, err := Trials(a, 10, opts2)
+	second, err := TrialsContext(t.Context(), a, 10, opts2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestTrialsReplayable(t *testing.T) {
 	// Replay trial 3 in isolation.
 	seed3 := sim.TrialSeed(13, 3)
 	init := protocol.RandomConfiguration(a, sim.TrialRNG(13, 3))
-	res, err := Run(a, init, Options{MaxRounds: 2000, Seed: seed3, Faults: []Fault{&Loss{P: 0.15}}})
+	res, err := RunContext(t.Context(), a, init, Options{MaxRounds: 2000, Seed: seed3, Faults: []Fault{&Loss{P: 0.15}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,15 +337,15 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(a, make(protocol.Configuration, 3), Options{}); err == nil {
+	if _, err := RunContext(t.Context(), a, make(protocol.Configuration, 3), Options{}); err == nil {
 		t.Fatal("short initial configuration accepted")
 	}
 	bad := make(protocol.Configuration, 8)
 	bad[0] = 99
-	if _, err := Run(a, bad, Options{}); err == nil {
+	if _, err := RunContext(t.Context(), a, bad, Options{}); err == nil {
 		t.Fatal("out-of-domain initial state accepted")
 	}
-	if _, err := Run(a, make(protocol.Configuration, 8), Options{Faults: []Fault{badFault{}}}); err == nil {
+	if _, err := RunContext(t.Context(), a, make(protocol.Configuration, 8), Options{Faults: []Fault{badFault{}}}); err == nil {
 		t.Fatal("fault implementing neither role accepted")
 	}
 	// Herman requires odd rings; restabilization on an even one must fail

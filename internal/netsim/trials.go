@@ -64,18 +64,13 @@ func observeTrial(o *obs.Observer, trial, of int, seed int64, res Result, faults
 	}
 }
 
-// Trials runs `trials` executions from uniformly random initial
+// TrialsContext runs `trials` executions from uniformly random initial
 // configurations over the configured network. Trial i derives its own
 // seed from (opts.Seed, i) — sim.TrialSeed — so any single trial is
-// replayable in isolation and results never depend on batch order.
-func Trials(a protocol.Algorithm, trials int, opts Options) (TrialResult, error) {
-	return TrialsContext(context.Background(), a, trials, opts)
-}
-
-// TrialsContext is Trials with cooperative cancellation: ctx is checked at
-// trial boundaries (and within each run at its legitimacy-check rounds),
-// so a cancelled batch returns an error wrapping ctx.Err() without
-// finishing the remaining trials.
+// replayable in isolation and results never depend on batch order. ctx is
+// checked at trial boundaries (and within each run at its
+// legitimacy-check rounds), so a cancelled batch returns an error
+// wrapping ctx.Err() without finishing the remaining trials.
 func TrialsContext(ctx context.Context, a protocol.Algorithm, trials int, opts Options) (TrialResult, error) {
 	t, err := NewTopology(a)
 	if err != nil {
@@ -104,7 +99,8 @@ func TrialsContext(ctx context.Context, a protocol.Algorithm, trials int, opts O
 // corrupted uniformly at random (the paper's transient-fault model) and
 // runs until the system is legitimate again. The base legitimate
 // configuration is the first one yielded by the algorithm's closed-form
-// LegitEnumerator; algorithms without one must use RestabilizationFrom.
+// LegitEnumerator; algorithms without one must use
+// RestabilizationFromContext.
 func Restabilization(a protocol.Algorithm, trials, k int, opts Options) (TrialResult, error) {
 	return RestabilizationContext(context.Background(), a, trials, k, opts)
 }
@@ -114,7 +110,7 @@ func Restabilization(a protocol.Algorithm, trials, k int, opts Options) (TrialRe
 func RestabilizationContext(ctx context.Context, a protocol.Algorithm, trials, k int, opts Options) (TrialResult, error) {
 	le, ok := a.(protocol.LegitEnumerator)
 	if !ok {
-		return TrialResult{}, fmt.Errorf("netsim: %s has no LegitEnumerator; use RestabilizationFrom with an explicit legitimate configuration", a.Name())
+		return TrialResult{}, fmt.Errorf("netsim: %s has no LegitEnumerator; use RestabilizationFromContext with an explicit legitimate configuration", a.Name())
 	}
 	var legit protocol.Configuration
 	le.EnumerateLegitimate(func(cfg protocol.Configuration) bool {
@@ -127,14 +123,8 @@ func RestabilizationContext(ctx context.Context, a protocol.Algorithm, trials, k
 	return RestabilizationFromContext(ctx, a, legit, trials, k, opts)
 }
 
-// RestabilizationFrom is Restabilization from an explicit legitimate
-// configuration.
-func RestabilizationFrom(a protocol.Algorithm, legit protocol.Configuration, trials, k int, opts Options) (TrialResult, error) {
-	return RestabilizationFromContext(context.Background(), a, legit, trials, k, opts)
-}
-
-// RestabilizationFromContext is RestabilizationFrom with TrialsContext's
-// trial-boundary cancellation semantics.
+// RestabilizationFromContext is RestabilizationContext from an explicit
+// legitimate configuration.
 func RestabilizationFromContext(ctx context.Context, a protocol.Algorithm, legit protocol.Configuration, trials, k int, opts Options) (TrialResult, error) {
 	if !a.Legitimate(legit) {
 		return TrialResult{}, fmt.Errorf("netsim: base configuration %v is not legitimate", legit)

@@ -17,7 +17,7 @@ import (
 )
 
 // FrontierShell reports one BFS level of a frontier exploration
-// (statespace.Builder / BuildFrom): event "frontier.shell".
+// (statespace.Builder / BuildFromContext): event "frontier.shell".
 type FrontierShell struct {
 	// Shell is the 0-based level index within this builder's lifetime.
 	Shell int `json:"shell"`
@@ -61,7 +61,7 @@ type SolverBlock struct {
 }
 
 // SweepRadius reports one sealed radius of an incremental k-fault sweep
-// (checker.SweepKFaults): event "sweep.radius".
+// (checker.SweepKFaultsContext): event "sweep.radius".
 type SweepRadius struct {
 	K        int  `json:"k"`
 	Ball     int  `json:"ball"`
@@ -82,9 +82,10 @@ type CacheEvent struct {
 	Bytes int64  `json:"bytes,omitempty"`
 }
 
-// NetsimRound reports message-passing simulation progress (netsim.RunOn):
-// event "netsim.round", emitted at legitimacy-check rounds whose index
-// is a power of two (so long diverging runs log O(log rounds) events).
+// NetsimRound reports message-passing simulation progress
+// (netsim.RunOnContext): event "netsim.round", emitted at legitimacy-check
+// rounds whose index is a power of two (so long diverging runs log O(log
+// rounds) events).
 type NetsimRound struct {
 	Trial     int   `json:"trial"`
 	Round     int   `json:"round"`
@@ -92,7 +93,7 @@ type NetsimRound struct {
 	Delivered int64 `json:"delivered"`
 }
 
-// NetsimTrial reports one completed trial of a batch (netsim.Trials /
+// NetsimTrial reports one completed trial of a batch (netsim.TrialsContext /
 // Restabilization): event "netsim.trial".
 type NetsimTrial struct {
 	Trial int `json:"trial"`

@@ -13,6 +13,7 @@ import (
 
 	"weakstab/internal/checker"
 	"weakstab/internal/core"
+	"weakstab/internal/markov"
 	"weakstab/internal/mc"
 	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
@@ -92,7 +93,7 @@ func exploreSystem(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 		if id.KFaults != nil && *id.KFaults > 0 {
 			k = *id.KFaults
 		}
-		ballSS, ballGlobals, ballDist, err = checker.BallClosureWithContext(ctx, checker.CacheSources(deps.Cache), a, pol, k, opt)
+		ballSS, ballGlobals, ballDist, err = checker.BallClosureContext(ctx, deps.Cache, a, pol, k, opt)
 		if err == nil && ballSS == nil {
 			err = errors.New("the legitimate set is empty; give explicit seeds with -from")
 		}
@@ -133,7 +134,7 @@ func executeReport(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 		if ss == nil {
 			// Full-space or explicit-seed report: the ball pipeline still
 			// runs exactly once, for the verdicts only.
-			ss, globals, dist, err = checker.BallClosureWithContext(ctx, checker.CacheSources(deps.Cache), a, pol, *id.KFaults, opt)
+			ss, globals, dist, err = checker.BallClosureContext(ctx, deps.Cache, a, pol, *id.KFaults, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -156,10 +157,12 @@ func executeReport(ctx context.Context, id Request, a protocol.Algorithm, pol sc
 
 // executeMC is the Monte Carlo estimation mode: explore (or cache-load)
 // the space exactly as report mode would, then sample stabilization
-// times on its CSR (core.EstimateSpaceContext). The estimate is
+// times on its CSR, targeting its legitimate set. The estimate is
 // bit-identical across worker counts, so the result document stays a
 // pure function of the request identity — Workers is tuning here exactly
-// as it is for the exact analyses.
+// as it is for the exact analyses. A zero-copy mapped system is pinned
+// for the walk (mc.New and RunContext acquire it), so a concurrent Close
+// cannot unmap the CSR mid-walk.
 func executeMC(ctx context.Context, id Request, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, deps Deps) (*Response, error) {
 	ts, _, _, _, err := exploreSystem(ctx, id, a, pol, opt, deps)
 	if err != nil {
@@ -167,16 +170,22 @@ func executeMC(ctx context.Context, id Request, a protocol.Algorithm, pol schedu
 	}
 	defer ts.Close()
 
-	res, err := core.EstimateSpaceContext(ctx, ts, mc.Options{
-		Trials:   id.Trials,
-		MaxSteps: id.MCMaxSteps,
-		Seed:     id.Seed,
-		TargetCI: id.CI,
-		Workers:  opt.Workers,
-		Obs:      deps.Obs,
-	})
+	done := obs.Or(deps.Obs).Phase("mc")
+	e, err := mc.New(ts, markov.TargetFromSpace(ts))
+	var res *mc.Result
+	if err == nil {
+		res, err = e.RunContext(ctx, mc.Options{
+			Trials:   id.Trials,
+			MaxSteps: id.MCMaxSteps,
+			Seed:     id.Seed,
+			TargetCI: id.CI,
+			Workers:  opt.Workers,
+			Obs:      deps.Obs,
+		})
+	}
+	done()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", a.Name(), err)
 	}
 	resp := &Response{
 		Request:  id,
@@ -192,7 +201,7 @@ func executeMC(ctx context.Context, id Request, a protocol.Algorithm, pol schedu
 // executeSweep is the incremental k-fault walk, always stop-at-break.
 func executeSweep(ctx context.Context, id Request, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options, deps Deps) (*Response, error) {
 	done := obs.Or(deps.Obs).Phase("sweep")
-	res, err := checker.SweepKFaultsContext(ctx, checker.CacheSources(deps.Cache), a, pol, *id.KMax, opt, true)
+	res, err := checker.SweepKFaultsContext(ctx, deps.Cache, a, pol, *id.KMax, opt, true)
 	done()
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func (c *Cache) LoadBall(a protocol.Algorithm, k int, maxStates int64) ([]int64,
 }
 
 // StoreBall persists the ball enumeration (globals in ascending order with
-// aligned distances, as FaultBall returns them) under the instance's
+// aligned distances, as FaultBallContext returns them) under the instance's
 // (policy-free) key, atomically. A nil cache stores nothing. The error is
 // advisory: like every store in this package it never has to gate the
 // analysis that produced the data.

@@ -1,40 +1,15 @@
-package spacecache
+package spacecache_test
 
 import (
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/checker"
-	"weakstab/internal/protocol"
-	"weakstab/internal/scheduler"
+	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
 )
-
-// countingBallAlg forwards the closed-form enumeration while counting
-// every exploration callback — Legitimate, guards and enumeration alike —
-// so a warm run's "zero callbacks" claim is exact.
-type countingBallAlg struct {
-	protocol.LegitEnumerator
-	calls atomic.Int64
-}
-
-func (c *countingBallAlg) Legitimate(cfg protocol.Configuration) bool {
-	c.calls.Add(1)
-	return c.LegitEnumerator.Legitimate(cfg)
-}
-
-func (c *countingBallAlg) EnabledAction(cfg protocol.Configuration, p int) int {
-	c.calls.Add(1)
-	return c.LegitEnumerator.EnabledAction(cfg, p)
-}
-
-func (c *countingBallAlg) EnumerateLegitimate(yield func(protocol.Configuration) bool) {
-	c.calls.Add(1)
-	c.LegitEnumerator.EnumerateLegitimate(yield)
-}
 
 // TestBallRoundTrip pins store→load bit-equality of ball entries across
 // radii, including the k=0 boundary (the ball is exactly the legitimate
@@ -44,13 +19,13 @@ func TestBallRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Open(t.TempDir())
+	c, err := spacecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cap := statespace.StateCap(0)
 	for k := 0; k <= 2; k++ {
-		globals, dist, err := checker.FaultBall(a, k, 0, 0)
+		globals, dist, err := checker.FaultBallContext(t.Context(), a, k, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +64,7 @@ func TestBallRoundTrip(t *testing.T) {
 	}
 	// The ball knows no scheduler: the same key serves every policy, so
 	// BallKey must not vary by anything but instance and radius.
-	if BallKey(a, 0) == BallKey(a, 1) {
+	if spacecache.BallKey(a, 0) == spacecache.BallKey(a, 1) {
 		t.Fatal("distinct radii share a ball key")
 	}
 }
@@ -101,11 +76,11 @@ func TestBallStaleKeyMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Open(t.TempDir())
+	c, err := spacecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	globals, dist, err := checker.FaultBall(a, 1, 0, 0)
+	globals, dist, err := checker.FaultBallContext(t.Context(), a, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +115,18 @@ func TestBallCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	c, err := Open(dir)
+	c, err := spacecache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	globals, dist, err := checker.FaultBall(a, 1, 0, 0)
+	globals, dist, err := checker.FaultBallContext(t.Context(), a, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.StoreBall(a, 1, globals, dist); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, BallKey(a, 1)+".ball")
+	path := filepath.Join(dir, spacecache.BallKey(a, 1)+".ball")
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -195,11 +170,11 @@ func TestBallCapAndNilSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Open(t.TempDir())
+	c, err := spacecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	globals, dist, err := checker.FaultBall(a, 1, 0, 0)
+	globals, dist, err := checker.FaultBallContext(t.Context(), a, 1, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,44 +187,11 @@ func TestBallCapAndNilSafety(t *testing.T) {
 	if _, _, ok := c.LoadBall(a, 1, int64(len(globals))); !ok {
 		t.Fatal("entry exactly at the state cap rejected (cap is inclusive)")
 	}
-	var nilCache *Cache
+	var nilCache *spacecache.Cache
 	if _, _, ok := nilCache.LoadBall(a, 1, statespace.StateCap(0)); ok {
 		t.Fatal("nil cache load hit")
 	}
 	if err := nilCache.StoreBall(a, 1, globals, dist); err != nil {
 		t.Fatal("nil cache store errored")
-	}
-}
-
-// TestBallWarmPipelineZeroCallbacks pins the satellite acceptance: with
-// ball and closure both cached, the single-k pipeline
-// (checker.BallClosureWith, the `stabcheck -reachable -kfaults` path)
-// performs zero legitimacy scans and zero exploration callbacks.
-func TestBallWarmPipelineZeroCallbacks(t *testing.T) {
-	inner, err := tokenring.New(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := scheduler.CentralPolicy{}
-	opt := statespace.Options{}
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 1
-	coldSS, coldG, coldD, err := checker.BallClosureWith(checker.CacheSources(c), inner, pol, k, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counted := &countingBallAlg{LegitEnumerator: inner}
-	warmSS, warmG, warmD, err := checker.BallClosureWith(checker.CacheSources(c), counted, pol, k, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := counted.calls.Load(); got != 0 {
-		t.Fatalf("warm ball pipeline made %d algorithm callbacks, want 0", got)
-	}
-	if warmSS.NumStates() != coldSS.NumStates() || len(warmG) != len(coldG) || len(warmD) != len(coldD) {
-		t.Fatal("warm ball pipeline result differs from cold")
 	}
 }

@@ -54,7 +54,7 @@ func BenchmarkSpaceCacheWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(b.Context(), a, pol, statespace.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -80,7 +80,7 @@ func benchWarmLoad(b *testing.B, mmap bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(b.Context(), a, pol, statespace.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	c.SetMmap(mmap)
@@ -121,7 +121,7 @@ func BenchmarkWarmLoadMmapFirst(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(b.Context(), a, pol, statespace.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -22,13 +22,13 @@ import (
 func primeEntries(t *testing.T, c *Cache) []string {
 	t.Helper()
 	pol := scheduler.CentralPolicy{}
-	if _, _, err := c.BuildSpace(ring(t, 4), pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(t.Context(), ring(t, 4), pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.BuildSpace(ring(t, 5), pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.BuildSubSpace(ring(t, 5), pol, []int64{0, 7}, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSubSpaceContext(t.Context(), ring(t, 5), pol, []int64{0, 7}, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	paths := []string{
@@ -117,14 +117,14 @@ func TestGCOldestFirst(t *testing.T) {
 
 	// Survivors are untouched and still load as hits.
 	pol := scheduler.CentralPolicy{}
-	if _, hit, err := c.BuildSpace(ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
+	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
 		t.Fatalf("surviving space corrupted by gc: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.BuildSubSpace(ring(t, 5), pol, []int64{0, 7}, statespace.Options{}); err != nil || !hit {
+	if _, hit, err := c.BuildSubSpaceContext(t.Context(), ring(t, 5), pol, []int64{0, 7}, statespace.Options{}); err != nil || !hit {
 		t.Fatalf("surviving subspace corrupted by gc: hit=%v err=%v", hit, err)
 	}
 	// The evicted entry misses and rebuilds cleanly.
-	if _, hit, err := c.BuildSpace(ring(t, 4), pol, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 4), pol, statespace.Options{}); err != nil || hit {
 		t.Fatalf("evicted entry: hit=%v err=%v", hit, err)
 	}
 
@@ -155,7 +155,7 @@ func TestGCWhileMapped(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
 	pol := scheduler.CentralPolicy{}
-	built, _, err := c.BuildSpace(a, pol, statespace.Options{})
+	built, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,11 @@ func TestMmapDecodeParity(t *testing.T) {
 	a := ring(t, 5)
 	pol := scheduler.DistributedPolicy{}
 	seeds := []int64{0, 7, 11}
-	builtSp, _, err := c.BuildSpace(a, pol, statespace.Options{})
+	builtSp, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.BuildSubSpace(a, pol, seeds, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSubSpaceContext(t.Context(), a, pol, seeds, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,7 +241,7 @@ func TestLoadTouchesLastUse(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 4)
 	pol := scheduler.CentralPolicy{}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(c.Dir(), Key(a, pol)+".space")

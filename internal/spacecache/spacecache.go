@@ -10,9 +10,9 @@
 // algorithm's parameterized name, its process count and per-process state
 // domains, the exact communication-graph edge set, and the policy name —
 // plus, for frontier-explored subspaces, a hash of the seed *set* (order-
-// and duplicate-insensitive, matching BuildFrom's dedup semantics). Any
-// semantic change to the instance changes the key, so a stale file is
-// simply never found.
+// and duplicate-insensitive, matching BuildFromContext's dedup
+// semantics). Any semantic change to the instance changes the key, so a
+// stale file is simply never found.
 //
 // Robustness contract: a cache must never produce a wrong answer, only a
 // slower one. Loads that fail for any reason — missing file, truncation,
@@ -194,9 +194,9 @@ func Key(a protocol.Algorithm, pol scheduler.Policy) string {
 
 // SubKey returns the canonical cache key of a frontier-explored subspace:
 // the full-space identity extended with a hash of the seed *set*. Seed
-// order and duplicates do not affect the key, mirroring BuildFrom (which
-// dedups seeds and canonicalizes local ids to ascending-global order, so
-// the built subspace is a pure function of the set).
+// order and duplicates do not affect the key, mirroring BuildFromContext
+// (which dedups seeds and canonicalizes local ids to ascending-global
+// order, so the built subspace is a pure function of the set).
 func SubKey(a protocol.Algorithm, pol scheduler.Policy, seeds []int64) string {
 	set := slices.Clone(seeds)
 	slices.Sort(set)
@@ -338,39 +338,21 @@ func (c *Cache) StoreSubSpace(ss *statespace.Space, seeds []int64) error {
 	return c.store(ss, seeds, true)
 }
 
-// BuildSpace is statespace.Build behind the cache; hit reports which path
-// ran (see build).
-func (c *Cache) BuildSpace(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
-	return c.build(context.Background(), a, pol, nil, false, opt)
-}
-
-// BuildSpaceContext is BuildSpace with cooperative cancellation of the
-// exploration (statespace.BuildContext semantics).
+// BuildSpaceContext is statespace.BuildContext behind the cache; hit
+// reports which path ran (see build).
 func (c *Cache) BuildSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (sp *statespace.Space, hit bool, err error) {
 	return c.build(ctx, a, pol, nil, false, opt)
 }
 
-// BuildSubSpace is statespace.BuildFrom behind the cache, with the same
-// contract as BuildSpace.
-func (c *Cache) BuildSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.Space, hit bool, err error) {
-	return c.build(context.Background(), a, pol, seeds, true, opt)
-}
-
-// BuildSubSpaceContext is BuildSubSpace with BuildSpaceContext's
-// cancellation.
+// BuildSubSpaceContext is statespace.BuildFromContext behind the cache,
+// with the same contract as BuildSpaceContext.
 func (c *Cache) BuildSubSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.Space, hit bool, err error) {
 	return c.build(ctx, a, pol, seeds, true, opt)
 }
 
-// BuildSubSpaceFromConfigs is BuildSubSpace with the seed set given as
-// configurations, validated and encoded by the same shared helper
-// statespace.BuildFromConfigs uses.
-func (c *Cache) BuildSubSpaceFromConfigs(a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.Space, bool, error) {
-	return c.BuildSubSpaceFromConfigsContext(context.Background(), a, pol, cfgs, opt)
-}
-
-// BuildSubSpaceFromConfigsContext is BuildSubSpaceFromConfigs with
-// BuildSpaceContext's cancellation.
+// BuildSubSpaceFromConfigsContext is BuildSubSpaceContext with the seed
+// set given as configurations, validated and encoded by the same shared
+// helper statespace.BuildFromConfigsContext uses.
 func (c *Cache) BuildSubSpaceFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.Space, bool, error) {
 	seeds, err := statespace.EncodeConfigs(a, cfgs)
 	if err != nil {

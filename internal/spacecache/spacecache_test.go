@@ -118,7 +118,7 @@ func TestBuildSpaceMissThenHit(t *testing.T) {
 	a := &countingAlg{Algorithm: ring(t, 5)}
 	pol := scheduler.CentralPolicy{}
 
-	cold, hit, err := c.BuildSpace(a, pol, statespace.Options{})
+	cold, hit, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestBuildSpaceMissThenHit(t *testing.T) {
 		t.Fatal("cold build must explore")
 	}
 
-	warm, hit, err := c.BuildSpace(a, pol, statespace.Options{})
+	warm, hit, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +164,14 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 	pol := scheduler.DistributedPolicy{}
 	seeds := []int64{0, 7, 11}
 
-	cold, hit, err := c.BuildSubSpace(a, pol, seeds, statespace.Options{})
+	cold, hit, err := c.BuildSubSpaceContext(t.Context(), a, pol, seeds, statespace.Options{})
 	if err != nil || hit {
 		t.Fatalf("cold: hit=%v err=%v", hit, err)
 	}
 	coldCalls := a.calls.Load()
 
 	// Same set, different order and duplicates: still a hit.
-	warm, hit, err := c.BuildSubSpace(a, pol, []int64{11, 0, 7, 7}, statespace.Options{})
+	warm, hit, err := c.BuildSubSpaceContext(t.Context(), a, pol, []int64{11, 0, 7, 7}, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 	}
 
 	// A different seed set is a clean miss.
-	if _, hit, err := c.BuildSubSpace(a, pol, []int64{0, 7}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSubSpaceContext(t.Context(), a, pol, []int64{0, 7}, statespace.Options{}); err != nil || hit {
 		t.Fatalf("different seed set: hit=%v err=%v", hit, err)
 	}
 }
@@ -201,17 +201,17 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 func TestStaleKeyMiss(t *testing.T) {
 	c := openTemp(t)
 	pol := scheduler.CentralPolicy{}
-	if _, hit, err := c.BuildSpace(ring(t, 5), pol, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil || hit {
 		t.Fatalf("prime: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.BuildSpace(ring(t, 6), pol, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 6), pol, statespace.Options{}); err != nil || hit {
 		t.Fatalf("n=6 after caching n=5 must miss, hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.BuildSpace(ring(t, 5), scheduler.SynchronousPolicy{}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), scheduler.SynchronousPolicy{}, statespace.Options{}); err != nil || hit {
 		t.Fatalf("other policy must miss, hit=%v err=%v", hit, err)
 	}
 	// The original triple still hits.
-	if _, hit, err := c.BuildSpace(ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
+	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
 		t.Fatalf("original instance must still hit, hit=%v err=%v", hit, err)
 	}
 }
@@ -223,7 +223,7 @@ func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
 	pol := scheduler.CentralPolicy{}
-	ref, _, err := c.BuildSpace(a, pol, statespace.Options{})
+	ref, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 		if err := os.WriteFile(path, mutate(slices.Clone(data)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sp, hit, err := c.BuildSpace(a, pol, statespace.Options{})
+		sp, hit, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 		if err != nil {
 			t.Fatalf("%s: rebuild failed: %v", name, err)
 		}
@@ -250,7 +250,7 @@ func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 		}
 		assertSameSpace(t, ref, sp)
 		// The rebuild must have repaired the entry.
-		if _, hit, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil || !hit {
+		if _, hit, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{}); err != nil || !hit {
 			t.Fatalf("%s: entry not repaired after rebuild, hit=%v err=%v", name, hit, err)
 		}
 	}
@@ -265,10 +265,10 @@ func TestLoadRejectsWrongKind(t *testing.T) {
 	a := ring(t, 5)
 	pol := scheduler.CentralPolicy{}
 	seeds := []int64{0, 7}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.BuildSubSpace(a, pol, seeds, statespace.Options{}); err != nil {
+	if _, _, err := c.BuildSubSpaceContext(t.Context(), a, pol, seeds, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	spacePath := filepath.Join(c.Dir(), Key(a, pol)+".space")
@@ -304,14 +304,14 @@ func TestLoadRespectsStateCap(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
 	pol := scheduler.CentralPolicy{}
-	sp, _, err := c.BuildSpace(a, pol, statespace.Options{})
+	sp, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.LoadSpace(a, pol, statespace.Options{MaxStates: int64(sp.States) - 1}); ok {
 		t.Fatal("cached space beyond the caller's cap must not load")
 	}
-	if _, _, err := c.BuildSpace(a, pol, statespace.Options{MaxStates: int64(sp.States) - 1}); err == nil {
+	if _, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{MaxStates: int64(sp.States) - 1}); err == nil {
 		t.Fatal("rebuild under the tighter cap must fail like an uncached build")
 	}
 	if _, ok := c.LoadSpace(a, pol, statespace.Options{MaxStates: int64(sp.States)}); !ok {
@@ -324,14 +324,14 @@ func TestLoadRespectsStateCap(t *testing.T) {
 // cache can never turn a successful analysis into a failure.
 func TestStoreFailureDoesNotFailBuild(t *testing.T) {
 	c := &Cache{dir: "/dev/null/not-a-directory"} // every CreateTemp fails
-	sp, hit, err := c.BuildSpace(ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
+	sp, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
 	if err != nil {
 		t.Fatalf("store failure surfaced as a build error: %v", err)
 	}
 	if hit || sp == nil {
 		t.Fatalf("expected a fresh build, got hit=%v sp=%v", hit, sp != nil)
 	}
-	ss, hit, err := c.BuildSubSpace(ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{})
+	ss, hit, err := c.BuildSubSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{})
 	if err != nil || hit || ss == nil {
 		t.Fatalf("subspace path: hit=%v err=%v", hit, err)
 	}
@@ -343,14 +343,14 @@ func TestStoreFailureDoesNotFailBuild(t *testing.T) {
 
 func TestNilCacheBuilds(t *testing.T) {
 	var c *Cache // also what Open("") returns
-	sp, hit, err := c.BuildSpace(ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
+	sp, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
 	if err != nil || hit || sp == nil {
 		t.Fatalf("nil cache must plain-build: sp=%v hit=%v err=%v", sp != nil, hit, err)
 	}
 	if c2, err := Open(""); c2 != nil || err != nil {
 		t.Fatalf(`Open("") = %v, %v; want nil no-op cache`, c2, err)
 	}
-	if _, hit, err := c.BuildSubSpace(ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSubSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{}); err != nil || hit {
 		t.Fatalf("nil cache subspace: hit=%v err=%v", hit, err)
 	}
 }
@@ -364,7 +364,7 @@ func TestTrustedWarmLoadsStayCorrect(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
 	pol := scheduler.CentralPolicy{}
-	ref, _, err := c.BuildSpace(a, pol, statespace.Options{})
+	ref, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

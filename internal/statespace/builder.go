@@ -1,20 +1,20 @@
-// The resumable face of the frontier engine. BuildFrom answers one-shot
+// The resumable face of the frontier engine. BuildFromContext answers one-shot
 // questions — "explore the closure of this seed set" — but the k-fault
 // sweeps of the checker grow their seed set incrementally: the distance-
-// (k+1) ball is the distance-k ball plus one shell. Re-running BuildFrom
+// (k+1) ball is the distance-k ball plus one shell. Re-running BuildFromContext
 // per k re-explores the shared interior every time. Builder keeps the
-// exploration state alive between seed waves instead: Extend adds seeds
+// exploration state alive between seed waves instead: ExtendContext adds
 // and explores exactly the states not yet discovered, and Seal snapshots
 // the current closure as a canonical Space without disturbing the
 // builder — so a k=0..kmax sweep pays for one exploration of the final
 // closure, total, while still observing a sealed subspace at every k.
 //
 // Sealing canonicalizes a *copy*: the builder's own table and CSR stay in
-// discovery order, which is what makes further Extend calls valid. Because
-// an explored closure is a pure function of (algorithm, policy, seed set) —
-// canonicalization erases discovery order — a sealed snapshot is
-// bit-identical to BuildFrom over the union of all seed waves, which the
-// parity tests pin.
+// discovery order, which is what makes further ExtendContext calls valid.
+// Because an explored closure is a pure function of (algorithm, policy, seed
+// set) — canonicalization erases discovery order — a sealed snapshot is
+// bit-identical to BuildFromContext over the union of all seed waves, which
+// the parity tests pin.
 package statespace
 
 import (
@@ -29,8 +29,8 @@ import (
 	"weakstab/internal/scheduler"
 )
 
-// Builder is a resumable frontier exploration: a BuildFrom whose seed set
-// can grow between explorations. The zero value is not usable; call
+// Builder is a resumable frontier exploration: a BuildFromContext whose seed
+// set can grow between explorations. The zero value is not usable; call
 // NewBuilder or ResumeFrom.
 type Builder struct {
 	alg       protocol.Algorithm
@@ -46,7 +46,7 @@ type Builder struct {
 	legit []bool
 	// explored counts the states whose successor rows are already in the
 	// CSR; states [explored, table.Len()) are the pending BFS frontier.
-	// Extend restores the invariant explored == table.Len() (closure).
+	// ExtendContext restores the invariant explored == table.Len() (closure).
 	explored int
 
 	// o and shell instrument the exploration: one frontier.shell event
@@ -60,8 +60,8 @@ type Builder struct {
 }
 
 // NewBuilder returns an empty resumable exploration of a's configuration
-// space under pol. opt has BuildFrom's semantics: MaxStates caps the total
-// number of discovered states across all Extend calls (0 means
+// space under pol. opt has BuildFromContext's semantics: MaxStates caps the
+// total number of discovered states across all ExtendContext calls (0 means
 // DefaultMaxStates), and the explored closure is deterministic and
 // independent of opt.Workers.
 func NewBuilder(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Builder, error) {
@@ -83,13 +83,13 @@ func NewBuilder(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Build
 	return b, nil
 }
 
-// ResumeFrom returns a builder whose already-explored closure is a deep
-// copy of the sealed closure ss — the resume path of incremental sweeps
-// whose earlier radii were loaded from an on-disk cache rather than
-// explored in this process. ss is not touched or aliased: the builder can
-// grow while ss keeps serving analyses. ss must be a seed-set closure
-// (non-nil Globals), which every Space produced by BuildFrom or Seal, and
-// every loaded one of them, is.
+// ResumeFrom returns a builder whose already-explored closure is a deep copy
+// of the sealed closure ss — the resume path of incremental sweeps whose
+// earlier radii were loaded from an on-disk cache rather than explored in
+// this process. ss is not touched or aliased: the builder can grow while ss
+// keeps serving analyses. ss must be a seed-set closure (non-nil Globals),
+// which every Space produced by BuildFromContext or Seal, and every loaded
+// one of them, is.
 func ResumeFrom(ss *Space, opt Options) (*Builder, error) {
 	b, err := NewBuilder(ss.Alg, ss.Pol, opt)
 	if err != nil {
@@ -136,7 +136,7 @@ func (b *Builder) addSeeds(seeds []int64) error {
 }
 
 // explore runs the level-synchronous parallel BFS until the discovered set
-// is closed under successors — the loop of BuildFrom, resuming from
+// is closed under successors — the loop of BuildFromContext, resuming from
 // whatever was explored before. ctx is checked once per BFS shell (between
 // the serial stitch of one level and the parallel expansion of the next),
 // so a cancelled exploration stops at the next shell boundary. On error
@@ -251,17 +251,12 @@ func (b *Builder) explore(ctx context.Context) error {
 	return nil
 }
 
-// Extend admits the seed globals and explores their forward closure,
-// growing the discovered set by exactly the states not already known. A
-// seed that was already discovered costs nothing. On error the builder is
-// no longer usable.
-func (b *Builder) Extend(seeds []int64) error {
-	return b.ExtendContext(context.Background(), seeds)
-}
-
-// ExtendContext is Extend with cooperative cancellation: ctx is checked at
-// every BFS shell boundary, so a cancelled extension returns an error
-// wrapping ctx.Err() without finishing the closure.
+// ExtendContext admits the seed globals and explores their forward
+// closure, growing the discovered set by exactly the states not already
+// known. A seed that was already discovered costs nothing. ctx is checked
+// at every BFS shell boundary, so a cancelled extension returns an error
+// wrapping ctx.Err() without finishing the closure. On error the builder
+// is no longer usable.
 func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
 	before := b.table.Len()
 	if err := b.addSeeds(seeds); err != nil {
@@ -273,15 +268,15 @@ func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
 	return b.explore(ctx)
 }
 
-// Seal snapshots the current closure as a canonical Space — local ids
-// in ascending-global order, bit-identical to BuildFrom over the union of
-// every seed set extended so far. The snapshot is independent of the
-// builder: later Extend calls grow the builder without disturbing it.
-// Sealing an empty builder (no seeds ever admitted) returns nil.
+// Seal snapshots the current closure as a canonical Space — local ids in
+// ascending-global order, bit-identical to BuildFromContext over the union of
+// every seed set extended so far. The snapshot is independent of the builder:
+// later ExtendContext calls grow the builder without disturbing it. Sealing
+// an empty builder (no seeds ever admitted) returns nil.
 func (b *Builder) Seal() *Space { return b.seal(false) }
 
 // seal builds the canonical Space; with move=true it takes ownership of
-// the builder's arrays instead of copying (the one-shot BuildFrom path —
+// the builder's arrays instead of copying (the one-shot BuildFromContext path —
 // the builder must not be used afterwards).
 func (b *Builder) seal(move bool) *Space {
 	if b.table.Len() == 0 {

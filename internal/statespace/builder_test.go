@@ -10,8 +10,8 @@ import (
 
 // TestBuilderWavesMatchBuildFrom pins the resumable engine's core
 // property: extending a Builder with seed waves yields, at every seal,
-// exactly the subspace BuildFrom produces from the union of the waves so
-// far — arrays bit-equal, across worker counts and policies.
+// exactly the subspace BuildFromContext produces from the union of the
+// waves so far — arrays bit-equal, across worker counts and policies.
 func TestBuilderWavesMatchBuildFrom(t *testing.T) {
 	a, err := tokenring.New(5)
 	if err != nil {
@@ -31,12 +31,12 @@ func TestBuilderWavesMatchBuildFrom(t *testing.T) {
 			}
 			var union []int64
 			for w, wave := range waves {
-				if err := b.Extend(wave); err != nil {
+				if err := b.ExtendContext(t.Context(), wave); err != nil {
 					t.Fatal(err)
 				}
 				union = append(union, wave...)
 				got := b.Seal()
-				want, err := BuildFrom(a, pol, union, opt)
+				want, err := BuildFromContext(t.Context(), a, pol, union, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,15 +61,15 @@ func TestBuilderSealIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Extend([]int64{0}); err != nil {
+	if err := b.ExtendContext(t.Context(), []int64{0}); err != nil {
 		t.Fatal(err)
 	}
 	first := b.Seal()
-	want, err := BuildFrom(a, pol, []int64{0}, Options{})
+	want, err := BuildFromContext(t.Context(), a, pol, []int64{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Extend([]int64{7, 21, 30}); err != nil {
+	if err := b.ExtendContext(t.Context(), []int64{7, 21, 30}); err != nil {
 		t.Fatal(err)
 	}
 	_ = b.Seal()
@@ -90,11 +90,11 @@ func TestBuilderResumeFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := scheduler.DistributedPolicy{}
-	base, err := BuildFrom(a, pol, []int64{0, 3}, Options{})
+	base, err := BuildFromContext(t.Context(), a, pol, []int64{0, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := BuildFrom(a, pol, []int64{0, 3}, Options{})
+	ref, err := BuildFromContext(t.Context(), a, pol, []int64{0, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestBuilderResumeFrom(t *testing.T) {
 	if rb.Len() != base.NumStates() {
 		t.Fatalf("resumed builder holds %d states, want %d", rb.Len(), base.NumStates())
 	}
-	if err := rb.Extend([]int64{11, 29}); err != nil {
+	if err := rb.ExtendContext(t.Context(), []int64{11, 29}); err != nil {
 		t.Fatal(err)
 	}
 	got := rb.Seal()
-	want, err := BuildFrom(a, pol, []int64{0, 3, 11, 29}, Options{})
+	want, err := BuildFromContext(t.Context(), a, pol, []int64{0, 3, 11, 29}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestBuilderCapSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := scheduler.CentralPolicy{}
-	full, err := BuildFrom(a, pol, []int64{0}, Options{})
+	full, err := BuildFromContext(t.Context(), a, pol, []int64{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestBuilderCapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Extend([]int64{0}); err != nil {
+	if err := b.ExtendContext(t.Context(), []int64{0}); err != nil {
 		t.Fatalf("cap of exactly %d states must admit the closure: %v", n, err)
 	}
 	// One fewer: the exploration fails with the cap error.
@@ -144,7 +144,7 @@ func TestBuilderCapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Extend([]int64{0}); err == nil || !strings.Contains(err.Error(), "cap") {
+	if err := b.ExtendContext(t.Context(), []int64{0}); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("cap of %d states on a %d-state closure: err=%v", n-1, n, err)
 	}
 	// ResumeFrom under a too-small cap is rejected up front.

@@ -49,7 +49,7 @@ func TestBuildFromCapBoundary(t *testing.T) {
 			break
 		}
 	}
-	ref, err := BuildFrom(ring, pol, seeds, Options{})
+	ref, err := BuildFromContext(t.Context(), ring, pol, seeds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBuildFromCapBoundary(t *testing.T) {
 	}
 
 	for _, cap := range []int64{S, S + 1} {
-		ss, err := BuildFrom(ring, pol, seeds, Options{MaxStates: cap})
+		ss, err := BuildFromContext(t.Context(), ring, pol, seeds, Options{MaxStates: cap})
 		if err != nil {
 			t.Fatalf("MaxStates=%d (closure is exactly %d states): %v", cap, S, err)
 		}
@@ -67,17 +67,17 @@ func TestBuildFromCapBoundary(t *testing.T) {
 			t.Fatalf("MaxStates=%d: explored %d states, want %d", cap, ss.NumStates(), S)
 		}
 	}
-	if _, err := BuildFrom(ring, pol, seeds, Options{MaxStates: S - 1}); err == nil ||
+	if _, err := BuildFromContext(t.Context(), ring, pol, seeds, Options{MaxStates: S - 1}); err == nil ||
 		!strings.Contains(err.Error(), "cap") {
 		t.Fatalf("MaxStates=%d must fail on a %d-state closure, got err=%v", S-1, S, err)
 	}
 
 	// Seed admission boundary: exactly MaxStates distinct seeds pass the
 	// admission check (the closure then fails only if it must grow).
-	if _, err := BuildFrom(ring, pol, ref.Globals(), Options{MaxStates: S}); err != nil {
+	if _, err := BuildFromContext(t.Context(), ring, pol, ref.Globals(), Options{MaxStates: S}); err != nil {
 		t.Fatalf("seed set of exactly MaxStates=%d rejected: %v", S, err)
 	}
-	if _, err := BuildFrom(ring, pol, ref.Globals(), Options{MaxStates: S - 1}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, pol, ref.Globals(), Options{MaxStates: S - 1}); err == nil {
 		t.Fatalf("%d seeds must exceed the %d-state cap", S, S-1)
 	}
 }

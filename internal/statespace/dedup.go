@@ -3,7 +3,7 @@ package statespace
 import "math/bits"
 
 // Dedup assigns dense local ids to sparse global configuration indexes —
-// the visited set of every frontier exploration (BuildFrom's reachable
+// the visited set of every frontier exploration (BuildFromContext's reachable
 // subspaces, the checker's fault-ball enumeration). Small index ranges get
 // a dense int32 array (one probe, no hashing); large ranges get a flat
 // open-addressing hash table whose memory is proportional to the number of

@@ -28,7 +28,7 @@ func TestSerialFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ball, _, _, err := checker.BallClosure(ring, pol, 1, statespace.Options{})
+	ball, _, _, err := checker.BallClosureContext(t.Context(), nil, ring, pol, 1, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // The frontier engine: the package's second exploration mode. Where Build
-// sweeps the full mixed-radix index range, BuildFrom runs a parallel
+// sweeps the full mixed-radix index range, BuildFromContext runs a parallel
 // multi-source BFS from a seed set and discovers only the states reachable
 // from it — so analyses over a bounded region (the k-fault ball of the
 // k-stabilization literature, the forward closure of L, a single suspect
@@ -51,29 +51,23 @@ type frontierChunk struct {
 	prob  []float64
 }
 
-// BuildFrom explores the forward closure of the seed set (global
+// BuildFromContext explores the forward closure of the seed set (global
 // configuration indexes under the canonical encoder of a, i.e.
 // protocol.NewEncoder(a, 0)) under pol with a parallel frontier BFS and
 // returns the discovered closure. Duplicate seeds are deduplicated.
 // opt.MaxStates caps the number of *discovered* states (0 means
-// DefaultMaxStates) — unlike Build, the full index range may exceed the
-// int32 state-index limit, since only discovered states need local ids.
-// The result is deterministic and independent of opt.Workers.
-//
-// BuildFrom is the one-shot face of the resumable Builder: callers that
-// grow their seed set incrementally (the checker's k-fault sweeps) keep a
-// Builder alive and Extend it instead of rebuilding per wave.
-func BuildFrom(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt Options) (*Space, error) {
-	return BuildFromContext(context.Background(), a, pol, seeds, opt)
-}
-
-// BuildFromContext is BuildFrom with cooperative cancellation: ctx is
+// DefaultMaxStates) — unlike BuildContext, the full index range may exceed
+// the int32 state-index limit, since only discovered states need local
+// ids. The result is deterministic and independent of opt.Workers. ctx is
 // checked at every BFS shell boundary, so a cancelled exploration returns
-// an error wrapping ctx.Err() at the next shell without producing a
-// space.
+// an error wrapping ctx.Err() at the next shell without producing a space.
+//
+// BuildFromContext is the one-shot face of the resumable Builder: callers
+// that grow their seed set incrementally (the checker's k-fault sweeps)
+// keep a Builder alive and extend it instead of rebuilding per wave.
 func BuildFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt Options) (*Space, error) {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("statespace: BuildFrom needs at least one seed")
+		return nil, fmt.Errorf("statespace: BuildFromContext needs at least one seed")
 	}
 	b, err := NewBuilder(a, pol, opt)
 	if err != nil {
@@ -87,7 +81,7 @@ func BuildFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.P
 
 // EncodeConfigs validates each configuration against a's process domains
 // and encodes it to its global mixed-radix index under a's canonical
-// encoder — the seed-set preparation shared by BuildFromConfigs and the
+// encoder — the seed-set preparation shared by BuildFromConfigsContext and the
 // cached build paths of internal/spacecache.
 func EncodeConfigs(a protocol.Algorithm, cfgs []protocol.Configuration) ([]int64, error) {
 	enc, err := protocol.NewEncoder(a, 0)
@@ -110,14 +104,9 @@ func EncodeConfigs(a protocol.Algorithm, cfgs []protocol.Configuration) ([]int64
 	return seeds, nil
 }
 
-// BuildFromConfigs is BuildFrom with the seed set given as configurations;
-// each is validated against the process state domains before encoding.
-func BuildFromConfigs(a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt Options) (*Space, error) {
-	return BuildFromConfigsContext(context.Background(), a, pol, cfgs, opt)
-}
-
-// BuildFromConfigsContext is BuildFromConfigs with cooperative
-// cancellation, with BuildFromContext's semantics.
+// BuildFromConfigsContext is BuildFromContext with the seed set given as
+// configurations; each is validated against the process state domains
+// before encoding.
 func BuildFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt Options) (*Space, error) {
 	seeds, err := EncodeConfigs(a, cfgs)
 	if err != nil {
@@ -127,10 +116,10 @@ func BuildFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol sche
 }
 
 // CanonicalOrder sorts a duplicate-free global list indexed by id into
-// ascending-global order: it returns the sorted globals and the
-// permutation order (new id -> old id), so sorted[i] == globals[order[i]].
-// The input is not modified. Every canonical form in the pipeline — sealed
-// subspaces, canonicalized BuildFrom results, the sorted fault ball — goes
+// ascending-global order: it returns the sorted globals and the permutation
+// order (new id -> old id), so sorted[i] == globals[order[i]]. The input is
+// not modified. Every canonical form in the pipeline — sealed subspaces,
+// canonicalized BuildFromContext results, the sorted fault ball — goes
 // through this one sort.
 func CanonicalOrder(globals []int64) (sorted []int64, order []int32) {
 	type pair struct {

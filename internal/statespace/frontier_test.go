@@ -70,7 +70,7 @@ func TestBuildFromAllSeedsMatchesBuild(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, workers := range []int{1, 3, 8} {
-			ss, err := BuildFrom(tc.alg, tc.pol, allSeeds(full.Enc.Total()), Options{Workers: workers})
+			ss, err := BuildFromContext(t.Context(), tc.alg, tc.pol, allSeeds(full.Enc.Total()), Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
@@ -153,7 +153,7 @@ func TestBuildFromSubsetParity(t *testing.T) {
 		for si, seeds := range seedSets {
 			want := reachableFrom(full, seeds)
 			for _, workers := range []int{1, 4} {
-				ss, err := BuildFrom(tc.alg, tc.pol, seeds, Options{Workers: workers})
+				ss, err := BuildFromContext(t.Context(), tc.alg, tc.pol, seeds, Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s seeds#%d w=%d: %v", tc.name, si, workers, err)
 				}
@@ -204,12 +204,12 @@ func TestBuildFromDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []int64{7, 123, 4000}
-	base, err := BuildFrom(ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: 1})
+	base, err := BuildFromContext(t.Context(), ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 16} {
-		got, err := BuildFrom(ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: workers})
+		got, err := BuildFromContext(t.Context(), ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,22 +243,22 @@ func TestBuildFromValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildFrom(ring, scheduler.CentralPolicy{}, nil, Options{}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, nil, Options{}); err == nil {
 		t.Fatal("empty seed set accepted")
 	}
-	if _, err := BuildFrom(ring, scheduler.CentralPolicy{}, []int64{-1}, Options{}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{-1}, Options{}); err == nil {
 		t.Fatal("negative seed accepted")
 	}
-	if _, err := BuildFrom(ring, scheduler.CentralPolicy{}, []int64{1 << 40}, Options{}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{1 << 40}, Options{}); err == nil {
 		t.Fatal("out-of-range seed accepted")
 	}
-	if _, err := BuildFrom(ring, scheduler.CentralPolicy{}, []int64{0}, Options{MaxStates: 4}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{0}, Options{MaxStates: 4}); err == nil {
 		t.Fatal("cap-exceeding exploration accepted")
 	}
-	if _, err := BuildFromConfigs(ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0}}, Options{}); err == nil {
+	if _, err := BuildFromConfigsContext(t.Context(), ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0}}, Options{}); err == nil {
 		t.Fatal("short seed configuration accepted")
 	}
-	if _, err := BuildFromConfigs(ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0, 0, 0, 9}}, Options{}); err == nil {
+	if _, err := BuildFromConfigsContext(t.Context(), ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0, 0, 0, 9}}, Options{}); err == nil {
 		t.Fatal("out-of-domain seed configuration accepted")
 	}
 }
@@ -276,11 +276,11 @@ func TestBuildFromConfigsMatchesBuildFrom(t *testing.T) {
 	}
 	cfgs := []protocol.Configuration{{1, 0, 1, 1, 0}, {0, 0, 0, 0, 0}}
 	seeds := []int64{enc.Encode(cfgs[0]), enc.Encode(cfgs[1])}
-	a, err := BuildFromConfigs(ring, scheduler.CentralPolicy{}, cfgs, Options{})
+	a, err := BuildFromConfigsContext(t.Context(), ring, scheduler.CentralPolicy{}, cfgs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildFrom(ring, scheduler.CentralPolicy{}, seeds, Options{})
+	b, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestSubSpaceStateOf(t *testing.T) {
 			break
 		}
 	}
-	ss, err := BuildFrom(ring, scheduler.CentralPolicy{}, []int64{legitSeed}, Options{})
+	ss, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{legitSeed}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func testSubSpaceBytes(t *testing.T) (*Space, *tokenring.Algorithm, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := BuildFrom(a, scheduler.CentralPolicy{}, []int64{0, 1, 7, 13}, Options{})
+	ss, err := BuildFromContext(t.Context(), a, scheduler.CentralPolicy{}, []int64{0, 1, 7, 13}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func serialized(f *testing.F, a protocol.Algorithm, seeds []int64) []byte {
 	if seeds == nil {
 		sp, err = Build(a, pol, Options{})
 	} else {
-		sp, err = BuildFrom(a, pol, seeds, Options{})
+		sp, err = BuildFromContext(f.Context(), a, pol, seeds, Options{})
 	}
 	if err != nil {
 		f.Fatal(err)

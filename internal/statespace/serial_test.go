@@ -91,7 +91,7 @@ func TestSubSpaceRoundTrip(t *testing.T) {
 					seeds = append(seeds, int64(s))
 				}
 			}
-			ss, err := BuildFrom(tc.alg, tc.pol, seeds, Options{})
+			ss, err := BuildFromContext(t.Context(), tc.alg, tc.pol, seeds, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +262,7 @@ func TestSubSpaceReadAnalysesMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := scheduler.DistributedPolicy{}
-	ss, err := BuildFrom(ring, pol, []int64{0, 1, 5}, Options{})
+	ss, err := BuildFromContext(t.Context(), ring, pol, []int64{0, 1, 5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ type Options struct {
 }
 
 // StateCap resolves the MaxStates option to its effective value, shared by
-// every exploration path (Build, BuildFrom, the checker's fault-ball
+// every exploration path (Build, BuildFromContext, the checker's fault-ball
 // enumeration): 0 means DefaultMaxStates, and values beyond the int32
 // state-id range clamp to IndexLimit. The cap is inclusive on discovered
 // states: a region of exactly StateCap(m) states builds, and discovering
@@ -95,7 +95,7 @@ func resolveWorkers(workers, limit int) int {
 // treats them as absorbing).
 //
 // Build explores the full index range, where the local id of a
-// configuration is its mixed-radix index under Enc. BuildFrom and the
+// configuration is its mixed-radix index under Enc. BuildFromContext and the
 // frontier Builder explore the forward closure of a seed set — a fault
 // ball, the closure of L — whose local ids are the discovered states in
 // ascending-global order, tied back to the index range by a Dedup table.
@@ -342,9 +342,9 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 }
 
 // explorer holds one worker's reusable scratch state. It is shared by the
-// full-range engine (Build) and the frontier engine (BuildFrom): both feed
-// it one decoded configuration at a time and read the merged successor row
-// (global targets, global probabilities) from outTo/outProb after each
+// full-range engine (Build) and the frontier engine (BuildFromContext): both
+// feed it one decoded configuration at a time and read the merged successor
+// row (global targets, global probabilities) from outTo/outProb after each
 // exploreState call.
 type explorer struct {
 	alg      protocol.Algorithm

@@ -341,7 +341,7 @@ func TestTransformedFrontierSubspaceParity(t *testing.T) {
 			cfg[p] = orig
 		}
 	}
-	ss, err := statespace.BuildFrom(trans, pol, seeds, statespace.Options{})
+	ss, err := statespace.BuildFromContext(t.Context(), trans, pol, seeds, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

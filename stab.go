@@ -29,6 +29,7 @@
 package weakstab
 
 import (
+	"context"
 	"math/rand"
 
 	"weakstab/internal/algorithms/centers"
@@ -43,6 +44,7 @@ import (
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/sim"
+	"weakstab/internal/statespace"
 	"weakstab/internal/stats"
 	"weakstab/internal/transformer"
 )
@@ -174,7 +176,15 @@ func SynchronousPolicy() Policy { return scheduler.SynchronousPolicy{} }
 // and exact expected stabilization times. It enumerates the full
 // configuration space, so it is meant for bounded instances (thousands to
 // millions of configurations).
-func Classify(a Algorithm, pol Policy) (*Report, error) { return core.Analyze(a, pol, 0) }
+func Classify(a Algorithm, pol Policy) (*Report, error) {
+	ctx := context.Background()
+	sp, err := statespace.BuildContext(ctx, a, pol, statespace.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer sp.Close()
+	return core.AnalyzeSpaceContext(ctx, sp)
+}
 
 // RandomConfiguration samples a configuration uniformly from a's space.
 func RandomConfiguration(a Algorithm, rng *rand.Rand) Configuration {
