@@ -460,3 +460,43 @@ func BenchmarkAnalyzeSharedSpace(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnalyzeSpace measures core.AnalyzeSpaceContext alone — every
+// checker pass, the probability-1 test and the condensed hitting-time
+// solve — on two of the report-full benchmark's instances. Each iteration
+// analyzes a space built outside the timer, so the passes memoized on a
+// space are paid in every iteration, never served from an earlier one.
+func BenchmarkAnalyzeSpace(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+		pol  scheduler.Policy
+	}{
+		{"tokenring11/central", 11, scheduler.CentralPolicy{}},
+		{"tokenring9/distributed", 9, scheduler.DistributedPolicy{}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			alg, err := tokenring.NewWithModulus(c.n, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sp, err := statespace.BuildContext(b.Context(), alg, c.pol, statespace.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				rep, err := core.AnalyzeSpaceContext(b.Context(), sp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := rep.CheckHierarchy(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

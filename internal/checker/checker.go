@@ -113,11 +113,11 @@ func (sp *Space) CheckPossibleConvergence() ConvergenceResult {
 	return ConvergenceResult{Holds: true}
 }
 
-// reverseReach returns, per state, whether L is reachable: a parallel
-// backward BFS from L over the system's cached reverse CSR (shared with
-// the Markov analyses of the same system).
+// reverseReach returns, per state, whether L is reachable, read off the
+// system's memoized backward distances to L (shared with the radius, the
+// worst-case witness and the Markov analyses of the same system).
 func (sp *Space) reverseReach() []bool {
-	dist := sp.Reverse().BackwardBFS(sp.LegitSet(), nil, sp.PoolWorkers())
+	dist := sp.LegitDistances()
 	out := make([]bool, sp.NumStates())
 	for s := range out {
 		out[s] = dist[s] >= 0
@@ -301,14 +301,14 @@ func (sp *Space) WitnessPath(from protocol.Configuration) []protocol.Configurati
 // configuration farthest from L — the worst case of the instance's
 // "optimistic" stabilization radius — or, when some configuration cannot
 // reach L at all, (nil, that configuration). Unlike running WitnessPath
-// per state (a forward BFS each, quadratic over the space), it pays one
-// parallel backward BFS from L over the cached reverse CSR and then
-// reconstructs the path by greedy descent: from the worst state, any
-// successor one step closer to L extends a shortest path. Deterministic:
-// the worst state is the lowest-index state at maximal distance, and the
-// descent takes the lowest-index qualifying successor (rows are sorted).
+// per state (a forward BFS each, quadratic over the space), it reads the
+// system's memoized backward distances to L and then reconstructs the
+// path by greedy descent: from the worst state, any successor one step
+// closer to L extends a shortest path. Deterministic: the worst state is
+// the lowest-index state at maximal distance, and the descent takes the
+// lowest-index qualifying successor (rows are sorted).
 func (sp *Space) WorstCaseWitness() ([]protocol.Configuration, protocol.Configuration) {
-	dist := sp.Reverse().BackwardBFS(sp.LegitSet(), nil, sp.PoolWorkers())
+	dist := sp.LegitDistances()
 	worst := -1
 	for s, d := range dist {
 		if d < 0 {
@@ -346,10 +346,10 @@ func (sp *Space) WorstCaseWitness() ([]protocol.Configuration, protocol.Configur
 // MaxShortestConvergencePath returns the maximum over all configurations
 // of the shortest path length to L (the "optimistic" stabilization radius
 // of the instance), or math.Inf(1) if some configuration cannot reach L.
-// The distances come from the same parallel backward BFS over the cached
-// reverse CSR that decides possible convergence.
+// The distances are the system's memoized backward distances to L, the
+// same vector that decides possible convergence.
 func (sp *Space) MaxShortestConvergencePath() float64 {
-	dist := sp.Reverse().BackwardBFS(sp.LegitSet(), nil, sp.PoolWorkers())
+	dist := sp.LegitDistances()
 	maxD := int32(0)
 	for _, d := range dist {
 		if d < 0 {

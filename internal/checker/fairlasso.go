@@ -3,8 +3,6 @@ package checker
 import (
 	"slices"
 
-	"weakstab/internal/statespace"
-
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 )
@@ -38,7 +36,11 @@ func (sp *Space) FindStronglyFairLasso() FairLasso {
 	if !ok {
 		return FairLasso{}
 	}
-	comp, count := sp.sccs()
+	// The condensation of the illegitimate subgraph is the system's memo,
+	// shared with the Markov solve; on a frontier-explored closure it
+	// covers the reachable subgraph only, which BuildFromContext closes
+	// under successors before sealing.
+	comp, count := sp.IllegitSCC()
 	// Iterate components in ascending id order, members in ascending
 	// state order, so witnesses are deterministic across runs.
 	start, members := bucketComponents(comp, count)
@@ -56,22 +58,6 @@ func (sp *Space) FindStronglyFairLasso() FairLasso {
 		}
 	}
 	return FairLasso{}
-}
-
-// sccs returns the component id of every state in the illegitimate
-// subgraph (legitimate states get -1) and the component count, through
-// the shared statespace Tarjan. On a frontier-explored closure the
-// condensation runs over the reachable subgraph only — BuildFromContext
-// closes the successor relation before sealing, so Tarjan sees every edge
-// of the region it condenses.
-func (sp *Space) sccs() ([]int32, int) {
-	legit := sp.LegitSet()
-	include := make([]bool, sp.NumStates())
-	for s := range include {
-		include[s] = !legit[s]
-	}
-	off, succ, _ := sp.CSR()
-	return statespace.SCC(sp.NumStates(), off, succ, include)
 }
 
 // componentSizes counts the states of each of the count components in

@@ -63,7 +63,7 @@ func (sp *Space) GoudaFairLasso(cycle []protocol.Configuration) bool {
 // fails (which would refute Theorem 5 on this instance).
 func (sp *Space) NoGoudaFairDivergence() (protocol.Configuration, bool) {
 	canReach := sp.reverseReach()
-	comp, count := sp.sccs()
+	comp, count := sp.IllegitSCC()
 	legit := sp.LegitSet()
 	start, members := bucketComponents(comp, count)
 	for c := 0; c < count; c++ {

@@ -135,7 +135,7 @@ func (sp *Space) divergingStates() []bool {
 	// cycles. A state s lies on an illegitimate cycle iff its SCC (within
 	// the illegitimate subgraph) has a cycle: more than one state, or a
 	// singleton with a self-loop.
-	comp, count := sp.sccs()
+	comp, count := sp.IllegitSCC()
 	size := componentSizes(comp, count)
 	legit := sp.LegitSet()
 	bad := make([]bool, sp.NumStates())

@@ -229,10 +229,33 @@ func (c *Chain) reverse() statespace.Reverse {
 	return c.rev
 }
 
+// legitTarget reports whether target is the backing system's legitimacy
+// vector itself — the same backing array, as TargetFromSpace returns —
+// so the system's memoized passes over L answer for it. A copy of the
+// vector, however equal, takes the unshared path.
+func (c *Chain) legitTarget(target []bool) bool {
+	if c.sp == nil || len(target) == 0 {
+		return false
+	}
+	legit := c.sp.LegitSet()
+	return len(legit) == len(target) && &legit[0] == &target[0]
+}
+
+// distances returns the backward BFS distances to target: the backing
+// system's memoized LegitDistances when target is its L, a fresh BFS over
+// the shared reverse CSR otherwise. The result must not be modified.
+func (c *Chain) distances(target []bool) []int32 {
+	if c.legitTarget(target) {
+		return c.sp.LegitDistances()
+	}
+	return c.reverse().BackwardBFS(target, nil, c.analysisWorkers())
+}
+
 // CanReach returns, for every state, whether the target set is reachable
-// with positive probability (a backward BFS over the shared reverse CSR).
+// with positive probability (a backward BFS over the shared reverse CSR,
+// memoized on the backing system when target is its L).
 func (c *Chain) CanReach(target []bool) []bool {
-	dist := c.reverse().BackwardBFS(target, nil, c.analysisWorkers())
+	dist := c.distances(target)
 	out := make([]bool, c.n)
 	for s := range out {
 		out[s] = dist[s] >= 0
@@ -245,18 +268,17 @@ func (c *Chain) CanReach(target []bool) []bool {
 // iff the target is reachable from every state reachable from s, which is
 // decided exactly without numerics: a state fails iff it can reach a "bad"
 // state (one that cannot reach the target at all) along a path that does
-// not pass through the target first.
+// not pass through the target first. When target is the backing system's
+// L, the first of the two backward passes is the system's memo.
 func (c *Chain) ReachesWithProbOne(target []bool) []bool {
-	rev := c.reverse()
-	workers := c.analysisWorkers()
-	canReach := rev.BackwardBFS(target, nil, workers)
+	canReach := c.distances(target)
 	bad := make([]bool, c.n)
 	for s := range bad {
 		bad[s] = canReach[s] < 0
 	}
 	// Backward closure of the bad states over edges whose source is not a
 	// target state (paths are cut at the target: hitting it is success).
-	canFail := rev.BackwardBFS(bad, target, workers)
+	canFail := c.reverse().BackwardBFS(bad, target, c.analysisWorkers())
 	out := make([]bool, c.n)
 	for s := range out {
 		out[s] = target[s] || canFail[s] < 0

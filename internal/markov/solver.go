@@ -132,7 +132,7 @@ func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float
 	if m == 0 {
 		return h, nil
 	}
-	if err := c.solveSCC(ctx, transient, h); err != nil {
+	if err := c.solveSCC(ctx, target, transient, h); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -142,8 +142,8 @@ func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float
 // successors are transient or target (probability-1 reachability is closed
 // under successors), so h of every cross-block edge target is final by the
 // time a block solves. ctx is checked before every block solve.
-func (c *Chain) solveSCC(ctx context.Context, transient []bool, h []float64) error {
-	comp, numComp := statespace.SCC(c.n, c.off, c.succ, transient)
+func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []float64) error {
+	comp, numComp := c.condense(target, transient)
 	if numComp == 0 {
 		return nil
 	}
@@ -278,6 +278,47 @@ func (c *Chain) solveSCC(ctx context.Context, transient []bool, h []float64) err
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// condense returns the SCC condensation of the transient subgraph:
+// per-state block ids (-1 outside transient) in reverse-topological order,
+// and the block count. When target is the backing system's L, it is read
+// off the system's memoized condensation of the illegitimate subgraph
+// instead of running Tarjan again. Each component of that subgraph lies
+// wholly inside or wholly outside transient, because the probability-1
+// set is closed under non-target successors; so the components inside
+// transient, renumbered densely in their memo order, are exactly the
+// transient blocks, still reverse-topological and with the same ascending
+// members — every block solve, and with it h, is unchanged.
+func (c *Chain) condense(target, transient []bool) ([]int32, int) {
+	if !c.legitTarget(target) {
+		return statespace.SCC(c.n, c.off, c.succ, transient)
+	}
+	all, count := c.sp.IllegitSCC()
+	renum := make([]int32, count) // memo id -> block id, -1 when skipped
+	for b := range renum {
+		renum[b] = -1
+	}
+	for s, b := range all {
+		if b >= 0 && transient[s] {
+			renum[b] = 0
+		}
+	}
+	numComp := int32(0)
+	for b, keep := range renum {
+		if keep == 0 {
+			renum[b] = numComp
+			numComp++
+		}
+	}
+	comp := make([]int32, c.n)
+	for s, b := range all {
+		comp[s] = -1
+		if b >= 0 && transient[s] {
+			comp[s] = renum[b]
+		}
+	}
+	return comp, int(numComp)
 }
 
 // solveBlock solves one strongly connected block, reading final h values

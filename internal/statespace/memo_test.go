@@ -1,0 +1,204 @@
+package statespace
+
+// Tests of the passes memoized on a Space (LegitDistances, IllegitSCC) and
+// of the explorer's row merge.
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"weakstab/internal/algorithms/dijkstra"
+	"weakstab/internal/algorithms/tokenring"
+	"weakstab/internal/scheduler"
+)
+
+// memoSpaces returns the three kinds of space the memos serve: full-range
+// builds (one where some states cannot reach L), a frontier-explored
+// closure, and Map-loaded full and closure spaces.
+func memoSpaces(t *testing.T) map[string]*Space {
+	t.Helper()
+	tr, err := tokenring.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dk, err := dijkstra.New(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces := map[string]*Space{}
+	for name, pol := range map[string]scheduler.Policy{
+		"central":     scheduler.CentralPolicy{},
+		"synchronous": scheduler.SynchronousPolicy{},
+	} {
+		sp, err := Build(tr, pol, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spaces["full/tokenring5/"+name] = sp
+	}
+	full, err := Build(dk, scheduler.DistributedPolicy{}, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces["full/dijkstra4/distributed"] = full
+	closure, err := BuildFromContext(t.Context(), tr, scheduler.CentralPolicy{}, []int64{0, 1, 7, 13, 20}, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces["closure/tokenring5/central"] = closure
+	for name, bytesOf := range map[string]func(*testing.T) (*Space, *tokenring.Algorithm, []byte){
+		"mapped/full":    testSpaceBytes,
+		"mapped/closure": testSubSpaceBytes,
+	} {
+		_, a, data := bytesOf(t)
+		sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 2, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: Map: %v", name, err)
+		}
+		if !sp.Mapped() {
+			t.Fatalf("%s: not mapped", name)
+		}
+		spaces[name] = sp
+	}
+	return spaces
+}
+
+func TestMemoParity(t *testing.T) {
+	for name, sp := range memoSpaces(t) {
+		dist := sp.LegitDistances()
+		unreachable := 0
+		for _, workers := range []int{1, 4} {
+			want := sp.Reverse().BackwardBFS(sp.Legit, nil, workers)
+			if !slices.Equal(dist, want) {
+				t.Fatalf("%s: LegitDistances differs from a fresh BackwardBFS at %d workers", name, workers)
+			}
+		}
+		for _, d := range dist {
+			if d < 0 {
+				unreachable++
+			}
+		}
+
+		include := make([]bool, sp.States)
+		for s, l := range sp.Legit {
+			include[s] = !l
+		}
+		off, succ, _ := sp.CSR()
+		wantComp, wantCount := SCC(sp.States, off, succ, include)
+		comp, count := sp.IllegitSCC()
+		if count != wantCount || !slices.Equal(comp, wantComp) {
+			t.Fatalf("%s: IllegitSCC (%d components) differs from a fresh SCC (%d)", name, count, wantCount)
+		}
+
+		// Repeat calls return the memo itself, not a recomputation.
+		if again := sp.LegitDistances(); &again[0] != &dist[0] {
+			t.Fatalf("%s: LegitDistances recomputed", name)
+		}
+		if again, _ := sp.IllegitSCC(); &again[0] != &comp[0] {
+			t.Fatalf("%s: IllegitSCC recomputed", name)
+		}
+		t.Logf("%s: %d states, %d cannot reach L, %d illegitimate components", name, sp.States, unreachable, count)
+	}
+}
+
+// TestMemoConcurrentFirstUse calls both memos from several goroutines on
+// a fresh space: every caller must get the one shared slice (and, under
+// -race, no data race).
+func TestMemoConcurrentFirstUse(t *testing.T) {
+	for name, sp := range memoSpaces(t) {
+		const callers = 4
+		dists := make([][]int32, callers)
+		comps := make([][]int32, callers)
+		var wg sync.WaitGroup
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dists[i] = sp.LegitDistances()
+				comps[i], _ = sp.IllegitSCC()
+			}()
+		}
+		wg.Wait()
+		for i := 1; i < callers; i++ {
+			if &dists[i][0] != &dists[0][0] || &comps[i][0] != &comps[0][0] {
+				t.Fatalf("%s: caller %d got a different slice", name, i)
+			}
+		}
+	}
+}
+
+// stableMerge is the reference merge: BuildReference's stable sort by
+// target, then per-target sums in enumeration order.
+func stableMerge(row []edge) ([]int64, []float64) {
+	row = slices.Clone(row)
+	sort.Stable(edgeSlice(row))
+	var to []int64
+	var p []float64
+	for i := 0; i < len(row); {
+		t, sum := row[i].to, row[i].p
+		for i++; i < len(row) && row[i].to == t; i++ {
+			sum += row[i].p
+		}
+		to = append(to, t)
+		p = append(p, sum)
+	}
+	return to, p
+}
+
+// TestMergeRowMatchesStableSort pins the explorer's merge to the stable
+// reference bit for bit on rows whose per-target sums depend on the
+// summation order (0.1+0.2+0.3 ≠ 0.3+0.2+0.1 in float64). The rows are
+// duplicate-heavy, short (insertion sort) and long (radix sort, with
+// target spans from one to five bytes), so any merge that reorders equal
+// targets — an unstable sort keyed on the target alone, say — changes a
+// sum.
+func TestMergeRowMatchesStableSort(t *testing.T) {
+	vals := []float64{0.1, 0.2, 0.3, 1e-17, 0.7, 1.0 / 3}
+	if (vals[0]+vals[1])+vals[2] == (vals[2]+vals[1])+vals[0] {
+		t.Fatal("fixture values no longer order-sensitive")
+	}
+	rng := rand.New(rand.NewSource(7))
+	ex := &explorer{}
+	var short, long, multiPass int
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(600)
+		base := rng.Int63n(1 << 40)
+		spanBits := rng.Intn(41)
+		targets := make([]int64, 1+rng.Intn(12))
+		for i := range targets {
+			targets[i] = base + rng.Int63n(1<<spanBits)
+		}
+		row := make([]edge, n)
+		for i := range row {
+			row[i] = edge{to: targets[rng.Intn(len(targets))], p: vals[rng.Intn(len(vals))]}
+		}
+		switch {
+		case n <= smallRow:
+			short++
+		case spanBits > 8:
+			multiPass++
+			fallthrough
+		default:
+			long++
+		}
+		wantTo, wantP := stableMerge(row)
+		ex.row = append(ex.row[:0], row...)
+		ex.outTo, ex.outP = ex.outTo[:0], ex.outP[:0]
+		ex.mergeRow()
+		if !slices.Equal(ex.outTo, wantTo) {
+			t.Fatalf("trial %d (n=%d): merged targets %v, want %v", trial, n, ex.outTo, wantTo)
+		}
+		for i := range wantP {
+			if math.Float64bits(ex.outP[i]) != math.Float64bits(wantP[i]) {
+				t.Fatalf("trial %d (n=%d): target %d sums to %v, want %v (stable order)", trial, n, wantTo[i], ex.outP[i], wantP[i])
+			}
+		}
+	}
+	if short == 0 || long == 0 || multiPass == 0 {
+		t.Fatalf("trials cover %d short, %d long and %d multi-pass rows; want each", short, long, multiPass)
+	}
+}

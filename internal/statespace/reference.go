@@ -70,3 +70,12 @@ func BuildReference(a protocol.Algorithm, pol scheduler.Policy, maxStates int64)
 	sp.off[total] = int64(len(sp.succ))
 	return sp, nil
 }
+
+// edgeSlice sorts edges by target, stably, so per-target probability sums
+// accumulate in enumeration order. The engine's merge (mergeRow)
+// reproduces this order without the interface sort.
+type edgeSlice []edge
+
+func (e edgeSlice) Len() int           { return len(e) }
+func (e edgeSlice) Less(i, j int) bool { return e[i].to < e[j].to }
+func (e edgeSlice) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }

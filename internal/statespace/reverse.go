@@ -192,8 +192,9 @@ func (r Reverse) BackwardBFS(seed []bool, skipPred []bool, workers int) []int32 
 		}
 		// Parallel expansion: workers claim frontier slices and mark
 		// predecessors by CAS, so every state joins the next frontier
-		// exactly once. The marked set is independent of the race winners,
-		// so distances stay deterministic.
+		// exactly once. A plain atomic load first skips already-marked
+		// predecessors without a locked instruction. The marked set is
+		// independent of the race winners, so distances stay deterministic.
 		parts := make([][]int32, workers)
 		per := (len(frontier) + workers - 1) / workers
 		var wg sync.WaitGroup
@@ -212,7 +213,7 @@ func (r Reverse) BackwardBFS(seed []bool, skipPred []bool, workers int) []int32 
 						if skipPred != nil && skipPred[pre] {
 							continue
 						}
-						if atomic.CompareAndSwapInt32(&dist[pre], -1, level) {
+						if atomic.LoadInt32(&dist[pre]) == -1 && atomic.CompareAndSwapInt32(&dist[pre], -1, level) {
 							local = append(local, pre)
 						}
 					}

@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -100,6 +99,15 @@ func resolveWorkers(workers, limit int) int {
 // ball, the closure of L — whose local ids are the discovered states in
 // ascending-global order, tied back to the index range by a Dedup table.
 // Every analysis runs over either unchanged, on local ids.
+//
+// A sealed space never changes: its CSR arrays and Legit are written once,
+// by the engine that built or loaded it, and read-only afterwards. The
+// passes every analysis shares are therefore computed on first use and
+// memoized on the space — the predecessor view (Reverse), the backward
+// distances to L (LegitDistances) and the condensation of the illegitimate
+// subgraph (IllegitSCC) — so the checker, the Markov analysis and the
+// k-fault verdicts of one space pay for each pass once. Callers must not
+// modify Legit or the CSR of a space after it is built.
 type Space struct {
 	Alg    protocol.Algorithm
 	Pol    scheduler.Policy
@@ -124,6 +132,13 @@ type Space struct {
 
 	revOnce sync.Once
 	rev     Reverse
+
+	distOnce sync.Once
+	dist     []int32 // LegitDistances
+
+	sccOnce sync.Once
+	comp    []int32 // IllegitSCC component ids
+	nComp   int
 }
 
 // SubSpace is the former name of a Space explored from a seed set. It
@@ -167,6 +182,37 @@ func (sp *Space) Reverse() Reverse {
 		sp.rev = ReverseCSR(sp.States, sp.off, sp.succ, sp.Workers)
 	})
 	return sp.rev
+}
+
+// LegitDistances returns, per state, the length of its shortest path into
+// the legitimate set (0 on L, -1 where L is unreachable): the backward BFS
+// from Legit over Reverse(), computed on first use and cached. Possible
+// convergence, the convergence radius, the worst-case witness and the
+// Markov analysis' probability-1 test all read this one vector. The slice
+// is shared; callers must not modify it.
+func (sp *Space) LegitDistances() []int32 {
+	sp.distOnce.Do(func() {
+		sp.dist = sp.Reverse().BackwardBFS(sp.Legit, nil, sp.Workers)
+	})
+	return sp.dist
+}
+
+// IllegitSCC returns the strongly connected components of the subgraph
+// induced by the illegitimate states — per-state component ids (-1 on
+// legitimate states) in SCC's reverse-topological numbering, and the
+// component count — computed on first use and cached. The fair-lasso
+// search, the Gouda and k-fault divergence scans and the hitting-time
+// solve for L all condense through it. The slice is shared; callers must
+// not modify it.
+func (sp *Space) IllegitSCC() ([]int32, int) {
+	sp.sccOnce.Do(func() {
+		include := make([]bool, sp.States)
+		for s, l := range sp.Legit {
+			include[s] = !l
+		}
+		sp.comp, sp.nComp = SCC(sp.States, sp.off, sp.succ, include)
+	})
+	return sp.comp, sp.nComp
 }
 
 // GlobalIndex returns the global (mixed-radix) index of local state s.
@@ -213,14 +259,6 @@ type edge struct {
 	to int64
 	p  float64
 }
-
-// edgeSlice sorts edges by target, stably, so per-target probability sums
-// accumulate in enumeration order (deterministic across worker counts).
-type edgeSlice []edge
-
-func (e edgeSlice) Len() int           { return len(e) }
-func (e edgeSlice) Less(i, j int) bool { return e[i].to < e[j].to }
-func (e edgeSlice) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
 
 // chunk is the CSR fragment of one contiguous state range.
 type chunk struct {
@@ -363,7 +401,11 @@ type explorer struct {
 	outProb  [][]float64
 	actPos   []int // activated positions of the current mask
 	odo      []int // odometer over the activated positions' outcomes
-	row      edgeSlice
+	row      []edge
+	tmp      []edge // radixSort's second buffer
+	// lastEdges/lastStates: the size of the last range this explorer
+	// explored, the presizing hint for its next one.
+	lastEdges, lastStates int
 
 	outTo []int64   // merged successor row: global target indexes, ascending
 	outP  []float64 // merged transition probabilities aligned with outTo
@@ -414,7 +456,19 @@ func (ex *explorer) subsetMasks() []uint64 {
 // once at lo and then advanced by odometer increments, so the mixed-radix
 // divisions of Decode are paid once per range instead of once per state.
 func (ex *explorer) exploreRange(lo, hi int, legit []bool) (chunk, error) {
-	ck := chunk{deg: make([]int32, hi-lo)}
+	// Presize the fragment from the mean degree this explorer saw on its
+	// last range, plus 1/4 slack (ranges differ in degree), so the appends
+	// below rarely regrow.
+	hint := 0
+	if ex.lastStates > 0 {
+		hint = ex.lastEdges * (hi - lo) / ex.lastStates
+		hint += hint / 4
+	}
+	ck := chunk{
+		deg:  make([]int32, hi-lo),
+		succ: make([]int32, 0, hint),
+		prob: make([]float64, 0, hint),
+	}
 	for s := lo; s < hi; s++ {
 		if s == lo {
 			ex.cfg = ex.enc.Decode(int64(s), ex.cfg)
@@ -432,6 +486,7 @@ func (ex *explorer) exploreRange(lo, hi int, legit []bool) (chunk, error) {
 		}
 		ck.deg[s-lo] = int32(len(ex.outTo))
 	}
+	ex.lastEdges, ex.lastStates = len(ck.succ), hi-lo
 	return ck, nil
 }
 
@@ -512,18 +567,76 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 		ex.enumerateMask(g, mask, w)
 	}
 
-	// Merge duplicate targets: stable sort keeps enumeration order within a
-	// target, so probability sums accumulate deterministically.
-	sort.Stable(ex.row)
-	for i := 0; i < len(ex.row); {
-		to, p := ex.row[i].to, ex.row[i].p
-		for i++; i < len(ex.row) && ex.row[i].to == to; i++ {
-			p += ex.row[i].p
+	ex.mergeRow()
+	return legit, nil
+}
+
+// smallRow is the longest row mergeRow sorts by insertion; longer rows
+// (the distributed daemon's up to 2^k-1 activation subsets) go through
+// the radix sort, whose per-pass bucket scan short rows cannot amortize.
+const smallRow = 32
+
+// mergeRow merges the duplicate targets of ex.row into ex.outTo/ex.outP.
+// Both sorts are stable by target, so enumeration order is kept within a
+// target and probability sums accumulate exactly as in BuildReference's
+// sort.Stable merge (deterministic across worker counts).
+func (ex *explorer) mergeRow() {
+	row := ex.row
+	if len(row) <= smallRow {
+		for i := 1; i < len(row); i++ {
+			e := row[i]
+			j := i
+			for ; j > 0 && row[j-1].to > e.to; j-- {
+				row[j] = row[j-1]
+			}
+			row[j] = e
+		}
+	} else {
+		row = ex.radixSort(row)
+	}
+	for i := 0; i < len(row); {
+		to, p := row[i].to, row[i].p
+		for i++; i < len(row) && row[i].to == to; i++ {
+			p += row[i].p
 		}
 		ex.outTo = append(ex.outTo, to)
 		ex.outP = append(ex.outP, p)
 	}
-	return legit, nil
+}
+
+// radixSort sorts row stably by target with a least-significant-digit
+// radix sort on to - min(to), one byte per pass and only as many passes
+// as the row's target span needs, ping-ponging between row and ex.tmp.
+// It returns whichever of the two holds the sorted row.
+func (ex *explorer) radixSort(row []edge) []edge {
+	lo, hi := row[0].to, row[0].to
+	for _, e := range row[1:] {
+		lo = min(lo, e.to)
+		hi = max(hi, e.to)
+	}
+	span := uint64(hi - lo) // targets are non-negative indexes: no overflow
+	if cap(ex.tmp) < len(row) {
+		ex.tmp = make([]edge, len(row))
+	}
+	src, dst := row, ex.tmp[:len(row)]
+	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
+		var count [256]int32
+		for _, e := range src {
+			count[uint64(e.to-lo)>>shift&0xff]++
+		}
+		at := int32(0)
+		for d, c := range count {
+			count[d] = at
+			at += c
+		}
+		for _, e := range src {
+			d := uint64(e.to-lo) >> shift & 0xff
+			dst[count[d]] = e
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // enumerateMask appends every joint outcome of the activation subset mask

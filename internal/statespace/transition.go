@@ -6,8 +6,10 @@ import (
 )
 
 // TransitionSystem is the analysis-facing contract of a Space: a weighted
-// CSR graph over dense state ids with a legitimacy vector, a cached
-// predecessor view, and configuration decoding. The checker's closure,
+// CSR graph over dense state ids with a legitimacy vector, the memoized
+// shared passes (predecessor view, backward distances to L, condensation
+// of the illegitimate subgraph), and configuration decoding. The memos
+// rely on the system never changing once built. The checker's closure,
 // convergence and lasso passes, the Markov chain (markov.FromSpace) and the
 // core decision procedure all run against this interface, so every analysis
 // works on whichever set of states was explored — the full index range or
@@ -46,6 +48,15 @@ type TransitionSystem interface {
 	CSR() (off []int64, succ []int32, prob []float64)
 	// Reverse returns the predecessor view, built on first use and cached.
 	Reverse() Reverse
+	// LegitDistances returns each state's shortest-path distance into L
+	// (-1 where L is unreachable), computed on first use and cached. The
+	// slice is shared; callers must not modify it.
+	LegitDistances() []int32
+	// IllegitSCC returns the component ids (-1 on L) and count of the
+	// illegitimate subgraph's strongly connected components, in
+	// reverse-topological order, computed on first use and cached. The
+	// slice is shared; callers must not modify it.
+	IllegitSCC() ([]int32, int)
 	// Config decodes state index s into a fresh configuration.
 	Config(s int) protocol.Configuration
 	// ConfigInto decodes state index s into dst (allocating only when dst
