@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -43,10 +45,48 @@ func TestIDOrdering(t *testing.T) {
 	}
 }
 
+// quickGolden is `stabbench -quick` stdout: every experiment's section in
+// registry order, then the closing verdict line.
+const quickGolden = "testdata/stabbench_quick.golden"
+
+// goldenSection returns the section of the quick golden that RunAll writes
+// for e: its header, its report and the blank separator line.
+func goldenSection(golden string, e Experiment) (string, bool) {
+	header := fmt.Sprintf("==== %s — %s ====\n", e.ID, e.Title)
+	i := strings.Index(golden, header)
+	if i < 0 {
+		return "", false
+	}
+	rest := golden[i+len(header):]
+	j := strings.Index(rest, "\n==== ")
+	if j < 0 {
+		j = strings.Index(rest, "\nall experiments verified")
+	}
+	if j < 0 {
+		return "", false
+	}
+	return header + rest[:j+1], true
+}
+
 // TestEveryExperimentPassesQuick runs the entire suite in quick mode: each
 // experiment returns an error iff the measured behavior contradicts the
-// paper, so this is the end-to-end reproduction check.
+// paper, so this is the end-to-end reproduction check. Each report must
+// also equal its section of the committed `stabbench -quick` stdout, so
+// the paper run is pinned byte for byte (E20's section pins the
+// message-passing backend at the experiment level). Regenerate, only for
+// a deliberate change of an experiment's output, with
+//
+//	go run ./cmd/stabbench -quick > internal/experiments/testdata/stabbench_quick.golden
 func TestEveryExperimentPassesQuick(t *testing.T) {
+	raw, err := os.ReadFile(quickGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := string(raw)
+	if !strings.HasSuffix(golden, "\nall experiments verified against the paper's claims\n") {
+		t.Fatalf("%s does not end with the closing verdict line", quickGolden)
+	}
+	var all strings.Builder
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -57,8 +97,31 @@ func TestEveryExperimentPassesQuick(t *testing.T) {
 			if sb.Len() == 0 {
 				t.Fatalf("%s produced no report", e.ID)
 			}
+			got := fmt.Sprintf("==== %s — %s ====\n", e.ID, e.Title) + sb.String() + "\n"
+			all.WriteString(got)
+			want, ok := goldenSection(golden, e)
+			if !ok {
+				t.Fatalf("%s has no section in %s", e.ID, quickGolden)
+			}
+			if got != want {
+				t.Fatalf("%s report differs from %s:\n%s", e.ID, quickGolden, firstDiff(got, want))
+			}
 		})
 	}
+	if !t.Failed() && all.String()+"all experiments verified against the paper's claims\n" != golden {
+		t.Fatalf("%s holds sections beyond the registry's experiments", quickGolden)
+	}
+}
+
+// firstDiff renders the first differing line of got and want.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < min(len(g), len(w)); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
 
 func TestRunAllStopsOnFailure(t *testing.T) {

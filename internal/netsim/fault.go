@@ -62,6 +62,16 @@ type ProcessFault interface {
 	BeginRound(p, r int32, state, domain int32) (down bool, reset bool, newState int32)
 }
 
+// counter is a fault's event counter on a cache line of its own. The
+// shards bump it concurrently; sharing a line with the fault's
+// read-mostly parameters would turn every draw on another core into a
+// cache miss.
+type counter struct {
+	_ [64]byte
+	atomic.Int64
+	_ [56]byte
+}
+
 // Count is one named event counter of a fault.
 type Count struct {
 	Name string
@@ -151,18 +161,20 @@ func (g Geometric) Sample(x uint64) int32 { return geometric(x, g.Mean) }
 type Latency struct {
 	D Dist
 	s Stream
+	t *Topology
 }
 
 // Name implements Fault.
 func (l *Latency) Name() string { return "latency(" + l.D.Name() + ")" }
 
 // Reset implements Fault.
-func (l *Latency) Reset(_ *Topology, s Stream) { l.s = s }
+func (l *Latency) Reset(t *Topology, s Stream) { l.s, l.t = s, t }
 
 // Transform implements LinkFault.
 func (l *Latency) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
+	draws := l.s.onEdge(l.t, e, seq)
 	for i := range dels {
-		dels[i].Delay = l.D.Sample(l.s.At(uint64(uint32(e)), uint64(seq), uint64(dels[i].Copy)))
+		dels[i].Delay = l.D.Sample(draws.at(uint64(dels[i].Copy)))
 	}
 	return dels
 }
@@ -172,23 +184,25 @@ func (l *Latency) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
 type Loss struct {
 	P       float64
 	s       Stream
-	dropped atomic.Int64
+	t       *Topology
+	dropped counter
 }
 
 // Name implements Fault.
 func (l *Loss) Name() string { return fmt.Sprintf("loss(%g)", l.P) }
 
 // Reset implements Fault.
-func (l *Loss) Reset(_ *Topology, s Stream) { l.s = s }
+func (l *Loss) Reset(t *Topology, s Stream) { l.s, l.t = s, t }
 
 // Counts implements the counter aggregation.
 func (l *Loss) Counts() []Count { return []Count{{"lost", l.dropped.Load()}} }
 
 // Transform implements LinkFault.
 func (l *Loss) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
+	draws := l.s.onEdge(l.t, e, seq)
 	kept := dels[:0]
 	for _, d := range dels {
-		if l.s.Float(uint64(uint32(e)), uint64(seq), uint64(d.Copy)) < l.P {
+		if draws.float(uint64(d.Copy)) < l.P {
 			l.dropped.Add(1)
 			continue
 		}
@@ -209,8 +223,9 @@ type GilbertElliott struct {
 	LossBad  float64
 
 	s       Stream
+	t       *Topology
 	bad     []bool // per-edge chain state
-	dropped atomic.Int64
+	dropped counter
 }
 
 // Name implements Fault.
@@ -220,7 +235,7 @@ func (g *GilbertElliott) Name() string {
 
 // Reset implements Fault.
 func (g *GilbertElliott) Reset(t *Topology, s Stream) {
-	g.s = s
+	g.s, g.t = s, t
 	g.bad = make([]bool, t.NumEdges())
 }
 
@@ -229,7 +244,8 @@ func (g *GilbertElliott) Counts() []Count { return []Count{{"burst-lost", g.drop
 
 // Transform implements LinkFault.
 func (g *GilbertElliott) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
-	u := g.s.Float(uint64(uint32(e)), uint64(seq), 0)
+	draws := g.s.onEdge(g.t, e, seq)
+	u := draws.float(0)
 	if g.bad[e] {
 		if u < g.PBG {
 			g.bad[e] = false
@@ -246,7 +262,7 @@ func (g *GilbertElliott) Transform(e int32, seq uint32, dels []Delivery) []Deliv
 	}
 	kept := dels[:0]
 	for _, d := range dels {
-		if g.s.Float(uint64(uint32(e)), uint64(seq), 1+uint64(d.Copy)) < p {
+		if draws.float(1+uint64(d.Copy)) < p {
 			g.dropped.Add(1)
 			continue
 		}
@@ -262,14 +278,15 @@ func (g *GilbertElliott) Transform(e int32, seq uint32, dels []Delivery) []Deliv
 type Duplicate struct {
 	P     float64
 	s     Stream
-	extra atomic.Int64
+	t     *Topology
+	extra counter
 }
 
 // Name implements Fault.
 func (d *Duplicate) Name() string { return fmt.Sprintf("dup(%g)", d.P) }
 
 // Reset implements Fault.
-func (d *Duplicate) Reset(_ *Topology, s Stream) { d.s = s }
+func (d *Duplicate) Reset(t *Topology, s Stream) { d.s, d.t = s, t }
 
 // Counts implements the counter aggregation.
 func (d *Duplicate) Counts() []Count { return []Count{{"duplicated", d.extra.Load()}} }
@@ -277,11 +294,12 @@ func (d *Duplicate) Counts() []Count { return []Count{{"duplicated", d.extra.Loa
 // Transform implements LinkFault.
 func (d *Duplicate) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
 	orig := len(dels)
+	draws := d.s.onEdge(d.t, e, seq)
 	for i := 0; i < orig; i++ {
 		if len(dels) >= 250 {
 			break // copy indexes are a byte; beyond this nothing new happens
 		}
-		if d.s.Float(uint64(uint32(e)), uint64(seq), uint64(dels[i].Copy)) < d.P {
+		if draws.float(uint64(dels[i].Copy)) < d.P {
 			dup := dels[i]
 			dup.Copy = uint8(len(dels))
 			dels = append(dels, dup)
@@ -300,27 +318,26 @@ type Reorder struct {
 	P     float64
 	Bound int32
 	s     Stream
-	moved atomic.Int64
+	t     *Topology
+	moved counter
 }
 
 // Name implements Fault.
 func (r *Reorder) Name() string { return fmt.Sprintf("reorder(%g:%d)", r.P, r.Bound) }
 
 // Reset implements Fault.
-func (r *Reorder) Reset(_ *Topology, s Stream) { r.s = s }
+func (r *Reorder) Reset(t *Topology, s Stream) { r.s, r.t = s, t }
 
 // Counts implements the counter aggregation.
 func (r *Reorder) Counts() []Count { return []Count{{"reordered", r.moved.Load()}} }
 
 // Transform implements LinkFault.
 func (r *Reorder) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
-	bound := r.Bound
-	if bound < 1 {
-		bound = 1
-	}
+	bound := max(r.Bound, 1)
+	draws := r.s.onEdge(r.t, e, seq)
 	for i := range dels {
-		if r.s.Float(uint64(uint32(e)), uint64(seq), uint64(dels[i].Copy)) < r.P {
-			jitter := 1 + int32(r.s.At(uint64(uint32(e)), uint64(seq), 256+uint64(dels[i].Copy))%uint64(bound))
+		if draws.float(uint64(dels[i].Copy)) < r.P {
+			jitter := 1 + int32(draws.at(256+uint64(dels[i].Copy))%uint64(bound))
 			dels[i].Delay += jitter
 			r.moved.Add(1)
 		}
@@ -337,7 +354,7 @@ type Corrupt struct {
 	P       float64
 	s       Stream
 	t       *Topology
-	flipped atomic.Int64
+	flipped counter
 }
 
 // Name implements Fault.
@@ -351,10 +368,11 @@ func (c *Corrupt) Counts() []Count { return []Count{{"corrupted", c.flipped.Load
 
 // Transform implements LinkFault.
 func (c *Corrupt) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
+	draws := c.s.onEdge(c.t, e, seq)
 	for i := range dels {
-		if c.s.Float(uint64(uint32(e)), uint64(seq), uint64(dels[i].Copy)) < c.P {
+		if draws.float(uint64(dels[i].Copy)) < c.P {
 			dom := uint64(c.t.domain[c.t.sender[e]])
-			dels[i].Value = int32(c.s.At(uint64(uint32(e)), uint64(seq), 256+uint64(dels[i].Copy)) % dom)
+			dels[i].Value = int32(draws.at(256+uint64(dels[i].Copy)) % dom)
 			c.flipped.Add(1)
 		}
 	}
@@ -378,8 +396,8 @@ type CrashRecover struct {
 
 	s         Stream
 	until     []int32 // down during rounds [crash, until); 0 = never crashed
-	crashes   atomic.Int64
-	recovered atomic.Int64
+	crashes   counter
+	recovered counter
 }
 
 // Name implements Fault.

@@ -37,15 +37,18 @@ import (
 
 // Topology is the precomputed directed-edge view of an algorithm's
 // communication graph: the in-edge slots of every process (the view cache
-// layout) and, per directed edge, its sender and receiver. Edge e is the
-// i-th in-edge of receiver p iff e = Off(p)+i, with sender Graph.Neighbor(p, i).
+// layout) and, per directed edge, its sender, its receiver and the
+// key-independent hash term every link-fault draw on it starts from. Edge
+// e is the i-th in-edge of receiver p iff e = Off(p)+i, with sender
+// Graph.Neighbor(p, i).
 type Topology struct {
 	n      int
-	off    []int32 // len n+1; in-edge slots of p are off[p]..off[p+1]
-	sender []int32 // sender[e] = global id of the sender on in-edge e
-	recv   []int32 // recv[e] = receiver of in-edge e
-	out    []int32 // out[off[p]+j] = in-edge id at neighbor j for sender p
-	domain []int32 // domain[p] = StateCount(p)
+	off    []int32  // len n+1; in-edge slots of p are off[p]..off[p+1]
+	sender []int32  // sender[e] = global id of the sender on in-edge e
+	recv   []int32  // recv[e] = receiver of in-edge e
+	out    []int32  // out[off[p]+j] = in-edge id at neighbor j for sender p
+	eterm  []uint64 // eterm[e] = edgeTerm(e), shared by every fault's Stream
+	domain []int32  // domain[p] = StateCount(p)
 }
 
 // N returns the number of processes.
@@ -76,6 +79,10 @@ func NewTopology(a protocol.Algorithm) (*Topology, error) {
 	t.sender = make([]int32, total)
 	t.recv = make([]int32, total)
 	t.out = make([]int32, total)
+	t.eterm = make([]uint64, total)
+	for e := range t.eterm {
+		t.eterm[e] = edgeTerm(int32(e))
+	}
 	for p := 0; p < n; p++ {
 		for i := 0; i < g.Degree(p); i++ {
 			q := g.Neighbor(p, i)
@@ -192,16 +199,81 @@ type timed struct {
 	d     delivery
 }
 
+// calInitLen is the initial ring length of a calendar: delays of up to
+// three rounds fit without growing it.
+const calInitLen = 4
+
+// calendar holds a shard's pending arrivals in a power-of-two ring of
+// buckets: ring[r&mask] holds the deliveries due in round r, for the
+// rounds [base, base+len(ring)). A push past the window doubles the ring
+// (latency:geom is unbounded). A bucket's backing array goes back to spare
+// once it is drained and on to the next bucket that needs storage, so the
+// ring retains no more capacity than the buckets in flight need.
+type calendar struct {
+	ring  [][]delivery
+	base  int32
+	spare [][]delivery
+}
+
+// push queues d for round r >= base.
+func (c *calendar) push(r int32, d delivery) {
+	if r-c.base >= int32(len(c.ring)) {
+		c.grow(r)
+	}
+	b := &c.ring[r&int32(len(c.ring)-1)]
+	if cap(*b) == 0 && len(c.spare) > 0 {
+		*b = c.spare[len(c.spare)-1]
+		c.spare = c.spare[:len(c.spare)-1]
+	}
+	*b = append(*b, d)
+}
+
+// grow doubles the ring until round r fits and re-slots the pending
+// buckets.
+func (c *calendar) grow(r int32) {
+	n := max(2*len(c.ring), calInitLen)
+	for r-c.base >= int32(n) {
+		n *= 2
+	}
+	ring := make([][]delivery, n)
+	for q := c.base; q < c.base+int32(len(c.ring)); q++ {
+		ring[q&int32(n-1)] = c.ring[q&int32(len(c.ring)-1)]
+	}
+	c.ring = ring
+}
+
+// take detaches the bucket of round r and moves the window to start at r.
+// Rounds are taken in order, each once; the caller hands the bucket back
+// with recycle after reading it.
+func (c *calendar) take(r int32) []delivery {
+	c.base = r
+	if len(c.ring) == 0 {
+		return nil
+	}
+	b := &c.ring[r&int32(len(c.ring)-1)]
+	bucket := *b
+	*b = nil
+	return bucket
+}
+
+// recycle returns a drained bucket's storage for reuse.
+func (c *calendar) recycle(bucket []delivery) {
+	if cap(bucket) > 0 {
+		c.spare = append(c.spare, bucket[:0])
+	}
+}
+
 // shard owns a contiguous block of processes: their states, view-cache
 // slots, per-edge publication sequences, and the calendar of pending
-// arrivals addressed to them.
+// arrivals addressed to them. Phase 1 pushes a publication for a receiver
+// in the same shard straight into the shard's own calendar; only
+// cross-shard deliveries go through the outboxes.
 type shard struct {
 	id     int32
 	lo, hi int32 // process range [lo, hi)
 
-	cal    map[int32][]delivery // arrival round -> deliveries
-	free   [][]delivery         // recycled buckets
-	outbox [][]timed            // per destination shard, filled in phase 1
+	cal    calendar
+	outbox [][]timed // per destination shard: cross-shard deliveries of this round
 
 	lv    *protocol.LocalView
 	dels  []Delivery // fault-stack scratch
@@ -210,8 +282,17 @@ type shard struct {
 	drop  int64
 
 	events []Event
+
+	// The shards sit side by side in engine.shards and phase 1 writes
+	// their counters and calendars per message on every core; the pad
+	// keeps one shard's fields off its neighbor's cache lines.
+	_ [64]byte
 }
 
+// engine is one run: the per-process and per-edge arrays (each entry
+// written by exactly one shard) and the shards. A round is two barriered
+// passes over the shards: phase1 (deliver, execute, publish) and phase2
+// (move the cross-shard outboxes into the receivers' calendars).
 type engine struct {
 	a     protocol.Algorithm
 	det   protocol.Deterministic
@@ -299,7 +380,6 @@ func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init p
 		sh := &s.shards[i]
 		sh.id = int32(i)
 		sh.lo, sh.hi = int32(i*n/ns), int32((i+1)*n/ns)
-		sh.cal = make(map[int32][]delivery)
 		sh.outbox = make([][]timed, ns)
 		sh.lv = protocol.NewLocalView(a)
 		sh.dels = make([]Delivery, 0, 8)
@@ -333,7 +413,9 @@ func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init p
 			}
 		}
 		s.parallel(func(sh *shard) { s.phase1(sh, int32(r)) })
-		s.parallel(func(sh *shard) { s.phase2(sh) })
+		if len(s.shards) > 1 {
+			s.parallel(func(sh *shard) { s.phase2(sh) })
+		}
 	}
 	res := Result{Rounds: budget, Final: protocol.Configuration(s.state)}
 	if conv >= 0 {
@@ -395,7 +477,8 @@ func (s *engine) parallel(fn func(*shard)) {
 // phase1 advances one shard through round r: crash bookkeeping, applying
 // the arrivals due this round to the view caches, executing every live
 // process against its view, and pushing the round's publications through
-// the fault stack into the per-destination outboxes. It touches only
+// the fault stack into the shard's own calendar (receiver in this shard)
+// or the per-destination outboxes (receiver elsewhere). It touches only
 // shard-owned state plus the (phase-barriered) outboxes.
 func (s *engine) phase1(sh *shard, r int32) {
 	t := s.t
@@ -422,30 +505,28 @@ func (s *engine) phase1(sh *shard, r int32) {
 	// Arrivals due this round. The in-round winner per view slot is the
 	// highest (seq, copy) — application order (hence shard layout) is
 	// irrelevant.
-	if bucket, ok := sh.cal[r]; ok {
-		for _, d := range bucket {
-			p := t.recv[d.edge]
-			if s.down[p] {
-				sh.drop++
-				if s.opts.Record {
-					sh.events = append(sh.events, Event{Round: r, Kind: EvDropCrashed, Proc: p, Edge: d.edge, Seq: d.seq, Copy: d.cp, Value: d.val})
-				}
-				continue
-			}
-			k := uint64(d.seq)<<8 | uint64(d.cp)
-			if s.mark[d.edge] != r+1 || k > s.key[d.edge] {
-				s.mark[d.edge] = r + 1
-				s.key[d.edge] = k
-				s.view[d.edge] = int(d.val)
-			}
-			sh.deliv++
+	bucket := sh.cal.take(r)
+	for _, d := range bucket {
+		p := t.recv[d.edge]
+		if s.down[p] {
+			sh.drop++
 			if s.opts.Record {
-				sh.events = append(sh.events, Event{Round: r, Kind: EvDeliver, Proc: p, Edge: d.edge, Seq: d.seq, Copy: d.cp, Value: d.val})
+				sh.events = append(sh.events, Event{Round: r, Kind: EvDropCrashed, Proc: p, Edge: d.edge, Seq: d.seq, Copy: d.cp, Value: d.val})
 			}
+			continue
 		}
-		delete(sh.cal, r)
-		sh.free = append(sh.free, bucket[:0])
+		k := uint64(d.seq)<<8 | uint64(d.cp)
+		if s.mark[d.edge] != r+1 || k > s.key[d.edge] {
+			s.mark[d.edge] = r + 1
+			s.key[d.edge] = k
+			s.view[d.edge] = int(d.val)
+		}
+		sh.deliv++
+		if s.opts.Record {
+			sh.events = append(sh.events, Event{Round: r, Kind: EvDeliver, Proc: p, Edge: d.edge, Seq: d.seq, Copy: d.cp, Value: d.val})
+		}
 	}
+	sh.cal.recycle(bucket)
 
 	// Execute: every live process evaluates its guard against its view
 	// (own state + cached neighbor values) and moves. Writing state[p]
@@ -469,7 +550,9 @@ func (s *engine) phase1(sh *shard, r int32) {
 
 	// Publish: every live process sends its (new) state to every neighbor;
 	// the fault stack maps each publication to zero or more future
-	// arrivals.
+	// arrivals. An arrival for this shard goes straight into its calendar:
+	// the delay is at least one round, so it never lands in the bucket
+	// drained above.
 	for i := range sh.outbox {
 		sh.outbox[i] = sh.outbox[i][:0]
 	}
@@ -487,29 +570,29 @@ func (s *engine) phase1(sh *shard, r int32) {
 				dels = lf.Transform(e, seq, dels)
 			}
 			sh.dels = dels[:0]
-			dst := s.shardOf[t.recv[e]]
-			for _, d := range dels {
-				delay := max(d.Delay, 1)
-				sh.outbox[dst] = append(sh.outbox[dst], timed{round: r + delay, d: delivery{edge: e, val: d.Value, seq: seq, cp: d.Copy}})
+			if q := t.recv[e]; q >= sh.lo && q < sh.hi {
+				for _, d := range dels {
+					sh.cal.push(r+max(d.Delay, 1), delivery{edge: e, val: d.Value, seq: seq, cp: d.Copy})
+				}
+			} else {
+				dst := s.shardOf[q]
+				for _, d := range dels {
+					sh.outbox[dst] = append(sh.outbox[dst], timed{round: r + max(d.Delay, 1), d: delivery{edge: e, val: d.Value, seq: seq, cp: d.Copy}})
+				}
 			}
 			sh.sent++
 		}
 	}
 }
 
-// phase2 drains the outboxes addressed to this shard into its calendar.
-// Source order is irrelevant: the in-round winner rule makes bucket
-// content order immaterial, and the canonical trace is sorted at the end.
+// phase2 drains the cross-shard outboxes addressed to this shard into its
+// calendar. Source order is irrelevant: the in-round winner rule makes
+// bucket content order immaterial, and the canonical trace is sorted at
+// the end.
 func (s *engine) phase2(sh *shard) {
 	for i := range s.shards {
-		src := &s.shards[i]
-		for _, td := range src.outbox[sh.id] {
-			bucket, ok := sh.cal[td.round]
-			if !ok && len(sh.free) > 0 {
-				bucket = sh.free[len(sh.free)-1]
-				sh.free = sh.free[:len(sh.free)-1]
-			}
-			sh.cal[td.round] = append(bucket, td.d)
+		for _, td := range s.shards[i].outbox[sh.id] {
+			sh.cal.push(td.round, td.d)
 		}
 	}
 }

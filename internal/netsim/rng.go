@@ -39,20 +39,66 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// The per-coordinate offsets of At: coordinate a, b, c is hashed as
+// mix64(a+streamA), mix64(b+streamB), mix64(c+streamC).
+const (
+	streamA = 0x9e3779b97f4a7c15
+	streamB = 0x6a09e667f3bcc909
+	streamC = 0xbb67ae8584caa73b
+)
+
 // At returns the uniform 64-bit value of the stream at coordinates
 // (a, b, c).
 func (s Stream) At(a, b, c uint64) uint64 {
 	x := s.key
-	x = mix64(x ^ mix64(a+0x9e3779b97f4a7c15))
-	x = mix64(x ^ mix64(b+0x6a09e667f3bcc909))
-	x = mix64(x ^ mix64(c+0xbb67ae8584caa73b))
+	x = mix64(x ^ mix64(a+streamA))
+	x = mix64(x ^ mix64(b+streamB))
+	x = mix64(x ^ mix64(c+streamC))
 	return x
 }
 
 // Float returns the uniform float64 in [0, 1) at coordinates (a, b, c).
-func (s Stream) Float(a, b, c uint64) float64 {
-	return float64(s.At(a, b, c)>>11) * (1.0 / (1 << 53))
+func (s Stream) Float(a, b, c uint64) float64 { return unit(s.At(a, b, c)) }
+
+// unit maps a uniform 64-bit value to the uniform float64 in [0, 1).
+func unit(u uint64) float64 { return float64(u>>11) * (1.0 / (1 << 53)) }
+
+// edgeTerm is At's first-coordinate term for directed edge e. It does not
+// depend on the stream key, so Topology computes it once per edge for
+// every fault and every trial.
+func edgeTerm(e int32) uint64 { return mix64(uint64(uint32(e)) + streamA) }
+
+// copyTerms[c] is At's third-coordinate term for the copy coordinates the
+// link faults draw at: copy, 1+copy and 256+copy, all below 512.
+var copyTerms = func() (t [512]uint64) {
+	for c := range t {
+		t[c] = mix64(uint64(c) + streamC)
+	}
+	return t
+}()
+
+// edgeDraws is a Stream with the coordinates (e, seq) of one publication
+// already hashed in: d.at(c) == s.At(uint64(uint32(e)), uint64(seq), c).
+// A link fault derives it once per publication (three mix64 rounds with
+// the topology's cached edge term), then pays one round per draw.
+type edgeDraws uint64
+
+// onEdge returns the draws of publication seq on edge e of t.
+func (s Stream) onEdge(t *Topology, e int32, seq uint32) edgeDraws {
+	x := mix64(s.key ^ t.eterm[e])
+	return edgeDraws(mix64(x ^ mix64(uint64(seq)+streamB)))
 }
+
+// at is Stream.At at third coordinate c.
+func (d edgeDraws) at(c uint64) uint64 {
+	if c < uint64(len(copyTerms)) {
+		return mix64(uint64(d) ^ copyTerms[c])
+	}
+	return mix64(uint64(d) ^ mix64(c+streamC))
+}
+
+// float is Stream.Float at third coordinate c.
+func (d edgeDraws) float(c uint64) float64 { return unit(d.at(c)) }
 
 // geometric maps a uniform 64-bit value to 1 + Geometric(p) with mean
 // `mean` (>= 1): the discrete holding time of a process that escapes with
@@ -61,7 +107,7 @@ func geometric(u uint64, mean float64) int32 {
 	if mean <= 1 {
 		return 1
 	}
-	f := float64(u>>11) * (1.0 / (1 << 53))
+	f := unit(u)
 	if f <= 0 {
 		f = math.SmallestNonzeroFloat64
 	}
