@@ -87,3 +87,124 @@ func receiverName(e ast.Expr) string {
 		}
 	}
 }
+
+// unreferencedAllowed names the exported functions under internal/ that
+// no non-test file calls but that stay on purpose, with the reason.
+var unreferencedAllowed = map[string]string{
+	"statespace.BuildReference":        "test oracle: the seed explorer the engine is checked against",
+	"protocol.Validate":                "test oracle: checks an algorithm's declared state domains",
+	"checker.Explore":                  "test oracle: the unweighted explorer the checker passes are compared with",
+	"scheduler.NewKFairMonitor":        "paper-claim check: pins Algorithm 1's (N-1)-fairness (§3.1)",
+	"scheduler.NewLongestWaitingFirst": "paper-claim check: the scheduler the (N-1)-fairness test drives",
+	"transformer.NewExplicit":          "test oracle: §4's construction with the coin B in the state, checked bisimilar to New",
+	"graph.Complete":                   "test fixture: the complete graph of ijtoken's E12 shape check",
+}
+
+// TestNoUnreferencedExports pins that code nothing needs is deleted: every
+// exported top-level function under internal/ must be named by at least
+// one identifier in a non-test file of the module or of bench/, unless it
+// is allowed above. Methods are not checked, since a method may exist only
+// to satisfy an interface, which the parser cannot see.
+func TestNoUnreferencedExports(t *testing.T) {
+	type file struct {
+		dir string
+		f   *ast.File
+	}
+	var files []file
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, file{filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// decls maps "dir.Name" to the declaring ident of every exported
+	// top-level function under internal/.
+	decls := map[string]*ast.Ident{}
+	for _, fl := range files {
+		if !strings.HasPrefix(fl.dir, "internal/") {
+			continue
+		}
+		for _, decl := range fl.f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+				decls[fl.dir+"."+fn.Name.Name] = fn.Name
+			}
+		}
+	}
+
+	// used records "dir.Name" for each bare identifier (resolved to its
+	// own package) and each selector on an imported module package.
+	used := map[string]bool{}
+	for _, fl := range files {
+		imports := map[string]string{}
+		for _, imp := range fl.f.Imports {
+			dir, ok := strings.CutPrefix(strings.Trim(imp.Path.Value, `"`), "weakstab/")
+			if !ok {
+				continue
+			}
+			name := filepath.Base(dir)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = dir
+		}
+		// A selector on an import is a use of that package's name; any
+		// other selector's operand is walked, and its field or method
+		// name is not a use.
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					used[imports[id.Name]+"."+x.Sel.Name] = true
+				} else {
+					ast.Inspect(x.X, visit)
+				}
+				return false
+			case *ast.Ident:
+				if decls[fl.dir+"."+x.Name] != x {
+					used[fl.dir+"."+x.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(fl.f, visit)
+	}
+
+	declared := map[string]bool{}
+	var dead []string
+	for key := range decls {
+		name := filepath.Base(key)
+		declared[name] = true
+		if _, ok := unreferencedAllowed[name]; !ok && !used[key] {
+			dead = append(dead, key)
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("exported function %s has no caller outside tests: delete it, or allow it with a reason", d)
+	}
+	for name := range unreferencedAllowed {
+		if !declared[name] {
+			t.Errorf("allowed function %s no longer exists; drop it from unreferencedAllowed", name)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Benchmarks: one per paper experiment (E1..E12d regenerate the figures,
 // theorem verdicts and the quantitative study in quick mode) plus
 // micro-benchmarks of the engines (step execution, exhaustive exploration,
-// exact hitting-time analysis, concurrent runtime).
+// exact hitting-time analysis).
 package weakstab_test
 
 import (
@@ -19,7 +19,6 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/markov"
 	"weakstab/internal/protocol"
-	"weakstab/internal/runtime"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
 )
@@ -194,32 +193,6 @@ func BenchmarkMarkovSolveLargeSCC(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentEngineStep measures the goroutine-per-process runtime
-// against a 32-process ring with full synchronous activation.
-func BenchmarkConcurrentEngineStep(b *testing.B) {
-	alg, err := weakstab.NewTokenRing(32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := runtime.NewEngine(alg, 1)
-	defer e.Close()
-	rng := rand.New(rand.NewSource(1))
-	cfg := weakstab.RandomConfiguration(alg, rng)
-	all := make([]int, 32)
-	for i := range all {
-		all[i] = i
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next, _, err := e.Step(cfg, all)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg = next
-	}
-}
-
 // BenchmarkClassify measures the full classification pipeline on Algorithm
 // 2 over the Figure 2 tree (2160 configurations, distributed policy).
 func BenchmarkClassify(b *testing.B) {
@@ -243,7 +216,7 @@ func BenchmarkClassify(b *testing.B) {
 
 func mustFigure2(b *testing.B) *weakstab.Graph {
 	b.Helper()
-	g, err := weakstab.NewGraph(8, [][2]int{
+	g, err := graph.FromEdges(8, [][2]int{
 		{0, 1}, {1, 2}, {2, 4}, {3, 4}, {4, 5}, {4, 6}, {5, 7},
 	})
 	if err != nil {

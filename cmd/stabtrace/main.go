@@ -1,142 +1,96 @@
-// Command stabtrace regenerates the paper's figures as ASCII traces:
-//
-//	stabtrace -fig 1   # Figure 1: token circulation on the 6-ring (mN=4)
-//	stabtrace -fig 2   # Figure 2: Algorithm 2 converging on the 8-tree
-//	stabtrace -fig 3   # Figure 3: synchronous livelock on the 4-chain
-//
-// It can also trace arbitrary instances:
+// Command stabtrace prints an execution of any instance as an ASCII
+// table, one row per step:
 //
 //	stabtrace -alg tokenring -n 5 -sched central -steps 12
+//
+// The paper's Figures 1–3 are drawn, and checked against the paper, by
+// experiments E1–E3 (stabbench -run E1).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
 
-	"weakstab/internal/algorithms/leadertree"
-	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/cli"
-	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
-	"weakstab/internal/scheduler"
 	"weakstab/internal/trace"
 )
 
+var (
+	// errParse marks a flag-parsing failure the FlagSet has already
+	// reported (message + usage on stderr), so main does not print it
+	// twice.
+	errParse = errors.New("flag parsing failed")
+	// errUsage is a run with no instance to trace.
+	errUsage = errors.New("pass -alg <name> (the paper's figures are stabbench -run E1|E2|E3)")
+)
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, errParse) {
+			fmt.Fprintln(os.Stderr, "stabtrace:", err)
+		}
+		if errors.Is(err, errParse) || errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole command behind a testable seam: flag parsing, the
+// observability scope and the trace, printed to an injected writer. The
+// scope is finished on every path past flag parsing, so a failing run
+// still writes its manifest and closes its trace.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("stabtrace", flag.ContinueOnError)
 	var (
-		fig   = flag.Int("fig", 0, "paper figure to regenerate (1, 2 or 3)")
-		alg   = flag.String("alg", "", "algorithm for a custom trace: "+strings.Join(cli.Algorithms(), ", "))
-		n     = flag.Int("n", 6, "number of processes")
-		sched = flag.String("sched", "central", "scheduler for custom traces")
-		steps = flag.Int("steps", 10, "steps for custom traces")
-		seed  = flag.Int64("seed", 1, "random seed")
+		alg   = fs.String("alg", "", "algorithm to trace: "+strings.Join(cli.Algorithms(), ", "))
+		n     = fs.Int("n", 6, "number of processes")
+		sched = fs.String("sched", "central", "scheduler")
+		steps = fs.Int("steps", 10, "steps to record")
+		seed  = fs.Int64("seed", 1, "random seed")
 	)
 	var of cli.ObsFlags
-	of.Register(flag.CommandLine)
-	flag.Parse()
+	of.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: usage printed, exit 0
+		}
+		return errParse
+	}
 
-	orun, err := of.Start("stabtrace", os.Args[1:])
+	orun, err := of.Start("stabtrace", args)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	orun.SetSeed(*seed)
-	switch {
-	case *fig == 1:
-		figure1()
-	case *fig == 2:
-		figure2()
-	case *fig == 3:
-		figure3()
-	case *alg != "":
-		custom(*alg, *n, *sched, *steps, *seed)
-	default:
-		orun.Finish(nil)
-		fmt.Fprintln(os.Stderr, "stabtrace: pass -fig 1|2|3 or -alg <name>")
-		os.Exit(2)
+	runErr := record(out, *alg, *n, *sched, *steps, *seed)
+	if err := orun.Finish(runErr); runErr == nil {
+		runErr = err
 	}
-	if err := orun.Finish(nil); err != nil {
-		fatal(err)
-	}
+	return runErr
 }
 
-func figure1() {
-	a, err := tokenring.New(6)
+// record traces steps steps of the instance from a random configuration.
+func record(out io.Writer, alg string, n int, sched string, steps int, seed int64) error {
+	if alg == "" {
+		return errUsage
+	}
+	a, err := cli.Spec{Algorithm: alg, N: n, Seed: seed}.Build()
 	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("Figure 1: token circulation on the anonymous 6-ring, mN = 4")
-	fmt.Println("(dt values; * marks the token holder, who passes it to its successor)")
-	tr := trace.RecordScript(a, a.LegitimateWithTokenAt(1), [][]int{{1}, {2}}, nil)
-	trace.RenderRingPanels(os.Stdout, tr, func(cfg protocol.Configuration, p int) bool {
-		return a.HasToken(cfg, p)
-	})
-}
-
-func figure2() {
-	g := graph.Figure2Tree()
-	a, err := leadertree.New(g)
-	if err != nil {
-		fatal(err)
-	}
-	parents := []int{1, 0, 1, 4, 6, 7, 4, 5}
-	init := make(protocol.Configuration, 8)
-	for p, q := range parents {
-		i, ok := g.LocalIndex(p, q)
-		if !ok {
-			fatal(fmt.Errorf("figure 2 tree: %d not adjacent to %d", q, p))
-		}
-		init[p] = i
-	}
-	fmt.Println("Figure 2: possible convergence of Algorithm 2 on the 8-process tree")
-	tr := trace.RecordScript(a, init, [][]int{{5, 7}, {1, 7}, {2, 4}, {1, 4}}, nil)
-	trace.RenderLabeledPanels(os.Stdout, tr, parentLabel(a))
-	fmt.Printf("terminal: %v, leader: P%d\n", a.Legitimate(tr.Final()), a.Leaders(tr.Final())[0]+1)
-}
-
-func figure3() {
-	g, err := graph.Chain(4)
-	if err != nil {
-		fatal(err)
-	}
-	a, err := leadertree.New(g)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("Figure 3: synchronous execution of Algorithm 2 on the 4-chain (period-2 livelock)")
-	init := protocol.Configuration{0, 0, 1, 0}
-	tr := trace.Record(a, scheduler.NewSynchronous(), init, nil, 4, nil)
-	trace.RenderLabeledPanels(os.Stdout, tr, parentLabel(a))
-	fmt.Println("the execution repeats panels (i)/(ii) forever and never converges")
-}
-
-func parentLabel(a *leadertree.Algorithm) trace.StateLabeler {
-	return func(cfg protocol.Configuration, p int) string {
-		if par := a.Parent(cfg, p); par >= 0 {
-			return fmt.Sprintf("→P%d", par+1)
-		}
-		return "⊥"
-	}
-}
-
-func custom(alg string, n int, sched string, steps int, seed int64) {
-	spec := cli.Spec{Algorithm: alg, N: n, Seed: seed}
-	a, err := spec.Build()
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	s, err := cli.BuildScheduler(sched)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	tr := trace.Record(a, s, protocol.RandomConfiguration(a, rng), rng, steps, nil)
-	trace.RenderTable(os.Stdout, tr)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "stabtrace:", err)
-	os.Exit(1)
+	trace.RenderTable(out, tr)
+	return nil
 }

@@ -1,0 +1,74 @@
+package main
+
+import (
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"weakstab/internal/obs"
+)
+
+// TestTrace pins that a trace is a pure function of its flags.
+func TestTrace(t *testing.T) {
+	args := []string{"-alg", "tokenring", "-n", "5", "-steps", "6"}
+	var a, b strings.Builder
+	if err := run(args, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(args, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("two runs of %v differ:\n%s---\n%s", args, a.String(), b.String())
+	}
+	if lines := strings.Count(a.String(), "\n"); lines != 9 {
+		t.Errorf("trace has %d lines, want a header, a column row and steps 0..6:\n%s", lines, a.String())
+	}
+}
+
+// TestBadUsage checks the two usage failures: an undefined flag and a
+// run with no -alg.
+func TestBadUsage(t *testing.T) {
+	if err := run([]string{"-fig", "1"}, &strings.Builder{}); !errors.Is(err, errParse) {
+		t.Errorf("run(-fig 1) = %v, want errParse", err)
+	}
+	if err := run(nil, &strings.Builder{}); !errors.Is(err, errUsage) {
+		t.Errorf("run() = %v, want errUsage", err)
+	}
+}
+
+// TestFailingRunWritesManifest checks that a run failing after flag
+// parsing still finishes its observability scope: the manifest is
+// written with the error recorded, and the trace file is closed.
+func TestFailingRunWritesManifest(t *testing.T) {
+	for _, args := range [][]string{
+		{"-alg", "nosuch"},
+		{"-alg", "tokenring", "-sched", "bogus"},
+		{},
+	} {
+		dir := t.TempDir()
+		manifest, tracePath := filepath.Join(dir, "run.json"), filepath.Join(dir, "trace.jsonl")
+		args = append(args, "-manifest", manifest, "-trace-out", tracePath)
+		runErr := run(args, &strings.Builder{})
+		if runErr == nil {
+			t.Fatalf("run(%v) succeeded", args)
+		}
+		raw, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatalf("run(%v): no manifest: %v", args, err)
+		}
+		var m obs.Manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("run(%v): manifest is not valid JSON: %v\n%s", args, err, raw)
+		}
+		if m.Command != "stabtrace" || m.Error != runErr.Error() {
+			t.Errorf("run(%v): manifest (command %q, error %q), want (stabtrace, %q)", args, m.Command, m.Error, runErr)
+		}
+		if _, err := os.Stat(tracePath); err != nil {
+			t.Errorf("run(%v): trace file missing: %v", args, err)
+		}
+	}
+}

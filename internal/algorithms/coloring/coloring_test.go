@@ -111,7 +111,7 @@ func TestSpectrumAcrossSchedulers(t *testing.T) {
 	g, err := graph.Ring(4)
 	a := mustNew(t, g, err)
 
-	central, err := checker.Classify(a, scheduler.CentralPolicy{}, 0)
+	central, err := checker.ClassifyWith(a, scheduler.CentralPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSpectrumAcrossSchedulers(t *testing.T) {
 		t.Fatal("coloring must be self-stabilizing under the central scheduler")
 	}
 
-	dist, err := checker.Classify(a, scheduler.DistributedPolicy{}, 0)
+	dist, err := checker.ClassifyWith(a, scheduler.DistributedPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSpectrumAcrossSchedulers(t *testing.T) {
 			dist.WeakStabilizing(), dist.SelfStabilizing())
 	}
 
-	sync, err := checker.Classify(a, scheduler.SynchronousPolicy{}, 0)
+	sync, err := checker.ClassifyWith(a, scheduler.SynchronousPolicy{}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -291,9 +291,6 @@ func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals 
 // K returns the current ball radius.
 func (s *BallSweep) K() int { return s.ball.k }
 
-// BallSize returns the number of configurations in the current ball.
-func (s *BallSweep) BallSize() int { return s.ball.ball.Len() }
-
 // GrowToContext grows the ball to radius k (a no-op when already there) —
 // mutation shells only, no transition exploration (that happens at
 // SealContext). ctx is checked once per shell.

@@ -232,13 +232,8 @@ func (v Verdict) WeakStabilizing() bool { return v.Closure.Holds && v.Possible.H
 // SelfStabilizing reports Definition 1.
 func (v Verdict) SelfStabilizing() bool { return v.Closure.Holds && v.Certain.Holds }
 
-// Classify explores the algorithm under the policy and evaluates all
-// properties.
-func Classify(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) (Verdict, error) {
-	return ClassifyWith(a, pol, maxStates, 0)
-}
-
-// ClassifyWith is Classify with an explicit worker-pool size (0 = NumCPU).
+// ClassifyWith explores the algorithm under the policy on a pool of
+// workers (0 = NumCPU) and evaluates all properties.
 func ClassifyWith(a protocol.Algorithm, pol scheduler.Policy, maxStates int64, workers int) (Verdict, error) {
 	sp, err := ExploreWith(a, pol, maxStates, workers)
 	if err != nil {

@@ -37,7 +37,7 @@ func mustLeaderChain(t *testing.T, n int) *leadertree.Algorithm {
 
 func classify(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) Verdict {
 	t.Helper()
-	v, err := Classify(a, pol, 0)
+	v, err := ClassifyWith(a, pol, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

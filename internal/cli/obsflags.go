@@ -25,8 +25,8 @@ type ObsFlags struct {
 	Progress bool
 	// TraceOut writes structured JSONL progress events to a file.
 	TraceOut string
-	// DebugAddr serves net/http/pprof and the metrics snapshot over HTTP
-	// for the run's duration.
+	// DebugAddr serves net/http/pprof and /metrics over HTTP for the
+	// run's duration.
 	DebugAddr string
 	// Manifest writes the machine-readable run summary to a file when
 	// the run finishes.
@@ -38,7 +38,7 @@ type ObsFlags struct {
 func (f *ObsFlags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Progress, "progress", false, "render a live progress line (rates, ETA) on stderr")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write structured JSONL progress events to `file`")
-	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve net/http/pprof and a metrics snapshot on `addr` (e.g. localhost:6060) while the run lasts")
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve net/http/pprof and /metrics on `addr` (e.g. localhost:6060) while the run lasts")
 	fs.StringVar(&f.Manifest, "manifest", "", "write a JSON run manifest (phase timings, peak heap, rates, full metrics) to `file`")
 }
 
@@ -98,7 +98,7 @@ func (f ObsFlags) Start(command string, args []string) (*ObsRun, error) {
 			o.Close()
 			return nil, fmt.Errorf("debug-addr: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/debug/ (pprof, vars, obs)\n", bound)
+		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/debug/pprof/ and /metrics\n", bound)
 		r.shutdown = shutdown
 	}
 	if f.Manifest != "" {

@@ -2,11 +2,11 @@ package core_test
 
 // Parity: the Report produced via the shared parallel engine must match
 // the pre-refactor two-pass results. statespace.BuildReference preserves
-// the seed-era enumeration (the exact code path checker.Explore and
-// markov.FromAlgorithm each ran before they shared one engine), so running
-// the unchanged analyses over it reproduces the pre-refactor reports; the
-// test pins the engine's reports to those for every algorithm in the
-// library across the three scheduler policies.
+// the seed-era enumeration (the exact code path the checker's and the
+// Markov analysis's explorers each ran before they shared one engine), so
+// running the unchanged analyses over it reproduces the pre-refactor
+// reports; the test pins the engine's reports to those for every
+// algorithm in the library across the three scheduler policies.
 
 import (
 	"math"

@@ -297,25 +297,6 @@ func TestTreeCenterEccentricityIdentity(t *testing.T) {
 	}
 }
 
-func TestCaterpillar(t *testing.T) {
-	g, err := Caterpillar(3, []int{2, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 6 || !g.IsTree() {
-		t.Fatalf("caterpillar: n=%d tree=%v", g.N(), g.IsTree())
-	}
-	if _, err := Caterpillar(2, []int{1}); err == nil {
-		t.Fatal("mismatched legs length accepted")
-	}
-	if _, err := Caterpillar(1, []int{-1}); err == nil {
-		t.Fatal("negative leg count accepted")
-	}
-	if _, err := Caterpillar(1, []int{0}); err == nil {
-		t.Fatal("1-node caterpillar should be rejected (graph model needs >= 2 for trees here)")
-	}
-}
-
 func TestFigure2Tree(t *testing.T) {
 	g := Figure2Tree()
 	if g.N() != 8 || !g.IsTree() {

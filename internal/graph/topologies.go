@@ -181,41 +181,6 @@ func AllLabeledTrees(n int, fn func(*Graph) bool) error {
 	}
 }
 
-// Caterpillar builds a caterpillar tree: a spine chain of length spine with
-// legs[i] extra leaves attached to spine node i. Node ids: 0..spine-1 are
-// the spine, leaves follow in order.
-func Caterpillar(spine int, legs []int) (*Graph, error) {
-	if spine < 1 {
-		return nil, fmt.Errorf("graph: caterpillar needs spine >= 1, got %d", spine)
-	}
-	if len(legs) != spine {
-		return nil, fmt.Errorf("graph: need one leg count per spine node: %d != %d", len(legs), spine)
-	}
-	var edges [][2]int
-	for i := 0; i+1 < spine; i++ {
-		edges = append(edges, [2]int{i, i + 1})
-	}
-	next := spine
-	for i, k := range legs {
-		if k < 0 {
-			return nil, fmt.Errorf("graph: negative leg count %d at spine node %d", k, i)
-		}
-		for j := 0; j < k; j++ {
-			edges = append(edges, [2]int{i, next})
-			next++
-		}
-	}
-	if next < 2 {
-		return nil, fmt.Errorf("graph: caterpillar too small (%d nodes)", next)
-	}
-	g, err := FromEdges(next, edges)
-	if err != nil {
-		return nil, err
-	}
-	g.name = fmt.Sprintf("caterpillar(%d)", next)
-	return g, nil
-}
-
 // Figure2Tree returns the 8-process tree of Figure 2 of the paper,
 // reconstructed so that the initial configuration and every enabled-action
 // annotation of the figure's five panels are reproduced exactly: a chain

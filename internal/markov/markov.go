@@ -29,8 +29,6 @@ import (
 	"sort"
 	"sync"
 
-	"weakstab/internal/protocol"
-	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
 )
 
@@ -197,21 +195,6 @@ func (c *Chain) rowSucc(s int) []int32 { return c.succ[c.off[s]:c.off[s+1]] }
 // rowProb returns the transition probabilities aligned with rowSucc(s).
 func (c *Chain) rowProb(s int) []float64 { return c.prob[c.off[s]:c.off[s+1]] }
 
-// Row returns a copy of the outgoing transitions of s (nil means
-// absorbing).
-func (c *Chain) Row(s int) []Trans {
-	c.seal()
-	lo, hi := c.off[s], c.off[s+1]
-	if lo == hi {
-		return nil
-	}
-	row := make([]Trans, hi-lo)
-	for i := lo; i < hi; i++ {
-		row[i-lo] = Trans{To: int(c.succ[i]), Prob: c.prob[i]}
-	}
-	return row
-}
-
 // reverse returns the predecessor view of the chain: the backing space's
 // cached view when the chain aliases one (shared with the checker), or a
 // view built from the chain's own CSR and cached until the next SetRow.
@@ -284,27 +267,6 @@ func (c *Chain) ReachesWithProbOne(target []bool) []bool {
 		out[s] = target[s] || canFail[s] < 0
 	}
 	return out
-}
-
-// FromAlgorithm builds the chain of the algorithm under a randomized
-// scheduler drawing uniformly among pol's activation subsets. Terminal
-// configurations become absorbing states. maxStates caps the configuration
-// space (0 means 1<<22). It is a convenience wrapper over the shared
-// statespace engine; analyses that also need the checker should build one
-// statespace.Space and pass it to FromSpace instead of enumerating twice.
-func FromAlgorithm(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) (*Chain, *protocol.Encoder, error) {
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
-	sp, err := statespace.Build(a, pol, statespace.Options{MaxStates: maxStates})
-	if err != nil {
-		return nil, nil, fmt.Errorf("markov: %w", err)
-	}
-	chain, err := FromSpace(sp)
-	if err != nil {
-		return nil, nil, err
-	}
-	return chain, sp.Enc, nil
 }
 
 // FromSpace builds the chain over an already-explored transition system's

@@ -47,8 +47,9 @@ func TestSetRowValidation(t *testing.T) {
 	if err := c.SetRow(1, []Trans{{To: 2, Prob: 0.25}, {To: 2, Prob: 0.75}}); err != nil {
 		t.Fatal(err)
 	}
-	if row := c.Row(1); len(row) != 1 || math.Abs(row[0].Prob-1) > 1e-12 {
-		t.Fatalf("duplicates not merged: %v", row)
+	c.seal()
+	if succ, prob := c.rowSucc(1), c.rowProb(1); len(succ) != 1 || succ[0] != 2 || math.Abs(prob[0]-1) > 1e-12 {
+		t.Fatalf("duplicates not merged: %v %v", succ, prob)
 	}
 }
 

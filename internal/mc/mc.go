@@ -30,6 +30,10 @@
 // Cross-validation against the exact engine (markov.HittingTimes /
 // HittingTimeCDF) on instances where both run is pinned by the property
 // suite in crossval_test.go.
+//
+// mc walks an explored chain; internal/sim runs online schedulers,
+// including the ones with memory, and configurations too large to explore
+// (E12b/E12d).
 package mc
 
 import (

@@ -22,11 +22,15 @@ func TestRunContextPreCanceled(t *testing.T) {
 	// An illegitimate start (two tokens) so the round-0 check cannot
 	// convert the cancel into a legitimate convergence.
 	init := protocol.Configuration{1, 0, 1, 0, 0}
+	top, err := NewTopology(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunContext(ctx, ring, init, Options{MaxRounds: 1000, Seed: 7})
+	_, err = RunOnContext(ctx, top, ring, init, Options{MaxRounds: 1000, Seed: 7})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled RunContext: err = %v, want a wrapped context.Canceled", err)
+		t.Fatalf("pre-canceled RunOnContext: err = %v, want a wrapped context.Canceled", err)
 	}
 	if !strings.Contains(err.Error(), "canceled at round") {
 		t.Fatalf("error %q does not name the round boundary", err)

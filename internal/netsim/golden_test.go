@@ -65,6 +65,10 @@ func TestRecordedRunGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	top, err := NewTopology(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	init := protocol.RandomConfiguration(a, sim.TrialRNG(7, 0))
 	cases := []struct {
 		name      string
@@ -80,7 +84,7 @@ func TestRecordedRunGolden(t *testing.T) {
 		var ref string
 		for _, ws := range [][2]int{{1, 1}, {2, 3}, {3, 64}} {
 			faults := c.faults()
-			res, err := RunContext(t.Context(), a, init, Options{
+			res, err := RunOnContext(t.Context(), top, a, init, Options{
 				MaxRounds: c.maxRounds, Seed: 99, Faults: faults,
 				Workers: ws[0], Shards: ws[1], Record: true,
 			})

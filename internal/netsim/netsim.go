@@ -316,21 +316,12 @@ type engine struct {
 	shardOf []int32
 }
 
-// RunContext executes a from init over the configured network until a
-// legitimacy check succeeds or the round budget is exhausted. ctx is
-// checked at legitimacy-check round boundaries (every Options.CheckEvery
-// rounds), so a cancelled simulation returns an error wrapping ctx.Err()
-// within one check interval.
-func RunContext(ctx context.Context, a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
-	t, err := NewTopology(a)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunOnContext(ctx, t, a, init, opts)
-}
-
-// RunOnContext is RunContext with a prebuilt Topology (amortizing the
-// precomputation across the runs of a trial batch).
+// RunOnContext executes a from init over the configured network on the
+// prebuilt topology t (one Topology serves every run of a trial batch)
+// until a legitimacy check succeeds or the round budget is exhausted. ctx
+// is checked at legitimacy-check round boundaries (every
+// Options.CheckEvery rounds), so a cancelled simulation returns an error
+// wrapping ctx.Err() within one check interval.
 func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init protocol.Configuration, opts Options) (Result, error) {
 	if len(init) != t.n {
 		return Result{}, fmt.Errorf("netsim: initial configuration has %d states, topology %d", len(init), t.n)

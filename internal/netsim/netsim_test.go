@@ -189,6 +189,10 @@ func TestDeterminismAcrossSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	top, err := NewTopology(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	init := protocol.RandomConfiguration(a, sim.TrialRNG(7, 0))
 
 	type outcome struct {
@@ -197,7 +201,7 @@ func TestDeterminismAcrossSharding(t *testing.T) {
 	}
 	run := func(workers, shards int) outcome {
 		faults := faultStack()
-		res, err := RunContext(t.Context(), a, init, Options{
+		res, err := RunOnContext(t.Context(), top, a, init, Options{
 			MaxRounds: 60, Seed: 99, Faults: faults,
 			Workers: workers, Shards: shards, Record: true,
 		})
@@ -317,7 +321,11 @@ func TestTrialsReplayable(t *testing.T) {
 	// Replay trial 3 in isolation.
 	seed3 := sim.TrialSeed(13, 3)
 	init := protocol.RandomConfiguration(a, sim.TrialRNG(13, 3))
-	res, err := RunContext(t.Context(), a, init, Options{MaxRounds: 2000, Seed: seed3, Faults: []Fault{&Loss{P: 0.15}}})
+	top, err := NewTopology(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunOnContext(t.Context(), top, a, init, Options{MaxRounds: 2000, Seed: seed3, Faults: []Fault{&Loss{P: 0.15}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,15 +345,19 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunContext(t.Context(), a, make(protocol.Configuration, 3), Options{}); err == nil {
+	top, err := NewTopology(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunOnContext(t.Context(), top, a, make(protocol.Configuration, 3), Options{}); err == nil {
 		t.Fatal("short initial configuration accepted")
 	}
 	bad := make(protocol.Configuration, 8)
 	bad[0] = 99
-	if _, err := RunContext(t.Context(), a, bad, Options{}); err == nil {
+	if _, err := RunOnContext(t.Context(), top, a, bad, Options{}); err == nil {
 		t.Fatal("out-of-domain initial state accepted")
 	}
-	if _, err := RunContext(t.Context(), a, make(protocol.Configuration, 8), Options{Faults: []Fault{badFault{}}}); err == nil {
+	if _, err := RunOnContext(t.Context(), top, a, make(protocol.Configuration, 8), Options{Faults: []Fault{badFault{}}}); err == nil {
 		t.Fatal("fault implementing neither role accepted")
 	}
 	// Herman requires odd rings; restabilization on an even one must fail

@@ -1,53 +1,31 @@
-// The debug HTTP endpoint: net/http/pprof for profiles, expvar for the
-// standard process vars plus a live registry snapshot, and /debug/obs
-// for the snapshot alone — the seed of stabserve's event feed.
+// The debug HTTP endpoint: net/http/pprof for profiles and /metrics for
+// the registry's OpenMetrics exposition.
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
-// publishOnce guards the process-global expvar registration — expvar
-// panics on duplicate names, and tests may start several debug servers.
-var publishOnce sync.Once
-
 // ServeDebug starts the debug HTTP server on addr (e.g. "localhost:6060")
-// serving /debug/pprof/*, /debug/vars (expvar, including an "obs" var
-// snapshotting this observer's registry), /debug/obs (the snapshot
-// alone, as JSON) and /metrics (the registry's OpenMetrics text
-// exposition, for Prometheus scrapers). It returns the bound listener
-// address — useful with ":0" — and a shutdown func. The server runs
-// until shut down; handler reads see live metric values. Nil-safe: a
-// disabled observer serves pprof and expvar with an empty registry.
+// serving /debug/pprof/* and /metrics (this observer's registry as
+// OpenMetrics text, for Prometheus scrapers). It returns the bound
+// listener address — useful with ":0" — and a shutdown func. The server
+// runs until shut down; handler reads see live metric values. Nil-safe: a
+// disabled observer serves pprof with an empty registry.
 func (o *Observer) ServeDebug(addr string) (bound string, shutdown func(), err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	reg := o.Registry()
-	publishOnce.Do(func() {
-		expvar.Publish("obs", expvar.Func(func() any { return Default().Registry().Snapshot() }))
-	})
-
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(reg.Snapshot())
-	})
-	mux.Handle("/metrics", MetricsHandler(reg))
+	mux.Handle("/metrics", MetricsHandler(o.Registry()))
 
 	srv := &http.Server{Handler: mux}
 	done := make(chan struct{})

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
-	"sort"
 	"time"
 )
 
@@ -212,15 +211,4 @@ func WriteManifest(w io.Writer, m Manifest) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// SortedKeys returns the map's keys sorted — report helpers use it for
-// deterministic iteration.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -3,7 +3,8 @@
 // structured JSONL event sink for long-job progress (frontier shells,
 // solver blocks, sweep radii, cache traffic, netsim rounds), per-phase
 // wall/CPU timings feeding a machine-readable run manifest, and a debug
-// HTTP endpoint serving net/http/pprof plus a registry snapshot.
+// HTTP endpoint serving net/http/pprof plus the registry's OpenMetrics
+// exposition at /metrics.
 //
 // The whole layer hangs off an *Observer, and nil is the off switch:
 // every method on a nil Observer, and on the nil metric handles a nil

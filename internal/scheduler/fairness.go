@@ -22,15 +22,6 @@ type StepRecord struct {
 	Chosen  []int
 }
 
-func contains(set []int, p int) bool {
-	for _, q := range set {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
 // StronglyFairCycle reports whether repeating the cycle forever yields a
 // strongly fair execution: every process enabled in some step of the cycle
 // is chosen in some step of the cycle.
@@ -83,73 +74,4 @@ func WeaklyFairCycle(cycle []StepRecord) bool {
 		}
 	}
 	return true
-}
-
-// Monitor accumulates fairness statistics over a finite execution prefix:
-// for each process, how many steps it has been enabled, how many times
-// chosen, and the largest gap (in steps where it was enabled) between
-// consecutive choices. A bounded max gap over a long prefix is evidence of
-// (k-)fairness; the monitor cannot prove fairness of an infinite execution.
-type Monitor struct {
-	steps        int
-	enabledSteps map[int]int
-	chosenCount  map[int]int
-	gap          map[int]int
-	maxGap       map[int]int
-}
-
-// NewMonitor returns an empty fairness monitor.
-func NewMonitor() *Monitor {
-	return &Monitor{
-		enabledSteps: map[int]int{},
-		chosenCount:  map[int]int{},
-		gap:          map[int]int{},
-		maxGap:       map[int]int{},
-	}
-}
-
-// Observe records one step.
-func (m *Monitor) Observe(r StepRecord) {
-	m.steps++
-	for _, p := range r.Enabled {
-		m.enabledSteps[p]++
-		m.gap[p]++
-	}
-	for _, p := range r.Chosen {
-		m.chosenCount[p]++
-		if m.gap[p] > m.maxGap[p] {
-			m.maxGap[p] = m.gap[p]
-		}
-		m.gap[p] = 0
-	}
-}
-
-// Steps returns the number of observed steps.
-func (m *Monitor) Steps() int { return m.steps }
-
-// EnabledSteps returns how many observed steps p was enabled in.
-func (m *Monitor) EnabledSteps(p int) int { return m.enabledSteps[p] }
-
-// ChosenCount returns how many times p was activated.
-func (m *Monitor) ChosenCount(p int) int { return m.chosenCount[p] }
-
-// MaxGap returns the largest number of enabled-steps p accumulated between
-// two consecutive activations (including the current open gap).
-func (m *Monitor) MaxGap(p int) int {
-	if m.gap[p] > m.maxGap[p] {
-		return m.gap[p]
-	}
-	return m.maxGap[p]
-}
-
-// Starved returns the processes that were enabled at least minEnabled steps
-// but never chosen — candidates for fairness violations.
-func (m *Monitor) Starved(minEnabled int) []int {
-	var out []int
-	for p, e := range m.enabledSteps {
-		if e >= minEnabled && m.chosenCount[p] == 0 {
-			out = append(out, p)
-		}
-	}
-	return out
 }

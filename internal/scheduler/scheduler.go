@@ -369,23 +369,6 @@ func (SynchronousPolicy) SubsetMasks(k int) []uint64 {
 	return []uint64{uint64(1)<<uint(k) - 1}
 }
 
-// RandomizedFor returns the online randomized scheduler whose step
-// distribution is uniform over pol's subsets: central -> central
-// randomized, distributed -> distributed randomized, synchronous ->
-// synchronous. It returns an error for unknown policies.
-func RandomizedFor(pol Policy) (Scheduler, error) {
-	switch pol.(type) {
-	case CentralPolicy:
-		return NewCentralRandomized(), nil
-	case DistributedPolicy:
-		return NewDistributedRandomized(), nil
-	case SynchronousPolicy:
-		return NewSynchronous(), nil
-	default:
-		return nil, fmt.Errorf("scheduler: no randomized scheduler for policy %q", pol.Name())
-	}
-}
-
 var (
 	_ Scheduler = Synchronous{}
 	_ Scheduler = CentralRandomized{}

@@ -213,33 +213,6 @@ func TestSynchronousPolicySubsets(t *testing.T) {
 	}
 }
 
-func TestRandomizedFor(t *testing.T) {
-	for _, tc := range []struct {
-		pol  Policy
-		want string
-	}{
-		{CentralPolicy{}, "central-randomized"},
-		{DistributedPolicy{}, "distributed-randomized"},
-		{SynchronousPolicy{}, "synchronous"},
-	} {
-		s, err := RandomizedFor(tc.pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Name() != tc.want {
-			t.Fatalf("RandomizedFor(%s) = %s, want %s", tc.pol.Name(), s.Name(), tc.want)
-		}
-	}
-	if _, err := RandomizedFor(fakePolicy{}); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
-type fakePolicy struct{}
-
-func (fakePolicy) Name() string            { return "fake" }
-func (fakePolicy) Subsets(e []int) [][]int { return [][]int{e} }
-
 func TestStronglyFairCycle(t *testing.T) {
 	// Theorem 6 shape: two tokens alternate; both token holders are enabled
 	// somewhere in the cycle and both move somewhere in the cycle -> the
@@ -297,32 +270,6 @@ func TestWeaklyFairCycle(t *testing.T) {
 	}
 	if !WeaklyFairCycle(nil) {
 		t.Fatal("empty cycle is vacuously weakly fair")
-	}
-}
-
-func TestMonitor(t *testing.T) {
-	m := NewMonitor()
-	m.Observe(StepRecord{Enabled: []int{0, 1}, Chosen: []int{0}})
-	m.Observe(StepRecord{Enabled: []int{0, 1}, Chosen: []int{0}})
-	m.Observe(StepRecord{Enabled: []int{0, 1}, Chosen: []int{1}})
-	if m.Steps() != 3 {
-		t.Fatalf("Steps = %d", m.Steps())
-	}
-	if m.EnabledSteps(1) != 3 || m.ChosenCount(1) != 1 {
-		t.Fatalf("enabled=%d chosen=%d for p1", m.EnabledSteps(1), m.ChosenCount(1))
-	}
-	if m.MaxGap(1) != 3 {
-		t.Fatalf("MaxGap(1) = %d, want 3", m.MaxGap(1))
-	}
-	if got := m.Starved(1); len(got) != 0 {
-		t.Fatalf("Starved = %v, want none", got)
-	}
-	m2 := NewMonitor()
-	for i := 0; i < 10; i++ {
-		m2.Observe(StepRecord{Enabled: []int{0, 2}, Chosen: []int{0}})
-	}
-	if got := m2.Starved(5); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Starved = %v, want [2]", got)
 	}
 }
 

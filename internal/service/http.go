@@ -185,6 +185,17 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("service: job has no event feed"))
 		return
 	}
+	// A bad cursor is refused rather than read as 0, which would replay
+	// events the client already has.
+	from := int64(0)
+	if s := r.URL.Query().Get("from"); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || v < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("service: from=%q is not a non-negative event sequence number", s))
+			return
+		}
+		from = v
+	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("service: streaming unsupported"))
@@ -195,12 +206,6 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	from := int64(0)
-	if s := r.URL.Query().Get("from"); s != "" {
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			from = v
-		}
-	}
 	for {
 		evs, closed := j.feed.Wait(r.Context(), from)
 		for _, ev := range evs {

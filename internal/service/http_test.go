@@ -204,6 +204,15 @@ func TestHTTPEventsStream(t *testing.T) {
 	if !strings.Contains(string(body2), "event: done\n") {
 		t.Errorf("resumed stream missing the done event:\n%s", body2)
 	}
+
+	// A malformed or negative cursor is refused before streaming, not
+	// read as 0 (which would replay the whole feed).
+	for _, from := range []string{"abc", "-1", "1.5"} {
+		code, body, _ := get(t, srv.URL+"/jobs/"+st.ID+"/events?from="+from)
+		if code != http.StatusBadRequest || strings.Contains(string(body), "event:") {
+			t.Errorf("GET events?from=%s = %d, want 400 without events:\n%s", from, code, body)
+		}
+	}
 }
 
 // TestHTTPMetricsScrape pins the scrape endpoint: OpenMetrics content

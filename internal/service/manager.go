@@ -94,10 +94,6 @@ type Job struct {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Feed returns the job's event feed (nil when feeds are disabled or the
-// job was answered from the LRU).
-func (j *Job) Feed() *Feed { return j.feed }
-
 // Status returns the job's current state, its answer source ("run" or
 // "lru"), and — in a terminal state — its result or error.
 func (j *Job) Status() (state State, source string, resp *Response, err error) {

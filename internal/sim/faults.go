@@ -16,12 +16,10 @@ import (
 // InjectFaults returns a copy of cfg with k distinct processes' states
 // replaced by uniformly random values from their domains (the paper's
 // transient-fault model: process memories corrupted arbitrarily). k is
-// clamped to the number of processes.
+// clamped to [0, n].
 func InjectFaults(a protocol.Algorithm, cfg protocol.Configuration, k int, rng *rand.Rand) protocol.Configuration {
 	n := len(cfg)
-	if k > n {
-		k = n
-	}
+	k = min(max(k, 0), n)
 	out := cfg.Clone()
 	perm := rng.Perm(n)
 	for _, p := range perm[:k] {

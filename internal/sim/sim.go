@@ -3,6 +3,10 @@
 // times, and injects transient faults to exercise re-stabilization — the
 // empirical counterpart of the exact Markov analysis for instances too
 // large to enumerate.
+//
+// sim runs online schedulers, including the ones with memory (round-robin,
+// lex-min), and configurations too large to explore (E12b/E12d);
+// internal/mc walks an already explored chain.
 package sim
 
 import (
@@ -151,23 +155,6 @@ func Trials(a protocol.Algorithm, sched scheduler.Scheduler, trials int, seed in
 	for i := 0; i < trials; i++ {
 		rng := TrialRNG(seed, i)
 		res := Run(a, sched, protocol.RandomConfiguration(a, rng), rng, opts)
-		if !res.Converged {
-			failures++
-			continue
-		}
-		steps = append(steps, float64(res.Steps))
-	}
-	return stats.Summarize(steps), failures
-}
-
-// TrialsFrom summarizes repeated runs from a fixed initial configuration
-// (meaningful for probabilistic algorithms and randomized schedulers),
-// with the same per-trial seed derivation as Trials.
-func TrialsFrom(a protocol.Algorithm, sched scheduler.Scheduler, init protocol.Configuration, trials int, seed int64, opts Options) (stats.Summary, int) {
-	steps := make([]float64, 0, trials)
-	failures := 0
-	for i := 0; i < trials; i++ {
-		res := Run(a, sched, init, TrialRNG(seed, i), opts)
 		if !res.Converged {
 			failures++
 			continue

@@ -84,13 +84,17 @@ func TestTrialsMatchExactExpectation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary, failures := TrialsFrom(a, scheduler.NewDistributedRandomized(),
-		protocol.Configuration{0, 0}, 4000, 5, Options{MaxSteps: 100000})
-	if failures != 0 {
-		t.Fatalf("%d failures", failures)
+	const trials = 4000
+	sum := 0
+	for i := 0; i < trials; i++ {
+		res := Run(a, scheduler.NewDistributedRandomized(), protocol.Configuration{0, 0}, TrialRNG(5, i), Options{MaxSteps: 100000})
+		if !res.Converged {
+			t.Fatalf("trial %d did not converge", i)
+		}
+		sum += res.Steps
 	}
-	if math.Abs(summary.Mean-5) > 0.25 {
-		t.Fatalf("Monte-Carlo mean %g, want ~5 (exact)", summary.Mean)
+	if mean := float64(sum) / trials; math.Abs(mean-5) > 0.25 {
+		t.Fatalf("Monte-Carlo mean %g, want ~5 (exact)", mean)
 	}
 }
 
@@ -146,8 +150,13 @@ func TestInjectFaults(t *testing.T) {
 			t.Fatalf("faulted state %d out of domain at %d", s, p)
 		}
 	}
-	// k > n clamps.
-	InjectFaults(a, cfg, 100, rng)
+	// k > n clamps to n; k < 0 clamps to 0.
+	if all := InjectFaults(a, cfg, 100, rng); len(all) != len(cfg) {
+		t.Fatalf("k > n: %d states, want %d", len(all), len(cfg))
+	}
+	if none := InjectFaults(a, cfg, -1, rng); !none.Equal(cfg) {
+		t.Fatal("k = -1 changed the configuration")
+	}
 }
 
 func TestFaultRecovery(t *testing.T) {

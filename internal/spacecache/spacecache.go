@@ -351,8 +351,8 @@ func (c *Cache) BuildSubSpaceContext(ctx context.Context, a protocol.Algorithm, 
 }
 
 // BuildSubSpaceFromConfigsContext is BuildSubSpaceContext with the seed
-// set given as configurations, validated and encoded by the same shared
-// helper statespace.BuildFromConfigsContext uses.
+// set given as configurations, validated and encoded by
+// statespace.EncodeConfigs.
 func (c *Cache) BuildSubSpaceFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.Space, bool, error) {
 	seeds, err := statespace.EncodeConfigs(a, cfgs)
 	if err != nil {

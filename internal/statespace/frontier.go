@@ -81,8 +81,8 @@ func BuildFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.P
 
 // EncodeConfigs validates each configuration against a's process domains
 // and encodes it to its global mixed-radix index under a's canonical
-// encoder — the seed-set preparation shared by BuildFromConfigsContext and the
-// cached build paths of internal/spacecache.
+// encoder — the seed-set preparation of the configuration-seeded cached
+// build in internal/spacecache.
 func EncodeConfigs(a protocol.Algorithm, cfgs []protocol.Configuration) ([]int64, error) {
 	enc, err := protocol.NewEncoder(a, 0)
 	if err != nil {
@@ -102,17 +102,6 @@ func EncodeConfigs(a protocol.Algorithm, cfgs []protocol.Configuration) ([]int64
 		seeds[i] = enc.Encode(cfg)
 	}
 	return seeds, nil
-}
-
-// BuildFromConfigsContext is BuildFromContext with the seed set given as
-// configurations; each is validated against the process state domains
-// before encoding.
-func BuildFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt Options) (*Space, error) {
-	seeds, err := EncodeConfigs(a, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	return BuildFromContext(ctx, a, pol, seeds, opt)
 }
 
 // CanonicalOrder sorts a duplicate-free global list indexed by id into

@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"slices"
 	"testing"
 
 	"weakstab/internal/algorithms/dijkstra"
@@ -255,16 +256,16 @@ func TestBuildFromValidation(t *testing.T) {
 	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{0}, Options{MaxStates: 4}); err == nil {
 		t.Fatal("cap-exceeding exploration accepted")
 	}
-	if _, err := BuildFromConfigsContext(t.Context(), ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0}}, Options{}); err == nil {
+	if _, err := EncodeConfigs(ring, []protocol.Configuration{{0, 0}}); err == nil {
 		t.Fatal("short seed configuration accepted")
 	}
-	if _, err := BuildFromConfigsContext(t.Context(), ring, scheduler.CentralPolicy{}, []protocol.Configuration{{0, 0, 0, 0, 9}}, Options{}); err == nil {
+	if _, err := EncodeConfigs(ring, []protocol.Configuration{{0, 0, 0, 0, 9}}); err == nil {
 		t.Fatal("out-of-domain seed configuration accepted")
 	}
 }
 
-// TestBuildFromConfigsMatchesBuildFrom pins the configuration-seeded
-// convenience wrapper to the index-seeded engine.
+// TestBuildFromConfigsMatchesBuildFrom pins configuration seeds, encoded
+// by EncodeConfigs, to the same exploration as hand-encoded index seeds.
 func TestBuildFromConfigsMatchesBuildFrom(t *testing.T) {
 	ring, err := tokenring.New(5)
 	if err != nil {
@@ -276,7 +277,14 @@ func TestBuildFromConfigsMatchesBuildFrom(t *testing.T) {
 	}
 	cfgs := []protocol.Configuration{{1, 0, 1, 1, 0}, {0, 0, 0, 0, 0}}
 	seeds := []int64{enc.Encode(cfgs[0]), enc.Encode(cfgs[1])}
-	a, err := BuildFromConfigsContext(t.Context(), ring, scheduler.CentralPolicy{}, cfgs, Options{})
+	encoded, err := EncodeConfigs(ring, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(encoded, seeds) {
+		t.Fatalf("EncodeConfigs = %v, want %v", encoded, seeds)
+	}
+	a, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, encoded, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,8 @@ package statespace
 // BuildReference is the seed-era exploration strategy kept as an oracle:
 // single-threaded, materializing every successor configuration through
 // protocol.StepOutcomes per activation subset and deduplicating through a
-// map — exactly what checker.Explore and markov.FromAlgorithm each did
-// before they shared one engine. Parity tests compare Build against it;
+// map — exactly what the checker's and the Markov analysis's explorers
+// each did before they shared one engine. Parity tests compare Build against it;
 // the exploration benchmarks use it as the baseline the engine is measured
 // against. It produces the same Space (same rows, same probability sums).
 

@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics used by the Monte-Carlo
-// experiments: location and dispersion estimates, quantiles, normal-theory
-// confidence intervals and fixed-width text histograms.
+// experiments: location and dispersion estimates, quantiles, empirical
+// CDFs and normal-theory confidence intervals.
 package stats
 
 import (
@@ -21,10 +21,10 @@ type Summary struct {
 	P95    float64
 }
 
-// Summarize computes descriptive statistics. An empty sample yields a zero
-// Summary.
+// Summarize computes descriptive statistics of the sample, leaving it
+// untouched. An empty sample yields a zero Summary.
 func Summarize(sample []float64) Summary {
-	return SummarizeSorted(sortedCopy(sample))
+	return SummarizeSorted(slices.Sorted(slices.Values(sample)))
 }
 
 // SummarizeSorted is Summarize over a sample already in ascending order,
@@ -88,18 +88,14 @@ type CDFPoint struct {
 	Value float64
 }
 
-// DefaultQuantiles are the quantiles CDF evaluates when given none: the
+// DefaultQuantiles are the quantiles CDFSorted evaluates when given none: the
 // distribution shape the convergence/re-stabilization reports print.
 var DefaultQuantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1}
 
-// CDF returns the empirical distribution of the sample evaluated at the
-// given quantiles (DefaultQuantiles when qs is nil), using the same linear
-// interpolation as Quantile. An empty sample yields nil.
-func CDF(sample []float64, qs []float64) []CDFPoint {
-	return CDFSorted(sortedCopy(sample), qs)
-}
-
-// CDFSorted is CDF over a sample already in ascending order.
+// CDFSorted returns the empirical distribution of a sample in ascending
+// order evaluated at the given quantiles (DefaultQuantiles when qs is
+// nil), using the same linear interpolation as Quantile. An empty sample
+// yields nil.
 func CDFSorted(sorted []float64, qs []float64) []CDFPoint {
 	if len(sorted) == 0 {
 		return nil
@@ -112,13 +108,6 @@ func CDFSorted(sorted []float64, qs []float64) []CDFPoint {
 		out[i] = CDFPoint{P: q, Value: Quantile(sorted, q)}
 	}
 	return out
-}
-
-// sortedCopy returns the sample in ascending order, leaving it untouched.
-func sortedCopy(sample []float64) []float64 {
-	sorted := slices.Clone(sample)
-	slices.Sort(sorted)
-	return sorted
 }
 
 // FormatCDF renders CDF points as "p10=… p25=… … max=…" (quantile 1 is
@@ -161,59 +150,4 @@ func (s Summary) String() string {
 func (s Summary) StringOf(of int) string {
 	return fmt.Sprintf("mean=%.2f ±%.2f std=%.2f min=%.0f med=%.1f p95=%.1f max=%.0f (n=%d/%d)",
 		s.Mean, s.CI95(), s.Std, s.Min, s.Median, s.P95, s.Max, s.Count, of)
-}
-
-// Histogram renders a fixed-width text histogram of the sample with the
-// given number of buckets (at least 1). Returns "" for empty samples.
-func Histogram(sample []float64, buckets int, width int) string {
-	if len(sample) == 0 || buckets < 1 {
-		return ""
-	}
-	if width < 1 {
-		width = 40
-	}
-	lo, hi := sample[0], sample[0]
-	for _, v := range sample {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	counts := make([]int, buckets)
-	span := hi - lo
-	for _, v := range sample {
-		b := 0
-		if span > 0 {
-			b = int(float64(buckets) * (v - lo) / span)
-			if b >= buckets {
-				b = buckets - 1
-			}
-		}
-		counts[b]++
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var sb strings.Builder
-	for b, c := range counts {
-		bLo := lo + span*float64(b)/float64(buckets)
-		bHi := lo + span*float64(b+1)/float64(buckets)
-		bar := 0
-		if maxCount > 0 {
-			bar = c * width / maxCount
-		}
-		// The last bucket is closed — the sample maximum is clamped into
-		// it, so labeling it half-open would lie about its own content.
-		close := ')'
-		if b == buckets-1 {
-			close = ']'
-		}
-		fmt.Fprintf(&sb, "[%8.1f,%8.1f%c %6d %s\n", bLo, bHi, close, c, strings.Repeat("#", bar))
-	}
-	return sb.String()
 }

@@ -36,22 +36,13 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-// TestSortedVariantsMatch: the sorted-input entry points give exactly what
-// Summarize and CDF give on the unsorted sample.
+// TestSortedVariantsMatch: the sorted-input entry point gives exactly
+// what Summarize gives on the unsorted sample.
 func TestSortedVariantsMatch(t *testing.T) {
 	in := []float64{9, 1, 4, 4, 0, 13, 2, 7, 1, 5}
 	sorted := []float64{0, 1, 1, 2, 4, 4, 5, 7, 9, 13}
 	if got, want := SummarizeSorted(sorted), Summarize(in); got != want {
 		t.Fatalf("SummarizeSorted = %+v, Summarize = %+v", got, want)
-	}
-	got, want := CDFSorted(sorted, nil), CDF(in, nil)
-	if len(got) != len(want) {
-		t.Fatalf("CDFSorted has %d points, CDF %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("point %d: CDFSorted %+v, CDF %+v", i, got[i], want[i])
-		}
 	}
 	if SummarizeSorted(nil) != (Summary{}) || CDFSorted(nil, nil) != nil {
 		t.Fatal("empty sorted sample must give a zero Summary and a nil CDF")
@@ -120,56 +111,6 @@ func TestSummaryInvariantsQuick(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 0, 1, 2, 9}, 3, 20)
-	if h == "" {
-		t.Fatal("empty histogram")
-	}
-	lines := strings.Split(strings.TrimRight(h, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("histogram has %d lines, want 3", len(lines))
-	}
-	if Histogram(nil, 3, 20) != "" {
-		t.Fatal("histogram of empty sample should be empty")
-	}
-	if Histogram([]float64{1}, 0, 20) != "" {
-		t.Fatal("zero buckets should yield empty histogram")
-	}
-	// Constant sample lands in one bucket.
-	h = Histogram([]float64{5, 5, 5}, 4, 10)
-	if !strings.Contains(h, "3") {
-		t.Fatalf("constant histogram missing count: %q", h)
-	}
-}
-
-// TestHistogramMaxBucketTruthful pins the final-bucket labeling: the
-// sample maximum is clamped into the last bucket, so that bucket must
-// render closed "[lo,hi]" — every other bucket stays half-open "[lo,hi)"
-// — and the maximum must land in a bucket whose printed bounds actually
-// contain it.
-func TestHistogramMaxBucketTruthful(t *testing.T) {
-	// Max = 9 falls exactly on the last bucket's upper bound; under the
-	// old half-open label [6.0, 9.0) the bucket claimed not to hold it.
-	h := Histogram([]float64{0, 3, 9}, 3, 20)
-	lines := strings.Split(strings.TrimRight(h, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("histogram has %d lines, want 3: %q", len(lines), h)
-	}
-	for i, line := range lines {
-		bracket := line[strings.IndexAny(line, ")]")]
-		if i == len(lines)-1 {
-			if bracket != ']' {
-				t.Fatalf("last bucket not closed: %q", line)
-			}
-			if !strings.Contains(line, "     1 ") {
-				t.Fatalf("max sample not counted in last bucket: %q", line)
-			}
-		} else if bracket != ')' {
-			t.Fatalf("bucket %d not half-open: %q", i, line)
-		}
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3})
 	out := s.String()
@@ -187,8 +128,8 @@ func TestSummaryStringOf(t *testing.T) {
 }
 
 func TestCDF(t *testing.T) {
-	sample := []float64{5, 1, 3, 2, 4} // unsorted on purpose
-	pts := CDF(sample, nil)
+	sample := []float64{1, 2, 3, 4, 5}
+	pts := CDFSorted(sample, nil)
 	if len(pts) != len(DefaultQuantiles) {
 		t.Fatalf("%d points, want %d", len(pts), len(DefaultQuantiles))
 	}
@@ -204,21 +145,17 @@ func TestCDF(t *testing.T) {
 		t.Fatalf("max point %+v, want P=1 Value=5", last)
 	}
 	// Explicit quantiles use the same interpolation as Quantile.
-	custom := CDF(sample, []float64{0, 0.5, 1})
+	custom := CDFSorted(sample, []float64{0, 0.5, 1})
 	if custom[0].Value != 1 || custom[1].Value != 3 || custom[2].Value != 5 {
 		t.Fatalf("custom quantiles %v", custom)
 	}
-	// The input slice must not be reordered.
-	if sample[0] != 5 || sample[4] != 4 {
-		t.Fatalf("CDF mutated its input: %v", sample)
-	}
-	if CDF(nil, nil) != nil {
+	if CDFSorted(nil, nil) != nil {
 		t.Fatal("CDF of empty sample should be nil")
 	}
 }
 
 func TestFormatCDF(t *testing.T) {
-	out := FormatCDF(CDF([]float64{1, 2, 3, 4}, []float64{0.5, 0.75, 1}))
+	out := FormatCDF(CDFSorted([]float64{1, 2, 3, 4}, []float64{0.5, 0.75, 1}))
 	if out != "p50=2.5 p75=3.25 max=4" {
 		t.Fatalf("FormatCDF = %q", out)
 	}

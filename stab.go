@@ -3,19 +3,23 @@
 // memory model, reproducing "Weak vs. Self vs. Probabilistic Stabilization"
 // (Devismes, Tixeuil, Yamashita; ICDCS 2008 / INRIA RR-6366).
 //
-// The package is a facade over the internal engine:
+// The package is a small facade over the internal engine, holding what
+// the programs under examples/ call:
 //
-//   - topologies: rings, chains, stars, random and enumerated trees with
-//     anonymous local neighbor indexing (NewRing, NewChain, NewRandomTree…);
+//   - topologies: chains and random trees with anonymous local neighbor
+//     indexing (NewChain, NewRandomTree);
 //   - the paper's algorithms: Algorithm 1 token circulation (NewTokenRing),
-//     Algorithm 2 tree leader election (NewLeaderElection), Algorithm 3
-//     (NewSyncPair), the §3.2 center-based election (NewCenterElection),
-//     plus the Dijkstra/Herman baselines;
+//     Algorithm 2 tree leader election (NewLeaderElection) and Algorithm 3
+//     (NewSyncPair);
 //   - the §4 transformer turning any deterministic weak-stabilizing
 //     algorithm into a probabilistic self-stabilizing one (Transform);
 //   - schedulers and scheduler policies (Central/Distributed/Synchronous);
-//   - exact classification in the stabilization hierarchy (Classify) and
-//     Monte-Carlo simulation (Simulate, SimulateTrials).
+//   - exact classification in the stabilization hierarchy (Classify),
+//     single steps, fault injection and Monte-Carlo simulation (Simulate).
+//
+// The command-line tools under cmd/ reach the rest of the engine (more
+// topologies and algorithms, k-fault sweeps, message passing, the
+// analysis service) directly.
 //
 // Quick start:
 //
@@ -32,10 +36,6 @@ import (
 	"context"
 	"math/rand"
 
-	"weakstab/internal/algorithms/centers"
-	"weakstab/internal/algorithms/coloring"
-	"weakstab/internal/algorithms/dijkstra"
-	"weakstab/internal/algorithms/herman"
 	"weakstab/internal/algorithms/leadertree"
 	"weakstab/internal/algorithms/syncpair"
 	"weakstab/internal/algorithms/tokenring"
@@ -45,7 +45,6 @@ import (
 	"weakstab/internal/scheduler"
 	"weakstab/internal/sim"
 	"weakstab/internal/statespace"
-	"weakstab/internal/stats"
 	"weakstab/internal/transformer"
 )
 
@@ -69,40 +68,15 @@ type (
 	Policy = scheduler.Policy
 	// Report is the exact classification of an instance (see Classify).
 	Report = core.Report
-	// Class is a stabilization class (self, probabilistic, weak, none).
-	Class = core.Class
 	// SimResult reports one simulation run.
 	SimResult = sim.Result
-	// Summary holds descriptive statistics of a sample.
-	Summary = stats.Summary
 )
-
-// Stabilization classes.
-const (
-	ClassSelf          = core.ClassSelf
-	ClassProbabilistic = core.ClassProbabilistic
-	ClassWeak          = core.ClassWeak
-	ClassNone          = core.ClassNone
-)
-
-// NewRing returns the anonymous ring on n >= 3 processes.
-func NewRing(n int) (*Graph, error) { return graph.Ring(n) }
 
 // NewChain returns the path graph on n >= 2 processes.
 func NewChain(n int) (*Graph, error) { return graph.Chain(n) }
 
-// NewStar returns the star on n >= 2 processes with hub 0.
-func NewStar(n int) (*Graph, error) { return graph.Star(n) }
-
 // NewRandomTree returns a uniformly random labeled tree on n >= 2 nodes.
 func NewRandomTree(n int, rng *rand.Rand) (*Graph, error) { return graph.RandomTree(n, rng) }
-
-// NewGraph builds a graph from an explicit undirected edge list.
-func NewGraph(n int, edges [][2]int) (*Graph, error) { return graph.FromEdges(n, edges) }
-
-// AllLabeledTrees enumerates every labeled tree on n nodes via Prüfer
-// sequences, calling fn until it returns false.
-func AllLabeledTrees(n int, fn func(*Graph) bool) error { return graph.AllLabeledTrees(n, fn) }
 
 // NewTokenRing returns Algorithm 1 (Beauquier et al. mN-counter token
 // circulation) on an anonymous unidirectional ring of n >= 3 processes.
@@ -112,30 +86,9 @@ func NewTokenRing(n int) (*tokenring.Algorithm, error) { return tokenring.New(n)
 // the anonymous tree g.
 func NewLeaderElection(g *Graph) (*leadertree.Algorithm, error) { return leadertree.New(g) }
 
-// NewCenterElection returns the §3.2 log N-bit leader election (center
-// finding plus a one-bit tie-breaker) on the anonymous tree g.
-func NewCenterElection(g *Graph) (*centers.Elector, error) { return centers.NewElector(g) }
-
-// NewCenterFinder returns the self-stabilizing tree-center computation
-// underlying NewCenterElection.
-func NewCenterFinder(g *Graph) (*centers.Finder, error) { return centers.NewFinder(g) }
-
 // NewSyncPair returns Algorithm 3, the two-process protocol whose only
 // converging step is synchronous.
 func NewSyncPair() (*syncpair.Algorithm, error) { return syncpair.New() }
-
-// NewColoring returns greedy distributed vertex coloring on an arbitrary
-// connected graph — the conflict-manager example of the paper's citation
-// [14], self-stabilizing under the central scheduler but only
-// weak-stabilizing under the distributed one.
-func NewColoring(g *Graph) (*coloring.Algorithm, error) { return coloring.New(g) }
-
-// NewDijkstra returns Dijkstra's K-state token ring (rooted; the
-// deterministic self-stabilizing baseline).
-func NewDijkstra(n, k int) (*dijkstra.Algorithm, error) { return dijkstra.New(n, k) }
-
-// NewHerman returns Herman's synchronous probabilistic token ring (odd n).
-func NewHerman(n int) (*herman.Algorithm, error) { return herman.New(n) }
 
 // Transform applies the paper's §4 construction with a fair coin: every
 // activated process executes its action only if it wins a toss. The result
@@ -143,11 +96,6 @@ func NewHerman(n int) (*herman.Algorithm, error) { return herman.New(n) }
 // randomized schedulers whenever the input is weak-stabilizing
 // (Theorems 8–9).
 func Transform(inner Deterministic) Algorithm { return transformer.New(inner) }
-
-// TransformBiased is Transform with coin bias p in (0,1).
-func TransformBiased(inner Deterministic, p float64) (Algorithm, error) {
-	return transformer.NewBiased(inner, p)
-}
 
 // CentralScheduler returns the central randomized scheduler (one uniform
 // enabled process per step).
@@ -197,14 +145,6 @@ func Simulate(a Algorithm, s Scheduler, init Configuration, rng *rand.Rand, maxS
 	return sim.Run(a, s, init, rng, sim.Options{MaxSteps: maxSteps})
 }
 
-// SimulateTrials summarizes repeated runs from random initial
-// configurations, returning step statistics over converged runs and the
-// number of runs that exhausted the budget. Trial i derives its own RNG
-// from (seed, i), so any single trial is replayable in isolation.
-func SimulateTrials(a Algorithm, s Scheduler, trials int, seed int64, maxSteps int) (Summary, int) {
-	return sim.Trials(a, s, trials, seed, sim.Options{MaxSteps: maxSteps})
-}
-
 // InjectFaults corrupts k distinct processes' states uniformly at random —
 // the paper's transient-fault model.
 func InjectFaults(a Algorithm, cfg Configuration, k int, rng *rand.Rand) Configuration {
@@ -221,6 +161,3 @@ func EnabledProcesses(a Algorithm, cfg Configuration) []int {
 func Step(a Algorithm, cfg Configuration, subset []int, rng *rand.Rand) Configuration {
 	return protocol.Step(a, cfg, subset, rng)
 }
-
-// IsTerminal reports whether no process is enabled in cfg.
-func IsTerminal(a Algorithm, cfg Configuration) bool { return protocol.IsTerminal(a, cfg) }
