@@ -115,6 +115,14 @@ func TestGoldenJSONMCHerman11(t *testing.T) {
 	runGolden(t, "json_mc_herman11", "-alg", "herman", "-n", "11", "-policy", "synchronous", "-mc", "-trials", "20000", "-json")
 }
 
+// TestGoldenJSONReachableKFaultsTokenring13 pins hitting times solved by
+// the red-black Gauss–Seidel kernel: the 52,182-state closure of
+// tokenring(13,3)'s 2-fault ball has transient blocks of 8,580 and
+// 19,305 states, above the size where the tokenring(6) goldens stay.
+func TestGoldenJSONReachableKFaultsTokenring13(t *testing.T) {
+	runGolden(t, "json_reachable_kfaults2_tokenring13", "-alg", "tokenring", "-n", "13", "-k", "3", "-reachable", "-kfaults", "2", "-json")
+}
+
 func TestGoldenCacheWarmRuns(t *testing.T) {
 	// Cold and warm runs through one cache directory must render
 	// byte-identical output, for the report, the ball pipeline and the
