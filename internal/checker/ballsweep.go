@@ -420,14 +420,19 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 		return nil, fmt.Errorf("checker: negative sweep radius %d", kmax)
 	}
 	res := &SweepResult{BreaksCertainAt: -1, BreaksPossibleAt: -1}
+	// fail releases the last walked radius's subspace, which may own a
+	// warm-loaded file mapping, before returning err: no result carries it.
+	fail := func(err error) (*SweepResult, error) {
+		if res.Sub != nil {
+			res.Sub.Close()
+		}
+		return nil, err
+	}
 	maxStates := statespace.StateCap(opt.MaxStates)
 	var sweep *BallSweep
 	for k := 0; k <= kmax; k++ {
 		if err := ctx.Err(); err != nil {
-			if res.Sub != nil {
-				res.Sub.Close()
-			}
-			return nil, fmt.Errorf("checker: sweep canceled at radius %d: %w", k, err)
+			return fail(fmt.Errorf("checker: sweep canceled at radius %d: %w", k, err))
 		}
 		var (
 			ss      *statespace.Space
@@ -452,7 +457,7 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 					// sealing explores only what is missing.
 					resumed, err := ResumeBallSweep(a, pol, k, g, d, res.Sub, opt)
 					if err != nil {
-						return nil, err
+						return fail(err)
 					}
 					sweep = resumed
 					ballStored = true
@@ -468,17 +473,17 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 					sweep, err = NewBallSweepContext(ctx, a, pol, opt)
 				}
 				if err != nil {
-					return nil, err
+					return fail(err)
 				}
 			}
 		}
 		if !hit {
 			if err := sweep.GrowToContext(ctx, k); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			var err error
 			if ss, globals, dist, err = sweep.SealContext(ctx); err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if !ballStored {
 				_ = cache.StoreBall(a, k, globals, dist) // best-effort persistence

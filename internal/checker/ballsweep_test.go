@@ -11,6 +11,8 @@ package checker
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -446,6 +448,55 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 	}
 	if got, want := counted2.legit.Load(), int64(resumed.Sub.NumStates()); got != want {
 		t.Errorf("ball-resumed sweep made %d Legitimate calls, want %d (closure re-exploration only, no seed pass)", got, want)
+	}
+}
+
+// TestSweepKFaultsErrorReleasesMapping pins that a sweep failing after a
+// warm radius releases that radius's zero-copy subspace mapping instead of
+// leaving it to the finalizer: a cache warm for radii 0–1 serves both from
+// mapped files, and a MaxStates between the radius-1 and radius-2 closure
+// sizes (704 and 2,648 states for tokenring(6)) fails the extension to
+// radius 2 after the radius-1 mapping was adopted.
+func TestSweepKFaultsErrorReleasesMapping(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads the process mappings from /proc/self/maps")
+	}
+	ring, err := tokenring.New(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := scheduler.CentralPolicy{}
+	cache, err := spacecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := func() bool {
+		maps, err := os.ReadFile("/proc/self/maps")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Contains(string(maps), cache.Dir())
+	}
+	if _, err := SweepKFaultsContext(t.Context(), cache, ring, pol, 1, statespace.Options{}, false); err != nil {
+		t.Fatal(err)
+	}
+	opt := statespace.Options{MaxStates: 1000}
+	warm, err := SweepKFaultsContext(t.Context(), cache, ring, pol, 1, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.CacheHits[1] || !mapped() {
+		t.Fatal("the warm radius-1 closure was not served from a file mapping")
+	}
+	warm.Sub.Close()
+	if mapped() {
+		t.Fatal("closing the warm sweep's subspace left a cache file mapped")
+	}
+	if _, err := SweepKFaultsContext(t.Context(), cache, ring, pol, 2, opt, false); err == nil {
+		t.Fatal("radius 2 of tokenring(6) fit a 1000-state cap")
+	}
+	if mapped() {
+		t.Error("the failed sweep left its warm radius-1 subspace mapped")
 	}
 }
 

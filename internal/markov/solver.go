@@ -67,7 +67,7 @@ type blockScratch struct {
 	ext  []float64   // GS: constant terms
 	diag []float64   // GS: diagonal 1 - P(s,s)
 	x    []float64   // GS: iterate
-	snap []float64   // GS: red-black color snapshot
+	snap []float64   // GS: red-black staged color values
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
@@ -416,9 +416,12 @@ func (c *Chain) solveBlockDense(b int32, states []int32, local, comp []int32, h 
 // solveBlockGS iterates one large block with red-black Gauss–Seidel: the
 // block's states are split into two color ranges; each half-sweep updates
 // one color in parallel, reading the other color's fresh values and its
-// own color's snapshot, so sweeps are race-free and deterministic for
-// every worker count. Iteration stops only after an explicit residual
-// pass confirms convergence.
+// own color's pre-phase values. The new values of the color are staged in
+// a side buffer and copied back after the half-sweep, so every neighbor
+// is read from one array without a per-edge color test; each update sums
+// the same products in the same order whatever the staging, so sweeps
+// are race-free and bit-identical for every worker count. Iteration stops
+// only after an explicit residual pass confirms convergence.
 func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []float64, workers int) error {
 	m := len(states)
 	sc := blockScratchPool.Get().(*blockScratch)
@@ -541,53 +544,49 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 	snap := sc.snap
 	half := (m + 1) / 2
 	par := workers > 1
-	// phase updates the color range [colorLo, colorHi): same-color
-	// neighbors read the pre-phase snapshot, the other color reads live
-	// values. Returns the max update delta and max |x| of the range.
+	// phase updates the color range [colorLo, colorHi) without a per-edge
+	// color test: every neighbor is read from x, which still holds the
+	// range's pre-phase values and the other color's fresh ones, while
+	// the new values are staged in snap and copied back once the whole
+	// range is done. Returns the max update delta and max |x| of the range.
 	phase := func(colorLo, colorHi int) (float64, float64) {
-		copy(snap[colorLo:colorHi], x[colorLo:colorHi])
 		update := func(lo, hi int) (float64, float64) {
 			delta, amax := 0.0, 0.0
 			for i := lo; i < hi; i++ {
 				v := ext[i]
 				for k := bOff[i]; k < bOff[i+1]; k++ {
-					j := int(bTo[k])
-					if j >= colorLo && j < colorHi {
-						v += bP[k] * snap[j]
-					} else {
-						v += bP[k] * x[j]
-					}
+					v += bP[k] * x[bTo[k]]
 				}
 				v /= diag[i]
-				if d := math.Abs(v - snap[i]); d > delta {
+				if d := math.Abs(v - x[i]); d > delta {
 					delta = d
 				}
 				if a := math.Abs(v); a > amax {
 					amax = a
 				}
-				x[i] = v
+				snap[i] = v
 			}
 			return delta, amax
 		}
-		if !par {
-			return update(colorLo, colorHi)
+		var delta, amax float64
+		if par {
+			var mu sync.Mutex
+			statespace.ForRanges(colorHi-colorLo, workers, gsGrain, func(lo, hi int) bool {
+				d, a := update(colorLo+lo, colorLo+hi)
+				mu.Lock()
+				if d > delta {
+					delta = d
+				}
+				if a > amax {
+					amax = a
+				}
+				mu.Unlock()
+				return true
+			})
+		} else {
+			delta, amax = update(colorLo, colorHi)
 		}
-		var (
-			mu          sync.Mutex
-			delta, amax float64
-		)
-		statespace.ForRanges(colorHi-colorLo, workers, gsGrain, func(lo, hi int) bool {
-			d, a := update(colorLo+lo, colorLo+hi)
-			mu.Lock()
-			if d > delta {
-				delta = d
-			}
-			if a > amax {
-				amax = a
-			}
-			mu.Unlock()
-			return true
-		})
+		copy(x[colorLo:colorHi], snap[colorLo:colorHi])
 		return delta, amax
 	}
 	parResidual := func() float64 {

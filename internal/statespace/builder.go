@@ -151,7 +151,6 @@ func (b *Builder) explore(ctx context.Context) error {
 			return fmt.Errorf("statespace: exploration canceled at shell %d: %w", b.shell, err)
 		}
 		hi := b.table.Len()
-		edgesBefore := int64(len(b.succ))
 		level := b.table.Globals()[lo:hi] // expansion only reads, so no insert moves it
 		numChunks := (len(level) + frontierGrain - 1) / frontierGrain
 		if len(b.chunks) < numChunks {
@@ -170,7 +169,7 @@ func (b *Builder) explore(ctx context.Context) error {
 			ck := &chunks[clo/frontierGrain]
 			ck.deg = slices.Grow(ck.deg[:0], chi-clo)[:chi-clo]
 			ck.legit = slices.Grow(ck.legit[:0], chi-clo)[:chi-clo]
-			ck.to, ck.local, ck.prob = ck.to[:0], ck.local[:0], ck.prob[:0]
+			ck.to, ck.local, ck.prob, ck.fresh = ck.to[:0], ck.local[:0], ck.prob[:0], 0
 			for i := clo; i < chi; i++ {
 				g := level[i]
 				ex.cfg = b.enc.Decode(g, ex.cfg)
@@ -186,8 +185,12 @@ func (b *Builder) explore(ctx context.Context) error {
 				ck.legit[i-clo] = legit
 				ck.deg[i-clo] = int32(len(ex.outTo))
 				for j, t := range ex.outTo {
+					l := b.table.Lookup(t)
+					if l < 0 {
+						ck.fresh++
+					}
 					ck.to = append(ck.to, t)
-					ck.local = append(ck.local, b.table.Lookup(t))
+					ck.local = append(ck.local, l)
 					ck.prob = append(ck.prob, ex.outP[j])
 				}
 			}
@@ -196,6 +199,21 @@ func (b *Builder) explore(ctx context.Context) error {
 		if failErr != nil {
 			return failErr
 		}
+
+		// Size the CSR, and the table when new ids are possible, for the
+		// whole level at once: one geometric growth per array per shell
+		// instead of one per append overflow inside the stitch.
+		rows, refs, fresh := 0, 0, 0
+		for _, ck := range chunks {
+			rows += len(ck.deg)
+			refs += len(ck.to)
+			fresh += ck.fresh
+		}
+		b.off = slices.Grow(b.off, rows)
+		b.legit = slices.Grow(b.legit, rows)
+		b.succ = slices.Grow(b.succ, refs)
+		b.prob = slices.Grow(b.prob, refs)
+		b.table.grow(min(fresh, int(b.maxStates)-b.table.Len()))
 
 		// Serial stitch in chunk-and-row order: append the level's rows to
 		// the CSR, assigning local ids to newly discovered targets in
@@ -225,11 +243,10 @@ func (b *Builder) explore(ctx context.Context) error {
 		// Observe the completed shell from the serial stitch: counters
 		// always (nil-safe no-ops when off), the structured event only
 		// when enabled so no payload is built on the disabled path.
-		refs := int64(len(b.succ)) - edgesBefore
 		newStates := b.table.Len() - hi
 		b.o.Counter("frontier.shells").Add(1)
 		b.o.Counter("frontier.states").Add(int64(newStates))
-		b.o.Counter("frontier.edges").Add(refs)
+		b.o.Counter("frontier.edges").Add(int64(refs))
 		if b.o.On() {
 			var dedup float64
 			if refs > 0 {

@@ -1,6 +1,9 @@
 package statespace
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Dedup assigns dense local ids to sparse global configuration indexes —
 // the visited set of every frontier exploration (BuildFromContext's reachable
@@ -150,6 +153,14 @@ func (d *Dedup) Add(g int64) int32 {
 		d.slots[i] = id
 	}
 	return id
+}
+
+// grow makes room for n more Adds without reallocating globals, growing
+// it at most once and geometrically.
+func (d *Dedup) grow(n int) {
+	if n > 0 {
+		d.globals = slices.Grow(d.globals, n)
+	}
 }
 
 // NewDedupFromGlobals rebuilds a growable table over [0, total) whose id

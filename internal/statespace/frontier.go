@@ -23,10 +23,8 @@
 package statespace
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
@@ -49,6 +47,7 @@ type frontierChunk struct {
 	to    []int64
 	local []int32
 	prob  []float64
+	fresh int // targets with local[i] < 0: an upper bound on new ids
 }
 
 // BuildFromContext explores the forward closure of the seed set (global
@@ -110,20 +109,64 @@ func EncodeConfigs(a protocol.Algorithm, cfgs []protocol.Configuration) ([]int64
 // not modified. Every canonical form in the pipeline — sealed subspaces,
 // canonicalized BuildFromContext results, the sorted fault ball — goes
 // through this one sort.
+//
+// It is a least-significant-digit radix sort on g - min(g), one byte per
+// pass and only as many passes as the span needs: one counting scan
+// histograms every byte, then each byte costs one stable scatter of
+// (global, id) pairs, ping-ponging between the outputs and one scratch
+// pair so that the last scatter lands in the outputs. The globals are
+// distinct, so the order is unique: exactly the one any comparison sort
+// produces.
 func CanonicalOrder(globals []int64) (sorted []int64, order []int32) {
-	type pair struct {
-		g  int64
-		id int32
+	n := len(globals)
+	sorted, order = make([]int64, n), make([]int32, n)
+	if n == 0 {
+		return sorted, order
 	}
-	pairs := make([]pair, len(globals))
-	for i, g := range globals {
-		pairs[i] = pair{g, int32(i)}
+	lo, hi := globals[0], globals[0]
+	for _, g := range globals[1:] {
+		lo, hi = min(lo, g), max(hi, g)
 	}
-	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.g, b.g) })
-	sorted = make([]int64, len(pairs))
-	order = make([]int32, len(pairs))
-	for i, p := range pairs {
-		sorted[i], order[i] = p.g, p.id
+	// Keys are g - lo in uint64 arithmetic, exact for any int64 span.
+	span := uint64(hi) - uint64(lo)
+	width := uint(0) // bytes the span needs
+	for width < 8 && span>>(8*width) != 0 {
+		width++
+	}
+	if width == 0 { // n == 1
+		sorted[0] = globals[0]
+		return sorted, order
+	}
+	var count [8][256]int32
+	for _, g := range globals {
+		key := uint64(g) - uint64(lo)
+		for b := uint(0); b < width; b++ {
+			count[b][key>>(8*b)&0xff]++
+		}
+	}
+	bufG := [2][]int64{sorted, make([]int64, n)}
+	bufO := [2][]int32{order, make([]int32, n)}
+	srcG, srcO := globals, []int32(nil) // nil: ids are input positions
+	dst := (width - 1) % 2              // the last scatter writes buffer 0
+	for b := uint(0); b < width; b++ {
+		shift, c := 8*b, &count[b]
+		at := int32(0)
+		for d, k := range c {
+			c[d] = at
+			at += k
+		}
+		dstG, dstO := bufG[dst], bufO[dst]
+		for i, g := range srcG {
+			id := int32(i)
+			if srcO != nil {
+				id = srcO[i]
+			}
+			d := (uint64(g) - uint64(lo)) >> shift & 0xff
+			dstG[c[d]], dstO[c[d]] = g, id
+			c[d]++
+		}
+		srcG, srcO = dstG, dstO
+		dst ^= 1
 	}
 	return sorted, order
 }
@@ -162,19 +205,12 @@ func permuteCSR(order []int32, off []int64, succ []int32, prob []float64, legit 
 // the CSR accordingly. Discovery order depends on the seed ordering and
 // BFS schedule; ascending-global order is a canonical function of the seed
 // *set* and aligns subspace iteration order with full-space iteration
-// order (so analyses pick identical witnesses).
+// order (so analyses pick identical witnesses). The arrays and the
+// table's globals are always rewritten into fresh, exactly sized storage
+// (even when discovery order happens to be canonical), so a space adopted
+// from a Builder never pins the builder's per-shell growth headroom.
 func (sp *Space) canonicalize() {
 	_, order := CanonicalOrder(sp.table.Globals())
-	sorted := true
-	for i, old := range order {
-		if int(old) != i {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
 	sp.off, sp.succ, sp.prob, sp.Legit = permuteCSR(order, sp.off, sp.succ, sp.prob, sp.Legit)
 	sp.table.Renumber(order)
 }
