@@ -5,7 +5,9 @@
 // result LRU over the on-disk space cache. Endpoints:
 //
 //	POST /jobs              submit a job (the stabcheck flags as JSON)
-//	GET  /jobs              list jobs
+//	GET  /jobs              list the retained jobs: every queued and
+//	                        running one and the last 1,024 finished
+//	                        (an older ID answers 410 Gone)
 //	GET  /jobs/{id}         job status
 //	GET  /jobs/{id}/result  the result document (byte-identical to
 //	                        stabcheck -json for the same request)

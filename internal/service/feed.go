@@ -2,7 +2,9 @@
 // published from the job's observer hook and consumed by any number of
 // subscribers (the SSE handler). The ring keeps the most recent events,
 // so a late subscriber replays what is still buffered and then follows
-// live; sequence numbers make the gap observable instead of silent.
+// live; sequence numbers make the gap observable instead of silent. The
+// ring grows with what the job publishes, up to its depth, and shrinks
+// to exactly its buffered tail when the job ends.
 package service
 
 import (
@@ -26,19 +28,21 @@ type Event struct {
 // Feed is the ring. The zero value is not usable; newFeed constructs.
 type Feed struct {
 	mu     sync.Mutex
-	buf    []Event // ring storage, len(buf) <= cap
+	buf    []Event // ring storage: grows by append to depth, then wraps
+	depth  int     // ring capacity
 	start  int     // index of the oldest buffered event
-	n      int     // buffered count
 	next   int64   // seq of the next published event
 	closed bool
-	wake   chan struct{} // closed and replaced on every publish/close
+	wake   chan struct{} // made by a waiting snapshot, closed by the next publish/close
 }
 
-func newFeed(capacity int) *Feed {
-	if capacity <= 0 {
-		capacity = 256
+// newFeed returns an empty feed of the given depth. The ring grows with
+// what the job publishes, so a job that publishes little costs little.
+func newFeed(depth int) *Feed {
+	if depth <= 0 {
+		depth = 256
 	}
-	return &Feed{buf: make([]Event, capacity), wake: make(chan struct{})}
+	return &Feed{depth: depth}
 }
 
 // Publish appends one event, evicting the oldest when full. Marshal
@@ -56,19 +60,26 @@ func (f *Feed) Publish(name string, payload any) {
 	}
 	ev := Event{Seq: f.next, Name: name, Data: data}
 	f.next++
-	if f.n < len(f.buf) {
-		f.buf[(f.start+f.n)%len(f.buf)] = ev
-		f.n++
+	if len(f.buf) < f.depth {
+		f.buf = append(f.buf, ev)
 	} else {
 		f.buf[f.start] = ev
 		f.start = (f.start + 1) % len(f.buf)
 	}
-	close(f.wake)
-	f.wake = make(chan struct{})
+	f.wakeLocked()
+}
+
+// wakeLocked wakes every waiter, if any. Caller holds f.mu.
+func (f *Feed) wakeLocked() {
+	if f.wake != nil {
+		close(f.wake)
+		f.wake = nil
+	}
 }
 
 // Close marks the feed complete (the job finished) and wakes every
-// waiter. Buffered events stay replayable.
+// waiter. The buffered events stay replayable: Close moves them, in
+// sequence order, into a slice of exactly their size.
 func (f *Feed) Close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -76,20 +87,34 @@ func (f *Feed) Close() {
 		return
 	}
 	f.closed = true
-	close(f.wake)
+	tail := make([]Event, len(f.buf))
+	n := copy(tail, f.buf[f.start:])
+	copy(tail[n:], f.buf[:f.start])
+	f.buf, f.start = tail, 0
+	f.wakeLocked()
+}
+
+// published returns how many events the feed has published, evicted ones
+// included.
+func (f *Feed) published() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.next
 }
 
 // snapshot returns the buffered events with seq >= from, whether the
-// feed is closed, and the current wake channel (valid until the next
-// publish).
+// feed is closed, and — when it found no events on an open feed — a
+// channel the next publish or close closes.
 func (f *Feed) snapshot(from int64) (evs []Event, closed bool, wake <-chan struct{}) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for i := 0; i < f.n; i++ {
-		ev := f.buf[(f.start+i)%len(f.buf)]
-		if ev.Seq >= from {
-			evs = append(evs, ev)
-		}
+	n := int64(len(f.buf))
+	// The buffered events are seq next-n .. next-1 in ring order.
+	for i := max(from-(f.next-n), 0); i < n; i++ {
+		evs = append(evs, f.buf[(int64(f.start)+i)%n])
+	}
+	if len(evs) == 0 && !f.closed && f.wake == nil {
+		f.wake = make(chan struct{})
 	}
 	return evs, f.closed, f.wake
 }

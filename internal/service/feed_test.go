@@ -6,6 +6,7 @@ package service
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -88,5 +89,64 @@ func TestFeedWaitCtxCancel(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("Wait did not return on ctx cancel")
+	}
+}
+
+// TestFeedGrowsOnDemand pins that a feed holds no ring until it
+// publishes, and that its ring grows only to what was published.
+func TestFeedGrowsOnDemand(t *testing.T) {
+	f := newFeed(256)
+	if f.buf != nil {
+		t.Fatalf("new feed holds a ring of capacity %d, want none", cap(f.buf))
+	}
+	for i := 0; i < 3; i++ {
+		f.Publish("ev", i)
+	}
+	if len(f.buf) != 3 || cap(f.buf) >= 256 {
+		t.Fatalf("after 3 publishes the ring is len %d cap %d, want len 3 well under the depth", len(f.buf), cap(f.buf))
+	}
+}
+
+// TestFeedCloseKeepsReplay pins that Close, which shrinks the ring to
+// its buffered tail, changes no replay: for every cursor, Wait after
+// Close returns the events a snapshot returned before it, including a
+// wrapped ring's visible id gap.
+func TestFeedCloseKeepsReplay(t *testing.T) {
+	for _, published := range []int{0, 3, 5, 6, 13} {
+		f := newFeed(5)
+		for i := 0; i < published; i++ {
+			f.Publish("ev", i)
+		}
+		before := make([][]Event, published+2)
+		for from := range before {
+			before[from], _, _ = f.snapshot(int64(from))
+			if from < published {
+				evs, closed := f.Wait(context.Background(), int64(from))
+				if closed || !reflect.DeepEqual(evs, before[from]) {
+					t.Fatalf("published %d: open Wait(%d) = %v (closed %t), snapshot %v", published, from, evs, closed, before[from])
+				}
+			}
+		}
+		f.Close()
+		if len(f.buf) != cap(f.buf) || len(f.buf) != min(published, 5) {
+			t.Errorf("published %d: closed ring is len %d cap %d, want exactly %d", published, len(f.buf), cap(f.buf), min(published, 5))
+		}
+		for from, want := range before {
+			evs, closed := f.Wait(context.Background(), int64(from))
+			if !closed {
+				t.Fatalf("published %d: Wait(%d) after Close reports open", published, from)
+			}
+			if len(evs) != len(want) || (len(want) > 0 && !reflect.DeepEqual(evs, want)) {
+				t.Errorf("published %d: Wait(%d) after Close = %v, before Close %v", published, from, evs, want)
+			}
+		}
+		if published > 5 {
+			if evs, _ := f.Wait(context.Background(), 0); evs[0].Seq != int64(published-5) {
+				t.Errorf("published %d: replay from 0 starts at seq %d, want %d (the gap stays visible)", published, evs[0].Seq, published-5)
+			}
+		}
+		if got := f.published(); got != int64(published) {
+			t.Errorf("published() = %d, want %d", got, published)
+		}
 	}
 }

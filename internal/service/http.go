@@ -1,15 +1,23 @@
 // The HTTP surface of the manager — stabserve's API:
 //
 //	POST /jobs              submit a Request; 202 with the job status
-//	GET  /jobs              list every job's status
+//	GET  /jobs              list the retained jobs' statuses
 //	GET  /jobs/{id}         one job's status
 //	GET  /jobs/{id}/result  the finished result document (the schema
 //	                        stabcheck -json prints, byte-identical)
 //	DELETE /jobs/{id}       cancel
 //	GET  /jobs/{id}/events  Server-Sent Events feed: ring replay from
-//	                        ?from=<seq>, then live until the job ends
+//	                        ?from=<seq>, then live until the job ends; a
+//	                        job answered from the LRU sends the done
+//	                        event alone
 //	GET  /metrics           OpenMetrics exposition of the obs registry
 //	GET  /healthz           liveness
+//
+// The manager keeps every queued and running job and the last
+// retainFinished finished ones. Every /jobs/{id} route answers an ID it
+// has retired with 410 Gone: resubmitting the request gets the answer
+// from the result LRU or the disk cache. An ID it never handed out is
+// 404.
 //
 // Status documents carry lifecycle fields (state, source, error); the
 // result document carries none of them, so cold, warm and CLI renderings
@@ -50,10 +58,7 @@ func status(j *Job) JobStatus {
 		st.Error = err.Error()
 	}
 	if j.feed != nil {
-		evs, _, _ := j.feed.snapshot(0)
-		if n := len(evs); n > 0 {
-			st.Events = evs[n-1].Seq + 1
-		}
+		st.Events = j.feed.published()
 	}
 	return st
 }
@@ -124,11 +129,16 @@ func (m *Manager) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// job resolves the path's job ID, answering 410 for a retired job and
+// 404 for an unknown one.
 func (m *Manager) job(w http.ResponseWriter, r *http.Request) *Job {
-	j, err := m.Job(r.PathValue("id"))
-	if err != nil {
+	id := r.PathValue("id")
+	j, err := m.Job(id)
+	switch {
+	case errors.Is(err, ErrRetired):
+		writeError(w, http.StatusGone, fmt.Errorf("%s: %w; the server keeps the last %d finished jobs", id, err, retainFinished))
+	case err != nil:
 		writeError(w, http.StatusNotFound, err)
-		return nil
 	}
 	return j
 }
@@ -144,10 +154,7 @@ func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if err := m.Cancel(j.ID); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
+	m.cancelJob(j)
 	writeJSON(w, http.StatusOK, status(j))
 }
 
@@ -175,14 +182,11 @@ func (m *Manager) handleResult(w http.ResponseWriter, r *http.Request) {
 // as its id, and the payload as data; ?from=<seq> resumes after a
 // disconnect (events evicted from the ring are skipped). When the job
 // reaches a terminal state a final "done" event carrying the job status
-// is sent and the stream ends.
+// is sent and the stream ends. A finished job without a feed — one
+// answered from the LRU — streams the done event alone.
 func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := m.job(w, r)
 	if j == nil {
-		return
-	}
-	if j.feed == nil {
-		writeError(w, http.StatusNotFound, errors.New("service: job has no event feed"))
 		return
 	}
 	// A bad cursor is refused rather than read as 0, which would replay
@@ -196,6 +200,14 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
+	if j.feed == nil {
+		select {
+		case <-j.Done():
+		default:
+			writeError(w, http.StatusNotFound, errors.New("service: job has no event feed"))
+			return
+		}
+	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("service: streaming unsupported"))
@@ -206,7 +218,7 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	for {
+	for j.feed != nil {
 		evs, closed := j.feed.Wait(r.Context(), from)
 		for _, ev := range evs {
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Name, ev.Data)
@@ -216,13 +228,13 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		if closed {
-			st, _ := json.Marshal(status(j))
-			fmt.Fprintf(w, "event: done\ndata: %s\n\n", st)
-			flusher.Flush()
-			return
+			break
 		}
 		if r.Context().Err() != nil {
 			return
 		}
 	}
+	st, _ := json.Marshal(status(j))
+	fmt.Fprintf(w, "event: done\ndata: %s\n\n", st)
+	flusher.Flush()
 }

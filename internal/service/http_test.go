@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -261,5 +262,103 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown-field submit = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHTTPEventsWithoutFeed pins /events for jobs without a feed: an
+// LRU-answered job streams the terminal done event alone, and so does a
+// finished job of a manager with feeds disabled, whose running job
+// still gets 404.
+func TestHTTPEventsWithoutFeed(t *testing.T) {
+	mgr, srv := newTestServer(t, Config{Deps: Deps{Obs: obs.New()}, FeedDepth: 16})
+	cold := postJob(t, srv, `{"alg":"tokenring","n":5}`)
+	waitDone(t, mgr, cold.ID)
+	warm := postJob(t, srv, `{"alg":"tokenring","n":5}`)
+	if warm.Source != "lru" {
+		t.Fatalf("repeat submission source %q, want lru", warm.Source)
+	}
+	code, body, hdr := get(t, srv.URL+"/jobs/"+warm.ID+"/events")
+	if code != http.StatusOK || hdr.Get("Content-Type") != "text/event-stream" {
+		t.Fatalf("GET events of an LRU answer = %d (%s): %s", code, hdr.Get("Content-Type"), body)
+	}
+	s := string(body)
+	if !strings.HasPrefix(s, "event: done\ndata: ") || strings.Count(s, "event:") != 1 || !strings.Contains(s, `"source":"lru"`) {
+		t.Errorf("events of an LRU answer, want the done event alone with the status:\n%s", s)
+	}
+
+	ring5, err := tokenring.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGateAlg(ring5)
+	mgr, srv = newTestServer(t, Config{Deps: Deps{Build: func(Request) (protocol.Algorithm, scheduler.Policy, error) {
+		return g, scheduler.CentralPolicy{}, nil
+	}}})
+	st := postJob(t, srv, `{"alg":"tokenring","n":5}`)
+	<-g.entered
+	if code, body, _ := get(t, srv.URL+"/jobs/"+st.ID+"/events"); code != http.StatusNotFound {
+		t.Errorf("GET events of a running job without a feed = %d, want 404: %s", code, body)
+	}
+	g.gate.Store(false)
+	close(g.release)
+	waitDone(t, mgr, st.ID)
+	code, body, _ = get(t, srv.URL+"/jobs/"+st.ID+"/events")
+	if s := string(body); code != http.StatusOK || !strings.HasPrefix(s, "event: done\ndata: ") || !strings.Contains(s, `"state":"done"`) {
+		t.Errorf("GET events of a finished job without a feed = %d, want 200 with the done event alone:\n%s", code, s)
+	}
+}
+
+// TestHTTPRetiredIsGone pins that every /jobs/{id} route answers a
+// retired ID with 410 and a hint to resubmit, while IDs never handed out
+// stay 404.
+func TestHTTPRetiredIsGone(t *testing.T) {
+	mgr, srv := newTestServer(t, Config{FeedDepth: 16})
+	first := postJob(t, srv, `{"alg":"tokenring","n":3}`)
+	waitDone(t, mgr, first.ID)
+	for i := 0; i < retainFinished; i++ {
+		if _, _, err := mgr.Submit(ringRequest(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del := func(id string) (int, []byte) {
+		req, err := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	fetch := map[string]func(id string) (int, []byte){
+		"status": func(id string) (int, []byte) { c, b, _ := get(t, srv.URL+"/jobs/"+id); return c, b },
+		"result": func(id string) (int, []byte) { c, b, _ := get(t, srv.URL+"/jobs/"+id+"/result"); return c, b },
+		"events": func(id string) (int, []byte) { c, b, _ := get(t, srv.URL+"/jobs/"+id+"/events"); return c, b },
+		"delete": del,
+	}
+	for route, f := range fetch {
+		code, body := f(first.ID)
+		if code != http.StatusGone || !strings.Contains(string(body), "resubmit") {
+			t.Errorf("%s of retired %s = %d, want 410 with a resubmit hint: %s", route, first.ID, code, body)
+		}
+		for _, id := range []string{"job-0", "job-" + strconv.Itoa(retainFinished+2), "job-999999", "nonsense"} {
+			if code, body := f(id); code != http.StatusNotFound {
+				t.Errorf("%s of %s = %d, want 404: %s", route, id, code, body)
+			}
+		}
+	}
+	if code, body, _ := get(t, srv.URL+"/jobs/job-2/result"); code != http.StatusOK {
+		t.Errorf("result of job-2, inside the window = %d: %s", code, body)
+	}
+	var list []JobStatus
+	_, body, _ := get(t, srv.URL+"/jobs")
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != retainFinished || list[0].ID != "job-2" {
+		t.Errorf("GET /jobs lists %d jobs from %s, want %d from job-2", len(list), list[0].ID, retainFinished)
 	}
 }

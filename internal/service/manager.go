@@ -1,17 +1,21 @@
 // The job manager: bounded admission, a fixed worker pool, in-flight
 // singleflight dedupe, an in-memory LRU of finished result documents
-// over the disk cache, per-job cancellation and deadlines, and graceful
-// drain. Every mutation of manager state happens under one mutex; the
+// over the disk cache, a fixed window of retained finished jobs, per-job
+// cancellation and deadlines, and graceful drain. Every mutation of manager state happens under one mutex; the
 // jobs themselves run on the pool with nothing shared but the (atomic)
 // metrics registry and the content-addressed disk cache.
 package service
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,6 +31,11 @@ var (
 	ErrDraining = errors.New("service: manager is draining")
 	// ErrNotFound reports an unknown job id.
 	ErrNotFound = errors.New("service: no such job")
+	// ErrRetired reports a job id the manager handed out but no longer
+	// keeps: the job finished and retainFinished later jobs finished
+	// after it. Resubmitting its request is cheap — the result LRU or the
+	// disk cache answers it.
+	ErrRetired = errors.New("service: job retired; resubmit its request for the answer")
 	// ErrPanic fails a job whose execution panicked — an algorithm whose
 	// guard or action panics, say. The panic is recovered at the job
 	// boundary, so it fails that job alone; the error wraps the panic value
@@ -70,6 +79,12 @@ type Config struct {
 	DefaultTimeout time.Duration
 }
 
+// retainFinished is how many terminal jobs the manager keeps for status,
+// result and event queries. Older ones retire first-in first-out, so a
+// long-running server holds bounded memory; queued and running jobs never
+// retire.
+const retainFinished = 1024
+
 // Job is one submitted unit of work. Fields are owned by the manager;
 // read them through the accessor methods, which lock.
 type Job struct {
@@ -81,6 +96,7 @@ type Job struct {
 	Request Request
 
 	m      *Manager
+	seq    int64 // the N of ID, the key of Manager.jobs
 	state  State
 	source string // "run" for an executed job, "lru" for a warm answer
 	resp   *Response
@@ -114,12 +130,15 @@ func (j *Job) Result() (*Response, error) {
 type Manager struct {
 	cfg Config
 
-	mu       sync.Mutex
-	jobs     map[string]*Job // every job ever submitted, by ID
-	order    []string        // submission order, for listings
+	mu sync.Mutex
+	// jobs holds every queued or running job and the retainFinished most
+	// recently finished ones, by sequence number.
+	jobs     map[int64]*Job
+	finished []int64         // FIFO ring of retained terminal jobs' sequence numbers
+	oldest   int             // index in finished of the next job to retire
 	inflight map[string]*Job // queued/running jobs by Key (singleflight)
 	lru      *resultLRU
-	seq      int64
+	seq      int64 // the last job ID handed out
 	running  int64 // jobs in StateRunning: the service.jobs.running gauge
 	draining bool
 
@@ -143,7 +162,7 @@ func NewManager(cfg Config) *Manager {
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:      cfg,
-		jobs:     make(map[string]*Job),
+		jobs:     make(map[int64]*Job),
 		inflight: make(map[string]*Job),
 		lru:      newResultLRU(cfg.LRUSize),
 		queue:    make(chan *Job, cfg.QueueDepth),
@@ -170,7 +189,8 @@ func (m *Manager) gauge(name string) *obs.Gauge {
 // Done job carrying the cached document, deduped=true), the in-flight
 // index (the identical queued/running job itself, deduped=true), or a
 // fresh job on the admission queue. Build failures and invalid requests
-// reject immediately; a full queue rejects with ErrQueueFull.
+// reject immediately; a full queue rejects with ErrQueueFull. A job ID is
+// handed out only once the job is admitted.
 func (m *Manager) Submit(req Request) (job *Job, deduped bool, err error) {
 	id := req.identity()
 	if err := id.validate(); err != nil {
@@ -195,12 +215,18 @@ func (m *Manager) Submit(req Request) (job *Job, deduped bool, err error) {
 		j.source = "lru"
 		j.resp = resp
 		close(j.done)
+		m.retainLocked(j)
 		return j, true, nil
 	}
 	m.counter("service.lru.miss").Add(1)
 	if j, ok := m.inflight[key]; ok {
 		m.counter("service.jobs.deduped").Add(1)
 		return j, true, nil
+	}
+	// Only Submit sends on the queue, under m.mu, so room now means the
+	// send below cannot block.
+	if len(m.queue) == cap(m.queue) {
+		return nil, false, ErrQueueFull
 	}
 
 	j := m.newJobLocked(key, id)
@@ -220,58 +246,73 @@ func (m *Manager) Submit(req Request) (job *Job, deduped bool, err error) {
 	if m.cfg.FeedDepth > 0 {
 		j.feed = newFeed(m.cfg.FeedDepth)
 	}
-	select {
-	case m.queue <- j:
-	default:
-		delete(m.jobs, j.ID)
-		m.order = m.order[:len(m.order)-1]
-		j.cancel()
-		return nil, false, ErrQueueFull
-	}
+	m.queue <- j
 	m.inflight[key] = j
 	m.gauge("service.queue.depth").Set(int64(len(m.queue)))
 	return j, false, nil
 }
 
-// newJobLocked allocates and registers a job. Caller holds m.mu.
+// newJobLocked allocates and registers a job under the next ID. Caller
+// holds m.mu.
 func (m *Manager) newJobLocked(key string, id Request) *Job {
 	m.seq++
 	j := &Job{
-		ID:      fmt.Sprintf("job-%d", m.seq),
+		ID:      "job-" + strconv.FormatInt(m.seq, 10),
 		Key:     key,
 		Request: id,
 		m:       m,
+		seq:     m.seq,
 		state:   StateQueued,
 		done:    make(chan struct{}),
 	}
-	m.jobs[j.ID] = j
-	m.order = append(m.order, j.ID)
+	m.jobs[j.seq] = j
 	return j
 }
 
-// Job returns a job by ID.
-func (m *Manager) Job(id string) (*Job, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
+// retainLocked enters a job that just turned terminal into the retention
+// window and retires the oldest terminal job once more than
+// retainFinished are kept. Caller holds m.mu.
+func (m *Manager) retainLocked(j *Job) {
+	if len(m.finished) < retainFinished {
+		m.finished = append(m.finished, j.seq)
+		return
 	}
-	return j, nil
+	delete(m.jobs, m.finished[m.oldest])
+	m.finished[m.oldest] = j.seq
+	m.oldest = (m.oldest + 1) % retainFinished
 }
 
-// Jobs returns every job in submission order.
-func (m *Manager) Jobs() []*Job {
+// Job returns a job by ID: ErrRetired for an ID the manager handed out
+// but has retired, ErrNotFound for any other unknown ID.
+func (m *Manager) Job(id string) (*Job, error) {
+	n, err := strconv.ParseInt(strings.TrimPrefix(id, "job-"), 10, 64)
+	if err != nil || n < 1 || id != "job-"+strconv.FormatInt(n, 10) {
+		return nil, ErrNotFound
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.jobs[id])
+	if j, ok := m.jobs[n]; ok {
+		return j, nil
 	}
+	if n <= m.seq {
+		return nil, ErrRetired
+	}
+	return nil, ErrNotFound
+}
+
+// Jobs returns the retained jobs in submission order.
+func (m *Manager) Jobs() []*Job {
+	m.mu.Lock()
+	out := make([]*Job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		out = append(out, j)
+	}
+	m.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return cmp.Compare(a.seq, b.seq) })
 	return out
 }
 
-// Cancel cancels a job. A queued job finishes canceled immediately
+// Cancel cancels a job by ID. A queued job finishes canceled immediately
 // (its worker slot was never taken); a running job's context propagates
 // into the exploration, which stops at its next cooperative boundary
 // and releases the slot. Cancelling a terminal job is a no-op.
@@ -280,6 +321,12 @@ func (m *Manager) Cancel(id string) error {
 	if err != nil {
 		return err
 	}
+	m.cancelJob(j)
+	return nil
+}
+
+// cancelJob is Cancel on a resolved job, which may have retired since.
+func (m *Manager) cancelJob(j *Job) {
 	m.mu.Lock()
 	queued := j.state == StateQueued
 	m.mu.Unlock()
@@ -290,7 +337,6 @@ func (m *Manager) Cancel(id string) error {
 		// The worker will skip it on dequeue; report it terminal now.
 		m.finish(j, nil, context.Canceled)
 	}
-	return nil
 }
 
 // Do submits and waits: the synchronous surface stabcheck uses. A ctx
@@ -303,7 +349,7 @@ func (m *Manager) Do(ctx context.Context, req Request) (*Response, error) {
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		m.Cancel(j.ID)
+		m.cancelJob(j)
 		<-j.done
 	}
 	return j.Result()
@@ -402,7 +448,7 @@ func (m *Manager) jobDeps(j *Job) Deps {
 // finish moves a job to its terminal state exactly once: classify the
 // error (a wrapped context cancellation or deadline is "canceled", not
 // "failed"), admit successful documents to the LRU, clear the in-flight
-// index, close the feed and wake waiters.
+// index, enter the retention window, close the feed and wake waiters.
 func (m *Manager) finish(j *Job, resp *Response, err error) {
 	m.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
@@ -428,6 +474,7 @@ func (m *Manager) finish(j *Job, resp *Response, err error) {
 	if m.inflight[j.Key] == j {
 		delete(m.inflight, j.Key)
 	}
+	m.retainLocked(j)
 	state := j.state
 	m.mu.Unlock()
 

@@ -9,7 +9,10 @@ package service
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"os"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -579,4 +582,101 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	if state, _, _, _ := good.Status(); state != StateDone {
 		t.Fatalf("job after a panic ended %s, want %s", state, StateDone)
 	}
+}
+
+// TestRetiredJobs pins the retention window: a finished job stays
+// resolvable until retainFinished later jobs have finished, then its ID
+// reports ErrRetired; IDs never handed out stay ErrNotFound.
+func TestRetiredJobs(t *testing.T) {
+	m := NewManager(Config{FeedDepth: 16})
+	defer m.Shutdown(context.Background())
+	first, _, err := m.Submit(ringRequest(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Result(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < retainFinished; i++ {
+		if _, err := m.Job(first.ID); err != nil {
+			t.Fatalf("after %d later jobs finished, %s: %v, want retained", i, first.ID, err)
+		}
+		j, _, err := m.Submit(ringRequest(3)) // answered from the LRU
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+	}
+	for _, id := range []string{first.ID, "job-1"} {
+		if _, err := m.Job(id); !errors.Is(err, ErrRetired) {
+			t.Errorf("Job(%q) = %v, want ErrRetired", id, err)
+		}
+	}
+	if err := m.Cancel(first.ID); !errors.Is(err, ErrRetired) {
+		t.Errorf("Cancel of a retired job = %v, want ErrRetired", err)
+	}
+	if _, err := m.Job("job-2"); err != nil {
+		t.Errorf("job-2, inside the window: %v", err)
+	}
+	last := "job-" + strconv.Itoa(retainFinished+1)
+	for _, id := range []string{"job-0", "job-" + strconv.Itoa(retainFinished+2), "job-02", "job-+2", "2", "job-", "bogus", ""} {
+		if _, err := m.Job(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Job(%q) = %v, want ErrNotFound (the last ID handed out is %s)", id, err, last)
+		}
+	}
+	jobs := m.Jobs()
+	if len(jobs) != retainFinished || jobs[0].ID != "job-2" || jobs[len(jobs)-1].ID != last {
+		t.Errorf("Jobs() = %d jobs %s..%s, want %d jobs job-2..%s", len(jobs), jobs[0].ID, jobs[len(jobs)-1].ID, retainFinished, last)
+	}
+}
+
+// TestBoundedHeap pins bounded memory: 10^4 small jobs, a mix of LRU
+// answers and runs that each publish a feed, leave the manager holding
+// at most retainFinished finished jobs, and the live heap after 10^4
+// jobs is within 1.2× (plus slack) of the heap after 2×10^3.
+func TestBoundedHeap(t *testing.T) {
+	var pool []Request
+	for _, n := range []int{3, 4} {
+		for _, pol := range []string{"central", "distributed", "synchronous"} {
+			pool = append(pool, Request{Alg: "tokenring", N: n, Policy: pol})
+			pool = append(pool, Request{Alg: "tokenring", N: n, Policy: pol, KMax: new(int)})
+		}
+	}
+	m := NewManager(Config{Deps: Deps{Obs: obs.New()}, LRUSize: 8, FeedDepth: 256})
+	defer m.Shutdown(context.Background())
+	rng := rand.New(rand.NewPCG(1, 2))
+	sources := map[string]int{}
+	run := func(jobs int) {
+		for i := 0; i < jobs; i++ {
+			j, _, err := m.Submit(pool[rng.IntN(len(pool))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Result(); err != nil {
+				t.Fatal(err)
+			}
+			_, source, _, _ := j.Status()
+			sources[source]++
+		}
+		if n := len(m.Jobs()); n > retainFinished {
+			t.Fatalf("manager holds %d jobs with none in flight, want at most %d", n, retainFinished)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(2_000)
+	h1 := heap()
+	run(8_000)
+	h2 := heap()
+	if sources["lru"] == 0 || sources["run"] == 0 {
+		t.Fatalf("answer sources %v, want both LRU answers and runs", sources)
+	}
+	if limit := h1 + h1/5 + 2<<20; h2 > limit {
+		t.Errorf("live heap grew from %d B after 2000 jobs to %d B after 10000, above %d", h1, h2, limit)
+	}
+	t.Logf("sources %v, live heap %d B after 2000 jobs, %d B after 10000", sources, h1, h2)
 }
