@@ -31,10 +31,10 @@
 // exploration in total — and the walk stops at the smallest k that breaks
 // certain convergence (the largest tolerable fault count), or at K.
 //
-// With -cache DIR, explored spaces, subspaces and ball enumerations are
+// With -cache DIR, explored spaces, subspaces and fault-ball closures are
 // persisted to (and loaded from) an on-disk cache keyed by (algorithm,
-// instance, policy[, seed set]) — balls by (instance, k) alone, since
-// faults know no scheduler; a repeated invocation skips enumeration and
+// instance, policy[, seed set | k]); a warm run re-derives the ball from
+// its cached closure, so a repeated invocation skips enumeration and
 // exploration entirely and prints a bit-identical report.
 //
 // Examples:

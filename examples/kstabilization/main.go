@@ -4,9 +4,9 @@
 // over the configuration space), the distance-≤k balls grow incrementally
 // (each radius extends the previous ball and its explored closure —
 // checker.SweepKFaultsContext), and the checker and Markov analyses run
-// subspace-native over the final closure. With -cache DIR the per-k balls
-// and closure subspaces are persisted, so a rerun loads everything from
-// disk and explores nothing.
+// subspace-native over the final closure. With -cache DIR the per-k ball
+// closures are persisted, so a rerun loads them from disk, regrows the
+// balls from their legitimate states and explores nothing.
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 		warm = warm && hit
 	}
 	if warm {
-		fmt.Println("(balls and closures loaded from the space cache — no exploration this run)")
+		fmt.Println("(ball closures loaded from the space cache — no exploration this run)")
 	}
 	fmt.Println("k  configs  deterministic-recovery  E[recovery | k faults]")
 	for k := 0; k <= maxFaults; k++ {

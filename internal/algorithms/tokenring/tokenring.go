@@ -194,23 +194,3 @@ func (a *Algorithm) LegitimateWithTokenAt(p int) protocol.Configuration {
 	}
 	return cfg
 }
-
-// MinTokenDistance returns MTD (Definition 11): the length of the shortest
-// predecessor path between two distinct token holders, or 0 if fewer than
-// two tokens exist.
-func (a *Algorithm) MinTokenDistance(cfg protocol.Configuration) int {
-	holders := a.TokenHolders(cfg)
-	if len(holders) < 2 {
-		return 0
-	}
-	best := a.n
-	for i, p := range holders {
-		// Distance along the ring from p forward to the next holder.
-		next := holders[(i+1)%len(holders)]
-		d := (next - p + a.n) % a.n
-		if d > 0 && d < best {
-			best = d
-		}
-	}
-	return best
-}

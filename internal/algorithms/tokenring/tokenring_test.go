@@ -295,20 +295,6 @@ func TestTokenCountNeverIncreases(t *testing.T) {
 	}
 }
 
-func TestMinTokenDistance(t *testing.T) {
-	a, err := New(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := protocol.Configuration{0, 1, 2, 0, 1, 2} // tokens at 0, 3
-	if got := a.MinTokenDistance(cfg); got != 3 {
-		t.Fatalf("MTD = %d, want 3", got)
-	}
-	if got := a.MinTokenDistance(a.LegitimateWithTokenAt(0)); got != 0 {
-		t.Fatalf("MTD of single-token config = %d, want 0", got)
-	}
-}
-
 func TestActionName(t *testing.T) {
 	a, err := New(3)
 	if err != nil {

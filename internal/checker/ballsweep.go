@@ -14,9 +14,12 @@ package checker
 // tests), so incremental is purely a cost saving.
 //
 // An optional *spacecache.Cache adds on-disk persistence (nil means no
-// caching): the ball enumeration persists under an (instance, k) key and
-// the sealed closures under their seed-set keys, so a warm sweep is
-// O(ball) end to end — zero legitimacy scans, zero exploration.
+// caching): each sealed closure persists as one entry under its
+// (instance, policy, k) key. The ball is not stored: a closure contains
+// the whole legitimate set, so a warm run re-seeds the ball enumeration
+// from the loaded closure's legitimate states (closureBallGrower) and
+// regrows it — zero legitimacy scans, zero exploration, zero algorithm
+// callbacks.
 
 import (
 	"context"
@@ -53,13 +56,7 @@ func newBallGrower(ctx context.Context, a protocol.Algorithm, workers int, maxSt
 	if err != nil {
 		return nil, fmt.Errorf("checker: %w", err)
 	}
-	b := &ballGrower{
-		a:         a,
-		enc:       enc,
-		maxStates: statespace.StateCap(maxStates),
-		ball:      statespace.NewDedup(enc.Total()),
-		cfg:       make(protocol.Configuration, a.Graph().N()),
-	}
+	b := newGrowerOver(a, enc, maxStates, statespace.NewDedup(enc.Total()))
 	if le, ok := a.(protocol.LegitEnumerator); ok {
 		err = b.seedEnumerated(le)
 	} else {
@@ -84,19 +81,41 @@ func resumeBallGrower(a protocol.Algorithm, k int, globals []int64, dist []int, 
 	if err != nil {
 		return nil, fmt.Errorf("checker: %w", err)
 	}
-	b := &ballGrower{
-		a:         a,
-		enc:       enc,
-		maxStates: statespace.StateCap(maxStates),
-		k:         k,
-		ball:      statespace.NewDedupFromGlobals(enc.Total(), globals),
-		dist:      append([]int(nil), dist...),
-		cfg:       make(protocol.Configuration, a.Graph().N()),
-	}
+	b := newGrowerOver(a, enc, maxStates, statespace.NewDedupFromGlobals(enc.Total(), globals))
+	b.k, b.dist = k, append([]int(nil), dist...)
 	if int64(b.ball.Len()) > b.maxStates {
 		return nil, fmt.Errorf("checker: resumed distance-%d ball of %d configurations exceeds the %d-state cap", k, b.ball.Len(), b.maxStates)
 	}
 	return b, nil
+}
+
+// closureBallGrower returns the radius-0 ball re-derived from ss, the
+// sealed forward closure of a fault ball (as a cache entry holds it). The
+// closure contains the ball's distance-0 members, the whole legitimate
+// set, so its legitimate states are exactly L: they seed the grower in
+// place of LegitEnumerator or the legitimacy scan, with no algorithm
+// callbacks, and growTo(k) then yields what FaultBallContext yields at k.
+func closureBallGrower(ss *statespace.Space, maxStates int64) *ballGrower {
+	b := newGrowerOver(ss.Alg, ss.Enc, maxStates, statespace.NewDedup(ss.Enc.Total()))
+	for s, legit := range ss.Legit {
+		if legit {
+			b.ball.Add(ss.GlobalIndex(s))
+			b.dist = append(b.dist, 0)
+		}
+	}
+	return b
+}
+
+// newGrowerOver returns a radius-0 grower over the given dedup table; the
+// caller fills the table and the aligned distances.
+func newGrowerOver(a protocol.Algorithm, enc *protocol.Encoder, maxStates int64, ball *statespace.Dedup) *ballGrower {
+	return &ballGrower{
+		a:         a,
+		enc:       enc,
+		maxStates: statespace.StateCap(maxStates),
+		ball:      ball,
+		cfg:       make(protocol.Configuration, a.Graph().N()),
+	}
 }
 
 // seedEnumerated admits the closed-form legitimate set — no index-range
@@ -266,9 +285,9 @@ func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol schedule
 }
 
 // ResumeBallSweep rebuilds a sweep at radius k from a previously produced
-// ball (globals and aligned distances, as FaultBallContext or a cache
-// entry returns them) and, optionally, its sealed closure subspace — the
-// warm-cache resume path. ss may be nil: the closure is then explored from
+// ball (globals and aligned distances, as FaultBallContext or SealContext
+// returns them) and, optionally, its sealed closure subspace — how a sweep
+// extends a prefix of radii served from the cache. ss may be nil: the closure is then explored from
 // the ball at the next SealContext. ss is deep-copied, never aliased or
 // mutated.
 func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals []int64, dist []int, ss *statespace.Space, opt statespace.Options) (*BallSweep, error) {
@@ -333,29 +352,34 @@ func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64
 // set is empty there is nothing to explore: the subspace is nil and
 // globals is empty, with no error.
 //
-// A non-nil cache persists both stages: a ball cached under the
-// (instance, k) key skips the seed enumeration entirely (no legitimacy
-// scan, no mutation BFS), and the closure loads or builds through the
-// cache, so a fully warm pipeline runs zero algorithm callbacks. ctx is
+// A non-nil cache holds the closure under its (instance, policy, k) key.
+// A hit re-derives the ball from the closure's legitimate states
+// (closureBallGrower), so a fully warm pipeline runs zero algorithm
+// callbacks; a miss enumerates, explores and stores the closure. ctx is
 // checked per mutation shell and per BFS shell; a cancelled pipeline
 // stores nothing.
 func BallClosureContext(ctx context.Context, cache *spacecache.Cache, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, []int64, []int, error) {
-	globals, ballDist, ok := cache.LoadBall(a, k, statespace.StateCap(opt.MaxStates))
-	if !ok {
-		var err error
-		globals, ballDist, err = FaultBallContext(ctx, a, k, opt.Workers, opt.MaxStates)
-		if err != nil {
+	if ss, ok := cache.LoadBallClosure(a, pol, k, opt); ok {
+		b := closureBallGrower(ss, opt.MaxStates)
+		if err := b.growTo(ctx, k); err != nil {
+			ss.Close()
 			return nil, nil, nil, err
 		}
-		_ = cache.StoreBall(a, k, globals, ballDist) // best-effort persistence
+		globals, ballDist := b.sorted()
+		return ss, globals, ballDist, nil
+	}
+	globals, ballDist, err := FaultBallContext(ctx, a, k, opt.Workers, opt.MaxStates)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if len(globals) == 0 {
 		return nil, globals, ballDist, nil
 	}
-	ss, _, err := cache.BuildSubSpaceContext(ctx, a, pol, globals, opt)
+	ss, err := statespace.BuildFromContext(ctx, a, pol, globals, opt)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("checker: %w", err)
 	}
+	_ = cache.StoreBallClosure(ss, k) // best-effort persistence
 	return ss, globals, ballDist, nil
 }
 
@@ -408,13 +432,13 @@ type SweepResult struct {
 // absorb" search loop.
 //
 // A non-nil cache makes the sweep cache-aware end to end: radii whose
-// ball and closure are both persisted are served with zero algorithm
-// callbacks, and the sweep resumes incremental exploration at the first
-// radius that misses. ctx is checked at every sweep-radius boundary and
-// threads through to the shell-granular checks of the ball enumeration
-// and closure exploration, so a cancelled sweep returns an error wrapping
-// ctx.Err() without finishing the walk, and the cache only ever sees
-// completed radii.
+// closure is persisted are served with zero algorithm callbacks (the ball
+// is regrown from the first loaded closure's legitimate states), and the
+// sweep resumes incremental exploration at the first radius that misses.
+// ctx is checked at every sweep-radius boundary and threads through to the
+// shell-granular checks of the ball enumeration and closure exploration,
+// so a cancelled sweep returns an error wrapping ctx.Err() without
+// finishing the walk, and the cache only ever sees completed radii.
 func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt statespace.Options, stopAtBreak bool) (*SweepResult, error) {
 	if kmax < 0 {
 		return nil, fmt.Errorf("checker: negative sweep radius %d", kmax)
@@ -428,8 +452,10 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 		}
 		return nil, err
 	}
-	maxStates := statespace.StateCap(opt.MaxStates)
-	var sweep *BallSweep
+	var (
+		sweep *BallSweep
+		warm  *ballGrower // the warm prefix's ball, seeded from its first closure
+	)
 	for k := 0; k <= kmax; k++ {
 		if err := ctx.Err(); err != nil {
 			return fail(fmt.Errorf("checker: sweep canceled at radius %d: %w", k, err))
@@ -439,35 +465,24 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 			globals []int64
 			dist    []int
 			hit     bool
-			// ballStored: the cache already holds this radius's ball (it
-			// was just loaded), so sealing must not rewrite it.
-			ballStored bool
 		)
 		if sweep == nil {
 			// Warm path: serve radius k entirely from the cache.
-			if g, d, ok := cache.LoadBall(a, k, maxStates); ok {
-				if len(g) == 0 {
-					globals, dist, hit = g, d, true
-				} else if loaded, ok := cache.LoadSubSpace(a, pol, g, opt); ok {
-					ss, globals, dist, hit = loaded, g, d, true
+			if loaded, ok := cache.LoadBallClosure(a, pol, k, opt); ok {
+				if warm == nil {
+					warm = closureBallGrower(loaded, opt.MaxStates)
 				}
-				if !hit {
-					// Ball cached, closure not: resume the sweep from the
-					// ball (and the previous radius's closure, if any) so
-					// sealing explores only what is missing.
-					resumed, err := ResumeBallSweep(a, pol, k, g, d, res.Sub, opt)
-					if err != nil {
-						return fail(err)
-					}
-					sweep = resumed
-					ballStored = true
+				if err := warm.growTo(ctx, k); err != nil {
+					loaded.Close()
+					return fail(err)
 				}
-			}
-			if sweep == nil && !hit {
-				// First fully-cold radius: resume from the last warm state,
-				// or start fresh at k=0.
+				globals, dist = warm.sorted()
+				ss, hit = loaded, true
+			} else {
+				// First cold radius: resume from the last warm radius, or
+				// start fresh at k=0.
 				var err error
-				if res.Globals != nil {
+				if res.Sub != nil {
 					sweep, err = ResumeBallSweep(a, pol, k-1, res.Globals, res.Dist, res.Sub, opt)
 				} else {
 					sweep, err = NewBallSweepContext(ctx, a, pol, opt)
@@ -485,11 +500,8 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 			if ss, globals, dist, err = sweep.SealContext(ctx); err != nil {
 				return fail(err)
 			}
-			if !ballStored {
-				_ = cache.StoreBall(a, k, globals, dist) // best-effort persistence
-			}
 			if ss != nil {
-				_ = cache.StoreSubSpace(ss, globals) // best-effort persistence
+				_ = cache.StoreBallClosure(ss, k) // best-effort persistence
 			}
 		}
 		v := BallVerdictAt(ss, BallLocalDistances(ss, globals, dist), k)

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -139,10 +140,14 @@ func subSpacesEqual(t *testing.T, a, b *statespace.Space) bool {
 	return true
 }
 
-// TestFaultBallEnumeratorMatchesScan pins FaultBallContext's closed-form
-// seeding bit-equal to the legitimacy-scan seeding, for every enumerator
-// algorithm and radius — the two paths must be indistinguishable downstream.
+// TestFaultBallEnumeratorMatchesScan pins FaultBallContext's three seedings
+// bit-equal — the closed-form enumeration, the legitimacy scan, and the
+// legitimate states of the ball's own closure (the warm-cache path,
+// closureBallGrower) — for every enumerator algorithm, with and without
+// its enumerator, and every radius: the paths must be indistinguishable
+// downstream.
 func TestFaultBallEnumeratorMatchesScan(t *testing.T) {
+	pol := scheduler.CentralPolicy{}
 	for _, a := range enumeratorAlgorithms(t) {
 		for k := 0; k <= 2; k++ {
 			gEnum, dEnum, err := FaultBallContext(t.Context(), a, k, 0, 0)
@@ -156,6 +161,27 @@ func TestFaultBallEnumeratorMatchesScan(t *testing.T) {
 			if !int64sEqual(gEnum, gScan) || !intsEqual(dEnum, dScan) {
 				t.Fatalf("%s k=%d: enumerator-seeded ball (%d states) differs from scan-seeded (%d states)",
 					a.Name(), k, len(gEnum), len(gScan))
+			}
+			for _, src := range []protocol.Algorithm{a, scanOnly{a}} {
+				ss, _, _, err := BallClosureContext(t.Context(), nil, src, pol, k, statespace.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ss == nil { // empty L: no closure, nothing to derive from
+					if len(gEnum) != 0 {
+						t.Fatalf("%s k=%d: nil closure of a %d-state ball", src.Name(), k, len(gEnum))
+					}
+					continue
+				}
+				b := closureBallGrower(ss, 0)
+				if err := b.growTo(t.Context(), k); err != nil {
+					t.Fatal(err)
+				}
+				gDer, dDer := b.sorted()
+				if !int64sEqual(gEnum, gDer) || !intsEqual(dEnum, dDer) {
+					t.Fatalf("%s k=%d: closure-derived ball (%d states) differs from enumerated (%d states)",
+						src.Name(), k, len(gDer), len(gEnum))
+				}
 			}
 		}
 	}
@@ -394,10 +420,15 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 	}
 
 	// Prefix-warm resume: a cache holding only radii 0..kmax serves a
-	// kmax+1 sweep warm up to kmax and explores just the last shell.
-	extended, err := SweepKFaultsContext(t.Context(), cache, inner, pol, kmax+1, opt, false)
+	// kmax+1 sweep warm up to kmax and explores just the last shell — no
+	// seed pass, and one Legitimate call per newly explored closure state.
+	counted2 := &countingEnumAlg{LegitEnumerator: inner}
+	extended, err := SweepKFaultsContext(t.Context(), cache, counted2, pol, kmax+1, opt, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := counted2.legit.Load(), int64(extended.ClosureStates[kmax+1]-extended.ClosureStates[kmax]); got != want {
+		t.Errorf("prefix-warm sweep made %d Legitimate calls, want %d (the missing shell's closure states only)", got, want)
 	}
 	ref, _, err := BallVerdicts(t.Context(), inner, pol, kmax+1, opt)
 	if err != nil {
@@ -417,37 +448,78 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 	if extended.CacheHits[kmax+1] {
 		t.Errorf("extended sweep cannot be warm at the never-cached k=%d", kmax+1)
 	}
+}
 
-	// Ball-hit/closure-miss resume: with the subspace entries gone but the
-	// ball entries intact, the sweep re-explores closures from the cached
-	// balls — no radius counts as a full hit, verdicts stay bit-identical,
-	// and the k=0 legitimate set is never re-derived (zero enumeration or
-	// scan; Legitimate fires once per re-explored closure state only).
-	subs, err := filepath.Glob(filepath.Join(cache.Dir(), "*.subspace"))
-	if err != nil || len(subs) == 0 {
-		t.Fatalf("expected cached subspace entries, got %v (%v)", subs, err)
-	}
-	for _, f := range subs {
-		if err := os.Remove(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counted2 := &countingEnumAlg{LegitEnumerator: inner}
-	resumed, err := SweepKFaultsContext(t.Context(), cache, counted2, pol, kmax, opt, false)
+// TestSweepKFaultsCacheKeyedByPolicy pins the policy in the closure key:
+// a distributed sweep over a cache filled by a central one must miss at
+// every radius and equal a cache-less distributed sweep — verdicts,
+// closure sizes, ball and subspace arrays. Every entry the central sweep
+// wrote must also be an ordinary serialized closure that statespace.Map
+// accepts.
+func TestSweepKFaultsCacheKeyedByPolicy(t *testing.T) {
+	inner, err := tokenring.New(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range cold.Verdicts {
-		c, r := cold.Verdicts[k], resumed.Verdicts[k]
-		if c.Configs != r.Configs || c.Possible != r.Possible || c.Certain != r.Certain {
-			t.Errorf("k=%d: ball-resumed verdict %+v differs from cold %+v", k, r, c)
+	const kmax = 2
+	opt := statespace.Options{}
+	cache, err := spacecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	central, err := SweepKFaultsContext(t.Context(), cache, inner, scheduler.CentralPolicy{}, kmax, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(cache.Dir(), "*.ball"))
+	if err != nil || len(entries) != kmax+1 {
+		t.Fatalf("cold central sweep wrote %d .ball entries (%v), want %d", len(entries), err, kmax+1)
+	}
+	for _, path := range entries {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if resumed.CacheHits[k] {
-			t.Errorf("k=%d counted as a full cache hit with its subspace entry deleted", k)
+		ss, err := statespace.Map(data, inner, scheduler.CentralPolicy{}, 0, 0, nil)
+		if err != nil {
+			t.Fatalf("%s: statespace.Map rejected a ball entry: %v", filepath.Base(path), err)
+		}
+		if ss.Globals() == nil || !slices.Contains(central.ClosureStates, ss.NumStates()) {
+			t.Errorf("%s: a %d-state entry is not one of the sweep's closures %v",
+				filepath.Base(path), ss.NumStates(), central.ClosureStates)
 		}
 	}
-	if got, want := counted2.legit.Load(), int64(resumed.Sub.NumStates()); got != want {
-		t.Errorf("ball-resumed sweep made %d Legitimate calls, want %d (closure re-exploration only, no seed pass)", got, want)
+
+	dist := scheduler.DistributedPolicy{}
+	warm, err := SweepKFaultsContext(t.Context(), cache, inner, dist, kmax, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := SweepKFaultsContext(t.Context(), nil, inner, dist, kmax, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, hit := range warm.CacheHits {
+		if hit {
+			t.Errorf("distributed sweep hit the central cache at k=%d", k)
+		}
+	}
+	if len(warm.Verdicts) != len(ref.Verdicts) || !slices.Equal(warm.ClosureStates, ref.ClosureStates) {
+		t.Fatalf("distributed sweep over the central cache walked %v closures, want %v",
+			warm.ClosureStates, ref.ClosureStates)
+	}
+	for k, r := range ref.Verdicts {
+		w := warm.Verdicts[k]
+		if w.K != r.K || w.Configs != r.Configs || w.Possible != r.Possible || w.Certain != r.Certain ||
+			!w.Counterexample.Equal(r.Counterexample) {
+			t.Errorf("k=%d: verdict %+v over the central cache differs from cache-less %+v", k, w, r)
+		}
+	}
+	if !int64sEqual(warm.Globals, ref.Globals) || !intsEqual(warm.Dist, ref.Dist) {
+		t.Error("distributed ball over the central cache differs from cache-less")
+	}
+	if !subSpacesEqual(t, warm.Sub, ref.Sub) {
+		t.Error("distributed closure over the central cache differs from cache-less")
 	}
 }
 

@@ -171,12 +171,6 @@ func (r *Report) ProbabilisticallySelfStabilizing() bool {
 // WeakStabilizing reports Definition 3.
 func (r *Report) WeakStabilizing() bool { return r.Closure && r.PossibleConvergence }
 
-// GoudaSelfStabilizing reports self-stabilization under Gouda's strong
-// fairness assumption. By Theorem 7 this coincides with probabilistic
-// self-stabilization under the randomized scheduler for finite
-// deterministic algorithms, which is how it is decided.
-func (r *Report) GoudaSelfStabilizing() bool { return r.ProbabilisticallySelfStabilizing() }
-
 // Strongest returns the strongest class the instance belongs to.
 func (r *Report) Strongest() Class {
 	switch {

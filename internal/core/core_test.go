@@ -53,7 +53,7 @@ func TestTokenRingClassification(t *testing.T) {
 	if rep.Strongest() != ClassProbabilistic {
 		t.Fatalf("classification = %v, want probabilistic", rep.Strongest())
 	}
-	if !rep.WeakStabilizing() || !rep.GoudaSelfStabilizing() || rep.SelfStabilizing() {
+	if !rep.WeakStabilizing() || !rep.ProbabilisticallySelfStabilizing() || rep.SelfStabilizing() {
 		t.Fatalf("verdicts wrong: %+v", rep)
 	}
 	if !rep.FairLassoFound {

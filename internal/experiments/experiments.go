@@ -5,7 +5,9 @@
 // verdicts) to an io.Writer and returns an error if the measured behavior
 // contradicts the paper's claim — so the suite doubles as an end-to-end
 // verification harness. The stabbench CLI and the repository benchmarks are
-// thin wrappers around this registry; EXPERIMENTS.md records the outputs.
+// thin wrappers around this registry, and
+// internal/experiments/testdata/stabbench_quick.golden records the output
+// of the quick suite.
 package experiments
 
 import (

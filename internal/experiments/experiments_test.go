@@ -132,8 +132,8 @@ func TestRunAllStopsOnFailure(t *testing.T) {
 }
 
 // TestEveryExperimentPassesFull runs the suite at full (paper) sizes — the
-// same configuration `stabbench` uses for EXPERIMENTS.md. Skipped with
-// -short.
+// configuration plain `stabbench` runs; the quick suite's output is pinned
+// in testdata/stabbench_quick.golden. Skipped with -short.
 func TestEveryExperimentPassesFull(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite skipped in -short mode")

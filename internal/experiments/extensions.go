@@ -136,7 +136,7 @@ func runE14(ctx context.Context, w io.Writer, opt Options) error {
 		} {
 			var steps, rounds []float64
 			for i := 0; i < trials; i++ {
-				res := sim.Run(trans, sch, randomConfig(trans, rng), rng, sim.Options{MaxSteps: 2_000_000})
+				res := sim.Run(trans, sch, protocol.RandomConfiguration(trans, rng), rng, sim.Options{MaxSteps: 2_000_000})
 				if !res.Converged {
 					return fmt.Errorf("n=%d %s: run failed to converge", n, sch.Name())
 				}
@@ -160,18 +160,6 @@ func runE14(ctx context.Context, w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "shape: synchronous steps/round = 1; central steps/round tracks the enabled-set size;")
 	fmt.Fprintln(w, "       round counts align across schedulers far better than raw step counts")
 	return nil
-}
-
-func randomConfig(a interface {
-	Graph() *graph.Graph
-	StateCount(int) int
-}, rng *rand.Rand) []int {
-	n := a.Graph().N()
-	cfg := make([]int, n)
-	for p := 0; p < n; p++ {
-		cfg[p] = rng.Intn(a.StateCount(p))
-	}
-	return cfg
 }
 
 func runE15(ctx context.Context, w io.Writer, opt Options) error {

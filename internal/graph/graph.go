@@ -112,17 +112,6 @@ func (g *Graph) M() int {
 // Degree returns the degree of node p.
 func (g *Graph) Degree(p int) int { return len(g.adj[p]) }
 
-// MaxDegree returns the degree Delta of the graph.
-func (g *Graph) MaxDegree() int {
-	d := 0
-	for p := range g.adj {
-		if len(g.adj[p]) > d {
-			d = len(g.adj[p])
-		}
-	}
-	return d
-}
-
 // Neighbor returns the global id of the i-th neighbor of p. It panics if i
 // is out of range, mirroring slice indexing.
 func (g *Graph) Neighbor(p, i int) int { return g.adj[p][i] }

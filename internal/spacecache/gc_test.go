@@ -28,7 +28,7 @@ func primeEntries(t *testing.T, c *Cache) []string {
 	if _, _, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.BuildSubSpaceContext(t.Context(), ring(t, 5), pol, []int64{0, 7}, statespace.Options{}); err != nil {
+	if _, _, err := c.build(t.Context(), ring(t, 5), pol, []int64{0, 7}, true, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	paths := []string{
@@ -120,7 +120,7 @@ func TestGCOldestFirst(t *testing.T) {
 	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
 		t.Fatalf("surviving space corrupted by gc: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.BuildSubSpaceContext(t.Context(), ring(t, 5), pol, []int64{0, 7}, statespace.Options{}); err != nil || !hit {
+	if _, hit, err := c.build(t.Context(), ring(t, 5), pol, []int64{0, 7}, true, statespace.Options{}); err != nil || !hit {
 		t.Fatalf("surviving subspace corrupted by gc: hit=%v err=%v", hit, err)
 	}
 	// The evicted entry misses and rebuilds cleanly.
@@ -193,7 +193,7 @@ func TestMmapDecodeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.BuildSubSpaceContext(t.Context(), a, pol, seeds, statespace.Options{}); err != nil {
+	if _, _, err := c.build(t.Context(), a, pol, seeds, true, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,7 +201,7 @@ func TestMmapDecodeParity(t *testing.T) {
 	if !ok {
 		t.Fatal("space load missed")
 	}
-	mappedSS, ok := c.LoadSubSpace(a, pol, seeds, statespace.Options{})
+	mappedSS, ok := c.load(a, pol, "subspace", SubKey(a, pol, seeds), statespace.Options{})
 	if !ok {
 		t.Fatal("subspace load missed")
 	}
@@ -214,7 +214,7 @@ func TestMmapDecodeParity(t *testing.T) {
 	if !ok {
 		t.Fatal("decode-forced space load missed")
 	}
-	decodedSS, ok := c.LoadSubSpace(a, pol, seeds, statespace.Options{})
+	decodedSS, ok := c.load(a, pol, "subspace", SubKey(a, pol, seeds), statespace.Options{})
 	if !ok {
 		t.Fatal("decode-forced subspace load missed")
 	}

@@ -11,8 +11,10 @@
 // domains, the exact communication-graph edge set, and the policy name —
 // plus, for frontier-explored subspaces, a hash of the seed *set* (order-
 // and duplicate-insensitive, matching BuildFromContext's dedup
-// semantics). Any semantic change to the instance changes the key, so a
-// stale file is simply never found.
+// semantics), and, for the forward closure of a k-fault ball, the radius
+// k. Any semantic change to the instance changes the key, so a stale file
+// is simply never found. All three kinds share one serial format, the
+// statespace one, and one load/store path.
 //
 // Robustness contract: a cache must never produce a wrong answer, only a
 // slower one. Loads that fail for any reason — missing file, truncation,
@@ -156,15 +158,14 @@ func touch(path string) {
 	_ = os.Chtimes(path, now, now)
 }
 
-// canonicalInstance renders the policy-free cache identity of an algorithm
-// instance as a readable string: the format version (so incompatible
-// layouts never share a key), the algorithm's parameterized name, the
-// per-process state domains, and the exact edge set of the communication
-// graph (which is what distinguishes two random trees of equal size).
-// Entries that do not depend on the scheduler — the fault-ball
-// enumeration above all — key on this alone, so one ball file serves
-// every policy.
-func canonicalInstance(a protocol.Algorithm) string {
+// canonical renders the identity of an explored transition system as a
+// readable string: the format version (so incompatible layouts never share
+// a key), the algorithm's parameterized name, the per-process state
+// domains, the exact edge set of the communication graph (which is what
+// distinguishes two random trees of equal size), and the policy name.
+// Every entry kind keys on it; none is policy-free, since every entry is
+// an explored system.
+func canonical(a protocol.Algorithm, pol scheduler.Policy) string {
 	g := a.Graph()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "v%d|alg=%s|n=%d|domains=", statespace.SerialVersion, a.Name(), g.N())
@@ -175,13 +176,8 @@ func canonicalInstance(a protocol.Algorithm) string {
 	for _, e := range g.Edges() {
 		fmt.Fprintf(&sb, "%d-%d;", e[0], e[1])
 	}
+	fmt.Fprintf(&sb, "|policy=%s", pol.Name())
 	return sb.String()
-}
-
-// canonical extends the instance identity with the policy name — the
-// identity of explored transition systems.
-func canonical(a protocol.Algorithm, pol scheduler.Policy) string {
-	return fmt.Sprintf("%s|policy=%s", canonicalInstance(a), pol.Name())
 }
 
 // Key returns the canonical cache key of a full space: a hex digest of the
@@ -212,36 +208,35 @@ func SubKey(a protocol.Algorithm, pol scheduler.Policy, seeds []int64) string {
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-// entryOf names the cache entry of a full space (sub false) or of the
-// closure of a seed set: its kind, which is also its filename extension,
-// and its key.
-func entryOf(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, sub bool) (kind, key string) {
-	if sub {
-		return "subspace", SubKey(a, pol, seeds)
-	}
-	return "space", Key(a, pol)
+// ballKey returns the cache key of the forward closure of the
+// distance-≤k fault ball: the full-space identity extended with the
+// radius. The ball itself is not part of the entry; it is re-derived from
+// the closure's legitimate states.
+func ballKey(a protocol.Algorithm, pol scheduler.Policy, k int) string {
+	sum := sha256.Sum256(fmt.Appendf([]byte(canonical(a, pol)), "|ball,k=%d", k))
+	return hex.EncodeToString(sum[:12])
 }
 
-// load returns the cached entry, or (nil, false) on any miss — no file,
-// or a file that fails validation (truncated, corrupted, wrong version,
-// wrong instance, beyond opt.MaxStates) or holds the other kind of
-// system. A miss is never an error: the caller rebuilds and the rebuild's
-// store overwrites bad bytes.
+// load returns the cached entry of the given kind ("space", "subspace" or
+// "ball", which is also the filename extension) and key, or (nil, false)
+// on any miss — no file, or a file that fails validation (truncated,
+// corrupted, wrong version, wrong instance, beyond opt.MaxStates) or holds
+// a full space where a closure belongs or vice versa. A miss is never an
+// error: the caller rebuilds and the rebuild's store overwrites bad bytes.
 //
 // With the mmap path enabled (the default) a hit is zero-copy and the
 // returned space owns a file mapping — Close it when done. Anything Map
 // declines (ErrNotMappable) or rejects falls back to statespace.Read,
 // which re-derives the hit-or-miss verdict on its own. Both readers check
 // opt.MaxStates at the header, so an oversized entry costs a 32-byte read.
-func (c *Cache) load(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, sub bool, opt statespace.Options) (*statespace.Space, bool) {
+func (c *Cache) load(a protocol.Algorithm, pol scheduler.Policy, kind, key string, opt statespace.Options) (*statespace.Space, bool) {
 	if c == nil {
 		return nil, false
 	}
 	o := obs.Or(opt.Obs)
-	kind, key := entryOf(a, pol, seeds, sub)
 	path := filepath.Join(c.dir, key+"."+kind)
 	// A closure carries Globals; the full index range does not.
-	isKind := func(sp *statespace.Space) bool { return (sp.Globals() != nil) == sub }
+	isKind := func(sp *statespace.Space) bool { return (sp.Globals() != nil) == (kind != "space") }
 	if c.MmapEnabled() {
 		if data, unmap, fi, err := mmapOpen(path); err == nil {
 			mapFile := statespace.Map
@@ -277,11 +272,10 @@ func (c *Cache) load(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, 
 
 // store persists sp as the entry load finds it under, atomically (temp
 // file + rename). A nil cache stores nothing.
-func (c *Cache) store(sp *statespace.Space, seeds []int64, sub bool) error {
+func (c *Cache) store(sp *statespace.Space, kind, key string) error {
 	if c == nil {
 		return nil
 	}
-	kind, key := entryOf(sp.Alg, sp.Pol, seeds, sub)
 	err := c.atomicWrite(filepath.Join(c.dir, key+"."+kind), sp)
 	if err == nil {
 		observeStore(obs.Default(), kind, key)
@@ -298,7 +292,11 @@ func (c *Cache) store(sp *statespace.Space, seeds []int64, sub bool) error {
 // stores nothing, and the atomic write means no partial entry can appear
 // even on a crash.
 func (c *Cache) build(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, sub bool, opt statespace.Options) (*statespace.Space, bool, error) {
-	if sp, ok := c.load(a, pol, seeds, sub, opt); ok {
+	kind, key := "space", Key(a, pol)
+	if sub {
+		kind, key = "subspace", SubKey(a, pol, seeds)
+	}
+	if sp, ok := c.load(a, pol, kind, key, opt); ok {
 		return sp, true, nil
 	}
 	var (
@@ -313,29 +311,31 @@ func (c *Cache) build(ctx context.Context, a protocol.Algorithm, pol scheduler.P
 	if err != nil {
 		return nil, false, err
 	}
-	_ = c.store(sp, seeds, sub)
+	_ = c.store(sp, kind, key)
 	return sp, false, nil
 }
 
 // LoadSpace returns the cached full space of (a, pol), with load's miss
 // and mmap-ownership contracts.
 func (c *Cache) LoadSpace(a protocol.Algorithm, pol scheduler.Policy, opt statespace.Options) (*statespace.Space, bool) {
-	return c.load(a, pol, nil, false, opt)
+	return c.load(a, pol, "space", Key(a, pol), opt)
 }
 
 // StoreSpace persists a full space under its canonical key.
-func (c *Cache) StoreSpace(sp *statespace.Space) error { return c.store(sp, nil, false) }
-
-// LoadSubSpace returns the cached closure of (a, pol, seed set), with
-// load's miss and mmap-ownership contracts.
-func (c *Cache) LoadSubSpace(a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (*statespace.Space, bool) {
-	return c.load(a, pol, seeds, true, opt)
+func (c *Cache) StoreSpace(sp *statespace.Space) error {
+	return c.store(sp, "space", Key(sp.Alg, sp.Pol))
 }
 
-// StoreSubSpace persists a closure under the canonical key of its seed
-// set. The seeds must be the ones it was built from.
-func (c *Cache) StoreSubSpace(ss *statespace.Space, seeds []int64) error {
-	return c.store(ss, seeds, true)
+// LoadBallClosure returns the cached forward closure of the distance-≤k
+// fault ball of (a, pol), with load's miss and mmap-ownership contracts.
+func (c *Cache) LoadBallClosure(a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) (*statespace.Space, bool) {
+	return c.load(a, pol, "ball", ballKey(a, pol, k), opt)
+}
+
+// StoreBallClosure persists the forward closure of the distance-≤k fault
+// ball under its (instance, policy, k) key.
+func (c *Cache) StoreBallClosure(ss *statespace.Space, k int) error {
+	return c.store(ss, "ball", ballKey(ss.Alg, ss.Pol, k))
 }
 
 // BuildSpaceContext is statespace.BuildContext behind the cache; hit
@@ -344,14 +344,9 @@ func (c *Cache) BuildSpaceContext(ctx context.Context, a protocol.Algorithm, pol
 	return c.build(ctx, a, pol, nil, false, opt)
 }
 
-// BuildSubSpaceContext is statespace.BuildFromContext behind the cache,
-// with the same contract as BuildSpaceContext.
-func (c *Cache) BuildSubSpaceContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt statespace.Options) (ss *statespace.Space, hit bool, err error) {
-	return c.build(ctx, a, pol, seeds, true, opt)
-}
-
-// BuildSubSpaceFromConfigsContext is BuildSubSpaceContext with the seed
-// set given as configurations, validated and encoded by
+// BuildSubSpaceFromConfigsContext is statespace.BuildFromContext behind
+// the cache, with the same contract as BuildSpaceContext and the seed set
+// given as configurations, validated and encoded by
 // statespace.EncodeConfigs.
 func (c *Cache) BuildSubSpaceFromConfigsContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, cfgs []protocol.Configuration, opt statespace.Options) (*statespace.Space, bool, error) {
 	seeds, err := statespace.EncodeConfigs(a, cfgs)

@@ -164,14 +164,14 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 	pol := scheduler.DistributedPolicy{}
 	seeds := []int64{0, 7, 11}
 
-	cold, hit, err := c.BuildSubSpaceContext(t.Context(), a, pol, seeds, statespace.Options{})
+	cold, hit, err := c.build(t.Context(), a, pol, seeds, true, statespace.Options{})
 	if err != nil || hit {
 		t.Fatalf("cold: hit=%v err=%v", hit, err)
 	}
 	coldCalls := a.calls.Load()
 
 	// Same set, different order and duplicates: still a hit.
-	warm, hit, err := c.BuildSubSpaceContext(t.Context(), a, pol, []int64{11, 0, 7, 7}, statespace.Options{})
+	warm, hit, err := c.build(t.Context(), a, pol, []int64{11, 0, 7, 7}, true, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 	}
 
 	// A different seed set is a clean miss.
-	if _, hit, err := c.BuildSubSpaceContext(t.Context(), a, pol, []int64{0, 7}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.build(t.Context(), a, pol, []int64{0, 7}, true, statespace.Options{}); err != nil || hit {
 		t.Fatalf("different seed set: hit=%v err=%v", hit, err)
 	}
 }
@@ -213,6 +213,55 @@ func TestStaleKeyMiss(t *testing.T) {
 	// The original triple still hits.
 	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
 		t.Fatalf("original instance must still hit, hit=%v err=%v", hit, err)
+	}
+}
+
+// TestBallClosureKey pins the ball entry's identity: a closure stored for
+// (instance, policy, k) is served back bit-equal under exactly that
+// triple, and any other radius, policy or instance misses. A nil cache
+// stores nothing and always misses.
+func TestBallClosureKey(t *testing.T) {
+	c := openTemp(t)
+	a := ring(t, 5)
+	pol := scheduler.CentralPolicy{}
+	ss, err := statespace.BuildFromContext(t.Context(), a, pol, []int64{0, 7, 11}, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.StoreBallClosure(ss, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c.LoadBallClosure(a, pol, 1, statespace.Options{})
+	if !ok {
+		t.Fatal("stored ball closure missed")
+	}
+	so, ssucc, sp := ss.CSR()
+	lo, lsucc, lp := got.CSR()
+	if !slices.Equal(so, lo) || !slices.Equal(ssucc, lsucc) || !slices.Equal(sp, lp) ||
+		!slices.Equal(ss.Globals(), got.Globals()) || !slices.Equal(ss.Legit, got.Legit) {
+		t.Fatal("loaded ball closure differs from the stored one")
+	}
+	got.Close()
+	for _, other := range []struct {
+		name string
+		a    protocol.Algorithm
+		pol  scheduler.Policy
+		k    int
+	}{
+		{"other radius", a, pol, 2},
+		{"other policy", a, scheduler.DistributedPolicy{}, 1},
+		{"other instance", ring(t, 6), pol, 1},
+	} {
+		if _, ok := c.LoadBallClosure(other.a, other.pol, other.k, statespace.Options{}); ok {
+			t.Errorf("%s served the stored ball closure", other.name)
+		}
+	}
+	var nilCache *Cache
+	if err := nilCache.StoreBallClosure(ss, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := nilCache.LoadBallClosure(a, pol, 1, statespace.Options{}); ok {
+		t.Fatal("nil cache hit")
 	}
 }
 
@@ -268,7 +317,7 @@ func TestLoadRejectsWrongKind(t *testing.T) {
 	if _, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.BuildSubSpaceContext(t.Context(), a, pol, seeds, statespace.Options{}); err != nil {
+	if _, _, err := c.build(t.Context(), a, pol, seeds, true, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	spacePath := filepath.Join(c.Dir(), Key(a, pol)+".space")
@@ -292,7 +341,7 @@ func TestLoadRejectsWrongKind(t *testing.T) {
 		if sp, ok := c.LoadSpace(a, pol, statespace.Options{}); ok {
 			t.Fatalf("mmap=%v: closure served as a full space (%d states)", mmap, sp.States)
 		}
-		if ss, ok := c.LoadSubSpace(a, pol, seeds, statespace.Options{}); ok {
+		if ss, ok := c.load(a, pol, "subspace", SubKey(a, pol, seeds), statespace.Options{}); ok {
 			t.Fatalf("mmap=%v: full space served as a closure (%d states)", mmap, ss.States)
 		}
 	}
@@ -331,7 +380,7 @@ func TestStoreFailureDoesNotFailBuild(t *testing.T) {
 	if hit || sp == nil {
 		t.Fatalf("expected a fresh build, got hit=%v sp=%v", hit, sp != nil)
 	}
-	ss, hit, err := c.BuildSubSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{})
+	ss, hit, err := c.build(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, true, statespace.Options{})
 	if err != nil || hit || ss == nil {
 		t.Fatalf("subspace path: hit=%v err=%v", hit, err)
 	}
@@ -350,7 +399,7 @@ func TestNilCacheBuilds(t *testing.T) {
 	if c2, err := Open(""); c2 != nil || err != nil {
 		t.Fatalf(`Open("") = %v, %v; want nil no-op cache`, c2, err)
 	}
-	if _, hit, err := c.BuildSubSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.build(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, true, statespace.Options{}); err != nil || hit {
 		t.Fatalf("nil cache subspace: hit=%v err=%v", hit, err)
 	}
 }

@@ -68,9 +68,6 @@ func NewBiased(inner protocol.Deterministic, p float64) (*Algorithm, error) {
 	return &Algorithm{inner: inner, p: p}, nil
 }
 
-// Inner returns the wrapped algorithm.
-func (a *Algorithm) Inner() protocol.Deterministic { return a.inner }
-
 // Bias returns the toss success probability.
 func (a *Algorithm) Bias() float64 { return a.p }
 

@@ -65,9 +65,6 @@ func TestBiasValidation(t *testing.T) {
 	if a.Bias() != 0.5 {
 		t.Fatalf("default bias = %g", a.Bias())
 	}
-	if a.Inner() != protocol.Deterministic(inner) {
-		t.Fatal("Inner() does not return the wrapped algorithm")
-	}
 }
 
 func TestModelsValidate(t *testing.T) {
