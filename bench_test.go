@@ -5,8 +5,10 @@
 package weakstab_test
 
 import (
+	"cmp"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"weakstab"
@@ -149,17 +151,50 @@ func BenchmarkMarkovSolve(b *testing.B) {
 	}
 }
 
+// benchArc is one weighted transition of a hand-built benchmark chain.
+type benchArc struct {
+	to int
+	p  float64
+}
+
+// benchChain builds the chain whose state s has the outgoing row rows[s]
+// (a nil row is absorbing): each row is sorted by target and its duplicate
+// targets are merged before the CSR goes to markov.FromCSR.
+func benchChain(b *testing.B, rows [][]benchArc) *markov.Chain {
+	off := make([]int64, len(rows)+1)
+	var (
+		succ []int32
+		prob []float64
+	)
+	for s, r := range rows {
+		slices.SortStableFunc(r, func(x, y benchArc) int { return cmp.Compare(x.to, y.to) })
+		for i := 0; i < len(r); {
+			to, p := r[i].to, r[i].p
+			for i++; i < len(r) && r[i].to == to; i++ {
+				p += r[i].p
+			}
+			succ = append(succ, int32(to))
+			prob = append(prob, p)
+		}
+		off[s+1] = int64(len(succ))
+	}
+	c, err := markov.FromCSR(off, succ, prob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return c
+}
+
 // BenchmarkMarkovSolveLargeDAG solves a 200001-state chain of singleton
 // SCCs (countdown with fair self-loops) — 2e5 transient states, which the
 // pre-condensation solver could only hand to whole-system Gauss–Seidel.
 func BenchmarkMarkovSolveLargeDAG(b *testing.B) {
 	const n = 200_001
-	c := markov.New(n)
+	rows := make([][]benchArc, n)
 	for i := 1; i < n; i++ {
-		if err := c.SetRow(i, []markov.Trans{{To: i - 1, Prob: 0.5}, {To: i, Prob: 0.5}}); err != nil {
-			b.Fatal(err)
-		}
+		rows[i] = []benchArc{{i - 1, 0.5}, {i, 0.5}}
 	}
+	c := benchChain(b, rows)
 	target := make([]bool, n)
 	target[0] = true
 	b.ReportAllocs()
@@ -176,12 +211,11 @@ func BenchmarkMarkovSolveLargeDAG(b *testing.B) {
 // red-black Gauss–Seidel path at scale.
 func BenchmarkMarkovSolveLargeSCC(b *testing.B) {
 	const m = 150_000
-	c := markov.New(m + 1)
+	rows := make([][]benchArc, m+1)
 	for i := 0; i < m; i++ {
-		if err := c.SetRow(i, []markov.Trans{{To: (i + 1) % m, Prob: 0.5}, {To: m, Prob: 0.5}}); err != nil {
-			b.Fatal(err)
-		}
+		rows[i] = []benchArc{{(i + 1) % m, 0.5}, {m, 0.5}}
 	}
+	c := benchChain(b, rows)
 	target := make([]bool, m+1)
 	target[m] = true
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package centers
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"weakstab/internal/graph"
@@ -252,7 +253,7 @@ func TestElectorSynchronousLivelockOnTiedCenters(t *testing.T) {
 	// is weak- but not self-stabilizing (consistent with Theorem 3).
 	e := mustElector(t, mustChain(t, 4))
 	g := e.Graph()
-	d := g.Diameter()
+	d := slices.Max(g.Eccentricities())
 	cfg := make(protocol.Configuration, 4)
 	for p := 0; p < 4; p++ {
 		cfg[p] = e.Encode(d-g.Eccentricity(p), false)
@@ -279,7 +280,7 @@ func TestElectorOneAsymmetricStepElects(t *testing.T) {
 	// moves."
 	e := mustElector(t, mustChain(t, 4))
 	g := e.Graph()
-	d := g.Diameter()
+	d := slices.Max(g.Eccentricities())
 	cfg := make(protocol.Configuration, 4)
 	for p := 0; p < 4; p++ {
 		cfg[p] = e.Encode(d-g.Eccentricity(p), true)

@@ -72,17 +72,6 @@ func (a *Algorithm) Conflicted(cfg protocol.Configuration, p int) bool {
 	return false
 }
 
-// ConflictEdges returns the number of edges whose endpoints share a color.
-func (a *Algorithm) ConflictEdges(cfg protocol.Configuration) int {
-	count := 0
-	for _, e := range a.g.Edges() {
-		if cfg[e[0]] == cfg[e[1]] {
-			count++
-		}
-	}
-	return count
-}
-
 // EnabledAction implements protocol.Algorithm.
 func (a *Algorithm) EnabledAction(cfg protocol.Configuration, p int) int {
 	if a.Conflicted(cfg, p) {

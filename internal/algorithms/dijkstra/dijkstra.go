@@ -76,17 +76,6 @@ func (a *Algorithm) Privileged(cfg protocol.Configuration, p int) bool {
 	return cfg[p] != cfg[p-1]
 }
 
-// PrivilegedProcesses returns all privileged processes, ascending.
-func (a *Algorithm) PrivilegedProcesses(cfg protocol.Configuration) []int {
-	var out []int
-	for p := 0; p < a.n; p++ {
-		if a.Privileged(cfg, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // EnabledAction implements protocol.Algorithm.
 func (a *Algorithm) EnabledAction(cfg protocol.Configuration, p int) int {
 	if a.Privileged(cfg, p) {

@@ -33,11 +33,22 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// privileged returns the privileged processes of cfg, ascending.
+func privileged(a *Algorithm, cfg protocol.Configuration) []int {
+	var out []int
+	for p := range cfg {
+		if a.Privileged(cfg, p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 func TestPrivileges(t *testing.T) {
 	a := mustNew(t, 4, 4)
 	// All equal: only the root is privileged.
 	cfg := protocol.Configuration{2, 2, 2, 2}
-	priv := a.PrivilegedProcesses(cfg)
+	priv := privileged(a, cfg)
 	if len(priv) != 1 || priv[0] != 0 {
 		t.Fatalf("privileged = %v, want [0]", priv)
 	}
@@ -46,7 +57,7 @@ func TestPrivileges(t *testing.T) {
 	}
 	// Root not privileged when S0 != S3.
 	cfg = protocol.Configuration{1, 1, 1, 2}
-	priv = a.PrivilegedProcesses(cfg)
+	priv = privileged(a, cfg)
 	if len(priv) != 1 || priv[0] != 3 {
 		t.Fatalf("privileged = %v, want [3]", priv)
 	}
@@ -59,7 +70,7 @@ func TestLegitimateCirculation(t *testing.T) {
 	cfg := protocol.Configuration{3, 3, 3, 3, 3}
 	holds := make([]int, 5)
 	for step := 0; step < 25; step++ {
-		priv := a.PrivilegedProcesses(cfg)
+		priv := privileged(a, cfg)
 		if len(priv) != 1 {
 			t.Fatalf("step %d: %d privileges", step, len(priv))
 		}

@@ -18,9 +18,11 @@
 package ijtoken
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"weakstab/internal/graph"
@@ -121,18 +123,31 @@ func (s *System) ExpectedMergeTime(initial []int) (float64, error) {
 
 // buildChain constructs the occupancy-set Markov chain. State index =
 // bitmask of occupied nodes; mask 0 is unreachable and left absorbing.
+// Each row lists its successor masks in ascending order; a token with
+// several occupied neighbours reaches the same mask once per neighbour,
+// and those moves are summed into one transition.
 func (s *System) buildChain() (*markov.Chain, []bool, error) {
 	n := s.g.N()
 	total := 1 << uint(n)
-	chain := markov.New(total)
 	target := make([]bool, total)
+	off := make([]int64, total+1)
+	var (
+		succ []int32
+		prob []float64
+	)
+	type move struct {
+		to int32
+		p  float64
+	}
+	var row []move
 	for mask := 1; mask < total; mask++ {
+		off[mask] = int64(len(succ))
 		k := popcount(mask)
 		if k == 1 {
 			target[mask] = true
 			continue // absorbing: merged
 		}
-		var row []markov.Trans
+		row = row[:0]
 		pTok := 1 / float64(k)
 		for p := 0; p < n; p++ {
 			if mask&(1<<uint(p)) == 0 {
@@ -143,12 +158,23 @@ func (s *System) buildChain() (*markov.Chain, []bool, error) {
 			for i := 0; i < deg; i++ {
 				q := s.g.Neighbor(p, i)
 				next := (mask &^ (1 << uint(p))) | 1<<uint(q)
-				row = append(row, markov.Trans{To: next, Prob: pMove})
+				row = append(row, move{int32(next), pMove})
 			}
 		}
-		if err := chain.SetRow(mask, row); err != nil {
-			return nil, nil, fmt.Errorf("ijtoken: building chain: %w", err)
+		slices.SortFunc(row, func(a, b move) int { return cmp.Compare(a.to, b.to) })
+		for i := 0; i < len(row); {
+			to, p := row[i].to, row[i].p
+			for i++; i < len(row) && row[i].to == to; i++ {
+				p += row[i].p
+			}
+			succ = append(succ, to)
+			prob = append(prob, p)
 		}
+	}
+	off[total] = int64(len(succ))
+	chain, err := markov.FromCSR(off, succ, prob)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ijtoken: building chain: %w", err)
 	}
 	return chain, target, nil
 }

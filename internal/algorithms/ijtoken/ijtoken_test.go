@@ -67,6 +67,22 @@ func TestExpectedMergeTimeTriangle(t *testing.T) {
 	}
 }
 
+func TestExpectedMergeTimeCompleteAllNodes(t *testing.T) {
+	// Complete(3) fully occupied: whichever token moves lands on an
+	// occupied node through either neighbour, so both moves reach the same
+	// two-token mask and merge into one transition of probability 1/3.
+	// One step to two tokens, then E = 2 as on the triangle: E = 3.
+	g, err := graph.Complete(3)
+	s := mustSystem(t, g, err)
+	e, err := s.ExpectedMergeTime(s.AllNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(e-3) > 1e-12 {
+		t.Fatalf("E = %.17g, want 3", e)
+	}
+}
+
 func TestExpectedMergeTimeRing4(t *testing.T) {
 	// Ring(4): h(adjacent) = 3, h(antipodal) = 4 (hand-solved).
 	g, err := graph.Ring(4)

@@ -8,10 +8,14 @@ package checker
 // count.
 
 import (
+	"slices"
 	"testing"
 
 	"weakstab/internal/algorithms/coloring"
 	"weakstab/internal/algorithms/dijkstra"
+	"weakstab/internal/algorithms/herman"
+	"weakstab/internal/algorithms/leadertree"
+	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
@@ -51,6 +55,104 @@ func ballMatrix(t *testing.T) []struct {
 		{"coloring-ring4/distributed", col, scheduler.DistributedPolicy{}},
 		{"dijkstra4/central", dijk, scheduler.CentralPolicy{}},
 	}
+}
+
+// TestCertainConvergenceMatchesDivergingStates runs the ball matrix and
+// three more rows through certain convergence and the k-fault divergence
+// scan, which share their seeds: a ring that deadlocks outside L, the
+// Figure 3 livelock, and Herman's ring under the central daemon, whose
+// illegitimate self-loops are cycles of one state. Certain convergence must hold iff no state diverges, and a
+// failure must name the lowest-indexed seed. The seeds are checked
+// against a forward search of their own: an illegitimate state is a seed
+// iff it is terminal or lies on a cycle of illegitimate states.
+func TestCertainConvergenceMatchesDivergingStates(t *testing.T) {
+	deadlocking, err := tokenring.NewWithModulus(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain4, err := graph.Chain(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elect, err := leadertree.New(chain4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h3, err := herman.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := append(ballMatrix(t), []struct {
+		name string
+		alg  protocol.Algorithm
+		pol  scheduler.Policy
+	}{
+		{"tokenring6-mod3/central", deadlocking, scheduler.CentralPolicy{}},
+		{"leadertree-chain4/synchronous", elect, scheduler.SynchronousPolicy{}},
+		{"herman3/central", h3, scheduler.CentralPolicy{}},
+	}...)
+	var holds, terminal, cyclic, selfLoops int
+	for _, tc := range cases {
+		sp, err := Explore(tc.alg, tc.pol, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		seeds := sp.divergenceSeeds()
+		legit := sp.LegitSet()
+		for s := range seeds {
+			isTerminal := !legit[s] && sp.IsTerminal(s)
+			onCycle := !legit[s] && !isTerminal && onIllegitimateCycle(sp, int32(s))
+			if seeds[s] != (isTerminal || onCycle) {
+				t.Fatalf("%s: state %d: seed %v, terminal %v, on a cycle %v", tc.name, s, seeds[s], isTerminal, onCycle)
+			}
+			if isTerminal {
+				terminal++
+			}
+			if onCycle {
+				cyclic++
+				if slices.Contains(sp.Succ(s), int32(s)) {
+					selfLoops++
+				}
+			}
+		}
+		res := sp.CheckCertainConvergence()
+		if diverges := slices.Contains(sp.divergingStates(), true); res.Holds == diverges {
+			t.Fatalf("%s: certain convergence %v, but some state diverges = %v", tc.name, res.Holds, diverges)
+		}
+		if res.Holds {
+			holds++
+			continue
+		}
+		if s, ok := sp.StateOf(res.Counterexample); !ok || int(s) != slices.Index(seeds, true) {
+			t.Fatalf("%s: counterexample %v is not the lowest-indexed seed", tc.name, res.Counterexample)
+		}
+	}
+	if holds == 0 || terminal == 0 || cyclic == 0 || selfLoops == 0 {
+		t.Fatalf("the table has %d holding cases, %d terminal and %d cyclic seeds (%d with a self-loop); want each",
+			holds, terminal, cyclic, selfLoops)
+	}
+}
+
+// onIllegitimateCycle reports whether a forward search from s through
+// illegitimate states returns to s.
+func onIllegitimateCycle(sp *Space, s int32) bool {
+	legit := sp.LegitSet()
+	seen := make([]bool, sp.NumStates())
+	stack := []int32{s}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range sp.Succ(int(u)) {
+			if v == s {
+				return true
+			}
+			if !legit[v] && !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	return false
 }
 
 func TestBallVerdictsMatchFullSpace(t *testing.T) {

@@ -26,6 +26,7 @@ package checker
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
@@ -126,93 +127,19 @@ func (sp *Space) reverseReach() []bool {
 }
 
 // CheckCertainConvergence verifies Definition 1's certain convergence:
-// every execution reaches L in finite time. It fails on an illegitimate
-// terminal configuration (deadlock outside L) or on a cycle through
-// illegitimate configurations (a diverging execution).
+// every execution reaches L in finite time. It fails on the lowest-indexed
+// divergence seed: an illegitimate terminal configuration (deadlock
+// outside L) or an illegitimate configuration on a cycle outside L.
 func (sp *Space) CheckCertainConvergence() ConvergenceResult {
-	legit := sp.LegitSet()
-	for s := range legit {
-		if !legit[s] && sp.IsTerminal(s) {
-			return ConvergenceResult{
-				Counterexample: sp.Config(s),
-				Reason:         "terminal configuration outside L",
-			}
-		}
+	s := slices.Index(sp.divergenceSeeds(), true)
+	switch {
+	case s < 0:
+		return ConvergenceResult{Holds: true}
+	case sp.IsTerminal(s):
+		return ConvergenceResult{Counterexample: sp.Config(s), Reason: "terminal configuration outside L"}
+	default:
+		return ConvergenceResult{Counterexample: sp.Config(s), Reason: "configuration on a cycle outside L"}
 	}
-	if cyc := sp.findIllegitimateCycle(); cyc != nil {
-		return ConvergenceResult{
-			Counterexample: sp.Config(cyc[0]),
-			Reason:         fmt.Sprintf("cycle of length %d outside L", len(cyc)),
-		}
-	}
-	return ConvergenceResult{Holds: true}
-}
-
-// findIllegitimateCycle returns a cycle (state sequence, first == last
-// implied) within the illegitimate subgraph, or nil. Iterative
-// three-color DFS.
-func (sp *Space) findIllegitimateCycle() []int {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	legit := sp.LegitSet()
-	states := sp.NumStates()
-	color := make([]byte, states)
-	parent := make([]int32, states)
-	for i := range parent {
-		parent[i] = -1
-	}
-	type frame struct {
-		state int32
-		next  int
-	}
-	for root := 0; root < states; root++ {
-		if legit[root] || color[root] != white {
-			continue
-		}
-		stack := []frame{{state: int32(root)}}
-		color[root] = gray
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			succs := sp.Succ(int(f.state))
-			advanced := false
-			for f.next < len(succs) {
-				t := succs[f.next]
-				f.next++
-				if legit[t] {
-					continue
-				}
-				switch color[t] {
-				case white:
-					color[t] = gray
-					parent[t] = f.state
-					stack = append(stack, frame{state: t})
-					advanced = true
-				case gray:
-					// Found a cycle t -> ... -> f.state -> t.
-					cyc := []int{int(t)}
-					for cur := f.state; cur != t; cur = parent[cur] {
-						cyc = append(cyc, int(cur))
-					}
-					// Reverse to forward order.
-					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced && f.next >= len(succs) {
-				color[f.state] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
 }
 
 // Verdict is the full classification of an algorithm instance under one

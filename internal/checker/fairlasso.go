@@ -198,7 +198,8 @@ func (sp *Space) pathWithin(src, dst int32, comp []int32, parent []int32) []int3
 // findSubset returns an activation subset of enabled that steps cfg to the
 // state index want, or nil.
 func (sp *Space) findSubset(det protocol.Deterministic, cfg protocol.Configuration, enabled []int, want int32) []int {
-	for _, sub := range sp.Policy().Subsets(enabled) {
+	for _, m := range sp.Policy().SubsetMasks(len(enabled)) {
+		sub := scheduler.Subset(m, enabled)
 		next := protocol.Step(det, cfg, sub, nil)
 		if got, ok := sp.StateOf(next); ok && got == want {
 			return sub

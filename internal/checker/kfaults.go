@@ -131,26 +131,31 @@ func (sp *Space) checkKFaults(k int, dist []int, canReach, diverging []bool) KFa
 // states that can reach (via illegitimate states) an illegitimate cycle or
 // an illegitimate terminal state.
 func (sp *Space) divergingStates() []bool {
-	// Seed: illegitimate terminal states and states on illegitimate
-	// cycles. A state s lies on an illegitimate cycle iff its SCC (within
-	// the illegitimate subgraph) has a cycle: more than one state, or a
-	// singleton with a self-loop.
-	comp, count := sp.IllegitSCC()
-	size := componentSizes(comp, count)
-	legit := sp.LegitSet()
-	bad := make([]bool, sp.NumStates())
-	for s, c := range comp {
-		if c >= 0 { // exactly the illegitimate states
-			bad[s] = size[c] > 1 || sp.hasSelfLoop(int32(s)) || sp.IsTerminal(s)
-		}
-	}
+	bad := sp.divergenceSeeds()
 	// Backward closure through illegitimate states: a BFS over the shared
 	// reverse CSR with legitimate states excluded from path interiors.
-	dist := sp.Reverse().BackwardBFS(bad, legit, sp.PoolWorkers())
+	dist := sp.Reverse().BackwardBFS(bad, sp.LegitSet(), sp.PoolWorkers())
 	for s := range bad {
 		bad[s] = dist[s] >= 0
 	}
 	return bad
+}
+
+// divergenceSeeds marks the states where an execution can stay outside L
+// forever without leaving them: illegitimate terminal states and states on
+// illegitimate cycles. A state lies on an illegitimate cycle iff its
+// component of the illegitimate subgraph (the memoized IllegitSCC) has a
+// cycle: more than one state, or a singleton with a self-loop.
+func (sp *Space) divergenceSeeds() []bool {
+	comp, count := sp.IllegitSCC()
+	size := componentSizes(comp, count)
+	seeds := make([]bool, sp.NumStates())
+	for s, c := range comp {
+		if c >= 0 { // exactly the illegitimate states
+			seeds[s] = size[c] > 1 || sp.hasSelfLoop(int32(s)) || sp.IsTerminal(s)
+		}
+	}
+	return seeds
 }
 
 // FaultBallContext enumerates every configuration at fault distance at

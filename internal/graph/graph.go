@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -116,13 +117,6 @@ func (g *Graph) Degree(p int) int { return len(g.adj[p]) }
 // is out of range, mirroring slice indexing.
 func (g *Graph) Neighbor(p, i int) int { return g.adj[p][i] }
 
-// Neighbors returns a copy of p's neighbor list in local-index order.
-func (g *Graph) Neighbors(p int) []int {
-	out := make([]int, len(g.adj[p]))
-	copy(out, g.adj[p])
-	return out
-}
-
 // LocalIndex returns the local index of q in p's neighbor list, or ok=false
 // if q is not a neighbor of p.
 func (g *Graph) LocalIndex(p, q int) (i int, ok bool) {
@@ -172,9 +166,6 @@ func (g *Graph) BFS(src int) []int {
 	return dist
 }
 
-// Distance returns d(p,q), the length of the shortest path between p and q.
-func (g *Graph) Distance(p, q int) int { return g.BFS(p)[q] }
-
 // Eccentricity returns ec(p) = max over q of d(p,q).
 func (g *Graph) Eccentricity(p int) int {
 	ec := 0
@@ -195,40 +186,12 @@ func (g *Graph) Eccentricities() []int {
 	return out
 }
 
-// Diameter returns the maximum eccentricity.
-func (g *Graph) Diameter() int {
-	d := 0
-	for _, ec := range g.Eccentricities() {
-		if ec > d {
-			d = ec
-		}
-	}
-	return d
-}
-
-// Radius returns the minimum eccentricity.
-func (g *Graph) Radius() int {
-	ecs := g.Eccentricities()
-	r := ecs[0]
-	for _, ec := range ecs {
-		if ec < r {
-			r = ec
-		}
-	}
-	return r
-}
-
 // Centers returns the nodes of minimum eccentricity in ascending order. For
 // trees, Property 1 of the paper guarantees one center or two adjacent
 // centers.
 func (g *Graph) Centers() []int {
 	ecs := g.Eccentricities()
-	r := ecs[0]
-	for _, ec := range ecs {
-		if ec < r {
-			r = ec
-		}
-	}
+	r := slices.Min(ecs)
 	var out []int
 	for p, ec := range ecs {
 		if ec == r {
@@ -241,17 +204,6 @@ func (g *Graph) Centers() []int {
 // IsTree reports whether the graph is acyclic (it is connected by
 // construction), i.e. has exactly N-1 edges.
 func (g *Graph) IsTree() bool { return g.M() == g.N()-1 }
-
-// Leaves returns all degree-1 nodes in ascending order.
-func (g *Graph) Leaves() []int {
-	var out []int
-	for p := range g.adj {
-		if len(g.adj[p]) == 1 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // IsAutomorphism reports whether perm (a permutation of 0..N-1) preserves
 // adjacency, i.e. {p,q} is an edge iff {perm[p],perm[q]} is.

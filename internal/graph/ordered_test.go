@@ -13,7 +13,7 @@ func TestFromOrderedAdjacencyValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	if g.Neighbor(0, 0) != 2 || g.Neighbor(0, 1) != 1 {
-		t.Fatalf("custom ordering not preserved: %v", g.Neighbors(0))
+		t.Fatalf("custom ordering not preserved: %d, %d", g.Neighbor(0, 0), g.Neighbor(0, 1))
 	}
 	if i, ok := g.LocalIndex(0, 2); !ok || i != 0 {
 		t.Fatalf("LocalIndex(0,2) = (%d,%v)", i, ok)

@@ -11,16 +11,7 @@ import (
 )
 
 func TestHittingTimesContextPreCanceled(t *testing.T) {
-	c := New(3)
-	if err := c.SetRow(0, []Trans{{To: 1, Prob: 0.5}, {To: 0, Prob: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetRow(1, []Trans{{To: 2, Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetRow(2, []Trans{{To: 2, Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
+	c := chainOf(t, [][]arc{{{1, 0.5}, {0, 0.5}}, {{2, 1}}, {{2, 1}}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := c.HittingTimesContext(ctx, []bool{false, false, true}); !errors.Is(err, context.Canceled) {

@@ -12,7 +12,6 @@ import (
 // O(maxSteps × transitions). The CDF may converge to less than 1 when the
 // target is not reached almost surely.
 func (c *Chain) HittingTimeCDF(target []bool, from, maxSteps int) ([]float64, error) {
-	c.seal()
 	n := c.n
 	if from < 0 || from >= n {
 		return nil, fmt.Errorf("markov: start state %d out of range [0,%d)", from, n)

@@ -12,10 +12,7 @@ import (
 
 func TestHittingTimeCDFGeometric(t *testing.T) {
 	// Fair-coin escape: P(T <= t) = 1 - (1/2)^t.
-	c := New(2)
-	if err := c.SetRow(0, []Trans{{To: 0, Prob: 0.5}, {To: 1, Prob: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
+	c := chainOf(t, [][]arc{{{0, 0.5}, {1, 0.5}}, nil})
 	cdf, err := c.HittingTimeCDF([]bool{false, true}, 0, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +26,7 @@ func TestHittingTimeCDFGeometric(t *testing.T) {
 }
 
 func TestHittingTimeCDFFromTarget(t *testing.T) {
-	c := New(2)
+	c := chainOf(t, make([][]arc, 2))
 	cdf, err := c.HittingTimeCDF([]bool{true, false}, 0, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -43,10 +40,7 @@ func TestHittingTimeCDFFromTarget(t *testing.T) {
 
 func TestHittingTimeCDFTrapCapsBelowOne(t *testing.T) {
 	// Half the mass falls into an absorbing trap: CDF converges to 1/2.
-	c := New(3)
-	if err := c.SetRow(0, []Trans{{To: 1, Prob: 0.5}, {To: 2, Prob: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
+	c := chainOf(t, [][]arc{{{1, 0.5}, {2, 0.5}}, nil, nil})
 	cdf, err := c.HittingTimeCDF([]bool{false, true, false}, 0, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +109,7 @@ func TestCDFQuantile(t *testing.T) {
 }
 
 func TestHittingTimeCDFValidation(t *testing.T) {
-	c := New(2)
+	c := chainOf(t, make([][]arc, 2))
 	if _, err := c.HittingTimeCDF([]bool{true}, 0, 5); err == nil {
 		t.Fatal("bad target length accepted")
 	}

@@ -15,18 +15,16 @@
 //     subgraph and solving the blocks in reverse topological order (see
 //     solver.go).
 //
-// The chain is CSR-native: a chain built FromSpace aliases the explored
-// statespace.Space's off/succ/prob arrays without copying a single
+// The chain is one read-only CSR. A chain built FromSpace aliases the
+// explored statespace.Space's off/succ/prob arrays without copying a single
 // transition, so the analyses here run directly over the exploration
-// engine's memory. Hand-built chains (New + SetRow) are sealed into the
-// same layout on first analysis.
+// engine's memory; FromCSR wraps hand-built arrays in the same layout.
 package markov
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"weakstab/internal/statespace"
@@ -37,15 +35,10 @@ import (
 // historically affords a larger cap than the checker's default).
 const DefaultMaxStates = 1 << 22
 
-// Trans is a weighted transition to a state index.
-type Trans struct {
-	To   int
-	Prob float64
-}
-
-// Chain is a finite discrete-time Markov chain over states 0..N-1. Rows
-// must each sum to 1 (states with no explicit row are treated as absorbing
-// self-loops).
+// Chain is a finite discrete-time Markov chain over states 0..N-1 in CSR
+// form. Every non-empty row is a distribution over strictly ascending
+// targets; an empty row is an absorbing state. A chain is immutable, so
+// concurrent analyses of one chain are safe.
 type Chain struct {
 	n    int
 	off  []int64   // row offsets, len n+1
@@ -53,29 +46,18 @@ type Chain struct {
 	prob []float64 // transition probabilities aligned with succ
 
 	sp      statespace.TransitionSystem // non-nil when aliasing an explored system
-	rows    [][]Trans                   // builder rows, pending until the next seal
-	dirty   bool                        // rows changed since the last seal
-	workers int                         // analysis pool size override (0 = inherit)
+	workers int                         // analysis pool size override, set by tests (0 = inherit)
 
-	mu       sync.Mutex         // guards seal and the reverse cache
-	rev      statespace.Reverse // cached predecessor view (builder path)
-	revValid bool
-}
-
-// New returns a chain with n states and no transitions (all absorbing).
-func New(n int) *Chain {
-	return &Chain{n: n, rows: make([][]Trans, n), dirty: true}
+	revOnce sync.Once
+	rev     statespace.Reverse // predecessor view of a chain without a backing system
 }
 
 // N returns the number of states.
 func (c *Chain) N() int { return c.n }
 
-// SetWorkers overrides the worker-pool size of the analyses (0 restores
-// the default: the exploration pool of the backing space, or NumCPU).
+// analysisWorkers resolves the worker-pool size the analyses run on: the
+// override, else the exploration pool of the backing system, else NumCPU.
 // Results are identical for every worker count.
-func (c *Chain) SetWorkers(n int) { c.workers = n }
-
-// analysisWorkers resolves the worker-pool size the analyses run on.
 func (c *Chain) analysisWorkers() int {
 	if c.workers > 0 {
 		return c.workers
@@ -86,107 +68,82 @@ func (c *Chain) analysisWorkers() int {
 	return runtime.NumCPU()
 }
 
-// SetRow installs the outgoing distribution of state s. It returns an
-// error if a target is out of range, a probability is non-positive, or the
-// probabilities do not sum to 1 (within 1e-9). Duplicate targets are
-// merged (by sorting the row; rows whose targets are already strictly
-// ascending are installed without sorting).
-func (c *Chain) SetRow(s int, ts []Trans) error {
-	if s < 0 || s >= c.n {
-		return fmt.Errorf("markov: state %d out of range [0,%d)", s, c.n)
+// FromCSR wraps hand-built CSR arrays in a chain without copying them:
+// state s moves to succ[off[s]:off[s+1]] with the aligned probabilities.
+// It rejects offsets that do not run from 0 to len(succ) without
+// decreasing, probabilities not aligned with succ, targets out of range
+// or not strictly ascending within a row, and rows that are not
+// distributions (see CheckRows). The caller must not modify the arrays
+// afterwards.
+func FromCSR(off []int64, succ []int32, prob []float64) (*Chain, error) {
+	if len(off) == 0 || off[0] != 0 || len(succ) != len(prob) || off[len(off)-1] != int64(len(succ)) {
+		return nil, fmt.Errorf("markov: offsets must run from 0 to %d transitions", len(succ))
 	}
-	sum := 0.0
-	ascending := true
-	for i, t := range ts {
-		if t.To < 0 || t.To >= c.n {
-			return fmt.Errorf("markov: transition target %d out of range [0,%d)", t.To, c.n)
-		}
-		if t.Prob <= 0 {
-			return fmt.Errorf("markov: non-positive probability %g", t.Prob)
-		}
-		sum += t.Prob
-		if i > 0 && t.To <= ts[i-1].To {
-			ascending = false
+	n := len(off) - 1
+	for s := 0; s < n; s++ {
+		if off[s+1] < off[s] {
+			return nil, fmt.Errorf("markov: row %d has negative length", s)
 		}
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("markov: row %d sums to %g, want 1", s, sum)
-	}
-	row := make([]Trans, len(ts))
-	copy(row, ts)
-	if !ascending {
-		sort.Slice(row, func(i, j int) bool { return row[i].To < row[j].To })
-		merged := row[:0]
-		for _, t := range row {
-			if k := len(merged); k > 0 && merged[k-1].To == t.To {
-				merged[k-1].Prob += t.Prob
-			} else {
-				merged = append(merged, t)
+	for s := 0; s < n; s++ {
+		for i := off[s]; i < off[s+1]; i++ {
+			if t := succ[i]; t < 0 || int(t) >= n {
+				return nil, fmt.Errorf("markov: transition target %d out of range [0,%d)", t, n)
+			}
+			if i > off[s] && succ[i] <= succ[i-1] {
+				return nil, fmt.Errorf("markov: row %d targets not strictly ascending", s)
 			}
 		}
-		row = merged
 	}
-	if c.rows == nil {
-		c.unseal()
+	c := &Chain{n: n, off: off, succ: succ, prob: prob}
+	if err := CheckRows(off, prob, c.analysisWorkers(), nil); err != nil {
+		return nil, err
 	}
-	c.rows[s] = row
-	c.dirty = true
-	c.revValid = false
-	return nil
+	return c, nil
 }
 
-// unseal materializes builder rows from the sealed CSR so a sealed chain
-// (built FromSpace, or a hand-built chain after its first analysis) can
-// still be edited through SetRow; a backing space stops being aliased
-// from that point on.
-func (c *Chain) unseal() {
-	rows := make([][]Trans, c.n)
-	for s := 0; s < c.n; s++ {
-		lo, hi := c.off[s], c.off[s+1]
-		if lo == hi {
-			continue
+// CheckRows validates that every non-empty row of a CSR chain is a
+// distribution: positive probabilities summing to 1 within 1e-9. Rows are
+// checked in parallel on a pool of workers; each valid non-empty row is
+// then handed to row (when non-nil) as its CSR position range [a, b), so
+// row must be safe for concurrent calls on distinct rows. It returns one
+// of the violations when there is any.
+func CheckRows(off []int64, prob []float64, workers int, row func(a, b int64)) error {
+	var (
+		mu   sync.Mutex
+		vErr error
+	)
+	fail := func(err error) bool {
+		mu.Lock()
+		if vErr == nil {
+			vErr = err
 		}
-		row := make([]Trans, hi-lo)
-		for i := lo; i < hi; i++ {
-			row[i-lo] = Trans{To: int(c.succ[i]), Prob: c.prob[i]}
+		mu.Unlock()
+		return false
+	}
+	statespace.ForRanges(len(off)-1, workers, 1<<14, func(lo, hi int) bool {
+		for s := lo; s < hi; s++ {
+			a, b := off[s], off[s+1]
+			if a == b {
+				continue // absorbing
+			}
+			sum := 0.0
+			for i := a; i < b; i++ {
+				if !(prob[i] > 0) { // NaN fails too
+					return fail(fmt.Errorf("markov: non-positive probability %g in state %d", prob[i], s))
+				}
+				sum += prob[i]
+			}
+			if math.Abs(sum-1) > 1e-9 {
+				return fail(fmt.Errorf("markov: row %d sums to %g, want 1", s, sum))
+			}
+			if row != nil {
+				row(a, b)
+			}
 		}
-		rows[s] = row
-	}
-	c.rows = rows
-	c.sp = nil
-}
-
-// seal flattens the builder rows into the CSR arrays the analyses run on
-// and releases the rows (SetRow rematerializes them on demand), so the
-// sealed chain holds one copy of its transitions. The mutex makes
-// concurrent analyses of one chain safe; mutating a chain (SetRow)
-// concurrently with analyses is not supported.
-func (c *Chain) seal() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.dirty {
-		return
-	}
-	edges := 0
-	for _, r := range c.rows {
-		edges += len(r)
-	}
-	c.off = make([]int64, c.n+1)
-	c.succ = make([]int32, edges)
-	c.prob = make([]float64, edges)
-	at := int64(0)
-	for s, r := range c.rows {
-		c.off[s] = at
-		for _, t := range r {
-			c.succ[at] = int32(t.To)
-			c.prob[at] = t.Prob
-			at++
-		}
-	}
-	c.off[c.n] = at
-	c.rows = nil
-	c.dirty = false
-	c.revValid = false
+		return true
+	})
+	return vErr
 }
 
 // rowSucc returns the transition targets of s (empty means absorbing).
@@ -195,20 +152,16 @@ func (c *Chain) rowSucc(s int) []int32 { return c.succ[c.off[s]:c.off[s+1]] }
 // rowProb returns the transition probabilities aligned with rowSucc(s).
 func (c *Chain) rowProb(s int) []float64 { return c.prob[c.off[s]:c.off[s+1]] }
 
-// reverse returns the predecessor view of the chain: the backing space's
+// reverse returns the predecessor view of the chain: the backing system's
 // cached view when the chain aliases one (shared with the checker), or a
-// view built from the chain's own CSR and cached until the next SetRow.
+// view built once from the chain's own CSR.
 func (c *Chain) reverse() statespace.Reverse {
-	c.seal()
 	if c.sp != nil {
 		return c.sp.Reverse()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.revValid {
+	c.revOnce.Do(func() {
 		c.rev = statespace.ReverseCSR(c.n, c.off, c.succ, c.analysisWorkers())
-		c.revValid = true
-	}
+	})
 	return c.rev
 }
 
@@ -232,18 +185,6 @@ func (c *Chain) distances(target []bool) []int32 {
 		return c.sp.LegitDistances()
 	}
 	return c.reverse().BackwardBFS(target, nil, c.analysisWorkers())
-}
-
-// CanReach returns, for every state, whether the target set is reachable
-// with positive probability (a backward BFS over the shared reverse CSR,
-// memoized on the backing system when target is its L).
-func (c *Chain) CanReach(target []bool) []bool {
-	dist := c.distances(target)
-	out := make([]bool, c.n)
-	for s := range out {
-		out[s] = dist[s] >= 0
-	}
-	return out
 }
 
 // ReachesWithProbOne returns, for every state s, whether the chain started
@@ -273,46 +214,14 @@ func (c *Chain) ReachesWithProbOne(target []bool) []bool {
 // weighted view with zero copying: the chain aliases the system's CSR
 // arrays directly, so constructing it allocates nothing per transition.
 // The system may span the full index range or a frontier-explored
-// closure — the analyses run over whichever state indexing it uses. Terminal states stay absorbing (empty rows). Rows are validated
-// (positive probabilities summing to 1) in parallel without materializing
-// anything.
+// closure — the analyses run over whichever state indexing it uses.
+// Terminal states stay absorbing (empty rows). Exploration and loading
+// already validated the offsets and targets, so only the rows'
+// distributions are checked (CheckRows).
 func FromSpace(sp statespace.TransitionSystem) (*Chain, error) {
 	off, succ, prob := sp.CSR()
-	var (
-		mu   sync.Mutex
-		vErr error
-	)
-	statespace.ForRanges(sp.NumStates(), sp.PoolWorkers(), 1<<14, func(lo, hi int) bool {
-		for s := lo; s < hi; s++ {
-			a, b := off[s], off[s+1]
-			if a == b {
-				continue // absorbing
-			}
-			sum := 0.0
-			for i := a; i < b; i++ {
-				if prob[i] <= 0 {
-					mu.Lock()
-					if vErr == nil {
-						vErr = fmt.Errorf("markov: non-positive probability %g in state %d", prob[i], s)
-					}
-					mu.Unlock()
-					return false
-				}
-				sum += prob[i]
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				mu.Lock()
-				if vErr == nil {
-					vErr = fmt.Errorf("markov: row %d sums to %g, want 1", s, sum)
-				}
-				mu.Unlock()
-				return false
-			}
-		}
-		return true
-	})
-	if vErr != nil {
-		return nil, vErr
+	if err := CheckRows(off, prob, sp.PoolWorkers(), nil); err != nil {
+		return nil, err
 	}
 	return &Chain{n: sp.NumStates(), off: off, succ: succ, prob: prob, sp: sp}, nil
 }

@@ -1,7 +1,9 @@
 package markov
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"weakstab/internal/algorithms/herman"
@@ -26,39 +28,82 @@ func mustChain(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) (*Chain
 	return chain, TargetFromSpace(ts), ts.Enc
 }
 
-func TestSetRowValidation(t *testing.T) {
-	c := New(3)
-	if err := c.SetRow(0, []Trans{{To: 1, Prob: 0.5}, {To: 2, Prob: 0.5}}); err != nil {
+// arc is one weighted transition of a hand-built test chain.
+type arc struct {
+	to int
+	p  float64
+}
+
+// chainOf builds the chain whose state s has the outgoing row rows[s] (a
+// nil row is absorbing). Each row is sorted by target and its duplicate
+// targets are merged before the CSR goes to FromCSR.
+func chainOf(tb testing.TB, rows [][]arc) *Chain {
+	tb.Helper()
+	off := make([]int64, len(rows)+1)
+	var (
+		succ []int32
+		prob []float64
+	)
+	for s, r := range rows {
+		slices.SortStableFunc(r, func(a, b arc) int { return cmp.Compare(a.to, b.to) })
+		for i := 0; i < len(r); {
+			to, p := r[i].to, r[i].p
+			for i++; i < len(r) && r[i].to == to; i++ {
+				p += r[i].p
+			}
+			succ = append(succ, int32(to))
+			prob = append(prob, p)
+		}
+		off[s+1] = int64(len(succ))
+	}
+	c, err := FromCSR(off, succ, prob)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// TestFromCSRValidation checks that FromCSR wraps a well-formed CSR and
+// rejects malformed offsets, targets and distributions.
+func TestFromCSRValidation(t *testing.T) {
+	c, err := FromCSR([]int64{0, 2, 3, 3}, []int32{1, 2, 2}, []float64{0.5, 0.5, 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetRow(5, []Trans{{To: 0, Prob: 1}}); err == nil {
-		t.Fatal("out-of-range state accepted")
+	if succ, prob := c.rowSucc(0), c.rowProb(0); c.N() != 3 || len(succ) != 2 || succ[1] != 2 || prob[1] != 0.5 {
+		t.Fatalf("chain rows not aliased: n=%d %v %v", c.N(), succ, prob)
 	}
-	if err := c.SetRow(0, []Trans{{To: 9, Prob: 1}}); err == nil {
-		t.Fatal("out-of-range target accepted")
-	}
-	if err := c.SetRow(0, []Trans{{To: 1, Prob: 0.7}}); err == nil {
-		t.Fatal("sub-stochastic row accepted")
-	}
-	if err := c.SetRow(0, []Trans{{To: 1, Prob: -0.5}, {To: 2, Prob: 1.5}}); err == nil {
-		t.Fatal("negative probability accepted")
-	}
-	// Duplicate targets merge.
-	if err := c.SetRow(1, []Trans{{To: 2, Prob: 0.25}, {To: 2, Prob: 0.75}}); err != nil {
-		t.Fatal(err)
-	}
-	c.seal()
-	if succ, prob := c.rowSucc(1), c.rowProb(1); len(succ) != 1 || succ[0] != 2 || math.Abs(prob[0]-1) > 1e-12 {
-		t.Fatalf("duplicates not merged: %v %v", succ, prob)
+	for _, tc := range []struct {
+		name string
+		off  []int64
+		succ []int32
+		prob []float64
+	}{
+		{"no offsets", nil, nil, nil},
+		{"offsets not from 0", []int64{1, 2, 3, 3}, []int32{1, 2, 2}, []float64{0.5, 0.5, 1}},
+		{"offsets past the arrays", []int64{0, 2, 3, 4}, []int32{1, 2, 2}, []float64{0.5, 0.5, 1}},
+		{"offsets short of the arrays", []int64{0, 2, 2, 2}, []int32{1, 2, 2}, []float64{0.5, 0.5, 1}},
+		{"probabilities misaligned", []int64{0, 2, 3, 3}, []int32{1, 2, 2}, []float64{0.5, 0.5}},
+		{"non-monotone rows", []int64{0, 3, 2, 3}, []int32{1, 2, 2}, []float64{0.5, 0.5, 1}},
+		{"target out of range", []int64{0, 1, 1, 1}, []int32{3}, []float64{1}},
+		{"negative target", []int64{0, 1, 1, 1}, []int32{-1}, []float64{1}},
+		{"duplicate target", []int64{0, 2, 2, 2}, []int32{1, 1}, []float64{0.5, 0.5}},
+		{"descending targets", []int64{0, 2, 2, 2}, []int32{2, 1}, []float64{0.5, 0.5}},
+		{"negative probability", []int64{0, 2, 2, 2}, []int32{1, 2}, []float64{-0.5, 1.5}},
+		{"zero probability", []int64{0, 2, 2, 2}, []int32{1, 2}, []float64{0, 1}},
+		{"NaN probability", []int64{0, 2, 2, 2}, []int32{1, 2}, []float64{math.NaN(), 1}},
+		{"row sums below 1", []int64{0, 1, 1, 1}, []int32{1}, []float64{0.7}},
+		{"row sums above 1", []int64{0, 2, 2, 2}, []int32{1, 2}, []float64{0.5, 0.6}},
+	} {
+		if _, err := FromCSR(tc.off, tc.succ, tc.prob); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 
 func TestGeometricHittingTime(t *testing.T) {
 	// State 0 flips a fair coin to reach absorbing state 1: E = 2.
-	c := New(2)
-	if err := c.SetRow(0, []Trans{{To: 0, Prob: 0.5}, {To: 1, Prob: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
+	c := chainOf(t, [][]arc{{{0, 0.5}, {1, 0.5}}, nil})
 	h, err := c.HittingTimes([]bool{false, true})
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +115,11 @@ func TestGeometricHittingTime(t *testing.T) {
 
 func TestGamblersRuin(t *testing.T) {
 	// Symmetric walk on 0..4 absorbing at both ends: h(i) = i*(4-i).
-	c := New(5)
+	rows := make([][]arc, 5)
 	for i := 1; i <= 3; i++ {
-		if err := c.SetRow(i, []Trans{{To: i - 1, Prob: 0.5}, {To: i + 1, Prob: 0.5}}); err != nil {
-			t.Fatal(err)
-		}
+		rows[i] = []arc{{i - 1, 0.5}, {i + 1, 0.5}}
 	}
+	c := chainOf(t, rows)
 	target := []bool{true, false, false, false, true}
 	h, err := c.HittingTimes(target)
 	if err != nil {
@@ -91,10 +135,7 @@ func TestGamblersRuin(t *testing.T) {
 
 func TestReachesWithProbOne(t *testing.T) {
 	// 0 -> 1 (target) w.p. 1/2, 0 -> 2 (absorbing trap) w.p. 1/2.
-	c := New(3)
-	if err := c.SetRow(0, []Trans{{To: 1, Prob: 0.5}, {To: 2, Prob: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
+	c := chainOf(t, [][]arc{{{1, 0.5}, {2, 0.5}}, nil, nil})
 	target := []bool{false, true, false}
 	got := c.ReachesWithProbOne(target)
 	if got[0] {
@@ -106,8 +147,8 @@ func TestReachesWithProbOne(t *testing.T) {
 	if got[2] {
 		t.Fatal("trap state cannot reach target")
 	}
-	if can := c.CanReach(target); !can[0] || !can[1] || can[2] {
-		t.Fatalf("CanReach = %v, want [true true false]", can)
+	if dist := c.distances(target); dist[0] < 0 || dist[1] < 0 || dist[2] >= 0 {
+		t.Fatalf("distances = %v, want the target reachable from 0 and 1 only", dist)
 	}
 	h, err := c.HittingTimes(target)
 	if err != nil {
@@ -121,13 +162,7 @@ func TestReachesWithProbOne(t *testing.T) {
 func TestHittingTimesThroughTransientLoop(t *testing.T) {
 	// 0 -> 1 -> 0 with escape 1 -> 2 (target): h(1) = 1 + 0.5*h(0),
 	// h(0) = 1 + h(1) => h(1) = 3, h(0) = 4.
-	c := New(3)
-	if err := c.SetRow(0, []Trans{{To: 1, Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetRow(1, []Trans{{To: 0, Prob: 0.5}, {To: 2, Prob: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
+	c := chainOf(t, [][]arc{{{1, 1}}, {{0, 0.5}, {2, 0.5}}, nil})
 	h, err := c.HittingTimes([]bool{false, false, true})
 	if err != nil {
 		t.Fatal(err)
@@ -141,12 +176,7 @@ func TestGaussSeidelLargeChain(t *testing.T) {
 	// 1700 states exceed the dense limit; countdown with fair self-loops
 	// has the exact solution h(i) = 2i.
 	const n = 1700
-	c := New(n)
-	for i := 1; i < n; i++ {
-		if err := c.SetRow(i, []Trans{{To: i - 1, Prob: 0.5}, {To: i, Prob: 0.5}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := countdownChain(t, n)
 	target := make([]bool, n)
 	target[0] = true
 	h, err := c.HittingTimes(target)
@@ -159,6 +189,18 @@ func TestGaussSeidelLargeChain(t *testing.T) {
 			t.Fatalf("h(%d) = %g, want %g", i, h[i], want)
 		}
 	}
+}
+
+// countdownChain is the n-state countdown with fair self-loops: state i > 0
+// moves to i-1 or stays, each with probability 1/2, so h(i) = 2i to
+// state 0.
+func countdownChain(tb testing.TB, n int) *Chain {
+	tb.Helper()
+	rows := make([][]arc, n)
+	for i := 1; i < n; i++ {
+		rows[i] = []arc{{i - 1, 0.5}, {i, 0.5}}
+	}
+	return chainOf(tb, rows)
 }
 
 func mustSyncpair(t *testing.T) *syncpair.Algorithm {
@@ -176,7 +218,7 @@ func TestFromAlgorithmSyncpairCentralNeverConverges(t *testing.T) {
 	a := mustSyncpair(t)
 	chain, target, enc := mustChain(t, a, scheduler.CentralPolicy{})
 	ff := int(enc.Encode(protocol.Configuration{syncpair.False, syncpair.False}))
-	if can := chain.CanReach(target); can[ff] {
+	if chain.distances(target)[ff] >= 0 {
 		t.Fatal("central scheduler should never reach (T,T) from (F,F)")
 	}
 	one := chain.ReachesWithProbOne(target)
@@ -278,7 +320,7 @@ func TestTargetFromSpaceAndSummarize(t *testing.T) {
 }
 
 func TestHittingTimesBadTargetLength(t *testing.T) {
-	c := New(2)
+	c := chainOf(t, make([][]arc, 2))
 	if _, err := c.HittingTimes([]bool{true}); err == nil {
 		t.Fatal("mismatched target length accepted")
 	}

@@ -13,19 +13,14 @@ func blockChain(tb testing.TB, blocks int) (*Chain, []bool) {
 	tb.Helper()
 	const m = 8
 	n := blocks*m + 1
-	c := New(n)
+	rows := make([][]arc, n)
 	for b := 0; b < blocks; b++ {
 		base := b * m
 		for i := 0; i < m; i++ {
-			row := []Trans{
-				{To: base + (i+1)%m, Prob: 0.5},
-				{To: n - 1, Prob: 0.5},
-			}
-			if err := c.SetRow(base+i, row); err != nil {
-				tb.Fatal(err)
-			}
+			rows[base+i] = []arc{{base + (i+1)%m, 0.5}, {n - 1, 0.5}}
 		}
 	}
+	c := chainOf(tb, rows)
 	target := make([]bool, n)
 	target[n-1] = true
 	return c, target
@@ -42,8 +37,8 @@ func TestHittingTimesScratchReuse(t *testing.T) {
 		t.Skip("allocation counts are inflated under the race detector")
 	}
 	c, target := blockChain(t, 200)
-	c.SetWorkers(1) // single-threaded: one pooled scratch serves every block
-	// Warm up: seal the chain, cache the reverse CSR, size the scratch.
+	c.workers = 1 // single-threaded: one pooled scratch serves every block
+	// Warm up: cache the reverse CSR and size the scratch.
 	if _, err := c.HittingTimes(target); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +64,7 @@ func TestHittingTimesScratchReuse(t *testing.T) {
 // or recycled (buffers are zeroed/overwritten per block).
 func TestScratchReuseCorrectness(t *testing.T) {
 	c, target := blockChain(t, 50)
-	c.SetWorkers(1)
+	c.workers = 1
 	first, err := c.HittingTimes(target)
 	if err != nil {
 		t.Fatal(err)

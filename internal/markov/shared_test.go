@@ -15,11 +15,12 @@ func sameBits(a, b []float64) bool {
 
 // TestSharedCondensationBitIdentical pins every analysis that reads the
 // space's memoized passes (target aliasing LegitSet) to the unshared path,
-// which a clone of the target forces: probability-1 reachability, CanReach
-// and the hitting times, bit for bit, at 1 and 4 workers and with every
-// block-solve path forced. The cases include instances where every state
-// converges with probability 1 and instances where some do not, so the
-// solve skips memo components outside the transient set.
+// which a clone of the target forces: probability-1 reachability, the
+// backward distances and the hitting times, bit for bit, at 1 and 4
+// workers and with every block-solve path forced. The cases include
+// instances where every state converges with probability 1 and instances
+// where some do not, so the solve skips memo components outside the
+// transient set.
 func TestSharedCondensationBitIdentical(t *testing.T) {
 	saveDense, savePar := denseBlockLimit, parallelBlockMin
 	defer func() { denseBlockLimit, parallelBlockMin = saveDense, savePar }()
@@ -49,8 +50,8 @@ func TestSharedCondensationBitIdentical(t *testing.T) {
 			if !slices.Equal(chain.ReachesWithProbOne(shared), chain.ReachesWithProbOne(cloned)) {
 				t.Fatalf("%s: ReachesWithProbOne differs through the memo", label)
 			}
-			if !slices.Equal(chain.CanReach(shared), chain.CanReach(cloned)) {
-				t.Fatalf("%s: CanReach differs through the memo", label)
+			if !slices.Equal(chain.distances(shared), chain.distances(cloned)) {
+				t.Fatalf("%s: distances to L differ through the memo", label)
 			}
 			if mode == "default" {
 				if slices.Contains(chain.ReachesWithProbOne(shared), false) {
@@ -60,7 +61,7 @@ func TestSharedCondensationBitIdentical(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 4} {
-				chain.SetWorkers(workers)
+				chain.workers = workers
 				want, err := chain.HittingTimesContext(t.Context(), cloned)
 				if err != nil {
 					t.Fatalf("%s: unshared: %v", label, err)

@@ -112,7 +112,6 @@ func (c *Chain) HittingTimes(target []bool) ([]float64, error) {
 // returns an error wrapping ctx.Err() without finishing the condensation
 // walk.
 func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float64, error) {
-	c.seal()
 	if len(target) != c.n {
 		return nil, fmt.Errorf("markov: target length %d != states %d", len(target), c.n)
 	}
@@ -686,7 +685,6 @@ func gaussSolve(a [][]float64, sol []float64) error {
 // of size — O(m²) memory, O(m³) time — so it is only usable on small
 // chains.
 func (c *Chain) hittingTimesDense(target []bool) ([]float64, error) {
-	c.seal()
 	if len(target) != c.n {
 		return nil, fmt.Errorf("markov: target length %d != states %d", len(target), c.n)
 	}

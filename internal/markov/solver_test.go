@@ -91,13 +91,13 @@ func TestHittingTimesMatchesDenseOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", label, err)
 		}
-		chain.SetWorkers(1)
+		chain.workers = 1
 		serial, err := chain.HittingTimes(target)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", label, err)
 		}
 		assertHittingTimesMatch(t, label+" (serial)", serial, want)
-		chain.SetWorkers(4)
+		chain.workers = 4
 		parallel, err := chain.HittingTimes(target)
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", label, err)
@@ -137,7 +137,7 @@ func TestHittingTimesForcedGaussSeidel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", label, err)
 			}
-			chain.SetWorkers(4)
+			chain.workers = 4
 			got, err := chain.HittingTimes(target)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -154,16 +154,7 @@ func TestHittingTimesForcedGaussSeidel(t *testing.T) {
 func TestHittingTimesDivergentStates(t *testing.T) {
 	// 0 -> {1, 2} fair coin; 1 -> target 3 w.p. 1; 2 is an absorbing trap.
 	// 4 -> 1 w.p. 1 stays prob-one despite its neighbors.
-	c := New(5)
-	if err := c.SetRow(0, []Trans{{To: 1, Prob: 0.5}, {To: 2, Prob: 0.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetRow(1, []Trans{{To: 3, Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetRow(4, []Trans{{To: 1, Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
+	c := chainOf(t, [][]arc{{{1, 0.5}, {2, 0.5}}, {{3, 1}}, nil, nil, {{1, 1}}})
 	target := []bool{false, false, false, true, false}
 	h, err := c.HittingTimes(target)
 	if err != nil {
@@ -188,12 +179,7 @@ func TestHittingTimesDivergentStates(t *testing.T) {
 // substitution over the condensation DAG.
 func TestHittingTimesLargeDAGChain(t *testing.T) {
 	const n = 200_001
-	c := New(n)
-	for i := 1; i < n; i++ {
-		if err := c.SetRow(i, []Trans{{To: i - 1, Prob: 0.5}, {To: i, Prob: 0.5}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := countdownChain(t, n)
 	target := make([]bool, n)
 	target[0] = true
 	h, err := c.HittingTimes(target)
@@ -215,17 +201,15 @@ func TestHittingTimesLargeDAGChain(t *testing.T) {
 func TestHittingTimesLargeSCCBlock(t *testing.T) {
 	const m = 150_000
 	n := m + 1
-	c := New(n)
+	rows := make([][]arc, n)
 	for i := 0; i < m; i++ {
-		next := (i + 1) % m
-		if err := c.SetRow(i, []Trans{{To: next, Prob: 0.5}, {To: m, Prob: 0.5}}); err != nil {
-			t.Fatal(err)
-		}
+		rows[i] = []arc{{(i + 1) % m, 0.5}, {m, 0.5}}
 	}
+	c := chainOf(t, rows)
 	target := make([]bool, n)
 	target[m] = true
 	for _, workers := range []int{1, 4} {
-		c.SetWorkers(workers)
+		c.workers = workers
 		h, err := c.HittingTimes(target)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -238,18 +222,12 @@ func TestHittingTimesLargeSCCBlock(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnalysesOnBuilderChain runs analyses of one hand-built
-// chain from several goroutines: the lazy seal and reverse-CSR cache must
-// be safe under concurrent readers (mutation via SetRow is excluded by
-// contract).
+// TestConcurrentAnalysesOnBuilderChain runs analyses of one FromCSR
+// chain from several goroutines: the lazily built reverse view must be
+// safe under concurrent readers.
 func TestConcurrentAnalysesOnBuilderChain(t *testing.T) {
 	const n = 3000
-	c := New(n)
-	for i := 1; i < n; i++ {
-		if err := c.SetRow(i, []Trans{{To: i - 1, Prob: 0.5}, {To: i, Prob: 0.5}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c := countdownChain(t, n)
 	target := make([]bool, n)
 	target[0] = true
 	var wg sync.WaitGroup
@@ -272,53 +250,6 @@ func TestConcurrentAnalysesOnBuilderChain(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestHittingTimesAfterSetRowOnSpaceChain edits a chain built FromSpace
-// and checks the analyses see the edit (the space stops being aliased).
-func TestHittingTimesAfterSetRowOnSpaceChain(t *testing.T) {
-	a, err := syncpair.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := statespace.Build(a, scheduler.DistributedPolicy{}, statespace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := FromSpace(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := TargetFromSpace(ts)
-	// Redirect every state straight to a target state: all hitting times
-	// drop to 1 (or 0 on the target).
-	var legit int
-	for s, ok := range target {
-		if ok {
-			legit = s
-		}
-	}
-	for s := 0; s < chain.N(); s++ {
-		if s == legit {
-			continue
-		}
-		if err := chain.SetRow(s, []Trans{{To: legit, Prob: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h, err := chain.HittingTimes(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range h {
-		want := 1.0
-		if s == legit {
-			want = 0
-		}
-		if math.Abs(h[s]-want) > 1e-12 {
-			t.Fatalf("h[%d] = %g, want %g", s, h[s], want)
 		}
 	}
 }

@@ -46,8 +46,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"weakstab/internal/markov"
 	"weakstab/internal/obs"
-	"weakstab/internal/statespace"
 	"weakstab/internal/stats"
 )
 
@@ -128,10 +128,6 @@ type Result struct {
 	WalkerSteps int64
 }
 
-// CIHalfWidth is the normal-theory 95% confidence half-width of the mean
-// hitting time over the hit walkers.
-func (r *Result) CIHalfWidth() float64 { return r.Summary.CI95() }
-
 // FailureRate is the fraction of contributing walkers that did not hit
 // the target (divergent + censored).
 func (r *Result) FailureRate() float64 {
@@ -204,9 +200,9 @@ type Estimator struct {
 
 // New precomputes the sampling tables of one explored transition system
 // for the given target set (typically markov.TargetFromSpace(ts)). Rows
-// are validated like markov.FromSpace: positive probabilities summing to
-// 1 within 1e-9. A zero-copy mapped system is pinned for the duration of
-// the precompute; Run pins it again for the walk.
+// are validated by markov.CheckRows, as markov.FromSpace validates them.
+// A zero-copy mapped system is pinned for the duration of the precompute;
+// Run pins it again for the walk.
 func New(ts System, target []bool) (*Estimator, error) {
 	n := ts.NumStates()
 	if len(target) != n {
@@ -227,43 +223,16 @@ func New(ts System, target []bool) (*Estimator, error) {
 		guide:   make([]int32, len(prob)),
 		workers: resolveWorkers(0, ts),
 	}
-	var (
-		mu   sync.Mutex
-		vErr error
-	)
-	statespace.ForRanges(n, e.workers, 1<<14, func(lo, hi int) bool {
-		for s := lo; s < hi; s++ {
-			a, b := off[s], off[s+1]
-			if a == b {
-				continue // absorbing
-			}
-			sum := 0.0
-			for i := a; i < b; i++ {
-				if prob[i] <= 0 {
-					mu.Lock()
-					if vErr == nil {
-						vErr = fmt.Errorf("mc: non-positive probability %g in state %d", prob[i], s)
-					}
-					mu.Unlock()
-					return false
-				}
-				sum += prob[i]
-				e.cum[i] = sum
-			}
-			if math.Abs(sum-1) > 1e-9 {
-				mu.Lock()
-				if vErr == nil {
-					vErr = fmt.Errorf("mc: row %d sums to %g, want 1", s, sum)
-				}
-				mu.Unlock()
-				return false
-			}
-			e.fillGuide(a, b)
+	err = markov.CheckRows(off, prob, e.workers, func(a, b int64) {
+		sum := 0.0
+		for i := a; i < b; i++ {
+			sum += prob[i]
+			e.cum[i] = sum
 		}
-		return true
+		e.fillGuide(a, b)
 	})
-	if vErr != nil {
-		return nil, vErr
+	if err != nil {
+		return nil, fmt.Errorf("mc: %w", err)
 	}
 	for s := 0; s < n; s++ {
 		if !target[s] {

@@ -220,8 +220,8 @@ func TestEarlyStopDeterministic(t *testing.T) {
 		if res.Requested != 100000 {
 			t.Fatalf("Requested = %d, want 100000", res.Requested)
 		}
-		if res.CIHalfWidth() > 0.5 {
-			t.Fatalf("stopped with CI %g > target 0.5", res.CIHalfWidth())
+		if res.Summary.CI95() > 0.5 {
+			t.Fatalf("stopped with CI %g > target 0.5", res.Summary.CI95())
 		}
 		if prev != nil && !reflect.DeepEqual(prev, res) {
 			t.Fatalf("early-stopped result differs across worker counts")
@@ -239,7 +239,7 @@ func TestEarlyStopNoisy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := 4 * full.CIHalfWidth() // reachable well before 200k trials
+	target := 4 * full.Summary.CI95() // reachable well before 200k trials
 	var prev *Result
 	for _, workers := range []int{1, 6} {
 		res, err := e.RunContext(t.Context(), Options{Trials: 200000, Seed: 11, Workers: workers, Batch: 1000, TargetCI: target, From: intp(0)})
@@ -252,8 +252,8 @@ func TestEarlyStopNoisy(t *testing.T) {
 		if res.Trials%1000 != 0 {
 			t.Fatalf("stopped mid-batch at %d trials", res.Trials)
 		}
-		if res.CIHalfWidth() > target {
-			t.Fatalf("stopped with CI %g > target %g", res.CIHalfWidth(), target)
+		if res.Summary.CI95() > target {
+			t.Fatalf("stopped with CI %g > target %g", res.Summary.CI95(), target)
 		}
 		if prev != nil && !reflect.DeepEqual(prev, res) {
 			t.Fatal("early-stopped result differs across worker counts")

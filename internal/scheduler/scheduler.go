@@ -5,9 +5,11 @@
 //     current configuration, picks the non-empty activation subset of the
 //     next step. Used by the Monte-Carlo simulator and the runtime.
 //   - Policy: the set of activation subsets a scheduler may legally choose,
-//     used by the exhaustive checker to enumerate all possible steps, and by
-//     the Markov analysis which weights them uniformly (Definition 6 of the
-//     paper: the "randomized scheduler" chooses uniformly).
+//     as position bitmasks over the enabled set (Subset maps a mask to
+//     process ids), used by the exhaustive checker to enumerate all
+//     possible steps, and by the Markov analysis which weights them
+//     uniformly (Definition 6 of the paper: the "randomized scheduler"
+//     chooses uniformly).
 //
 // The paper's scheduler taxonomy maps as follows: the central scheduler is
 // CentralPolicy/NewCentralRandomized, the distributed scheduler is
@@ -19,6 +21,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"weakstab/internal/protocol"
@@ -227,56 +230,30 @@ func (f Func) Select(step int, cfg protocol.Configuration, enabled []int, rng *r
 	return f.F(step, cfg, enabled, rng)
 }
 
-// Policy enumerates the activation subsets a scheduler class permits from a
-// given enabled set. The exhaustive checker explores every subset; the
-// Markov analysis weights them uniformly (randomized scheduler).
+// Policy enumerates the activation subsets a scheduler class permits. The
+// exhaustive checker explores every subset; the Markov analysis weights
+// them uniformly (randomized scheduler). Every policy of the paper depends
+// only on how many processes are enabled, not on which, so a subset is a
+// position bitmask over the enabled set; Subset turns one into process ids.
 type Policy interface {
 	// Name identifies the policy.
 	Name() string
-	// Subsets returns the allowed activation subsets of the (sorted,
-	// non-empty) enabled set. Every returned subset must be non-empty.
-	Subsets(enabled []int) [][]int
-}
-
-// MaskPolicy is an optional Policy refinement for policies whose allowed
-// subsets depend only on the *size* of the enabled set, not on the process
-// ids in it. SubsetMasks(k) returns the allowed subsets of any k-element
-// enabled set as bitmasks over positions [0,k): bit i selects enabled[i].
-// Exploration engines use masks to enumerate subsets without allocating
-// per-configuration id slices; PolicyMasks falls back to Subsets for
-// policies that do not implement it.
-type MaskPolicy interface {
-	Policy
+	// SubsetMasks returns the allowed activation subsets of any k-element
+	// enabled set (k >= 1) as bitmasks over positions [0,k): bit i
+	// selects the i-th enabled process. Every mask is non-empty.
 	SubsetMasks(k int) []uint64
 }
 
-// PolicyMasks returns pol's allowed activation subsets of enabled as
-// position bitmasks (bit i selects enabled[i]), using the MaskPolicy fast
-// path when available and deriving masks from Subsets otherwise. It panics
-// if the enabled set is wider than 64 processes (no policy of the paper
-// enumerates subsets at that width).
-func PolicyMasks(pol Policy, enabled []int) []uint64 {
-	k := len(enabled)
-	if k > 64 {
-		panic(fmt.Sprintf("scheduler: PolicyMasks on %d enabled processes", k))
-	}
-	if mp, ok := pol.(MaskPolicy); ok {
-		return mp.SubsetMasks(k)
-	}
-	pos := make(map[int]uint64, k)
+// Subset returns the processes of enabled that mask selects, in enabled's
+// order.
+func Subset(mask uint64, enabled []int) []int {
+	sub := make([]int, 0, bits.OnesCount64(mask))
 	for i, p := range enabled {
-		pos[p] = 1 << uint(i)
-	}
-	subsets := pol.Subsets(enabled)
-	masks := make([]uint64, len(subsets))
-	for i, sub := range subsets {
-		var m uint64
-		for _, p := range sub {
-			m |= pos[p]
+		if mask&(1<<uint(i)) != 0 {
+			sub = append(sub, p)
 		}
-		masks[i] = m
 	}
-	return masks
+	return sub
 }
 
 // CentralPolicy permits exactly the singletons (the paper's central
@@ -286,17 +263,11 @@ type CentralPolicy struct{}
 // Name implements Policy.
 func (CentralPolicy) Name() string { return "central" }
 
-// Subsets implements Policy.
-func (CentralPolicy) Subsets(enabled []int) [][]int {
-	out := make([][]int, len(enabled))
-	for i, p := range enabled {
-		out[i] = []int{p}
-	}
-	return out
-}
-
-// SubsetMasks implements MaskPolicy: the k singletons.
+// SubsetMasks implements Policy: the k singletons, in position order.
 func (CentralPolicy) SubsetMasks(k int) []uint64 {
+	if k > 64 {
+		panic(fmt.Sprintf("scheduler: CentralPolicy.SubsetMasks on %d enabled processes", k))
+	}
 	out := make([]uint64, k)
 	for i := range out {
 		out[i] = 1 << uint(i)
@@ -311,30 +282,10 @@ type DistributedPolicy struct{}
 // Name implements Policy.
 func (DistributedPolicy) Name() string { return "distributed" }
 
-// Subsets implements Policy.
-func (DistributedPolicy) Subsets(enabled []int) [][]int {
-	k := len(enabled)
-	if k > 20 {
-		// 2^20 subsets per configuration is already beyond practical
-		// exhaustive checking; fail loudly rather than drown.
-		panic(fmt.Sprintf("scheduler: DistributedPolicy.Subsets on %d enabled processes", k))
-	}
-	total := (1 << uint(k)) - 1
-	out := make([][]int, 0, total)
-	for mask := 1; mask <= total; mask++ {
-		sub := make([]int, 0, k)
-		for i := 0; i < k; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				sub = append(sub, enabled[i])
-			}
-		}
-		out = append(out, sub)
-	}
-	return out
-}
-
-// SubsetMasks implements MaskPolicy: all 2^k-1 non-empty position masks.
-// Like Subsets, it refuses enabled sets wider than 20 processes.
+// SubsetMasks implements Policy: all 2^k-1 non-empty position masks in
+// ascending order. 2^20 subsets per configuration is already beyond
+// practical exhaustive checking, so it refuses enabled sets wider than 20
+// processes rather than drown.
 func (DistributedPolicy) SubsetMasks(k int) []uint64 {
 	if k > 20 {
 		panic(fmt.Sprintf("scheduler: DistributedPolicy.SubsetMasks on %d enabled processes", k))
@@ -354,14 +305,7 @@ type SynchronousPolicy struct{}
 // Name implements Policy.
 func (SynchronousPolicy) Name() string { return "synchronous" }
 
-// Subsets implements Policy.
-func (SynchronousPolicy) Subsets(enabled []int) [][]int {
-	out := make([]int, len(enabled))
-	copy(out, enabled)
-	return [][]int{out}
-}
-
-// SubsetMasks implements MaskPolicy: the single full mask.
+// SubsetMasks implements Policy: the single full mask.
 func (SynchronousPolicy) SubsetMasks(k int) []uint64 {
 	if k >= 64 {
 		panic(fmt.Sprintf("scheduler: SynchronousPolicy.SubsetMasks on %d enabled processes", k))
@@ -380,8 +324,4 @@ var (
 	_ Policy    = CentralPolicy{}
 	_ Policy    = DistributedPolicy{}
 	_ Policy    = SynchronousPolicy{}
-
-	_ MaskPolicy = CentralPolicy{}
-	_ MaskPolicy = DistributedPolicy{}
-	_ MaskPolicy = SynchronousPolicy{}
 )

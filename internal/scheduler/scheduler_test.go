@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -178,15 +179,24 @@ func TestFuncScheduler(t *testing.T) {
 	}
 }
 
+// subsets maps pol's masks for enabled to process-id subsets.
+func subsets(pol Policy, enabled []int) [][]int {
+	var out [][]int
+	for _, m := range pol.SubsetMasks(len(enabled)) {
+		out = append(out, Subset(m, enabled))
+	}
+	return out
+}
+
 func TestCentralPolicySubsets(t *testing.T) {
-	subs := CentralPolicy{}.Subsets([]int{1, 4})
+	subs := subsets(CentralPolicy{}, []int{1, 4})
 	if len(subs) != 2 || len(subs[0]) != 1 || subs[0][0] != 1 || subs[1][0] != 4 {
 		t.Fatalf("subsets = %v", subs)
 	}
 }
 
 func TestDistributedPolicySubsets(t *testing.T) {
-	subs := DistributedPolicy{}.Subsets([]int{0, 1, 2})
+	subs := subsets(DistributedPolicy{}, []int{0, 1, 2})
 	if len(subs) != 7 {
 		t.Fatalf("got %d subsets, want 7", len(subs))
 	}
@@ -207,7 +217,7 @@ func TestDistributedPolicySubsets(t *testing.T) {
 }
 
 func TestSynchronousPolicySubsets(t *testing.T) {
-	subs := SynchronousPolicy{}.Subsets([]int{2, 3})
+	subs := subsets(SynchronousPolicy{}, []int{2, 3})
 	if len(subs) != 1 || len(subs[0]) != 2 {
 		t.Fatalf("subsets = %v", subs)
 	}
@@ -273,70 +283,26 @@ func TestWeaklyFairCycle(t *testing.T) {
 	}
 }
 
-// TestSubsetMasksMatchSubsets checks that the MaskPolicy fast path of every
-// policy enumerates exactly the subsets of the generic Subsets method, in
-// the same order.
+// TestSubsetMasksMatchSubsets checks that every policy's masks, mapped
+// through Subset, enumerate exactly the expected process-id subsets in
+// order: singletons by position (central), every non-empty subset by
+// ascending mask (distributed), and the full set (synchronous).
 func TestSubsetMasksMatchSubsets(t *testing.T) {
-	enabled := []int{2, 5, 7, 11}
-	for _, pol := range []Policy{CentralPolicy{}, DistributedPolicy{}, SynchronousPolicy{}} {
-		mp, ok := pol.(MaskPolicy)
-		if !ok {
-			t.Fatalf("%s does not implement MaskPolicy", pol.Name())
-		}
-		masks := mp.SubsetMasks(len(enabled))
-		subsets := pol.Subsets(enabled)
-		if len(masks) != len(subsets) {
-			t.Fatalf("%s: %d masks, %d subsets", pol.Name(), len(masks), len(subsets))
-		}
-		for i, m := range masks {
-			var sub []int
-			for j := range enabled {
-				if m&(1<<uint(j)) != 0 {
-					sub = append(sub, enabled[j])
-				}
-			}
-			if len(sub) == 0 {
-				t.Fatalf("%s: mask %d is empty", pol.Name(), i)
-			}
-			if len(sub) != len(subsets[i]) {
-				t.Fatalf("%s: mask %d selects %v, want %v", pol.Name(), i, sub, subsets[i])
-			}
-			for k := range sub {
-				if sub[k] != subsets[i][k] {
-					t.Fatalf("%s: mask %d selects %v, want %v", pol.Name(), i, sub, subsets[i])
-				}
-			}
+	enabled := []int{2, 5, 7}
+	for _, tc := range []struct {
+		pol  Policy
+		want [][]int
+	}{
+		{CentralPolicy{}, [][]int{{2}, {5}, {7}}},
+		{DistributedPolicy{}, [][]int{{2}, {5}, {2, 5}, {7}, {2, 7}, {5, 7}, {2, 5, 7}}},
+		{SynchronousPolicy{}, [][]int{{2, 5, 7}}},
+	} {
+		got := subsets(tc.pol, enabled)
+		if !slices.EqualFunc(got, tc.want, slices.Equal[[]int]) {
+			t.Fatalf("%s: subsets = %v, want %v", tc.pol.Name(), got, tc.want)
 		}
 	}
-}
-
-// TestPolicyMasksFallback checks that PolicyMasks derives correct masks for
-// a policy that does not implement MaskPolicy.
-func TestPolicyMasksFallback(t *testing.T) {
-	enabled := []int{1, 4, 6}
-	masks := PolicyMasks(pairPolicy{}, enabled)
-	want := []uint64{0b011, 0b101, 0b110}
-	if len(masks) != len(want) {
-		t.Fatalf("got %d masks, want %d", len(masks), len(want))
+	if got := Subset(0b1010, []int{3, 4, 8, 9}); !slices.Equal(got, []int{4, 9}) {
+		t.Fatalf("Subset(0b1010) = %v, want [4 9]", got)
 	}
-	for i := range want {
-		if masks[i] != want[i] {
-			t.Fatalf("mask %d = %b, want %b", i, masks[i], want[i])
-		}
-	}
-}
-
-// pairPolicy permits exactly the 2-element subsets (test-only).
-type pairPolicy struct{}
-
-func (pairPolicy) Name() string { return "pairs" }
-
-func (pairPolicy) Subsets(enabled []int) [][]int {
-	var out [][]int
-	for i := 0; i < len(enabled); i++ {
-		for j := i + 1; j < len(enabled); j++ {
-			out = append(out, []int{enabled[i], enabled[j]})
-		}
-	}
-	return out
 }

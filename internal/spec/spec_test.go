@@ -72,7 +72,16 @@ func TestMutualExclusion(t *testing.T) {
 	}
 	init := protocol.Configuration{0, 0, 0, 0, 0}
 	tr := trace.Record(a, scheduler.NewLexMin(), init, nil, 25, nil)
-	s := MutualExclusion{Holders: a.PrivilegedProcesses}
+	privileged := func(cfg protocol.Configuration) []int {
+		var out []int
+		for p := range cfg {
+			if a.Privileged(cfg, p) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	s := MutualExclusion{Holders: privileged}
 	if err := s.Check(tr); err != nil {
 		t.Fatal(err)
 	}

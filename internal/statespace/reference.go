@@ -49,11 +49,11 @@ func BuildReference(a protocol.Algorithm, pol scheduler.Policy, maxStates int64)
 		if len(enabled) == 0 {
 			continue
 		}
-		subsets := pol.Subsets(enabled)
-		w := 1 / float64(len(subsets))
+		masks := pol.SubsetMasks(len(enabled))
+		w := 1 / float64(len(masks))
 		var row edgeSlice
-		for _, sub := range subsets {
-			for _, out := range protocol.StepOutcomes(a, cfg, sub) {
+		for _, m := range masks {
+			for _, out := range protocol.StepOutcomes(a, cfg, scheduler.Subset(m, enabled)) {
 				row = append(row, edge{to: enc.Encode(out.Config), p: w * out.Prob})
 			}
 		}

@@ -11,10 +11,11 @@
 // Successor indexes are computed by delta re-encoding (changing process p
 // from state a to b moves the index by (b-a)*Weight(p)), so no successor
 // configuration is ever materialized; activation subsets are enumerated as
-// bitmasks (scheduler.PolicyMasks), so no per-configuration subset slices
-// are allocated. The result is identical — including per-row probability
-// sums, which accumulate in the same order — to the reference
-// single-threaded enumeration in BuildReference.
+// the policy's bitmasks (scheduler.Policy.SubsetMasks, cached per
+// enabled-set size), so no per-configuration subset slices are allocated.
+// The result is identical — including per-row probability sums, which
+// accumulate in the same order — to the reference single-threaded
+// enumeration in BuildReference.
 package statespace
 
 import (
@@ -200,10 +201,10 @@ func (sp *Space) LegitDistances() []int32 {
 // IllegitSCC returns the strongly connected components of the subgraph
 // induced by the illegitimate states — per-state component ids (-1 on
 // legitimate states) in SCC's reverse-topological numbering, and the
-// component count — computed on first use and cached. The fair-lasso
-// search, the Gouda and k-fault divergence scans and the hitting-time
-// solve for L all condense through it. The slice is shared; callers must
-// not modify it.
+// component count — computed on first use and cached. Certain
+// convergence, the fair-lasso search, the Gouda and k-fault divergence
+// scans and the hitting-time solve for L all condense through it. The
+// slice is shared; callers must not modify it.
 func (sp *Space) IllegitSCC() ([]int32, int) {
 	sp.sccOnce.Do(func() {
 		include := make([]bool, sp.States)
@@ -385,14 +386,13 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 // row (global targets, global probabilities) from outTo/outProb after each
 // exploreState call.
 type explorer struct {
-	alg      protocol.Algorithm
-	pol      scheduler.Policy
-	enc      *protocol.Encoder
-	det      protocol.Deterministic // non-nil: allocation-free outcome fast path
-	n        int
-	counts   []int // per-process state-domain sizes, for outcome validation
-	maskable bool
-	masks    map[int][]uint64 // subset masks per enabled-set size
+	alg    protocol.Algorithm
+	pol    scheduler.Policy
+	enc    *protocol.Encoder
+	det    protocol.Deterministic // non-nil: allocation-free outcome fast path
+	n      int
+	counts []int      // per-process state-domain sizes, for outcome validation
+	masks  [][]uint64 // subset masks per enabled-set size, filled on first use
 
 	cfg      protocol.Configuration
 	enabled  []int
@@ -419,6 +419,7 @@ func newExplorer(alg protocol.Algorithm, pol scheduler.Policy, enc *protocol.Enc
 		enc:      enc,
 		n:        n,
 		counts:   make([]int, n),
+		masks:    make([][]uint64, n+1),
 		cfg:      make(protocol.Configuration, n),
 		outDelta: make([][]int64, n),
 		outProb:  make([][]float64, n),
@@ -429,26 +430,15 @@ func newExplorer(alg protocol.Algorithm, pol scheduler.Policy, enc *protocol.Enc
 	if det, ok := alg.(protocol.Deterministic); ok {
 		ex.det = det
 	}
-	if _, ok := pol.(scheduler.MaskPolicy); ok {
-		// Mask policies depend only on the enabled-set size, so masks are
-		// cacheable per size; id-dependent policies are re-queried per state.
-		ex.maskable = true
-		ex.masks = make(map[int][]uint64)
-	}
 	return ex
 }
 
 func (ex *explorer) subsetMasks() []uint64 {
 	k := len(ex.enabled)
-	if ex.maskable {
-		if m, ok := ex.masks[k]; ok {
-			return m
-		}
-		m := scheduler.PolicyMasks(ex.pol, ex.enabled)
-		ex.masks[k] = m
-		return m
+	if ex.masks[k] == nil {
+		ex.masks[k] = ex.pol.SubsetMasks(k)
 	}
-	return scheduler.PolicyMasks(ex.pol, ex.enabled)
+	return ex.masks[k]
 }
 
 // exploreRange explores states [lo, hi) into a fresh CSR fragment,

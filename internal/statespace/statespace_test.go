@@ -213,8 +213,7 @@ func TestMaxStatesCap(t *testing.T) {
 }
 
 // badOutcome is a misbehaving algorithm: process 0's action claims a next
-// state outside its domain. The engine must reject it with a clean error
-// (the seed-era markov path validated this through Chain.SetRow).
+// state outside its domain. The engine must reject it with a clean error.
 type badOutcome struct {
 	protocol.Algorithm
 	empty bool // return no outcomes instead of an out-of-domain one
