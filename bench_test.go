@@ -206,6 +206,37 @@ func BenchmarkMarkovSolveLargeDAG(b *testing.B) {
 	}
 }
 
+// BenchmarkMarkovSolveWideDAG solves a layered DAG of singleton SCCs: 64
+// levels of 4096 states, each state stepping to two states of the level
+// below with probability 1/2 each, at the default worker count. Every
+// level is thousands of independent one-state blocks, the shape on which
+// handing blocks to workers one at a time costs more than solving them.
+func BenchmarkMarkovSolveWideDAG(b *testing.B) {
+	const levels, width = 64, 4096
+	n := 1 + levels*width
+	rows := make([][]benchArc, n)
+	for l := 0; l < levels; l++ {
+		for i := 0; i < width; i++ {
+			next := []benchArc{{0, 1}}
+			if l > 0 {
+				below := 1 + (l-1)*width
+				next = []benchArc{{below + i, 0.5}, {below + (i+1)%width, 0.5}}
+			}
+			rows[1+l*width+i] = next
+		}
+	}
+	c := benchChain(b, rows)
+	target := make([]bool, n)
+	target[0] = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.HittingTimes(target); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMarkovSolveLargeSCC solves one 150000-state strongly connected
 // block (directed cycle with escape probability 1/2), exercising the
 // red-black Gauss–Seidel path at scale.

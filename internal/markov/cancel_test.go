@@ -1,8 +1,9 @@
 package markov
 
-// Cancellation test for the hitting-time solver: HittingTimesContext
-// checks its context at block boundaries, so a pre-canceled context
-// fails before any block is solved.
+// Cancellation tests for the hitting-time solver: HittingTimesContext
+// checks its context before every block on the serial path and before
+// every level on the pooled one, so a pre-canceled context fails before
+// any block is solved and a cancel between levels stops the schedule.
 
 import (
 	"context"
@@ -14,7 +15,44 @@ func TestHittingTimesContextPreCanceled(t *testing.T) {
 	c := chainOf(t, [][]arc{{{1, 0.5}, {0, 0.5}}, {{2, 1}}, {{2, 1}}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.HittingTimesContext(ctx, []bool{false, false, true}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled HittingTimesContext: err = %v, want a wrapped context.Canceled", err)
+	for _, workers := range []int{1, 4} {
+		c.workers = workers
+		if _, err := c.HittingTimesContext(ctx, []bool{false, false, true}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: pre-canceled HittingTimesContext: err = %v, want a wrapped context.Canceled", workers, err)
+		}
+	}
+}
+
+// cancelAfter is a context whose Err turns context.Canceled after its
+// first calls; it counts every call.
+type cancelAfter struct {
+	context.Context
+	live, calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestHittingTimesContextCanceledMidSolve cancels after the first level
+// of the pooled schedule (and after the first block of the serial one)
+// of a countdown chain, whose condensation is one singleton per level.
+func TestHittingTimesContextCanceledMidSolve(t *testing.T) {
+	c := countdownChain(t, 100)
+	target := make([]bool, 100)
+	target[0] = true
+	for _, workers := range []int{1, 4} {
+		c.workers = workers
+		ctx := &cancelAfter{Context: context.Background(), live: 1}
+		if _, err := c.HittingTimesContext(ctx, target); !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want a wrapped context.Canceled", workers, err)
+		}
+		if ctx.calls != 2 {
+			t.Fatalf("workers=%d: ctx checked %d times, want 2 (the first level, then the cancel)", workers, ctx.calls)
+		}
 	}
 }

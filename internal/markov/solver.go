@@ -10,9 +10,10 @@
 // from it, so the blocks form a DAG and are solved in reverse topological
 // order — singleton components by one forward substitution, small blocks
 // by dense Gaussian elimination, large blocks by red-black parallel
-// Gauss–Seidel with residual-confirmed convergence. Independent blocks
-// solve concurrently on a worker pool (Kahn scheduling over the
-// condensation DAG); the result is deterministic for every worker count.
+// Gauss–Seidel with residual-confirmed convergence. On a worker pool the
+// blocks are grouped into levels of the condensation DAG, each level
+// reading only lower ones, and the blocks of a level solve concurrently;
+// the result is deterministic for every worker count.
 package markov
 
 import (
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"weakstab/internal/obs"
 	"weakstab/internal/statespace"
@@ -42,6 +42,9 @@ var (
 	// parallelBlockMin is the smallest block whose sweeps run on the
 	// worker pool.
 	parallelBlockMin = 1 << 13
+	// levelGrain is the fewest states a chunk of one level's blocks holds
+	// when the level is solved on the worker pool.
+	levelGrain = gsGrain
 )
 
 // gsGrain is the chunk size of parallel Gauss–Seidel sweeps.
@@ -107,8 +110,8 @@ func (c *Chain) HittingTimes(target []bool) ([]float64, error) {
 }
 
 // HittingTimesContext is HittingTimes with cooperative cancellation: ctx
-// is checked at block-schedule granularity (before every SCC block solve,
-// on both the sequential and the Kahn-pooled path), so a cancelled solve
+// is checked before every SCC block on the serial path and before every
+// level of the condensation on the pooled path, so a cancelled solve
 // returns an error wrapping ctx.Err() without finishing the condensation
 // walk.
 func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float64, error) {
@@ -140,7 +143,8 @@ func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float
 // solveSCC fills h over the transient states. Every transient state's
 // successors are transient or target (probability-1 reachability is closed
 // under successors), so h of every cross-block edge target is final by the
-// time a block solves. ctx is checked before every block solve.
+// time a block solves. ctx is checked before every block serially and
+// before every level on the pool.
 func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []float64) error {
 	comp, numComp := c.condense(target, transient)
 	if numComp == 0 {
@@ -167,7 +171,36 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 			fill[b]++
 		}
 	}
+	// Block counts and the size histogram go to the process observer,
+	// tallied once per solve from the block sizes: singleton and dense
+	// blocks can number in the hundreds of thousands, so they are counted,
+	// not evented, and no handle is looked up per block. The iterative
+	// blocks emit one solver.block event each at convergence.
+	if o := obs.Default(); o.On() {
+		sizes := o.Histogram("solver.block_states")
+		var kinds [3]int64 // singleton, dense and Gauss–Seidel blocks
+		for b := 0; b < numComp; b++ {
+			size := int(blockOff[b+1] - blockOff[b])
+			sizes.Observe(int64(size))
+			switch {
+			case size == 1:
+				kinds[0]++
+			case size <= denseBlockLimit:
+				kinds[1]++
+			default:
+				kinds[2]++
+			}
+		}
+		for k, name := range []string{"solver.blocks.singleton", "solver.blocks.dense", "solver.blocks.gs"} {
+			if kinds[k] > 0 {
+				o.Counter(name).Add(kinds[k])
+			}
+		}
+	}
 	workers := c.analysisWorkers()
+	solve := func(b int32) error {
+		return c.solveBlock(b, members[blockOff[b]:blockOff[b+1]], local, comp, h, workers)
+	}
 	if workers <= 1 || numComp == 1 {
 		// Tarjan emits components in reverse topological order (every
 		// cross edge points into a lower id), so ascending id order is
@@ -176,107 +209,100 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("markov: hitting-time solve canceled at block %d of %d: %w", b, numComp, err)
 			}
-			states := members[blockOff[b]:blockOff[b+1]]
-			if err := c.solveBlock(b, states, local, comp, h, workers); err != nil {
+			if err := solve(b); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	// Kahn scheduling over the condensation DAG: a block is ready once
-	// every block it has an edge into is solved. waitCount counts cross
-	// edges out of each block; into[C] lists, per cross edge into C, the
-	// edge's source block, so completions decrement exactly once per edge.
-	waitCount := make([]int64, numComp)
-	intoOff := make([]int64, numComp+1)
-	for s := 0; s < c.n; s++ {
-		b := comp[s]
-		if b < 0 {
-			continue
-		}
-		for _, t := range c.rowSucc(s) {
-			if tb := comp[t]; tb >= 0 && tb != b {
-				waitCount[b]++
-				intoOff[tb+1]++
+	// Level schedule: a block's level is 1 + the highest level of any
+	// block it has an edge into, so the blocks of one level read only
+	// lower levels and solve concurrently. Every cross edge points into a
+	// lower id, so one ascending pass fills every level.
+	level := fill // reused: fill's counts are spent
+	numLevels := int32(0)
+	for b := int32(0); b < int32(numComp); b++ {
+		lv := int32(0)
+		for _, s := range members[blockOff[b]:blockOff[b+1]] {
+			for _, t := range c.rowSucc(int(s)) {
+				if tb := comp[t]; tb >= 0 && tb != b {
+					lv = max(lv, level[tb]+1)
+				}
 			}
 		}
+		level[b] = lv
+		numLevels = max(numLevels, lv+1)
 	}
-	for b := 0; b < numComp; b++ {
-		intoOff[b+1] += intoOff[b]
+	// Counting sort: the blocks of level l, ascending, are
+	// order[levelOff[l]:levelOff[l+1]].
+	levelOff := make([]int32, numLevels+1)
+	for _, lv := range level {
+		levelOff[lv+1]++
 	}
-	into := make([]int32, intoOff[numComp])
-	fill64 := make([]int64, numComp)
-	for s := 0; s < c.n; s++ {
-		b := comp[s]
-		if b < 0 {
-			continue
-		}
-		for _, t := range c.rowSucc(s) {
-			if tb := comp[t]; tb >= 0 && tb != b {
-				into[intoOff[tb]+fill64[tb]] = b
-				fill64[tb]++
-			}
-		}
+	for l := int32(0); l < numLevels; l++ {
+		levelOff[l+1] += levelOff[l]
 	}
-	// The Kahn pool needs at most one goroutine per block; the full worker
-	// budget still reaches solveBlock so a dominant block's sweeps can use
-	// every core even when the condensation has few components.
-	poolWorkers := workers
-	if poolWorkers > numComp {
-		poolWorkers = numComp
+	order := make([]int32, numComp)
+	next := append([]int32(nil), levelOff[:numLevels]...)
+	for b, lv := range level {
+		order[next[lv]] = int32(b)
+		next[lv]++
 	}
-	ready := make(chan int32, numComp)
-	for b := 0; b < numComp; b++ {
-		if waitCount[b] == 0 {
-			ready <- int32(b)
-		}
-	}
+	// The blocks of the level being solved, cut into chunks: chunk k is
+	// blocks[cut[k]:cut[k+1]].
 	var (
-		remaining atomic.Int64
-		aborted   atomic.Bool
-		wg        sync.WaitGroup
-		errMu     sync.Mutex
-		firstErr  error
+		blocks   []int32
+		cut      []int
+		errMu    sync.Mutex
+		firstErr error
 	)
-	remaining.Store(int64(numComp))
-	for w := 0; w < poolWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range ready {
-				if !aborted.Load() {
-					err := ctx.Err()
-					if err != nil {
-						err = fmt.Errorf("markov: hitting-time solve canceled: %w", err)
-					} else {
-						states := members[blockOff[b]:blockOff[b+1]]
-						err = c.solveBlock(b, states, local, comp, h, workers)
-					}
-					if err != nil {
-						aborted.Store(true)
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-					}
+	solveChunk := func(k, _ int) bool {
+		for _, b := range blocks[cut[k]:cut[k+1]] {
+			if err := solve(b); err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = err
 				}
-				// Propagate readiness even after an error so every queued
-				// block drains and the channel closes.
-				for _, p := range into[intoOff[b]:intoOff[b+1]] {
-					if atomic.AddInt64(&waitCount[p], -1) == 0 {
-						ready <- p
-					}
-				}
-				if remaining.Add(-1) == 0 {
-					close(ready)
-				}
+				errMu.Unlock()
+				return false
 			}
-		}()
+		}
+		return true
 	}
-	wg.Wait()
-	return firstErr
+	for l := int32(0); l < numLevels; l++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("markov: hitting-time solve canceled at level %d of %d: %w", l, numLevels, err)
+		}
+		// Chunks are runs of consecutive blocks holding at least
+		// levelGrain states; a block that large is a chunk of its own.
+		blocks = order[levelOff[l]:levelOff[l+1]]
+		cut = append(cut[:0], 0)
+		states := 0
+		for i, b := range blocks {
+			size := int(blockOff[b+1] - blockOff[b])
+			if states > 0 && size >= levelGrain {
+				cut = append(cut, i)
+				states = 0
+			}
+			if states += size; states >= levelGrain {
+				cut = append(cut, i+1)
+				states = 0
+			}
+		}
+		if states > 0 {
+			cut = append(cut, len(blocks))
+		}
+		if chunks := len(cut) - 1; chunks == 1 {
+			solveChunk(0, 1)
+		} else {
+			statespace.ForRanges(chunks, workers, 1, solveChunk)
+		}
+		if firstErr != nil {
+			return firstErr
+		}
+	}
+	return nil
 }
 
 // condense returns the SCC condensation of the transient subgraph:
@@ -323,15 +349,7 @@ func (c *Chain) condense(target, transient []bool) ([]int32, int) {
 // solveBlock solves one strongly connected block, reading final h values
 // for every out-of-block edge target and writing h for its members.
 func (c *Chain) solveBlock(b int32, states []int32, local, comp []int32, h []float64, workers int) error {
-	// Block counts and the size histogram go to the process observer.
-	// Singleton and dense blocks can number in the hundreds of thousands,
-	// so they are counted, not evented; the iterative blocks below emit
-	// one solver.block event each at convergence. Blocks solve
-	// concurrently, so event arrival order is scheduling-dependent.
-	o := obs.Default()
-	o.Histogram("solver.block_states").Observe(int64(len(states)))
 	if len(states) == 1 {
-		o.Counter("solver.blocks.singleton").Add(1)
 		// Singleton: h(s) = (1 + Σ_{t≠s} P(s,t) h(t)) / (1 - P(s,s)) — a
 		// trivial forward substitution on the condensation DAG.
 		s := int(states[0])
@@ -352,10 +370,8 @@ func (c *Chain) solveBlock(b int32, states []int32, local, comp []int32, h []flo
 		return nil
 	}
 	if len(states) <= denseBlockLimit {
-		o.Counter("solver.blocks.dense").Add(1)
 		return c.solveBlockDense(b, states, local, comp, h)
 	}
-	o.Counter("solver.blocks.gs").Add(1)
 	return c.solveBlockGS(b, states, local, comp, h, workers)
 }
 
@@ -475,9 +491,10 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 	for i := range x {
 		x[i] = 0
 	}
-	residual := func() (float64, float64) {
-		r, amax := 0.0, 0.0
-		for i := 0; i < m; i++ {
+	// residual returns the largest |ext + Σ P x - diag·x| over [lo, hi).
+	residual := func(lo, hi int) float64 {
+		r := 0.0
+		for i := lo; i < hi; i++ {
 			v := ext[i]
 			for k := bOff[i]; k < bOff[i+1]; k++ {
 				v += bP[k] * x[bTo[k]]
@@ -485,11 +502,8 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 			if d := math.Abs(v - diag[i]*x[i]); d > r {
 				r = d
 			}
-			if a := math.Abs(x[i]); a > amax {
-				amax = a
-			}
 		}
-		return r, amax
+		return r
 	}
 	if m < parallelBlockMin {
 		// Pure sequential Gauss–Seidel: every update reads the freshest
@@ -524,7 +538,7 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 			}
 			scale := math.Max(1, amax)
 			if delta <= gsDeltaTol*scale {
-				if r, _ := residual(); r <= gsResidTol*scale {
+				if r := residual(0, m); r <= gsResidTol*scale {
 					for i, sv := range states {
 						h[sv] = x[i]
 					}
@@ -589,29 +603,12 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 		return delta, amax
 	}
 	parResidual := func() float64 {
-		check := func(lo, hi int) float64 {
-			r := 0.0
-			for i := lo; i < hi; i++ {
-				v := ext[i]
-				for k := bOff[i]; k < bOff[i+1]; k++ {
-					v += bP[k] * x[bTo[k]]
-				}
-				if d := math.Abs(v - diag[i]*x[i]); d > r {
-					r = d
-				}
-			}
-			return r
-		}
-		if !par {
-			r, _ := residual()
-			return r
-		}
 		var (
 			mu sync.Mutex
 			r  float64
 		)
 		statespace.ForRanges(m, workers, gsGrain, func(lo, hi int) bool {
-			d := check(lo, hi)
+			d := residual(lo, hi)
 			mu.Lock()
 			if d > r {
 				r = d

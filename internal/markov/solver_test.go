@@ -2,13 +2,18 @@ package markov
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"testing"
 
+	"weakstab/internal/algorithms/coloring"
+	"weakstab/internal/algorithms/dijkstra"
 	"weakstab/internal/algorithms/herman"
 	"weakstab/internal/algorithms/syncpair"
 	"weakstab/internal/algorithms/tokenring"
+	"weakstab/internal/graph"
+	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
@@ -78,7 +83,7 @@ func assertHittingTimesMatch(t *testing.T, label string, got, want []float64) {
 
 // TestHittingTimesMatchesDenseOracle pins the sparse SCC solver against
 // the whole-system dense elimination oracle on every case, for both the
-// serial and the Kahn-scheduled parallel block order.
+// serial block order and the parallel level schedule.
 func TestHittingTimesMatchesDenseOracle(t *testing.T) {
 	for _, ts := range solverCases(t) {
 		label := ts.Alg.Name() + "/" + ts.Pol.Name()
@@ -108,6 +113,127 @@ func TestHittingTimesMatchesDenseOracle(t *testing.T) {
 			if parallel[s] != serial[s] && !(math.IsInf(parallel[s], 1) && math.IsInf(serial[s], 1)) {
 				t.Fatalf("%s: worker count changed h[%d]: %.17g vs %.17g", label, s, parallel[s], serial[s])
 			}
+		}
+	}
+}
+
+// TestLevelScheduleBitIdentical pins the pooled level schedule to the
+// serial id-order solve bit for bit at 2, 3 and 8 workers. The cases'
+// condensations are DAGs of singleton blocks (dijkstra, coloring), a DAG
+// around large strongly connected blocks (tokenring) and a probabilistic
+// chain (herman). Every block-solve path is forced in turn, and
+// levelGrain is lowered so that every level of more than one block
+// splits into several concurrently solved chunks.
+func TestLevelScheduleBitIdentical(t *testing.T) {
+	saveDense, savePar, saveGrain := denseBlockLimit, parallelBlockMin, levelGrain
+	defer func() { denseBlockLimit, parallelBlockMin, levelGrain = saveDense, savePar, saveGrain }()
+	must := func(a protocol.Algorithm, err error) protocol.Algorithm {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	ring6, err := graph.Ring(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		alg protocol.Algorithm
+		pol scheduler.Policy
+	}{
+		{must(dijkstra.New(5, 5)), scheduler.CentralPolicy{}},
+		{must(dijkstra.New(5, 5)), scheduler.DistributedPolicy{}},
+		{must(coloring.New(ring6)), scheduler.DistributedPolicy{}},
+		{must(tokenring.NewWithModulus(7, 3)), scheduler.CentralPolicy{}},
+		{must(herman.New(5)), scheduler.SynchronousPolicy{}},
+	}
+	for _, cs := range cases {
+		ts, err := statespace.Build(cs.alg, cs.pol, statespace.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := FromSpace(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := TargetFromSpace(ts)
+		for _, mode := range []string{"dense", "sequential-gs", "red-black-gs"} {
+			denseBlockLimit, parallelBlockMin = saveDense, savePar
+			switch mode {
+			case "sequential-gs":
+				denseBlockLimit = 1
+			case "red-black-gs":
+				denseBlockLimit, parallelBlockMin = 1, 2
+			}
+			label := mode + "/" + ts.Alg.Name() + "/" + ts.Pol.Name()
+			chain.workers = 1
+			want, err := chain.HittingTimesContext(t.Context(), target)
+			if err != nil {
+				t.Fatalf("%s: serial: %v", label, err)
+			}
+			for _, grain := range []int{1, 5} {
+				levelGrain = grain
+				for _, workers := range []int{2, 3, 8} {
+					chain.workers = workers
+					got, err := chain.HittingTimesContext(t.Context(), target)
+					if err != nil {
+						t.Fatalf("%s: workers=%d: %v", label, workers, err)
+					}
+					if !sameBits(got, want) {
+						t.Fatalf("%s: levelGrain=%d workers=%d: hitting times differ from the serial solve", label, grain, workers)
+					}
+				}
+			}
+			levelGrain = saveGrain
+		}
+	}
+}
+
+// TestSolverMetrics pins the solver's block counters and size histogram
+// on a chain with one block of every kind — a singleton feeding a dense
+// 3-cycle feeding a 40-state Gauss–Seidel cycle — at 1 and 4 workers.
+func TestSolverMetrics(t *testing.T) {
+	const gsSize, target = 40, 44
+	rows := make([][]arc, target+1)
+	for i := 0; i < gsSize; i++ {
+		rows[i] = []arc{{(i + 1) % gsSize, 0.5}, {target, 0.5}}
+	}
+	for i := gsSize; i < gsSize+3; i++ {
+		rows[i] = []arc{{gsSize + (i-gsSize+1)%3, 0.5}, {0, 0.5}}
+	}
+	rows[gsSize+3] = []arc{{gsSize, 1}}
+	c := chainOf(t, rows)
+	isTarget := make([]bool, target+1)
+	isTarget[target] = true
+	for _, workers := range []int{1, 4} {
+		o := obs.NewWithRegistry(nil)
+		prev := obs.SetDefault(o)
+		c.workers = workers
+		_, err := c.HittingTimes(isTarget)
+		obs.SetDefault(prev)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := o.Registry().Snapshot()
+		want := map[string]int64{
+			"solver.blocks.singleton":   1,
+			"solver.blocks.dense":       1,
+			"solver.blocks.gs":          1,
+			"solver.block_states.count": 3,
+			"solver.block_states.sum":   1 + 3 + gsSize,
+			"solver.block_states.max":   gsSize,
+		}
+		for name, v := range want {
+			if got[name] != v {
+				t.Errorf("workers=%d: %s = %d, want %d", workers, name, got[name], v)
+			}
+		}
+		if got["solver.gs_sweeps"] <= 0 {
+			t.Errorf("workers=%d: solver.gs_sweeps = %d, want > 0", workers, got["solver.gs_sweeps"])
+		}
+		if hs := o.Histogram("solver.block_states").Snapshot(); !maps.Equal(hs.Buckets, map[int]int64{1: 1, 2: 1, 6: 1}) {
+			t.Errorf("workers=%d: block-size buckets %v", workers, hs.Buckets)
 		}
 	}
 }
