@@ -10,10 +10,12 @@
 // from it, so the blocks form a DAG and are solved in reverse topological
 // order — singleton components by one forward substitution, small blocks
 // by dense Gaussian elimination, large blocks by red-black parallel
-// Gauss–Seidel with residual-confirmed convergence. On a worker pool the
-// blocks are grouped into levels of the condensation DAG, each level
-// reading only lower ones, and the blocks of a level solve concurrently;
-// the result is deterministic for every worker count.
+// Gauss–Seidel with residual-confirmed convergence. Blocks solve one at a
+// time in dependency order unless the condensation holds several
+// iterative blocks; then, on a worker pool, the blocks are grouped into
+// levels of the condensation DAG, each level reading only lower ones, and
+// the blocks of a level solve concurrently. The result is deterministic
+// for every worker count.
 package markov
 
 import (
@@ -42,6 +44,10 @@ var (
 	// parallelBlockMin is the smallest block whose sweeps run on the
 	// worker pool.
 	parallelBlockMin = 1 << 13
+	// levelMinGS is the fewest Gauss–Seidel blocks a condensation needs
+	// before its levels solve on the worker pool: a singleton or dense
+	// block costs about as much as the edge scan that assigns levels.
+	levelMinGS = 2
 	// levelGrain is the fewest states a chunk of one level's blocks holds
 	// when the level is solved on the worker pool.
 	levelGrain = gsGrain
@@ -110,10 +116,8 @@ func (c *Chain) HittingTimes(target []bool) ([]float64, error) {
 }
 
 // HittingTimesContext is HittingTimes with cooperative cancellation: ctx
-// is checked before every SCC block on the serial path and before every
-// level of the condensation on the pooled path, so a cancelled solve
-// returns an error wrapping ctx.Err() without finishing the condensation
-// walk.
+// is checked before every SCC block, so a cancelled solve returns an
+// error wrapping ctx.Err() without finishing the condensation walk.
 func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float64, error) {
 	if len(target) != c.n {
 		return nil, fmt.Errorf("markov: target length %d != states %d", len(target), c.n)
@@ -143,8 +147,7 @@ func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float
 // solveSCC fills h over the transient states. Every transient state's
 // successors are transient or target (probability-1 reachability is closed
 // under successors), so h of every cross-block edge target is final by the
-// time a block solves. ctx is checked before every block serially and
-// before every level on the pool.
+// time a block solves. ctx is checked before every block.
 func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []float64) error {
 	comp, numComp := c.condense(target, transient)
 	if numComp == 0 {
@@ -171,25 +174,26 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 			fill[b]++
 		}
 	}
-	// Block counts and the size histogram go to the process observer,
-	// tallied once per solve from the block sizes: singleton and dense
-	// blocks can number in the hundreds of thousands, so they are counted,
-	// not evented, and no handle is looked up per block. The iterative
-	// blocks emit one solver.block event each at convergence.
+	// Block counts by kind choose the schedule below. They and the size
+	// histogram go to the process observer once per solve: singleton and
+	// dense blocks can number in the hundreds of thousands, so they are
+	// counted, not evented, and no handle is looked up per block. The
+	// iterative blocks emit one solver.block event each at convergence.
+	var kinds [3]int64 // singleton, dense and Gauss–Seidel blocks
+	for b := 0; b < numComp; b++ {
+		switch size := int(blockOff[b+1] - blockOff[b]); {
+		case size == 1:
+			kinds[0]++
+		case size <= denseBlockLimit:
+			kinds[1]++
+		default:
+			kinds[2]++
+		}
+	}
 	if o := obs.Default(); o.On() {
 		sizes := o.Histogram("solver.block_states")
-		var kinds [3]int64 // singleton, dense and Gauss–Seidel blocks
 		for b := 0; b < numComp; b++ {
-			size := int(blockOff[b+1] - blockOff[b])
-			sizes.Observe(int64(size))
-			switch {
-			case size == 1:
-				kinds[0]++
-			case size <= denseBlockLimit:
-				kinds[1]++
-			default:
-				kinds[2]++
-			}
+			sizes.Observe(int64(blockOff[b+1] - blockOff[b]))
 		}
 		for k, name := range []string{"solver.blocks.singleton", "solver.blocks.dense", "solver.blocks.gs"} {
 			if kinds[k] > 0 {
@@ -199,16 +203,16 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 	}
 	workers := c.analysisWorkers()
 	solve := func(b int32) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("markov: hitting-time solve canceled at block %d of %d: %w", b, numComp, err)
+		}
 		return c.solveBlock(b, members[blockOff[b]:blockOff[b+1]], local, comp, h, workers)
 	}
-	if workers <= 1 || numComp == 1 {
+	if workers <= 1 || kinds[2] < int64(levelMinGS) {
 		// Tarjan emits components in reverse topological order (every
 		// cross edge points into a lower id), so ascending id order is
-		// dependency order.
+		// dependency order; the pool splits large blocks' sweeps.
 		for b := int32(0); b < int32(numComp); b++ {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("markov: hitting-time solve canceled at block %d of %d: %w", b, numComp, err)
-			}
 			if err := solve(b); err != nil {
 				return err
 			}
@@ -271,9 +275,6 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 		return true
 	}
 	for l := int32(0); l < numLevels; l++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("markov: hitting-time solve canceled at level %d of %d: %w", l, numLevels, err)
-		}
 		// Chunks are runs of consecutive blocks holding at least
 		// levelGrain states; a block that large is a chunk of its own.
 		blocks = order[levelOff[l]:levelOff[l+1]]

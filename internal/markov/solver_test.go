@@ -83,7 +83,8 @@ func assertHittingTimesMatch(t *testing.T, label string, got, want []float64) {
 
 // TestHittingTimesMatchesDenseOracle pins the sparse SCC solver against
 // the whole-system dense elimination oracle on every case, for both the
-// serial block order and the parallel level schedule.
+// one-worker solve and the 4-worker one (id order or level schedule,
+// whichever the case's block kinds choose).
 func TestHittingTimesMatchesDenseOracle(t *testing.T) {
 	for _, ts := range solverCases(t) {
 		label := ts.Alg.Name() + "/" + ts.Pol.Name()
@@ -121,10 +122,12 @@ func TestHittingTimesMatchesDenseOracle(t *testing.T) {
 // serial id-order solve bit for bit at 2, 3 and 8 workers. The cases'
 // condensations are DAGs of singleton blocks (dijkstra, coloring), a DAG
 // around large strongly connected blocks (tokenring) and a probabilistic
-// chain (herman). Every block-solve path is forced in turn, and
-// levelGrain is lowered so that every level of more than one block
-// splits into several concurrently solved chunks.
+// chain (herman). Every block-solve path is forced in turn, every case
+// takes the level schedule whatever its block kinds, and levelGrain is
+// lowered so that every level of more than one block splits into several
+// concurrently solved chunks.
 func TestLevelScheduleBitIdentical(t *testing.T) {
+	forceLevelSchedule(t)
 	saveDense, savePar, saveGrain := denseBlockLimit, parallelBlockMin, levelGrain
 	defer func() { denseBlockLimit, parallelBlockMin, levelGrain = saveDense, savePar, saveGrain }()
 	must := func(a protocol.Algorithm, err error) protocol.Algorithm {
