@@ -208,3 +208,51 @@ func TestNoUnreferencedExports(t *testing.T) {
 		}
 	}
 }
+
+// goStatementAllowed names the only non-test files under internal/ that
+// may start goroutines, with the reason. Every parallel loop runs on
+// statespace.ForRanges.
+var goStatementAllowed = map[string]string{
+	"statespace/parallel.go": "the worker pool: ForRanges, which every parallel loop runs on",
+	"service/manager.go":     "long-lived job workers and the drain waiter of Shutdown",
+	"obs/manifest.go":        "the heap sampler behind a manifest's peak-heap figure",
+	"obs/debug.go":           "the debug HTTP server, which serves until it is closed",
+}
+
+// TestOneWorkerPool pins that there is one worker pool: a go statement in
+// a non-test file under internal/ fails the test unless its file is
+// allowed above.
+func TestOneWorkerPool(t *testing.T) {
+	found := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, "internal"+string(filepath.Separator)))
+		ast.Inspect(f, func(n ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			found[rel] = true
+			if _, ok := goStatementAllowed[rel]; !ok {
+				t.Errorf("%s: go statement outside the worker pool: run the loop on statespace.ForRanges, or allow the file with a reason", fset.Position(g.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file := range goStatementAllowed {
+		if !found[file] {
+			t.Errorf("allowed file %s starts no goroutine; drop it from goStatementAllowed", file)
+		}
+	}
+}

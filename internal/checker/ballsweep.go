@@ -164,9 +164,9 @@ func (b *ballGrower) seedScan(ctx context.Context, workers int) error {
 	}
 	numChunks := (total + grain - 1) / grain
 	perChunk := make([][]int64, numChunks)
-	statespace.ForRanges(int(total), workers, int(grain), func(lo, hi int) bool {
-		if ctx.Err() != nil {
-			return false // the post-pool ctx check reports the cause
+	err := statespace.ForRanges(int(total), workers, int(grain), func(lo, hi int) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("checker: legitimacy scan canceled: %w", err)
 		}
 		var found []int64
 		cfg := make(protocol.Configuration, n)
@@ -181,10 +181,10 @@ func (b *ballGrower) seedScan(ctx context.Context, workers int) error {
 			}
 		}
 		perChunk[int64(lo)/grain] = found
-		return true
+		return nil
 	})
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("checker: legitimacy scan canceled: %w", err)
+	if err != nil {
+		return err
 	}
 	for _, found := range perChunk {
 		for _, g := range found {

@@ -109,19 +109,7 @@ func FromCSR(off []int64, succ []int32, prob []float64) (*Chain, error) {
 // row must be safe for concurrent calls on distinct rows. It returns one
 // of the violations when there is any.
 func CheckRows(off []int64, prob []float64, workers int, row func(a, b int64)) error {
-	var (
-		mu   sync.Mutex
-		vErr error
-	)
-	fail := func(err error) bool {
-		mu.Lock()
-		if vErr == nil {
-			vErr = err
-		}
-		mu.Unlock()
-		return false
-	}
-	statespace.ForRanges(len(off)-1, workers, 1<<14, func(lo, hi int) bool {
+	return statespace.ForRanges(len(off)-1, workers, 1<<14, func(lo, hi int) error {
 		for s := lo; s < hi; s++ {
 			a, b := off[s], off[s+1]
 			if a == b {
@@ -130,20 +118,19 @@ func CheckRows(off []int64, prob []float64, workers int, row func(a, b int64)) e
 			sum := 0.0
 			for i := a; i < b; i++ {
 				if !(prob[i] > 0) { // NaN fails too
-					return fail(fmt.Errorf("markov: non-positive probability %g in state %d", prob[i], s))
+					return fmt.Errorf("markov: non-positive probability %g in state %d", prob[i], s)
 				}
 				sum += prob[i]
 			}
 			if math.Abs(sum-1) > 1e-9 {
-				return fail(fmt.Errorf("markov: row %d sums to %g, want 1", s, sum))
+				return fmt.Errorf("markov: row %d sums to %g, want 1", s, sum)
 			}
 			if row != nil {
 				row(a, b)
 			}
 		}
-		return true
+		return nil
 	})
-	return vErr
 }
 
 // rowSucc returns the transition targets of s (empty means absorbing).

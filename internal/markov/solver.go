@@ -256,23 +256,16 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 	// The blocks of the level being solved, cut into chunks: chunk k is
 	// blocks[cut[k]:cut[k+1]].
 	var (
-		blocks   []int32
-		cut      []int
-		errMu    sync.Mutex
-		firstErr error
+		blocks []int32
+		cut    []int
 	)
-	solveChunk := func(k, _ int) bool {
+	solveChunk := func(k, _ int) error {
 		for _, b := range blocks[cut[k]:cut[k+1]] {
 			if err := solve(b); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return false
+				return err
 			}
 		}
-		return true
+		return nil
 	}
 	for l := int32(0); l < numLevels; l++ {
 		// Chunks are runs of consecutive blocks holding at least
@@ -294,13 +287,8 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 		if states > 0 {
 			cut = append(cut, len(blocks))
 		}
-		if chunks := len(cut) - 1; chunks == 1 {
-			solveChunk(0, 1)
-		} else {
-			statespace.ForRanges(chunks, workers, 1, solveChunk)
-		}
-		if firstErr != nil {
-			return firstErr
+		if err := statespace.ForRanges(len(cut)-1, workers, 1, solveChunk); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -585,7 +573,7 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 		var delta, amax float64
 		if par {
 			var mu sync.Mutex
-			statespace.ForRanges(colorHi-colorLo, workers, gsGrain, func(lo, hi int) bool {
+			statespace.ForRanges(colorHi-colorLo, workers, gsGrain, func(lo, hi int) error {
 				d, a := update(colorLo+lo, colorLo+hi)
 				mu.Lock()
 				if d > delta {
@@ -595,7 +583,7 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 					amax = a
 				}
 				mu.Unlock()
-				return true
+				return nil
 			})
 		} else {
 			delta, amax = update(colorLo, colorHi)
@@ -608,14 +596,14 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 			mu sync.Mutex
 			r  float64
 		)
-		statespace.ForRanges(m, workers, gsGrain, func(lo, hi int) bool {
+		statespace.ForRanges(m, workers, gsGrain, func(lo, hi int) error {
 			d := residual(lo, hi)
 			mu.Lock()
 			if d > r {
 				r = d
 			}
 			mu.Unlock()
-			return true
+			return nil
 		})
 		return r
 	}

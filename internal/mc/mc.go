@@ -48,6 +48,7 @@ import (
 
 	"weakstab/internal/markov"
 	"weakstab/internal/obs"
+	"weakstab/internal/statespace"
 	"weakstab/internal/stats"
 )
 
@@ -355,13 +356,9 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 
 	numBatches := (trials + batch - 1) / batch
 	workers := resolveWorkers(opt.Workers, e.ts)
-	if workers > numBatches {
-		workers = numBatches
-	}
 	o := obs.Or(opt.Obs)
 
 	var (
-		next atomic.Int64 // next unclaimed batch index
 		stop atomic.Int64 // exclusive merge bound, lowered by early stopping
 
 		mu       sync.Mutex
@@ -371,7 +368,6 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 		res      = Result{Requested: trials, MaxSteps: maxSteps}
 		sum      float64 // running moments of the merged hit times,
 		sumsq    float64 // feeding the deterministic stopping rule
-		failErr  error
 	)
 	stop.Store(int64(numBatches))
 	if opt.TargetCI <= 0 {
@@ -419,44 +415,32 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 		}
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1) - 1)
-				if b >= numBatches || int64(b) >= stop.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					mu.Lock()
-					if failErr == nil {
-						failErr = fmt.Errorf("mc: estimation canceled: %w", err)
-					}
-					mu.Unlock()
-					return
-				}
-				lo := b * batch
-				hi := lo + batch
-				if hi > trials {
-					hi = trials
-				}
-				out := e.runBatch(lo, hi, opt.Seed, maxSteps, from)
-				mu.Lock()
-				outs[b] = out
-				ready[b] = true
-				for frontier < numBatches && int64(frontier) < stop.Load() && ready[frontier] {
-					merge(frontier)
-					frontier++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if failErr != nil {
-		return nil, failErr
+	// Batches past the early-stop bound are claimed but skipped.
+	err = statespace.ForRanges(numBatches, workers, 1, func(b, _ int) error {
+		if int64(b) >= stop.Load() {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("mc: estimation canceled: %w", err)
+		}
+		lo := b * batch
+		hi := lo + batch
+		if hi > trials {
+			hi = trials
+		}
+		out := e.runBatch(lo, hi, opt.Seed, maxSteps, from)
+		mu.Lock()
+		outs[b] = out
+		ready[b] = true
+		for frontier < numBatches && int64(frontier) < stop.Load() && ready[frontier] {
+			merge(frontier)
+			frontier++
+		}
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sorted := sortedHits(res.Steps)
 	res.Summary = stats.SummarizeSorted(sorted)

@@ -28,11 +28,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
+	"weakstab/internal/statespace"
 )
 
 // Topology is the precomputed directed-edge view of an algorithm's
@@ -433,36 +432,14 @@ func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init p
 	return res, nil
 }
 
-// parallel runs fn over every shard: inline when there is one shard,
-// otherwise on a bounded worker pool pulling shard indexes.
+// parallel runs fn over every shard on ForRanges: inline when there is one
+// shard or one worker, otherwise on a pool pulling shard indexes. A panic
+// in fn is re-raised on the caller.
 func (s *engine) parallel(fn func(*shard)) {
-	if len(s.shards) == 1 {
-		fn(&s.shards[0])
-		return
-	}
-	workers := min(s.opts.workers(), len(s.shards))
-	if workers <= 1 {
-		for i := range s.shards {
-			fn(&s.shards[i])
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(s.shards) {
-					return
-				}
-				fn(&s.shards[i])
-			}
-		}()
-	}
-	wg.Wait()
+	statespace.ForRanges(len(s.shards), s.opts.workers(), 1, func(i, _ int) error {
+		fn(&s.shards[i])
+		return nil
+	})
 }
 
 // phase1 advances one shard through round r: crash bookkeeping, applying

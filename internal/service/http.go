@@ -1,6 +1,8 @@
 // The HTTP surface of the manager — stabserve's API:
 //
 //	POST /jobs              submit a Request; 202 with the job status
+//	                        (413 for a body over 1 MiB, 400 when
+//	                        anything follows its one JSON value)
 //	GET  /jobs              list the retained jobs' statuses
 //	GET  /jobs/{id}         one job's status
 //	GET  /jobs/{id}/result  the finished result document (the schema
@@ -28,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -95,11 +98,28 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxRequestBytes caps a POST /jobs body; a Request is a few hundred
+// bytes.
+const maxRequestBytes = 1 << 20
+
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// The body is one JSON value: only whitespace may follow it.
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("data follows the request's JSON value")
+		}
+	}
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", maxRequestBytes))
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}

@@ -265,6 +265,37 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBodyLimits pins the body contract of POST /jobs: a body
+// over maxRequestBytes is 413 with a message naming the limit, anything
+// after the request's JSON value is 400, and neither starts a job;
+// trailing whitespace is still accepted.
+func TestHTTPSubmitBodyLimits(t *testing.T) {
+	m, srv := newTestServer(t, Config{})
+	huge := `{"alg":"tokenring","n":3,"from":"` + strings.Repeat("0", 8<<20) + `"}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		msg        string
+	}{
+		{"trailing value", `{"alg":"tokenring","n":3} {"garbage":`, http.StatusBadRequest, "follows"},
+		{"8 MiB body", huge, http.StatusRequestEntityTooLarge, strconv.Itoa(maxRequestBytes)},
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || !strings.Contains(string(b), tc.msg) {
+			t.Errorf("%s: POST /jobs = %d %s, want %d naming %q", tc.name, resp.StatusCode, b, tc.code, tc.msg)
+		}
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected bodies started %d jobs", len(jobs))
+	}
+	postJob(t, srv, "{\"alg\":\"tokenring\",\"n\":3}\n\t ")
+}
+
 // TestHTTPEventsWithoutFeed pins /events for jobs without a feed: an
 // LRU-answered job streams the terminal done event alone, and so does a
 // finished job of a manager with feeds disabled, whose running job

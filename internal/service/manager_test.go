@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -540,17 +541,26 @@ func (panicAlg) EnabledAction(protocol.Configuration, int) int { panic("guard ex
 
 // TestPanickingJobFailsAlone pins panic isolation: a job whose algorithm
 // panics ends Failed with ErrPanic and is counted, and the same Manager
-// then completes a normal job.
+// then completes a normal job. A job large enough to be explored in
+// chunks on two workers panics on a pool worker, and its error still
+// names the algorithm frame that panicked.
 func TestPanickingJobFailsAlone(t *testing.T) {
-	inner, err := tokenring.New(5)
+	small, err := tokenring.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := tokenring.New(8) // > 4,096 configurations: several chunks
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New()
 	m := NewManager(Config{
 		Deps: Deps{Obs: o, Build: func(r Request) (protocol.Algorithm, scheduler.Policy, error) {
-			if r.N == 5 {
-				return panicAlg{inner}, scheduler.CentralPolicy{}, nil
+			switch r.N {
+			case 5:
+				return panicAlg{small}, scheduler.CentralPolicy{}, nil
+			case 8:
+				return panicAlg{large}, scheduler.CentralPolicy{}, nil
 			}
 			return buildInstance(r)
 		}},
@@ -558,18 +568,26 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	})
 	defer m.Shutdown(context.Background())
 
-	bad, _, err := m.Submit(ringRequest(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bad.Result(); !errors.Is(err, ErrPanic) {
-		t.Fatalf("panicking job err = %v, want ErrPanic", err)
-	}
-	if state, _, _, _ := bad.Status(); state != StateFailed {
-		t.Fatalf("panicking job state = %s, want %s", state, StateFailed)
-	}
-	if got := o.Counter("service.jobs.panicked").Value(); got != 1 {
-		t.Fatalf("service.jobs.panicked = %d, want 1", got)
+	pooled := ringRequest(8)
+	pooled.Workers = 2
+	for i, req := range []Request{ringRequest(5), pooled} {
+		bad, _, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = bad.Result()
+		if !errors.Is(err, ErrPanic) {
+			t.Fatalf("panicking job %+v: err = %v, want ErrPanic", req, err)
+		}
+		if !strings.Contains(err.Error(), "panicAlg.EnabledAction") {
+			t.Fatalf("panicking job %+v: error does not name the panicking frame:\n%v", req, err)
+		}
+		if state, _, _, _ := bad.Status(); state != StateFailed {
+			t.Fatalf("panicking job state = %s, want %s", state, StateFailed)
+		}
+		if got := o.Counter("service.jobs.panicked").Value(); got != int64(i+1) {
+			t.Fatalf("service.jobs.panicked = %d, want %d", got, i+1)
+		}
 	}
 
 	good, _, err := m.Submit(ringRequest(6))

@@ -142,10 +142,6 @@ func (b *Builder) addSeeds(seeds []int64) error {
 // so a cancelled exploration stops at the next shell boundary. On error
 // the builder is no longer usable.
 func (b *Builder) explore(ctx context.Context) error {
-	var (
-		failMu  sync.Mutex
-		failErr error
-	)
 	for lo := b.explored; lo < b.table.Len(); {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("statespace: exploration canceled at shell %d: %w", b.shell, err)
@@ -163,7 +159,7 @@ func (b *Builder) explore(ctx context.Context) error {
 		// read-only dedup resolutions of the targets already discovered.
 		// Each chunk refills the buffers it had in earlier shells, so the
 		// steady state allocates nothing per shell.
-		ForRanges(len(level), b.workers, frontierGrain, func(clo, chi int) bool {
+		err := ForRanges(len(level), b.workers, frontierGrain, func(clo, chi int) error {
 			ex := b.pool.Get().(*explorer)
 			defer b.pool.Put(ex)
 			ck := &chunks[clo/frontierGrain]
@@ -175,12 +171,7 @@ func (b *Builder) explore(ctx context.Context) error {
 				ex.cfg = b.enc.Decode(g, ex.cfg)
 				legit, err := ex.exploreState(g)
 				if err != nil {
-					failMu.Lock()
-					if failErr == nil {
-						failErr = err
-					}
-					failMu.Unlock()
-					return false
+					return err
 				}
 				ck.legit[i-clo] = legit
 				ck.deg[i-clo] = int32(len(ex.outTo))
@@ -194,10 +185,10 @@ func (b *Builder) explore(ctx context.Context) error {
 					ck.prob = append(ck.prob, ex.outP[j])
 				}
 			}
-			return true
+			return nil
 		})
-		if failErr != nil {
-			return failErr
+		if err != nil {
+			return err
 		}
 
 		// Size the CSR, and the table when new ids are possible, for the

@@ -13,7 +13,6 @@ package statespace
 import (
 	"hash/crc32"
 	"runtime"
-	"sync"
 )
 
 // castagnoliReflected is the reflected form of the Castagnoli polynomial,
@@ -77,9 +76,9 @@ func crc32Combine(crc1, crc2 uint32, len2 int64) uint32 {
 }
 
 // checksumParallel is crc32.Checksum(data, crcTable) computed on all CPUs:
-// per-worker chunk checksums stitched with crc32Combine. Buffers too small
-// to amortize the goroutines take the serial path; the result is identical
-// either way.
+// per-worker chunk checksums, taken on ForRanges, stitched with
+// crc32Combine. Buffers too small to amortize the workers take the serial
+// path; the result is identical either way.
 func checksumParallel(data []byte) uint32 {
 	const minChunk = 1 << 21
 	workers := min(runtime.NumCPU(), len(data)/minChunk)
@@ -88,16 +87,10 @@ func checksumParallel(data []byte) uint32 {
 	}
 	chunk := (len(data) + workers - 1) / workers
 	crcs := make([]uint32, workers)
-	var wg sync.WaitGroup
-	for w := range workers {
-		lo, hi := w*chunk, min((w+1)*chunk, len(data))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			crcs[w] = crc32.Checksum(data[lo:hi], crcTable)
-		}()
-	}
-	wg.Wait()
+	ForRanges(len(data), workers, chunk, func(lo, hi int) error {
+		crcs[lo/chunk] = crc32.Checksum(data[lo:hi], crcTable)
+		return nil
+	})
 	crc := crcs[0]
 	for w := 1; w < workers; w++ {
 		lo, hi := w*chunk, min((w+1)*chunk, len(data))

@@ -1,7 +1,9 @@
 package statespace
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -9,14 +11,24 @@ import (
 // ForRanges splits [0, total) into contiguous chunks of grain indexes (the
 // last chunk may be shorter) and runs fn over them on a pool of workers
 // (0 means runtime.NumCPU()). Chunks are claimed dynamically, so uneven
-// per-index costs stay balanced. fn returning false cancels the remaining
-// unclaimed chunks; a panic in fn is re-raised on the caller after the
-// pool drains. This is the index-range splitting the exploration engine
-// runs on, shared by the reverse-CSR builder, the reachability frontiers
-// and the hitting-time block solver.
-func ForRanges(total, workers, grain int, fn func(lo, hi int) bool) {
+// per-index costs stay balanced; with one worker, or one chunk, fn runs
+// inline on the caller in chunk order.
+//
+// An error from fn stops further chunk claims (chunks already running
+// finish) and the first error is returned. A panic in fn also stops the
+// claims and is re-raised on the caller once the pool drains; its value
+// is the original value followed by the panicking worker's stack, which
+// the caller's own stack no longer contains.
+//
+// It is the only worker pool of the analysis: exploration (BuildContext,
+// Builder.explore), the legitimacy seed scan of the fault ball, successor
+// validation on load, the reverse-CSR counting sort and backward BFS, the
+// parallel CRC, row checks (markov.CheckRows), the hitting-time level
+// chunks and red-black sweeps, the Monte Carlo batches (mc.RunContext)
+// and the netsim shard phases all run on it.
+func ForRanges(total, workers, grain int, fn func(lo, hi int) error) error {
 	if total <= 0 {
-		return
+		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -30,31 +42,32 @@ func ForRanges(total, workers, grain int, fn func(lo, hi int) bool) {
 	}
 	if workers == 1 {
 		for lo := 0; lo < total; lo += grain {
-			if !fn(lo, min(lo+grain, total)) {
-				return
+			if err := fn(lo, min(lo+grain, total)); err != nil {
+				return err
 			}
 		}
-		return
+		return nil
 	}
 	var (
 		next     atomic.Int64
 		stopped  atomic.Bool
 		wg       sync.WaitGroup
-		panicMu  sync.Mutex
+		mu       sync.Mutex
+		firstErr error
 		panicked any
 	)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					stopped.Store(true)
-					panicMu.Lock()
+					mu.Lock()
 					if panicked == nil {
-						panicked = r
+						panicked = fmt.Sprintf("%v\n\npanicking worker's stack:\n%s", r, debug.Stack())
 					}
-					panicMu.Unlock()
+					mu.Unlock()
 				}
 			}()
 			for !stopped.Load() {
@@ -63,8 +76,13 @@ func ForRanges(total, workers, grain int, fn func(lo, hi int) bool) {
 					return
 				}
 				lo := c * grain
-				if !fn(lo, min(lo+grain, total)) {
+				if err := fn(lo, min(lo+grain, total)); err != nil {
 					stopped.Store(true)
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
 					return
 				}
 			}
@@ -74,4 +92,5 @@ func ForRanges(total, workers, grain int, fn func(lo, hi int) bool) {
 	if panicked != nil {
 		panic(panicked)
 	}
+	return firstErr
 }

@@ -1,16 +1,16 @@
 // Reverse-CSR construction and backward reachability. Every "does X reach
 // the target set" question the checker and the Markov analysis ask is a
 // multi-source BFS over the predecessor graph; this file builds that graph
-// once per space by parallel counting sort and expands the BFS frontiers on
-// the same worker pool the exploration engine uses. Self-loops are dropped
-// at build time: no reachability pass can use them (a self-loop never
-// reaches anything new and never shortens a path).
+// once per space by a counting sort over edge-balanced source ranges and
+// expands large BFS frontiers, both on ForRanges, the pool every parallel
+// loop of the analysis runs on. Self-loops are dropped at build time: no
+// reachability pass can use them (a self-loop never reaches anything new
+// and never shortens a path).
 package statespace
 
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -29,8 +29,8 @@ func (r Reverse) Preds(t int32) []int32 { return r.Src[r.Off[t]:r.Off[t+1]] }
 func (r Reverse) States() int { return len(r.Off) - 1 }
 
 // serialReverseLimit is the edge count below which the counting sort runs
-// single-threaded (the pass is memory-bound; small graphs cannot amortize
-// worker startup).
+// as one source range (the pass is memory-bound; small graphs cannot
+// amortize worker startup).
 const serialReverseLimit = 1 << 16
 
 // maxReverseWorkers bounds the per-worker count arrays (one int32 per
@@ -38,51 +38,21 @@ const serialReverseLimit = 1 << 16
 const maxReverseWorkers = 16
 
 // ReverseCSR builds the predecessor view of the forward CSR (off, succ)
-// over states states by counting sort: one parallel pass counts indegrees
-// per source range, a prefix sum lays out the rows, and a second parallel
-// pass scatters sources into their slots. Source ranges are contiguous and
-// scanned in order, so every predecessor row comes out sorted ascending and
-// the result is identical for every worker count. Self-loops are dropped.
+// over states states by counting sort: one pass counts indegrees per
+// source range, a prefix sum lays out the rows, and a second pass scatters
+// sources into their slots; both passes run one source range per worker on
+// ForRanges. Source ranges are contiguous and scanned in order, so every
+// predecessor row comes out sorted ascending and the result is identical
+// for every worker count. Self-loops are dropped.
 func ReverseCSR(states int, off []int64, succ []int32, workers int) Reverse {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > maxReverseWorkers {
-		workers = maxReverseWorkers
-	}
 	edges := int64(len(succ))
-	roff := make([]int64, states+1)
-	if workers == 1 || edges < serialReverseLimit {
-		indeg := make([]int32, states)
-		for s := 0; s < states; s++ {
-			for _, t := range succ[off[s]:off[s+1]] {
-				if int(t) != s {
-					indeg[t]++
-				}
-			}
-		}
-		var at int64
-		for t := 0; t < states; t++ {
-			roff[t] = at
-			at += int64(indeg[t])
-		}
-		roff[states] = at
-		rsrc := make([]int32, at)
-		cur := indeg // reuse as per-row write cursors
-		for i := range cur {
-			cur[i] = 0
-		}
-		for s := 0; s < states; s++ {
-			for _, t := range succ[off[s]:off[s+1]] {
-				if int(t) != s {
-					rsrc[roff[t]+int64(cur[t])] = int32(s)
-					cur[t]++
-				}
-			}
-		}
-		return Reverse{Off: roff, Src: rsrc}
+	if edges < serialReverseLimit {
+		workers = 1
 	}
-
+	workers = min(workers, maxReverseWorkers)
 	// Edge-balanced contiguous source ranges: worker w owns states
 	// [bounds[w], bounds[w+1]).
 	bounds := make([]int, workers+1)
@@ -92,25 +62,21 @@ func ReverseCSR(states int, off []int64, succ []int32, workers int) Reverse {
 		bounds[w] = sort.Search(states, func(s int) bool { return off[s] >= cut })
 	}
 	cnt := make([][]int32, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := make([]int32, states)
-			for s := bounds[w]; s < bounds[w+1]; s++ {
-				for _, t := range succ[off[s]:off[s+1]] {
-					if int(t) != s {
-						c[t]++
-					}
+	ForRanges(workers, workers, 1, func(w, _ int) error {
+		c := make([]int32, states)
+		for s := bounds[w]; s < bounds[w+1]; s++ {
+			for _, t := range succ[off[s]:off[s+1]] {
+				if int(t) != s {
+					c[t]++
 				}
 			}
-			cnt[w] = c
-		}(w)
-	}
-	wg.Wait()
+		}
+		cnt[w] = c
+		return nil
+	})
 	// Row layout + per-worker write cursors (relative to the row start, so
 	// they fit in the count arrays being repurposed).
+	roff := make([]int64, states+1)
 	var at int64
 	for t := 0; t < states; t++ {
 		roff[t] = at
@@ -124,22 +90,18 @@ func ReverseCSR(states int, off []int64, succ []int32, workers int) Reverse {
 	}
 	roff[states] = at
 	rsrc := make([]int32, at)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cur := cnt[w]
-			for s := bounds[w]; s < bounds[w+1]; s++ {
-				for _, t := range succ[off[s]:off[s+1]] {
-					if int(t) != s {
-						rsrc[roff[t]+int64(cur[t])] = int32(s)
-						cur[t]++
-					}
+	ForRanges(workers, workers, 1, func(w, _ int) error {
+		cur := cnt[w]
+		for s := bounds[w]; s < bounds[w+1]; s++ {
+			for _, t := range succ[off[s]:off[s+1]] {
+				if int(t) != s {
+					rsrc[roff[t]+int64(cur[t])] = int32(s)
+					cur[t]++
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	return Reverse{Off: roff, Src: rsrc}
 }
 
@@ -195,33 +157,23 @@ func (r Reverse) BackwardBFS(seed []bool, skipPred []bool, workers int) []int32 
 		// exactly once. A plain atomic load first skips already-marked
 		// predecessors without a locked instruction. The marked set is
 		// independent of the race winners, so distances stay deterministic.
-		parts := make([][]int32, workers)
 		per := (len(frontier) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			if lo >= len(frontier) {
-				break
-			}
-			hi := min(lo+per, len(frontier))
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				var local []int32
-				for _, s := range frontier[lo:hi] {
-					for _, pre := range r.Preds(s) {
-						if skipPred != nil && skipPred[pre] {
-							continue
-						}
-						if atomic.LoadInt32(&dist[pre]) == -1 && atomic.CompareAndSwapInt32(&dist[pre], -1, level) {
-							local = append(local, pre)
-						}
+		parts := make([][]int32, workers)
+		ForRanges(len(frontier), workers, per, func(lo, hi int) error {
+			var local []int32
+			for _, s := range frontier[lo:hi] {
+				for _, pre := range r.Preds(s) {
+					if skipPred != nil && skipPred[pre] {
+						continue
+					}
+					if atomic.LoadInt32(&dist[pre]) == -1 && atomic.CompareAndSwapInt32(&dist[pre], -1, level) {
+						local = append(local, pre)
 					}
 				}
-				parts[w] = local
-			}(w, lo, hi)
-		}
-		wg.Wait()
+			}
+			parts[lo/per] = local
+			return nil
+		})
 		frontier = frontier[:0]
 		for _, p := range parts {
 			frontier = append(frontier, p...)

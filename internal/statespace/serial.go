@@ -353,9 +353,9 @@ func validateSucc(states int64, succ []int32) error {
 	if len(succ) >= 2*grain {
 		numChunks := (len(succ) + grain - 1) / grain
 		maxes := make([]uint32, numChunks)
-		ForRanges(len(succ), 0, grain, func(lo, hi int) bool {
+		ForRanges(len(succ), 0, grain, func(lo, hi int) error {
 			maxes[lo/grain] = maxSucc(succ[lo:hi])
-			return true
+			return nil
 		})
 		for _, x := range maxes {
 			m = max(m, x)

@@ -309,11 +309,7 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 	numChunks := (total + chunkSize - 1) / chunkSize
 	chunks := make([]chunk, numChunks)
 
-	var (
-		pool    = sync.Pool{New: func() any { return newExplorer(a, pol, enc) }}
-		failMu  sync.Mutex
-		failErr error
-	)
+	pool := sync.Pool{New: func() any { return newExplorer(a, pol, enc) }}
 	// Instrumentation side channel: cumulative done/edge counts feed the
 	// registry and a coarse build.progress event at milestone crossings
 	// (chunk arrival order is scheduling-dependent, so the milestone —
@@ -322,25 +318,15 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 	o := obs.Or(opt.Obs)
 	var doneStates, doneEdges atomic.Int64
 	const progressEvery = 1 << 20
-	ForRanges(total, workers, chunkSize, func(lo, hi int) bool {
+	err = ForRanges(total, workers, chunkSize, func(lo, hi int) error {
 		if err := ctx.Err(); err != nil {
-			failMu.Lock()
-			if failErr == nil {
-				failErr = fmt.Errorf("statespace: exploration canceled: %w", err)
-			}
-			failMu.Unlock()
-			return false
+			return fmt.Errorf("statespace: exploration canceled: %w", err)
 		}
 		ex := pool.Get().(*explorer)
 		ck, err := ex.exploreRange(lo, hi, sp.Legit)
 		pool.Put(ex)
 		if err != nil {
-			failMu.Lock()
-			if failErr == nil {
-				failErr = err
-			}
-			failMu.Unlock()
-			return false
+			return err
 		}
 		chunks[lo/chunkSize] = ck
 		if o.On() {
@@ -350,10 +336,10 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 				o.Emit("build.progress", obs.BuildProgress{Done: d, Total: int64(total), Edges: e})
 			}
 		}
-		return true
+		return nil
 	})
-	if failErr != nil {
-		return nil, failErr
+	if err != nil {
+		return nil, err
 	}
 
 	// Stitch the fragments into one CSR, in chunk (= state) order.
