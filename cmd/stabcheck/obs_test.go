@@ -57,8 +57,9 @@ func TestObsByteIdentity(t *testing.T) {
 }
 
 // TestGoldenTrace pins the JSONL event stream of the incremental sweep:
-// frontier shells stitched serially and sweep radii sealed in k order
-// make the whole stream deterministic once timings are normalized.
+// frontier.shell events emitted once per BFS level, after the level's
+// parallel insert, with set-based counts, and sweep radii sealed in k
+// order make the whole stream deterministic once timings are normalized.
 func TestGoldenTrace(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	args := []string{"-alg", "tokenring", "-n", "6", "-kmax", "3", "-trace-out", trace}

@@ -8,6 +8,7 @@ package checker
 // count.
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -250,5 +251,53 @@ func TestFaultBallRespectsCap(t *testing.T) {
 	}
 	if len(globals) != 336 {
 		t.Fatalf("k=1 ball has %d configs, want 336", len(globals))
+	}
+
+	// A hashed range (tokenring(16): 3^16 configurations), where the
+	// sharded insert decides the cap inside the distance-1 shell, at one
+	// worker and at four: exactly the ball size passes, one fewer fails.
+	big := mustTokenRing(t, 16)
+	for _, workers := range []int{1, 4} {
+		ball, _, err := FaultBallContext(t.Context(), big, 1, workers, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		B := int64(len(ball))
+		if got, _, err := FaultBallContext(t.Context(), big, 1, workers, B); err != nil || int64(len(got)) != B {
+			t.Fatalf("w=%d maxStates=%d on a %d-state ball: %d states, err=%v", workers, B, B, len(got), err)
+		}
+		want := fmt.Sprintf("checker: distance-1 fault ball exceeds the %d-state cap", B-1)
+		if _, _, err := FaultBallContext(t.Context(), big, 1, workers, B-1); err == nil || err.Error() != want {
+			t.Fatalf("w=%d maxStates=%d on a %d-state ball: err=%v, want %q", workers, B-1, B, err, want)
+		}
+	}
+}
+
+// TestFaultBallDeterministicAcrossWorkers pins the ball enumeration to be
+// independent of the pool size on a hashed range whose shells span many
+// grow chunks: the dijkstra(8,8) ball (8^8 configurations) at every k <= 2,
+// against the same ball at one worker.
+func TestFaultBallDeterministicAcrossWorkers(t *testing.T) {
+	a, err := dijkstra.New(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= 2; k++ {
+		base, baseDist, err := FaultBallContext(t.Context(), a, k, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 2 && len(base) <= 4*ballGrain {
+			t.Fatalf("distance-2 ball of %d configurations: its shells must span several chunks", len(base))
+		}
+		for _, workers := range []int{2, 5, 16} {
+			got, dist, err := FaultBallContext(t.Context(), a, k, workers, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, base) || !slices.Equal(dist, baseDist) {
+				t.Fatalf("k=%d w=%d: ball differs from 1 worker", k, workers)
+			}
+		}
 	}
 }

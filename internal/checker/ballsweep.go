@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
@@ -35,17 +36,23 @@ import (
 )
 
 // ballGrower is the resumable distance-ball enumeration: the legitimate
-// seed set plus one mutation shell per grow call. Ids are assigned in
-// discovery (= BFS) order, so the aligned distances are exact.
+// seed set plus one mutation shell per grow call. Ids are assigned shell by
+// shell, so every shell is a contiguous id range and the aligned distances
+// are exact: shell k is [lo, ball.Len()).
 type ballGrower struct {
 	a         protocol.Algorithm
 	enc       *protocol.Encoder
 	maxStates int64
+	workers   int
 	k         int // current radius: dist values span [0, k]
+	lo        int // first id of shell k
 	ball      *statespace.Dedup
 	dist      []int // aligned with ball ids
-	cfg       protocol.Configuration
 }
+
+// ballGrain is the fixed number of shell configurations one grow chunk
+// mutates; like frontierGrain it never depends on the worker count.
+const ballGrain = 1 << 10
 
 // newBallGrower returns the radius-0 ball (the legitimate set itself),
 // seeded from the algorithm's closed-form enumeration when it implements
@@ -56,11 +63,11 @@ func newBallGrower(ctx context.Context, a protocol.Algorithm, workers int, maxSt
 	if err != nil {
 		return nil, fmt.Errorf("checker: %w", err)
 	}
-	b := newGrowerOver(a, enc, maxStates, statespace.NewDedup(enc.Total()))
+	b := newGrowerOver(a, enc, maxStates, workers, statespace.NewDedup(enc.Total()))
 	if le, ok := a.(protocol.LegitEnumerator); ok {
 		err = b.seedEnumerated(le)
 	} else {
-		err = b.seedScan(ctx, workers)
+		err = b.seedScan(ctx)
 	}
 	if err != nil {
 		return nil, err
@@ -74,15 +81,27 @@ func newBallGrower(ctx context.Context, a protocol.Algorithm, workers int, maxSt
 }
 
 // resumeBallGrower rebuilds a grower from a previously produced ball
-// (globals with aligned distances, any order) at radius k — the warm-cache
-// resume path. The inputs are not aliased.
-func resumeBallGrower(a protocol.Algorithm, k int, globals []int64, dist []int, maxStates int64) (*ballGrower, error) {
+// (globals with aligned distances in [0, k], any order) at radius k — the
+// warm-cache resume path. The ball is re-added shell by shell, so shell k
+// is again a contiguous id range. The inputs are not aliased.
+func resumeBallGrower(a protocol.Algorithm, k int, globals []int64, dist []int, maxStates int64, workers int) (*ballGrower, error) {
 	enc, err := protocol.NewEncoder(a, 0)
 	if err != nil {
 		return nil, fmt.Errorf("checker: %w", err)
 	}
-	b := newGrowerOver(a, enc, maxStates, statespace.NewDedupFromGlobals(enc.Total(), globals))
-	b.k, b.dist = k, append([]int(nil), dist...)
+	b := newGrowerOver(a, enc, maxStates, workers, statespace.NewDedup(enc.Total()))
+	for b.k = 0; b.k <= k; b.k++ {
+		b.lo = b.ball.Len()
+		for i, g := range globals {
+			if dist[i] == b.k && int(b.ball.Add(g)) == len(b.dist) {
+				b.dist = append(b.dist, b.k)
+			}
+		}
+	}
+	b.k = k
+	if len(b.dist) != len(globals) {
+		return nil, fmt.Errorf("checker: resumed distance-%d ball holds duplicates or distances outside [0,%d]", k, k)
+	}
 	if int64(b.ball.Len()) > b.maxStates {
 		return nil, fmt.Errorf("checker: resumed distance-%d ball of %d configurations exceeds the %d-state cap", k, b.ball.Len(), b.maxStates)
 	}
@@ -95,8 +114,9 @@ func resumeBallGrower(a protocol.Algorithm, k int, globals []int64, dist []int, 
 // set, so its legitimate states are exactly L: they seed the grower in
 // place of LegitEnumerator or the legitimacy scan, with no algorithm
 // callbacks, and growTo(k) then yields what FaultBallContext yields at k.
+// The grower runs on the space's worker-pool size.
 func closureBallGrower(ss *statespace.Space, maxStates int64) *ballGrower {
-	b := newGrowerOver(ss.Alg, ss.Enc, maxStates, statespace.NewDedup(ss.Enc.Total()))
+	b := newGrowerOver(ss.Alg, ss.Enc, maxStates, ss.PoolWorkers(), statespace.NewDedup(ss.Enc.Total()))
 	for s, legit := range ss.Legit {
 		if legit {
 			b.ball.Add(ss.GlobalIndex(s))
@@ -108,13 +128,13 @@ func closureBallGrower(ss *statespace.Space, maxStates int64) *ballGrower {
 
 // newGrowerOver returns a radius-0 grower over the given dedup table; the
 // caller fills the table and the aligned distances.
-func newGrowerOver(a protocol.Algorithm, enc *protocol.Encoder, maxStates int64, ball *statespace.Dedup) *ballGrower {
+func newGrowerOver(a protocol.Algorithm, enc *protocol.Encoder, maxStates int64, workers int, ball *statespace.Dedup) *ballGrower {
 	return &ballGrower{
 		a:         a,
 		enc:       enc,
 		maxStates: statespace.StateCap(maxStates),
+		workers:   workers,
 		ball:      ball,
-		cfg:       make(protocol.Configuration, a.Graph().N()),
 	}
 }
 
@@ -149,11 +169,12 @@ func (b *ballGrower) seedEnumerated(le protocol.LegitEnumerator) error {
 // enumeration is deterministic and already ascending. The grain grows with
 // the range so the chunk-header array stays bounded on huge index ranges.
 // ctx is checked per chunk, so a cancelled scan stops claiming work.
-func (b *ballGrower) seedScan(ctx context.Context, workers int) error {
+func (b *ballGrower) seedScan(ctx context.Context) error {
 	total := b.enc.Total()
 	if total > int64(math.MaxInt) {
 		return fmt.Errorf("checker: %d configurations exceed the platform index range", total)
 	}
+	workers := b.workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -196,41 +217,52 @@ func (b *ballGrower) seedScan(ctx context.Context, workers int) error {
 }
 
 // grow expands the ball by one mutation shell: every configuration at
-// distance exactly k spawns its single-process mutations, and the new ones
-// enter at distance k+1. ctx is checked once per shell, at entry.
+// distance exactly k — the id range of shell k — spawns its
+// single-process mutations in parallel chunks, and the sharded insert
+// (statespace.Dedup.AddChunks) admits the new ones at distance k+1. ctx
+// is checked once per shell, at entry.
 func (b *ballGrower) grow(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("checker: ball enumeration canceled at radius %d: %w", b.k, err)
 	}
 	n := b.a.Graph().N()
-	end := b.ball.Len() // new entries land at dist k+1; don't re-expand them
-	for i := 0; i < end; i++ {
-		if b.dist[i] != b.k {
-			continue
-		}
-		g := b.ball.Globals()[i]
-		b.cfg = b.enc.Decode(g, b.cfg)
-		for p := 0; p < n; p++ {
-			orig := b.cfg[p]
-			w := b.enc.Weight(p)
-			for v := 0; v < b.a.StateCount(p); v++ {
-				if v == orig {
-					continue
-				}
-				ng := g + int64(v-orig)*w
-				if b.ball.Lookup(ng) < 0 {
-					// Inclusive cap: the maxStates-th discovered state is
-					// admitted; only the one after fails — the same
-					// semantics as the frontier engine's discovery cap.
-					if int64(b.ball.Len()) >= b.maxStates {
-						return fmt.Errorf("checker: distance-%d fault ball exceeds the %d-state cap", b.k+1, b.maxStates)
+	end := b.ball.Len()
+	shell := b.ball.Globals()[b.lo:end] // mutation only reads, so no insert moves it
+	// Each chunk's mutations, in generation order.
+	to := make([][]int64, (len(shell)+ballGrain-1)/ballGrain)
+	perConfig := 0
+	for p := 0; p < n; p++ {
+		perConfig += b.a.StateCount(p) - 1
+	}
+	_ = statespace.ForRanges(len(shell), b.workers, ballGrain, func(clo, chi int) error {
+		cfg, out := make(protocol.Configuration, n), make([]int64, 0, (chi-clo)*perConfig)
+		for _, g := range shell[clo:chi] {
+			cfg = b.enc.Decode(g, cfg)
+			for p := 0; p < n; p++ {
+				orig := cfg[p]
+				w := b.enc.Weight(p)
+				for v := 0; v < b.a.StateCount(p); v++ {
+					if v != orig {
+						out = append(out, g+int64(v-orig)*w)
 					}
-					b.ball.Add(ng)
-					b.dist = append(b.dist, b.k+1)
 				}
 			}
 		}
+		to[clo/ballGrain] = out
+		return nil
+	})
+	// Inclusive cap: the maxStates-th discovered state is admitted; only
+	// the one after fails — the same semantics as the frontier engine's
+	// discovery cap.
+	added, ok := b.ball.AddChunks(to, nil, int(b.maxStates), b.workers)
+	if !ok {
+		return fmt.Errorf("checker: distance-%d fault ball exceeds the %d-state cap", b.k+1, b.maxStates)
 	}
+	b.dist = slices.Grow(b.dist, added)
+	for range added {
+		b.dist = append(b.dist, b.k+1)
+	}
+	b.lo = end
 	b.k++
 	return nil
 }
@@ -248,11 +280,14 @@ func (b *ballGrower) growTo(ctx context.Context, k int) error {
 // distances — the canonical form every consumer (seed sets, cache files,
 // local-distance mapping) shares. The returned slices are fresh.
 func (b *ballGrower) sorted() ([]int64, []int) {
-	outG, order := statespace.CanonicalOrder(b.ball.Globals())
+	outG, order := statespace.CanonicalOrder(b.ball.Globals(), b.workers)
 	outD := make([]int, len(order))
-	for i, o := range order {
-		outD[i] = b.dist[o]
-	}
+	_ = statespace.ForRanges(len(order), b.workers, 1<<14, func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			outD[i] = b.dist[order[i]]
+		}
+		return nil
+	})
 	return outG, outD
 }
 
@@ -269,6 +304,9 @@ type BallSweep struct {
 	opt     statespace.Options
 	ball    *ballGrower
 	builder *statespace.Builder // lazily created at first seal
+	// extended is the radius the builder has been extended to: it holds
+	// the closure of every ball member at distance <= extended.
+	extended int
 }
 
 // NewBallSweepContext returns the radius-0 sweep: the ball is the
@@ -281,7 +319,7 @@ func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol schedule
 	if err != nil {
 		return nil, err
 	}
-	return &BallSweep{a: a, pol: pol, opt: opt, ball: ball}, nil
+	return &BallSweep{a: a, pol: pol, opt: opt, ball: ball, extended: -1}, nil
 }
 
 // ResumeBallSweep rebuilds a sweep at radius k from a previously produced
@@ -294,11 +332,11 @@ func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals 
 	if len(globals) != len(dist) {
 		return nil, fmt.Errorf("checker: ball of %d globals with %d distances", len(globals), len(dist))
 	}
-	ball, err := resumeBallGrower(a, k, globals, dist, opt.MaxStates)
+	ball, err := resumeBallGrower(a, k, globals, dist, opt.MaxStates, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
-	s := &BallSweep{a: a, pol: pol, opt: opt, ball: ball}
+	s := &BallSweep{a: a, pol: pol, opt: opt, ball: ball, extended: -1}
 	if ss != nil {
 		if s.builder, err = statespace.ResumeFrom(ss, opt); err != nil {
 			return nil, err
@@ -335,11 +373,22 @@ func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64
 		}
 		s.builder = b
 	}
-	// Extend with the whole ball: already-discovered members are dedup
-	// no-ops, so only genuinely new states are explored.
-	if err := s.builder.ExtendContext(ctx, globals); err != nil {
+	// Extend with the ball members beyond the last extended radius, in
+	// ascending order; any the closure already holds are dedup no-ops, so
+	// only genuinely new states are explored.
+	seeds := globals
+	if s.extended >= 0 {
+		seeds = nil
+		for i, d := range dist {
+			if d > s.extended {
+				seeds = append(seeds, globals[i])
+			}
+		}
+	}
+	if err := s.builder.ExtendContext(ctx, seeds); err != nil {
 		return nil, nil, nil, fmt.Errorf("checker: %w", err)
 	}
+	s.extended = s.ball.k
 	return s.builder.Seal(), globals, dist, nil
 }
 

@@ -22,6 +22,7 @@ package checker
 
 import (
 	"context"
+	"fmt"
 
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
@@ -193,8 +194,9 @@ func FaultBallContext(ctx context.Context, a protocol.Algorithm, k int, workers 
 // the local state ids of the ball's closure subspace: ball members carry
 // their exact distance, closure states discovered beyond the ball are
 // marked -1 (they are not initial configurations of any k'-fault
-// scenario). A nil subspace (BallClosureContext's empty-legitimate-set
-// result) yields nil.
+// scenario). Both global lists ascend, so one merge walk maps the ball. A
+// nil subspace (BallClosureContext's empty-legitimate-set result) yields
+// nil.
 func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) []int {
 	if ss == nil {
 		return nil
@@ -203,8 +205,15 @@ func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) [
 	for i := range dist {
 		dist[i] = -1
 	}
+	local, j := ss.Globals(), 0
 	for i, g := range globals {
-		dist[ss.LocalIndex(g)] = ballDist[i]
+		for local[j] < g {
+			j++
+		}
+		if local[j] != g {
+			panic(fmt.Sprintf("checker: ball configuration %d is not a state of its closure", g))
+		}
+		dist[j] = ballDist[i]
 	}
 	return dist
 }

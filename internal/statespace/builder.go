@@ -11,6 +11,8 @@
 //
 // Sealing canonicalizes a *copy*: the builder's own table and CSR stay in
 // discovery order, which is what makes further ExtendContext calls valid.
+// The CSR is a list of per-level segments that later levels never touch,
+// so no BFS level ever re-copies the rows of the earlier ones.
 // Because an explored closure is a pure function of (algorithm, policy, seed
 // set) — canonicalization erases discovery order — a sealed snapshot is
 // bit-identical to BuildFromContext over the union of all seed waves, which
@@ -40,23 +42,50 @@ type Builder struct {
 	maxStates int64
 
 	table *Dedup
-	off   []int64
-	succ  []int32
-	prob  []float64
-	legit []bool
-	// explored counts the states whose successor rows are already in the
-	// CSR; states [explored, table.Len()) are the pending BFS frontier.
-	// ExtendContext restores the invariant explored == table.Len() (closure).
+	// shells holds the discovery-order CSR as one segment per explored
+	// BFS level (one more for a resumed closure), ascending in base; edges
+	// counts their references. explored counts the states whose successor
+	// rows are stored; states [explored, table.Len()) are the pending BFS
+	// frontier. ExtendContext restores explored == table.Len() (closure).
+	shells   []shellRows
+	edges    int64
 	explored int
 
 	// o and shell instrument the exploration: one frontier.shell event
-	// per BFS level (emitted from the serial stitch, so the stream is
-	// deterministic), numbered across the builder's whole lifetime.
+	// per BFS level (emitted between the level's insertion phase and the
+	// next expansion, so the stream is deterministic), numbered across
+	// the builder's whole lifetime.
 	o     *obs.Observer
 	shell int
 
 	pool   sync.Pool
-	chunks []frontierChunk
+	chunks []frontierChunk // one exploration's chunk buffers, reused across its levels
+}
+
+// shellRows is one segment of a Builder's discovery-order CSR: the rows of
+// the local ids [base, base+len(legit)), with offsets relative to the
+// segment. A segment is written once, when its level is explored.
+type shellRows struct {
+	base  int
+	off   []int64 // len(legit)+1 offsets into succ/prob, off[0] == 0
+	succ  []int32
+	prob  []float64
+	legit []bool
+}
+
+// shellOf returns the index of the segment holding local id o and o's row
+// in it.
+func shellOf(shells []shellRows, o int32) (int, int) {
+	lo, hi := 0, len(shells)-1
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if shells[mid].base <= int(o) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo, int(o) - shells[lo].base
 }
 
 // NewBuilder returns an empty resumable exploration of a's configuration
@@ -76,7 +105,6 @@ func NewBuilder(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Build
 		workers:   resolveWorkers(opt.Workers, math.MaxInt),
 		maxStates: StateCap(opt.MaxStates),
 		table:     NewDedup(enc.Total()),
-		off:       []int64{0},
 		o:         obs.Or(opt.Obs),
 	}
 	b.pool.New = func() any { return newExplorer(a, pol, enc) }
@@ -102,10 +130,13 @@ func ResumeFrom(ss *Space, opt Options) (*Builder, error) {
 		return nil, fmt.Errorf("statespace: ResumeFrom needs a seed-set closure, not the full index range")
 	}
 	off, succ, prob := ss.CSR()
-	b.off = slices.Clone(off)
-	b.succ = slices.Clone(succ)
-	b.prob = slices.Clone(prob)
-	b.legit = slices.Clone(ss.Legit)
+	b.shells = []shellRows{{
+		off:   slices.Clone(off),
+		succ:  slices.Clone(succ),
+		prob:  slices.Clone(prob),
+		legit: slices.Clone(ss.Legit),
+	}}
+	b.edges = int64(len(succ))
 	b.table = NewDedupFromGlobals(b.enc.Total(), ss.Globals())
 	b.explored = ss.States
 	return b, nil
@@ -126,11 +157,21 @@ func (b *Builder) addSeeds(seeds []int64) error {
 		if g < 0 || g >= b.enc.Total() {
 			return fmt.Errorf("statespace: seed index %d outside configuration space [0,%d)", g, b.enc.Total())
 		}
-		b.table.Add(g)
+	}
+	// Seeds get ids in seed order, as serial Adds would give them.
+	all := make([]int32, len(seeds))
+	var to [][]int64
+	var ids [][]int32
+	for lo := 0; lo < len(seeds); lo += frontierGrain {
+		hi := min(lo+frontierGrain, len(seeds))
+		to, ids = append(to, seeds[lo:hi]), append(ids, all[lo:hi])
+	}
+	for i := range all {
+		all[i] = -1
 	}
 	// Inclusive cap: exactly maxStates distinct seeds are admitted.
-	if int64(b.table.Len()) > b.maxStates {
-		return fmt.Errorf("statespace: %d seeds exceed the %d-state cap", b.table.Len(), b.maxStates)
+	if added, ok := b.table.AddChunks(to, ids, int(b.maxStates), b.workers); !ok {
+		return fmt.Errorf("statespace: %d seeds exceed the %d-state cap", b.table.Len()+added, b.maxStates)
 	}
 	return nil
 }
@@ -138,9 +179,9 @@ func (b *Builder) addSeeds(seeds []int64) error {
 // explore runs the level-synchronous parallel BFS until the discovered set
 // is closed under successors — the loop of BuildFromContext, resuming from
 // whatever was explored before. ctx is checked once per BFS shell (between
-// the serial stitch of one level and the parallel expansion of the next),
-// so a cancelled exploration stops at the next shell boundary. On error
-// the builder is no longer usable.
+// the insertion phase of one level and the parallel expansion of the
+// next), so a cancelled exploration stops at the next shell boundary. On
+// error the builder is no longer usable.
 func (b *Builder) explore(ctx context.Context) error {
 	for lo := b.explored; lo < b.table.Len(); {
 		if err := ctx.Err(); err != nil {
@@ -155,17 +196,17 @@ func (b *Builder) explore(ctx context.Context) error {
 		}
 		chunks := b.chunks[:numChunks]
 
-		// Parallel expansion of the level: rows with global targets, plus
-		// read-only dedup resolutions of the targets already discovered.
-		// Each chunk refills the buffers it had in earlier shells, so the
-		// steady state allocates nothing per shell.
+		// Parallel expansion of the level: rows with global targets. The
+		// table is not probed here: AddChunks resolves every target with
+		// shard-local probes. Each chunk refills the buffers it had in
+		// earlier shells of this exploration.
 		err := ForRanges(len(level), b.workers, frontierGrain, func(clo, chi int) error {
 			ex := b.pool.Get().(*explorer)
 			defer b.pool.Put(ex)
 			ck := &chunks[clo/frontierGrain]
 			ck.deg = slices.Grow(ck.deg[:0], chi-clo)[:chi-clo]
 			ck.legit = slices.Grow(ck.legit[:0], chi-clo)[:chi-clo]
-			ck.to, ck.local, ck.prob, ck.fresh = ck.to[:0], ck.local[:0], ck.prob[:0], 0
+			ck.to, ck.prob = ck.to[:0], ck.prob[:0]
 			for i := clo; i < chi; i++ {
 				g := level[i]
 				ex.cfg = b.enc.Decode(g, ex.cfg)
@@ -176,12 +217,7 @@ func (b *Builder) explore(ctx context.Context) error {
 				ck.legit[i-clo] = legit
 				ck.deg[i-clo] = int32(len(ex.outTo))
 				for j, t := range ex.outTo {
-					l := b.table.Lookup(t)
-					if l < 0 {
-						ck.fresh++
-					}
 					ck.to = append(ck.to, t)
-					ck.local = append(ck.local, l)
 					ck.prob = append(ck.prob, ex.outP[j])
 				}
 			}
@@ -191,50 +227,54 @@ func (b *Builder) explore(ctx context.Context) error {
 			return err
 		}
 
-		// Size the CSR, and the table when new ids are possible, for the
-		// whole level at once: one geometric growth per array per shell
-		// instead of one per append overflow inside the stitch.
-		rows, refs, fresh := 0, 0, 0
-		for _, ck := range chunks {
-			rows += len(ck.deg)
-			refs += len(ck.to)
-			fresh += ck.fresh
+		// The level's segment, exactly sized: each chunk's rows and
+		// references land in parallel at prefix-summed offsets.
+		rows, refs := 0, 0
+		for c := range chunks {
+			chunks[c].rowAt, chunks[c].refAt = rows, refs
+			rows += len(chunks[c].deg)
+			refs += len(chunks[c].to)
 		}
-		b.off = slices.Grow(b.off, rows)
-		b.legit = slices.Grow(b.legit, rows)
-		b.succ = slices.Grow(b.succ, refs)
-		b.prob = slices.Grow(b.prob, refs)
-		b.table.grow(min(fresh, int(b.maxStates)-b.table.Len()))
+		seg := shellRows{
+			base:  lo,
+			off:   make([]int64, rows+1),
+			succ:  make([]int32, refs),
+			prob:  make([]float64, refs),
+			legit: make([]bool, rows),
+		}
+		to, ids := make([][]int64, numChunks), make([][]int32, numChunks)
+		for c := range chunks {
+			ck := &chunks[c]
+			to[c], ids[c] = ck.to, seg.succ[ck.refAt:ck.refAt+len(ck.to)]
+		}
+		_ = ForRanges(numChunks, b.workers, 1, func(c, _ int) error {
+			ck := &chunks[c]
+			for i := range ids[c] {
+				ids[c][i] = -1 // every target is resolved by AddChunks
+			}
+			copy(seg.prob[ck.refAt:], ck.prob)
+			copy(seg.legit[ck.rowAt:], ck.legit)
+			at := int64(ck.refAt)
+			for i, d := range ck.deg {
+				at += int64(d)
+				seg.off[ck.rowAt+i+1] = at
+			}
+			return nil
+		})
+		// Assign local ids to the newly discovered targets, resolving the
+		// segment's references in place. Inclusive cap: a level that
+		// brings the total to exactly maxStates is admitted.
+		newStates, ok := b.table.AddChunks(to, ids, int(b.maxStates), b.workers)
+		if !ok {
+			return fmt.Errorf("statespace: frontier exploration exceeds the %d-state cap", b.maxStates)
+		}
 
-		// Serial stitch in chunk-and-row order: append the level's rows to
-		// the CSR, assigning local ids to newly discovered targets in
-		// deterministic order.
-		for _, ck := range chunks {
-			b.legit = append(b.legit, ck.legit...)
-			b.prob = append(b.prob, ck.prob...)
-			for i, l := range ck.local {
-				if l < 0 {
-					// Inclusive cap: the maxStates-th discovered state is
-					// admitted; only the one after fails. The Len check
-					// short-circuits first so the re-resolving Lookup (the
-					// parallel-phase id may be stale — an earlier row of this
-					// stitch can have discovered the target) only runs once
-					// the table is full.
-					if int64(b.table.Len()) >= b.maxStates && b.table.Lookup(ck.to[i]) < 0 {
-						return fmt.Errorf("statespace: frontier exploration exceeds the %d-state cap", b.maxStates)
-					}
-					l = b.table.Add(ck.to[i])
-				}
-				b.succ = append(b.succ, l)
-			}
-			for _, d := range ck.deg {
-				b.off = append(b.off, b.off[len(b.off)-1]+int64(d))
-			}
-		}
-		// Observe the completed shell from the serial stitch: counters
-		// always (nil-safe no-ops when off), the structured event only
-		// when enabled so no payload is built on the disabled path.
-		newStates := b.table.Len() - hi
+		b.shells = append(b.shells, seg)
+		b.edges += int64(refs)
+
+		// Observe the completed shell: counters always (nil-safe no-ops
+		// when off), the structured event only when enabled so no payload
+		// is built on the disabled path.
 		b.o.Counter("frontier.shells").Add(1)
 		b.o.Counter("frontier.states").Add(int64(newStates))
 		b.o.Counter("frontier.edges").Add(int64(refs))
@@ -248,7 +288,7 @@ func (b *Builder) explore(ctx context.Context) error {
 				Expanded:  hi - lo,
 				New:       newStates,
 				States:    b.table.Len(),
-				Edges:     int64(len(b.succ)),
+				Edges:     b.edges,
 				DedupRate: dedup,
 			})
 		}
@@ -256,6 +296,10 @@ func (b *Builder) explore(ctx context.Context) error {
 		lo = hi
 	}
 	b.explored = b.table.Len()
+	// The chunk buffers serve the levels of one exploration; a sealed
+	// snapshot and its analyses need the memory more than the next
+	// extension needs the buffers.
+	b.chunks = nil
 	return nil
 }
 
@@ -281,34 +325,23 @@ func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
 // every seed set extended so far. The snapshot is independent of the builder:
 // later ExtendContext calls grow the builder without disturbing it. Sealing
 // an empty builder (no seeds ever admitted) returns nil.
-func (b *Builder) Seal() *Space { return b.seal(false) }
-
-// seal builds the canonical Space; with move=true it takes ownership of
-// the builder's arrays instead of copying (the one-shot BuildFromContext path —
-// the builder must not be used afterwards).
-func (b *Builder) seal(move bool) *Space {
+//
+// The discovery-order segments are permuted straight into fresh canonical
+// storage, and the snapshot gets the sealed binary-search table over its
+// sorted globals (a snapshot never grows, so it needs no hash table).
+func (b *Builder) Seal() *Space {
 	if b.table.Len() == 0 {
 		return nil
 	}
+	sorted, order := CanonicalOrder(b.table.Globals(), b.workers)
 	ss := &Space{
 		Alg:     b.alg,
 		Pol:     b.pol,
 		Enc:     b.enc,
 		States:  b.table.Len(),
 		Workers: b.workers,
+		table:   NewSortedDedup(sorted),
 	}
-	if move {
-		ss.off, ss.succ, ss.prob, ss.Legit, ss.table = b.off, b.succ, b.prob, b.legit, b.table
-		ss.canonicalize()
-		return ss
-	}
-	// Snapshot path: permute the discovery-order arrays straight into
-	// fresh canonical storage — one pass, no in-place renumbering — and
-	// give the snapshot the sealed binary-search table over its sorted
-	// globals (a snapshot never grows, so it needs no hash table at all).
-	// The builder's own discovery-order state is untouched.
-	sorted, order := CanonicalOrder(b.table.Globals())
-	ss.off, ss.succ, ss.prob, ss.Legit = permuteCSR(order, b.off, b.succ, b.prob, b.legit)
-	ss.table = NewSortedDedup(sorted)
+	ss.off, ss.succ, ss.prob, ss.Legit = permuteCSR(order, b.shells, b.edges, b.workers)
 	return ss
 }

@@ -11,13 +11,20 @@ import (
 )
 
 // checkCanonicalOrder asserts CanonicalOrder's contract on one
-// duplicate-free list: order is a permutation of the ids, sorted[i] ==
-// globals[order[i]], the input is untouched, and both outputs equal a
-// comparison-sort reference over (global, id) pairs.
+// duplicate-free list, on one worker and on three: order is a permutation
+// of the ids, sorted[i] == globals[order[i]], the input is untouched, and
+// both outputs equal a comparison-sort reference over (global, id) pairs.
 func checkCanonicalOrder(t *testing.T, globals []int64) {
 	t.Helper()
+	for _, workers := range []int{1, 3} {
+		checkCanonicalOrderOn(t, globals, workers)
+	}
+}
+
+func checkCanonicalOrderOn(t *testing.T, globals []int64, workers int) {
+	t.Helper()
 	input := slices.Clone(globals)
-	sorted, order := CanonicalOrder(globals)
+	sorted, order := CanonicalOrder(globals, workers)
 	if !slices.Equal(globals, input) {
 		t.Fatal("CanonicalOrder modified its input")
 	}
@@ -85,7 +92,7 @@ func TestCanonicalOrderMatchesSort(t *testing.T) {
 		"span-max":    {math.MaxInt64, 0, math.MaxInt64 - 255, 256},
 		"negative":    {-1, math.MinInt64, math.MaxInt64, 0, -256, 255},
 	}
-	for _, n := range []int{2, 100, 5000} {
+	for _, n := range []int{2, 100, 5000, 5*sealGrain + 17} { // the last spans several histogram chunks
 		random := make([]int64, n)
 		wide := make([]int64, n)
 		for i := range random {

@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -79,6 +80,42 @@ func TestBuildFromCapBoundary(t *testing.T) {
 	}
 	if _, err := BuildFromContext(t.Context(), ring, pol, ref.Globals(), Options{MaxStates: S - 1}); err == nil {
 		t.Fatalf("%d seeds must exceed the %d-state cap", S, S-1)
+	}
+	checkCapBoundaryHashed(t)
+}
+
+// checkCapBoundaryHashed pins the same inclusive cap where the parallel
+// insertion decides it: a hashed index range (tokenring(16)), the 1-fault
+// closure's last BFS level adding 24 states, at one worker and at four. A
+// cap of exactly the closure size passes; one fewer falls inside the last
+// level and fails with the frontier's message, as does a cap inside the
+// widest level.
+func checkCapBoundaryHashed(t *testing.T) {
+	ring, err := tokenring.New(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := faultBall(t, ring, 1)
+	for _, workers := range []int{1, 4} {
+		ref, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		S := int64(ref.NumStates())
+		ss, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{Workers: workers, MaxStates: S})
+		if err != nil || int64(ss.NumStates()) != S {
+			t.Fatalf("w=%d MaxStates=%d on a %d-state closure: err=%v", workers, S, S, err)
+		}
+		want := fmt.Sprintf("statespace: %d seeds exceed the %d-state cap", S, S-1)
+		if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, ref.Globals(), Options{Workers: workers, MaxStates: S - 1}); err == nil || err.Error() != want {
+			t.Fatalf("w=%d: %d seeds under MaxStates=%d: err=%v, want %q", workers, S, S-1, err, want)
+		}
+		for _, cap := range []int64{S - 1, (int64(len(seeds)) + S) / 2} {
+			want := fmt.Sprintf("statespace: frontier exploration exceeds the %d-state cap", cap)
+			if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{Workers: workers, MaxStates: cap}); err == nil || err.Error() != want {
+				t.Fatalf("w=%d MaxStates=%d on a %d-state closure: err=%v, want %q", workers, cap, S, err, want)
+			}
+		}
 	}
 }
 

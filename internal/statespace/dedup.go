@@ -14,41 +14,95 @@ import (
 // frontier exploration, whose subspaces routinely live inside index ranges
 // far too large to allocate a visited array for.
 //
-// The hash table is one power-of-two []int32 of slots. A slot holds -1
-// when empty and otherwise a local id, i.e. an index into globals, which
-// stores the key itself; probing is linear from a Fibonacci hash of the
-// global. The table doubles when it would become more than half full,
-// rebuilding its slots from globals — no tombstones, no per-entry
-// allocation, no Go map.
+// The hash table is split into dedupShards shards by the top bits of a
+// Fibonacci hash of the global. A shard keeps its globals as a list of
+// entries (a global and its local id) and a power-of-two []int32 of slots
+// indexing that list, -1 when empty; probing is linear from the next hash
+// bits. Everything a probe reads lives in the shard, which is what lets
+// AddChunks insert shard by shard with cache-resident probes. A shard
+// doubles its slots when they would become more than half full,
+// rebuilding them from its entries — no tombstones, no per-entry
+// allocation, no Go map. The shard count is fixed, never derived from a
+// worker count.
 //
 // Concurrency contract: Lookup is safe from any number of goroutines while
-// no Add is running (Lookup only reads slots and globals; the frontier
-// engine alternates a parallel read-only expansion phase with a serial
-// insertion phase). Add itself must be serialized by the caller — id
-// assignment order is what makes frontier exploration deterministic.
+// no insertion runs (Lookup only reads the table; the frontier engine
+// alternates a parallel read-only expansion phase with an insertion
+// phase). AddChunks is the parallel insertion: it runs its own workers,
+// one per shard at a time, and must not overlap Lookup or another insert.
+// Add inserts one global and must be serialized by the caller.
 
 // DenseDedupLimit is the index-range size up to which Dedup uses the dense
 // visited array (4 bytes per configuration of the range) instead of the
 // hash table. The dense array wins below it: one probe, no hashing.
 const DenseDedupLimit = 1 << 22
 
-// minDedupSlots is the initial slot count of a hash table.
+// dedupShardBits fixes the shard count of a table: the top dedupShardBits
+// bits of a global's hash pick its shard, in dense tables too, where the
+// shard only holds the globals an AddChunks round has made pending.
+const (
+	dedupShardBits = 6
+	dedupShards    = 1 << dedupShardBits
+)
+
+// minDedupSlots is the initial slot count of a hash table, over all its
+// shards.
 const minDedupSlots = 1 << 10
 
 // Dedup maps global configuration indexes to the dense local ids
-// [0, Len()), in insertion order. The zero value is not usable; call
-// NewDedup (growable) or NewSortedDedup (sealed, binary-searched).
+// [0, Len()). The zero value is not usable; call NewDedup (growable) or
+// NewSortedDedup (sealed, binary-searched).
 type Dedup struct {
-	dense   []int32 // global -> local id, -1 when absent (small ranges)
-	slots   []int32 // open-addressing table: -1 empty, else a local id (large ranges)
-	shift   uint    // 64 - log2(len(slots)): the hash keeps the top bits
-	sorted  bool    // sealed: globals strictly ascending, Lookup binary-searches
-	globals []int64 // local id -> global index, insertion order
+	dense   []int32      // global -> local id, -1 when absent (small ranges)
+	shards  []dedupShard // growable tables: nil when sorted
+	sorted  bool         // sealed: globals strictly ascending, Lookup binary-searches
+	globals []int64      // local id -> global index
+
+	routes []dedupRoute // AddChunks scratch, one per chunk of a round
 }
+
+// dedupShard is one shard of a growable table. During an AddChunks round a
+// global the table has not seen is pending: it is the entry first+j, whose
+// id stays -1 until the round assigns it, and a dense table's entry for it
+// holds -2-j meanwhile. count[c] is the number of the round's pending
+// globals first occurring in chunk c; once the round places ids it is the
+// j of the first of them.
+type dedupShard struct {
+	ents  []dedupEnt // hashed tables: every global; dense tables: the round's pending ones
+	slots []int32    // hashed tables: index into ents, -1 when empty
+	shift uint       // 64 - log2(len(slots)): the home slot keeps the top bits
+	first int        // the round's first pending entry
+	count []int32
+}
+
+// dedupEnt is one global of a shard with its local id.
+type dedupEnt struct {
+	g  int64
+	id int32
+}
+
+// dedupRoute is one AddChunks chunk's unresolved positions grouped by
+// shard: shard s owns keys[k] (the global at position pos[k]) for k in
+// [start[s], start[s+1]), in ascending position, and stores the outcome
+// of inserting it in res[k]: an id, a pending value -2-j, or -1 where
+// the global first occurs. Copying the keys lets every shard read its
+// part of a chunk sequentially.
+type dedupRoute struct {
+	start [dedupShards + 1]int32
+	keys  []int64
+	pos   []int32
+	res   []int32
+}
+
+// hashGlobal is the Fibonacci hash of g (the indexes themselves are highly
+// structured — mixed-radix neighbors differ by one weight — so the raw low
+// bits would collide pathologically). Its top bits pick the shard and the
+// bits below them the home slot.
+func hashGlobal(g int64) uint64 { return uint64(g) * 0x9e3779b97f4a7c15 }
 
 // NewDedup returns an empty table for global indexes in [0, total).
 func NewDedup(total int64) *Dedup {
-	d := &Dedup{}
+	d := &Dedup{shards: make([]dedupShard, dedupShards)}
 	if total <= DenseDedupLimit {
 		d.dense = make([]int32, total)
 		for i := range d.dense {
@@ -56,49 +110,56 @@ func NewDedup(total int64) *Dedup {
 		}
 		return d
 	}
-	d.rehash(minDedupSlots)
+	for s := range d.shards {
+		d.shards[s].rehash(minDedupSlots / dedupShards)
+	}
 	return d
 }
 
-// home returns g's first probe slot by Fibonacci hashing (the indexes
-// themselves are highly structured — mixed-radix neighbors differ by one
-// weight — so the raw low bits would collide pathologically).
-func (d *Dedup) home(g int64) int {
-	return int((uint64(g) * 0x9e3779b97f4a7c15) >> d.shift)
-}
+// shardOf returns the shard of a global with hash h.
+func (d *Dedup) shardOf(h uint64) *dedupShard { return &d.shards[h>>(64-dedupShardBits)] }
 
-// rehash rebuilds the slots at the given power-of-two size from globals,
-// assigning each global its id in globals.
-func (d *Dedup) rehash(size int) {
-	if cap(d.slots) >= size {
-		d.slots = d.slots[:size]
-	} else {
-		d.slots = make([]int32, size)
+// shardIndex returns the shard of g.
+func shardIndex(g int64) uint64 { return hashGlobal(g) >> (64 - dedupShardBits) }
+
+// rehash rebuilds the slots at the given power-of-two size from the
+// entries.
+func (sh *dedupShard) rehash(size int) {
+	sh.slots = make([]int32, size)
+	for i := range sh.slots {
+		sh.slots[i] = -1
 	}
-	for i := range d.slots {
-		d.slots[i] = -1
-	}
-	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	sh.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := size - 1
-	for id, g := range d.globals {
-		i := d.home(g)
-		for d.slots[i] >= 0 {
+	for e, ent := range sh.ents {
+		i := int(hashGlobal(ent.g) << dedupShardBits >> sh.shift)
+		for sh.slots[i] != -1 {
 			i = (i + 1) & mask
 		}
-		d.slots[i] = int32(id)
+		sh.slots[i] = int32(e)
 	}
 }
 
-// probe returns the slot holding g, or the empty slot where g would go.
-func (d *Dedup) probe(g int64) int {
-	mask := len(d.slots) - 1
-	i := d.home(g)
+// probe returns the index of the slot holding g (hash h), or of the
+// empty slot where g would go.
+func (sh *dedupShard) probe(h uint64, g int64) int {
+	mask := len(sh.slots) - 1
+	i := int(h << dedupShardBits >> sh.shift)
 	for {
-		id := d.slots[i]
-		if id < 0 || d.globals[id] == g {
+		if e := sh.slots[i]; e == -1 || sh.ents[e].g == g {
 			return i
 		}
 		i = (i + 1) & mask
+	}
+}
+
+// insert adds g, absent from the shard, as entry len(ents) with the given
+// id into slot i, growing the slots when they get half full.
+func (sh *dedupShard) insert(i int, g int64, id int32) {
+	sh.slots[i] = int32(len(sh.ents))
+	sh.ents = append(sh.ents, dedupEnt{g, id})
+	if 2*len(sh.ents) > len(sh.slots) {
+		sh.rehash(2 * len(sh.slots))
 	}
 }
 
@@ -122,44 +183,239 @@ func (d *Dedup) Lookup(g int64) int32 {
 	if d.dense != nil {
 		return d.dense[g]
 	}
-	return d.slots[d.probe(g)]
+	h := hashGlobal(g)
+	sh := d.shardOf(h)
+	if e := sh.slots[sh.probe(h, g)]; e >= 0 {
+		return sh.ents[e].id
+	}
+	return -1
 }
 
 // Add inserts g if absent and returns its local id (existing or newly
-// assigned). Ids are assigned in insertion order. Add must not be called
-// on a sealed (NewSortedDedup) table.
+// assigned as the next id, Len()). Add must not be called on a sealed
+// (NewSortedDedup) table.
 func (d *Dedup) Add(g int64) int32 {
 	if d.sorted {
 		panic("statespace: Add on a sealed dedup table")
 	}
-	if d.dense != nil {
-		if id := d.dense[g]; id >= 0 {
-			return id
-		}
-		id := int32(len(d.globals))
-		d.dense[g] = id
-		d.globals = append(d.globals, g)
-		return id
-	}
-	i := d.probe(g)
-	if id := d.slots[i]; id >= 0 {
-		return id
-	}
 	id := int32(len(d.globals))
-	d.globals = append(d.globals, g)
-	if 2*len(d.globals) > len(d.slots) {
-		d.rehash(2 * len(d.slots)) // places g with the rest
+	if d.dense != nil {
+		if v := d.dense[g]; v >= 0 {
+			return v
+		}
+		d.dense[g] = id
 	} else {
-		d.slots[i] = id
+		h := hashGlobal(g)
+		sh := d.shardOf(h)
+		i := sh.probe(h, g)
+		if e := sh.slots[i]; e >= 0 {
+			return sh.ents[e].id
+		}
+		sh.insert(i, g, id)
 	}
+	d.globals = append(d.globals, g)
 	return id
 }
 
-// grow makes room for n more Adds without reallocating globals, growing
-// it at most once and geometrically.
-func (d *Dedup) grow(n int) {
-	if n > 0 {
-		d.globals = slices.Grow(d.globals, n)
+// addPending returns g's id, or -1 when g was absent and is now pending,
+// first occurring in chunk c, or the pending value -2-j of a global that
+// first occurred earlier in the round. Only the goroutine owning sh may
+// call it.
+func (d *Dedup) addPending(sh *dedupShard, h uint64, g int64, c int) int32 {
+	if d.dense != nil {
+		if v := d.dense[g]; v != -1 {
+			return v
+		}
+		d.dense[g] = int32(-2 - (len(sh.ents) - sh.first))
+		sh.ents = append(sh.ents, dedupEnt{g, -1})
+	} else {
+		i := sh.probe(h, g)
+		if e := sh.slots[i]; e >= 0 {
+			if id := sh.ents[e].id; id >= 0 {
+				return id
+			}
+			return int32(-2 - (int(e) - sh.first))
+		}
+		sh.insert(i, g, -1)
+	}
+	sh.count[c]++
+	return -1
+}
+
+// addBatch bounds the positions of one AddChunks round, and with them
+// the routing scratch (16 bytes a position), while leaving each shard more
+// probes per round than its table has cache lines.
+const addBatch = 1 << 20
+
+// AddChunks is the parallel batch insert of the discovery loops: it has
+// exactly the effect of calling Add on to[c][i] for every chunk c and
+// position i with ids[c][i] < 0, in (chunk, position) order, and storing
+// the returned id in ids[c][i]. New globals thus get the ids [Len(),
+// Len()+added) in the order of their first occurrence, whatever workers
+// is (0 means runtime.NumCPU()). A nil ids inserts every position and
+// numbers the new globals in (round, shard, first occurrence) order
+// instead, which skips the per-position passes and is just as independent
+// of workers.
+//
+// The chunks go in rounds of about addBatch positions (a larger chunk is
+// a round of its own), each in ForRanges phases: every chunk groups its
+// unresolved positions by shard; every shard inserts its positions in
+// (chunk, position) order, holding the globals it has not seen as pending
+// and counting, per chunk, those that first occur there; a prefix sum of
+// the counts gives every chunk the first id of its first occurrences,
+// which it assigns in position order and reports to their shards; last,
+// every chunk resolves its repeats.
+//
+// When the table would hold more than limit globals, AddChunks counts the
+// new globals of the remaining rounds without assigning ids and returns
+// the total and false; the table is then unusable.
+func (d *Dedup) AddChunks(to [][]int64, ids [][]int32, limit, workers int) (added int, ok bool) {
+	if d.sorted {
+		panic("statespace: AddChunks on a sealed dedup table")
+	}
+	ok = true
+	for lo, hi := 0, 0; lo < len(to); lo = hi {
+		for m := 0; hi < len(to) && (hi == lo || m+len(to[hi]) <= addBatch); hi++ {
+			m += len(to[hi])
+		}
+		var round [][]int32
+		if ids != nil {
+			round = ids[lo:hi]
+		}
+		n := d.insertRound(to[lo:hi], round, workers)
+		added += n
+		if ok = ok && len(d.globals)+n <= limit; ok {
+			d.assignRound(to[lo:hi], round, workers)
+		}
+	}
+	d.routes = nil // between inserts the scratch would only raise the heap's high-water mark
+	return added, ok
+}
+
+// insertRound groups a round's positions by shard and inserts them,
+// returning the number of globals it made pending.
+func (d *Dedup) insertRound(to [][]int64, ids [][]int32, workers int) (pending int) {
+	d.routes = slices.Grow(d.routes[:0], len(to))[:len(to)]
+	_ = ForRanges(len(to), workers, 1, func(c, _ int) error {
+		r := &d.routes[c]
+		unresolved := func(i int) bool { return ids == nil || ids[c][i] < 0 }
+		r.start = [dedupShards + 1]int32{}
+		for i, g := range to[c] {
+			if unresolved(i) {
+				r.start[shardIndex(g)+1]++
+			}
+		}
+		for s := 1; s <= dedupShards; s++ {
+			r.start[s] += r.start[s-1]
+		}
+		m := int(r.start[dedupShards])
+		r.keys, r.pos, r.res = slices.Grow(r.keys[:0], m)[:m], slices.Grow(r.pos[:0], m)[:m], slices.Grow(r.res[:0], m)[:m]
+		at := r.start // per-shard write cursors
+		for i, g := range to[c] {
+			if s := shardIndex(g); unresolved(i) {
+				r.keys[at[s]], r.pos[at[s]] = g, int32(i)
+				at[s]++
+			}
+		}
+		return nil
+	})
+	for s := range d.shards {
+		d.shards[s].first = len(d.shards[s].ents)
+	}
+	_ = ForRanges(dedupShards, workers, 1, func(s, _ int) error {
+		sh := &d.shards[s]
+		sh.count = slices.Grow(sh.count[:0], len(to))[:len(to)]
+		clear(sh.count)
+		for c := range to {
+			r := &d.routes[c]
+			for k := r.start[s]; k < r.start[s+1]; k++ {
+				r.res[k] = d.addPending(sh, hashGlobal(r.keys[k]), r.keys[k], c)
+			}
+		}
+		return nil
+	})
+	for s := range d.shards {
+		pending += len(d.shards[s].ents) - d.shards[s].first
+	}
+	return pending
+}
+
+// assignRound numbers a round's pending globals and resolves its
+// positions' ids.
+func (d *Dedup) assignRound(to [][]int64, ids [][]int32, workers int) {
+	n, at := len(d.globals), len(d.globals)
+	var base []int // the first new id of every chunk, or of every shard when ids is nil
+	for c := range to {
+		if ids != nil {
+			base = append(base, at)
+		}
+		for s := range d.shards {
+			at += int(d.shards[s].count[c])
+		}
+	}
+	d.globals = slices.Grow(d.globals, at-n)[:at]
+	if ids == nil {
+		_ = ForRanges(dedupShards, workers, 1, func(s, _ int) error {
+			sh, at := &d.shards[s], n
+			for _, o := range d.shards[:s] {
+				at += len(o.ents) - o.first
+			}
+			for j := sh.first; j < len(sh.ents); j, at = j+1, at+1 {
+				sh.ents[j].id, d.globals[at] = int32(at), sh.ents[j].g
+			}
+			return nil
+		})
+	} else {
+		for s := range d.shards { // count[c] becomes the first pending index of chunk c
+			sh, j := &d.shards[s], int32(0)
+			for c, k := range sh.count {
+				sh.count[c], j = j, j+k
+			}
+		}
+		_ = ForRanges(len(to), workers, 1, func(c, _ int) error {
+			r, ic, next := &d.routes[c], ids[c], int32(base[c])
+			for k, i := range r.pos {
+				ic[i] = r.res[k]
+			}
+			for i, v := range ic {
+				if v == -1 { // a first occurrence
+					ic[i], d.globals[next] = next, to[c][i]
+					next++
+				}
+			}
+			for s := range d.shards {
+				sh := &d.shards[s]
+				e := sh.first + int(sh.count[c])
+				for k := r.start[s]; k < r.start[s+1]; k++ {
+					if r.res[k] == -1 {
+						sh.ents[e].id = ic[r.pos[k]]
+						e++
+					}
+				}
+			}
+			return nil
+		})
+		_ = ForRanges(len(to), workers, 1, func(c, _ int) error {
+			r := &d.routes[c]
+			for s := range d.shards {
+				for k := r.start[s]; k < r.start[s+1]; k++ {
+					if v := r.res[k]; v < -1 { // a repeat of a first occurrence
+						ids[c][r.pos[k]] = d.shards[s].ents[d.shards[s].first-2-int(v)].id
+					}
+				}
+			}
+			return nil
+		})
+	}
+	if d.dense != nil {
+		_ = ForRanges(dedupShards, workers, 1, func(s, _ int) error {
+			sh := &d.shards[s]
+			for _, ent := range sh.ents {
+				d.dense[ent.g] = ent.id
+			}
+			sh.ents = sh.ents[:0]
+			return nil
+		})
 	}
 }
 
@@ -181,7 +437,7 @@ func NewDedupFromGlobals(total int64, globals []int64) *Dedup {
 // cost. Canonical subspaces (sealed snapshots, deserialized caches) are
 // exactly this shape: their ids are ascending-global by construction and
 // their state set never grows. The list is adopted, not copied; Add and
-// Renumber panic.
+// AddChunks panic.
 func NewSortedDedup(globals []int64) *Dedup {
 	return &Dedup{sorted: true, globals: globals}
 }
@@ -192,25 +448,3 @@ func (d *Dedup) Len() int { return len(d.globals) }
 // Globals returns the added global indexes in id order. The slice aliases
 // the table; callers must not modify it.
 func (d *Dedup) Globals() []int64 { return d.globals }
-
-// Renumber reassigns local ids so that id order equals the given
-// permutation: order[newID] is the old id whose global now gets newID.
-// Used by the frontier engine to canonicalize discovery-order ids into
-// ascending-global order after exploration.
-func (d *Dedup) Renumber(order []int32) {
-	if d.sorted {
-		panic("statespace: Renumber on a sealed dedup table")
-	}
-	remapped := make([]int64, len(order))
-	for newID, old := range order {
-		g := d.globals[old]
-		remapped[newID] = g
-		if d.dense != nil {
-			d.dense[g] = int32(newID)
-		}
-	}
-	d.globals = remapped
-	if d.dense == nil {
-		d.rehash(len(d.slots))
-	}
-}

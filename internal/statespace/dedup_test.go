@@ -2,6 +2,7 @@ package statespace
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -35,25 +36,6 @@ func TestDedupAddLookup(t *testing.T) {
 		}
 		if d.Lookup(1023) != 3 {
 			t.Fatalf("%s: Lookup(1023) = %d, want 3", name, d.Lookup(1023))
-		}
-	}
-}
-
-func TestDedupRenumber(t *testing.T) {
-	for name, d := range dedupTables() {
-		for _, g := range []int64{512, 0, 33} {
-			d.Add(g)
-		}
-		// Renumber into ascending-global order: 0, 33, 512.
-		d.Renumber([]int32{1, 2, 0})
-		want := []int64{0, 33, 512}
-		for i, g := range want {
-			if d.Globals()[i] != g {
-				t.Fatalf("%s: Globals()[%d] = %d, want %d", name, i, d.Globals()[i], g)
-			}
-			if d.Lookup(g) != int32(i) {
-				t.Fatalf("%s: Lookup(%d) = %d, want %d", name, g, d.Lookup(g), i)
-			}
 		}
 	}
 }
@@ -96,8 +78,15 @@ func TestDedupHashedMatchesMap(t *testing.T) {
 	if d.Len() != len(model) {
 		t.Fatalf("Len = %d, want %d", d.Len(), len(model))
 	}
-	if len(d.slots) < 2*d.Len() {
-		t.Fatalf("%d slots for %d entries: table more than half full", len(d.slots), d.Len())
+	used := 0
+	for s, sh := range d.shards {
+		if 2*len(sh.ents) > len(sh.slots) {
+			t.Fatalf("shard %d: %d slots for %d entries: more than half full", s, len(sh.slots), len(sh.ents))
+		}
+		used += len(sh.ents)
+	}
+	if used != d.Len() {
+		t.Fatalf("shards hold %d entries, want %d", used, d.Len())
 	}
 	for g, want := range model {
 		if got := d.Lookup(g); got != want {
@@ -118,28 +107,175 @@ func TestDedupHashedMatchesMap(t *testing.T) {
 	}
 }
 
-// TestDedupRenumberGrown renumbers a hashed table that has already doubled
-// several times into ascending-global order.
-func TestDedupRenumberGrown(t *testing.T) {
+// TestSortedDedupOverGrownTable seals a hashed table that has doubled
+// several times the way Builder.Seal does — CanonicalOrder over its
+// globals, then NewSortedDedup — and checks that the sealed table maps
+// every global to its ascending-global rank and refuses inserts.
+func TestSortedDedupOverGrownTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDedup(DenseDedupLimit + 1)
 	for _, g := range stridedGlobals(rng, 8*minDedupSlots) {
 		d.Add(g)
 	}
-	sorted, order := CanonicalOrder(d.Globals())
-	d.Renumber(order)
+	sorted, order := CanonicalOrder(d.Globals(), 3)
+	sealed := NewSortedDedup(sorted)
 	for i, g := range sorted {
-		if d.Globals()[i] != g {
-			t.Fatalf("Globals()[%d] = %d, want %d", i, d.Globals()[i], g)
+		if d.Globals()[order[i]] != g {
+			t.Fatalf("order[%d] = %d does not hold global %d", i, order[i], g)
 		}
-		if got := d.Lookup(g); got != int32(i) {
-			t.Fatalf("Lookup(%d) = %d after Renumber, want %d", g, got, i)
+		if got := sealed.Lookup(g); got != int32(i) {
+			t.Fatalf("sealed Lookup(%d) = %d, want %d", g, got, i)
 		}
 	}
-	// The renumbered table keeps growing correctly.
-	next := int64(1) << 40
-	if id := d.Add(next); id != int32(len(sorted)) || d.Lookup(next) != id {
-		t.Fatalf("Add after Renumber = %d (Lookup %d), want %d", id, d.Lookup(next), len(sorted))
+	if sealed.Lookup(-5) != -1 || sealed.Lookup(1<<40) != -1 {
+		t.Fatal("sealed Lookup of an absent global succeeded")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add on a sealed table did not panic")
+		}
+	}()
+	sealed.Add(1 << 40)
+}
+
+// addChunksBatches splits keys into chunk batches of the given size, all
+// positions unresolved.
+func addChunksBatches(keys []int64, grain int) ([][]int64, [][]int32) {
+	var to [][]int64
+	var ids [][]int32
+	for lo := 0; lo < len(keys); lo += grain {
+		hi := min(lo+grain, len(keys))
+		id := make([]int32, hi-lo)
+		for i := range id {
+			id[i] = -1
+		}
+		to, ids = append(to, keys[lo:hi]), append(ids, id)
+	}
+	return to, ids
+}
+
+// TestDedupAddChunks pins the parallel batch insert to its serial
+// definition on both table kinds: batches with repeats within and across
+// chunks, globals already in the table and positions the caller resolved
+// itself must leave every position with exactly the id, and the table
+// with exactly the globals, that Add over the unresolved positions in
+// (chunk, position) order gives — at every worker count.
+func TestDedupAddChunks(t *testing.T) {
+	for name, total := range map[string]int64{"dense": 1 << 16, "hashed": DenseDedupLimit + 1} {
+		for _, workers := range []int{1, 2, 5, 16} {
+			rng := rand.New(rand.NewSource(3))
+			d, serial := NewDedup(total), NewDedup(total)
+			for _, g := range []int64{40, 7, 9000} {
+				d.Add(g)
+				serial.Add(g)
+			}
+			for round := 0; round < 4; round++ {
+				keys := make([]int64, 3000)
+				for i := range keys {
+					keys[i] = rng.Int63n(1 << 14)
+				}
+				to, ids := addChunksBatches(keys, 256)
+				ids[1][3] = d.Lookup(to[1][3]) // a caller-resolved position
+				want := make([][]int32, len(ids))
+				for c := range to {
+					want[c] = slices.Clone(ids[c])
+					for i, g := range to[c] {
+						if want[c][i] < 0 {
+							want[c][i] = serial.Add(g)
+						}
+					}
+				}
+				before := d.Len()
+				added, ok := d.AddChunks(to, ids, 1<<20, workers)
+				if !ok || added != serial.Len()-before {
+					t.Fatalf("%s w=%d: AddChunks = (%d, %v), want (%d, true)", name, workers, added, ok, serial.Len()-before)
+				}
+				for c := range ids {
+					if !slices.Equal(ids[c], want[c]) {
+						t.Fatalf("%s w=%d round %d: chunk %d ids differ from serial Add", name, workers, round, c)
+					}
+				}
+				if !slices.Equal(d.Globals(), serial.Globals()) {
+					t.Fatalf("%s w=%d round %d: globals differ from serial Add", name, workers, round)
+				}
+				for _, g := range keys {
+					if d.Lookup(g) != serial.Lookup(g) {
+						t.Fatalf("%s w=%d: Lookup(%d) = %d, want %d", name, workers, g, d.Lookup(g), serial.Lookup(g))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDedupAddChunksLimit pins the inclusive limit of the batch insert: a
+// batch that brings the table to exactly limit globals is admitted, and
+// the same batch under limit-1 is refused with the would-be count.
+func TestDedupAddChunksLimit(t *testing.T) {
+	for name, total := range map[string]int64{"dense": 1 << 16, "hashed": DenseDedupLimit + 1} {
+		keys := []int64{5, 9, 5, 11, 9, 300, 5}
+		for _, limit := range []int{4, 3} {
+			d := NewDedup(total)
+			to, ids := addChunksBatches(keys, 2)
+			added, ok := d.AddChunks(to, ids, limit, 4)
+			if added != 4 || ok != (limit == 4) {
+				t.Fatalf("%s limit %d: AddChunks = (%d, %v), want (4, %v)", name, limit, added, ok, limit == 4)
+			}
+		}
+	}
+}
+
+// TestDedupAddChunksRounds covers batches larger than one round
+// (addBatch positions): with ids, the outcome is still exactly serial Add;
+// with nil ids, the same set of globals is added, numbered identically at
+// every worker count; and a limit exceeded in the first round still
+// reports the batch's exact count of new globals.
+func TestDedupAddChunksRounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("inserts 1.5M positions per table kind")
+	}
+	rng := rand.New(rand.NewSource(4))
+	keys := make([]int64, addBatch+addBatch/2)
+	for i := range keys {
+		keys[i] = rng.Int63n(1 << 21)
+	}
+	for name, total := range map[string]int64{"dense": 1 << 21, "hashed": DenseDedupLimit + 1} {
+		serial := NewDedup(total)
+		for _, g := range keys {
+			serial.Add(g)
+		}
+		d := NewDedup(total)
+		to, ids := addChunksBatches(keys, addBatch/4)
+		if added, ok := d.AddChunks(to, ids, serial.Len(), 3); !ok || added != serial.Len() || !slices.Equal(d.Globals(), serial.Globals()) {
+			t.Fatalf("%s: AddChunks over two rounds = (%d, %v), differs from serial Add (%d)", name, added, ok, serial.Len())
+		}
+		for c := range to {
+			for i, g := range to[c] {
+				if ids[c][i] != serial.Lookup(g) {
+					t.Fatalf("%s: global %d resolved to %d, want %d", name, g, ids[c][i], serial.Lookup(g))
+				}
+			}
+		}
+		var ref []int64
+		for _, workers := range []int{1, 3} {
+			d := NewDedup(total)
+			if added, ok := d.AddChunks(to, nil, serial.Len(), workers); !ok || added != serial.Len() {
+				t.Fatalf("%s w=%d: AddChunks(nil ids) = (%d, %v), want (%d, true)", name, workers, added, ok, serial.Len())
+			}
+			for i, g := range d.Globals() {
+				if d.Lookup(g) != int32(i) || serial.Lookup(g) < 0 {
+					t.Fatalf("%s w=%d: global %d at id %d is not the table's or serial Add's", name, workers, g, i)
+				}
+			}
+			if ref == nil {
+				ref = slices.Clone(d.Globals())
+			} else if !slices.Equal(ref, d.Globals()) {
+				t.Fatalf("%s w=%d: nil-ids numbering differs from 1 worker", name, workers)
+			}
+		}
+		if added, ok := NewDedup(total).AddChunks(to, nil, addBatch/2, 3); ok || added != serial.Len() {
+			t.Fatalf("%s: AddChunks under a first-round limit = (%d, %v), want (%d, false)", name, added, ok, serial.Len())
+		}
 	}
 }
 

@@ -10,16 +10,17 @@
 //
 // Determinism: exploration alternates a parallel expansion phase (workers
 // claim fixed-grain chunks of the current BFS level and compute successor
-// rows with global targets, resolving already-known targets against the
-// read-only dedup table) with a serial stitch phase that assigns local ids
-// to newly discovered states in chunk-and-row order. After the BFS
-// terminates, local ids are canonicalized to ascending-global order, so
-// the Space — rows, probabilities, legitimacy, and every analysis run
-// over it — is a pure function of (algorithm, policy, seed set),
-// independent of worker count and discovery schedule. Because BFS closes
-// the successor relation before the space is sealed, downstream
-// condensations (Tarjan over the transient subgraph, the hitting-time
-// block solver) see exactly the closed reachable edge set.
+// rows with global targets) with a parallel insertion phase: the level's
+// rows land at prefix-summed offsets in a storage segment of their own,
+// and Dedup.AddChunks resolves every target shard by shard, giving new
+// states ids in the order a serial insert in chunk-and-row order would.
+// Sealing canonicalizes local ids to ascending-global order, so the Space
+// — rows, probabilities, legitimacy, and every analysis run over it — is a
+// pure function of (algorithm, policy, seed set), independent of worker
+// count and discovery schedule. Because BFS closes the successor relation
+// before the space is sealed, downstream condensations (Tarjan over the
+// transient subgraph, the hitting-time block solver) see exactly the
+// closed reachable edge set.
 package statespace
 
 import (
@@ -32,22 +33,20 @@ import (
 
 // frontierGrain is the chunk size workers claim from the current BFS
 // level. It is a constant — never derived from the worker count — so the
-// serial stitch order, and with it every assigned local id, is identical
-// for every pool size.
+// chunk order of the insertion phase, and with it every assigned local id,
+// is identical for every pool size.
 const frontierGrain = 1 << 10
 
 // frontierChunk is one chunk's exploration output: per-state degrees and
 // legitimacy, and the concatenated successor rows with global targets.
-// local[i] caches the read-only dedup resolution of to[i] from the
-// parallel phase (-1 when the target was not yet discovered at phase
-// start; the serial stitch resolves or assigns those).
+// rowAt and refAt place the chunk's rows and references in its level's
+// segment.
 type frontierChunk struct {
-	deg   []int32
-	legit []bool
-	to    []int64
-	local []int32
-	prob  []float64
-	fresh int // targets with local[i] < 0: an upper bound on new ids
+	deg          []int32
+	legit        []bool
+	to           []int64
+	prob         []float64
+	rowAt, refAt int
 }
 
 // BuildFromContext explores the forward closure of the seed set (global
@@ -75,7 +74,7 @@ func BuildFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.P
 	if err := b.ExtendContext(ctx, seeds); err != nil {
 		return nil, err
 	}
-	return b.seal(true), nil
+	return b.Seal(), nil
 }
 
 // EncodeConfigs validates each configuration against a's process domains
@@ -103,21 +102,28 @@ func EncodeConfigs(a protocol.Algorithm, cfgs []protocol.Configuration) ([]int64
 	return seeds, nil
 }
 
-// CanonicalOrder sorts a duplicate-free global list indexed by id into
-// ascending-global order: it returns the sorted globals and the permutation
-// order (new id -> old id), so sorted[i] == globals[order[i]]. The input is
-// not modified. Every canonical form in the pipeline — sealed subspaces,
-// canonicalized BuildFromContext results, the sorted fault ball — goes
+// sealGrain is the fixed chunk size of the seal's parallel passes (the
+// radix sort's per-chunk histograms, the row permutation). Like
+// frontierGrain it never depends on the worker count.
+const sealGrain = 1 << 14
+
+// CanonicalOrder sorts a duplicate-free global list indexed by id
+// into ascending-global order: it returns the sorted globals and the
+// permutation order (new id -> old id), so sorted[i] == globals[order[i]].
+// The input is not modified. Every canonical form in the pipeline — sealed
+// subspaces, BuildFromContext results, the sorted fault ball — goes
 // through this one sort.
 //
 // It is a least-significant-digit radix sort on g - min(g), one byte per
-// pass and only as many passes as the span needs: one counting scan
-// histograms every byte, then each byte costs one stable scatter of
-// (global, id) pairs, ping-ponging between the outputs and one scratch
-// pair so that the last scatter lands in the outputs. The globals are
-// distinct, so the order is unique: exactly the one any comparison sort
-// produces.
-func CanonicalOrder(globals []int64) (sorted []int64, order []int32) {
+// pass and only as many passes as the span needs. Each pass runs on
+// workers (0 means runtime.NumCPU()) over fixed sealGrain chunks: every
+// chunk histograms its bytes, a prefix sum in (byte, chunk) order gives
+// each chunk its run of every bucket, and every chunk scatters its
+// (global, id) pairs stably into its runs, ping-ponging between the
+// outputs and one scratch pair so that the last scatter lands in the
+// outputs. The globals are distinct, so the order is unique: exactly the
+// one any comparison sort produces, at every worker count.
+func CanonicalOrder(globals []int64, workers int) (sorted []int64, order []int32) {
 	n := len(globals)
 	sorted, order = make([]int64, n), make([]int32, n)
 	if n == 0 {
@@ -137,80 +143,97 @@ func CanonicalOrder(globals []int64) (sorted []int64, order []int32) {
 		sorted[0] = globals[0]
 		return sorted, order
 	}
-	var count [8][256]int32
-	for _, g := range globals {
-		key := uint64(g) - uint64(lo)
-		for b := uint(0); b < width; b++ {
-			count[b][key>>(8*b)&0xff]++
-		}
-	}
+	hist := make([][256]int32, (n+sealGrain-1)/sealGrain)
 	bufG := [2][]int64{sorted, make([]int64, n)}
 	bufO := [2][]int32{order, make([]int32, n)}
 	srcG, srcO := globals, []int32(nil) // nil: ids are input positions
 	dst := (width - 1) % 2              // the last scatter writes buffer 0
 	for b := uint(0); b < width; b++ {
-		shift, c := 8*b, &count[b]
+		shift := 8 * b
+		_ = ForRanges(n, workers, sealGrain, func(clo, chi int) error {
+			h := &hist[clo/sealGrain]
+			*h = [256]int32{}
+			for _, g := range srcG[clo:chi] {
+				h[(uint64(g)-uint64(lo))>>shift&0xff]++
+			}
+			return nil
+		})
 		at := int32(0)
-		for d, k := range c {
-			c[d] = at
-			at += k
+		for d := range 256 {
+			for c := range hist {
+				k := hist[c][d]
+				hist[c][d] = at
+				at += k
+			}
 		}
 		dstG, dstO := bufG[dst], bufO[dst]
-		for i, g := range srcG {
-			id := int32(i)
-			if srcO != nil {
-				id = srcO[i]
+		_ = ForRanges(n, workers, sealGrain, func(clo, chi int) error {
+			h := &hist[clo/sealGrain]
+			for i := clo; i < chi; i++ {
+				g, id := srcG[i], int32(i)
+				if srcO != nil {
+					id = srcO[i]
+				}
+				d := (uint64(g) - uint64(lo)) >> shift & 0xff
+				dstG[h[d]], dstO[h[d]] = g, id
+				h[d]++
 			}
-			d := (uint64(g) - uint64(lo)) >> shift & 0xff
-			dstG[c[d]], dstO[c[d]] = g, id
-			c[d]++
-		}
+			return nil
+		})
 		srcG, srcO = dstG, dstO
 		dst ^= 1
 	}
 	return sorted, order
 }
 
-// permuteCSR writes the CSR triple and legitimacy vector permuted by order
-// (new id -> old id) into fresh arrays, remapping row targets through the
+// permuteCSR writes the rows of the shells permuted by order (new id ->
+// old id) into fresh canonical storage, remapping row targets through the
 // inverse permutation. Because row targets were merged in ascending
-// *global* order, every remapped row stays sorted without re-sorting.
-func permuteCSR(order []int32, off []int64, succ []int32, prob []float64, legit []bool) ([]int64, []int32, []float64, []bool) {
+// *global* order, every remapped row stays sorted without re-sorting. It
+// runs on workers over fixed sealGrain ranges of old ids, each read
+// sequentially from its shells: a pass that scatters the degrees to their
+// new rows, a prefix sum over the degrees, and a pass that copies each
+// row to its offset.
+func permuteCSR(order []int32, shells []shellRows, edges int64, workers int) ([]int64, []int32, []float64, []bool) {
 	n := len(order)
 	perm := make([]int32, n) // old id -> new id
-	for newID, old := range order {
-		perm[old] = int32(newID)
-	}
-	newOff := make([]int64, n+1)
-	newSucc := make([]int32, len(succ))
-	newProb := make([]float64, len(prob))
-	newLegit := make([]bool, n)
-	at := int64(0)
-	for newID, old := range order {
-		newOff[newID] = at
-		row := succ[off[old]:off[old+1]]
-		prow := prob[off[old]:off[old+1]]
-		for j, t := range row {
-			newSucc[at+int64(j)] = perm[t]
-			newProb[at+int64(j)] = prow[j]
+	_ = ForRanges(n, workers, sealGrain, func(lo, hi int) error {
+		for newID := lo; newID < hi; newID++ {
+			perm[order[newID]] = int32(newID)
 		}
-		at += int64(len(row))
-		newLegit[newID] = legit[old]
+		return nil
+	})
+	off := make([]int64, n+1)
+	succ := make([]int32, edges)
+	prob := make([]float64, edges)
+	legit := make([]bool, n)
+	_ = ForRanges(n, workers, sealGrain, func(lo, hi int) error {
+		for s, r := shellOf(shells, int32(lo)); lo < hi; lo, r = lo+1, r+1 {
+			for r == len(shells[s].legit) {
+				s, r = s+1, 0
+			}
+			sh := &shells[s]
+			off[perm[lo]+1] = sh.off[r+1] - sh.off[r]
+		}
+		return nil
+	})
+	for i := range n {
+		off[i+1] += off[i]
 	}
-	newOff[n] = at
-	return newOff, newSucc, newProb, newLegit
-}
-
-// canonicalize renumbers local ids into ascending-global order and remaps
-// the CSR accordingly. Discovery order depends on the seed ordering and
-// BFS schedule; ascending-global order is a canonical function of the seed
-// *set* and aligns subspace iteration order with full-space iteration
-// order (so analyses pick identical witnesses). The arrays and the
-// table's globals are always rewritten into fresh, exactly sized storage
-// (even when discovery order happens to be canonical), so a space adopted
-// from a Builder never pins the builder's per-shell growth headroom.
-func (sp *Space) canonicalize() {
-	_, order := CanonicalOrder(sp.table.Globals())
-	sp.off, sp.succ, sp.prob, sp.Legit = permuteCSR(order, sp.off, sp.succ, sp.prob, sp.Legit)
-	sp.table.Renumber(order)
+	_ = ForRanges(n, workers, sealGrain, func(lo, hi int) error {
+		for s, r := shellOf(shells, int32(lo)); lo < hi; lo, r = lo+1, r+1 {
+			for r == len(shells[s].legit) {
+				s, r = s+1, 0
+			}
+			sh, newID := &shells[s], perm[lo]
+			from, to, at := sh.off[r], sh.off[r+1], off[newID]
+			for j, t := range sh.succ[from:to] {
+				succ[at+int64(j)] = perm[t]
+			}
+			copy(prob[at:], sh.prob[from:to])
+			legit[newID] = sh.legit[r]
+		}
+		return nil
+	})
+	return off, succ, prob, legit
 }

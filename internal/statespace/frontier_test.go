@@ -8,6 +8,7 @@ import (
 	"weakstab/internal/algorithms/leadertree"
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/graph"
+	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 )
@@ -197,42 +198,96 @@ func TestBuildFromSubsetParity(t *testing.T) {
 	}
 }
 
-// TestBuildFromDeterministicAcrossWorkers pins the exact equality of two
-// frontier explorations at different pool sizes.
+// faultBall returns the configurations of a within k single-process
+// mutations of its closed-form legitimate set: the seed set of the
+// k-fault closure, built here without the checker.
+func faultBall(t *testing.T, a protocol.LegitEnumerator, k int) []int64 {
+	t.Helper()
+	enc, err := protocol.NewEncoder(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]bool{}
+	var ball []int64
+	a.EnumerateLegitimate(func(cfg protocol.Configuration) bool {
+		if g := enc.Encode(cfg); !seen[g] {
+			seen[g] = true
+			ball = append(ball, g)
+		}
+		return true
+	})
+	cfg := make(protocol.Configuration, a.Graph().N())
+	for lo, d := 0, 0; d < k; d++ {
+		hi := len(ball)
+		for _, g := range ball[lo:hi] {
+			cfg = enc.Decode(g, cfg)
+			for p := range cfg {
+				for v := 0; v < a.StateCount(p); v++ {
+					if ng := g + int64(v-cfg[p])*enc.Weight(p); !seen[ng] {
+						seen[ng] = true
+						ball = append(ball, ng)
+					}
+				}
+			}
+		}
+		lo = hi
+	}
+	return ball
+}
+
+// TestBuildFromDeterministicAcrossWorkers pins the exact equality of
+// frontier explorations at different pool sizes on a hashed index range
+// (tokenring(16): 3^16 configurations, above DenseDedupLimit) whose BFS
+// levels span many frontierGrain chunks — the 2-fault closure, 163,788
+// states (the 1-fault closure in short mode). The sealed CSR, globals and
+// Legit and the frontier.shell stream must not depend on the worker count.
 func TestBuildFromDeterministicAcrossWorkers(t *testing.T) {
-	ring, err := tokenring.New(6)
+	ring, err := tokenring.New(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := []int64{7, 123, 4000}
-	base, err := BuildFromContext(t.Context(), ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	k := 2
+	if testing.Short() {
+		k = 1
 	}
-	for _, workers := range []int{2, 5, 16} {
-		got, err := BuildFromContext(t.Context(), ring, scheduler.DistributedPolicy{}, seeds, Options{Workers: workers})
+	seeds := faultBall(t, ring, k)
+	var (
+		base       *Space
+		baseShells []obs.FrontierShell
+	)
+	for _, workers := range []int{1, 2, 5, 16} {
+		o := obs.New()
+		var shells []obs.FrontierShell
+		o.AddHook(func(name string, payload any) {
+			if name == "frontier.shell" {
+				shells = append(shells, payload.(obs.FrontierShell))
+			}
+		})
+		got, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{Workers: workers, Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.States != base.States || got.Edges() != base.Edges() {
-			t.Fatalf("w=%d: shape differs", workers)
+		if base == nil {
+			if got.Enc.Total() <= DenseDedupLimit {
+				t.Fatalf("%d configurations: the range must be hashed", got.Enc.Total())
+			}
+			if widest := slices.MaxFunc(shells, func(a, b obs.FrontierShell) int { return a.Expanded - b.Expanded }); widest.Expanded <= frontierGrain {
+				t.Fatalf("widest level expands %d states: it must span several chunks", widest.Expanded)
+			}
+			base, baseShells = got, shells
+			continue
 		}
 		bOff, bSucc, bProb := base.CSR()
 		gOff, gSucc, gProb := got.CSR()
-		for s := 0; s <= base.States; s++ {
-			if bOff[s] != gOff[s] {
-				t.Fatalf("w=%d: offsets differ", workers)
-			}
-		}
-		for i := range bSucc {
-			if bSucc[i] != gSucc[i] || bProb[i] != gProb[i] {
-				t.Fatalf("w=%d: edges differ at %d", workers, i)
-			}
-		}
-		for s := 0; s < base.States; s++ {
-			if base.GlobalIndex(s) != got.GlobalIndex(s) {
-				t.Fatalf("w=%d: globals differ at %d", workers, s)
-			}
+		switch {
+		case got.States != base.States || !slices.Equal(bOff, gOff) || !slices.Equal(bSucc, gSucc) || !slices.Equal(bProb, gProb):
+			t.Fatalf("w=%d: sealed CSR differs from 1 worker", workers)
+		case !slices.Equal(base.Globals(), got.Globals()):
+			t.Fatalf("w=%d: globals differ from 1 worker", workers)
+		case !slices.Equal(base.Legit, got.Legit):
+			t.Fatalf("w=%d: Legit differs from 1 worker", workers)
+		case !slices.Equal(baseShells, shells):
+			t.Fatalf("w=%d: frontier.shell stream differs from 1 worker:\n%v\n%v", workers, shells, baseShells)
 		}
 	}
 }

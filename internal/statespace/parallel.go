@@ -21,7 +21,9 @@ import (
 // the caller's own stack no longer contains.
 //
 // It is the only worker pool of the analysis: exploration (BuildContext,
-// Builder.explore), the legitimacy seed scan of the fault ball, successor
+// Builder.explore), the sharded dedup insert (Dedup.AddChunks), the seal's
+// radix sort and row permutation, the fault ball's mutation shells and
+// legitimacy seed scan, successor
 // validation on load, the reverse-CSR counting sort and backward BFS, the
 // parallel CRC, row checks (markov.CheckRows), the hitting-time level
 // chunks and red-black sweeps, the Monte Carlo batches (mc.RunContext)
