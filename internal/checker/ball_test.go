@@ -9,6 +9,7 @@ package checker
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -270,6 +271,41 @@ func TestFaultBallRespectsCap(t *testing.T) {
 		if _, _, err := FaultBallContext(t.Context(), big, 1, workers, B-1); err == nil || err.Error() != want {
 			t.Fatalf("w=%d maxStates=%d on a %d-state ball: err=%v, want %q", workers, B-1, B, err, want)
 		}
+	}
+}
+
+// TestFaultBallCapBoundsMemory: a ball that breaks the cap fails within
+// one insert group of it instead of first holding its whole mutation
+// shell. dijkstra(11,11)'s distance-2 shell spawns about 11.5M mutations
+// (92 MB of globals alone, more for their table entries); with the cap at
+// twice the distance-1 ball, the failing enumeration may allocate, beyond
+// what the distance-1 ball costs, at most 128 bytes per state of the cap
+// plus one group.
+func TestFaultBallCapBoundsMemory(t *testing.T) {
+	a, err := dijkstra.New(11, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var ball1 []int64
+	base := allocs(func() { ball1, _, err = FaultBallContext(t.Context(), a, 1, 2, 0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	capStates := 2 * int64(len(ball1))
+	grown := allocs(func() { _, _, err = FaultBallContext(t.Context(), a, 2, 2, capStates) })
+	want := fmt.Sprintf("checker: distance-2 fault ball exceeds the %d-state cap", capStates)
+	if err == nil || err.Error() != want {
+		t.Fatalf("err=%v, want %q", err, want)
+	}
+	if limit := 128 * uint64(capStates+ballBatch); grown > base+limit {
+		t.Fatalf("cap-exceeding ball allocated %d bytes beyond the distance-1 ball's %d, want at most %d", grown-base, base, limit)
 	}
 }
 

@@ -51,8 +51,13 @@ type ballGrower struct {
 }
 
 // ballGrain is the fixed number of shell configurations one grow chunk
-// mutates; like frontierGrain it never depends on the worker count.
-const ballGrain = 1 << 10
+// mutates, and ballBatch about the number of mutations one group of
+// chunks holds (at most one Dedup.AddChunks round); like frontierGrain
+// neither depends on the worker count.
+const (
+	ballGrain = 1 << 10
+	ballBatch = 1 << 20
+)
 
 // newBallGrower returns the radius-0 ball (the legitimate set itself),
 // seeded from the algorithm's closed-form enumeration when it implements
@@ -218,49 +223,57 @@ func (b *ballGrower) seedScan(ctx context.Context) error {
 
 // grow expands the ball by one mutation shell: every configuration at
 // distance exactly k — the id range of shell k — spawns its
-// single-process mutations in parallel chunks, and the sharded insert
-// (statespace.Dedup.AddChunks) admits the new ones at distance k+1. ctx
-// is checked once per shell, at entry.
+// single-process mutations in parallel chunks, and the batch insert
+// (statespace.Dedup.AddChunks) admits the new ones at distance k+1 in the
+// order a serial scan would. The shell goes in groups of about ballBatch
+// mutations, so a ball that breaks the cap fails within one group of it.
+// ctx is checked once per shell, at entry.
 func (b *ballGrower) grow(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("checker: ball enumeration canceled at radius %d: %w", b.k, err)
 	}
 	n := b.a.Graph().N()
 	end := b.ball.Len()
-	shell := b.ball.Globals()[b.lo:end] // mutation only reads, so no insert moves it
-	// Each chunk's mutations, in generation order.
-	to := make([][]int64, (len(shell)+ballGrain-1)/ballGrain)
+	shell := b.ball.Globals()[b.lo:end] // inserts only append, so the shell stays put
 	perConfig := 0
 	for p := 0; p < n; p++ {
 		perConfig += b.a.StateCount(p) - 1
 	}
-	_ = statespace.ForRanges(len(shell), b.workers, ballGrain, func(clo, chi int) error {
-		cfg, out := make(protocol.Configuration, n), make([]int64, 0, (chi-clo)*perConfig)
-		for _, g := range shell[clo:chi] {
-			cfg = b.enc.Decode(g, cfg)
-			for p := 0; p < n; p++ {
-				orig := cfg[p]
-				w := b.enc.Weight(p)
-				for v := 0; v < b.a.StateCount(p); v++ {
-					if v != orig {
-						out = append(out, g+int64(v-orig)*w)
+	group := max(1, ballBatch/(max(1, perConfig)*ballGrain)) * ballGrain
+	// Each chunk's mutations in generation order, all unresolved.
+	to, ids := make([][]int64, group/ballGrain), make([][]int32, group/ballGrain)
+	for glo := 0; glo < len(shell); glo += group {
+		part := shell[glo:min(glo+group, len(shell))]
+		_ = statespace.ForRanges(len(part), b.workers, ballGrain, func(clo, chi int) error {
+			c, cfg := clo/ballGrain, make(protocol.Configuration, n)
+			out, id := slices.Grow(to[c][:0], (chi-clo)*perConfig), slices.Grow(ids[c][:0], (chi-clo)*perConfig)
+			for _, g := range part[clo:chi] {
+				cfg = b.enc.Decode(g, cfg)
+				for p := 0; p < n; p++ {
+					orig := cfg[p]
+					w := b.enc.Weight(p)
+					for v := 0; v < b.a.StateCount(p); v++ {
+						if v != orig {
+							out, id = append(out, g+int64(v-orig)*w), append(id, -1)
+						}
 					}
 				}
 			}
+			to[c], ids[c] = out, id
+			return nil
+		})
+		chunks := (len(part) + ballGrain - 1) / ballGrain
+		// Inclusive cap: the maxStates-th discovered state is admitted;
+		// only the one after fails — the same semantics as the frontier
+		// engine's discovery cap.
+		added, ok := b.ball.AddChunks(to[:chunks], ids[:chunks], int(b.maxStates), b.workers)
+		if !ok {
+			return fmt.Errorf("checker: distance-%d fault ball exceeds the %d-state cap", b.k+1, b.maxStates)
 		}
-		to[clo/ballGrain] = out
-		return nil
-	})
-	// Inclusive cap: the maxStates-th discovered state is admitted; only
-	// the one after fails — the same semantics as the frontier engine's
-	// discovery cap.
-	added, ok := b.ball.AddChunks(to, nil, int(b.maxStates), b.workers)
-	if !ok {
-		return fmt.Errorf("checker: distance-%d fault ball exceeds the %d-state cap", b.k+1, b.maxStates)
-	}
-	b.dist = slices.Grow(b.dist, added)
-	for range added {
-		b.dist = append(b.dist, b.k+1)
+		b.dist = slices.Grow(b.dist, added)
+		for range added {
+			b.dist = append(b.dist, b.k+1)
+		}
 	}
 	b.lo = end
 	b.k++
@@ -282,12 +295,9 @@ func (b *ballGrower) growTo(ctx context.Context, k int) error {
 func (b *ballGrower) sorted() ([]int64, []int) {
 	outG, order := statespace.CanonicalOrder(b.ball.Globals(), b.workers)
 	outD := make([]int, len(order))
-	_ = statespace.ForRanges(len(order), b.workers, 1<<14, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			outD[i] = b.dist[order[i]]
-		}
-		return nil
-	})
+	for i, o := range order {
+		outD[i] = b.dist[o]
+	}
 	return outG, outD
 }
 

@@ -157,21 +157,11 @@ func (b *Builder) addSeeds(seeds []int64) error {
 		if g < 0 || g >= b.enc.Total() {
 			return fmt.Errorf("statespace: seed index %d outside configuration space [0,%d)", g, b.enc.Total())
 		}
-	}
-	// Seeds get ids in seed order, as serial Adds would give them.
-	all := make([]int32, len(seeds))
-	var to [][]int64
-	var ids [][]int32
-	for lo := 0; lo < len(seeds); lo += frontierGrain {
-		hi := min(lo+frontierGrain, len(seeds))
-		to, ids = append(to, seeds[lo:hi]), append(ids, all[lo:hi])
-	}
-	for i := range all {
-		all[i] = -1
+		b.table.Add(g)
 	}
 	// Inclusive cap: exactly maxStates distinct seeds are admitted.
-	if added, ok := b.table.AddChunks(to, ids, int(b.maxStates), b.workers); !ok {
-		return fmt.Errorf("statespace: %d seeds exceed the %d-state cap", b.table.Len()+added, b.maxStates)
+	if int64(b.table.Len()) > b.maxStates {
+		return fmt.Errorf("statespace: %d seeds exceed the %d-state cap", b.table.Len(), b.maxStates)
 	}
 	return nil
 }

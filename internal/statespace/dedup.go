@@ -28,8 +28,9 @@ import (
 // Concurrency contract: Lookup is safe from any number of goroutines while
 // no insertion runs (Lookup only reads the table; the frontier engine
 // alternates a parallel read-only expansion phase with an insertion
-// phase). AddChunks is the parallel insertion: it runs its own workers,
-// one per shard at a time, and must not overlap Lookup or another insert.
+// phase). AddChunks is the parallel insertion: on a hash table it runs its
+// own workers, one per shard at a time. It must not overlap Lookup or
+// another insert.
 // Add inserts one global and must be serialized by the caller.
 
 // DenseDedupLimit is the index-range size up to which Dedup uses the dense
@@ -37,9 +38,8 @@ import (
 // hash table. The dense array wins below it: one probe, no hashing.
 const DenseDedupLimit = 1 << 22
 
-// dedupShardBits fixes the shard count of a table: the top dedupShardBits
-// bits of a global's hash pick its shard, in dense tables too, where the
-// shard only holds the globals an AddChunks round has made pending.
+// dedupShardBits fixes the shard count of a hash table: the top
+// dedupShardBits bits of a global's hash pick its shard.
 const (
 	dedupShardBits = 6
 	dedupShards    = 1 << dedupShardBits
@@ -54,24 +54,23 @@ const minDedupSlots = 1 << 10
 // NewSortedDedup (sealed, binary-searched).
 type Dedup struct {
 	dense   []int32      // global -> local id, -1 when absent (small ranges)
-	shards  []dedupShard // growable tables: nil when sorted
+	shards  []dedupShard // hash table (large ranges)
 	sorted  bool         // sealed: globals strictly ascending, Lookup binary-searches
 	globals []int64      // local id -> global index
 
 	routes []dedupRoute // AddChunks scratch, one per chunk of a round
 }
 
-// dedupShard is one shard of a growable table. During an AddChunks round a
+// dedupShard is one shard of a hash table. During an AddChunks round a
 // global the table has not seen is pending: it is the entry first+j, whose
-// id stays -1 until the round assigns it, and a dense table's entry for it
-// holds -2-j meanwhile. count[c] is the number of the round's pending
-// globals first occurring in chunk c; once the round places ids it is the
-// j of the first of them.
+// id stays -1 until the round assigns it. count[c] is the number of the
+// round's pending globals first occurring in chunk c; once the round
+// places ids it is the j of the first of them.
 type dedupShard struct {
-	ents  []dedupEnt // hashed tables: every global; dense tables: the round's pending ones
-	slots []int32    // hashed tables: index into ents, -1 when empty
-	shift uint       // 64 - log2(len(slots)): the home slot keeps the top bits
-	first int        // the round's first pending entry
+	ents  []dedupEnt
+	slots []int32 // index into ents, -1 when empty
+	shift uint    // 64 - log2(len(slots)): the home slot keeps the top bits
+	first int     // the round's first pending entry
 	count []int32
 }
 
@@ -102,7 +101,7 @@ func hashGlobal(g int64) uint64 { return uint64(g) * 0x9e3779b97f4a7c15 }
 
 // NewDedup returns an empty table for global indexes in [0, total).
 func NewDedup(total int64) *Dedup {
-	d := &Dedup{shards: make([]dedupShard, dedupShards)}
+	d := &Dedup{}
 	if total <= DenseDedupLimit {
 		d.dense = make([]int32, total)
 		for i := range d.dense {
@@ -110,6 +109,7 @@ func NewDedup(total int64) *Dedup {
 		}
 		return d
 	}
+	d.shards = make([]dedupShard, dedupShards)
 	for s := range d.shards {
 		d.shards[s].rehash(minDedupSlots / dedupShards)
 	}
@@ -222,22 +222,14 @@ func (d *Dedup) Add(g int64) int32 {
 // first occurred earlier in the round. Only the goroutine owning sh may
 // call it.
 func (d *Dedup) addPending(sh *dedupShard, h uint64, g int64, c int) int32 {
-	if d.dense != nil {
-		if v := d.dense[g]; v != -1 {
-			return v
+	i := sh.probe(h, g)
+	if e := sh.slots[i]; e >= 0 {
+		if id := sh.ents[e].id; id >= 0 {
+			return id
 		}
-		d.dense[g] = int32(-2 - (len(sh.ents) - sh.first))
-		sh.ents = append(sh.ents, dedupEnt{g, -1})
-	} else {
-		i := sh.probe(h, g)
-		if e := sh.slots[i]; e >= 0 {
-			if id := sh.ents[e].id; id >= 0 {
-				return id
-			}
-			return int32(-2 - (int(e) - sh.first))
-		}
-		sh.insert(i, g, -1)
+		return int32(-2 - (int(e) - sh.first))
 	}
+	sh.insert(i, g, -1)
 	sh.count[c]++
 	return -1
 }
@@ -252,13 +244,12 @@ const addBatch = 1 << 20
 // position i with ids[c][i] < 0, in (chunk, position) order, and storing
 // the returned id in ids[c][i]. New globals thus get the ids [Len(),
 // Len()+added) in the order of their first occurrence, whatever workers
-// is (0 means runtime.NumCPU()). A nil ids inserts every position and
-// numbers the new globals in (round, shard, first occurrence) order
-// instead, which skips the per-position passes and is just as independent
-// of workers.
+// is (0 means runtime.NumCPU()).
 //
-// The chunks go in rounds of about addBatch positions (a larger chunk is
-// a round of its own), each in ForRanges phases: every chunk groups its
+// A dense table inserts serially: its probe is one array read, cheaper
+// than routing a position to a shard. A hash table takes the chunks in
+// rounds of about addBatch positions (a larger chunk is a round of its
+// own), each in ForRanges phases: every chunk groups its
 // unresolved positions by shard; every shard inserts its positions in
 // (chunk, position) order, holding the globals it has not seen as pending
 // and counting, per chunk, those that first occur there; a prefix sum of
@@ -266,30 +257,39 @@ const addBatch = 1 << 20
 // which it assigns in position order and reports to their shards; last,
 // every chunk resolves its repeats.
 //
-// When the table would hold more than limit globals, AddChunks counts the
-// new globals of the remaining rounds without assigning ids and returns
-// the total and false; the table is then unusable.
+// When a round (a chunk, on a dense table) brings the table past limit
+// globals, AddChunks stops there and returns false with the count of new
+// globals so far; the table is then unusable.
 func (d *Dedup) AddChunks(to [][]int64, ids [][]int32, limit, workers int) (added int, ok bool) {
 	if d.sorted {
 		panic("statespace: AddChunks on a sealed dedup table")
 	}
-	ok = true
+	if d.dense != nil {
+		before := len(d.globals)
+		for c := range to {
+			for i, g := range to[c] {
+				if ids[c][i] < 0 {
+					ids[c][i] = d.Add(g)
+				}
+			}
+			if len(d.globals) > limit {
+				return len(d.globals) - before, false
+			}
+		}
+		return len(d.globals) - before, true
+	}
+	defer func() { d.routes = nil }() // between inserts the scratch would only raise the heap's high-water mark
 	for lo, hi := 0, 0; lo < len(to); lo = hi {
 		for m := 0; hi < len(to) && (hi == lo || m+len(to[hi]) <= addBatch); hi++ {
 			m += len(to[hi])
 		}
-		var round [][]int32
-		if ids != nil {
-			round = ids[lo:hi]
+		n := d.insertRound(to[lo:hi], ids[lo:hi], workers)
+		if added += n; len(d.globals)+n > limit {
+			return added, false
 		}
-		n := d.insertRound(to[lo:hi], round, workers)
-		added += n
-		if ok = ok && len(d.globals)+n <= limit; ok {
-			d.assignRound(to[lo:hi], round, workers)
-		}
+		d.assignRound(to[lo:hi], ids[lo:hi], workers)
 	}
-	d.routes = nil // between inserts the scratch would only raise the heap's high-water mark
-	return added, ok
+	return added, true
 }
 
 // insertRound groups a round's positions by shard and inserts them,
@@ -298,10 +298,9 @@ func (d *Dedup) insertRound(to [][]int64, ids [][]int32, workers int) (pending i
 	d.routes = slices.Grow(d.routes[:0], len(to))[:len(to)]
 	_ = ForRanges(len(to), workers, 1, func(c, _ int) error {
 		r := &d.routes[c]
-		unresolved := func(i int) bool { return ids == nil || ids[c][i] < 0 }
 		r.start = [dedupShards + 1]int32{}
 		for i, g := range to[c] {
-			if unresolved(i) {
+			if ids[c][i] < 0 {
 				r.start[shardIndex(g)+1]++
 			}
 		}
@@ -312,7 +311,7 @@ func (d *Dedup) insertRound(to [][]int64, ids [][]int32, workers int) (pending i
 		r.keys, r.pos, r.res = slices.Grow(r.keys[:0], m)[:m], slices.Grow(r.pos[:0], m)[:m], slices.Grow(r.res[:0], m)[:m]
 		at := r.start // per-shard write cursors
 		for i, g := range to[c] {
-			if s := shardIndex(g); unresolved(i) {
+			if s := shardIndex(g); ids[c][i] < 0 {
 				r.keys[at[s]], r.pos[at[s]] = g, int32(i)
 				at[s]++
 			}
@@ -343,80 +342,51 @@ func (d *Dedup) insertRound(to [][]int64, ids [][]int32, workers int) (pending i
 // assignRound numbers a round's pending globals and resolves its
 // positions' ids.
 func (d *Dedup) assignRound(to [][]int64, ids [][]int32, workers int) {
-	n, at := len(d.globals), len(d.globals)
-	var base []int // the first new id of every chunk, or of every shard when ids is nil
+	base := make([]int, len(to)+1) // base[c]: the first new id of chunk c
+	base[0] = len(d.globals)
 	for c := range to {
-		if ids != nil {
-			base = append(base, at)
-		}
+		base[c+1] = base[c]
 		for s := range d.shards {
-			at += int(d.shards[s].count[c])
+			base[c+1] += int(d.shards[s].count[c])
 		}
 	}
-	d.globals = slices.Grow(d.globals, at-n)[:at]
-	if ids == nil {
-		_ = ForRanges(dedupShards, workers, 1, func(s, _ int) error {
-			sh, at := &d.shards[s], n
-			for _, o := range d.shards[:s] {
-				at += len(o.ents) - o.first
-			}
-			for j := sh.first; j < len(sh.ents); j, at = j+1, at+1 {
-				sh.ents[j].id, d.globals[at] = int32(at), sh.ents[j].g
-			}
-			return nil
-		})
-	} else {
-		for s := range d.shards { // count[c] becomes the first pending index of chunk c
-			sh, j := &d.shards[s], int32(0)
-			for c, k := range sh.count {
-				sh.count[c], j = j, j+k
-			}
+	d.globals = slices.Grow(d.globals, base[len(to)]-base[0])[:base[len(to)]]
+	for s := range d.shards { // count[c] becomes the first pending index of chunk c
+		sh, j := &d.shards[s], int32(0)
+		for c, k := range sh.count {
+			sh.count[c], j = j, j+k
 		}
-		_ = ForRanges(len(to), workers, 1, func(c, _ int) error {
-			r, ic, next := &d.routes[c], ids[c], int32(base[c])
-			for k, i := range r.pos {
-				ic[i] = r.res[k]
-			}
-			for i, v := range ic {
-				if v == -1 { // a first occurrence
-					ic[i], d.globals[next] = next, to[c][i]
-					next++
-				}
-			}
-			for s := range d.shards {
+	}
+	_ = ForRanges(len(to), workers, 1, func(c, _ int) error {
+		r, ic, next := &d.routes[c], ids[c], int32(base[c])
+		for k, i := range r.pos {
+			ic[i] = r.res[k]
+		}
+		var nth [dedupShards]int // the chunk's first occurrences numbered per shard
+		for i := 0; next < int32(base[c+1]); i++ {
+			if ic[i] == -1 { // a first occurrence: its shard's next pending entry
+				g := to[c][i]
+				s := shardIndex(g)
 				sh := &d.shards[s]
-				e := sh.first + int(sh.count[c])
-				for k := r.start[s]; k < r.start[s+1]; k++ {
-					if r.res[k] == -1 {
-						sh.ents[e].id = ic[r.pos[k]]
-						e++
-					}
+				sh.ents[sh.first+int(sh.count[c])+nth[s]].id = next
+				ic[i], d.globals[next] = next, g
+				nth[s]++
+				next++
+			}
+		}
+		return nil
+	})
+	_ = ForRanges(len(to), workers, 1, func(c, _ int) error {
+		r := &d.routes[c]
+		for s := range d.shards {
+			for k := r.start[s]; k < r.start[s+1]; k++ {
+				if v := r.res[k]; v < -1 { // a repeat of a first occurrence
+					ids[c][r.pos[k]] = d.shards[s].ents[d.shards[s].first-2-int(v)].id
 				}
 			}
-			return nil
-		})
-		_ = ForRanges(len(to), workers, 1, func(c, _ int) error {
-			r := &d.routes[c]
-			for s := range d.shards {
-				for k := r.start[s]; k < r.start[s+1]; k++ {
-					if v := r.res[k]; v < -1 { // a repeat of a first occurrence
-						ids[c][r.pos[k]] = d.shards[s].ents[d.shards[s].first-2-int(v)].id
-					}
-				}
-			}
-			return nil
-		})
-	}
-	if d.dense != nil {
-		_ = ForRanges(dedupShards, workers, 1, func(s, _ int) error {
-			sh := &d.shards[s]
-			for _, ent := range sh.ents {
-				d.dense[ent.g] = ent.id
-			}
-			sh.ents = sh.ents[:0]
-			return nil
-		})
-	}
+		}
+		return nil
+	})
 }
 
 // NewDedupFromGlobals rebuilds a growable table over [0, total) whose id

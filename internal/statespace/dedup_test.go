@@ -226,10 +226,10 @@ func TestDedupAddChunksLimit(t *testing.T) {
 }
 
 // TestDedupAddChunksRounds covers batches larger than one round
-// (addBatch positions): with ids, the outcome is still exactly serial Add;
-// with nil ids, the same set of globals is added, numbered identically at
-// every worker count; and a limit exceeded in the first round still
-// reports the batch's exact count of new globals.
+// (addBatch positions): the outcome is still exactly serial Add, and a
+// limit exceeded by the last new global of the first round stops the
+// insert there (at the end of the round, or of its last chunk on a dense
+// table), reporting the first round's exact count of new globals.
 func TestDedupAddChunksRounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("inserts 1.5M positions per table kind")
@@ -241,7 +241,11 @@ func TestDedupAddChunksRounds(t *testing.T) {
 	}
 	for name, total := range map[string]int64{"dense": 1 << 21, "hashed": DenseDedupLimit + 1} {
 		serial := NewDedup(total)
-		for _, g := range keys {
+		for _, g := range keys[:addBatch] {
+			serial.Add(g)
+		}
+		firstRound := serial.Len()
+		for _, g := range keys[addBatch:] {
 			serial.Add(g)
 		}
 		d := NewDedup(total)
@@ -256,25 +260,9 @@ func TestDedupAddChunksRounds(t *testing.T) {
 				}
 			}
 		}
-		var ref []int64
-		for _, workers := range []int{1, 3} {
-			d := NewDedup(total)
-			if added, ok := d.AddChunks(to, nil, serial.Len(), workers); !ok || added != serial.Len() {
-				t.Fatalf("%s w=%d: AddChunks(nil ids) = (%d, %v), want (%d, true)", name, workers, added, ok, serial.Len())
-			}
-			for i, g := range d.Globals() {
-				if d.Lookup(g) != int32(i) || serial.Lookup(g) < 0 {
-					t.Fatalf("%s w=%d: global %d at id %d is not the table's or serial Add's", name, workers, g, i)
-				}
-			}
-			if ref == nil {
-				ref = slices.Clone(d.Globals())
-			} else if !slices.Equal(ref, d.Globals()) {
-				t.Fatalf("%s w=%d: nil-ids numbering differs from 1 worker", name, workers)
-			}
-		}
-		if added, ok := NewDedup(total).AddChunks(to, nil, addBatch/2, 3); ok || added != serial.Len() {
-			t.Fatalf("%s: AddChunks under a first-round limit = (%d, %v), want (%d, false)", name, added, ok, serial.Len())
+		to, ids = addChunksBatches(keys, addBatch/4)
+		if added, ok := NewDedup(total).AddChunks(to, ids, firstRound-1, 3); ok || added != firstRound {
+			t.Fatalf("%s: AddChunks under a first-round limit = (%d, %v), want (%d, false)", name, added, ok, firstRound)
 		}
 	}
 }
