@@ -60,6 +60,14 @@ func TestGoldenRestabilizeFaultStack(t *testing.T) {
 		"-max-rounds", "5000")
 }
 
+// TestGoldenRestabilizeLoss pins the i.i.d.-loss-only stack of the
+// netsim-restab benchmark workload on its exact instance.
+func TestGoldenRestabilizeLoss(t *testing.T) {
+	runGolden(t, "coloring8192_restab_loss",
+		"-alg", "coloring", "-n", "8192", "-restabilize", "800", "-trials", "3",
+		"-check-every", "2", "-net", "loss:0.05")
+}
+
 // TestGoldenWorkerInvariance reruns a golden case with adversarial worker
 // and shard counts: the report must stay byte-identical — the CLI face of
 // the backend's determinism contract.
@@ -71,6 +79,9 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 			"-max-rounds", "5000",
 			"-workers", ws[0], "-shards", ws[1])
 	}
+	runGolden(t, "coloring8192_restab_loss",
+		"-alg", "coloring", "-n", "8192", "-restabilize", "800", "-trials", "3",
+		"-check-every", "2", "-net", "loss:0.05", "-workers", "4", "-shards", "13")
 }
 
 // TestFailureRateSurfaced pins the censored-batch rendering: when some
