@@ -7,30 +7,32 @@ import (
 )
 
 // TestEdgeDrawsMatchStream is the oracle for the link faults' draw helper:
-// on random (edge, sequence, copy) coordinates — the copy coordinates the
-// faults use (copy, 1+copy for Gilbert–Elliott, 256+copy for Reorder and
-// Corrupt) and arbitrary ones beyond the cached table — it returns exactly
-// Stream.At's bits, for several stream keys.
+// on random (edge, sequence, copy) coordinates — sequence numbers inside
+// and past the engine's seqTerm table, the copy coordinates the faults use
+// (copy, 1+copy for Gilbert–Elliott, 256+copy for Reorder and Corrupt)
+// for every byte-sized copy index — it returns exactly Stream.At's bits,
+// for several stream keys.
 func TestEdgeDrawsMatchStream(t *testing.T) {
 	top := testTopology(t, 64)
 	rng := rand.New(rand.NewSource(3))
+	b := &Batch{seqTerms: make([]uint64, 8)}
+	for q := range b.seqTerms {
+		b.seqTerms[q] = seqTerm(uint32(q))
+	}
 	for _, salt := range []string{"fault:0:loss(0.05)", "fault:1:ge", "fault:2:reorder"} {
 		s := NewStream(int64(rng.Uint64()), salt)
+		keys := s.edgeKeys(nil, top)
 		for i := 0; i < 2000; i++ {
-			e := int32(rng.Intn(top.NumEdges()))
-			seq := rng.Uint32()
+			m := Delivery{Edge: int32(rng.Intn(top.NumEdges())), Seq: rng.Uint32()}
 			if i%4 == 0 {
-				seq = uint32(rng.Intn(8))
+				m.Seq = uint32(rng.Intn(16))
 			}
-			draws := s.onEdge(top, e, seq)
-			cp := uint64(rng.Intn(250))
-			for _, c := range []uint64{0, cp, 1 + cp, 256 + cp, 511, 512, rng.Uint64()} {
-				want := s.At(uint64(uint32(e)), uint64(seq), c)
+			draws := b.draws(keys, &m)
+			cp := uint64(rng.Intn(256))
+			for _, c := range []uint64{0, cp, 1 + cp, 256 + cp, 511} {
+				want := s.At(uint64(uint32(m.Edge)), uint64(m.Seq), c)
 				if got := draws.at(c); got != want {
-					t.Fatalf("%s: at(e=%d seq=%d c=%d) = %#x, Stream.At %#x", salt, e, seq, c, got, want)
-				}
-				if got, want := draws.float(c), s.Float(uint64(uint32(e)), uint64(seq), c); got != want {
-					t.Fatalf("%s: float(e=%d seq=%d c=%d) = %v, Stream.Float %v", salt, e, seq, c, got, want)
+					t.Fatalf("%s: at(e=%d seq=%d c=%d) = %#x, Stream.At %#x", salt, m.Edge, m.Seq, c, got, want)
 				}
 			}
 		}

@@ -6,9 +6,15 @@ import (
 )
 
 // Delivery is one scheduled arrival of a published state message: the
-// payload value, the number of rounds between publication and arrival, and
-// a copy index distinguishing duplicates of the same publication.
+// directed edge and per-edge sequence number of its publication, a copy
+// index distinguishing duplicates of that publication, the number of
+// rounds between publication and arrival, and the payload value.
 type Delivery struct {
+	// Edge is the directed edge the publication travels on (the in-edge
+	// slot of the receiver, see Topology).
+	Edge int32
+	// Seq is the publication's per-edge sequence number.
+	Seq uint32
 	// Delay is the arrival delay in rounds after the publication round.
 	// The simulator clamps it to >= 1 after the fault stack runs (a
 	// message can never arrive in the round it was sent).
@@ -17,10 +23,50 @@ type Delivery struct {
 	// corrupted en route.
 	Value int32
 	// Copy distinguishes duplicates of one publication (the original is
-	// copy 0). Within one arrival round the receiver keeps the copy with
-	// the highest (sequence, copy) pair, so duplication alone never makes
-	// a view go backwards.
+	// copy 0, and copies of one publication never share an index). Within
+	// one arrival round the receiver keeps the copy with the highest
+	// (sequence, copy) pair, so duplication alone never makes a view go
+	// backwards.
 	Copy uint8
+}
+
+// maxCopy is the highest copy index: copy indexes are a byte, and the
+// draws at 256+copy must stay below 512.
+const maxCopy = 249
+
+// Batch is the unit a LinkFault transforms: the publications of a chunk of
+// one shard's senders in one round, and the copies of them that survived
+// the layers so far. Each edge carries at most one publication per batch,
+// so a message's Edge names its publication.
+type Batch struct {
+	// Msgs are the scheduled copies, grouped by publication in the order
+	// of Pubs: the copies of one publication are adjacent. A fault
+	// filters, rewrites or extends Msgs and leaves the result in Msgs.
+	Msgs []Delivery
+	// Pubs are the batch's publications as the engine wrote them, one
+	// copy-0 message each with delay 1, including those whose copies an
+	// earlier layer dropped. Faults must not modify them.
+	Pubs []Delivery
+
+	seqTerms []uint64   // seqTerms[q] = seqTerm(q), the engine's per-run table
+	spare    []Delivery // a second message buffer for faults that grow Msgs
+}
+
+// draws returns the draws of m's publication under a fault's edge keys:
+// b.draws(keys, m).at(c) == s.At(uint64(uint32(m.Edge)), uint64(m.Seq), c)
+// for keys = s.edgeKeys(...).
+func (b *Batch) draws(keys []uint64, m *Delivery) edgeDraws {
+	return edgeDraws(mix64(keys[m.Edge] ^ b.seqTerm(m.Seq)))
+}
+
+// seqTerm is seqTerm(q), from the engine's table when it covers q. The
+// fallback spells seqTerm out so that draws stays within the inliner's
+// budget.
+func (b *Batch) seqTerm(q uint32) uint64 {
+	if int(q) < len(b.seqTerms) {
+		return b.seqTerms[q]
+	}
+	return mix64(uint64(q) + streamB)
 }
 
 // Fault is one layer of the network fault model. A fault owns a private
@@ -40,16 +86,21 @@ type Fault interface {
 	Reset(t *Topology, s Stream)
 }
 
-// LinkFault transforms the scheduled deliveries of one publication on
-// directed edge e with per-edge sequence number seq. It is called exactly
-// once per publication — even when an earlier layer dropped every copy —
-// so faults with per-edge chains (Gilbert–Elliott) advance deterministically.
-// It may mutate and return dels (filtering, appending, or rewriting in
-// place); all randomness must come from the bound Stream keyed by
-// (e, seq, copy), never from call order.
+// LinkFault transforms the messages of one Batch in one call: the engine
+// writes a batch of publications, hands it through the link faults in
+// stack order, and schedules whatever Msgs holds afterwards. A fault may
+// drop, rewrite or add copies, but every copy keeps its publication's Edge
+// and Seq and stays adjacent to that publication's other copies. All
+// randomness must come from the bound Stream keyed by (Edge, Seq, Copy),
+// never from call or message order, and a fault with per-edge state
+// (Gilbert–Elliott's chain) advances it once per entry of Pubs, so a
+// publication whose copies an earlier layer dropped still counts. A fault
+// adds a new copy at 1 + the highest copy index its publication holds, at
+// most 249, so copies of one publication never share an index (and thus
+// never share a later layer's draws).
 type LinkFault interface {
 	Fault
-	Transform(e int32, seq uint32, dels []Delivery) []Delivery
+	Transform(b *Batch)
 }
 
 // ProcessFault controls per-round process availability. BeginRound is
@@ -159,32 +210,30 @@ func (g Geometric) Sample(x uint64) int32 { return geometric(x, g.Mean) }
 // Latency assigns every copy a fresh delay drawn from D. Without a Latency
 // fault in the stack every message takes exactly one round.
 type Latency struct {
-	D Dist
-	s Stream
-	t *Topology
+	D    Dist
+	keys []uint64
 }
 
 // Name implements Fault.
 func (l *Latency) Name() string { return "latency(" + l.D.Name() + ")" }
 
 // Reset implements Fault.
-func (l *Latency) Reset(t *Topology, s Stream) { l.s, l.t = s, t }
+func (l *Latency) Reset(t *Topology, s Stream) { l.keys = s.edgeKeys(l.keys, t) }
 
 // Transform implements LinkFault.
-func (l *Latency) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
-	draws := l.s.onEdge(l.t, e, seq)
-	for i := range dels {
-		dels[i].Delay = l.D.Sample(draws.at(uint64(dels[i].Copy)))
+func (l *Latency) Transform(b *Batch) {
+	keys, msgs := l.keys, b.Msgs
+	for i := range msgs {
+		m := &msgs[i]
+		m.Delay = l.D.Sample(b.draws(keys, m).at(uint64(m.Copy)))
 	}
-	return dels
 }
 
 // Loss drops every copy independently with probability P — the i.i.d.
 // erasure channel.
 type Loss struct {
 	P       float64
-	s       Stream
-	t       *Topology
+	keys    []uint64
 	dropped counter
 }
 
@@ -192,38 +241,39 @@ type Loss struct {
 func (l *Loss) Name() string { return fmt.Sprintf("loss(%g)", l.P) }
 
 // Reset implements Fault.
-func (l *Loss) Reset(t *Topology, s Stream) { l.s, l.t = s, t }
+func (l *Loss) Reset(t *Topology, s Stream) { l.keys = s.edgeKeys(l.keys, t) }
 
 // Counts implements the counter aggregation.
 func (l *Loss) Counts() []Count { return []Count{{"lost", l.dropped.Load()}} }
 
 // Transform implements LinkFault.
-func (l *Loss) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
-	draws := l.s.onEdge(l.t, e, seq)
-	kept := dels[:0]
-	for _, d := range dels {
-		if draws.float(uint64(d.Copy)) < l.P {
-			l.dropped.Add(1)
-			continue
+func (l *Loss) Transform(b *Batch) {
+	thr, keys, msgs := threshold(l.P), l.keys, b.Msgs
+	k := 0
+	for i := range msgs {
+		m := &msgs[i]
+		if !hit(b.draws(keys, m).at(uint64(m.Copy)), thr) {
+			msgs[k] = *m
+			k++
 		}
-		kept = append(kept, d)
 	}
-	return kept
+	l.dropped.Add(int64(len(msgs) - k))
+	b.Msgs = msgs[:k]
 }
 
 // GilbertElliott is the classic two-state bursty loss channel: each
 // directed edge carries an independent Good/Bad Markov chain advanced once
-// per publication; copies are dropped with LossGood in the Good state and
-// LossBad in the Bad state. PGB and PBG are the per-publication transition
-// probabilities Good→Bad and Bad→Good, so the stationary Bad fraction is
-// PGB/(PGB+PBG) and the mean Bad burst length is 1/PBG publications.
+// per publication — also one whose copies an earlier layer dropped; copies
+// are dropped with LossGood in the Good state and LossBad in the Bad
+// state. PGB and PBG are the per-publication transition probabilities
+// Good→Bad and Bad→Good, so the stationary Bad fraction is PGB/(PGB+PBG)
+// and the mean Bad burst length is 1/PBG publications.
 type GilbertElliott struct {
 	PGB, PBG float64
 	LossGood float64
 	LossBad  float64
 
-	s       Stream
-	t       *Topology
+	keys    []uint64
 	bad     []bool // per-edge chain state
 	dropped counter
 }
@@ -235,50 +285,53 @@ func (g *GilbertElliott) Name() string {
 
 // Reset implements Fault.
 func (g *GilbertElliott) Reset(t *Topology, s Stream) {
-	g.s, g.t = s, t
+	g.keys = s.edgeKeys(g.keys, t)
 	g.bad = make([]bool, t.NumEdges())
 }
 
 // Counts implements the counter aggregation.
 func (g *GilbertElliott) Counts() []Count { return []Count{{"burst-lost", g.dropped.Load()}} }
 
-// Transform implements LinkFault.
-func (g *GilbertElliott) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
-	draws := g.s.onEdge(g.t, e, seq)
-	u := draws.float(0)
-	if g.bad[e] {
-		if u < g.PBG {
-			g.bad[e] = false
+// Transform implements LinkFault. The chain step draws at copy coordinate
+// 0 and the loss of copy c at 1+c.
+func (g *GilbertElliott) Transform(b *Batch) {
+	keys, state := g.keys, g.bad
+	gb, bg := threshold(g.PGB), threshold(g.PBG)
+	for i := range b.Pubs {
+		p := &b.Pubs[i]
+		u := b.draws(keys, p).at(0)
+		if state[p.Edge] {
+			state[p.Edge] = !hit(u, bg)
+		} else {
+			state[p.Edge] = hit(u, gb)
 		}
-	} else if u < g.PGB {
-		g.bad[e] = true
 	}
-	p := g.LossGood
-	if g.bad[e] {
-		p = g.LossBad
-	}
-	if p <= 0 {
-		return dels
-	}
-	kept := dels[:0]
-	for _, d := range dels {
-		if draws.float(1+uint64(d.Copy)) < p {
-			g.dropped.Add(1)
-			continue
+	good, bad, msgs := threshold(g.LossGood), threshold(g.LossBad), b.Msgs
+	k := 0
+	for i := range msgs {
+		m := &msgs[i]
+		thr := good
+		if state[m.Edge] {
+			thr = bad
 		}
-		kept = append(kept, d)
+		if thr == 0 || !hit(b.draws(keys, m).at(1+uint64(m.Copy)), thr) {
+			msgs[k] = *m
+			k++
+		}
 	}
-	return kept
+	g.dropped.Add(int64(len(msgs) - k))
+	b.Msgs = msgs[:k]
 }
 
 // Duplicate delivers an extra copy of each surviving copy independently
-// with probability P. Duplicates inherit the current delay and value; a
-// later Reorder or Corrupt layer perturbs them independently through their
-// distinct copy index.
+// with probability P. A duplicate inherits the current delay and value and
+// takes copy index 1 + the highest index its publication holds (no
+// duplicate once that would pass 249), so a later Reorder or Corrupt layer
+// perturbs it independently of every other copy. The duplicates of a
+// publication follow its other copies.
 type Duplicate struct {
 	P     float64
-	s     Stream
-	t     *Topology
+	keys  []uint64
 	extra counter
 }
 
@@ -286,27 +339,34 @@ type Duplicate struct {
 func (d *Duplicate) Name() string { return fmt.Sprintf("dup(%g)", d.P) }
 
 // Reset implements Fault.
-func (d *Duplicate) Reset(t *Topology, s Stream) { d.s, d.t = s, t }
+func (d *Duplicate) Reset(t *Topology, s Stream) { d.keys = s.edgeKeys(d.keys, t) }
 
 // Counts implements the counter aggregation.
 func (d *Duplicate) Counts() []Count { return []Count{{"duplicated", d.extra.Load()}} }
 
 // Transform implements LinkFault.
-func (d *Duplicate) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
-	orig := len(dels)
-	draws := d.s.onEdge(d.t, e, seq)
-	for i := 0; i < orig; i++ {
-		if len(dels) >= 250 {
-			break // copy indexes are a byte; beyond this nothing new happens
+func (d *Duplicate) Transform(b *Batch) {
+	thr, keys, msgs := threshold(d.P), d.keys, b.Msgs
+	out := b.spare[:0]
+	for lo := 0; lo < len(msgs); {
+		hi, top := lo+1, msgs[lo].Copy
+		for hi < len(msgs) && msgs[hi].Edge == msgs[lo].Edge {
+			top = max(top, msgs[hi].Copy)
+			hi++
 		}
-		if draws.float(uint64(dels[i].Copy)) < d.P {
-			dup := dels[i]
-			dup.Copy = uint8(len(dels))
-			dels = append(dels, dup)
-			d.extra.Add(1)
+		out = append(out, msgs[lo:hi]...)
+		draws := b.draws(keys, &msgs[lo])
+		for i := lo; i < hi && top < maxCopy; i++ {
+			if hit(draws.at(uint64(msgs[i].Copy)), thr) {
+				top++
+				out = append(out, msgs[i])
+				out[len(out)-1].Copy = top
+			}
 		}
+		lo = hi
 	}
-	return dels
+	d.extra.Add(int64(len(out) - len(msgs)))
+	b.Msgs, b.spare = out, msgs[:0]
 }
 
 // Reorder delays each copy independently with probability P by an extra
@@ -317,8 +377,7 @@ func (d *Duplicate) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
 type Reorder struct {
 	P     float64
 	Bound int32
-	s     Stream
-	t     *Topology
+	keys  []uint64
 	moved counter
 }
 
@@ -326,23 +385,26 @@ type Reorder struct {
 func (r *Reorder) Name() string { return fmt.Sprintf("reorder(%g:%d)", r.P, r.Bound) }
 
 // Reset implements Fault.
-func (r *Reorder) Reset(t *Topology, s Stream) { r.s, r.t = s, t }
+func (r *Reorder) Reset(t *Topology, s Stream) { r.keys = s.edgeKeys(r.keys, t) }
 
 // Counts implements the counter aggregation.
 func (r *Reorder) Counts() []Count { return []Count{{"reordered", r.moved.Load()}} }
 
-// Transform implements LinkFault.
-func (r *Reorder) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
-	bound := max(r.Bound, 1)
-	draws := r.s.onEdge(r.t, e, seq)
-	for i := range dels {
-		if draws.float(uint64(dels[i].Copy)) < r.P {
-			jitter := 1 + int32(draws.at(256+uint64(dels[i].Copy))%uint64(bound))
-			dels[i].Delay += jitter
-			r.moved.Add(1)
+// Transform implements LinkFault. The decision for copy c draws at copy
+// coordinate c and the jitter at 256+c.
+func (r *Reorder) Transform(b *Batch) {
+	thr, bound := threshold(r.P), uint64(max(r.Bound, 1))
+	keys, msgs := r.keys, b.Msgs
+	moved := int64(0)
+	for i := range msgs {
+		m := &msgs[i]
+		draws := b.draws(keys, m)
+		if hit(draws.at(uint64(m.Copy)), thr) {
+			m.Delay += 1 + int32(draws.at(256+uint64(m.Copy))%bound)
+			moved++
 		}
 	}
-	return dels
+	r.moved.Add(moved)
 }
 
 // Corrupt replaces each copy's payload independently with probability P by
@@ -352,7 +414,7 @@ func (r *Reorder) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
 // hit by a transient fault).
 type Corrupt struct {
 	P       float64
-	s       Stream
+	keys    []uint64
 	t       *Topology
 	flipped counter
 }
@@ -361,22 +423,26 @@ type Corrupt struct {
 func (c *Corrupt) Name() string { return fmt.Sprintf("corrupt(%g)", c.P) }
 
 // Reset implements Fault.
-func (c *Corrupt) Reset(t *Topology, s Stream) { c.s, c.t = s, t }
+func (c *Corrupt) Reset(t *Topology, s Stream) { c.keys, c.t = s.edgeKeys(c.keys, t), t }
 
 // Counts implements the counter aggregation.
 func (c *Corrupt) Counts() []Count { return []Count{{"corrupted", c.flipped.Load()}} }
 
-// Transform implements LinkFault.
-func (c *Corrupt) Transform(e int32, seq uint32, dels []Delivery) []Delivery {
-	draws := c.s.onEdge(c.t, e, seq)
-	for i := range dels {
-		if draws.float(uint64(dels[i].Copy)) < c.P {
-			dom := uint64(c.t.domain[c.t.sender[e]])
-			dels[i].Value = int32(draws.at(256+uint64(dels[i].Copy)) % dom)
-			c.flipped.Add(1)
+// Transform implements LinkFault. The decision for copy k draws at copy
+// coordinate k and the new value at 256+k.
+func (c *Corrupt) Transform(b *Batch) {
+	thr, keys, msgs := threshold(c.P), c.keys, b.Msgs
+	flipped := int64(0)
+	for i := range msgs {
+		m := &msgs[i]
+		draws := b.draws(keys, m)
+		if hit(draws.at(uint64(m.Copy)), thr) {
+			dom := uint64(c.t.domain[c.t.sender[m.Edge]])
+			m.Value = int32(draws.at(256+uint64(m.Copy)) % dom)
+			flipped++
 		}
 	}
-	return dels
+	c.flipped.Add(flipped)
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,18 @@ func testTopology(t *testing.T, n int) *Topology {
 	return top
 }
 
+// transformOne runs f on a batch of one publication (e, seq) whose
+// surviving copies are dels, and returns the copies f leaves.
+func transformOne(f LinkFault, e int32, seq uint32, dels []Delivery) []Delivery {
+	b := &Batch{Pubs: []Delivery{{Edge: e, Seq: seq, Delay: 1}}}
+	for _, d := range dels {
+		d.Edge, d.Seq = e, seq
+		b.Msgs = append(b.Msgs, d)
+	}
+	f.Transform(b)
+	return b.Msgs
+}
+
 // binomialBound returns the 4σ tolerance of an empirical rate estimated
 // from trials draws of probability p.
 func binomialBound(p float64, trials int) float64 {
@@ -47,7 +59,7 @@ func TestLossRate(t *testing.T) {
 	var dels []Delivery
 	for seq := uint32(0); seq < pubs; seq++ {
 		dels = append(dels[:0], Delivery{Delay: 1, Value: 1})
-		kept += len(l.Transform(3, seq, dels))
+		kept += len(transformOne(l, 3, seq, dels))
 	}
 	rate := 1 - float64(kept)/pubs
 	if math.Abs(rate-p) > binomialBound(p, pubs) {
@@ -67,7 +79,7 @@ func TestDuplicateRate(t *testing.T) {
 	var dels []Delivery
 	for seq := uint32(0); seq < pubs; seq++ {
 		dels = append(dels[:0], Delivery{Delay: 1, Value: 1})
-		out := d.Transform(5, seq, dels)
+		out := transformOne(d, 5, seq, dels)
 		extra += len(out) - 1
 		for i, c := range out {
 			if int(c.Copy) != i {
@@ -91,7 +103,7 @@ func TestReorderRateAndBound(t *testing.T) {
 	var dels []Delivery
 	for seq := uint32(0); seq < pubs; seq++ {
 		dels = append(dels[:0], Delivery{Delay: 1, Value: 1})
-		out := r.Transform(7, seq, dels)
+		out := transformOne(r, 7, seq, dels)
 		switch d := out[0].Delay; {
 		case d == 1:
 		case d >= 2 && d <= 1+bound:
@@ -116,7 +128,7 @@ func TestCorruptRateAndDomain(t *testing.T) {
 	const sentinel = 2 // a valid color, so corruption to the same value is invisible but in-domain
 	for seq := uint32(0); seq < pubs; seq++ {
 		dels = append(dels[:0], Delivery{Delay: 1, Value: sentinel})
-		out := c.Transform(9, seq, dels)
+		out := transformOne(c, 9, seq, dels)
 		if v := out[0].Value; v < 0 || v >= 3 {
 			t.Fatalf("seq %d: corrupted value %d outside the sender domain [0,3)", seq, v)
 		}
@@ -142,7 +154,7 @@ func TestGilbertElliottStationaryLossAndBursts(t *testing.T) {
 	var dels []Delivery
 	for seq := uint32(0); seq < pubs; seq++ {
 		dels = append(dels[:0], Delivery{Delay: 1, Value: 1})
-		if len(ge.Transform(11, seq, dels)) == 0 {
+		if len(transformOne(ge, 11, seq, dels)) == 0 {
 			drops++
 			runLen++
 		} else if runLen > 0 {
@@ -174,7 +186,7 @@ func TestGilbertElliottStationaryLossAndBursts(t *testing.T) {
 	same := 0
 	for seq := uint32(0); seq < 1000; seq++ {
 		a := append([]Delivery(nil), Delivery{Delay: 1, Value: 1})
-		if len(ge2.Transform(12, seq, a)) == 0 {
+		if len(transformOne(ge2, 12, seq, a)) == 0 {
 			same++
 		}
 	}
@@ -199,17 +211,17 @@ func TestLatencyDistributions(t *testing.T) {
 	var dels []Delivery
 	for seq := uint32(0); seq < pubs; seq++ {
 		dels = append(dels[:0], Delivery{Delay: 1, Value: 1})
-		if d := fix.Transform(1, seq, dels)[0].Delay; d != 3 {
+		if d := transformOne(fix, 1, seq, dels)[0].Delay; d != 3 {
 			t.Fatalf("fixed latency gave delay %d", d)
 		}
 		dels = append(dels[:0], Delivery{Delay: 1, Value: 1})
-		u := uni.Transform(1, seq, dels)[0].Delay
+		u := transformOne(uni, 1, seq, dels)[0].Delay
 		if u < 2 || u > 6 {
 			t.Fatalf("uniform latency gave delay %d outside [2,6]", u)
 		}
 		counts[u]++
 		dels = append(dels[:0], Delivery{Delay: 1, Value: 1})
-		gd := geo.Transform(1, seq, dels)[0].Delay
+		gd := transformOne(geo, 1, seq, dels)[0].Delay
 		if gd < 1 {
 			t.Fatalf("geometric latency gave delay %d < 1", gd)
 		}

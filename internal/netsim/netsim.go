@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"weakstab/internal/obs"
 	"weakstab/internal/protocol"
@@ -36,18 +37,16 @@ import (
 
 // Topology is the precomputed directed-edge view of an algorithm's
 // communication graph: the in-edge slots of every process (the view cache
-// layout) and, per directed edge, its sender, its receiver and the
-// key-independent hash term every link-fault draw on it starts from. Edge
-// e is the i-th in-edge of receiver p iff e = Off(p)+i, with sender
+// layout) and, per directed edge, its sender and its receiver. Edge e is
+// the i-th in-edge of receiver p iff e = Off(p)+i, with sender
 // Graph.Neighbor(p, i).
 type Topology struct {
 	n      int
-	off    []int32  // len n+1; in-edge slots of p are off[p]..off[p+1]
-	sender []int32  // sender[e] = global id of the sender on in-edge e
-	recv   []int32  // recv[e] = receiver of in-edge e
-	out    []int32  // out[off[p]+j] = in-edge id at neighbor j for sender p
-	eterm  []uint64 // eterm[e] = edgeTerm(e), shared by every fault's Stream
-	domain []int32  // domain[p] = StateCount(p)
+	off    []int32 // len n+1; in-edge slots of p are off[p]..off[p+1]
+	sender []int32 // sender[e] = global id of the sender on in-edge e
+	recv   []int32 // recv[e] = receiver of in-edge e
+	out    []int32 // out[off[p]+j] = in-edge id at neighbor j for sender p
+	domain []int32 // domain[p] = StateCount(p)
 }
 
 // N returns the number of processes.
@@ -78,10 +77,6 @@ func NewTopology(a protocol.Algorithm) (*Topology, error) {
 	t.sender = make([]int32, total)
 	t.recv = make([]int32, total)
 	t.out = make([]int32, total)
-	t.eterm = make([]uint64, total)
-	for e := range t.eterm {
-		t.eterm[e] = edgeTerm(int32(e))
-	}
 	for p := 0; p < n; p++ {
 		for i := 0; i < g.Degree(p); i++ {
 			q := g.Neighbor(p, i)
@@ -108,7 +103,7 @@ type Options struct {
 	// random initial configurations in Trials). Runs are bit-identical
 	// given equal (topology, faults, seed), regardless of Workers/Shards.
 	Seed int64
-	// Faults is the network fault stack, applied to each publication in
+	// Faults is the network fault stack, applied to the publications in
 	// order. An empty stack is the reliable synchronous network
 	// (every message arrives exactly one round after it is sent).
 	Faults []Fault
@@ -198,6 +193,10 @@ type timed struct {
 	d     delivery
 }
 
+// publishChunk is the number of senders whose publications make up one
+// Batch of the link-fault stack. Results never depend on it.
+var publishChunk = 256
+
 // calInitLen is the initial ring length of a calendar: delays of up to
 // three rounds fit without growing it.
 const calInitLen = 4
@@ -216,6 +215,14 @@ type calendar struct {
 
 // push queues d for round r >= base.
 func (c *calendar) push(r int32, d delivery) {
+	b := c.bucket(r)
+	*b = append(*b, d)
+}
+
+// bucket returns the bucket of round r >= base, handing it spare storage
+// if it has none. The pointer stays valid until the ring grows, which
+// only a later bucket or push call can do.
+func (c *calendar) bucket(r int32) *[]delivery {
 	if r-c.base >= int32(len(c.ring)) {
 		c.grow(r)
 	}
@@ -224,7 +231,7 @@ func (c *calendar) push(r int32, d delivery) {
 		*b = c.spare[len(c.spare)-1]
 		c.spare = c.spare[:len(c.spare)-1]
 	}
-	*b = append(*b, d)
+	return b
 }
 
 // grow doubles the ring until round r fits and re-slots the pending
@@ -275,7 +282,7 @@ type shard struct {
 	outbox [][]timed // per destination shard: cross-shard deliveries of this round
 
 	lv    *protocol.LocalView
-	dels  []Delivery // fault-stack scratch
+	batch Batch // the link-fault stack's messages, reused chunk after chunk
 	sent  int64
 	deliv int64
 	drop  int64
@@ -307,12 +314,13 @@ type engine struct {
 	mark []int32
 	key  []uint64
 
-	down    []bool
-	link    []LinkFault
-	proc    []ProcessFault
-	exec    Stream // probabilistic-outcome sampling
-	shards  []shard
-	shardOf []int32
+	down     []bool
+	link     []LinkFault
+	proc     []ProcessFault
+	seqTerms []uint64 // seqTerms[q] = seqTerm(q) for every sequence number so far
+	exec     Stream   // probabilistic-outcome sampling
+	shards   []shard
+	shardOf  []int32
 }
 
 // RunOnContext executes a from init over the configured network on the
@@ -372,7 +380,6 @@ func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init p
 		sh.lo, sh.hi = int32(i*n/ns), int32((i+1)*n/ns)
 		sh.outbox = make([][]timed, ns)
 		sh.lv = protocol.NewLocalView(a)
-		sh.dels = make([]Delivery, 0, 8)
 		for p := sh.lo; p < sh.hi; p++ {
 			s.shardOf[p] = int32(i)
 		}
@@ -402,6 +409,8 @@ func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init p
 				o.Emit("netsim.round", obs.NetsimRound{Trial: opts.Trial, Round: r, Sent: sent, Delivered: deliv})
 			}
 		}
+		// A publication of round r has a sequence number of at most r.
+		s.seqTerms = append(s.seqTerms, seqTerm(uint32(r)))
 		s.parallel(func(sh *shard) { s.phase1(sh, int32(r)) })
 		if len(s.shards) > 1 {
 			s.parallel(func(sh *shard) { s.phase2(sh) })
@@ -516,39 +525,55 @@ func (s *engine) phase1(sh *shard, r int32) {
 		}
 	}
 
-	// Publish: every live process sends its (new) state to every neighbor;
-	// the fault stack maps each publication to zero or more future
-	// arrivals. An arrival for this shard goes straight into its calendar:
-	// the delay is at least one round, so it never lands in the bucket
-	// drained above.
+	// Publish: every live process sends its (new) state to every neighbor,
+	// publishChunk senders at a time: the chunk's publications go through
+	// the link-fault stack as one Batch, which maps them to zero or more
+	// future arrivals. An arrival for this shard goes straight into its
+	// calendar: the delay is at least one round, so it never lands in the
+	// bucket drained above.
 	for i := range sh.outbox {
 		sh.outbox[i] = sh.outbox[i][:0]
 	}
-	for p := sh.lo; p < sh.hi; p++ {
-		if s.down[p] {
-			continue
-		}
-		v := int32(s.state[p])
-		for j := t.off[p]; j < t.off[p+1]; j++ {
-			e := t.out[j]
-			seq := s.seq[e]
-			s.seq[e] = seq + 1
-			dels := append(sh.dels[:0], Delivery{Delay: 1, Value: v})
-			for _, lf := range s.link {
-				dels = lf.Transform(e, seq, dels)
+	b := &sh.batch
+	b.seqTerms = s.seqTerms
+	// Arrivals mostly share a round, so the calendar bucket of the last
+	// one is kept at hand.
+	due, slot := int32(-1), (*[]delivery)(nil)
+	for lo := sh.lo; lo < sh.hi; lo += int32(publishChunk) {
+		hi := min(lo+int32(publishChunk), sh.hi)
+		// Writing by index into presized storage keeps the compiler from
+		// staging each 20-byte message on the stack.
+		n := int(t.off[hi] - t.off[lo])
+		pubs, k := slices.Grow(b.Pubs[:0], n)[:n], 0
+		for p := lo; p < hi; p++ {
+			if s.down[p] {
+				continue
 			}
-			sh.dels = dels[:0]
-			if q := t.recv[e]; q >= sh.lo && q < sh.hi {
-				for _, d := range dels {
-					sh.cal.push(r+max(d.Delay, 1), delivery{edge: e, val: d.Value, seq: seq, cp: d.Copy})
+			v := int32(s.state[p])
+			for _, e := range t.out[t.off[p]:t.off[p+1]] {
+				pubs[k] = Delivery{Edge: e, Seq: s.seq[e], Delay: 1, Value: v}
+				s.seq[e]++
+				k++
+			}
+		}
+		b.Pubs = pubs[:k]
+		b.Msgs = append(b.Msgs[:0], b.Pubs...)
+		for _, lf := range s.link {
+			lf.Transform(b)
+		}
+		sh.sent += int64(k)
+		for i := range b.Msgs {
+			m := &b.Msgs[i]
+			d, at := delivery{edge: m.Edge, val: m.Value, seq: m.Seq, cp: m.Copy}, r+max(m.Delay, 1)
+			if q := t.recv[m.Edge]; q >= sh.lo && q < sh.hi {
+				if at != due {
+					due, slot = at, sh.cal.bucket(at)
 				}
+				*slot = append(*slot, d)
 			} else {
 				dst := s.shardOf[q]
-				for _, d := range dels {
-					sh.outbox[dst] = append(sh.outbox[dst], timed{round: r + max(d.Delay, 1), d: delivery{edge: e, val: d.Value, seq: seq, cp: d.Copy}})
-				}
+				sh.outbox[dst] = append(sh.outbox[dst], timed{round: at, d: d})
 			}
-			sh.sent++
 		}
 	}
 }

@@ -63,10 +63,23 @@ func (s Stream) Float(a, b, c uint64) float64 { return unit(s.At(a, b, c)) }
 // unit maps a uniform 64-bit value to the uniform float64 in [0, 1).
 func unit(u uint64) float64 { return float64(u>>11) * (1.0 / (1 << 53)) }
 
-// edgeTerm is At's first-coordinate term for directed edge e. It does not
-// depend on the stream key, so Topology computes it once per edge for
-// every fault and every trial.
+// A link-fault draw is Stream.At at (edge, sequence, copy), split into the
+// three coordinate rounds so that each is hashed as rarely as possible:
+//
+//	At(e, seq, c) = mix64(mix64(edgeKey[e] ^ seqTerm(seq)) ^ copyTerm(c))
+//	edgeKey[e]    = mix64(key ^ edgeTerm(e))
+//
+// A fault computes its edgeKeys once per run (Reset), the engine computes
+// seqTerm once per distinct sequence number (Batch.seqTerms) and copyTerm
+// is a table, so a draw costs two splitmix rounds. A probability test
+// compares the top 53 bits of a draw with an integer threshold instead of
+// converting it to a float.
+
+// edgeTerm is At's first-coordinate term for directed edge e.
 func edgeTerm(e int32) uint64 { return mix64(uint64(uint32(e)) + streamA) }
+
+// seqTerm is At's second-coordinate term for sequence number seq.
+func seqTerm(seq uint32) uint64 { return mix64(uint64(seq) + streamB) }
 
 // copyTerms[c] is At's third-coordinate term for the copy coordinates the
 // link faults draw at: copy, 1+copy and 256+copy, all below 512.
@@ -77,28 +90,41 @@ var copyTerms = func() (t [512]uint64) {
 	return t
 }()
 
+// edgeKeys returns the stream's per-edge keys for every edge of t,
+// keys[e] = mix64(key ^ edgeTerm(e)), reusing the storage of keys.
+func (s Stream) edgeKeys(keys []uint64, t *Topology) []uint64 {
+	keys = keys[:0]
+	for e := range t.NumEdges() {
+		keys = append(keys, mix64(s.key^edgeTerm(int32(e))))
+	}
+	return keys
+}
+
 // edgeDraws is a Stream with the coordinates (e, seq) of one publication
 // already hashed in: d.at(c) == s.At(uint64(uint32(e)), uint64(seq), c).
-// A link fault derives it once per publication (three mix64 rounds with
-// the topology's cached edge term), then pays one round per draw.
 type edgeDraws uint64
 
-// onEdge returns the draws of publication seq on edge e of t.
-func (s Stream) onEdge(t *Topology, e int32, seq uint32) edgeDraws {
-	x := mix64(s.key ^ t.eterm[e])
-	return edgeDraws(mix64(x ^ mix64(uint64(seq)+streamB)))
-}
+// at is Stream.At at third coordinate c < 512, which covers every copy
+// coordinate of a byte-sized copy index.
+func (d edgeDraws) at(c uint64) uint64 { return mix64(uint64(d) ^ copyTerms[c]) }
 
-// at is Stream.At at third coordinate c.
-func (d edgeDraws) at(c uint64) uint64 {
-	if c < uint64(len(copyTerms)) {
-		return mix64(uint64(d) ^ copyTerms[c])
+// threshold returns the integer form of a probability test:
+// u>>11 < threshold(p) exactly when unit(u) < p. unit(u) is k/2^53 for
+// the integer k = u>>11, and k/2^53 < p holds for exactly the k below
+// ceil(p·2^53), clamped to [0, 2^53]; NaN gives 0, like every comparison
+// with NaN.
+func threshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
 	}
-	return mix64(uint64(d) ^ mix64(c+streamC))
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
-// float is Stream.Float at third coordinate c.
-func (d edgeDraws) float(c uint64) float64 { return unit(d.at(c)) }
+// hit reports unit(u) < p for thr = threshold(p).
+func hit(u, thr uint64) bool { return u>>11 < thr }
 
 // geometric maps a uniform 64-bit value to 1 + Geometric(p) with mean
 // `mean` (>= 1): the discrete holding time of a process that escapes with
