@@ -1,7 +1,7 @@
 package checker
 
 // Acceptance pin: the ball-seeded frontier path (FaultBallContext +
-// BuildFromContext + BallVerdicts) must reproduce the full-space k-fault classification
+// BallClosureContext + BallVerdictsOver) must reproduce the full-space k-fault classification
 // bit-for-bit — same ball sizes, same possible/certain verdicts, same
 // counterexample configuration — while exploring only the ball's forward
 // closure, for every algorithm × policy in the matrix and every worker
@@ -170,17 +170,18 @@ func TestBallVerdictsMatchFullSpace(t *testing.T) {
 			want = append(want, full.CheckKFaults(k, dist))
 		}
 		for _, workers := range []int{1, 4} {
-			got, ballSp, err := BallVerdicts(t.Context(), tc.alg, tc.pol, maxK, statespace.Options{Workers: workers})
+			ss, globals, ballDist, err := BallClosureContext(t.Context(), nil, tc.alg, tc.pol, maxK, statespace.Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", tc.name, workers, err)
 			}
-			if ballSp == nil {
+			if ss == nil {
 				t.Fatalf("%s w=%d: no ball subspace returned", tc.name, workers)
 			}
-			if ballSp.NumStates() > full.NumStates() {
+			if ss.NumStates() > full.NumStates() {
 				t.Fatalf("%s w=%d: ball closure (%d) larger than the space (%d)",
-					tc.name, workers, ballSp.NumStates(), full.NumStates())
+					tc.name, workers, ss.NumStates(), full.NumStates())
 			}
+			got := BallVerdictsOver(ss, BallLocalDistances(ss, globals, ballDist), maxK)
 			for k := 0; k <= maxK; k++ {
 				g, w := got[k], want[k]
 				if g.K != w.K || g.Configs != w.Configs || g.Possible != w.Possible || g.Certain != w.Certain {

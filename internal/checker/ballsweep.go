@@ -19,7 +19,8 @@ package checker
 // the whole legitimate set, so a warm run re-seeds the ball enumeration
 // from the loaded closure's legitimate states (closureBallGrower) and
 // regrows it — zero legitimacy scans, zero exploration, zero algorithm
-// callbacks.
+// callbacks. A sweep served warm up to some radius keeps that one grower
+// and hands it, with a copy of the last loaded closure, to the cold radii.
 
 import (
 	"context"
@@ -81,34 +82,6 @@ func newBallGrower(ctx context.Context, a protocol.Algorithm, workers int, maxSt
 	// matching the seed admission of statespace.BuildFromContext.
 	if int64(b.ball.Len()) > b.maxStates {
 		return nil, fmt.Errorf("checker: legitimate set of %d configurations exceeds the %d-state cap", b.ball.Len(), b.maxStates)
-	}
-	return b, nil
-}
-
-// resumeBallGrower rebuilds a grower from a previously produced ball
-// (globals with aligned distances in [0, k], any order) at radius k — the
-// warm-cache resume path. The ball is re-added shell by shell, so shell k
-// is again a contiguous id range. The inputs are not aliased.
-func resumeBallGrower(a protocol.Algorithm, k int, globals []int64, dist []int, maxStates int64, workers int) (*ballGrower, error) {
-	enc, err := protocol.NewEncoder(a, 0)
-	if err != nil {
-		return nil, fmt.Errorf("checker: %w", err)
-	}
-	b := newGrowerOver(a, enc, maxStates, workers, statespace.NewDedup(enc.Total()))
-	for b.k = 0; b.k <= k; b.k++ {
-		b.lo = b.ball.Len()
-		for i, g := range globals {
-			if dist[i] == b.k && int(b.ball.Add(g)) == len(b.dist) {
-				b.dist = append(b.dist, b.k)
-			}
-		}
-	}
-	b.k = k
-	if len(b.dist) != len(globals) {
-		return nil, fmt.Errorf("checker: resumed distance-%d ball holds duplicates or distances outside [0,%d]", k, k)
-	}
-	if int64(b.ball.Len()) > b.maxStates {
-		return nil, fmt.Errorf("checker: resumed distance-%d ball of %d configurations exceeds the %d-state cap", k, b.ball.Len(), b.maxStates)
 	}
 	return b, nil
 }
@@ -332,32 +305,6 @@ func NewBallSweepContext(ctx context.Context, a protocol.Algorithm, pol schedule
 	return &BallSweep{a: a, pol: pol, opt: opt, ball: ball, extended: -1}, nil
 }
 
-// ResumeBallSweep rebuilds a sweep at radius k from a previously produced
-// ball (globals and aligned distances, as FaultBallContext or SealContext
-// returns them) and, optionally, its sealed closure subspace — how a sweep
-// extends a prefix of radii served from the cache. ss may be nil: the closure is then explored from
-// the ball at the next SealContext. ss is deep-copied, never aliased or
-// mutated.
-func ResumeBallSweep(a protocol.Algorithm, pol scheduler.Policy, k int, globals []int64, dist []int, ss *statespace.Space, opt statespace.Options) (*BallSweep, error) {
-	if len(globals) != len(dist) {
-		return nil, fmt.Errorf("checker: ball of %d globals with %d distances", len(globals), len(dist))
-	}
-	ball, err := resumeBallGrower(a, k, globals, dist, opt.MaxStates, opt.Workers)
-	if err != nil {
-		return nil, err
-	}
-	s := &BallSweep{a: a, pol: pol, opt: opt, ball: ball, extended: -1}
-	if ss != nil {
-		if s.builder, err = statespace.ResumeFrom(ss, opt); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// K returns the current ball radius.
-func (s *BallSweep) K() int { return s.ball.k }
-
 // GrowToContext grows the ball to radius k (a no-op when already there) —
 // mutation shells only, no transition exploration (that happens at
 // SealContext). ctx is checked once per shell.
@@ -482,18 +429,19 @@ type SweepResult struct {
 	Dist    []int
 }
 
-// SweepKFaultsContext walks k = 0..kmax with one incremental ball
-// enumeration and one incremental closure exploration in total: each
-// radius extends the previous ball and subspace instead of restarting, and
-// every per-k verdict is bit-identical to the from-scratch BallVerdicts at
-// that k. With stopAtBreak the walk ends at the smallest k whose
-// certain-convergence verdict fails — the "how many faults can the system
-// absorb" search loop.
+// SweepKFaultsContext walks k = 0..kmax on one BallSweep — one
+// incremental ball enumeration and one incremental closure exploration in
+// total: each radius extends the previous ball and subspace instead of
+// restarting, and every per-k verdict is bit-identical to the from-scratch
+// BallClosureContext + BallVerdictAt at that k. With stopAtBreak the walk
+// ends at the smallest k whose certain-convergence verdict fails — the
+// "how many faults can the system absorb" search loop.
 //
 // A non-nil cache makes the sweep cache-aware end to end: radii whose
-// closure is persisted are served with zero algorithm callbacks (the ball
-// is regrown from the first loaded closure's legitimate states), and the
-// sweep resumes incremental exploration at the first radius that misses.
+// closure is persisted are served with zero algorithm callbacks (the
+// sweep's ball is seeded from the first loaded closure's legitimate states
+// and regrown), and at the first radius that misses the same sweep resumes
+// exploration from a copy of the last loaded closure (statespace.ResumeFrom).
 // ctx is checked at every sweep-radius boundary and threads through to the
 // shell-granular checks of the ball enumeration and closure exploration,
 // so a cancelled sweep returns an error wrapping ctx.Err() without
@@ -511,50 +459,49 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 		}
 		return nil, err
 	}
-	var (
-		sweep *BallSweep
-		warm  *ballGrower // the warm prefix's ball, seeded from its first closure
-	)
+	var sweep *BallSweep // the one ball of the whole walk
+	warm := true         // every radius so far was served from the cache
 	for k := 0; k <= kmax; k++ {
 		if err := ctx.Err(); err != nil {
 			return fail(fmt.Errorf("checker: sweep canceled at radius %d: %w", k, err))
 		}
-		var (
-			ss      *statespace.Space
-			globals []int64
-			dist    []int
-			hit     bool
-		)
-		if sweep == nil {
-			// Warm path: serve radius k entirely from the cache.
-			if loaded, ok := cache.LoadBallClosure(a, pol, k, opt); ok {
-				if warm == nil {
-					warm = closureBallGrower(loaded, opt.MaxStates)
-				}
-				if err := warm.growTo(ctx, k); err != nil {
-					loaded.Close()
+		var ss *statespace.Space
+		if warm {
+			loaded, ok := cache.LoadBallClosure(a, pol, k, opt)
+			switch {
+			case ok && sweep == nil:
+				// The first loaded closure seeds the ball.
+				sweep = &BallSweep{a: a, pol: pol, opt: opt, ball: closureBallGrower(loaded, opt.MaxStates), extended: -1}
+			case !ok && sweep == nil:
+				var err error
+				if sweep, err = NewBallSweepContext(ctx, a, pol, opt); err != nil {
 					return fail(err)
 				}
-				globals, dist = warm.sorted()
-				ss, hit = loaded, true
-			} else {
-				// First cold radius: resume from the last warm radius, or
-				// start fresh at k=0.
-				var err error
-				if res.Sub != nil {
-					sweep, err = ResumeBallSweep(a, pol, k-1, res.Globals, res.Dist, res.Sub, opt)
-				} else {
-					sweep, err = NewBallSweepContext(ctx, a, pol, opt)
-				}
+			case !ok:
+				// First cold radius after a warm prefix: the closure of
+				// radius k-1 is the last loaded one, so exploration resumes
+				// from a copy of it and seeds only shell k.
+				b, err := statespace.ResumeFrom(res.Sub, opt)
 				if err != nil {
 					return fail(err)
 				}
+				sweep.builder, sweep.extended = b, k-1
 			}
+			ss, warm = loaded, ok
 		}
-		if !hit {
-			if err := sweep.GrowToContext(ctx, k); err != nil {
-				return fail(err)
+		if err := sweep.GrowToContext(ctx, k); err != nil {
+			if warm {
+				ss.Close()
 			}
+			return fail(err)
+		}
+		var (
+			globals []int64
+			dist    []int
+		)
+		if warm {
+			globals, dist = sweep.ball.sorted()
+		} else {
 			var err error
 			if ss, globals, dist, err = sweep.SealContext(ctx); err != nil {
 				return fail(err)
@@ -570,7 +517,7 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 			states = ss.NumStates()
 		}
 		res.ClosureStates = append(res.ClosureStates, states)
-		res.CacheHits = append(res.CacheHits, hit)
+		res.CacheHits = append(res.CacheHits, warm)
 		// One sweep.radius event per sealed radius, in ascending-k order
 		// (the walk is sequential, so the stream is deterministic).
 		o := obs.Or(opt.Obs)
@@ -582,12 +529,12 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 				Closure:  states,
 				Possible: v.Possible,
 				Certain:  v.Certain,
-				CacheHit: hit,
+				CacheHit: warm,
 			})
 		}
 		if res.Sub != nil && res.Sub != ss {
 			// A warm-loaded subspace may own a zero-copy mapping; release it
-			// once the walk has extended past its radius (ResumeBallSweep
+			// once the walk has extended past its radius (ResumeFrom
 			// deep-copied whatever it needed).
 			res.Sub.Close()
 		}

@@ -238,56 +238,13 @@ func TestBallSweepIncrementalParity(t *testing.T) {
 	}
 }
 
-// TestResumeBallSweepParity pins the warm-resume path: a sweep rebuilt
-// from a k-radius ball (with and without its sealed closure) grows to k+1
-// bit-identically to a never-interrupted sweep.
-func TestResumeBallSweepParity(t *testing.T) {
-	ring, err := tokenring.New(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := scheduler.DistributedPolicy{}
-	opt := statespace.Options{}
-	const k = 1
-	ss, globals, dist, err := BallClosureContext(t.Context(), nil, ring, pol, k, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSS, refG, refD, err := BallClosureContext(t.Context(), nil, ring, pol, k+1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, base := range []*statespace.Space{ss, nil} {
-		sweep, err := ResumeBallSweep(ring, pol, k, globals, dist, base, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sweep.K() != k {
-			t.Fatalf("resumed sweep at radius %d, want %d", sweep.K(), k)
-		}
-		if err := sweep.GrowToContext(t.Context(), k+1); err != nil {
-			t.Fatal(err)
-		}
-		gotSS, gotG, gotD, err := sweep.SealContext(t.Context())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !int64sEqual(gotG, refG) || !intsEqual(gotD, refD) {
-			t.Fatalf("resumed ball at k=%d differs from from-scratch (closure resumed: %v)", k+1, base != nil)
-		}
-		if !subSpacesEqual(t, gotSS, refSS) {
-			t.Fatalf("resumed closure at k=%d differs from from-scratch (closure resumed: %v)", k+1, base != nil)
-		}
-	}
-}
-
 // TestSweepKFaultsMatchesFromScratch pins the sweep driver's verdicts —
-// including counterexamples — bit-identical to per-k from-scratch
-// BallVerdicts runs, and its exploration accounting exact: on an
-// enumerator algorithm the whole walk makes zero full-range passes and
-// exactly one incremental exploration (one Legitimate call and n
-// EnabledAction calls per closure state, total — the acceptance pin for
-// `stabcheck -kmax`).
+// including counterexamples — bit-identical to the from-scratch ball
+// pipeline (BallClosureContext + BallVerdictsOver), and its exploration
+// accounting exact: on an enumerator algorithm the whole walk makes zero
+// full-range passes and exactly one incremental exploration (one
+// Legitimate call and n EnabledAction calls per closure state, total — the
+// acceptance pin for `stabcheck -kmax`).
 func TestSweepKFaultsMatchesFromScratch(t *testing.T) {
 	inner, err := tokenring.New(5)
 	if err != nil {
@@ -319,10 +276,11 @@ func TestSweepKFaultsMatchesFromScratch(t *testing.T) {
 		t.Errorf("sweep made %d EnabledAction calls, want exactly %d (one incremental exploration)", got, n*states)
 	}
 
-	ref, _, err := BallVerdicts(t.Context(), inner, pol, kmax, opt)
+	refSS, refG, refD, err := BallClosureContext(t.Context(), nil, inner, pol, kmax, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := BallVerdictsOver(refSS, BallLocalDistances(refSS, refG, refD), kmax)
 	for k, v := range res.Verdicts {
 		r := ref[k]
 		if v.K != r.K || v.Configs != r.Configs || v.Possible != r.Possible || v.Certain != r.Certain ||
@@ -421,24 +379,53 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 
 	// Prefix-warm resume: a cache holding only radii 0..kmax serves a
 	// kmax+1 sweep warm up to kmax and explores just the last shell — no
-	// seed pass, and one Legitimate call per newly explored closure state.
-	counted2 := &countingEnumAlg{LegitEnumerator: inner}
-	extended, err := SweepKFaultsContext(t.Context(), cache, counted2, pol, kmax+1, opt, false)
+	// seed pass, and one Legitimate call per newly explored closure state —
+	// and the last radius equals the cache-less from-scratch pipeline bit
+	// for bit. dijkstra(5,5) runs it because its closures grow at every
+	// radius (85, 1125, 2885, 3125 states at k=0..3), so the last shell
+	// really has states to explore.
+	dk, err := dijkstra.New(5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := counted2.legit.Load(), int64(extended.ClosureStates[kmax+1]-extended.ClosureStates[kmax]); got != want {
-		t.Errorf("prefix-warm sweep made %d Legitimate calls, want %d (the missing shell's closure states only)", got, want)
-	}
-	ref, _, err := BallVerdicts(t.Context(), inner, pol, kmax+1, opt)
+	dcache, err := spacecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	prefix, err := SweepKFaultsContext(t.Context(), dcache, dk, pol, kmax, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix.Sub.Close()
+	counted2 := &countingEnumAlg{LegitEnumerator: dk}
+	extended, err := SweepKFaultsContext(t.Context(), dcache, counted2, pol, kmax+1, opt, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer extended.Sub.Close()
+	newStates := int64(extended.ClosureStates[kmax+1] - extended.ClosureStates[kmax])
+	if newStates <= 0 {
+		t.Fatalf("the k=%d shell adds %d closure states: the prefix-warm check would be vacuous", kmax+1, newStates)
+	}
+	if got := counted2.legit.Load(); got != newStates {
+		t.Errorf("prefix-warm sweep made %d Legitimate calls, want %d (the missing shell's closure states only)", got, newStates)
+	}
+	refSS, refG, refD, err := BallClosureContext(t.Context(), nil, dk, pol, kmax+1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := BallVerdictsOver(refSS, BallLocalDistances(refSS, refG, refD), kmax+1)
 	for k, v := range extended.Verdicts {
 		r := ref[k]
 		if v.Configs != r.Configs || v.Possible != r.Possible || v.Certain != r.Certain {
 			t.Errorf("extended sweep k=%d: verdict %+v differs from from-scratch %+v", k, v, r)
 		}
+	}
+	if !int64sEqual(extended.Globals, refG) || !intsEqual(extended.Dist, refD) {
+		t.Error("prefix-warm sweep ball differs from from-scratch")
+	}
+	if !subSpacesEqual(t, extended.Sub, refSS) {
+		t.Error("prefix-warm sweep closure subspace differs from from-scratch")
 	}
 	for k := 0; k <= kmax; k++ {
 		if !extended.CacheHits[k] {

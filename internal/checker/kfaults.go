@@ -9,11 +9,12 @@ package checker
 // convergence properties to configurations reachable by at most k faults.
 //
 // Two exploration strategies feed the verdict. CheckKFaults classifies over
-// an already-built system (historically the full space). BallVerdicts is
-// the frontier path: it enumerates the distance-≤k ball directly (a BFS
-// over single-process mutations, no transition exploration), frontier-
-// explores only the ball's forward closure (statespace.BuildFromContext),
-// and classifies over that subspace — bit-identical verdicts at the cost of
+// an already-built system (historically the full space). The ball pipeline
+// is the frontier path: FaultBallContext enumerates the distance-≤k ball
+// directly (a BFS over single-process mutations, no transition
+// exploration), BallClosureContext frontier-explores only the ball's
+// forward closure (statespace.BuildFromContext), and BallVerdictsOver
+// classifies over that subspace — bit-identical verdicts at the cost of
 // the ball's closure instead of the whole configuration space. The ball
 // enumeration seeds from the algorithm's closed-form legitimate set
 // (protocol.LegitEnumerator) when available, so the pipeline is strictly
@@ -25,7 +26,6 @@ import (
 	"fmt"
 
 	"weakstab/internal/protocol"
-	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
 )
 
@@ -40,7 +40,7 @@ import (
 //
 // On an explored closure, mutations leaving it are skipped: the distance
 // is then relative to the closure (exact whenever the closure contains
-// the full mutation ball, as BallVerdicts' does).
+// the full mutation ball, as BallClosureContext's does).
 func (sp *Space) DistanceToLegitimate() []int {
 	a := sp.Algorithm()
 	n := a.Graph().N()
@@ -108,8 +108,9 @@ func (sp *Space) CheckKFaults(k int, dist []int) KFaultVerdict {
 }
 
 // checkKFaults is the verdict scan over precomputed reachability and
-// divergence vectors, shared by CheckKFaults and BallVerdicts (which
-// evaluates many k values over one pair of vectors).
+// divergence vectors, shared by CheckKFaults, BallVerdictAt and
+// BallVerdictsOver (which evaluates many k values over one pair of
+// vectors).
 func (sp *Space) checkKFaults(k int, dist []int, canReach, diverging []bool) KFaultVerdict {
 	v := KFaultVerdict{K: k, Possible: true, Certain: true}
 	for s := range dist {
@@ -225,51 +226,23 @@ func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) [
 // verdict scans. localDist is the per-local-state fault-distance vector
 // (BallLocalDistances), taken precomputed so callers that also need it —
 // e.g. for per-distance hitting times — compute it once. A nil subspace
-// (BallClosureContext's empty-legitimate-set result) yields
-// VacuousVerdicts, so the whole ball pipeline composes without a
+// (BallClosureContext's empty-legitimate-set result) yields the vacuous
+// verdicts of an empty legitimate set — every property holds over no
+// initial configurations — so the whole ball pipeline composes without a
 // caller-side guard.
 func BallVerdictsOver(ss *statespace.Space, localDist []int, k int) []KFaultVerdict {
+	out := make([]KFaultVerdict, k+1)
 	if ss == nil {
-		return VacuousVerdicts(k)
+		for kk := range out {
+			out[kk] = KFaultVerdict{K: kk, Possible: true, Certain: true}
+		}
+		return out
 	}
 	sp := FromSpace(ss)
 	canReach := sp.reverseReach()
 	diverging := sp.divergingStates()
-	out := make([]KFaultVerdict, 0, k+1)
-	for kk := 0; kk <= k; kk++ {
-		out = append(out, sp.checkKFaults(kk, localDist, canReach, diverging))
-	}
-	return out
-}
-
-// VacuousVerdicts returns the verdicts of an empty legitimate set: every
-// property holds over the empty set of initial configurations, for every
-// k' in 0..k.
-func VacuousVerdicts(k int) []KFaultVerdict {
-	out := make([]KFaultVerdict, k+1)
 	for kk := range out {
-		out[kk] = KFaultVerdict{K: kk, Possible: true, Certain: true}
+		out[kk] = sp.checkKFaults(kk, localDist, canReach, diverging)
 	}
 	return out
-}
-
-// BallVerdicts classifies the k-fault convergence properties for every
-// k' in 0..k by frontier exploration: only the distance-≤k ball and its
-// forward closure are ever built — once, via BallClosureContext without a
-// cache — so the cost scales with the ball, not the configuration space.
-// The verdicts are bit-identical to running CheckKFaults over the full
-// space (the ball contains every configuration at distance ≤ k by
-// construction, and every execution from the ball stays inside the
-// explored closure); they are the from-scratch reference the incremental
-// and cached pipelines are pinned against. The subspace is returned for
-// further analysis (e.g. hitting times of the ball states).
-func BallVerdicts(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) ([]KFaultVerdict, *Space, error) {
-	ss, globals, ballDist, err := BallClosureContext(ctx, nil, a, pol, k, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(globals) == 0 {
-		return VacuousVerdicts(k), nil, nil
-	}
-	return BallVerdictsOver(ss, BallLocalDistances(ss, globals, ballDist), k), FromSpace(ss), nil
 }

@@ -63,11 +63,11 @@ func BenchmarkBallVerdicts(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		verdicts, _, err := BallVerdicts(b.Context(), a, scheduler.CentralPolicy{}, 2, statespace.Options{})
+		ss, globals, dist, err := BallClosureContext(b.Context(), nil, a, scheduler.CentralPolicy{}, 2, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(verdicts) != 3 {
+		if verdicts := BallVerdictsOver(ss, BallLocalDistances(ss, globals, dist), 2); len(verdicts) != 3 {
 			b.Fatal("missing verdicts")
 		}
 	}

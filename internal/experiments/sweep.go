@@ -90,11 +90,11 @@ func runE19(ctx context.Context, w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "k\tball configs\tclosure states\tpossible\tcertain\tfrom-scratch agrees")
 	for k, v := range res.Verdicts {
-		ref, _, err := checker.BallVerdicts(ctx, inner, pol, k, ssOpt)
+		ss, globals, dist, err := checker.BallClosureContext(ctx, nil, inner, pol, k, ssOpt)
 		if err != nil {
 			return err
 		}
-		r := ref[k]
+		r := checker.BallVerdictAt(ss, checker.BallLocalDistances(ss, globals, dist), k)
 		agrees := v.Configs == r.Configs && v.Possible == r.Possible && v.Certain == r.Certain
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%v\t%v\t%v\n", k, v.Configs, res.ClosureStates[k], v.Possible, v.Certain, agrees)
 		if !agrees {

@@ -145,10 +145,6 @@ func ResumeFrom(ss *Space, opt Options) (*Builder, error) {
 // Len returns the number of discovered states.
 func (b *Builder) Len() int { return b.table.Len() }
 
-// Contains reports whether the global configuration index g has been
-// discovered.
-func (b *Builder) Contains(g int64) bool { return b.table.Lookup(g) >= 0 }
-
 // addSeeds admits seed globals into the discovered set (duplicates and
 // already-discovered states are no-ops), leaving them on the pending
 // frontier for the next explore.
