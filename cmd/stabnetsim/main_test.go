@@ -11,6 +11,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,20 @@ func TestGoldenRestabilizeLoss(t *testing.T) {
 		"-check-every", "2", "-net", "loss:0.05")
 }
 
+// TestGoldenRestabilizeCrashHold pins crash-recover in hold mode: a
+// recovered process resumes with its pre-crash state and the views it
+// held when it went down, so neither its state nor its guard inputs
+// change across the outage.
+func TestGoldenRestabilizeCrashHold(t *testing.T) {
+	runGolden(t, "coloring2048_restab_hold", crashHoldArgs...)
+}
+
+var crashHoldArgs = []string{
+	"-alg", "coloring", "-n", "2048", "-restabilize", "200", "-trials", "3",
+	"-check-every", "2", "-max-rounds", "3000",
+	"-net", "latency:uniform:1:2,loss:0.05,crash:0.0005:2:hold",
+}
+
 // TestGoldenWorkerInvariance reruns a golden case with adversarial worker
 // and shard counts: the report must stay byte-identical — the CLI face of
 // the backend's determinism contract.
@@ -82,6 +97,8 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 	runGolden(t, "coloring8192_restab_loss",
 		"-alg", "coloring", "-n", "8192", "-restabilize", "800", "-trials", "3",
 		"-check-every", "2", "-net", "loss:0.05", "-workers", "4", "-shards", "13")
+	runGolden(t, "coloring2048_restab_hold",
+		append(slices.Clone(crashHoldArgs), "-workers", "4", "-shards", "13")...)
 }
 
 // TestFailureRateSurfaced pins the censored-batch rendering: when some
