@@ -25,6 +25,7 @@ package coloring
 
 import (
 	"fmt"
+	"math/bits"
 
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
@@ -86,18 +87,24 @@ func (a *Algorithm) Outcomes(cfg protocol.Configuration, p, action int) []protoc
 }
 
 // DeterministicExecute implements protocol.Deterministic: the smallest
-// color in p's palette unused by its neighbors.
+// color in p's palette unused by its neighbors. It marks the neighbors'
+// colors in a fixed-size stack bitmap, one block of the palette per pass,
+// so it allocates nothing whatever the degree; a second pass happens only
+// when the neighbors use every color of the first block.
 func (a *Algorithm) DeterministicExecute(cfg protocol.Configuration, p, _ int) int {
-	used := make([]bool, a.StateCount(p))
-	for i := 0; i < a.g.Degree(p); i++ {
-		c := cfg[a.g.Neighbor(p, i)]
-		if c < len(used) {
-			used[c] = true
+	const block = 512
+	deg := a.g.Degree(p)
+	for lo := 0; lo <= deg; lo += block {
+		var used [block / 64]uint64
+		for i := 0; i < deg; i++ {
+			if c := cfg[a.g.Neighbor(p, i)] - lo; c >= 0 && c < block {
+				used[c/64] |= 1 << (c % 64)
+			}
 		}
-	}
-	for c, u := range used {
-		if !u {
-			return c
+		for w, u := range used {
+			if u != ^uint64(0) {
+				return lo + 64*w + bits.TrailingZeros64(^u)
+			}
 		}
 	}
 	// Unreachable: deg(p) neighbors cannot cover deg(p)+1 colors.
@@ -121,26 +128,41 @@ func (a *Algorithm) ActionName(int) string { return "recolor" }
 func (a *Algorithm) EnumerateLegitimate(yield func(protocol.Configuration) bool) {
 	n := a.g.N()
 	cfg := make(protocol.Configuration, n)
-	var extend func(p int) bool
-	extend = func(p int) bool {
+	// Iterative backtracking: processes [0, p) hold a proper partial
+	// coloring and cfg[p] is the next color to try at p.
+	for p := 0; p >= 0; {
 		if p == n {
-			return yield(cfg)
-		}
-	next:
-		for c := 0; c <= a.g.Degree(p); c++ {
-			for i := 0; i < a.g.Degree(p); i++ {
-				if q := a.g.Neighbor(p, i); q < p && cfg[q] == c {
-					continue next
-				}
+			if !yield(cfg) {
+				return
 			}
+		} else if c := a.freeFrom(cfg, p, cfg[p]); c <= a.g.Degree(p) {
 			cfg[p] = c
-			if !extend(p + 1) {
-				return false
+			if p++; p < n {
+				cfg[p] = 0
+			}
+			continue
+		}
+		// Backtrack: p-1 moves on to its next color.
+		if p--; p >= 0 {
+			cfg[p]++
+		}
+	}
+}
+
+// freeFrom returns the smallest color c >= from that no neighbor q < p
+// holds in cfg, or deg(p)+1 when the palette has none left.
+func (a *Algorithm) freeFrom(cfg protocol.Configuration, p, from int) int {
+	c := from
+next:
+	for ; c <= a.g.Degree(p); c++ {
+		for i := 0; i < a.g.Degree(p); i++ {
+			if q := a.g.Neighbor(p, i); q < p && cfg[q] == c {
+				continue next
 			}
 		}
-		return true
+		break
 	}
-	extend(0)
+	return c
 }
 
 // Legitimate implements protocol.Algorithm: a proper coloring.

@@ -227,3 +227,88 @@ func TestName(t *testing.T) {
 		t.Fatal("empty action name")
 	}
 }
+
+// smallestFree is the definitional recolor: the smallest color of p's
+// palette that no neighbor holds.
+func smallestFree(g *graph.Graph, cfg protocol.Configuration, p int) int {
+	for c := 0; ; c++ {
+		used := false
+		for i := 0; i < g.Degree(p); i++ {
+			used = used || cfg[g.Neighbor(p, i)] == c
+		}
+		if !used {
+			return c
+		}
+	}
+}
+
+// TestDeterministicExecuteMatchesBruteForce checks the bitmap recolor
+// against smallestFree on random configurations, and on a complete graph
+// whose neighbors hold every color but one, so the free color sits in any
+// block of the palette, the later ones included.
+func TestDeterministicExecuteMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ring, err := graph.Ring(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := graph.Star(130)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := graph.Complete(1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{ring, star, k} {
+		a := mustNew(t, g, nil)
+		for trial := 0; trial < 20; trial++ {
+			cfg := protocol.RandomConfiguration(a, rng)
+			for p := 0; p < g.N(); p += 1 + g.N()/50 {
+				if got, want := a.DeterministicExecute(cfg, p, ActionRecolor), smallestFree(g, cfg, p); got != want {
+					t.Fatalf("%s: p=%d recolor %d, want %d", g.Name(), p, got, want)
+				}
+			}
+		}
+	}
+	a := mustNew(t, k, nil)
+	cfg := make(protocol.Configuration, k.N())
+	for trial := 0; trial < 20; trial++ {
+		// Process 0's 1199 neighbors hold [0, 1200) minus hole.
+		hole := rng.Intn(k.N())
+		if trial < 3 {
+			hole = []int{0, 511, 1199}[trial]
+		}
+		colors := make([]int, 0, k.N()-1)
+		for c := 0; c < k.N(); c++ {
+			if c != hole {
+				colors = append(colors, c)
+			}
+		}
+		rng.Shuffle(len(colors), func(i, j int) { colors[i], colors[j] = colors[j], colors[i] })
+		copy(cfg[1:], colors)
+		if got := a.DeterministicExecute(cfg, 0, ActionRecolor); got != hole {
+			t.Fatalf("complete(1200): recolor %d, want the only free color %d", got, hole)
+		}
+	}
+}
+
+// TestDeterministicExecuteAllocationFree pins the protocol.Deterministic
+// promise on a ring process and on a star centre of degree 199.
+func TestDeterministicExecuteAllocationFree(t *testing.T) {
+	ring, err := graph.Ring(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := graph.Star(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Graph{ring, star} {
+		a := mustNew(t, g, nil)
+		cfg := make(protocol.Configuration, g.N())
+		if n := testing.AllocsPerRun(100, func() { a.DeterministicExecute(cfg, 0, ActionRecolor) }); n != 0 {
+			t.Fatalf("%s: DeterministicExecute allocates %v times per call", g.Name(), n)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"weakstab/internal/graph"
@@ -120,5 +121,50 @@ func TestEnumerateLegitimateEarlyStop(t *testing.T) {
 	})
 	if calls != 1 {
 		t.Fatalf("enumeration continued %d yields past a false return", calls)
+	}
+}
+
+// TestEnumerateLegitimateFirstYieldConstantCost pins the iterative
+// backtracking: the first yield on a 10^5-process ring allocates as often
+// as on a 10-process ring, and a fresh goroutine reaches it without
+// growing its stack by a frame per process. The stack is measured from
+// inside yield, where a recursive enumeration is at its deepest.
+func TestEnumerateLegitimateFirstYieldConstantCost(t *testing.T) {
+	type cost struct {
+		allocs float64
+		stack  uint64
+	}
+	measure := func(n int) cost {
+		g, err := graph.Ring(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := New(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c cost
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			a.EnumerateLegitimate(func(protocol.Configuration) bool {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				c.stack = ms.StackInuse
+				return false
+			})
+		}()
+		<-done
+		c.allocs = testing.AllocsPerRun(5, func() {
+			a.EnumerateLegitimate(func(protocol.Configuration) bool { return false })
+		})
+		return c
+	}
+	small, large := measure(10), measure(100_000)
+	if large.allocs != small.allocs {
+		t.Errorf("first yield allocates %v times on ring(10^5), %v on ring(10)", large.allocs, small.allocs)
+	}
+	if large.stack > small.stack+256<<10 {
+		t.Errorf("stack in use at the first yield: %d bytes on ring(10^5), %d on ring(10)", large.stack, small.stack)
 	}
 }

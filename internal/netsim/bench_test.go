@@ -15,7 +15,11 @@ import (
 // backend (process-rounds/sec is the ReportMetric). The instance runs a
 // fixed number of rounds under a lossy network from a random start with
 // convergence checks disabled (huge CheckEvery), so the benchmark
-// exercises the full execute+publish+deliver path, not Legitimate.
+// measures deliver+execute+publish, not Legitimate. From a random start
+// most processes recolor in the first rounds and then turn quiet, and
+// the execute pass evaluates only the guards whose inputs changed (at
+// n=100000 about 0.63 million guards over the 6.4 million
+// process-rounds); deliveries and publications run every round.
 func BenchmarkNetSimRounds(b *testing.B) {
 	const rounds = 64
 	for _, n := range []int{1_000, 10_000, 100_000, 1_000_000} {

@@ -314,7 +314,13 @@ type engine struct {
 	mark []int32
 	key  []uint64
 
-	down     []bool
+	down []bool
+	// quiet[p] is set when p's guard evaluated Disabled and cleared when
+	// one of its inputs changes: a delivery writing a different value into
+	// one of p's view slots, or a process fault resetting state[p]. A
+	// quiet process would evaluate the same guard on the same inputs, so
+	// the execute pass skips it.
+	quiet    []bool
 	link     []LinkFault
 	proc     []ProcessFault
 	seqTerms []uint64 // seqTerms[q] = seqTerm(q) for every sequence number so far
@@ -367,6 +373,7 @@ func RunOnContext(ctx context.Context, t *Topology, a protocol.Algorithm, init p
 	s.key = make([]uint64, t.NumEdges())
 	s.seq = make([]uint32, t.NumEdges())
 	s.down = make([]bool, n)
+	s.quiet = make([]bool, n)
 
 	ns := opts.shards(n)
 	if ns > n {
@@ -453,10 +460,11 @@ func (s *engine) parallel(fn func(*shard)) {
 
 // phase1 advances one shard through round r: crash bookkeeping, applying
 // the arrivals due this round to the view caches, executing every live
-// process against its view, and pushing the round's publications through
-// the fault stack into the shard's own calendar (receiver in this shard)
-// or the per-destination outboxes (receiver elsewhere). It touches only
-// shard-owned state plus the (phase-barriered) outboxes.
+// process that is not quiet against its view, and pushing the round's
+// publications through the fault stack into the shard's own calendar
+// (receiver in this shard) or the per-destination outboxes (receiver
+// elsewhere). It touches only shard-owned state plus the
+// (phase-barriered) outboxes.
 func (s *engine) phase1(sh *shard, r int32) {
 	t := s.t
 	// Process faults first: a process down in round r loses this round's
@@ -467,6 +475,7 @@ func (s *engine) phase1(sh *shard, r int32) {
 			dn, reset, nv := pf.BeginRound(p, r, int32(s.state[p]), t.domain[p])
 			if reset {
 				s.state[p] = int(nv)
+				s.quiet[p] = false
 			}
 			s.down[p] = dn
 			if s.opts.Record && dn != wasDown {
@@ -496,7 +505,12 @@ func (s *engine) phase1(sh *shard, r int32) {
 		if s.mark[d.edge] != r+1 || k > s.key[d.edge] {
 			s.mark[d.edge] = r + 1
 			s.key[d.edge] = k
-			s.view[d.edge] = int(d.val)
+			// Conservative if a later write of this round restores the
+			// old value: p merely re-evaluates an unchanged guard.
+			if s.view[d.edge] != int(d.val) {
+				s.view[d.edge] = int(d.val)
+				s.quiet[p] = false
+			}
 		}
 		sh.deliv++
 		if s.opts.Record {
@@ -505,17 +519,22 @@ func (s *engine) phase1(sh *shard, r int32) {
 	}
 	sh.cal.recycle(bucket)
 
-	// Execute: every live process evaluates its guard against its view
-	// (own state + cached neighbor values) and moves. Writing state[p]
-	// immediately is safe — no other process ever reads it; neighbors see
-	// it only through messages.
+	// Execute: every live process that is not quiet evaluates its guard
+	// against its view (own state + cached neighbor values) and moves.
+	// Skipping a quiet process changes no result: by the Algorithm purity
+	// contract its guard would read the same inputs and again be
+	// Disabled, and evaluating a guard draws nothing from the exec
+	// stream, which only sample reads. Writing state[p] immediately is
+	// safe — no other process ever reads it; neighbors see it only
+	// through messages.
 	for p := sh.lo; p < sh.hi; p++ {
-		if s.down[p] {
+		if s.down[p] || s.quiet[p] {
 			continue
 		}
 		cfg := sh.lv.Materialize(int(p), s.state[p], s.view[t.off[p]:t.off[p+1]])
 		act := s.a.EnabledAction(cfg, int(p))
 		if act == protocol.Disabled {
+			s.quiet[p] = true
 			continue
 		}
 		if s.det != nil {

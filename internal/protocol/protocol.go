@@ -86,6 +86,9 @@ func Det(state int) []Outcome {
 //
 // Implementations must be pure: EnabledAction and Outcomes must not mutate
 // cfg and must depend only on the states of p and its neighbors (locality).
+// The message-passing backend relies on this: once p's guard returns
+// Disabled, netsim skips p until its own state or one of its cached
+// neighbor values changes.
 type Algorithm interface {
 	// Name identifies the algorithm for traces and reports.
 	Name() string
