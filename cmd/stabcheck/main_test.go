@@ -86,6 +86,7 @@ func TestGoldenMCEarlyStop(t *testing.T) {
 func TestGoldenMCWorkerInvariance(t *testing.T) {
 	for _, w := range []string{"1", "7"} {
 		runGolden(t, "mc_tokenring6", "-alg", "tokenring", "-n", "6", "-mc", "-trials", "2000", "-workers", w)
+		runGolden(t, "json_mc_herman9_distributed", "-alg", "herman", "-n", "9", "-policy", "distributed", "-mc", "-trials", "20000", "-json", "-workers", w)
 	}
 }
 
@@ -113,6 +114,13 @@ func TestGoldenJSONMC(t *testing.T) {
 // shape the tokenring golden never reaches.
 func TestGoldenJSONMCHerman11(t *testing.T) {
 	runGolden(t, "json_mc_herman11", "-alg", "herman", "-n", "11", "-policy", "synchronous", "-mc", "-trials", "20000", "-json")
+}
+
+// TestGoldenJSONMCHerman9Distributed pins a sampler run over rows whose
+// degree is a power of two but whose probabilities are not uniform
+// (herman(9) under the distributed daemon), next to rows that are.
+func TestGoldenJSONMCHerman9Distributed(t *testing.T) {
+	runGolden(t, "json_mc_herman9_distributed", "-alg", "herman", "-n", "9", "-policy", "distributed", "-mc", "-trials", "20000", "-json")
 }
 
 // TestGoldenJSONReachableKFaultsTokenring13 pins hitting times solved by
