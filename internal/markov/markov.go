@@ -105,10 +105,10 @@ func FromCSR(off []int64, succ []int32, prob []float64) (*Chain, error) {
 // CheckRows validates that every non-empty row of a CSR chain is a
 // distribution: positive probabilities summing to 1 within 1e-9. Rows are
 // checked in parallel on a pool of workers; each valid non-empty row is
-// then handed to row (when non-nil) as its CSR position range [a, b), so
-// row must be safe for concurrent calls on distinct rows. It returns one
-// of the violations when there is any.
-func CheckRows(off []int64, prob []float64, workers int, row func(a, b int64)) error {
+// then handed to row (when non-nil) as its state s and CSR position range
+// [a, b), so row must be safe for concurrent calls on distinct rows. It
+// returns one of the violations when there is any.
+func CheckRows(off []int64, prob []float64, workers int, row func(s int, a, b int64)) error {
 	return statespace.ForRanges(len(off)-1, workers, 1<<14, func(lo, hi int) error {
 		for s := lo; s < hi; s++ {
 			a, b := off[s], off[s+1]
@@ -126,7 +126,7 @@ func CheckRows(off []int64, prob []float64, workers int, row func(a, b int64)) e
 				return fmt.Errorf("markov: row %d sums to %g, want 1", s, sum)
 			}
 			if row != nil {
-				row(a, b)
+				row(s, a, b)
 			}
 		}
 		return nil

@@ -19,7 +19,10 @@ import (
 // mean hitting time within 4 standard errors of markov.HittingTimes
 // under the matching uniform non-target start, and the empirical CDF
 // within DKW bounds of markov.HittingTimeCDF from a fixed start — and
-// every MC output must be bit-identical across worker counts.
+// every MC output must be bit-identical across worker counts. The
+// instances cover the three kinds of space pick sees: every row
+// uniform-exact (herman synchronous), a mix (tokenring central) and none
+// (herman distributed); TestInstanceRowKinds pins which is which.
 
 type instance struct {
 	name   string
@@ -33,6 +36,7 @@ func instances() []instance {
 		{"tokenring6/central", func() (protocol.Algorithm, error) { return tokenring.New(6) }, scheduler.CentralPolicy{}},
 		{"dijkstra55/central", func() (protocol.Algorithm, error) { return dijkstra.New(5, 5) }, scheduler.CentralPolicy{}},
 		{"herman5/synchronous", func() (protocol.Algorithm, error) { return herman.New(5) }, scheduler.SynchronousPolicy{}},
+		{"herman5/distributed", func() (protocol.Algorithm, error) { return herman.New(5) }, scheduler.DistributedPolicy{}},
 	}
 }
 
@@ -168,6 +172,43 @@ func TestMCWorkerIdentityOnSpaces(t *testing.T) {
 				if !reflect.DeepEqual(base, res) {
 					t.Fatalf("result differs between workers=1 and workers=%d", workers)
 				}
+			}
+		})
+	}
+}
+
+// TestInstanceRowKinds pins how many rows of each cross-validation space
+// take pick's shift path (uniform-exact) and how many its guide search,
+// so the suite keeps covering an all-uniform, a mixed and an all-general
+// space.
+func TestInstanceRowKinds(t *testing.T) {
+	want := map[string][2]int{ // uniform-exact, general
+		"tokenring5/central":  {10, 22},
+		"tokenring6/central":  {1344, 2752},
+		"dijkstra55/central":  {1705, 1420},
+		"herman5/synchronous": {32, 0},
+		"herman5/distributed": {0, 32},
+	}
+	for _, ins := range instances() {
+		t.Run(ins.name, func(t *testing.T) {
+			sp, _, target, _ := buildInstance(t, ins)
+			e, err := New(sp, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2]int
+			for s, sh := range e.shift {
+				if e.off[s] == e.off[s+1] {
+					continue // absorbing: never sampled
+				}
+				if sh != 0 {
+					got[0]++
+				} else {
+					got[1]++
+				}
+			}
+			if got != want[ins.name] {
+				t.Fatalf("uniform-exact, general rows = %v, want %v", got, want[ins.name])
 			}
 		})
 	}

@@ -10,9 +10,12 @@
 //
 //   - Per-row inverse-CDF sampling tables are precomputed once per space
 //     (a cumulative-probability array and a guide table, both aliasing
-//     the CSR layout), so a walker step is a hash, a row lookup and a
-//     short search that the guide table starts next to its answer — no
-//     allocation, no decoding, no branching on algorithm structure.
+//     the CSR layout, plus one byte per state marking the rows that are
+//     uniform over 2^s successors), so a walker step is a hash, a row
+//     lookup and either the top s bits of the draw (uniform rows, which
+//     touch neither table) or a short search that the guide table starts
+//     next to its answer — no allocation, no decoding, no branching on
+//     algorithm structure.
 //   - Walkers run in flat batches sharded across a worker pool; inside a
 //     batch a fixed number of lanes step their walkers in lockstep so
 //     the walkers' independent memory loads overlap. Every
@@ -41,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -174,7 +178,8 @@ type System interface {
 
 // Estimator holds the per-space sampling tables: the CSR triple aliased
 // from the transition system plus a precomputed cumulative-probability
-// array and its guide table (the per-row inverse CDF). Build it once per
+// array and its guide table (the per-row inverse CDF), and the per-state
+// shift that lets uniform rows skip both. Build it once per
 // space with New and run it any number of times; the estimator itself is
 // immutable after construction and safe for concurrent Runs.
 type Estimator struct {
@@ -192,6 +197,12 @@ type Estimator struct {
 	// min(int(u·d), d-1) may start from: never past the first position
 	// whose cum exceeds u (Chen–Asau indexed search; see sample).
 	guide []int32
+	// shift[s] is 64-log2(d) when the row of s is uniform-exact — its
+	// degree d is a power of two and cum is exactly (k+1)/d at row
+	// offset k — and 0 for every other row (see uniformShift and pick).
+	// cum and guide are still built for uniform rows; pick never reads
+	// them there.
+	shift []uint8
 	// nonTarget lists the non-target state indexes, the support of the
 	// uniform start distribution.
 	nonTarget []int32
@@ -222,15 +233,17 @@ func New(ts System, target []bool) (*Estimator, error) {
 		succ:    succ,
 		cum:     make([]float64, len(prob)),
 		guide:   make([]int32, len(prob)),
+		shift:   make([]uint8, n),
 		workers: resolveWorkers(0, ts),
 	}
-	err = markov.CheckRows(off, prob, e.workers, func(a, b int64) {
+	err = markov.CheckRows(off, prob, e.workers, func(s int, a, b int64) {
 		sum := 0.0
 		for i := a; i < b; i++ {
 			sum += prob[i]
 			e.cum[i] = sum
 		}
 		e.fillGuide(a, b)
+		e.shift[s] = uniformShift(e.cum[a:b])
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
@@ -264,17 +277,47 @@ func (e *Estimator) fillGuide(a, b int64) {
 	}
 }
 
+// uniformShift classifies one row by its cumulative sums: 64-s when the
+// row is uniform-exact over d = 2^s successors (cum[k] == (k+1)/d for
+// every k, compared exactly; 1/d is a power of two, so (k+1)·(1/d) is the
+// exact quotient), and 0 for every other row.
+func uniformShift(cum []float64) uint8 {
+	d := len(cum)
+	if d&(d-1) != 0 {
+		return 0
+	}
+	inv := 1 / float64(d)
+	for k, c := range cum {
+		if c != float64(k+1)*inv {
+			return 0
+		}
+	}
+	return uint8(64 - bits.TrailingZeros(uint(d)))
+}
+
+// pick returns the CSR position a walker on the row [a, b) steps to for
+// the raw draw x, where shift is the row's uniformShift. A uniform-exact
+// row over d = 2^s successors takes a + x>>(64-s), loading neither cum
+// nor guide (for s = 0 the shift is 64 and gives 0). Every other row
+// searches at u = unit(x). The two agree: u·d is exact, so floor(u·d) =
+// (x>>11)>>(53-s) = x>>(64-s), and with cum exactly (k+1)/d the first
+// position whose cum exceeds u is offset floor(u·d), the one sample finds.
+func pick(cum []float64, guide []int32, a, b int64, shift uint8, x uint64) int64 {
+	if shift != 0 {
+		return a + int64(x>>shift)
+	}
+	return sample(cum, guide, a, b, unit(x))
+}
+
 // sample inverts the CDF of the row at CSR positions [a, b) at u in
 // [0, 1): it returns the first position whose cum exceeds u, clamped to
 // the row's last position when float rounding leaves every cum <= u.
 // With as many guide buckets as positions, the scan from the guide entry
-// averages about two comparisons over u.
+// averages about two comparisons over u. pick calls it for every row
+// that is not uniform-exact.
 func sample(cum []float64, guide []int32, a, b int64, u float64) int64 {
 	d := b - a
-	k := int64(u * float64(d))
-	if k > d-1 {
-		k = d - 1
-	}
+	k := min(int64(u*float64(d)), d-1)
 	i := a + int64(guide[a+k])
 	for i < b-1 && cum[i] <= u {
 		i++
@@ -497,8 +540,8 @@ func prefixMeanCI(n int, sum, sumsq float64) (mean, ci float64) {
 }
 
 // lanes is how many walkers a batch steps in lockstep. Each pass moves
-// every lane one step, so the lanes' independent loads of off, guide, cum
-// and succ overlap instead of each waiting on the one before.
+// every lane one step, so the lanes' independent loads of off, shift,
+// guide, cum and succ overlap instead of each waiting on the one before.
 const lanes = 8
 
 // Outcomes other than a hit time in a batch's per-trial slots.
@@ -534,7 +577,7 @@ func (e *Estimator) start(seed int64, t, from int) walker {
 // out in trial order however the lanes interleave. The only allocation
 // is the slots slice; the walk itself is allocation-free.
 func (e *Estimator) runBatch(lo, hi int, seed int64, maxSteps, from int) batchOut {
-	off, succ, cum, guide, target := e.off, e.succ, e.cum, e.guide, e.target
+	off, succ, cum, guide, shift, target := e.off, e.succ, e.cum, e.guide, e.shift, e.target
 	slots := make([]float64, hi-lo)
 	var (
 		ln     [lanes]walker
@@ -557,7 +600,7 @@ func (e *Estimator) runBatch(lo, hi int, seed int64, maxSteps, from int) batchOu
 			} else if w.steps >= maxSteps {
 				outcome = slotCensored // budget exhausted: T > MaxSteps, undecided
 			} else {
-				w.s = succ[sample(cum, guide, a, b, w.st.float(uint64(w.steps)))]
+				w.s = succ[pick(cum, guide, a, b, shift[s], w.st.bits(uint64(w.steps)))]
 				w.steps++
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -372,11 +373,18 @@ func refSample(cum []float64, a, b int64, u float64) int64 {
 // refSample on crafted rows — uniform, skewed by 1e-12 entries, and short
 // of 1 so the clamp fires — at every boundary draw: 0, each cum value and
 // bucket edge k/d with their float neighbours, 1-2⁻⁵³, and random draws.
+// It pins pick, the walk's per-step choice, the same way on raw 64-bit
+// draws x against refSample at unit(x): x on the 53-bit grid points at
+// and next to each cum value and bucket edge, with the 11 low bits the
+// float conversion drops clear, all set and random, plus random x. Each
+// row's classification is asserted too: only the uniform rows of
+// power-of-two degree take pick's shift path.
 func TestGuideSampleMatchesReference(t *testing.T) {
 	type row struct {
-		name  string
-		probs []float64
-		clamp bool // the row's last cum rounds below 1
+		name    string
+		probs   []float64
+		clamp   bool // the row's last cum rounds below 1
+		uniform bool // uniform over a power-of-two degree: the shift path
 	}
 	var rows []row
 	for _, d := range []int{1, 2, 3, 16, 17, 64, 2048} {
@@ -384,7 +392,7 @@ func TestGuideSampleMatchesReference(t *testing.T) {
 		for i := range uniform {
 			uniform[i] = 1 / float64(d)
 		}
-		rows = append(rows, row{name: fmt.Sprintf("uniform/%d", d), probs: uniform})
+		rows = append(rows, row{name: fmt.Sprintf("uniform/%d", d), probs: uniform, uniform: d&(d-1) == 0})
 		if d == 1 {
 			continue
 		}
@@ -440,6 +448,16 @@ func TestGuideSampleMatchesReference(t *testing.T) {
 			if r.clamp && e.cum[b-1] >= 1 {
 				t.Fatalf("last cum = %v, want below 1 so the clamp fires", e.cum[b-1])
 			}
+			if e.shift[0] != 64 {
+				t.Fatalf("one-successor row has shift %d, want 64", e.shift[0])
+			}
+			want := uint8(0)
+			if r.uniform {
+				want = uint8(64 - bits.TrailingZeros64(uint64(d)))
+			}
+			if e.shift[1] != want {
+				t.Fatalf("row has shift %d, want %d", e.shift[1], want)
+			}
 			draws := []float64{0, 1 - 0x1p-53}
 			near := func(v float64) {
 				draws = append(draws, v, math.Nextafter(v, 0), math.Nextafter(v, 1))
@@ -459,6 +477,31 @@ func TestGuideSampleMatchesReference(t *testing.T) {
 				}
 				if got, want := sample(e.cum, e.guide, a, b, u), refSample(e.cum, a, b, u); got != want {
 					t.Fatalf("u=%v: guide search gives position %d, reference %d", u, got, want)
+				}
+			}
+
+			xs := []uint64{0, ^uint64(0)}
+			nearX := func(v float64) {
+				m := uint64(v * (1 << 53)) // v's 53-bit grid point, rounded down
+				for _, g := range []uint64{m - 1, m, m + 1} {
+					if g >= 1<<53 {
+						continue // m-1 wrapped below 0, or m+1 reached 1
+					}
+					xs = append(xs, g<<11, g<<11|0x7ff, g<<11|rng.Uint64()>>53)
+				}
+			}
+			for i := a; i < b; i++ {
+				nearX(e.cum[i])
+			}
+			for k := int64(0); k < d; k++ {
+				nearX(float64(k) / float64(d))
+			}
+			for i := 0; i < 100_000; i++ {
+				xs = append(xs, rng.Uint64())
+			}
+			for _, x := range xs {
+				if got, want := pick(e.cum, e.guide, a, b, e.shift[1], x), refSample(e.cum, a, b, unit(x)); got != want {
+					t.Fatalf("x=%#x: pick gives position %d, reference %d", x, got, want)
 				}
 			}
 		})

@@ -31,11 +31,17 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// float returns the uniform float64 in [0, 1) at step coordinate c.
-func (s stream) float(c uint64) float64 {
-	x := mix64(s.key ^ mix64(c+0x9e3779b97f4a7c15))
-	return float64(x>>11) * (1.0 / (1 << 53))
+// bits returns the 64 uniform raw bits at step coordinate c.
+func (s stream) bits(c uint64) uint64 {
+	return mix64(s.key ^ mix64(c+0x9e3779b97f4a7c15))
 }
+
+// float returns the uniform float64 in [0, 1) at step coordinate c.
+func (s stream) float(c uint64) float64 { return unit(s.bits(c)) }
+
+// unit maps 64 raw bits to the float64 in [0, 1) their top 53 bits
+// spell: (x>>11)·2⁻⁵³.
+func unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
 // startCoord is the draw coordinate of the initial-state pick. Step
 // draws use coordinates 0..MaxSteps-1, so the all-ones coordinate can
