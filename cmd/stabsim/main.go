@@ -11,83 +11,116 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"weakstab/internal/cli"
 	"weakstab/internal/sim"
+	"weakstab/internal/stats"
+)
+
+var (
+	// errParse marks a flag-parsing failure the FlagSet has already
+	// reported (message + usage on stderr), so main does not print it
+	// twice.
+	errParse = errors.New("flag parsing failed")
+	// errFailures marks a batch with runs that did not converge; the
+	// report already says how many.
+	errFailures = errors.New("some runs did not converge")
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, errParse) {
+			os.Exit(2)
+		}
+		if !errors.Is(err, errFailures) {
+			fmt.Fprintln(os.Stderr, "stabsim:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole command behind a testable seam: flag parsing, the
+// observability scope and the simulation, printed to an injected writer.
+// The scope is finished on every path past flag parsing, so a failing run
+// still writes its manifest and closes its trace.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("stabsim", flag.ContinueOnError)
 	var (
-		alg       = flag.String("alg", "tokenring", "algorithm: "+strings.Join(cli.Algorithms(), ", "))
-		n         = flag.Int("n", 8, "number of processes")
-		topology  = flag.String("topology", "chain", "tree topology: chain, star, random, figure2")
-		k         = flag.Int("k", 0, "dijkstra state count / token ring modulus override")
-		transform = flag.Bool("transform", false, "apply the §4 coin-toss transformer")
-		bias      = flag.Float64("bias", 0.5, "transformer coin bias")
-		sched     = flag.String("sched", "distributed", "scheduler: central, distributed, synchronous, roundrobin, lexmin")
-		trials    = flag.Int("trials", 200, "number of runs")
-		maxSteps  = flag.Int("max-steps", 1_000_000, "step budget per run")
-		seed      = flag.Int64("seed", 1, "random seed")
-		faults    = flag.Int("faults", 0, "fault-injection mode: corrupt this many processes per burst")
-		bursts    = flag.Int("bursts", 50, "number of fault bursts (with -faults)")
-		period    = flag.Int("period", 20, "legitimate steps between bursts (with -faults)")
+		alg       = fs.String("alg", "tokenring", "algorithm: "+strings.Join(cli.Algorithms(), ", "))
+		n         = fs.Int("n", 8, "number of processes")
+		topology  = fs.String("topology", "chain", "tree topology: chain, star, random, figure2")
+		k         = fs.Int("k", 0, "dijkstra state count / token ring modulus override")
+		transform = fs.Bool("transform", false, "apply the §4 coin-toss transformer")
+		bias      = fs.Float64("bias", 0.5, "transformer coin bias")
+		sched     = fs.String("sched", "distributed", "scheduler: central, distributed, synchronous, roundrobin, lexmin")
+		trials    = fs.Int("trials", 200, "number of runs")
+		maxSteps  = fs.Int("max-steps", 1_000_000, "step budget per run")
+		seed      = fs.Int64("seed", 1, "random seed")
+		faults    = fs.Int("faults", 0, "fault-injection mode: corrupt this many processes per burst")
+		bursts    = fs.Int("bursts", 50, "number of fault bursts (with -faults)")
+		period    = fs.Int("period", 20, "legitimate steps between bursts (with -faults)")
 	)
 	var of cli.ObsFlags
-	of.Register(flag.CommandLine)
-	flag.Parse()
-
-	spec := cli.Spec{Algorithm: *alg, N: *n, Topology: *topology, K: *k,
-		Transform: *transform, Bias: *bias, Seed: *seed}
-	a, err := spec.Build()
-	if err != nil {
-		fatal(err)
+	of.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: usage printed, exit 0
+		}
+		return errParse
 	}
-	s, err := cli.BuildScheduler(*sched)
-	if err != nil {
-		fatal(err)
-	}
-	opts := sim.Options{MaxSteps: *maxSteps}
 
 	// The effective seed is printed on every report line and recorded in
 	// the manifest, so any run is replayable from either.
-	orun, err := of.Start("stabsim", os.Args[1:])
+	orun, err := of.Start("stabsim", args)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	orun.SetSeed(*seed)
-
-	code := 0
-	if *faults > 0 {
-		summary, err := sim.FaultRecovery(a, s, *bursts, *faults, *period, *seed, opts)
+	failures := 0
+	runErr := func() error {
+		spec := cli.Spec{Algorithm: *alg, N: *n, Topology: *topology, K: *k,
+			Transform: *transform, Bias: *bias, Seed: *seed}
+		a, err := spec.Build()
 		if err != nil {
-			orun.Finish(err)
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%s under %s, %d bursts of %d corrupted processes (seed %d):\n",
-			a.Name(), s.Name(), *bursts, *faults, *seed)
-		fmt.Printf("  re-stabilization steps: %s\n", summary)
-	} else {
-		summary, failures := sim.Trials(a, s, *trials, *seed, opts)
-		fmt.Printf("%s under %s, %d random-start trials (seed %d):\n", a.Name(), s.Name(), *trials, *seed)
-		fmt.Printf("  convergence steps: %s\n", summary)
+		s, err := cli.BuildScheduler(*sched)
+		if err != nil {
+			return err
+		}
+		opts := sim.Options{MaxSteps: *maxSteps}
+		if *faults > 0 {
+			summary, err := sim.FaultRecovery(a, s, *bursts, *faults, *period, *seed, opts)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "%s under %s, %d bursts of %d corrupted processes (seed %d):\n",
+				a.Name(), s.Name(), *bursts, *faults, *seed)
+			fmt.Fprintf(out, "  re-stabilization steps: %s\n", summary)
+			return nil
+		}
+		var summary stats.Summary
+		summary, failures = sim.Trials(a, s, *trials, *seed, opts)
+		fmt.Fprintf(out, "%s under %s, %d random-start trials (seed %d):\n", a.Name(), s.Name(), *trials, *seed)
+		fmt.Fprintf(out, "  convergence steps: %s\n", summary)
 		orun.AddExtra("trials", *trials)
 		orun.AddExtra("failures", failures)
 		if failures > 0 {
-			fmt.Printf("  FAILURES: %d runs did not converge within %d steps\n", failures, *maxSteps)
-			code = 1
+			fmt.Fprintf(out, "  FAILURES: %d runs did not converge within %d steps\n", failures, *maxSteps)
 		}
+		return nil
+	}()
+	if err := orun.Finish(runErr); runErr == nil {
+		runErr = err
 	}
-	if err := orun.Finish(nil); err != nil {
-		fatal(err)
+	if runErr == nil && failures > 0 {
+		return errFailures
 	}
-	os.Exit(code)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "stabsim:", err)
-	os.Exit(1)
+	return runErr
 }

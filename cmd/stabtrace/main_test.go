@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,6 +27,40 @@ func TestTrace(t *testing.T) {
 	}
 	if lines := strings.Count(a.String(), "\n"); lines != 9 {
 		t.Errorf("trace has %d lines, want a header, a column row and steps 0..6:\n%s", lines, a.String())
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden file with the observed output")
+
+// TestGoldenHermanDistributed pins a trace byte for byte. Herman's ring
+// under the distributed daemon draws from one generator in both the
+// scheduler's Select and the coin tosses of Step, so the golden also pins
+// the order of those draws. Regenerate with
+//
+//	go test ./cmd/stabtrace -run TestGolden -update
+func TestGoldenHermanDistributed(t *testing.T) {
+	args := []string{"-alg", "herman", "-n", "7", "-sched", "distributed"}
+	var sb strings.Builder
+	if err := run(args, &sb); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "herman7_distributed.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if sb.String() != string(want) {
+		t.Errorf("output of stabtrace %s differs from %s:\n--- got ---\n%s--- want ---\n%s",
+			strings.Join(args, " "), path, sb.String(), want)
 	}
 }
 
