@@ -256,3 +256,46 @@ func TestOneWorkerPool(t *testing.T) {
 		}
 	}
 }
+
+// TestOneSteppingLoop pins that one loop steps every daemon-driven
+// execution: outside internal/scheduler, non-test code calls a
+// scheduler's four-argument Select exactly once, in internal/sim's
+// Execute, and every other stepper runs on that loop.
+func TestOneSteppingLoop(t *testing.T) {
+	var sites []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") || filepath.ToSlash(path) == "internal/scheduler" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 4 {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Select" {
+					sites = append(sites, fset.Position(call.Pos()).String())
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) != 1 || !strings.HasPrefix(filepath.ToSlash(sites[0]), "internal/sim/") {
+		t.Errorf("%d Select call sites outside internal/scheduler, want one in internal/sim: step the execution with sim.Execute\n%s",
+			len(sites), strings.Join(sites, "\n"))
+	}
+}

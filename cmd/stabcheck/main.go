@@ -168,14 +168,8 @@ func run(args []string, out io.Writer) error {
 			req.KFaults = &v
 		}
 		if *kmax >= 0 {
-			switch {
-			case *kfaults >= 0:
-				return fmt.Errorf("use -kfaults K for one radius or -kmax K for the incremental sweep, not both")
-			case *reachable:
-				return fmt.Errorf("-kmax is ball-sized by construction; drop -reachable")
-			case *from != "":
-				return fmt.Errorf("-kmax seeds from the legitimate set; drop -from")
-			case *witness || *lasso:
+			// service.Request rejects -kmax with -kfaults, -reachable or -from.
+			if *witness || *lasso {
 				return fmt.Errorf("-kmax prints sweep verdicts only; drop -witness/-lasso or use -kfaults")
 			}
 			v := *kmax

@@ -20,16 +20,13 @@ import (
 
 	"weakstab/internal/cli"
 	"weakstab/internal/sim"
-	"weakstab/internal/stats"
 )
 
 var (
 	// errParse marks a flag-parsing failure the FlagSet has already
-	// reported (message + usage on stderr), so main does not print it
-	// twice.
+	// reported (message + usage on stderr).
 	errParse = errors.New("flag parsing failed")
-	// errFailures marks a batch with runs that did not converge; the
-	// report already says how many.
+	// errFailures marks a batch whose report counts its failed runs.
 	errFailures = errors.New("some runs did not converge")
 )
 
@@ -82,7 +79,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	orun.SetSeed(*seed)
-	failures := 0
 	runErr := func() error {
 		spec := cli.Spec{Algorithm: *alg, N: *n, Topology: *topology, K: *k,
 			Transform: *transform, Bias: *bias, Seed: *seed}
@@ -105,22 +101,19 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "  re-stabilization steps: %s\n", summary)
 			return nil
 		}
-		var summary stats.Summary
-		summary, failures = sim.Trials(a, s, *trials, *seed, opts)
+		summary, failures := sim.Trials(a, s, *trials, *seed, opts)
 		fmt.Fprintf(out, "%s under %s, %d random-start trials (seed %d):\n", a.Name(), s.Name(), *trials, *seed)
 		fmt.Fprintf(out, "  convergence steps: %s\n", summary)
 		orun.AddExtra("trials", *trials)
 		orun.AddExtra("failures", failures)
 		if failures > 0 {
 			fmt.Fprintf(out, "  FAILURES: %d runs did not converge within %d steps\n", failures, *maxSteps)
+			return errFailures
 		}
 		return nil
 	}()
 	if err := orun.Finish(runErr); runErr == nil {
 		runErr = err
-	}
-	if runErr == nil && failures > 0 {
-		return errFailures
 	}
 	return runErr
 }

@@ -131,6 +131,9 @@ func AnalyzeSpaceContext(ctx context.Context, ts *statespace.Space) (*Report, er
 	if err != nil {
 		return nil, fmt.Errorf("core: building chain for %s: %w", a.Name(), err)
 	}
+	// On a finite chain, probability-1 convergence holds exactly when
+	// possible convergence does (Theorem 7). The hitting-time solve below
+	// reuses this pass through the chain's memo.
 	target := markov.TargetFromSpace(ts)
 	probOne := chain.ReachesWithProbOne(target)
 	allOne := true

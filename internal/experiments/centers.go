@@ -11,6 +11,7 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/sim"
 )
 
 func init() {
@@ -104,14 +105,8 @@ func electedIsCenter(e *centers.Elector, g *graph.Graph, opt Options) error {
 	}
 	trials := opt.trials(40, 10)
 	for trial := 0; trial < trials; trial++ {
-		cfg := protocol.RandomConfiguration(e, rng)
-		for step := 0; step < 100000; step++ {
-			enabled := protocol.EnabledProcesses(e, cfg)
-			if len(enabled) == 0 {
-				break
-			}
-			cfg = protocol.Step(e, cfg, []int{enabled[rng.Intn(len(enabled))]}, nil)
-		}
+		// The elector is deterministic, so only the daemon draws from rng.
+		cfg := sim.Execute(e, scheduler.NewCentralRandomized(), protocol.RandomConfiguration(e, rng), rng, 100000, nil, nil).Final
 		leaders := e.Leaders(cfg)
 		if len(leaders) != 1 {
 			return fmt.Errorf("trial %d: %d leaders after convergence", trial, len(leaders))

@@ -50,6 +50,9 @@ type Chain struct {
 
 	revOnce sync.Once
 	rev     statespace.Reverse // predecessor view of a chain without a backing system
+
+	probOneOnce sync.Once
+	probOne     []bool // ReachesWithProbOne of the backing system's L
 }
 
 // N returns the number of states.
@@ -180,8 +183,18 @@ func (c *Chain) distances(target []bool) []int32 {
 // decided exactly without numerics: a state fails iff it can reach a "bad"
 // state (one that cannot reach the target at all) along a path that does
 // not pass through the target first. When target is the backing system's
-// L, the first of the two backward passes is the system's memo.
+// L, the first of the two backward passes is the system's memo and the
+// answer is computed once per chain, so a report and its hitting-time
+// solve share it; the result must not be modified.
 func (c *Chain) ReachesWithProbOne(target []bool) []bool {
+	if c.legitTarget(target) {
+		c.probOneOnce.Do(func() { c.probOne = c.reachesWithProbOne(target) })
+		return c.probOne
+	}
+	return c.reachesWithProbOne(target)
+}
+
+func (c *Chain) reachesWithProbOne(target []bool) []bool {
 	canReach := c.distances(target)
 	bad := make([]bool, c.n)
 	for s := range bad {

@@ -50,6 +50,10 @@ func TestSharedCondensationBitIdentical(t *testing.T) {
 			if !slices.Equal(chain.ReachesWithProbOne(shared), chain.ReachesWithProbOne(cloned)) {
 				t.Fatalf("%s: ReachesWithProbOne differs through the memo", label)
 			}
+			// A report and its hitting-time solve share one pass over L.
+			if a, b := chain.ReachesWithProbOne(shared), chain.ReachesWithProbOne(shared); len(a) > 0 && &a[0] != &b[0] {
+				t.Fatalf("%s: the probability-1 pass over L runs more than once per chain", label)
+			}
 			if !slices.Equal(chain.distances(shared), chain.distances(cloned)) {
 				t.Fatalf("%s: distances to L differ through the memo", label)
 			}

@@ -72,26 +72,9 @@ func observeTrial(o *obs.Observer, trial, of int, seed int64, res Result, faults
 // legitimacy-check rounds), so a cancelled batch returns an error
 // wrapping ctx.Err() without finishing the remaining trials.
 func TrialsContext(ctx context.Context, a protocol.Algorithm, trials int, opts Options) (TrialResult, error) {
-	t, err := NewTopology(a)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	o := obs.Or(opts.Obs)
-	var out TrialResult
-	for i := 0; i < trials; i++ {
-		topts := opts
-		topts.Seed = sim.TrialSeed(opts.Seed, i)
-		topts.Trial = i
-		init := protocol.RandomConfiguration(a, rand.New(rand.NewSource(topts.Seed)))
-		res, err := RunOnContext(ctx, t, a, init, topts)
-		if err != nil {
-			return TrialResult{}, err
-		}
-		out.observe(res)
-		observeTrial(o, i, trials, topts.Seed, res, opts.Faults)
-	}
-	out.finish()
-	return out, nil
+	return runTrials(ctx, a, trials, opts, func(rng *rand.Rand) protocol.Configuration {
+		return protocol.RandomConfiguration(a, rng)
+	})
 }
 
 // Restabilization measures recovery under an unsupportive network: every
@@ -99,8 +82,7 @@ func TrialsContext(ctx context.Context, a protocol.Algorithm, trials int, opts O
 // corrupted uniformly at random (the paper's transient-fault model) and
 // runs until the system is legitimate again. The base legitimate
 // configuration is the first one yielded by the algorithm's closed-form
-// LegitEnumerator; algorithms without one must use
-// RestabilizationFromContext.
+// LegitEnumerator, which the algorithm must implement.
 func Restabilization(a protocol.Algorithm, trials, k int, opts Options) (TrialResult, error) {
 	return RestabilizationContext(context.Background(), a, trials, k, opts)
 }
@@ -110,7 +92,7 @@ func Restabilization(a protocol.Algorithm, trials, k int, opts Options) (TrialRe
 func RestabilizationContext(ctx context.Context, a protocol.Algorithm, trials, k int, opts Options) (TrialResult, error) {
 	le, ok := a.(protocol.LegitEnumerator)
 	if !ok {
-		return TrialResult{}, fmt.Errorf("netsim: %s has no LegitEnumerator; use RestabilizationFromContext with an explicit legitimate configuration", a.Name())
+		return TrialResult{}, fmt.Errorf("netsim: %s has no LegitEnumerator to draw a legitimate base configuration from", a.Name())
 	}
 	var legit protocol.Configuration
 	le.EnumerateLegitimate(func(cfg protocol.Configuration) bool {
@@ -120,15 +102,17 @@ func RestabilizationContext(ctx context.Context, a protocol.Algorithm, trials, k
 	if legit == nil {
 		return TrialResult{}, fmt.Errorf("netsim: %s has an empty legitimate set", a.Name())
 	}
-	return RestabilizationFromContext(ctx, a, legit, trials, k, opts)
-}
-
-// RestabilizationFromContext is RestabilizationContext from an explicit
-// legitimate configuration.
-func RestabilizationFromContext(ctx context.Context, a protocol.Algorithm, legit protocol.Configuration, trials, k int, opts Options) (TrialResult, error) {
 	if !a.Legitimate(legit) {
 		return TrialResult{}, fmt.Errorf("netsim: base configuration %v is not legitimate", legit)
 	}
+	return runTrials(ctx, a, trials, opts, func(rng *rand.Rand) protocol.Configuration {
+		return sim.InjectFaults(a, legit, k, rng)
+	})
+}
+
+// runTrials is the one trial loop: trial i runs from start's configuration,
+// drawn from a generator seeded with the trial's own seed.
+func runTrials(ctx context.Context, a protocol.Algorithm, trials int, opts Options, start func(*rand.Rand) protocol.Configuration) (TrialResult, error) {
 	t, err := NewTopology(a)
 	if err != nil {
 		return TrialResult{}, err
@@ -139,8 +123,7 @@ func RestabilizationFromContext(ctx context.Context, a protocol.Algorithm, legit
 		topts := opts
 		topts.Seed = sim.TrialSeed(opts.Seed, i)
 		topts.Trial = i
-		init := sim.InjectFaults(a, legit, k, rand.New(rand.NewSource(topts.Seed)))
-		res, err := RunOnContext(ctx, t, a, init, topts)
+		res, err := RunOnContext(ctx, t, a, start(rand.New(rand.NewSource(topts.Seed))), topts)
 		if err != nil {
 			return TrialResult{}, err
 		}

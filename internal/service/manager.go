@@ -312,20 +312,11 @@ func (m *Manager) Jobs() []*Job {
 	return out
 }
 
-// Cancel cancels a job by ID. A queued job finishes canceled immediately
-// (its worker slot was never taken); a running job's context propagates
-// into the exploration, which stops at its next cooperative boundary
-// and releases the slot. Cancelling a terminal job is a no-op.
-func (m *Manager) Cancel(id string) error {
-	j, err := m.Job(id)
-	if err != nil {
-		return err
-	}
-	m.cancelJob(j)
-	return nil
-}
-
-// cancelJob is Cancel on a resolved job, which may have retired since.
+// cancelJob cancels a resolved job, which may have retired since. A queued
+// job finishes canceled immediately (its worker slot was never taken); a
+// running job's context propagates into the exploration, which stops at
+// its next cooperative boundary and releases the slot. Cancelling a
+// terminal job is a no-op.
 func (m *Manager) cancelJob(j *Job) {
 	m.mu.Lock()
 	queued := j.state == StateQueued

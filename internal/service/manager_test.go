@@ -249,9 +249,7 @@ func TestCancelMidExploration(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-g.entered // the exploration is provably mid-flight
-	if err := m.Cancel(j.ID); err != nil {
-		t.Fatal(err)
-	}
+	cancelByID(t, m, j.ID)
 	g.gate.Store(false)
 	close(g.release)
 
@@ -454,9 +452,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Cancel(b.ID); err != nil {
-		t.Fatal(err)
-	}
+	cancelByID(t, m, b.ID)
 	// The canceled-while-queued job is terminal before its slot frees.
 	select {
 	case <-b.Done():
@@ -518,9 +514,7 @@ func TestRunningGauge(t *testing.T) {
 		t.Fatalf("running gauge = %d with %d jobs inside Execute, want %d", got, N, N)
 	}
 
-	if err := m.Cancel(jobs[0].ID); err != nil {
-		t.Fatal(err)
-	}
+	cancelByID(t, m, jobs[0].ID)
 	for _, g := range gates {
 		g.gate.Store(false)
 		close(g.release)
@@ -602,6 +596,16 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	}
 }
 
+// cancelByID cancels a retained job the way DELETE /jobs/{id} does.
+func cancelByID(t *testing.T, m *Manager, id string) {
+	t.Helper()
+	j, err := m.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.cancelJob(j)
+}
+
 // TestRetiredJobs pins the retention window: a finished job stays
 // resolvable until retainFinished later jobs have finished, then its ID
 // reports ErrRetired; IDs never handed out stay ErrNotFound.
@@ -630,8 +634,11 @@ func TestRetiredJobs(t *testing.T) {
 			t.Errorf("Job(%q) = %v, want ErrRetired", id, err)
 		}
 	}
-	if err := m.Cancel(first.ID); !errors.Is(err, ErrRetired) {
-		t.Errorf("Cancel of a retired job = %v, want ErrRetired", err)
+	// DELETE resolves the ID first, so a retired job is never cancelled
+	// by ID; a caller still holding one cancels nothing.
+	m.cancelJob(first)
+	if state, _, _, _ := first.Status(); state != StateDone {
+		t.Errorf("cancelling retired %s left it %s, want %s", first.ID, state, StateDone)
 	}
 	if _, err := m.Job("job-2"); err != nil {
 		t.Errorf("job-2, inside the window: %v", err)

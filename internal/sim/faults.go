@@ -53,13 +53,7 @@ func FaultRecovery(a protocol.Algorithm, sched scheduler.Scheduler, bursts, k, f
 	for b := 0; b < bursts; b++ {
 		rng := TrialRNG(seed, b+1)
 		// Let the system run legitimately for faultPeriod steps.
-		for step := 0; step < faultPeriod; step++ {
-			enabled := protocol.EnabledProcesses(a, cfg)
-			if len(enabled) == 0 {
-				break
-			}
-			cfg = protocol.Step(a, cfg, sched.Select(step, cfg, enabled, rng), rng)
-		}
+		cfg = Execute(a, sched, cfg, rng, faultPeriod, nil, nil).Final
 		cfg = InjectFaults(a, cfg, k, rng)
 		res := Run(a, sched, cfg, rng, opts)
 		if !res.Converged {

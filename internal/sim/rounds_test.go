@@ -57,7 +57,7 @@ func TestRoundsZeroWhenImmediatelyLegitimate(t *testing.T) {
 func TestRoundCompletesWhenAllPendingServed(t *testing.T) {
 	// Hand-driven round accounting: two processes enabled; serving them
 	// one at a time completes the round at the second step.
-	tr := newRoundTracker([]int{0, 3})
+	tr := newRoundTracker(4, []int{0, 3})
 	tr.observe([]int{0}, []int{0, 3}) // 3 still pending
 	if tr.rounds != 0 {
 		t.Fatalf("round closed early: %d", tr.rounds)
@@ -70,7 +70,7 @@ func TestRoundCompletesWhenAllPendingServed(t *testing.T) {
 
 func TestRoundCompletesWhenPendingDisabled(t *testing.T) {
 	// A pending process that becomes disabled leaves the round.
-	tr := newRoundTracker([]int{0, 3})
+	tr := newRoundTracker(4, []int{0, 3})
 	tr.observe([]int{0}, []int{0}) // 3 became disabled
 	if tr.rounds != 1 {
 		t.Fatalf("round should close when pending process disabled: %d", tr.rounds)

@@ -4,6 +4,10 @@
 // empirical counterpart of the exact Markov analysis for instances too
 // large to enumerate.
 //
+// Execute is the one loop that steps an online execution, alternating the
+// scheduler's Select with protocol.Step: Run, Trials and FaultRecovery
+// here, trace.Record and experiment E16's elections all run on it.
+//
 // sim runs online schedulers, including the ones with memory (round-robin,
 // lex-min), and configurations too large to explore (E12b/E12d);
 // internal/mc walks an already explored chain.
@@ -19,8 +23,9 @@ import (
 
 // Result reports one run.
 type Result struct {
-	// Converged is true if a legitimate configuration was reached within
-	// the step budget (the initial configuration counts).
+	// Converged is true if the run stopped because its stop predicate
+	// held; for Run, a legitimate configuration was reached within the
+	// step budget (the initial configuration counts).
 	Converged bool
 	// Steps is the number of scheduler steps taken until convergence (or
 	// the full budget when Converged is false).
@@ -36,44 +41,43 @@ type Result struct {
 	Final protocol.Configuration
 }
 
-// roundTracker implements the standard round measure.
+// roundTracker implements the standard round measure. A process is
+// pending — enabled at the round's start, and neither executed nor
+// disabled since — exactly when its stamp equals the current step.
 type roundTracker struct {
-	pending map[int]bool
-	rounds  int
+	stamp        []int
+	step, rounds int
 }
 
-func newRoundTracker(enabled []int) *roundTracker {
-	t := &roundTracker{pending: make(map[int]bool, len(enabled))}
-	t.reset(enabled)
+func newRoundTracker(n int, enabled []int) roundTracker {
+	t := roundTracker{stamp: make([]int, n), step: 1}
+	for _, p := range enabled {
+		t.stamp[p] = t.step
+	}
 	return t
 }
 
-func (t *roundTracker) reset(enabled []int) {
-	clear(t.pending)
-	for _, p := range enabled {
-		t.pending[p] = true
-	}
-}
-
-// observe accounts one step: chosen processes executed; the enabled set is
+// observe accounts one step: chosen processes executed; enabledAfter is
 // the post-step enabled set. Processes that executed or are no longer
-// enabled leave the pending set; when it empties, a round completes.
+// enabled leave the pending set; when it empties, a round completes and
+// the next one starts with enabledAfter.
 func (t *roundTracker) observe(chosen, enabledAfter []int) {
 	for _, p := range chosen {
-		delete(t.pending, p)
+		t.stamp[p] = 0
 	}
-	still := make(map[int]bool, len(enabledAfter))
+	t.step++
+	pending := 0
 	for _, p := range enabledAfter {
-		still[p] = true
-	}
-	for p := range t.pending {
-		if !still[p] {
-			delete(t.pending, p)
+		if t.stamp[p] == t.step-1 {
+			t.stamp[p] = t.step
+			pending++
 		}
 	}
-	if len(t.pending) == 0 {
+	if pending == 0 {
 		t.rounds++
-		t.reset(enabledAfter)
+		for _, p := range enabledAfter {
+			t.stamp[p] = t.step
+		}
 	}
 }
 
@@ -93,35 +97,48 @@ func (o Options) maxSteps() int {
 // Run executes the algorithm under the scheduler from init until a
 // legitimate configuration is reached or the budget is exhausted.
 func Run(a protocol.Algorithm, sched scheduler.Scheduler, init protocol.Configuration, rng *rand.Rand, opts Options) Result {
-	cfg := init.Clone()
-	moves := 0
-	budget := opts.maxSteps()
-	var rounds *roundTracker
-	for step := 0; step < budget; step++ {
-		if a.Legitimate(cfg) {
-			return Result{Converged: true, Steps: step, Moves: moves, Rounds: roundCount(rounds), Final: cfg}
-		}
-		enabled := protocol.EnabledProcesses(a, cfg)
-		if len(enabled) == 0 {
-			// Terminal but illegitimate: cannot converge.
-			return Result{Converged: false, Steps: step, Moves: moves, Rounds: roundCount(rounds), Final: cfg}
-		}
-		if rounds == nil {
-			rounds = newRoundTracker(enabled)
-		}
-		chosen := sched.Select(step, cfg, enabled, rng)
-		moves += len(chosen)
-		cfg = protocol.Step(a, cfg, chosen, rng)
-		rounds.observe(chosen, protocol.EnabledProcesses(a, cfg))
-	}
-	return Result{Converged: a.Legitimate(cfg), Steps: budget, Moves: moves, Rounds: roundCount(rounds), Final: cfg}
+	return Execute(a, sched, init, rng, opts.maxSteps(), a.Legitimate, nil)
 }
 
-func roundCount(t *roundTracker) int {
-	if t == nil {
-		return 0
+// Execute steps the algorithm under the scheduler from init. Before each
+// step it stops when stop (if non-nil) holds, when maxSteps steps have
+// been taken, or when no process is enabled. A step has the scheduler
+// select among the enabled processes and executes them, drawing both from
+// rng; each (if non-nil) then sees the configuration before the step, the
+// selected processes and the configuration after it. The enabled set is
+// evaluated once per configuration, and init is not modified.
+func Execute(a protocol.Algorithm, sched scheduler.Scheduler, init protocol.Configuration, rng *rand.Rand,
+	maxSteps int, stop func(protocol.Configuration) bool, each func(before protocol.Configuration, chosen []int, after protocol.Configuration)) Result {
+	res := Result{Final: init.Clone()}
+	var enabled []int
+	var rounds roundTracker
+	for ; ; res.Steps++ {
+		cfg := res.Final
+		if stop != nil && stop(cfg) {
+			res.Converged = true
+			break
+		}
+		if res.Steps >= maxSteps {
+			break
+		}
+		if rounds.stamp == nil {
+			enabled = protocol.EnabledProcesses(a, cfg)
+			rounds = newRoundTracker(len(cfg), enabled)
+		}
+		if len(enabled) == 0 {
+			break
+		}
+		chosen := sched.Select(res.Steps, cfg, enabled, rng)
+		res.Final = protocol.Step(a, cfg, chosen, rng)
+		if each != nil {
+			each(cfg, chosen, res.Final)
+		}
+		res.Moves += len(chosen)
+		enabled = protocol.EnabledProcesses(a, res.Final)
+		rounds.observe(chosen, enabled)
 	}
-	return t.rounds
+	res.Rounds = rounds.rounds
+	return res
 }
 
 // TrialSeed derives the seed of trial i of a batch seeded with seed: a

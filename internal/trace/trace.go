@@ -12,16 +12,14 @@ import (
 
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/sim"
 )
 
 // Step is one recorded transition.
 type Step struct {
 	Before protocol.Configuration
 	Chosen []int
-	// Actions maps each activated process to the name of the action it
-	// executed.
-	Actions map[int]string
-	After   protocol.Configuration
+	After  protocol.Configuration
 }
 
 // Trace is a recorded execution.
@@ -52,29 +50,12 @@ func (t *Trace) Configurations() []protocol.Configuration {
 
 // Record runs the algorithm under the scheduler from init for at most
 // maxSteps steps, stopping early when stop returns true (stop may be nil)
-// or a terminal configuration is reached.
+// or a terminal configuration is reached. The steps are sim.Execute's.
 func Record(a protocol.Algorithm, sched scheduler.Scheduler, init protocol.Configuration, rng *rand.Rand, maxSteps int, stop func(protocol.Configuration) bool) *Trace {
 	tr := &Trace{Algorithm: a, Initial: init.Clone()}
-	cfg := init.Clone()
-	for step := 0; step < maxSteps; step++ {
-		if stop != nil && stop(cfg) {
-			break
-		}
-		enabled := protocol.EnabledProcesses(a, cfg)
-		if len(enabled) == 0 {
-			break
-		}
-		chosen := sched.Select(step, cfg, enabled, rng)
-		actions := make(map[int]string, len(chosen))
-		for _, p := range chosen {
-			if act := a.EnabledAction(cfg, p); act != protocol.Disabled {
-				actions[p] = a.ActionName(act)
-			}
-		}
-		next := protocol.Step(a, cfg, chosen, rng)
-		tr.Steps = append(tr.Steps, Step{Before: cfg, Chosen: chosen, Actions: actions, After: next})
-		cfg = next
-	}
+	sim.Execute(a, sched, init, rng, maxSteps, stop, func(before protocol.Configuration, chosen []int, after protocol.Configuration) {
+		tr.Steps = append(tr.Steps, Step{Before: before, Chosen: chosen, After: after})
+	})
 	return tr
 }
 
@@ -93,15 +74,22 @@ func RenderTable(w io.Writer, t *Trace) {
 	fmt.Fprintf(w, "%4s  %-24s  %-12s  %s\n", "step", "configuration", "activated", "actions")
 	fmt.Fprintf(w, "%4d  %-24s  %-12s  %s\n", 0, t.Initial.String(), "-", "-")
 	for i, s := range t.Steps {
-		var acts []string
-		for _, p := range s.Chosen {
-			if name, ok := s.Actions[p]; ok {
-				acts = append(acts, fmt.Sprintf("P%d:%s", p+1, name))
-			}
-		}
 		fmt.Fprintf(w, "%4d  %-24s  %-12s  %s\n",
-			i+1, s.After.String(), intsString(s.Chosen), strings.Join(acts, " "))
+			i+1, s.After.String(), intsString(s.Chosen), strings.Join(t.fired(s, ""), " "))
 	}
+}
+
+// fired names, in selection order, the action each process selected in s
+// executed, as "P<i>:<action><suffix>"; a selected process that was not
+// enabled before the step executed nothing and is left out.
+func (t *Trace) fired(s Step, suffix string) []string {
+	var acts []string
+	for _, p := range s.Chosen {
+		if act := t.Algorithm.EnabledAction(s.Before, p); act != protocol.Disabled {
+			acts = append(acts, fmt.Sprintf("P%d:%s%s", p+1, t.Algorithm.ActionName(act), suffix))
+		}
+	}
+	return acts
 }
 
 // TokenMarker tells the ring renderer which process holds the token.
@@ -140,14 +128,7 @@ func RenderLabeledPanels(w io.Writer, t *Trace, label StateLabeler) {
 		}
 		fmt.Fprintln(w)
 		if i < len(t.Steps) {
-			s := t.Steps[i]
-			var acts []string
-			for _, p := range s.Chosen {
-				if name, ok := s.Actions[p]; ok {
-					acts = append(acts, fmt.Sprintf("P%d:%s*", p+1, name))
-				}
-			}
-			if len(acts) > 0 {
+			if acts := t.fired(t.Steps[i], "*"); len(acts) > 0 {
 				fmt.Fprintf(w, "      fires: %s\n", strings.Join(acts, " "))
 			}
 		}
