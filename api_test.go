@@ -93,7 +93,6 @@ func receiverName(e ast.Expr) string {
 var unreferencedAllowed = map[string]string{
 	"statespace.BuildReference":        "test oracle: the seed explorer the engine is checked against",
 	"protocol.Validate":                "test oracle: checks an algorithm's declared state domains",
-	"checker.Explore":                  "test oracle: the unweighted explorer the checker passes are compared with",
 	"scheduler.NewKFairMonitor":        "paper-claim check: pins Algorithm 1's (N-1)-fairness (§3.1)",
 	"scheduler.NewLongestWaitingFirst": "paper-claim check: the scheduler the (N-1)-fairness test drives",
 	"transformer.NewExplicit":          "test oracle: §4's construction with the coin B in the state, checked bisimilar to New",

@@ -93,7 +93,7 @@ func BenchmarkCheckerExplore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := checker.Explore(alg, scheduler.CentralPolicy{}, 0); err != nil {
+		if _, err := statespace.Build(alg, scheduler.CentralPolicy{}, statespace.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

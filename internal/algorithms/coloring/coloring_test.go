@@ -122,30 +122,28 @@ func TestSpectrumAcrossSchedulers(t *testing.T) {
 	g, err := graph.Ring(4)
 	a := mustNew(t, g, err)
 
-	central, err := checker.ClassifyWith(a, scheduler.CentralPolicy{}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !central.SelfStabilizing() {
+	if weak, self := classes(t, a, scheduler.CentralPolicy{}); !weak || !self {
 		t.Fatal("coloring must be self-stabilizing under the central scheduler")
 	}
-
-	dist, err := checker.ClassifyWith(a, scheduler.DistributedPolicy{}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	if weak, self := classes(t, a, scheduler.DistributedPolicy{}); !weak || self {
+		t.Fatalf("coloring under distributed: weak=%v self=%v, want weak only", weak, self)
 	}
-	if !dist.WeakStabilizing() || dist.SelfStabilizing() {
-		t.Fatalf("coloring under distributed: weak=%v self=%v, want weak only",
-			dist.WeakStabilizing(), dist.SelfStabilizing())
-	}
-
-	sync, err := checker.ClassifyWith(a, scheduler.SynchronousPolicy{}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sync.WeakStabilizing() {
+	if weak, _ := classes(t, a, scheduler.SynchronousPolicy{}); weak {
 		t.Fatal("coloring must not be weak-stabilizing synchronously (uniform ring livelock)")
 	}
+}
+
+// classes explores a under pol and reports weak stabilization
+// (Definition 3) and self stabilization (Definition 1).
+func classes(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) (weak, self bool) {
+	t.Helper()
+	ss, err := statespace.Build(a, pol, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := checker.FromSpace(ss)
+	closure := sp.CheckClosure().Holds
+	return closure && sp.CheckPossibleConvergence().Holds, closure && sp.CheckCertainConvergence().Holds
 }
 
 func TestSynchronousLivelockOnUniformRing(t *testing.T) {

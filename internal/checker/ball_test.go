@@ -95,10 +95,7 @@ func TestCertainConvergenceMatchesDivergingStates(t *testing.T) {
 	}...)
 	var holds, terminal, cyclic, selfLoops int
 	for _, tc := range cases {
-		sp, err := Explore(tc.alg, tc.pol, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		sp := explore(t, tc.alg, tc.pol)
 		seeds := sp.divergenceSeeds()
 		legit := sp.LegitSet()
 		for s := range seeds {
@@ -160,10 +157,7 @@ func onIllegitimateCycle(sp *Space, s int32) bool {
 func TestBallVerdictsMatchFullSpace(t *testing.T) {
 	const maxK = 2
 	for _, tc := range ballMatrix(t) {
-		full, err := Explore(tc.alg, tc.pol, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		full := explore(t, tc.alg, tc.pol)
 		dist := full.DistanceToLegitimate()
 		var want []KFaultVerdict
 		for k := 0; k <= maxK; k++ {
@@ -205,10 +199,7 @@ func TestBallVerdictsMatchFullSpace(t *testing.T) {
 // with distance ≤ k, with matching distances.
 func TestFaultBallMatchesDistanceVector(t *testing.T) {
 	for _, tc := range ballMatrix(t) {
-		full, err := Explore(tc.alg, tc.pol, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		full := explore(t, tc.alg, tc.pol)
 		dist := full.DistanceToLegitimate()
 		for k := 0; k <= 2; k++ {
 			globals, ballDist, err := FaultBallContext(t.Context(), tc.alg, k, 0, 0)

@@ -133,7 +133,7 @@ func subSpacesEqual(t *testing.T, a, b *statespace.Space) bool {
 		}
 	}
 	for s := 0; s < a.NumStates(); s++ {
-		if a.IsLegit(s) != b.IsLegit(s) {
+		if a.Legit[s] != b.Legit[s] {
 			return false
 		}
 	}

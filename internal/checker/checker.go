@@ -13,56 +13,35 @@
 //     configurations that activates every process it ever enables — an
 //     infinite strongly fair execution that never converges.
 //
-// Every check is subspace-native: the checker runs over any
-// statespace.TransitionSystem, so the same passes decide the properties of
-// the full index range and of a frontier-explored closure (where the
-// properties quantify over the reachable states only — sound for any
-// forward-closed region, e.g. the k-fault ball's closure).
+// Every check is subspace-native: the checker runs over a
+// *statespace.Space, so the same passes decide the properties of the full
+// index range and of a frontier-explored closure (where the properties
+// quantify over the reachable states only — sound for any forward-closed
+// region, e.g. the k-fault ball's closure).
 //
 // Verdicts carry machine-checkable witnesses (paths and lassos) that the
 // experiments and the stabcheck CLI print.
 package checker
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
 	"weakstab/internal/protocol"
-	"weakstab/internal/scheduler"
 	"weakstab/internal/statespace"
 )
 
-// Space is the checker's view of an explored transition system. It embeds
-// the shared statespace engine's analysis interface, consuming only the
-// unweighted successor rows; the same underlying system can simultaneously
-// feed the Markov analysis through its weighted view (markov.FromSpace),
-// so the configuration space is enumerated exactly once per analysis.
+// Space is the checker's view of an explored space. It reads only the
+// unweighted successor rows; the same space can simultaneously feed the
+// Markov analysis through its weighted view (markov.FromSpace), so the
+// configuration space is enumerated exactly once per analysis.
 type Space struct {
-	statespace.TransitionSystem
+	*statespace.Space
 }
 
-// Explore enumerates every configuration and its successors under every
-// activation subset the policy allows (and every probabilistic outcome),
-// in parallel over index ranges. maxStates caps the space (0 means
-// statespace.DefaultMaxStates).
-func Explore(a protocol.Algorithm, pol scheduler.Policy, maxStates int64) (*Space, error) {
-	return ExploreWith(a, pol, maxStates, 0)
-}
-
-// ExploreWith is Explore with an explicit worker-pool size (0 = NumCPU).
-func ExploreWith(a protocol.Algorithm, pol scheduler.Policy, maxStates int64, workers int) (*Space, error) {
-	ts, err := statespace.Build(a, pol, statespace.Options{MaxStates: maxStates, Workers: workers})
-	if err != nil {
-		return nil, fmt.Errorf("checker: %w", err)
-	}
-	return &Space{ts}, nil
-}
-
-// FromSpace wraps an already-built transition system — a
-// statespace.Space over the full index range or over a frontier-explored
-// closure — in the checker view.
-func FromSpace(ts statespace.TransitionSystem) *Space { return &Space{ts} }
+// FromSpace wraps an explored space — over the full index range or over
+// a frontier-explored closure — in the checker view.
+func FromSpace(ss *statespace.Space) *Space { return &Space{ss} }
 
 // ClosureResult reports on the strong closure property.
 type ClosureResult struct {
@@ -140,40 +119,6 @@ func (sp *Space) CheckCertainConvergence() ConvergenceResult {
 	default:
 		return ConvergenceResult{Counterexample: sp.Config(s), Reason: "configuration on a cycle outside L"}
 	}
-}
-
-// Verdict is the full classification of an algorithm instance under one
-// scheduler policy.
-type Verdict struct {
-	Algorithm string
-	Policy    string
-	States    int
-	Closure   ClosureResult
-	Possible  ConvergenceResult // weak stabilization = Closure && Possible
-	Certain   ConvergenceResult // self stabilization = Closure && Certain
-}
-
-// WeakStabilizing reports Definition 3.
-func (v Verdict) WeakStabilizing() bool { return v.Closure.Holds && v.Possible.Holds }
-
-// SelfStabilizing reports Definition 1.
-func (v Verdict) SelfStabilizing() bool { return v.Closure.Holds && v.Certain.Holds }
-
-// ClassifyWith explores the algorithm under the policy on a pool of
-// workers (0 = NumCPU) and evaluates all properties.
-func ClassifyWith(a protocol.Algorithm, pol scheduler.Policy, maxStates int64, workers int) (Verdict, error) {
-	sp, err := ExploreWith(a, pol, maxStates, workers)
-	if err != nil {
-		return Verdict{}, err
-	}
-	return Verdict{
-		Algorithm: a.Name(),
-		Policy:    pol.Name(),
-		States:    sp.NumStates(),
-		Closure:   sp.CheckClosure(),
-		Possible:  sp.CheckPossibleConvergence(),
-		Certain:   sp.CheckCertainConvergence(),
-	}, nil
 }
 
 // WitnessPath returns a shortest execution (as configurations) from the

@@ -11,6 +11,7 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/statespace"
 )
 
 func mustTokenRing(t *testing.T, n int) *tokenring.Algorithm {
@@ -35,13 +36,32 @@ func mustLeaderChain(t *testing.T, n int) *leadertree.Algorithm {
 	return a
 }
 
-func classify(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) Verdict {
+// explore builds the full space of a under pol in the checker view.
+func explore(t testing.TB, a protocol.Algorithm, pol scheduler.Policy) *Space {
 	t.Helper()
-	v, err := ClassifyWith(a, pol, 0, 0)
+	ss, err := statespace.Build(a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return FromSpace(ss)
+}
+
+// verdict is an instance's closure and convergence results under one
+// policy.
+type verdict struct {
+	Closure  ClosureResult
+	Possible ConvergenceResult // weak stabilization = Closure && Possible
+	Certain  ConvergenceResult // self stabilization = Closure && Certain
+}
+
+func (v verdict) WeakStabilizing() bool { return v.Closure.Holds && v.Possible.Holds }
+
+func (v verdict) SelfStabilizing() bool { return v.Closure.Holds && v.Certain.Holds }
+
+func classify(t *testing.T, a protocol.Algorithm, pol scheduler.Policy) verdict {
+	t.Helper()
+	sp := explore(t, a, pol)
+	return verdict{sp.CheckClosure(), sp.CheckPossibleConvergence(), sp.CheckCertainConvergence()}
 }
 
 func TestTheorem2TokenRingWeakNotSelf(t *testing.T) {
@@ -189,10 +209,7 @@ func TestDijkstraTooFewStatesFails(t *testing.T) {
 func TestClosureViolationWitness(t *testing.T) {
 	// An algorithm with a broken legitimate set yields a closure witness.
 	a := badClosure{mustTokenRing(t, 3)}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	res := sp.CheckClosure()
 	if res.Holds {
 		t.Fatal("closure should fail for the doctored legitimate set")
@@ -223,10 +240,7 @@ func TestCertainConvergenceDeadlockWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	res := sp.CheckCertainConvergence()
 	if res.Holds {
 		t.Fatal("certain convergence should fail")
@@ -238,10 +252,7 @@ func TestCertainConvergenceDeadlockWitness(t *testing.T) {
 
 func TestWitnessPath(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	// A multi-token configuration.
 	start := protocol.Configuration{0, 0, 0, 0, 0}
 	path := sp.WitnessPath(start)
@@ -274,10 +285,7 @@ func TestWitnessPath(t *testing.T) {
 
 func TestWitnessPathFromLegitimate(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	start := a.LegitimateWithTokenAt(2)
 	path := sp.WitnessPath(start)
 	if len(path) != 1 {
@@ -289,10 +297,7 @@ func TestTheorem6FairLassoOnTokenRing(t *testing.T) {
 	// The checker finds a strongly fair non-converging lasso for the
 	// 6-ring (Theorem 6's two-token alternation, machine-discovered).
 	a := mustTokenRing(t, 6)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	lasso := sp.FindStronglyFairLasso()
 	if !lasso.Found {
 		t.Fatal("no strongly fair lasso found for the 6-ring token circulation")
@@ -315,10 +320,7 @@ func TestNoFairLassoForSelfStabilizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	if lasso := sp.FindStronglyFairLasso(); lasso.Found {
 		t.Fatal("self-stabilizing algorithm cannot have a non-converging lasso")
 	}
@@ -326,10 +328,7 @@ func TestNoFairLassoForSelfStabilizing(t *testing.T) {
 
 func TestFigure3LivelockDetectedSynchronously(t *testing.T) {
 	a := mustLeaderChain(t, 4)
-	sp, err := Explore(a, scheduler.SynchronousPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.SynchronousPolicy{})
 	res := sp.CheckCertainConvergence()
 	if res.Holds {
 		t.Fatal("synchronous Algorithm 2 must have a diverging execution")
@@ -342,10 +341,7 @@ func TestFigure3LivelockDetectedSynchronously(t *testing.T) {
 
 func TestMaxShortestConvergencePath(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	d := sp.MaxShortestConvergencePath()
 	if math.IsInf(d, 1) || d <= 0 {
 		t.Fatalf("convergence radius = %g, want finite positive", d)
@@ -355,10 +351,7 @@ func TestMaxShortestConvergencePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spBad, err := Explore(bad, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spBad := explore(t, bad, scheduler.CentralPolicy{})
 	if !math.IsInf(spBad.MaxShortestConvergencePath(), 1) {
 		t.Fatal("deadlocked instance must have infinite convergence radius")
 	}
@@ -366,15 +359,12 @@ func TestMaxShortestConvergencePath(t *testing.T) {
 
 func TestExploreTerminalStates(t *testing.T) {
 	a := mustLeaderChain(t, 2)
-	sp, err := Explore(a, scheduler.DistributedPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.DistributedPolicy{})
 	terminals := 0
 	for s := 0; s < sp.NumStates(); s++ {
 		if sp.IsTerminal(s) {
 			terminals++
-			if !sp.IsLegit(s) {
+			if !sp.Legit[s] {
 				t.Fatalf("terminal state %v is illegitimate", sp.Config(s))
 			}
 		}

@@ -15,10 +15,7 @@ func TestStronglyFairLassoIsNotGoudaFair(t *testing.T) {
 	// diverging lasso of the 6-ring omits transitions (e.g. merging
 	// moves), so it is not Gouda fair.
 	a := mustTokenRing(t, 6)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	lasso := sp.FindStronglyFairLasso()
 	if !lasso.Found {
 		t.Fatal("no strongly fair lasso")
@@ -32,10 +29,7 @@ func TestGoudaFairLassoWithinLegitimateSet(t *testing.T) {
 	// The legitimate token circulation takes its unique transition every
 	// step: the full 1-token rotation is a Gouda-fair lasso.
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	var cycle []protocol.Configuration
 	cfg := a.LegitimateWithTokenAt(0)
 	for i := 0; i < 5*a.Modulus(); i++ { // full period of the rotation
@@ -56,10 +50,7 @@ func TestGoudaFairLassoWithinLegitimateSet(t *testing.T) {
 
 func TestGoudaFairLassoEmptyAndPartial(t *testing.T) {
 	a := mustTokenRing(t, 4)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	if !sp.GoudaFairLasso(nil) {
 		t.Fatal("empty lasso is vacuously Gouda fair")
 	}
@@ -96,10 +87,7 @@ func TestNoGoudaFairDivergenceOnWeakStabilizers(t *testing.T) {
 	algs := []protocol.Algorithm{mustTokenRing(t, 5), mustTokenRing(t, 6), lt}
 	for _, a := range algs {
 		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}} {
-			sp, err := Explore(a, pol, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sp := explore(t, a, pol)
 			if witness, ok := sp.NoGoudaFairDivergence(); !ok {
 				t.Fatalf("%s under %s: Gouda-fair divergence possible at %v (refutes Thm 5)",
 					a.Name(), pol.Name(), witness)
@@ -115,10 +103,7 @@ func TestGoudaFairDivergenceExistsWhenNotWeakStabilizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.SynchronousPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.SynchronousPolicy{})
 	res := sp.CheckPossibleConvergence()
 	if res.Holds {
 		t.Skip("instance unexpectedly weak-stabilizing; pick another ablation")

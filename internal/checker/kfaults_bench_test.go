@@ -18,10 +18,7 @@ func BenchmarkDistanceToLegitimate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sp := explore(b, a, scheduler.CentralPolicy{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

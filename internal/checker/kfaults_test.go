@@ -10,14 +10,11 @@ import (
 
 func TestDistanceToLegitimateTokenRing(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	dist := sp.DistanceToLegitimate()
 	// Distance 0 exactly on L.
 	for s := 0; s < sp.NumStates(); s++ {
-		if (dist[s] == 0) != sp.IsLegit(s) {
+		if (dist[s] == 0) != sp.Legit[s] {
 			t.Fatalf("distance 0 mismatch at %v", sp.Config(s))
 		}
 		if dist[s] < 0 {
@@ -43,10 +40,7 @@ func TestDistanceToLegitimateTokenRing(t *testing.T) {
 func TestDistanceTriangleUnderMutation(t *testing.T) {
 	// Changing one process's state changes the distance by at most 1.
 	a := mustTokenRing(t, 4)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	dist := sp.DistanceToLegitimate()
 	cfg := make(protocol.Configuration, 4)
 	for s := 0; s < sp.NumStates(); s++ {
@@ -75,10 +69,7 @@ func TestKFaultsDijkstraAlwaysCertain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	dist := sp.DistanceToLegitimate()
 	for k := 0; k <= 4; k++ {
 		v := sp.CheckKFaults(k, dist)
@@ -92,10 +83,7 @@ func TestKFaultsTokenRingCertainFailsBeyondZero(t *testing.T) {
 	// Algorithm 1 is not deterministically k-stabilizing for any k >= 1:
 	// one corrupted process can already yield two alternating tokens.
 	a := mustTokenRing(t, 6)
-	sp, err := Explore(a, scheduler.CentralPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.CentralPolicy{})
 	dist := sp.DistanceToLegitimate()
 	zero := sp.CheckKFaults(0, dist)
 	if !zero.Certain || !zero.Possible {
@@ -118,10 +106,7 @@ func TestKFaultsTokenRingCertainFailsBeyondZero(t *testing.T) {
 
 func TestKFaultsMonotoneInK(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp, err := Explore(a, scheduler.DistributedPolicy{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := explore(t, a, scheduler.DistributedPolicy{})
 	dist := sp.DistanceToLegitimate()
 	prevConfigs := 0
 	prevCertain := true

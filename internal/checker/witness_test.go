@@ -42,10 +42,7 @@ func TestWorstCaseWitnessMatchesQuadraticReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sp, err := Explore(tc.alg, tc.pol, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sp := explore(t, tc.alg, tc.pol)
 			// Quadratic reference: per-state forward BFS.
 			worstLen := 0
 			var noPath protocol.Configuration

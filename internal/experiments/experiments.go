@@ -16,6 +16,7 @@ import (
 	"io"
 	"sort"
 
+	"weakstab/internal/checker"
 	"weakstab/internal/core"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
@@ -67,6 +68,16 @@ func analyze(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, op
 	}
 	defer ts.Close()
 	return core.AnalyzeSpaceContext(ctx, ts)
+}
+
+// explore builds the full space of a under pol for the experiments that
+// read single checker passes instead of a whole report.
+func explore(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, opt Options) (*checker.Space, error) {
+	ss, err := statespace.BuildContext(ctx, a, pol, statespace.Options{Workers: opt.Workers})
+	if err != nil {
+		return nil, err
+	}
+	return checker.FromSpace(ss), nil
 }
 
 // Experiment is one reproducible artifact of the paper.

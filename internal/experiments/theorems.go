@@ -9,7 +9,6 @@ import (
 	"weakstab/internal/algorithms/leadertree"
 	"weakstab/internal/algorithms/syncpair"
 	"weakstab/internal/algorithms/tokenring"
-	"weakstab/internal/checker"
 	"weakstab/internal/graph"
 	"weakstab/internal/markov"
 	"weakstab/internal/protocol"
@@ -114,12 +113,15 @@ func runE4(ctx context.Context, w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "instance\tweak(sync)\tself(sync)\tagree")
 	for _, a := range algs {
-		v, err := checker.ClassifyWith(a, scheduler.SynchronousPolicy{}, 0, opt.Workers)
+		sp, err := explore(ctx, a, scheduler.SynchronousPolicy{}, opt)
 		if err != nil {
 			return err
 		}
-		agree := v.WeakStabilizing() == v.SelfStabilizing()
-		fmt.Fprintf(tw, "%s\t%v\t%v\t%v\n", a.Name(), v.WeakStabilizing(), v.SelfStabilizing(), agree)
+		closure := sp.CheckClosure().Holds
+		weak := closure && sp.CheckPossibleConvergence().Holds
+		self := closure && sp.CheckCertainConvergence().Holds
+		agree := weak == self
+		fmt.Fprintf(tw, "%s\t%v\t%v\t%v\n", a.Name(), weak, self, agree)
 		if !agree {
 			tw.Flush()
 			return fmt.Errorf("%s: weak and self disagree under synchronous scheduler", a.Name())
@@ -147,26 +149,19 @@ func runE5(ctx context.Context, w io.Writer, opt Options) error {
 		// distributed strongly fair scheduler. (For n=3 the only diverging
 		// executions flip all processes simultaneously, so the central
 		// space alone contains no illegitimate cycle.)
-		sp, err := checker.ExploreWith(a, scheduler.DistributedPolicy{}, 0, opt.Workers)
+		sp, err := explore(ctx, a, scheduler.DistributedPolicy{}, opt)
 		if err != nil {
 			return err
 		}
-		v := checker.Verdict{
-			Algorithm: a.Name(),
-			Policy:    sp.Policy().Name(),
-			States:    sp.NumStates(),
-			Closure:   sp.CheckClosure(),
-			Possible:  sp.CheckPossibleConvergence(),
-			Certain:   sp.CheckCertainConvergence(),
-		}
+		closure, possible, certain := sp.CheckClosure(), sp.CheckPossibleConvergence(), sp.CheckCertainConvergence()
 		lasso := sp.FindStronglyFairLasso()
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%v\t%v\t%v\t%v\n",
-			n, a.Modulus(), v.States, v.Closure.Holds, v.Possible.Holds, v.Certain.Holds, lasso.Found)
-		if !v.WeakStabilizing() {
+			n, a.Modulus(), sp.NumStates(), closure.Holds, possible.Holds, certain.Holds, lasso.Found)
+		if !closure.Holds || !possible.Holds {
 			tw.Flush()
 			return fmt.Errorf("n=%d: not weak-stabilizing", n)
 		}
-		if v.Certain.Holds {
+		if certain.Holds {
 			tw.Flush()
 			return fmt.Errorf("n=%d: certainly converges, contradicting non-self-stabilization", n)
 		}
@@ -309,8 +304,8 @@ func runE7(ctx context.Context, w io.Writer, opt Options) error {
 				weakAll = false
 				return false
 			}
-			v, err := checker.ClassifyWith(a, scheduler.CentralPolicy{}, 0, opt.Workers)
-			if err != nil || !v.WeakStabilizing() {
+			sp, err := explore(ctx, a, scheduler.CentralPolicy{}, opt)
+			if err != nil || !sp.CheckClosure().Holds || !sp.CheckPossibleConvergence().Holds {
 				weakAll = false
 				return false
 			}
@@ -349,7 +344,7 @@ func runE8(ctx context.Context, w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	sp, err := checker.ExploreWith(a, scheduler.CentralPolicy{}, 0, opt.Workers)
+	sp, err := explore(ctx, a, scheduler.CentralPolicy{}, opt)
 	if err != nil {
 		return err
 	}

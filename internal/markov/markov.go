@@ -45,8 +45,8 @@ type Chain struct {
 	succ []int32   // transition targets
 	prob []float64 // transition probabilities aligned with succ
 
-	sp      statespace.TransitionSystem // non-nil when aliasing an explored system
-	workers int                         // analysis pool size override, set by tests (0 = inherit)
+	sp      *statespace.Space // non-nil when aliasing an explored space
+	workers int               // analysis pool size override, set by tests (0 = inherit)
 
 	revOnce sync.Once
 	rev     statespace.Reverse // predecessor view of a chain without a backing system
@@ -218,7 +218,7 @@ func (c *Chain) reachesWithProbOne(target []bool) []bool {
 // Terminal states stay absorbing (empty rows). Exploration and loading
 // already validated the offsets and targets, so only the rows'
 // distributions are checked (CheckRows).
-func FromSpace(sp statespace.TransitionSystem) (*Chain, error) {
+func FromSpace(sp *statespace.Space) (*Chain, error) {
 	off, succ, prob := sp.CSR()
 	if err := CheckRows(off, prob, sp.PoolWorkers(), nil); err != nil {
 		return nil, err
@@ -228,7 +228,7 @@ func FromSpace(sp statespace.TransitionSystem) (*Chain, error) {
 
 // TargetFromSpace returns the legitimate-set target vector of an explored
 // system (aliasing its legitimacy vector; callers must not modify it).
-func TargetFromSpace(sp statespace.TransitionSystem) []bool { return sp.LegitSet() }
+func TargetFromSpace(sp *statespace.Space) []bool { return sp.LegitSet() }
 
 // Summary aggregates hitting times over the non-target states.
 type Summary struct {

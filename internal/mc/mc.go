@@ -161,10 +161,9 @@ func (r *Result) ECDF(t float64) float64 {
 	return float64(n) / float64(r.Trials)
 }
 
-// System is the slice of the transition-system surface the estimator
-// walks: the explored CSR and its pool size. Every
-// statespace.TransitionSystem (full range or closure, mapped or read)
-// satisfies it; tests satisfy it with hand-built chains.
+// System is the slice of an explored space the estimator walks: the CSR
+// and its pool size. Every *statespace.Space (full range or closure,
+// mapped or read) satisfies it; tests satisfy it with hand-built chains.
 type System interface {
 	// NumStates returns the number of states of the system.
 	NumStates() int

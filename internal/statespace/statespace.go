@@ -146,6 +146,10 @@ type Space struct {
 // remains as an alias for code written against it.
 type SubSpace = Space
 
+// TransitionSystem is the former name of the analyses' view of a Space.
+// It remains as an alias for code written against it.
+type TransitionSystem = *Space
+
 // Succ returns the deduplicated successor state indexes of s, sorted
 // ascending. The slice aliases the space; callers must not modify it.
 func (sp *Space) Succ(s int) []int32 { return sp.succ[sp.off[s]:sp.off[s+1]] }
@@ -250,6 +254,40 @@ func (sp *Space) LocalIndex(g int64) int32 {
 func (sp *Space) Config(s int) protocol.Configuration {
 	return sp.Enc.Decode(sp.GlobalIndex(s), nil)
 }
+
+// ConfigInto decodes state s into dst (allocating only when dst is nil or
+// too short) and returns it, so sweeping analyses reuse one buffer.
+func (sp *Space) ConfigInto(s int, dst protocol.Configuration) protocol.Configuration {
+	return sp.Enc.Decode(sp.GlobalIndex(s), dst)
+}
+
+// StateOf returns the local id of cfg. ok is false when cfg is not a
+// state of the space, which happens only for an explored closure.
+func (sp *Space) StateOf(cfg protocol.Configuration) (int32, bool) {
+	l := sp.LocalIndex(sp.Enc.Encode(cfg))
+	return l, l >= 0
+}
+
+// Algorithm returns the explored algorithm.
+func (sp *Space) Algorithm() protocol.Algorithm { return sp.Alg }
+
+// Policy returns the policy the space was explored under.
+func (sp *Space) Policy() scheduler.Policy { return sp.Pol }
+
+// NumStates returns the number of states of the space.
+func (sp *Space) NumStates() int { return sp.States }
+
+// TotalConfigs returns the size of the full index range the space lives
+// in; NumStates/TotalConfigs is the explored fraction of a closure.
+func (sp *Space) TotalConfigs() int64 { return sp.Enc.Total() }
+
+// LegitSet returns the legitimacy vector. The slice aliases the space;
+// callers must not modify it.
+func (sp *Space) LegitSet() []bool { return sp.Legit }
+
+// PoolWorkers returns the worker-pool size analyses over the space run on
+// by default: the resolved exploration pool size.
+func (sp *Space) PoolWorkers() int { return sp.Workers }
 
 // edge is one pre-merge transition of the row under construction. Targets
 // are global configuration indexes (int64) so the same explorer serves both
