@@ -28,15 +28,12 @@ import (
 	"weakstab/internal/spacecache"
 )
 
-// errParse marks a flag-parsing failure the FlagSet has already reported
-// (message + usage on stderr), so main exits 1 without printing it twice.
-var errParse = errors.New("flag parsing failed")
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if !errors.Is(err, errParse) {
-			fmt.Fprintln(os.Stderr, "spacecache:", err)
+		if errors.Is(err, cli.ErrParse) {
+			os.Exit(2)
 		}
+		fmt.Fprintln(os.Stderr, "spacecache:", err)
 		os.Exit(1)
 	}
 }
@@ -64,7 +61,7 @@ func run(args []string, out io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
-		return errParse
+		return cli.ErrParse
 	}
 	if *dir == "" {
 		return errors.New("-dir is required")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"weakstab/internal/algorithms/tokenring"
+	"weakstab/internal/cli"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
@@ -89,6 +91,12 @@ func TestBadUsage(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Fatalf("run(%q) accepted bad usage", args)
 		}
+	}
+	if err := run([]string{"stats", "-bogus"}, &out); !errors.Is(err, cli.ErrParse) {
+		t.Errorf("run(stats -bogus) = %v, want cli.ErrParse", err)
+	}
+	if err := run([]string{"stats", "-h"}, &out); err != nil {
+		t.Errorf("run(stats -h) = %v, want nil", err)
 	}
 	// Inspecting a nonexistent directory must fail, not create it.
 	missing := filepath.Join(t.TempDir(), "nope")

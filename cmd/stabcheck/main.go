@@ -84,15 +84,12 @@ import (
 	"weakstab/internal/stats"
 )
 
-// errParse marks a flag-parsing failure the FlagSet has already reported
-// (message + usage on stderr), so main exits 1 without printing it twice.
-var errParse = errors.New("flag parsing failed")
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if !errors.Is(err, errParse) {
-			fmt.Fprintln(os.Stderr, "stabcheck:", err)
+		if errors.Is(err, cli.ErrParse) {
+			os.Exit(2)
 		}
+		fmt.Fprintln(os.Stderr, "stabcheck:", err)
 		os.Exit(1)
 	}
 }
@@ -134,7 +131,7 @@ func run(args []string, out io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h: usage printed, exit 0
 		}
-		return errParse
+		return cli.ErrParse
 	}
 
 	// The observability scope and profilers bracket the whole analysis;

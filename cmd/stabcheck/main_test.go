@@ -16,6 +16,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"weakstab/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files with the observed output")
@@ -180,7 +182,7 @@ func TestFlagConflicts(t *testing.T) {
 	if err := run([]string{"-h"}, &strings.Builder{}); err != nil {
 		t.Errorf("run(-h) = %v, want nil (help is not a failure)", err)
 	}
-	if err := run([]string{"-bogus"}, &strings.Builder{}); !errors.Is(err, errParse) {
-		t.Errorf("run(-bogus) = %v, want the errParse sentinel", err)
+	if err := run([]string{"-bogus"}, &strings.Builder{}); !errors.Is(err, cli.ErrParse) {
+		t.Errorf("run(-bogus) = %v, want cli.ErrParse", err)
 	}
 }

@@ -30,13 +30,12 @@ import (
 	"weakstab/internal/stats"
 )
 
-var errParse = errors.New("flag parsing failed")
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if !errors.Is(err, errParse) {
-			fmt.Fprintln(os.Stderr, "stabnetsim:", err)
+		if errors.Is(err, cli.ErrParse) {
+			os.Exit(2)
 		}
+		fmt.Fprintln(os.Stderr, "stabnetsim:", err)
 		os.Exit(1)
 	}
 }
@@ -68,7 +67,7 @@ func run(args []string, out io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
-		return errParse
+		return cli.ErrParse
 	}
 
 	// Observability and profilers bracket the whole batch; both write to

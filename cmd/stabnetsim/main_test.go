@@ -8,12 +8,15 @@ package main
 //	go test ./cmd/stabnetsim -run TestGolden -update
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+
+	"weakstab/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files with the observed output")
@@ -136,5 +139,11 @@ func TestRunErrors(t *testing.T) {
 		if err := run(args, &sb); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
+	}
+	if err := run([]string{"-bogus"}, &strings.Builder{}); !errors.Is(err, cli.ErrParse) {
+		t.Errorf("run(-bogus) = %v, want cli.ErrParse", err)
+	}
+	if err := run([]string{"-h"}, &strings.Builder{}); err != nil {
+		t.Errorf("run(-h) = %v, want nil", err)
 	}
 }

@@ -50,6 +50,9 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
+		if errors.Is(err, cli.ErrParse) {
+			os.Exit(2)
+		}
 		fmt.Fprintln(os.Stderr, "stabserve:", err)
 		os.Exit(1)
 	}
@@ -74,7 +77,7 @@ func run(args []string) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
-		return err
+		return cli.ErrParse
 	}
 
 	orun, err := of.Start("stabserve", args)

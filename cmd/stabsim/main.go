@@ -22,17 +22,12 @@ import (
 	"weakstab/internal/sim"
 )
 
-var (
-	// errParse marks a flag-parsing failure the FlagSet has already
-	// reported (message + usage on stderr).
-	errParse = errors.New("flag parsing failed")
-	// errFailures marks a batch whose report counts its failed runs.
-	errFailures = errors.New("some runs did not converge")
-)
+// errFailures marks a batch whose report counts its failed runs.
+var errFailures = errors.New("some runs did not converge")
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, errParse) {
+		if errors.Is(err, cli.ErrParse) {
 			os.Exit(2)
 		}
 		if !errors.Is(err, errFailures) {
@@ -69,7 +64,7 @@ func run(args []string, out io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h: usage printed, exit 0
 		}
-		return errParse
+		return cli.ErrParse
 	}
 
 	// The effective seed is printed on every report line and recorded in

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"weakstab/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files with the observed output")
@@ -56,7 +58,7 @@ func TestGoldenFaults(t *testing.T) {
 }
 
 // TestFailuresAndBadUsage checks the exits that are not a plain report:
-// a batch with non-converging runs, an undefined flag and a bad
+// a batch with non-converging runs, an undefined flag, -h and a bad
 // scheduler name.
 func TestFailuresAndBadUsage(t *testing.T) {
 	var sb strings.Builder
@@ -64,8 +66,11 @@ func TestFailuresAndBadUsage(t *testing.T) {
 	if !errors.Is(err, errFailures) || !strings.Contains(sb.String(), "FAILURES:") {
 		t.Errorf("run with a 1-step budget = %v, output %q; want errFailures and a FAILURES line", err, sb.String())
 	}
-	if err := run([]string{"-nosuch"}, &strings.Builder{}); !errors.Is(err, errParse) {
-		t.Errorf("run(-nosuch) = %v, want errParse", err)
+	if err := run([]string{"-nosuch"}, &strings.Builder{}); !errors.Is(err, cli.ErrParse) {
+		t.Errorf("run(-nosuch) = %v, want cli.ErrParse", err)
+	}
+	if err := run([]string{"-h"}, &strings.Builder{}); err != nil {
+		t.Errorf("run(-h) = %v, want nil", err)
 	}
 	if err := run([]string{"-sched", "bogus"}, &strings.Builder{}); err == nil {
 		t.Error("run(-sched bogus) succeeded")

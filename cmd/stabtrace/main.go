@@ -21,21 +21,16 @@ import (
 	"weakstab/internal/trace"
 )
 
-var (
-	// errParse marks a flag-parsing failure the FlagSet has already
-	// reported (message + usage on stderr), so main does not print it
-	// twice.
-	errParse = errors.New("flag parsing failed")
-	// errUsage is a run with no instance to trace.
-	errUsage = errors.New("pass -alg <name> (the paper's figures are stabbench -run E1|E2|E3)")
-)
+// errUsage is a run with no instance to trace.
+var errUsage = errors.New("pass -alg <name> (the paper's figures are stabbench -run E1|E2|E3)")
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if !errors.Is(err, errParse) {
-			fmt.Fprintln(os.Stderr, "stabtrace:", err)
+		if errors.Is(err, cli.ErrParse) {
+			os.Exit(2)
 		}
-		if errors.Is(err, errParse) || errors.Is(err, errUsage) {
+		fmt.Fprintln(os.Stderr, "stabtrace:", err)
+		if errors.Is(err, errUsage) {
 			os.Exit(2)
 		}
 		os.Exit(1)
@@ -61,7 +56,7 @@ func run(args []string, out io.Writer) error {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // -h: usage printed, exit 0
 		}
-		return errParse
+		return cli.ErrParse
 	}
 
 	orun, err := of.Start("stabtrace", args)
@@ -90,7 +85,7 @@ func record(out io.Writer, alg string, n int, sched string, steps int, seed int6
 		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	tr := trace.Record(a, s, protocol.RandomConfiguration(a, rng), rng, steps, nil)
+	tr := trace.Record(a, s, protocol.RandomConfiguration(a, rng), rng, steps)
 	trace.RenderTable(out, tr)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"weakstab/internal/cli"
 	"weakstab/internal/obs"
 )
 
@@ -64,11 +65,14 @@ func TestGoldenHermanDistributed(t *testing.T) {
 	}
 }
 
-// TestBadUsage checks the two usage failures: an undefined flag and a
-// run with no -alg.
+// TestBadUsage checks the two usage failures, an undefined flag and a
+// run with no -alg, and that -h is not a failure.
 func TestBadUsage(t *testing.T) {
-	if err := run([]string{"-fig", "1"}, &strings.Builder{}); !errors.Is(err, errParse) {
-		t.Errorf("run(-fig 1) = %v, want errParse", err)
+	if err := run([]string{"-fig", "1"}, &strings.Builder{}); !errors.Is(err, cli.ErrParse) {
+		t.Errorf("run(-fig 1) = %v, want cli.ErrParse", err)
+	}
+	if err := run([]string{"-h"}, &strings.Builder{}); err != nil {
+		t.Errorf("run(-h) = %v, want nil", err)
 	}
 	if err := run(nil, &strings.Builder{}); !errors.Is(err, errUsage) {
 		t.Errorf("run() = %v, want errUsage", err)

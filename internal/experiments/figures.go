@@ -151,7 +151,7 @@ func runE3(ctx context.Context, w io.Writer, opt Options) error {
 	}
 	// (i): two mutual pairs P1<->P2, P3<->P4.
 	init := protocol.Configuration{0, 0, 1, 0}
-	tr := trace.Record(a, scheduler.NewSynchronous(), init, nil, 4, nil)
+	tr := trace.Record(a, scheduler.NewSynchronous(), init, nil, 4)
 	trace.RenderLabeledPanels(w, tr, func(cfg protocol.Configuration, p int) string {
 		if par := a.Parent(cfg, p); par >= 0 {
 			return fmt.Sprintf("→P%d", par+1)

@@ -28,7 +28,7 @@ func tokenTrace(t *testing.T, n, steps int, fromLegit bool) (*tokenring.Algorith
 	sched := scheduler.Func{Label: "first-token", F: func(_ int, cfg protocol.Configuration, enabled []int, _ *rand.Rand) []int {
 		return enabled[:1]
 	}}
-	return a, trace.Record(a, sched, init, nil, steps, nil)
+	return a, trace.Record(a, sched, init, nil, steps)
 }
 
 func TestTokenCirculationHoldsOnLegitimateRun(t *testing.T) {
@@ -71,7 +71,7 @@ func TestMutualExclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	init := protocol.Configuration{0, 0, 0, 0, 0}
-	tr := trace.Record(a, scheduler.NewLexMin(), init, nil, 25, nil)
+	tr := trace.Record(a, scheduler.NewLexMin(), init, nil, 25)
 	privileged := func(cfg protocol.Configuration) []int {
 		var out []int
 		for p := range cfg {
@@ -86,7 +86,7 @@ func TestMutualExclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// From an arbitrary configuration multiple privileges exist.
-	bad := trace.Record(a, scheduler.NewLexMin(), protocol.Configuration{0, 2, 1, 4, 3}, nil, 1, nil)
+	bad := trace.Record(a, scheduler.NewLexMin(), protocol.Configuration{0, 2, 1, 4, 3}, nil, 1)
 	if err := s.Check(bad); err == nil {
 		t.Fatal("multi-privilege configuration accepted")
 	}
@@ -112,7 +112,7 @@ func TestStableLeader(t *testing.T) {
 		}
 		cfg[p] = i
 	}
-	tr := trace.Record(a, scheduler.NewSynchronous(), cfg, nil, 5, nil)
+	tr := trace.Record(a, scheduler.NewSynchronous(), cfg, nil, 5)
 	s := StableLeader{Leaders: a.Leaders}
 	if err := s.Check(tr); err != nil {
 		t.Fatal(err)
@@ -146,10 +146,9 @@ func TestConvergenceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	// Record until the first legitimate configuration: the prefix is
-	// illegitimate throughout, then converges — the stabilizing shape.
-	tr := trace.Record(a, scheduler.NewCentralRandomized(),
-		protocol.RandomConfiguration(a, rng), rng, 100000, a.Legitimate)
+	// An illegitimate prefix, then legitimate throughout: the stabilizing
+	// shape, with the run continuing in L long after it converged.
+	tr := trace.Record(a, scheduler.NewCentralRandomized(), protocol.RandomConfiguration(a, rng), rng, 500)
 	s := ConvergenceShape{Legitimate: a.Legitimate, RequireConvergence: true}
 	if err := s.Check(tr); err != nil {
 		t.Fatal(err)

@@ -49,11 +49,11 @@ func (t *Trace) Configurations() []protocol.Configuration {
 }
 
 // Record runs the algorithm under the scheduler from init for at most
-// maxSteps steps, stopping early when stop returns true (stop may be nil)
-// or a terminal configuration is reached. The steps are sim.Execute's.
-func Record(a protocol.Algorithm, sched scheduler.Scheduler, init protocol.Configuration, rng *rand.Rand, maxSteps int, stop func(protocol.Configuration) bool) *Trace {
+// maxSteps steps, stopping early when a terminal configuration is reached.
+// The steps are sim.Execute's.
+func Record(a protocol.Algorithm, sched scheduler.Scheduler, init protocol.Configuration, rng *rand.Rand, maxSteps int) *Trace {
 	tr := &Trace{Algorithm: a, Initial: init.Clone()}
-	sim.Execute(a, sched, init, rng, maxSteps, stop, func(before protocol.Configuration, chosen []int, after protocol.Configuration) {
+	sim.Execute(a, sched, init, rng, maxSteps, nil, func(before protocol.Configuration, chosen []int, after protocol.Configuration) {
 		tr.Steps = append(tr.Steps, Step{Before: before, Chosen: chosen, After: after})
 	})
 	return tr
@@ -63,7 +63,7 @@ func Record(a protocol.Algorithm, sched scheduler.Scheduler, init protocol.Confi
 // and records the execution; it stops early at terminal configurations.
 func RecordScript(a protocol.Algorithm, init protocol.Configuration, script [][]int, rng *rand.Rand) *Trace {
 	sched := scheduler.NewScripted("script", script, false)
-	return Record(a, sched, init, rng, len(script), nil)
+	return Record(a, sched, init, rng, len(script))
 }
 
 // RenderTable writes the trace as a step table:

@@ -90,20 +90,6 @@ func TestRecordStopsAtTerminal(t *testing.T) {
 	}
 }
 
-func TestRecordStopPredicate(t *testing.T) {
-	a := mustTokenRing(t, 6)
-	init := protocol.Configuration{0, 0, 0, 0, 0, 0}
-	tr := Record(a, scheduler.NewLexMin(), init, nil, 10000, a.Legitimate)
-	if !a.Legitimate(tr.Final()) {
-		t.Fatal("stop predicate did not trigger at a legitimate configuration")
-	}
-	for _, s := range tr.Steps[:len(tr.Steps)-1] {
-		if a.Legitimate(s.Before) {
-			t.Fatal("trace continued past a legitimate configuration")
-		}
-	}
-}
-
 func TestRenderTable(t *testing.T) {
 	a := mustTokenRing(t, 4)
 	tr := RecordScript(a, a.LegitimateWithTokenAt(0), [][]int{{0}}, nil)
@@ -128,7 +114,7 @@ func TestRenderLabeledPanels(t *testing.T) {
 	}
 	// Figure 3 livelock, two synchronous steps.
 	init := protocol.Configuration{0, 0, 1, 0} // 0->1, 1->0, 2->3, 3->2 via local indexes
-	tr := Record(a, scheduler.NewSynchronous(), init, nil, 2, nil)
+	tr := Record(a, scheduler.NewSynchronous(), init, nil, 2)
 	var sb strings.Builder
 	RenderLabeledPanels(&sb, tr, func(cfg protocol.Configuration, p int) string {
 		if par := a.Parent(cfg, p); par >= 0 {
