@@ -29,9 +29,9 @@ var update = flag.Bool("update", false, "rewrite the golden files with the obser
 // goldenCounters are the pinned counter families: a counter is pinned
 // when its name equals one of these or starts with one followed by a dot.
 // Every counter of these families comes out equal at 1 and 4 workers, so
-// none is excluded. Counters outside them are not work measures: mc.trials
-// and mc.batches follow the options, and cache.* and sweep.radii the
-// cache state.
+// none is excluded. The counters outside them measure the request or the
+// cache, not the work: mc.trials, mc.batches and sweep.radii follow the
+// request, cache.* the cache's contents.
 var goldenCounters = []string{
 	"build", "frontier", "solver.blocks", "solver.gs_sweeps",
 	"mc.steps", "netsim.sent", "netsim.delivered", "netsim.proc_rounds",
