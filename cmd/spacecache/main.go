@@ -17,7 +17,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,15 +27,7 @@ import (
 	"weakstab/internal/spacecache"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, cli.ErrParse) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "spacecache:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit("spacecache", run(os.Args[1:], os.Stdout)) }
 
 // run is the whole command behind a testable seam: subcommand dispatch and
 // output against an injected writer.
@@ -45,7 +36,7 @@ func run(args []string, out io.Writer) error {
 		return errors.New("usage: spacecache <stats|gc> -dir DIR [-max-bytes N]")
 	}
 	sub, rest := args[0], args[1:]
-	fs := flag.NewFlagSet("spacecache "+sub, flag.ContinueOnError)
+	fs := cli.FlagSet("spacecache " + sub)
 	dir := fs.String("dir", "", "cache directory (as given to stabcheck/stabbench -cache)")
 	var of cli.ObsFlags
 	of.Register(fs)
@@ -57,11 +48,8 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown subcommand %q (want stats or gc)", sub)
 	}
-	if err := fs.Parse(rest); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return cli.ErrParse
+	if done, err := cli.Parse(fs, rest); done {
+		return err
 	}
 	if *dir == "" {
 		return errors.New("-dir is required")

@@ -68,8 +68,6 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -84,20 +82,12 @@ import (
 	"weakstab/internal/stats"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, cli.ErrParse) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "stabcheck:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit("stabcheck", run(os.Args[1:], os.Stdout)) }
 
 // run is the whole command behind a testable seam: flag parsing, mode
 // selection and report printing against an injected writer.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("stabcheck", flag.ContinueOnError)
+	fs := cli.FlagSet("stabcheck")
 	var (
 		alg       = fs.String("alg", "tokenring", "algorithm: "+strings.Join(cli.Algorithms(), ", "))
 		n         = fs.Int("n", 5, "number of processes")
@@ -127,11 +117,8 @@ func run(args []string, out io.Writer) error {
 	var pf cli.ProfileFlags
 	of.Register(fs)
 	pf.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h: usage printed, exit 0
-		}
-		return cli.ErrParse
+	if done, err := cli.Parse(fs, args); done {
+		return err
 	}
 
 	// The observability scope and profilers bracket the whole analysis;

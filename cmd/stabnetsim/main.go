@@ -18,8 +18,6 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -30,19 +28,11 @@ import (
 	"weakstab/internal/stats"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, cli.ErrParse) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "stabnetsim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit("stabnetsim", run(os.Args[1:], os.Stdout)) }
 
 // run is the whole command behind a testable seam.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("stabnetsim", flag.ContinueOnError)
+	fs := cli.FlagSet("stabnetsim")
 	var (
 		alg         = fs.String("alg", "coloring", "algorithm: "+strings.Join(cli.Algorithms(), ", "))
 		n           = fs.Int("n", 64, "number of processes")
@@ -63,11 +53,8 @@ func run(args []string, out io.Writer) error {
 	var pf cli.ProfileFlags
 	of.Register(fs)
 	pf.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return cli.ErrParse
+	if done, err := cli.Parse(fs, args); done {
+		return err
 	}
 
 	// Observability and profilers bracket the whole batch; both write to

@@ -32,8 +32,6 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -48,18 +46,10 @@ import (
 	"weakstab/internal/spacecache"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		if errors.Is(err, cli.ErrParse) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "stabserve:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit("stabserve", run(os.Args[1:])) }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("stabserve", flag.ContinueOnError)
+	fs := cli.FlagSet("stabserve")
 	var (
 		addr     = fs.String("addr", "localhost:8321", "listen address (use :0 for an ephemeral port)")
 		cacheDir = fs.String("cache", "", "on-disk space cache directory shared by all jobs")
@@ -73,11 +63,8 @@ func run(args []string) error {
 	)
 	var of cli.ObsFlags
 	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return cli.ErrParse
+	if done, err := cli.Parse(fs, args); done {
+		return err
 	}
 
 	orun, err := of.Start("stabserve", args)

@@ -12,7 +12,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -26,15 +25,11 @@ import (
 var errFailures = errors.New("some runs did not converge")
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, cli.ErrParse) {
-			os.Exit(2)
-		}
-		if !errors.Is(err, errFailures) {
-			fmt.Fprintln(os.Stderr, "stabsim:", err)
-		}
-		os.Exit(1)
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errFailures) {
+		os.Exit(1) // the report lists the failures
 	}
+	cli.Exit("stabsim", err)
 }
 
 // run is the whole command behind a testable seam: flag parsing, the
@@ -42,7 +37,7 @@ func main() {
 // The scope is finished on every path past flag parsing, so a failing run
 // still writes its manifest and closes its trace.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("stabsim", flag.ContinueOnError)
+	fs := cli.FlagSet("stabsim")
 	var (
 		alg       = fs.String("alg", "tokenring", "algorithm: "+strings.Join(cli.Algorithms(), ", "))
 		n         = fs.Int("n", 8, "number of processes")
@@ -60,11 +55,8 @@ func run(args []string, out io.Writer) error {
 	)
 	var of cli.ObsFlags
 	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h: usage printed, exit 0
-		}
-		return cli.ErrParse
+	if done, err := cli.Parse(fs, args); done {
+		return err
 	}
 
 	// The effective seed is printed on every report line and recorded in

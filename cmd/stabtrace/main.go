@@ -9,7 +9,6 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,16 +24,12 @@ import (
 var errUsage = errors.New("pass -alg <name> (the paper's figures are stabbench -run E1|E2|E3)")
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, cli.ErrParse) {
-			os.Exit(2)
-		}
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errUsage) {
 		fmt.Fprintln(os.Stderr, "stabtrace:", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
-		os.Exit(1)
+		os.Exit(2)
 	}
+	cli.Exit("stabtrace", err)
 }
 
 // run is the whole command behind a testable seam: flag parsing, the
@@ -42,7 +37,7 @@ func main() {
 // scope is finished on every path past flag parsing, so a failing run
 // still writes its manifest and closes its trace.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("stabtrace", flag.ContinueOnError)
+	fs := cli.FlagSet("stabtrace")
 	var (
 		alg   = fs.String("alg", "", "algorithm to trace: "+strings.Join(cli.Algorithms(), ", "))
 		n     = fs.Int("n", 6, "number of processes")
@@ -52,11 +47,8 @@ func run(args []string, out io.Writer) error {
 	)
 	var of cli.ObsFlags
 	of.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil // -h: usage printed, exit 0
-		}
-		return cli.ErrParse
+	if done, err := cli.Parse(fs, args); done {
+		return err
 	}
 
 	orun, err := of.Start("stabtrace", args)

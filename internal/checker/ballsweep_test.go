@@ -124,11 +124,12 @@ func subSpacesEqual(t *testing.T, a, b *statespace.Space) bool {
 	}
 	aOff, aSucc, aProb := a.CSR()
 	bOff, bSucc, bProb := b.CSR()
-	if a.NumStates() != b.NumStates() || !int64sEqual(a.Globals(), b.Globals()) || !int64sEqual(aOff, bOff) {
+	if a.NumStates() != b.NumStates() || !int64sEqual(a.Globals(), b.Globals()) || !int64sEqual(aOff, bOff) ||
+		!slices.Equal(aProb.Palette(), bProb.Palette()) {
 		return false
 	}
 	for i := range aSucc {
-		if aSucc[i] != bSucc[i] || aProb[i] != bProb[i] {
+		if aSucc[i] != bSucc[i] || aProb.At(int64(i)) != bProb.At(int64(i)) {
 			return false
 		}
 	}

@@ -4,7 +4,6 @@
 package cli
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -21,11 +20,6 @@ import (
 	"weakstab/internal/scheduler"
 	"weakstab/internal/transformer"
 )
-
-// ErrParse is what every command's run returns on a flag error. The
-// FlagSet has already printed the message and the usage, so main prints
-// nothing more and exits 2, as the flag package's ExitOnError does.
-var ErrParse = errors.New("flag parsing failed")
 
 // Spec selects an algorithm instance.
 type Spec struct {

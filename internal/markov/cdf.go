@@ -29,6 +29,7 @@ func (c *Chain) HittingTimeCDF(target []bool, from, maxSteps int) ([]float64, er
 		}
 		return out, nil
 	}
+	prob := c.prob
 	mass := make([]float64, n)
 	next := make([]float64, n)
 	mass[from] = 1
@@ -48,10 +49,10 @@ func (c *Chain) HittingTimeCDF(target []bool, from, maxSteps int) ([]float64, er
 				continue
 			}
 			for i := lo; i < hi; i++ {
-				if target[c.succ[i]] {
-					absorbed += m * c.prob[i]
+				if t := c.succ[i]; target[t] {
+					absorbed += m * prob.At(i)
 				} else {
-					next[c.succ[i]] += m * c.prob[i]
+					next[t] += m * prob.At(i)
 				}
 			}
 		}

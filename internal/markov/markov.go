@@ -16,9 +16,12 @@
 //     solver.go).
 //
 // The chain is one read-only CSR. A chain built FromSpace aliases the
-// explored statespace.Space's off/succ/prob arrays without copying a single
-// transition, so the analyses here run directly over the exploration
-// engine's memory; FromCSR wraps hand-built arrays in the same layout.
+// explored statespace.Space's offsets, successors and palette-coded
+// probabilities without copying a single transition, so the analyses here
+// run directly over the exploration engine's memory; FromCSR wraps
+// hand-built arrays, whose probabilities stay plain float64s. Every
+// analysis reads a probability through statespace.Probs.At, so it runs
+// one code path over either layout.
 package markov
 
 import (
@@ -27,6 +30,7 @@ import (
 	"runtime"
 	"sync"
 
+	"weakstab/internal/obs"
 	"weakstab/internal/statespace"
 )
 
@@ -41,9 +45,9 @@ const DefaultMaxStates = 1 << 22
 // concurrent analyses of one chain are safe.
 type Chain struct {
 	n    int
-	off  []int64   // row offsets, len n+1
-	succ []int32   // transition targets
-	prob []float64 // transition probabilities aligned with succ
+	off  []int64          // row offsets, len n+1
+	succ []int32          // transition targets
+	prob statespace.Probs // transition probabilities aligned with succ
 
 	sp      *statespace.Space // non-nil when aliasing an explored space
 	workers int               // analysis pool size override, set by tests (0 = inherit)
@@ -98,8 +102,8 @@ func FromCSR(off []int64, succ []int32, prob []float64) (*Chain, error) {
 			}
 		}
 	}
-	c := &Chain{n: n, off: off, succ: succ, prob: prob}
-	if err := CheckRows(off, prob, c.analysisWorkers(), nil); err != nil {
+	c := &Chain{n: n, off: off, succ: succ, prob: statespace.WideProbs(prob)}
+	if err := CheckRows(off, c.prob, c.analysisWorkers(), nil); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -111,7 +115,7 @@ func FromCSR(off []int64, succ []int32, prob []float64) (*Chain, error) {
 // then handed to row (when non-nil) as its state s and CSR position range
 // [a, b), so row must be safe for concurrent calls on distinct rows. It
 // returns one of the violations when there is any.
-func CheckRows(off []int64, prob []float64, workers int, row func(s int, a, b int64)) error {
+func CheckRows(off []int64, prob statespace.Probs, workers int, row func(s int, a, b int64)) error {
 	return statespace.ForRanges(len(off)-1, workers, 1<<14, func(lo, hi int) error {
 		for s := lo; s < hi; s++ {
 			a, b := off[s], off[s+1]
@@ -120,10 +124,11 @@ func CheckRows(off []int64, prob []float64, workers int, row func(s int, a, b in
 			}
 			sum := 0.0
 			for i := a; i < b; i++ {
-				if !(prob[i] > 0) { // NaN fails too
-					return fmt.Errorf("markov: non-positive probability %g in state %d", prob[i], s)
+				p := prob.At(i)
+				if !(p > 0) { // NaN fails too
+					return fmt.Errorf("markov: non-positive probability %g in state %d", p, s)
 				}
-				sum += prob[i]
+				sum += p
 			}
 			if math.Abs(sum-1) > 1e-9 {
 				return fmt.Errorf("markov: row %d sums to %g, want 1", s, sum)
@@ -139,8 +144,14 @@ func CheckRows(off []int64, prob []float64, workers int, row func(s int, a, b in
 // rowSucc returns the transition targets of s (empty means absorbing).
 func (c *Chain) rowSucc(s int) []int32 { return c.succ[c.off[s]:c.off[s+1]] }
 
-// rowProb returns the transition probabilities aligned with rowSucc(s).
-func (c *Chain) rowProb(s int) []float64 { return c.prob[c.off[s]:c.off[s+1]] }
+// observer returns where the chain's analyses report: the observer the
+// backing space was built or loaded with, else the process default.
+func (c *Chain) observer() *obs.Observer {
+	if c.sp != nil {
+		return obs.Or(c.sp.Obs)
+	}
+	return obs.Default()
+}
 
 // reverse returns the predecessor view of the chain: the backing system's
 // cached view when the chain aliases one (shared with the checker), or a

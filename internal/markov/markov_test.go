@@ -70,8 +70,8 @@ func TestFromCSRValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if succ, prob := c.rowSucc(0), c.rowProb(0); c.N() != 3 || len(succ) != 2 || succ[1] != 2 || prob[1] != 0.5 {
-		t.Fatalf("chain rows not aliased: n=%d %v %v", c.N(), succ, prob)
+	if succ := c.rowSucc(0); c.N() != 3 || len(succ) != 2 || succ[1] != 2 || c.prob.At(1) != 0.5 {
+		t.Fatalf("chain rows not aliased: n=%d %v %v", c.N(), succ, c.prob.Floats())
 	}
 	for _, tc := range []struct {
 		name string

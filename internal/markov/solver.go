@@ -190,7 +190,7 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 			kinds[2]++
 		}
 	}
-	if o := obs.Default(); o.On() {
+	if o := c.observer(); o.On() {
 		sizes := o.Histogram("solver.block_states")
 		for b := 0; b < numComp; b++ {
 			sizes.Observe(int64(blockOff[b+1] - blockOff[b]))
@@ -342,13 +342,12 @@ func (c *Chain) solveBlock(b int32, states []int32, local, comp []int32, h []flo
 		// Singleton: h(s) = (1 + Σ_{t≠s} P(s,t) h(t)) / (1 - P(s,s)) — a
 		// trivial forward substitution on the condensation DAG.
 		s := int(states[0])
-		succ, prob := c.rowSucc(s), c.rowProb(s)
 		ext, self := 1.0, 0.0
-		for k, t := range succ {
-			if int(t) == s {
-				self += prob[k]
+		for e := c.off[s]; e < c.off[s+1]; e++ {
+			if t, p := c.succ[e], c.prob.At(e); int(t) == s {
+				self += p
 			} else {
-				ext += prob[k] * h[t]
+				ext += p * h[t]
 			}
 		}
 		d := 1 - self
@@ -377,7 +376,7 @@ func observeGS(o *obs.Observer, size int, kind string, iters int, residual float
 // to the block, the right-hand side folds in the solved mass leaving it.
 // Matrix storage comes from the per-worker scratch pool.
 func (c *Chain) solveBlockDense(b int32, states []int32, local, comp []int32, h []float64) error {
-	m := len(states)
+	m, prob := len(states), c.prob
 	sc := blockScratchPool.Get().(*blockScratch)
 	defer blockScratchPool.Put(sc)
 	sc.flat = growF64(sc.flat, m*(m+1))
@@ -394,12 +393,11 @@ func (c *Chain) solveBlockDense(b int32, states []int32, local, comp []int32, h 
 		row := flat[i*(m+1) : (i+1)*(m+1)]
 		row[i] = 1
 		rhs := 1.0
-		succ, prob := c.rowSucc(s), c.rowProb(s)
-		for k, t := range succ {
-			if comp[t] == b {
-				row[local[t]] -= prob[k]
+		for e := c.off[s]; e < c.off[s+1]; e++ {
+			if t, p := c.succ[e], prob.At(e); comp[t] == b {
+				row[local[t]] -= p
 			} else {
-				rhs += prob[k] * h[t]
+				rhs += p * h[t]
 			}
 		}
 		row[m] = rhs
@@ -427,7 +425,7 @@ func (c *Chain) solveBlockDense(b int32, states []int32, local, comp []int32, h 
 // are race-free and bit-identical for every worker count. Iteration stops
 // only after an explicit residual pass confirms convergence.
 func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []float64, workers int) error {
-	m := len(states)
+	m, prob := len(states), c.prob
 	sc := blockScratchPool.Get().(*blockScratch)
 	defer blockScratchPool.Put(sc)
 	// Compact the block: in-block edges in local indexes plus, per state,
@@ -440,23 +438,22 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 	nnz := int64(0)
 	for i, sv := range states {
 		s := int(sv)
-		succ, prob := c.rowSucc(s), c.rowProb(s)
-		e, self := 1.0, 0.0
-		for k, t := range succ {
-			switch {
+		x, self := 1.0, 0.0
+		for e := c.off[s]; e < c.off[s+1]; e++ {
+			switch t := c.succ[e]; {
 			case int(t) == s:
-				self += prob[k]
+				self += prob.At(e)
 			case comp[t] == b:
 				nnz++
 			default:
-				e += prob[k] * h[t]
+				x += prob.At(e) * h[t]
 			}
 		}
 		d := 1 - self
 		if d <= 0 {
 			return fmt.Errorf("markov: singular hitting-time system at state %d (self-loop mass %g)", s, self)
 		}
-		ext[i], diag[i] = e, d
+		ext[i], diag[i] = x, d
 		bOff[i+1] = nnz
 	}
 	sc.bTo = growI32(sc.bTo, int(nnz))
@@ -465,11 +462,10 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 	at := int64(0)
 	for _, sv := range states {
 		s := int(sv)
-		succ, prob := c.rowSucc(s), c.rowProb(s)
-		for k, t := range succ {
-			if int(t) != s && comp[t] == b {
+		for e := c.off[s]; e < c.off[s+1]; e++ {
+			if t := c.succ[e]; int(t) != s && comp[t] == b {
 				bTo[at] = local[t]
-				bP[at] = prob[k]
+				bP[at] = prob.At(e)
 				at++
 			}
 		}
@@ -531,7 +527,7 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 					for i, sv := range states {
 						h[sv] = x[i]
 					}
-					observeGS(obs.Default(), m, "gs", iter+gsCheckEvery, r)
+					observeGS(c.observer(), m, "gs", iter+gsCheckEvery, r)
 					return nil
 				}
 			}
@@ -616,7 +612,7 @@ func (c *Chain) solveBlockGS(b int32, states []int32, local, comp []int32, h []f
 				for i, sv := range states {
 					h[sv] = x[i]
 				}
-				observeGS(obs.Default(), m, "gs-rb", iter+1, r)
+				observeGS(c.observer(), m, "gs-rb", iter+1, r)
 				return nil
 			}
 		}
@@ -699,10 +695,9 @@ func (c *Chain) hittingTimesDense(target []bool) ([]float64, error) {
 		row := make([]float64, m+1)
 		row[i] = 1
 		row[m] = 1
-		succ, prob := c.rowSucc(s), c.rowProb(s)
-		for k, t := range succ {
-			if j := idx[t]; j >= 0 {
-				row[j] -= prob[k]
+		for e := c.off[s]; e < c.off[s+1]; e++ {
+			if j := idx[c.succ[e]]; j >= 0 {
+				row[j] -= c.prob.At(e)
 			}
 		}
 		a[i] = row

@@ -84,7 +84,7 @@ func TestMCMeanMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.RunContext(t.Context(), Options{Trials: trials, Seed: 1009})
+			res, err := e.RunContext(t.Context(), Options{Trials: trials, Seed: 1009, MaxSteps: stepBudget(h, target)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestMCCDFWithinDKW(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.RunContext(t.Context(), Options{Trials: trials, Seed: 1013, From: &from})
+			res, err := e.RunContext(t.Context(), Options{Trials: trials, Seed: 1013, From: &from, MaxSteps: stepBudget(h, target)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,14 +154,14 @@ func TestMCCDFWithinDKW(t *testing.T) {
 func TestMCWorkerIdentityOnSpaces(t *testing.T) {
 	for _, ins := range instances() {
 		t.Run(ins.name, func(t *testing.T) {
-			sp, _, target, _ := buildInstance(t, ins)
+			sp, _, target, h := buildInstance(t, ins)
 			e, err := New(sp, target)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var base *Result
 			for _, workers := range []int{1, 5, 13} {
-				res, err := e.RunContext(t.Context(), Options{Trials: 4000, Seed: 77, Workers: workers, Batch: 256})
+				res, err := e.RunContext(t.Context(), Options{Trials: 4000, Seed: 77, Workers: workers, Batch: 256, MaxSteps: stepBudget(h, target)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -171,8 +171,8 @@ type System interface {
 	// should default to (0 = no preference).
 	PoolWorkers() int
 	// CSR exposes the raw forward CSR triple without copying. The
-	// estimator aliases the slices and never modifies them.
-	CSR() (off []int64, succ []int32, prob []float64)
+	// estimator aliases the arrays and never modifies them.
+	CSR() (off []int64, succ []int32, prob statespace.Probs)
 }
 
 // Estimator holds the per-space sampling tables: the CSR triple aliased
@@ -230,15 +230,15 @@ func New(ts System, target []bool) (*Estimator, error) {
 		target:  target,
 		off:     off,
 		succ:    succ,
-		cum:     make([]float64, len(prob)),
-		guide:   make([]int32, len(prob)),
+		cum:     make([]float64, len(succ)),
+		guide:   make([]int32, len(succ)),
 		shift:   make([]uint8, n),
 		workers: resolveWorkers(0, ts),
 	}
 	err = markov.CheckRows(off, prob, e.workers, func(s int, a, b int64) {
 		sum := 0.0
 		for i := a; i < b; i++ {
-			sum += prob[i]
+			sum += prob.At(i)
 			e.cum[i] = sum
 		}
 		e.fillGuide(a, b)

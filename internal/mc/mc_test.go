@@ -10,6 +10,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"weakstab/internal/markov"
+	"weakstab/internal/statespace"
 )
 
 // chain is a hand-built CSR transition system for synthetic test chains.
@@ -20,9 +23,11 @@ type chain struct {
 	workers int
 }
 
-func (c *chain) NumStates() int                                   { return len(c.off) - 1 }
-func (c *chain) PoolWorkers() int                                 { return c.workers }
-func (c *chain) CSR() (off []int64, succ []int32, prob []float64) { return c.off, c.succ, c.prob }
+func (c *chain) NumStates() int   { return len(c.off) - 1 }
+func (c *chain) PoolWorkers() int { return c.workers }
+func (c *chain) CSR() (off []int64, succ []int32, prob statespace.Probs) {
+	return c.off, c.succ, statespace.WideProbs(c.prob)
+}
 
 // buildChain assembles a chain from per-state rows of (successor, prob)
 // pairs. A nil row is an absorbing state.
@@ -57,12 +62,43 @@ func geometric() *chain {
 
 func intp(v int) *int { return &v }
 
+// stepBudget is the MaxSteps every walk in these tests runs under: 20
+// times the largest finite exact hitting time h of a non-target state,
+// and at least 64. At the tests' seeds no walk takes even half of it (the
+// longest takes 9.7 times the largest hitting time), so no result is
+// censored; a broken sampler that stops reaching the target fails within
+// the budget instead of walking DefaultMaxSteps per walker.
+func stepBudget(h []float64, target []bool) int {
+	hmax := 0.0
+	for s, v := range h {
+		if !target[s] && !math.IsInf(v, 1) {
+			hmax = max(hmax, v)
+		}
+	}
+	return max(64, int(math.Ceil(20*hmax)))
+}
+
+// budget is stepBudget of the exact hitting times of target on ts.
+func budget(t *testing.T, ts System, target []bool) int {
+	t.Helper()
+	off, succ, prob := ts.CSR()
+	c, err := markov.FromCSR(off, succ, prob.Floats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.HittingTimes(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stepBudget(h, target)
+}
+
 func TestGeometricMean(t *testing.T) {
 	e, err := New(geometric(), []bool{false, true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunContext(t.Context(), Options{Trials: 20000, Seed: 7, From: intp(0)})
+	res, err := e.RunContext(t.Context(), Options{Trials: 20000, Seed: 7, From: intp(0), MaxSteps: budget(t, geometric(), []bool{false, true})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +131,7 @@ func TestUniformStartSkipsTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunContext(t.Context(), Options{Trials: 500, Seed: 1})
+	res, err := e.RunContext(t.Context(), Options{Trials: 500, Seed: 1, MaxSteps: budget(t, c, []bool{false, false, true})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +153,7 @@ func TestDivergentAndCensored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunContext(t.Context(), Options{Trials: 4000, Seed: 3, From: intp(0)})
+	res, err := e.RunContext(t.Context(), Options{Trials: 4000, Seed: 3, From: intp(0), MaxSteps: budget(t, c, []bool{false, false, true})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +200,8 @@ func TestWorkerBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := e.RunContext(t.Context(), Options{Trials: 5000, Seed: 42, Workers: 1, Batch: 128})
+	steps := budget(t, geometric(), []bool{false, true})
+	base, err := e.RunContext(t.Context(), Options{Trials: 5000, Seed: 42, Workers: 1, Batch: 128, MaxSteps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +215,7 @@ func TestWorkerBitIdentity(t *testing.T) {
 		{Trials: 5000, Seed: 42, Workers: 3, Batch: 8},
 		{Trials: 5000, Seed: 42, Workers: 3, Batch: 9},
 	} {
+		opt.MaxSteps = steps
 		got, err := e.RunContext(t.Context(), opt)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +226,7 @@ func TestWorkerBitIdentity(t *testing.T) {
 		}
 	}
 	// A different seed must actually change the sample.
-	other, err := e.RunContext(t.Context(), Options{Trials: 5000, Seed: 43, Workers: 1, Batch: 128})
+	other, err := e.RunContext(t.Context(), Options{Trials: 5000, Seed: 43, Workers: 1, Batch: 128, MaxSteps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +249,8 @@ func TestEarlyStopDeterministic(t *testing.T) {
 	}
 	var prev *Result
 	for _, workers := range []int{1, 4, 9} {
-		res, err := e.RunContext(t.Context(), Options{Trials: 100000, Seed: 5, Workers: workers, Batch: 250, TargetCI: 0.5, From: intp(0)})
+		res, err := e.RunContext(t.Context(), Options{Trials: 100000, Seed: 5, Workers: workers, Batch: 250, TargetCI: 0.5, From: intp(0),
+			MaxSteps: budget(t, c, []bool{false, true})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,14 +275,15 @@ func TestEarlyStopNoisy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e.RunContext(t.Context(), Options{Trials: 200000, Seed: 11, From: intp(0)})
+	steps := budget(t, geometric(), []bool{false, true})
+	full, err := e.RunContext(t.Context(), Options{Trials: 200000, Seed: 11, From: intp(0), MaxSteps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	target := 4 * full.Summary.CI95() // reachable well before 200k trials
 	var prev *Result
 	for _, workers := range []int{1, 6} {
-		res, err := e.RunContext(t.Context(), Options{Trials: 200000, Seed: 11, Workers: workers, Batch: 1000, TargetCI: target, From: intp(0)})
+		res, err := e.RunContext(t.Context(), Options{Trials: 200000, Seed: 11, Workers: workers, Batch: 1000, TargetCI: target, From: intp(0), MaxSteps: steps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +308,7 @@ func TestECDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunContext(t.Context(), Options{Trials: 10000, Seed: 2, From: intp(0)})
+	res, err := e.RunContext(t.Context(), Options{Trials: 10000, Seed: 2, From: intp(0), MaxSteps: budget(t, geometric(), []bool{false, true})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +331,7 @@ func TestRunContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = e.RunContext(ctx, Options{Trials: 100000, Seed: 1})
+	_, err = e.RunContext(ctx, Options{Trials: 100000, Seed: 1, MaxSteps: budget(t, geometric(), []bool{false, true})})
 	if err == nil {
 		t.Fatal("canceled run returned no error")
 	}
@@ -319,21 +359,22 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunContext(t.Context(), Options{From: intp(5)}); err == nil {
+	steps := budget(t, geometric(), []bool{false, true})
+	if _, err := e.RunContext(t.Context(), Options{From: intp(5), MaxSteps: steps}); err == nil {
 		t.Fatal("out-of-range start state accepted")
 	}
-	if _, err := e.RunContext(t.Context(), Options{From: intp(-1)}); err == nil {
+	if _, err := e.RunContext(t.Context(), Options{From: intp(-1), MaxSteps: steps}); err == nil {
 		t.Fatal("negative start state accepted")
 	}
 	all, err := New(geometric(), []bool{true, true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := all.RunContext(t.Context(), Options{}); err == nil {
+	if _, err := all.RunContext(t.Context(), Options{MaxSteps: steps}); err == nil {
 		t.Fatal("all-target uniform start accepted")
 	}
 	// An explicit start state inside the target set is fine: T = 0.
-	res, err := all.RunContext(t.Context(), Options{Trials: 10, From: intp(0)})
+	res, err := all.RunContext(t.Context(), Options{Trials: 10, From: intp(0), MaxSteps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,11 +599,12 @@ func TestLongRowSampling(t *testing.T) {
 	for i := 1; i <= fanout; i++ {
 		target[i] = true
 	}
-	e, err := New(buildChain(rows), target)
+	c := buildChain(rows)
+	e, err := New(c, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.RunContext(t.Context(), Options{Trials: fanout * 1000, Seed: 9, From: intp(0)})
+	res, err := e.RunContext(t.Context(), Options{Trials: fanout * 1000, Seed: 9, From: intp(0), MaxSteps: budget(t, c, target)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,16 +46,12 @@ func pinned(name string) bool {
 	return false
 }
 
-// countersOf runs fn with o installed as the process default observer
-// (the solver reports to the default, the engines to the threaded one)
-// and returns o's pinned counters as "label name value" lines.
+// countersOf runs fn with a fresh observer and returns its pinned
+// counters as "label name value" lines.
 func countersOf(t *testing.T, label string, fn func(o *obs.Observer) error) []string {
 	t.Helper()
 	o := obs.New()
-	prev := obs.SetDefault(o)
-	err := fn(o)
-	obs.SetDefault(prev)
-	if err != nil {
+	if err := fn(o); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	var lines []string
@@ -123,5 +119,21 @@ func TestWorkCountersGolden(t *testing.T) {
 		if got != string(want) {
 			t.Errorf("work counters at %d workers differ from %s:\n--- got ---\n%s--- want ---\n%s", workers, path, got, want)
 		}
+	}
+}
+
+// TestSolverCountersReachDepsObserver: with no process default installed,
+// the hitting-time solver still reports to the observer Execute was given,
+// the one the explored space carries.
+func TestSolverCountersReachDepsObserver(t *testing.T) {
+	prev := obs.SetDefault(nil)
+	defer obs.SetDefault(prev)
+	o := obs.New()
+	req := Request{Alg: "leadertree", Topology: "figure2", Policy: "distributed"}
+	if _, err := Execute(context.Background(), req, Deps{Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Registry().Snapshot()["solver.gs_sweeps"]; got != 400 {
+		t.Fatalf("solver.gs_sweeps = %d on the job's observer, want 400", got)
 	}
 }

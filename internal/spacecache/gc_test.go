@@ -7,6 +7,7 @@ package spacecache
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -226,7 +227,7 @@ func TestMmapDecodeParity(t *testing.T) {
 	assertSameSpace(t, decodedSp, mappedSp)
 	mo, ms, mp := mappedSS.CSR()
 	do, ds, dp := decodedSS.CSR()
-	if !slices.Equal(mo, do) || !slices.Equal(ms, ds) || !slices.Equal(mp, dp) ||
+	if !slices.Equal(mo, do) || !slices.Equal(ms, ds) || !reflect.DeepEqual(mp, dp) ||
 		!slices.Equal(mappedSS.Globals(), decodedSS.Globals()) ||
 		!slices.Equal(mappedSS.Legit, decodedSS.Legit) {
 		t.Fatal("mapped and decoded subspaces differ")

@@ -228,7 +228,7 @@ func ballKey(a protocol.Algorithm, pol scheduler.Policy, k int) string {
 // returned space owns a file mapping — Close it when done. Anything Map
 // declines (ErrNotMappable) or rejects falls back to statespace.Read,
 // which re-derives the hit-or-miss verdict on its own. Both readers check
-// opt.MaxStates at the header, so an oversized entry costs a 32-byte read.
+// opt.MaxStates at the header, so an oversized entry costs a 40-byte read.
 func (c *Cache) load(a protocol.Algorithm, pol scheduler.Policy, kind, key string, opt statespace.Options) (*statespace.Space, bool) {
 	if c == nil {
 		return nil, false
@@ -245,6 +245,7 @@ func (c *Cache) load(a protocol.Algorithm, pol scheduler.Policy, kind, key strin
 			}
 			sp, err := mapFile(data, a, pol, opt.Workers, opt.MaxStates, unmap)
 			if err == nil && isKind(sp) {
+				sp.Obs = opt.Obs
 				touch(path)
 				c.memoize(path)
 				observeLoad(o, kind, key, "mmap", true, fi.Size())
@@ -261,6 +262,7 @@ func (c *Cache) load(a protocol.Algorithm, pol scheduler.Policy, kind, key strin
 		defer f.Close()
 		sp, err := statespace.Read(f, a, pol, opt.Workers, opt.MaxStates)
 		if err == nil && isKind(sp) {
+			sp.Obs = opt.Obs
 			touch(path)
 			observeLoad(o, kind, key, "decode", true, sizeOf(f))
 			return sp, true
@@ -278,7 +280,7 @@ func (c *Cache) store(sp *statespace.Space, kind, key string) error {
 	}
 	err := c.atomicWrite(filepath.Join(c.dir, key+"."+kind), sp)
 	if err == nil {
-		observeStore(obs.Default(), kind, key)
+		observeStore(obs.Or(sp.Obs), kind, key)
 	}
 	return err
 }

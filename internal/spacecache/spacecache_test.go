@@ -1,6 +1,7 @@
 package spacecache
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -150,7 +151,8 @@ func assertSameSpace(t *testing.T, want, got *statespace.Space) {
 	}
 	wo, wsucc, wp := want.CSR()
 	po, psucc, pp := got.CSR()
-	if !slices.Equal(wo, po) || !slices.Equal(wsucc, psucc) || !slices.Equal(wp, pp) {
+	if !slices.Equal(wo, po) || !slices.Equal(wsucc, psucc) || !slices.Equal(wp.Palette(), pp.Palette()) ||
+		!slices.Equal(wp.Floats(), pp.Floats()) {
 		t.Fatal("loaded space CSR differs from built space")
 	}
 	if !slices.Equal(want.Legit, got.Legit) {
@@ -186,7 +188,8 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 	}
 	wo, wsucc, wp := cold.CSR()
 	po, psucc, pp := warm.CSR()
-	if !slices.Equal(wo, po) || !slices.Equal(wsucc, psucc) || !slices.Equal(wp, pp) {
+	if !slices.Equal(wo, po) || !slices.Equal(wsucc, psucc) || !slices.Equal(wp.Palette(), pp.Palette()) ||
+		!slices.Equal(wp.Floats(), pp.Floats()) {
 		t.Fatal("loaded subspace CSR differs")
 	}
 
@@ -237,7 +240,7 @@ func TestBallClosureKey(t *testing.T) {
 	}
 	so, ssucc, sp := ss.CSR()
 	lo, lsucc, lp := got.CSR()
-	if !slices.Equal(so, lo) || !slices.Equal(ssucc, lsucc) || !slices.Equal(sp, lp) ||
+	if !slices.Equal(so, lo) || !slices.Equal(ssucc, lsucc) || !slices.Equal(sp.Palette(), lp.Palette()) || !slices.Equal(sp.Floats(), lp.Floats()) ||
 		!slices.Equal(ss.Globals(), got.Globals()) || !slices.Equal(ss.Legit, got.Legit) {
 		t.Fatal("loaded ball closure differs from the stored one")
 	}
@@ -302,6 +305,53 @@ func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 		if _, hit, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{}); err != nil || !hit {
 			t.Fatalf("%s: entry not repaired after rebuild, hit=%v err=%v", name, hit, err)
 		}
+	}
+}
+
+// TestFormatV2EntryRebuilt: testdata holds tokenring(4)'s central space
+// as the previous serial format, v2, wrote it (one float64 per edge).
+// Placed where the cache looks for the entry, it fails the version gate on
+// the mapped and on the decoding path alike: a miss, rebuilt and
+// overwritten in the current format.
+func TestFormatV2EntryRebuilt(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "tokenring4-central-v2.space"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(v2[4:6]); v != 2 {
+		t.Fatalf("testdata file is format v%d, want v2", v)
+	}
+	a := ring(t, 4)
+	pol := scheduler.CentralPolicy{}
+	ref, err := statespace.Build(a, pol, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{true, false} {
+		c := openTemp(t)
+		c.SetMmap(mmap)
+		path := filepath.Join(c.Dir(), Key(a, pol)+".space")
+		if err := os.WriteFile(path, v2, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sp, hit, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
+		if err != nil || hit {
+			t.Fatalf("mmap=%v: v2 entry: hit=%v err=%v, want a miss and a rebuild", mmap, hit, err)
+		}
+		assertSameSpace(t, ref, sp)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint16(data[4:6]); v != statespace.SerialVersion {
+			t.Fatalf("mmap=%v: entry still format v%d after the rebuild", mmap, v)
+		}
+		warm, hit, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
+		if err != nil || !hit {
+			t.Fatalf("mmap=%v: rewritten entry: hit=%v err=%v, want a hit", mmap, hit, err)
+		}
+		assertSameSpace(t, ref, warm)
+		warm.Close()
 	}
 }
 

@@ -54,7 +54,7 @@ type Builder struct {
 	// o and shell instrument the exploration: one frontier.shell event
 	// per BFS level (emitted between the level's insertion phase and the
 	// next expansion, so the stream is deterministic), numbered across
-	// the builder's whole lifetime.
+	// the builder's whole lifetime. Sealed spaces carry o.
 	o     *obs.Observer
 	shell int
 
@@ -64,12 +64,13 @@ type Builder struct {
 
 // shellRows is one segment of a Builder's discovery-order CSR: the rows of
 // the local ids [base, base+len(legit)), with offsets relative to the
-// segment. A segment is written once, when its level is explored.
+// segment and probabilities coded into the segment's own palette. A
+// segment is written once, when its level is explored.
 type shellRows struct {
 	base  int
 	off   []int64 // len(legit)+1 offsets into succ/prob, off[0] == 0
 	succ  []int32
-	prob  []float64
+	prob  Probs
 	legit []bool
 }
 
@@ -133,7 +134,7 @@ func ResumeFrom(ss *Space, opt Options) (*Builder, error) {
 	b.shells = []shellRows{{
 		off:   slices.Clone(off),
 		succ:  slices.Clone(succ),
-		prob:  slices.Clone(prob),
+		prob:  prob.clone(),
 		legit: slices.Clone(ss.Legit),
 	}}
 	b.edges = int64(len(succ))
@@ -192,7 +193,8 @@ func (b *Builder) explore(ctx context.Context) error {
 			ck := &chunks[clo/frontierGrain]
 			ck.deg = slices.Grow(ck.deg[:0], chi-clo)[:chi-clo]
 			ck.legit = slices.Grow(ck.legit[:0], chi-clo)[:chi-clo]
-			ck.to, ck.prob = ck.to[:0], ck.prob[:0]
+			ck.to = ck.to[:0]
+			ck.prob.reset()
 			for i := clo; i < chi; i++ {
 				g := level[i]
 				ex.cfg = b.enc.Decode(g, ex.cfg)
@@ -204,7 +206,7 @@ func (b *Builder) explore(ctx context.Context) error {
 				ck.deg[i-clo] = int32(len(ex.outTo))
 				for j, t := range ex.outTo {
 					ck.to = append(ck.to, t)
-					ck.prob = append(ck.prob, ex.outP[j])
+					ck.prob.add(ex.outP[j])
 				}
 			}
 			return nil
@@ -214,18 +216,22 @@ func (b *Builder) explore(ctx context.Context) error {
 		}
 
 		// The level's segment, exactly sized: each chunk's rows and
-		// references land in parallel at prefix-summed offsets.
+		// references land in parallel at prefix-summed offsets, its codes
+		// remapped to the sorted union of the chunks' palettes.
 		rows, refs := 0, 0
+		frags := make([]Probs, numChunks)
 		for c := range chunks {
 			chunks[c].rowAt, chunks[c].refAt = rows, refs
 			rows += len(chunks[c].deg)
 			refs += len(chunks[c].to)
+			frags[c] = chunks[c].prob.view()
 		}
+		pal, coded := unionPalette(frags)
 		seg := shellRows{
 			base:  lo,
 			off:   make([]int64, rows+1),
 			succ:  make([]int32, refs),
-			prob:  make([]float64, refs),
+			prob:  newProbs(pal, coded, int64(refs)),
 			legit: make([]bool, rows),
 		}
 		to, ids := make([][]int64, numChunks), make([][]int32, numChunks)
@@ -238,7 +244,8 @@ func (b *Builder) explore(ctx context.Context) error {
 			for i := range ids[c] {
 				ids[c][i] = -1 // every target is resolved by AddChunks
 			}
-			copy(seg.prob[ck.refAt:], ck.prob)
+			m := remapTo(pal, frags[c])
+			seg.prob.copyRows(int64(ck.refAt), frags[c], 0, int64(len(ck.to)), &m)
 			copy(seg.legit[ck.rowAt:], ck.legit)
 			at := int64(ck.refAt)
 			for i, d := range ck.deg {
@@ -326,8 +333,9 @@ func (b *Builder) Seal() *Space {
 		Enc:     b.enc,
 		States:  b.table.Len(),
 		Workers: b.workers,
+		Obs:     b.o,
 		table:   NewSortedDedup(sorted),
 	}
-	ss.off, ss.succ, ss.prob, ss.Legit = permuteCSR(order, b.shells, b.edges, b.workers)
+	ss.off, ss.succ, ss.probs, ss.Legit = permuteCSR(order, b.shells, b.edges, b.workers)
 	return ss
 }

@@ -16,8 +16,8 @@ import (
 // builds must keep loading warm, so any change to these digests is a
 // format change and needs a SerialVersion bump.
 func TestSerialFormatPinned(t *testing.T) {
-	if statespace.SerialVersion != 2 {
-		t.Fatalf("SerialVersion = %d, want 2", statespace.SerialVersion)
+	if statespace.SerialVersion != 3 {
+		t.Fatalf("SerialVersion = %d, want 3", statespace.SerialVersion)
 	}
 	ring, err := tokenring.New(5)
 	if err != nil {
@@ -37,8 +37,8 @@ func TestSerialFormatPinned(t *testing.T) {
 		sp   *statespace.Space
 		want string
 	}{
-		{"full", full, "d1f1b58aef5b5dac484c071e428b466ed21fa6f303ce20217aa7c9bc60c86c29"},
-		{"ball-k1", ball, "98688b62be8935e9dab05cb583a6803a0bf72691d03bbc8617c8d5003f6c3bb0"},
+		{"full", full, "1fb17b7b38ba3635387c8296bcae15fd9c5f7c40e186ef51bf7b14d2f5d4b5b7"},
+		{"ball-k1", ball, "0e992f89a369b35c386f52ab9a7838703e2636e928a3f468ab0fe12ed194e491"},
 	} {
 		h := sha256.New()
 		if _, err := tc.sp.WriteTo(h); err != nil {

@@ -38,14 +38,14 @@ import (
 const frontierGrain = 1 << 10
 
 // frontierChunk is one chunk's exploration output: per-state degrees and
-// legitimacy, and the concatenated successor rows with global targets.
-// rowAt and refAt place the chunk's rows and references in its level's
-// segment.
+// legitimacy, and the concatenated successor rows with global targets and
+// coded probabilities. rowAt and refAt place the chunk's rows and
+// references in its level's segment.
 type frontierChunk struct {
 	deg          []int32
 	legit        []bool
 	to           []int64
-	prob         []float64
+	prob         probBuf
 	rowAt, refAt int
 }
 
@@ -188,13 +188,13 @@ func CanonicalOrder(globals []int64, workers int) (sorted []int64, order []int32
 
 // permuteCSR writes the rows of the shells permuted by order (new id ->
 // old id) into fresh canonical storage, remapping row targets through the
-// inverse permutation. Because row targets were merged in ascending
-// *global* order, every remapped row stays sorted without re-sorting. It
-// runs on workers over fixed sealGrain ranges of old ids, each read
-// sequentially from its shells: a pass that scatters the degrees to their
-// new rows, a prefix sum over the degrees, and a pass that copies each
-// row to its offset.
-func permuteCSR(order []int32, shells []shellRows, edges int64, workers int) ([]int64, []int32, []float64, []bool) {
+// inverse permutation and codes to the sorted union of the shells'
+// palettes. Because row targets were merged in ascending *global* order,
+// every remapped row stays sorted without re-sorting. It runs on workers
+// over fixed sealGrain ranges of old ids, each read sequentially from its
+// shells: a pass that scatters the degrees to their new rows, a prefix sum
+// over the degrees, and a pass that copies each row to its offset.
+func permuteCSR(order []int32, shells []shellRows, edges int64, workers int) ([]int64, []int32, Probs, []bool) {
 	n := len(order)
 	perm := make([]int32, n) // old id -> new id
 	_ = ForRanges(n, workers, sealGrain, func(lo, hi int) error {
@@ -203,9 +203,18 @@ func permuteCSR(order []int32, shells []shellRows, edges int64, workers int) ([]
 		}
 		return nil
 	})
+	frags := make([]Probs, len(shells))
+	for i := range shells {
+		frags[i] = shells[i].prob
+	}
+	pal, coded := unionPalette(frags)
+	maps := make([][maxPalette]uint8, len(shells))
+	for i := range shells {
+		maps[i] = remapTo(pal, shells[i].prob)
+	}
 	off := make([]int64, n+1)
 	succ := make([]int32, edges)
-	prob := make([]float64, edges)
+	prob := newProbs(pal, coded, edges)
 	legit := make([]bool, n)
 	_ = ForRanges(n, workers, sealGrain, func(lo, hi int) error {
 		for s, r := shellOf(shells, int32(lo)); lo < hi; lo, r = lo+1, r+1 {
@@ -230,7 +239,7 @@ func permuteCSR(order []int32, shells []shellRows, edges int64, workers int) ([]
 			for j, t := range sh.succ[from:to] {
 				succ[at+int64(j)] = perm[t]
 			}
-			copy(prob[at:], sh.prob[from:to])
+			prob.copyRows(at, sh.prob, from, to, &maps[s])
 			legit[newID] = sh.legit[r]
 		}
 		return nil

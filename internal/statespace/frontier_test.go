@@ -1,6 +1,7 @@
 package statespace
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -96,8 +97,8 @@ func TestBuildFromAllSeedsMatchesBuild(t *testing.T) {
 				if sSucc[i] != fSucc[i] {
 					t.Fatalf("%s w=%d: successor %d differs: %d vs %d", tc.name, workers, i, sSucc[i], fSucc[i])
 				}
-				if sProb[i] != fProb[i] {
-					t.Fatalf("%s w=%d: probability %d differs: %g vs %g", tc.name, workers, i, sProb[i], fProb[i])
+				if sp, fp := sProb.At(int64(i)), fProb.At(int64(i)); sp != fp {
+					t.Fatalf("%s w=%d: probability %d differs: %g vs %g", tc.name, workers, i, sp, fp)
 				}
 			}
 		}
@@ -178,8 +179,8 @@ func TestBuildFromSubsetParity(t *testing.T) {
 					if ss.Legit[l] != full.Legit[g] {
 						t.Fatalf("%s seeds#%d: legitimacy mismatch at global %d", tc.name, si, g)
 					}
-					subRow, subProb := ss.Succ(l), ss.Prob(l)
-					fullRow, fullProb := full.Succ(int(g)), full.Prob(int(g))
+					subRow, subProb := ss.Succ(l), probRow(ss, l)
+					fullRow, fullProb := full.Succ(int(g)), probRow(full, int(g))
 					if len(subRow) != len(fullRow) {
 						t.Fatalf("%s seeds#%d: row length mismatch at global %d", tc.name, si, g)
 					}
@@ -280,7 +281,7 @@ func TestBuildFromDeterministicAcrossWorkers(t *testing.T) {
 		bOff, bSucc, bProb := base.CSR()
 		gOff, gSucc, gProb := got.CSR()
 		switch {
-		case got.States != base.States || !slices.Equal(bOff, gOff) || !slices.Equal(bSucc, gSucc) || !slices.Equal(bProb, gProb):
+		case got.States != base.States || !slices.Equal(bOff, gOff) || !slices.Equal(bSucc, gSucc) || !reflect.DeepEqual(bProb, gProb):
 			t.Fatalf("w=%d: sealed CSR differs from 1 worker", workers)
 		case !slices.Equal(base.Globals(), got.Globals()):
 			t.Fatalf("w=%d: globals differ from 1 worker", workers)

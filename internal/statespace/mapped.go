@@ -1,11 +1,11 @@
 // Zero-copy loading of serialized transition systems. Given the file's
 // bytes as one contiguous buffer (in practice a read-only mmap established
 // by internal/spacecache), Map validates the header, section counts,
-// padding and CRC-32C once, then aliases the int64/int32/float64 section
-// payloads in place via unsafe.Slice — format v2 guarantees every payload
-// sits on an 8-byte boundary relative to the (page-aligned) buffer start,
-// so the aliased slices are well-aligned by construction, and the loader
-// verifies it anyway. Only the bit-packed legitimacy vector is decoded (it
+// padding and CRC-32C once, then aliases the int64/int32/float64/uint8
+// section payloads in place via unsafe.Slice — format v3 guarantees every
+// payload sits on an 8-byte boundary relative to the (page-aligned)
+// buffer start, so the aliased slices are well-aligned by construction,
+// and the loader verifies it anyway. Only the bit-packed legitimacy vector is decoded (it
 // cannot alias []bool; at one bit per state it is the cheapest section by
 // far). The result is a Space whose CSR arrays are backed by the page
 // cache: an analysis touches only the pages it actually reads.
@@ -152,7 +152,7 @@ func (sp *Space) Materialize() error {
 	}
 	sp.off = slices.Clone(sp.off)
 	sp.succ = slices.Clone(sp.succ)
-	sp.prob = slices.Clone(sp.prob)
+	sp.probs = sp.probs.clone()
 	if sp.table != nil {
 		sp.table = NewSortedDedup(slices.Clone(sp.table.Globals()))
 	}
@@ -167,7 +167,7 @@ func (sp *Space) Materialize() error {
 type mappedArrays struct {
 	off     []int64
 	succ    []int32
-	prob    []float64
+	probs   Probs
 	legit   []bool
 	globals []int64
 }
@@ -175,7 +175,7 @@ type mappedArrays struct {
 // section returns the n little-endian values at data[at:]: aliased in
 // place when alias is set (the caller has checked the host byte order), or
 // converted into a fresh host-order slice.
-func section[T int32 | int64 | float64](data []byte, at, n int64, alias bool) ([]T, error) {
+func section[T uint8 | int32 | int64 | float64](data []byte, at, n int64, alias bool) ([]T, error) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -193,7 +193,7 @@ func section[T int32 | int64 | float64](data []byte, at, n int64, alias bool) ([
 	return unsafe.Slice((*T)(p), n), nil
 }
 
-// mapSystem validates a format-v2 buffer whose header h has already been
+// mapSystem validates a format-v3 buffer whose header h has already been
 // parsed and bound — section counts, padding, CRC-32C, CSR structure — and
 // returns its arrays, aliasing data when alias is set and copying
 // otherwise. It is the format's only decoder: Map and Read both end here,
@@ -219,7 +219,11 @@ func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, 
 		at, want int64
 		name     string
 	}
-	counts := []count{{l.off, h.states + 1, "off"}, {l.succ, h.edges, "succ"}, {l.prob, h.edges, "prob"}, {l.legit, h.states, "legit"}}
+	counts := []count{{l.off, h.states + 1, "off"}, {l.succ, h.edges, "succ"}, {l.prob, h.edges, "prob"}}
+	if !h.plain {
+		counts = []count{counts[0], counts[1], {l.pal, h.pal, "pal"}, {l.code, h.edges, "code"}}
+	}
+	counts = append(counts, count{l.legit, h.states, "legit"})
 	if h.kind == kindSubSpace {
 		counts = append(counts, count{l.globals, h.states, "globals"})
 	}
@@ -237,7 +241,11 @@ func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, 
 		if got := binary.LittleEndian.Uint64(data[l.end:]); got != uint64(want) {
 			return arr, fmt.Errorf("statespace: checksum mismatch (file %#x, computed %#x): corrupted cache file", got, want)
 		}
-		for _, pad := range [][]byte{data[succEnd : l.prob-8], data[l.legit+legitBytes : l.legit+legitBytes+pad8(legitBytes)]} {
+		pads := [][]byte{data[succEnd : succEnd+pad8(h.edges*4)], data[l.legit+legitBytes : l.legit+legitBytes+pad8(legitBytes)]}
+		if !h.plain {
+			pads = append(pads, data[l.code+h.edges:l.legit-8])
+		}
+		for _, pad := range pads {
 			for _, x := range pad {
 				if x != 0 {
 					return arr, fmt.Errorf("statespace: nonzero section padding")
@@ -253,7 +261,12 @@ func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, 
 	if arr.succ, err = section[int32](data, l.succ, h.edges, alias); err != nil {
 		return arr, err
 	}
-	if arr.prob, err = section[float64](data, l.prob, h.edges, alias); err != nil {
+	if h.plain {
+		arr.probs.wide, err = section[float64](data, l.prob, h.edges, alias)
+	} else if arr.probs.pal, err = section[float64](data, l.pal, h.pal, alias); err == nil {
+		arr.probs.code, err = section[uint8](data, l.code, h.edges, alias)
+	}
+	if err != nil {
 		return arr, err
 	}
 	if arr.legit, err = unpackBools(data[l.legit:l.legit+legitBytes], h.states); err != nil {
@@ -270,6 +283,12 @@ func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, 
 			return arr, err
 		}
 		if err := validateSucc(h.states, arr.succ); err != nil {
+			return arr, err
+		}
+		if err := validatePalette(arr.probs.pal); err != nil {
+			return arr, err
+		}
+		if err := validateCodes(arr.probs.code, len(arr.probs.pal)); err != nil {
 			return arr, err
 		}
 		if h.kind == kindSubSpace {
@@ -291,7 +310,7 @@ func newSpace(a protocol.Algorithm, pol scheduler.Policy, enc *protocol.Encoder,
 		Legit:  arr.legit,
 		off:    arr.off,
 		succ:   arr.succ,
-		prob:   arr.prob,
+		probs:  arr.probs,
 	}
 	if h.kind == kindSpace {
 		sp.Workers = resolveWorkers(workers, sp.States)
@@ -333,10 +352,10 @@ func MapTrusted(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers
 }
 
 func mapSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error, trusted bool) (*Space, error) {
-	if len(data) < 32 {
+	if len(data) < headerSize {
 		return nil, fmt.Errorf("statespace: buffer of %d bytes too short for a serialized space", len(data))
 	}
-	h, err := parseHeader([32]byte(data[0:32]))
+	h, err := parseHeader([headerSize]byte(data[0:headerSize]))
 	if err != nil {
 		return nil, err
 	}

@@ -79,17 +79,19 @@ func TestSerialAlignment(t *testing.T) {
 	if len(data)%8 != 0 {
 		t.Errorf("serialized length %d not a multiple of 8", len(data))
 	}
-	h, err := parseHeader([32]byte(data[:32]))
+	h, err := parseHeader([headerSize]byte(data[:headerSize]))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.edges%2 == 0 {
 		t.Logf("note: even edge count %d exercises no succ padding", h.edges)
 	}
-	offAt := int64(40)
+	offAt := int64(headerSize + 8)
 	succAt := offAt + (h.states+1)*8 + 8
-	probAt := succAt + h.edges*4 + pad8(h.edges*4) + 8
-	for _, at := range []int64{offAt, succAt, probAt} {
+	palAt := succAt + h.edges*4 + pad8(h.edges*4) + 8
+	codeAt := palAt + h.pal*8 + 8
+	legitAt := codeAt + h.edges + pad8(h.edges) + 8
+	for _, at := range []int64{offAt, succAt, palAt, codeAt, legitAt} {
 		if at%8 != 0 {
 			t.Errorf("section payload at %d not 8-aligned", at)
 		}
@@ -238,7 +240,7 @@ func TestMapGlobalsConsistency(t *testing.T) {
 	})
 
 	t.Run("nonzero-padding", func(t *testing.T) {
-		h, err := parseHeader([32]byte(data[:32]))
+		h, err := parseHeader([headerSize]byte(data[:headerSize]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +248,7 @@ func TestMapGlobalsConsistency(t *testing.T) {
 			t.Skip("even edge count: no succ padding to corrupt")
 		}
 		bad := copyAt(data, 0)
-		succPadAt := 40 + (h.states+1)*8 + 8 + h.edges*4
+		succPadAt := h.layout().succ + h.edges*4
 		bad[succPadAt] = 0xff
 		refreshCRC(bad)
 		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
@@ -256,6 +258,42 @@ func TestMapGlobalsConsistency(t *testing.T) {
 			t.Fatal("Read accepted nonzero section padding")
 		}
 	})
+}
+
+// TestMapPaletteConsistency: a stream whose checksum holds but whose
+// palette is out of order, whose codes index past the palette, or whose
+// header declares a palette no layout allows is rejected by both readers.
+func TestMapPaletteConsistency(t *testing.T) {
+	_, a, data := testSpaceBytes(t)
+	h, err := parseHeader([headerSize]byte(data[:headerSize]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := h.layout()
+	if h.plain || h.pal < 2 || h.edges == 0 {
+		t.Fatalf("fixture has layout plain=%v with %d palette values and %d edges", h.plain, h.pal, h.edges)
+	}
+	for name, mutate := range map[string]func(b []byte){
+		"code-outside-palette": func(b []byte) { b[l.code] = uint8(h.pal) },
+		"palette-unsorted": func(b []byte) {
+			p0 := slices.Clone(b[l.pal : l.pal+8])
+			copy(b[l.pal:], b[l.pal+8:l.pal+16])
+			copy(b[l.pal+8:], p0)
+		},
+		"palette-too-long":   func(b []byte) { binary.LittleEndian.PutUint64(b[32:40], maxPalette+1) },
+		"plain-with-palette": func(b []byte) { b[7] = probsPlain },
+		"unknown-layout":     func(b []byte) { b[7] = probsPlain + 1 },
+	} {
+		bad := copyAt(data, 0)
+		mutate(bad)
+		refreshCRC(bad)
+		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+			t.Errorf("%s: Map accepted the stream", name)
+		}
+		if _, err := Read(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
+			t.Errorf("%s: Read accepted the stream", name)
+		}
+	}
 }
 
 // TestMappingLifecycle pins the ownership contract: Close is idempotent,
@@ -412,7 +450,7 @@ func TestMapSystemCopyMatchesAlias(t *testing.T) {
 	_, _, full := testSpaceBytes(t)
 	_, _, sub := testSubSpaceBytes(t)
 	for _, data := range [][]byte{full, sub} {
-		h, err := parseHeader([32]byte(data[:32]))
+		h, err := parseHeader([headerSize]byte(data[:headerSize]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +466,7 @@ func TestMapSystemCopyMatchesAlias(t *testing.T) {
 			!reflect.DeepEqual(aliased.legit, copied.legit) || !reflect.DeepEqual(aliased.globals, copied.globals) {
 			t.Fatal("copied arrays differ from aliased ones")
 		}
-		if !slices.Equal(bytesOf(aliased.prob), bytesOf(copied.prob)) {
+		if !slices.Equal(bytesOf(aliased.probs.pal), bytesOf(copied.probs.pal)) || !slices.Equal(aliased.probs.code, copied.probs.code) {
 			t.Fatal("copied probabilities differ bitwise from aliased ones")
 		}
 	}

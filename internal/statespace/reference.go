@@ -41,6 +41,7 @@ func BuildReference(a protocol.Algorithm, pol scheduler.Policy, maxStates int64)
 		off:     make([]int64, total+1),
 	}
 	cfg := make(protocol.Configuration, a.Graph().N())
+	var probs []float64
 	for s := 0; s < total; s++ {
 		sp.off[s] = int64(len(sp.succ))
 		cfg = enc.Decode(int64(s), cfg)
@@ -64,10 +65,11 @@ func BuildReference(a protocol.Algorithm, pol scheduler.Policy, maxStates int64)
 				p += row[i].p
 			}
 			sp.succ = append(sp.succ, int32(to))
-			sp.prob = append(sp.prob, p)
+			probs = append(probs, p)
 		}
 	}
 	sp.off[total] = int64(len(sp.succ))
+	sp.probs = packProbs(probs)
 	return sp, nil
 }
 

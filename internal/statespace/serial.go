@@ -1,17 +1,29 @@
 // On-disk serialization of explored transition systems. A Space is, at
-// rest, four flat arrays (the CSR triple off/succ/prob plus the legitimacy
-// vector) and, for a seed-set closure, the Globals vector that ties local
-// ids back to the mixed-radix index range. WriteTo streams them as a
-// versioned little-endian binary: a fixed header (magic, format version,
-// kind, dimensions), length-prefixed sections in a fixed order, and a
-// trailing checksum of everything before it.
+// rest, a few flat arrays (the CSR row offsets and successors, the edge
+// probabilities as a palette plus one code per edge — or, for an alphabet
+// beyond 256 values, one float64 per edge — and the legitimacy vector)
+// and, for a seed-set closure, the Globals vector that ties local ids back
+// to the mixed-radix index range. WriteTo streams them as a versioned
+// little-endian binary: a fixed 40-byte header (magic, format version,
+// kind, probability layout, dimensions, palette length), length-prefixed
+// sections in a fixed order, and a trailing checksum of everything before
+// it:
 //
-// Format v2 lays every section payload out on an 8-byte boundary (the
-// header, counts and int64/float64 payloads are naturally 8-wide; the succ
-// and legit payloads are zero-padded up to it), so the section layout is a
-// pure function of the header and the int64/float64/int32 payloads of an
-// 8-aligned buffer can be aliased in place. Readers reject nonzero padding
-// and spare legitimacy bits, keeping the byte stream a *bijection* of the
+//	off     (states+1) × int64
+//	succ    edges × int32
+//	pal     palette × float64, ascending   } coded layout
+//	code    edges × uint8                  }
+//	prob    edges × float64                  plain layout
+//	legit   states bits
+//	globals states × int64                   closures only
+//
+// Every section payload starts on an 8-byte boundary (the header, counts
+// and int64/float64 payloads are naturally 8-wide; the succ, code and
+// legit payloads are zero-padded up to it), so the section layout is a
+// pure function of the header and every payload of an 8-aligned buffer
+// except the bit-packed legit can be aliased in place. Readers reject
+// nonzero padding, spare legitimacy bits, unsorted palettes and codes
+// beyond the palette, keeping the byte stream a *bijection* of the
 // explored arrays: an accepted stream re-serializes bit-identically. The
 // checksum is CRC-32C (Castagnoli), hardware-accelerated on the hosts that
 // matter, stored as the low 32 bits of the 8-byte little-endian trailer.
@@ -38,6 +50,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"weakstab/internal/protocol"
@@ -47,8 +60,12 @@ import (
 // SerialVersion is the on-disk format version written by WriteTo and
 // required by the readers. Bump it on any incompatible layout change;
 // stale cache files then fail the version gate and are rebuilt. Version 2
-// introduced 8-byte section alignment and the CRC-32C trailer.
-const SerialVersion = 2
+// introduced 8-byte section alignment and the CRC-32C trailer, version 3
+// the palette-coded probabilities.
+const SerialVersion = 3
+
+// headerSize is the byte length of the fixed header.
+const headerSize = 40
 
 // serialMagic opens every serialized system ("WSSC": weakstab space cache).
 var serialMagic = [4]byte{'W', 'S', 'S', 'C'}
@@ -57,6 +74,12 @@ var serialMagic = [4]byte{'W', 'S', 'S', 'C'}
 const (
 	kindSpace    = 0 // full index range: States == Enc.Total()
 	kindSubSpace = 1 // seed-set closure: + Globals section
+)
+
+// The probability layouts of the header (Probs).
+const (
+	probsCoded = 0 // pal + code sections
+	probsPlain = 1 // prob section
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -88,15 +111,20 @@ func (sp *Space) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := &crcWriter{w: bw}
 
-	var hdr [32]byte
+	var hdr [headerSize]byte
 	copy(hdr[0:4], serialMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], SerialVersion)
 	if sp.table != nil {
 		hdr[6] = kindSubSpace
 	}
+	coded := sp.probs.Coded()
+	if !coded {
+		hdr[7] = probsPlain
+	}
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(sp.States))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(sp.succ)))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(sp.Enc.Total()))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(sp.probs.Palette())))
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return cw.n, err
 	}
@@ -104,8 +132,12 @@ func (sp *Space) WriteTo(w io.Writer) (int64, error) {
 	if err == nil {
 		err = writeSection(cw, sp.succ)
 	}
-	if err == nil {
-		err = writeSection(cw, sp.prob)
+	if err == nil && coded {
+		if err = writeSection(cw, sp.probs.pal); err == nil {
+			err = writeSection(cw, sp.probs.code)
+		}
+	} else if err == nil {
+		err = writeSection(cw, sp.probs.wide)
 	}
 	if err == nil {
 		err = writeBools(cw, sp.Legit)
@@ -148,7 +180,7 @@ func writePad(cw *crcWriter, size int64) error {
 }
 
 // bytesOf views a numeric slice as its raw host-order bytes.
-func bytesOf[T int32 | int64 | float64](v []T) []byte {
+func bytesOf[T uint8 | int32 | int64 | float64](v []T) []byte {
 	if len(v) == 0 {
 		return nil
 	}
@@ -160,6 +192,10 @@ func bytesOf[T int32 | int64 | float64](v []T) []byte {
 // inverse, so it serves writes (host → file) and decoding reads (file →
 // host) alike; on a little-endian host it is a plain copy.
 func leCopy(dst, src []byte, size int) {
+	if size == 1 {
+		copy(dst, src)
+		return
+	}
 	for i := 0; i+size <= len(src); i += size {
 		if size == 4 {
 			binary.NativeEndian.PutUint32(dst[i:], binary.LittleEndian.Uint32(src[i:]))
@@ -172,7 +208,7 @@ func leCopy(dst, src []byte, size int) {
 // writeSection writes a length-prefixed little-endian numeric section,
 // zero-padded to the next 8-byte boundary. On a little-endian host the
 // array's own bytes are the payload.
-func writeSection[T int32 | int64 | float64](cw *crcWriter, v []T) error {
+func writeSection[T uint8 | int32 | int64 | float64](cw *crcWriter, v []T) error {
 	if err := writeCount(cw, len(v)); err != nil {
 		return err
 	}
@@ -216,13 +252,15 @@ func writeBools(cw *crcWriter, v []bool) error {
 // serialHeader is the decoded fixed header of a serialized system.
 type serialHeader struct {
 	kind   byte
+	plain  bool // probsPlain: a prob section instead of pal + code
 	states int64
 	edges  int64
 	total  int64
+	pal    int64 // palette length (coded layout)
 }
 
-// parseHeader decodes and validates the fixed 32-byte header.
-func parseHeader(hdr [32]byte) (serialHeader, error) {
+// parseHeader decodes and validates the fixed header.
+func parseHeader(hdr [headerSize]byte) (serialHeader, error) {
 	if [4]byte(hdr[0:4]) != serialMagic {
 		return serialHeader{}, fmt.Errorf("statespace: bad magic %q (not a serialized space)", hdr[0:4])
 	}
@@ -231,12 +269,19 @@ func parseHeader(hdr [32]byte) (serialHeader, error) {
 	}
 	h := serialHeader{
 		kind:   hdr[6],
+		plain:  hdr[7] == probsPlain,
 		states: int64(binary.LittleEndian.Uint64(hdr[8:16])),
 		edges:  int64(binary.LittleEndian.Uint64(hdr[16:24])),
 		total:  int64(binary.LittleEndian.Uint64(hdr[24:32])),
+		pal:    int64(binary.LittleEndian.Uint64(hdr[32:40])),
 	}
 	if h.kind != kindSpace && h.kind != kindSubSpace {
 		return serialHeader{}, fmt.Errorf("statespace: unknown serialized kind %d", h.kind)
+	}
+	// A plain layout holds at least one edge and no palette (an empty
+	// space is coded), so each space has exactly one encoding.
+	if hdr[7] > probsPlain || h.pal < 0 || h.pal > maxPalette || (h.plain && (h.pal != 0 || h.edges == 0)) {
+		return serialHeader{}, fmt.Errorf("statespace: bad probability layout %d with a %d-value palette", hdr[7], h.pal)
 	}
 	// Plausibility bounds: states fit the int32 id range, a merged CSR can
 	// never hold more than states² distinct transitions, and the section
@@ -248,20 +293,29 @@ func parseHeader(hdr [32]byte) (serialHeader, error) {
 	return h, nil
 }
 
-// layout is where each section payload of a format-v2 stream starts: a
+// layout is where each section payload of a format-v3 stream starts: a
 // pure function of the header, since every count is 8 bytes and every
-// payload is zero-padded to an 8-byte boundary.
+// payload is zero-padded to an 8-byte boundary. pal and code are zero in
+// the plain layout, prob in the coded one.
 type layout struct {
-	off, succ, prob, legit, globals int64
-	end                             int64 // the CRC trailer; the stream is end+8 bytes
+	off, succ, pal, code, prob, legit, globals int64
+	end                                        int64 // the CRC trailer; the stream is end+8 bytes
 }
 
 func (h serialHeader) layout() layout {
 	var l layout
-	l.off = 32 + 8
+	l.off = headerSize + 8
 	l.succ = l.off + (h.states+1)*8 + 8
-	l.prob = l.succ + h.edges*4 + pad8(h.edges*4) + 8
-	l.legit = l.prob + h.edges*8 + 8
+	next := l.succ + h.edges*4 + pad8(h.edges*4) + 8
+	if h.plain {
+		l.prob = next
+		next = l.prob + h.edges*8 + 8
+	} else {
+		l.pal = next
+		l.code = l.pal + h.pal*8 + 8
+		next = l.code + h.edges + pad8(h.edges) + 8
+	}
+	l.legit = next
 	legitBytes := (h.states + 7) / 8
 	l.end = l.legit + legitBytes + pad8(legitBytes)
 	if h.kind == kindSubSpace {
@@ -391,6 +445,25 @@ func maxSucc(succ []int32) uint32 {
 	return max(m0, m1, m2, m3)
 }
 
+// validatePalette checks that a palette is strictly ascending in palCmp
+// order, the order a built space's palette has.
+func validatePalette(pal []float64) error {
+	for i := 1; i < len(pal); i++ {
+		if palCmp(pal[i-1], pal[i]) >= 0 {
+			return fmt.Errorf("statespace: palette not strictly ascending at entry %d", i)
+		}
+	}
+	return nil
+}
+
+// validateCodes checks that every code indexes the palette of n values.
+func validateCodes(code []uint8, n int) error {
+	if len(code) > 0 && int(slices.Max(code)) >= n {
+		return fmt.Errorf("statespace: code %d outside a %d-value palette", slices.Max(code), n)
+	}
+	return nil
+}
+
 // validateGlobals checks a closure's Globals section against the header
 // it arrived with: exactly one global per state — an explicit
 // length-vs-state-count check the section's own length prefix cannot vouch
@@ -422,7 +495,7 @@ func validateGlobals(states, total int64, globals []int64) error {
 // result owns that buffer and reports Mapped() == false. Bytes after the
 // trailer are not read.
 func Read(r io.Reader, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64) (*Space, error) {
-	var hdr [32]byte
+	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("statespace: reading header: %w", err)
 	}
@@ -455,9 +528,9 @@ const readGrain = 1 << 16
 // continues with r, in a heap buffer whose base is 8-aligned. A seekable
 // reader (a file, an in-memory reader) that holds the whole rest of the
 // stream gets the full buffer at once.
-func readAligned(r io.Reader, hdr [32]byte, size int64) ([]byte, error) {
+func readAligned(r io.Reader, hdr [headerSize]byte, size int64) ([]byte, error) {
 	first := min(size, readGrain)
-	if s, ok := r.(io.Seeker); ok && remaining(s) >= size-32 {
+	if s, ok := r.(io.Seeker); ok && remaining(s) >= size-headerSize {
 		first = size
 	}
 	buf := alignedBytes(first)

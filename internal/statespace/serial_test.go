@@ -31,14 +31,11 @@ func assertSpaceEqual(t *testing.T, want, got *Space) {
 		t.Fatal("succ arrays differ")
 	}
 	// Equality on float64 is value-semantics; compare raw bits to pin
-	// exact round-tripping.
-	if len(want.prob) != len(got.prob) {
-		t.Fatalf("prob length %d, want %d", len(got.prob), len(want.prob))
-	}
-	for i := range want.prob {
-		if math.Float64bits(want.prob[i]) != math.Float64bits(got.prob[i]) {
-			t.Fatalf("prob[%d] = %x, want %x", i, math.Float64bits(got.prob[i]), math.Float64bits(want.prob[i]))
-		}
+	// exact round-tripping, layout included.
+	wp, gp := want.probs, got.probs
+	if wp.Coded() != gp.Coded() || !slices.Equal(bytesOf(wp.pal), bytesOf(gp.pal)) ||
+		!slices.Equal(wp.code, gp.code) || !slices.Equal(bytesOf(wp.wide), bytesOf(gp.wide)) {
+		t.Fatal("probabilities differ")
 	}
 	if !slices.Equal(want.Globals(), got.Globals()) || (want.Globals() == nil) != (got.Globals() == nil) {
 		t.Fatal("Globals vectors differ")
@@ -210,15 +207,15 @@ func TestReadRejectsWrongInstance(t *testing.T) {
 }
 
 // TestReadCapBeforeBody: a system beyond the state cap is refused at its
-// header, so only those 32 bytes are consumed.
+// header, so only those headerSize bytes are consumed.
 func TestReadCapBeforeBody(t *testing.T) {
 	data, sp := serializedFixture(t)
 	r := bytes.NewReader(data)
 	if _, err := Read(r, sp.Alg, sp.Pol, 0, int64(sp.States-1)); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("over-cap stream: err = %v, want a cap error", err)
 	}
-	if read := len(data) - r.Len(); read != 32 {
-		t.Fatalf("over-cap stream consumed %d bytes, want the 32-byte header", read)
+	if read := len(data) - r.Len(); read != headerSize {
+		t.Fatalf("over-cap stream consumed %d bytes, want the %d-byte header", read, headerSize)
 	}
 	if _, err := Read(bytes.NewReader(data), sp.Alg, sp.Pol, 0, int64(sp.States)); err != nil {
 		t.Fatalf("stream at exactly the cap rejected: %v", err)
@@ -233,7 +230,7 @@ func TestReadBoundedAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [32]byte
+	var hdr [headerSize]byte
 	copy(hdr[0:4], serialMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], SerialVersion)
 	hdr[6] = kindSubSpace

@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -90,9 +91,10 @@ func resolveWorkers(workers, limit int) int {
 // under successors, indexed by dense local state ids. The successors of s
 // — deduplicated, sorted ascending, with the transition probabilities of
 // the policy's randomized scheduler (Definition 6: uniform over the
-// policy's activation subsets) — are the CSR row Succ(s)/Prob(s). States
-// with no enabled process have empty rows (terminal; the Markov view
-// treats them as absorbing).
+// policy's activation subsets) — are the CSR row Succ(s), with their
+// probabilities at the same CSR positions of Probs (palette-coded; see
+// probs.go). States with no enabled process have empty rows (terminal;
+// the Markov view treats them as absorbing).
 //
 // Build explores the full index range, where the local id of a
 // configuration is its mixed-radix index under Enc. BuildFromContext and the
@@ -123,9 +125,14 @@ type Space struct {
 	// range, where the two coincide.
 	table *Dedup
 
-	off  []int64   // row offsets, len States+1
-	succ []int32   // successor local ids, sorted per row
-	prob []float64 // transition probabilities aligned with succ
+	off   []int64 // row offsets, len States+1
+	succ  []int32 // successor local ids, sorted per row
+	probs Probs   // transition probabilities aligned with succ
+
+	// Obs is the observer the space was built or loaded with (nil means
+	// obs.Default()). Analyses of the space that take no options of their
+	// own, such as the hitting-time solver, report to it.
+	Obs *obs.Observer
 
 	// mapped is non-nil when the CSR and Globals arrays alias an external
 	// mapped buffer (Map); see mapped.go for the Close/Acquire lifecycle.
@@ -154,10 +161,11 @@ type TransitionSystem = *Space
 // ascending. The slice aliases the space; callers must not modify it.
 func (sp *Space) Succ(s int) []int32 { return sp.succ[sp.off[s]:sp.off[s+1]] }
 
-// Prob returns the transition probabilities aligned with Succ(s) under the
-// policy's randomized scheduler. Rows of non-terminal states sum to 1. The
-// slice aliases the space; callers must not modify it.
-func (sp *Space) Prob(s int) []float64 { return sp.prob[sp.off[s]:sp.off[s+1]] }
+// Probs returns the transition probabilities under the policy's
+// randomized scheduler: the edge at CSR position e (see CSR) has
+// probability Probs().At(e), and the rows of non-terminal states sum to
+// 1. The arrays alias the space.
+func (sp *Space) Probs() Probs { return sp.probs }
 
 // Degree returns the number of distinct successors of s.
 func (sp *Space) Degree(s int) int { return int(sp.off[s+1] - sp.off[s]) }
@@ -171,9 +179,9 @@ func (sp *Space) Edges() int64 { return int64(len(sp.succ)) }
 
 // CSR exposes the raw forward CSR triple (row offsets, successors,
 // transition probabilities) so analysis layers can alias the explored
-// space without copying. Callers must not modify the slices.
-func (sp *Space) CSR() (off []int64, succ []int32, prob []float64) {
-	return sp.off, sp.succ, sp.prob
+// space without copying. Callers must not modify the arrays.
+func (sp *Space) CSR() (off []int64, succ []int32, prob Probs) {
+	return sp.off, sp.succ, sp.probs
 }
 
 // Reverse returns the predecessor view of the space, built on first use
@@ -299,11 +307,13 @@ type edge struct {
 	p  float64
 }
 
-// chunk is the CSR fragment of one contiguous state range.
+// chunk is the CSR fragment of one contiguous state range: exact-size
+// copies of its successors and of their probabilities, coded into the
+// fragment's own palette. The range's degrees go straight to the space's
+// offsets.
 type chunk struct {
-	deg  []int32
 	succ []int32
-	prob []float64
+	prob Probs
 }
 
 // Build explores a's configuration space under pol with a worker pool and
@@ -337,17 +347,20 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 		States:  total,
 		Legit:   make([]bool, total),
 		Workers: workers,
+		Obs:     opt.Obs,
+		off:     make([]int64, total+1),
 	}
 	// Small chunks keep workers balanced (states differ wildly in enabled
-	// count); capped chunk count bounds stitching overhead.
-	chunkSize := 1 << 12
-	if c := total / (workers * 8); c > chunkSize {
-		chunkSize = c
-	}
+	// count) and bound each explorer's reusable buffers, which grow to the
+	// largest fragment it explores.
+	const chunkSize = 1 << 10
 	numChunks := (total + chunkSize - 1) / chunkSize
 	chunks := make([]chunk, numChunks)
 
-	pool := sync.Pool{New: func() any { return newExplorer(a, pol, enc) }}
+	// At most one explorer per worker, handed from chunk to chunk through
+	// a free list: a sync.Pool could drop one, grown buffers and all, at
+	// any GC.
+	free := make(chan *explorer, workers)
 	// Instrumentation side channel: cumulative done/edge counts feed the
 	// registry and a coarse build.progress event at milestone crossings
 	// (chunk arrival order is scheduling-dependent, so the milestone —
@@ -360,9 +373,14 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("statespace: exploration canceled: %w", err)
 		}
-		ex := pool.Get().(*explorer)
-		ck, err := ex.exploreRange(lo, hi, sp.Legit)
-		pool.Put(ex)
+		var ex *explorer
+		select {
+		case ex = <-free:
+		default:
+			ex = newExplorer(a, pol, enc)
+		}
+		ck, err := ex.exploreRange(lo, hi, sp.Legit, sp.off[lo+1:hi+1])
+		free <- ex
 		if err != nil {
 			return err
 		}
@@ -380,25 +398,30 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 		return nil, err
 	}
 
-	// Stitch the fragments into one CSR, in chunk (= state) order.
-	var edges int64
-	for _, c := range chunks {
-		edges += int64(len(c.succ))
+	// Stitch the fragments into one CSR. The offsets hold each state's
+	// degree; their prefix sum places every fragment, which is copied to
+	// its rows with its codes remapped to the merged palette and then
+	// dropped, so each edge is written twice in all.
+	for s := range total {
+		sp.off[s+1] += sp.off[s]
 	}
-	sp.off = make([]int64, total+1)
+	edges := sp.off[total]
+	frags := make([]Probs, numChunks)
+	for c := range chunks {
+		frags[c] = chunks[c].prob
+	}
+	pal, coded := unionPalette(frags)
 	sp.succ = make([]int32, edges)
-	sp.prob = make([]float64, edges)
-	s, at := 0, int64(0)
-	for _, c := range chunks {
-		for _, d := range c.deg {
-			sp.off[s] = at
-			at += int64(d)
-			s++
-		}
-		copy(sp.succ[at-int64(len(c.succ)):], c.succ)
-		copy(sp.prob[at-int64(len(c.prob)):], c.prob)
-	}
-	sp.off[total] = at
+	sp.probs = newProbs(pal, coded, edges)
+	_ = ForRanges(numChunks, workers, 1, func(c, _ int) error {
+		ck := &chunks[c]
+		at := sp.off[c*chunkSize]
+		copy(sp.succ[at:], ck.succ)
+		m := remapTo(pal, ck.prob)
+		sp.probs.copyRows(at, ck.prob, 0, int64(len(ck.succ)), &m)
+		*ck, frags[c] = chunk{}, Probs{}
+		return nil
+	})
 	o.Counter("build.states").Add(int64(total))
 	o.Counter("build.edges").Add(edges)
 	return sp, nil
@@ -427,9 +450,10 @@ type explorer struct {
 	odo      []int // odometer over the activated positions' outcomes
 	row      []edge
 	tmp      []edge // radixSort's second buffer
-	// lastEdges/lastStates: the size of the last range this explorer
-	// explored, the presizing hint for its next one.
-	lastEdges, lastStates int
+	// rangeSucc and rangeProb accumulate exploreRange's fragment; they
+	// are reused across ranges, and the fragment is their exact-size copy.
+	rangeSucc []int32
+	rangeProb probBuf
 
 	outTo []int64   // merged successor row: global target indexes, ascending
 	outP  []float64 // merged transition probabilities aligned with outTo
@@ -466,23 +490,13 @@ func (ex *explorer) subsetMasks() []uint64 {
 }
 
 // exploreRange explores states [lo, hi) into a fresh CSR fragment,
-// recording legitimacy into legit. The range's configurations are decoded
-// once at lo and then advanced by odometer increments, so the mixed-radix
-// divisions of Decode are paid once per range instead of once per state.
-func (ex *explorer) exploreRange(lo, hi int, legit []bool) (chunk, error) {
-	// Presize the fragment from the mean degree this explorer saw on its
-	// last range, plus 1/4 slack (ranges differ in degree), so the appends
-	// below rarely regrow.
-	hint := 0
-	if ex.lastStates > 0 {
-		hint = ex.lastEdges * (hi - lo) / ex.lastStates
-		hint += hint / 4
-	}
-	ck := chunk{
-		deg:  make([]int32, hi-lo),
-		succ: make([]int32, 0, hint),
-		prob: make([]float64, 0, hint),
-	}
+// recording legitimacy into legit and each state's degree into deg. The
+// range's configurations are decoded once at lo and then advanced by
+// odometer increments, so the mixed-radix divisions of Decode are paid
+// once per range instead of once per state.
+func (ex *explorer) exploreRange(lo, hi int, legit []bool, deg []int64) (chunk, error) {
+	ex.rangeSucc = ex.rangeSucc[:0]
+	ex.rangeProb.reset()
 	for s := lo; s < hi; s++ {
 		if s == lo {
 			ex.cfg = ex.enc.Decode(int64(s), ex.cfg)
@@ -494,14 +508,15 @@ func (ex *explorer) exploreRange(lo, hi int, legit []bool) (chunk, error) {
 			return chunk{}, err
 		}
 		legit[s] = isLegit
+		ex.rangeSucc = reserve(ex.rangeSucc, len(ex.outTo))
+		ex.rangeProb.reserve(len(ex.outTo))
 		for i, t := range ex.outTo {
-			ck.succ = append(ck.succ, int32(t))
-			ck.prob = append(ck.prob, ex.outP[i])
+			ex.rangeSucc = append(ex.rangeSucc, int32(t))
+			ex.rangeProb.add(ex.outP[i])
 		}
-		ck.deg[s-lo] = int32(len(ex.outTo))
+		deg[s-lo] = int64(len(ex.outTo))
 	}
-	ex.lastEdges, ex.lastStates = len(ck.succ), hi-lo
-	return ck, nil
+	return chunk{succ: slices.Clone(ex.rangeSucc), prob: ex.rangeProb.frag()}, nil
 }
 
 // exploreState computes the merged successor row of the configuration the
