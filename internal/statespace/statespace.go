@@ -358,8 +358,8 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 	chunks := make([]chunk, numChunks)
 
 	// At most one explorer per worker, handed from chunk to chunk through
-	// a free list: a sync.Pool could drop one, grown buffers and all, at
-	// any GC.
+	// a free list (a sync.Pool could drop one, grown buffers and all, at
+	// any GC). Its capacity is the worker count, so a put never blocks.
 	free := make(chan *explorer, workers)
 	// Instrumentation side channel: cumulative done/edge counts feed the
 	// registry and a coarse build.progress event at milestone crossings
