@@ -82,13 +82,16 @@ func TestGoldenMCEarlyStop(t *testing.T) {
 	runGolden(t, "mc_ci_herman7", "-alg", "herman", "-n", "7", "-policy", "synchronous", "-mc", "-ci", "0.5")
 }
 
-// TestGoldenMCWorkerInvariance reruns the -mc golden with adversarial
+// TestGoldenMCWorkerInvariance reruns the -mc goldens with adversarial
 // worker counts: the estimate must stay byte-identical — the CLI face of
-// the sampler's determinism contract.
+// the sampler's determinism contract. The herman(11) run with a 4-step
+// budget censors most of its walkers, so it drives the censoring path
+// end to end.
 func TestGoldenMCWorkerInvariance(t *testing.T) {
 	for _, w := range []string{"1", "7"} {
 		runGolden(t, "mc_tokenring6", "-alg", "tokenring", "-n", "6", "-mc", "-trials", "2000", "-workers", w)
 		runGolden(t, "json_mc_herman9_distributed", "-alg", "herman", "-n", "9", "-policy", "distributed", "-mc", "-trials", "20000", "-json", "-workers", w)
+		runGolden(t, "json_mc_herman11_censored", "-alg", "herman", "-n", "11", "-policy", "synchronous", "-mc", "-mc-steps", "4", "-json", "-workers", w)
 	}
 }
 
