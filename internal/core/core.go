@@ -110,9 +110,9 @@ func AnalyzeSpaceContext(ctx context.Context, ts *statespace.Space) (*Report, er
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	defer ts.Release()
-	// Phase timings go to the process observer — the analysis takes no
-	// options, and the phases matter per run, not per call site.
-	o := obs.Default()
+	// Phase timings go where the space's own analyses report: the
+	// observer it was built or loaded with, else the process default.
+	o := obs.Or(ts.Obs)
 	a := ts.Algorithm()
 	checkDone := o.Phase("checker")
 	sp := checker.FromSpace(ts)

@@ -178,7 +178,8 @@ func TestMCWorkerIdentityOnSpaces(t *testing.T) {
 }
 
 // TestInstanceRowKinds pins how many rows of each cross-validation space
-// take pick's shift path (uniform-exact) and how many its guide search,
+// are uniform-exact (pick's shift path) and how many take its guide
+// search, target rows included,
 // so the suite keeps covering an all-uniform, a mixed and an all-general
 // space.
 func TestInstanceRowKinds(t *testing.T) {
@@ -197,11 +198,12 @@ func TestInstanceRowKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got [2]int
-			for s, sh := range e.shift {
-				if e.off[s] == e.off[s+1] {
+			for s := range e.kind {
+				a, b := e.off[s], e.off[s+1]
+				if a == b {
 					continue // absorbing: never sampled
 				}
-				if sh != 0 {
+				if rowKind(e.cum[a:b]) < 64 {
 					got[0]++
 				} else {
 					got[1]++

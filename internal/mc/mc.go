@@ -10,16 +10,20 @@
 //
 //   - Per-row inverse-CDF sampling tables are precomputed once per space
 //     (a cumulative-probability array and a guide table, both aliasing
-//     the CSR layout, plus one byte per state marking the rows that are
-//     uniform over 2^s successors), so a walker step is a hash, a row
-//     lookup and either the top s bits of the draw (uniform rows, which
-//     touch neither table) or a short search that the guide table starts
-//     next to its answer — no allocation, no decoding, no branching on
-//     algorithm structure.
+//     the CSR layout), plus one kind byte per state that says whether the
+//     state is a target, absorbing, a row uniform over 2^s successors (and
+//     its shift) or a general row. A step on a uniform row is a hash, two
+//     loads and a shift: the top s bits of the draw pick the successor,
+//     touching neither table. Every other row takes a short search that
+//     the guide table starts next to its answer — no allocation, no
+//     decoding, no branching on algorithm structure.
 //   - Walkers run in flat batches sharded across a worker pool; inside a
-//     batch a fixed number of lanes step their walkers in lockstep so
-//     the walkers' independent memory loads overlap. Every
-//     walker draws from a counter-based stream keyed by
+//     batch four lanes step their walkers in lockstep so the walkers'
+//     independent memory loads overlap. While every lane is on a uniform
+//     row the lanes live in locals (registers), and a lane that hits the
+//     target takes the batch's next trial without leaving that loop. The
+//     inner hash of each step coordinate comes from a package-level
+//     table. Every walker draws from a counter-based stream keyed by
 //     sim.TrialSeed(seed, trial) (à la netsim/rng.go), so each
 //     trajectory is a pure function of (space, target, seed, trial) and
 //     every output of the estimator is bit-identical across worker
@@ -178,9 +182,9 @@ type System interface {
 // Estimator holds the per-space sampling tables: the CSR triple aliased
 // from the transition system plus a precomputed cumulative-probability
 // array and its guide table (the per-row inverse CDF), and the per-state
-// shift that lets uniform rows skip both. Build it once per
-// space with New and run it any number of times; the estimator itself is
-// immutable after construction and safe for concurrent Runs.
+// kind byte that a walker step reads first. Build it once per space with
+// New and run it any number of times; the estimator itself is immutable
+// after construction and safe for concurrent Runs.
 type Estimator struct {
 	ts     System
 	target []bool
@@ -196,12 +200,13 @@ type Estimator struct {
 	// min(int(u·d), d-1) may start from: never past the first position
 	// whose cum exceeds u (Chen–Asau indexed search; see sample).
 	guide []int32
-	// shift[s] is 64-log2(d) when the row of s is uniform-exact — its
-	// degree d is a power of two and cum is exactly (k+1)/d at row
-	// offset k — and 0 for every other row (see uniformShift and pick).
-	// cum and guide are still built for uniform rows; pick never reads
-	// them there.
-	shift []uint8
+	// kind[s] is everything a step needs to know about s before its row
+	// offset: kindTarget for a target state, kindAbsorbing for a
+	// non-target state without successors, and otherwise rowKind of its
+	// row — 63-log2(d), below 64, when the row is uniform-exact over d
+	// successors, kindGeneral when it is not (see pick). cum and guide
+	// are still built for uniform rows; pick never reads them there.
+	kind []uint8
 	// nonTarget lists the non-target state indexes, the support of the
 	// uniform start distribution.
 	nonTarget []int32
@@ -232,7 +237,7 @@ func New(ts System, target []bool) (*Estimator, error) {
 		succ:    succ,
 		cum:     make([]float64, len(succ)),
 		guide:   make([]int32, len(succ)),
-		shift:   make([]uint8, n),
+		kind:    make([]uint8, n),
 		workers: resolveWorkers(0, ts),
 	}
 	err = markov.CheckRows(off, prob, e.workers, func(s int, a, b int64) {
@@ -242,15 +247,20 @@ func New(ts System, target []bool) (*Estimator, error) {
 			e.cum[i] = sum
 		}
 		e.fillGuide(a, b)
-		e.shift[s] = uniformShift(e.cum[a:b])
+		e.kind[s] = rowKind(e.cum[a:b])
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mc: %w", err)
 	}
 	for s := 0; s < n; s++ {
-		if !target[s] {
-			e.nonTarget = append(e.nonTarget, int32(s))
+		switch {
+		case target[s]:
+			e.kind[s] = kindTarget
+			continue
+		case off[s] == off[s+1]:
+			e.kind[s] = kindAbsorbing
 		}
+		e.nonTarget = append(e.nonTarget, int32(s))
 	}
 	return e, nil
 }
@@ -276,34 +286,47 @@ func (e *Estimator) fillGuide(a, b int64) {
 	}
 }
 
-// uniformShift classifies one row by its cumulative sums: 64-s when the
-// row is uniform-exact over d = 2^s successors (cum[k] == (k+1)/d for
+// The kinds of a state that are not a uniform row's shift (those are
+// below 64, so a kind byte below 64 is the whole uniform-row test).
+const (
+	kindGeneral   = 64 + iota // a row pick searches through the guide table
+	kindAbsorbing             // a non-target state without successors
+	kindTarget                // a target state, whatever its row
+)
+
+// rowKind classifies one non-empty row by its cumulative sums: 63-s when
+// the row is uniform-exact over d = 2^s successors (cum[k] == (k+1)/d for
 // every k, compared exactly; 1/d is a power of two, so (k+1)·(1/d) is the
-// exact quotient), and 0 for every other row.
-func uniformShift(cum []float64) uint8 {
+// exact quotient), and kindGeneral for every other row.
+func rowKind(cum []float64) uint8 {
 	d := len(cum)
 	if d&(d-1) != 0 {
-		return 0
+		return kindGeneral
 	}
 	inv := 1 / float64(d)
 	for k, c := range cum {
 		if c != float64(k+1)*inv {
-			return 0
+			return kindGeneral
 		}
 	}
-	return uint8(64 - bits.TrailingZeros(uint(d)))
+	return uint8(63 - bits.TrailingZeros(uint(d)))
 }
 
-// pick returns the CSR position a walker on the row [a, b) steps to for
-// the raw draw x, where shift is the row's uniformShift. A uniform-exact
-// row over d = 2^s successors takes a + x>>(64-s), loading neither cum
-// nor guide (for s = 0 the shift is 64 and gives 0). Every other row
-// searches at u = unit(x). The two agree: u·d is exact, so floor(u·d) =
-// (x>>11)>>(53-s) = x>>(64-s), and with cum exactly (k+1)/d the first
-// position whose cum exceeds u is offset floor(u·d), the one sample finds.
-func pick(cum []float64, guide []int32, a, b int64, shift uint8, x uint64) int64 {
-	if shift != 0 {
-		return a + int64(x>>shift)
+// uniformPos is the row offset a uniform-exact row of rowKind k < 64,
+// over d = 2^(63-k) successors, takes for the raw draw x: its top 63-k
+// bits, x>>1>>k (0 for k = 63, a one-successor row).
+func uniformPos(x uint64, k uint8) int64 { return int64(x >> 1 >> (k & 63)) }
+
+// pick returns the CSR position a walker on the row [a, b) of kind k (a
+// rowKind) steps to for the raw draw x. A uniform-exact row over d = 2^s
+// successors takes a + x>>(64-s), loading neither cum nor guide. Every
+// other row searches at u = unit(x). The two agree: u·d is exact, so
+// floor(u·d) = (x>>11)>>(53-s) = x>>(64-s), and with cum exactly (k+1)/d
+// the first position whose cum exceeds u is offset floor(u·d), the one
+// sample finds.
+func pick(cum []float64, guide []int32, a, b int64, k uint8, x uint64) int64 {
+	if k < 64 {
+		return a + uniformPos(x, k)
 	}
 	return sample(cum, guide, a, b, unit(x))
 }
@@ -539,9 +562,10 @@ func prefixMeanCI(n int, sum, sumsq float64) (mean, ci float64) {
 }
 
 // lanes is how many walkers a batch steps in lockstep. Each pass moves
-// every lane one step, so the lanes' independent loads of off, shift,
-// guide, cum and succ overlap instead of each waiting on the one before.
-const lanes = 8
+// every lane one step, so the lanes' independent loads of kind, off and
+// succ overlap instead of each waiting on the one before; four lanes'
+// walkers fit in registers (see fast).
+const lanes = 4
 
 // Outcomes other than a hit time in a batch's per-trial slots.
 const (
@@ -551,7 +575,7 @@ const (
 
 // walker is the trial one lane is stepping.
 type walker struct {
-	st    stream
+	key   uint64 // the trial's stream key
 	trial int
 	steps int
 	s     int32
@@ -559,9 +583,9 @@ type walker struct {
 
 // start places the walker of trial t on its start state.
 func (e *Estimator) start(seed int64, t, from int) walker {
-	w := walker{st: walkerStream(seed, t), trial: t, s: int32(from)}
+	w := walker{key: walkerKey(seed, t), trial: t, s: int32(from)}
 	if from < 0 {
-		i := int(w.st.float(startCoord) * float64(len(e.nonTarget)))
+		i := int(unit(mix64(w.key^startTerm)) * float64(len(e.nonTarget)))
 		if i >= len(e.nonTarget) {
 			i = len(e.nonTarget) - 1
 		}
@@ -570,51 +594,27 @@ func (e *Estimator) start(seed int64, t, from int) walker {
 	return w
 }
 
-// runBatch walks trials [lo, hi), lanes at a time: a lane whose walker
-// finishes takes the batch's next trial. Each outcome lands in its
-// trial's slot, and the hits are then compacted in place, so they come
-// out in trial order however the lanes interleave. The only allocation
-// is the slots slice; the walk itself is allocation-free.
+// batch is the walk state of trials [lo, hi): the lanes ln[:n] in use,
+// the next trial to start and each finished trial's outcome in its slot.
+type batch struct {
+	e        *Estimator
+	lo, hi   int
+	next     int
+	seed     int64
+	maxSteps int
+	from     int
+	slots    []float64
+	walked   int64
+	ln       [lanes]walker
+	n        int
+}
+
+// runBatch walks trials [lo, hi) and compacts the hits of their slots in
+// place, so they come out in trial order however the lanes interleave.
+// The only allocation is the slots slice; the walk itself is
+// allocation-free.
 func (e *Estimator) runBatch(lo, hi int, seed int64, maxSteps, from int) batchOut {
-	off, succ, cum, guide, shift, target := e.off, e.succ, e.cum, e.guide, e.shift, e.target
-	slots := make([]float64, hi-lo)
-	var (
-		ln     [lanes]walker
-		n      int // lanes in use: ln[:n]
-		walked int64
-	)
-	for ; n < lanes && lo+n < hi; n++ {
-		ln[n] = e.start(seed, lo+n, from)
-	}
-	next := lo + n
-	for n > 0 {
-		for l := 0; l < n; l++ {
-			w := &ln[l]
-			s := w.s
-			var outcome float64
-			if target[s] {
-				outcome = float64(w.steps)
-			} else if a, b := off[s], off[s+1]; a == b {
-				outcome = slotDivergent // absorbing non-target: T = +Inf, proved
-			} else if w.steps >= maxSteps {
-				outcome = slotCensored // budget exhausted: T > MaxSteps, undecided
-			} else {
-				w.s = succ[pick(cum, guide, a, b, shift[s], w.st.bits(uint64(w.steps)))]
-				w.steps++
-				continue
-			}
-			slots[w.trial-lo] = outcome
-			walked += int64(w.steps)
-			if next < hi {
-				*w = e.start(seed, next, from)
-				next++
-			} else {
-				n--
-				*w = ln[n]
-				l-- // the lane moved into l steps in this pass too
-			}
-		}
-	}
+	slots, walked := e.walk(lo, hi, seed, maxSteps, from)
 	out := batchOut{steps: slots[:0], walked: walked}
 	for _, v := range slots {
 		switch v {
@@ -627,4 +627,126 @@ func (e *Estimator) runBatch(lo, hi int, seed int64, maxSteps, from int) batchOu
 		}
 	}
 	return out
+}
+
+// walk walks trials [lo, hi), lanes at a time: a lane whose walker
+// finishes takes the batch's next trial. It returns each trial's outcome
+// in its slot — the hit time, slotDivergent or slotCensored — and the
+// steps the walkers took.
+func (e *Estimator) walk(lo, hi int, seed int64, maxSteps, from int) ([]float64, int64) {
+	bt := batch{e: e, lo: lo, hi: hi, next: lo, seed: seed, maxSteps: maxSteps, from: from, slots: make([]float64, hi-lo)}
+	for ; bt.n < lanes && bt.next < hi; bt.n++ {
+		bt.ln[bt.n] = e.start(seed, bt.next, from)
+		bt.next++
+	}
+	for bt.n > 0 {
+		if bt.n == lanes {
+			bt.fast()
+		}
+		bt.pass()
+	}
+	return bt.slots, bt.walked
+}
+
+// finish puts the outcome of the walker on lane w in its trial's slot
+// and starts the batch's next trial there. The caller has checked that
+// one is left.
+func (bt *batch) finish(w *walker, outcome float64) {
+	bt.slots[w.trial-bt.lo] = outcome
+	bt.walked += int64(w.steps)
+	*w = bt.e.start(bt.seed, bt.next, bt.from)
+	bt.next++
+}
+
+// pass settles or steps every lane once, in the order of the walk's
+// rules: a walker on a target has hit, one on an absorbing state has
+// diverged, one out of budget is censored, and any other takes a step.
+// A finished lane takes the batch's next trial, or retires when none is
+// left.
+func (bt *batch) pass() {
+	e := bt.e
+	for l := 0; l < bt.n; l++ {
+		w := &bt.ln[l]
+		var outcome float64
+		switch k := e.kind[w.s]; {
+		case k == kindTarget:
+			outcome = float64(w.steps)
+		case k == kindAbsorbing:
+			outcome = slotDivergent // T = +Inf, proved
+		case w.steps >= bt.maxSteps:
+			outcome = slotCensored // T > MaxSteps, undecided
+		default:
+			a, b := e.off[w.s], e.off[w.s+1]
+			w.s = e.succ[pick(e.cum, e.guide, a, b, k, draw(w.key, uint64(w.steps)))]
+			w.steps++
+			continue
+		}
+		if bt.next < bt.hi {
+			bt.finish(w, outcome)
+			continue
+		}
+		bt.slots[w.trial-bt.lo] = outcome
+		bt.walked += int64(w.steps)
+		bt.n--
+		*w = bt.ln[bt.n]
+		l-- // the lane moved into l steps in this pass too
+	}
+}
+
+// fast steps all four lanes, their states and step counts held in
+// locals, for as long as every lane is on a uniform row and below both
+// the step budget and the end of stepTerms: one step is a hash, the
+// loads of kind and off, a shift and the load of succ. A lane that
+// reaches a target records its hit and takes the batch's next trial
+// without leaving the loop. Anything else — a general row, an absorbing
+// state, the budget or the table's end, or a hit with no trial left to
+// start — stores the lanes back for pass.
+func (bt *batch) fast() {
+	kind, off, succ := bt.e.kind, bt.e.off, bt.e.succ
+	lim := min(bt.maxSteps, stepTermsLen)
+	w0, w1, w2, w3 := &bt.ln[0], &bt.ln[1], &bt.ln[2], &bt.ln[3]
+	s0, c0 := w0.s, w0.steps
+	s1, c1 := w1.s, w1.steps
+	s2, c2 := w2.s, w2.steps
+	s3, c3 := w3.s, w3.steps
+	for {
+		k0, k1, k2, k3 := kind[s0], kind[s1], kind[s2], kind[s3]
+		if k0|k1|k2|k3 >= 64 || max(c0, c1, c2, c3) >= lim {
+			if k0 == kindTarget && bt.next < bt.hi {
+				w0.steps = c0
+				bt.finish(w0, float64(c0))
+				s0, c0, k0 = w0.s, 0, kind[w0.s]
+			}
+			if k1 == kindTarget && bt.next < bt.hi {
+				w1.steps = c1
+				bt.finish(w1, float64(c1))
+				s1, c1, k1 = w1.s, 0, kind[w1.s]
+			}
+			if k2 == kindTarget && bt.next < bt.hi {
+				w2.steps = c2
+				bt.finish(w2, float64(c2))
+				s2, c2, k2 = w2.s, 0, kind[w2.s]
+			}
+			if k3 == kindTarget && bt.next < bt.hi {
+				w3.steps = c3
+				bt.finish(w3, float64(c3))
+				s3, c3, k3 = w3.s, 0, kind[w3.s]
+			}
+			if k0|k1|k2|k3 >= 64 || max(c0, c1, c2, c3) >= lim {
+				break
+			}
+		}
+		s0 = succ[off[s0]+uniformPos(mix64(w0.key^stepTerms[c0&(stepTermsLen-1)]), k0)]
+		s1 = succ[off[s1]+uniformPos(mix64(w1.key^stepTerms[c1&(stepTermsLen-1)]), k1)]
+		s2 = succ[off[s2]+uniformPos(mix64(w2.key^stepTerms[c2&(stepTermsLen-1)]), k2)]
+		s3 = succ[off[s3]+uniformPos(mix64(w3.key^stepTerms[c3&(stepTermsLen-1)]), k3)]
+		c0++
+		c1++
+		c2++
+		c3++
+	}
+	w0.s, w0.steps = s0, c0
+	w1.s, w1.steps = s1, c1
+	w2.s, w2.steps = s2, c2
+	w3.s, w3.steps = s3, c3
 }

@@ -481,7 +481,8 @@ func TestGuideSampleMatchesReference(t *testing.T) {
 				succ: make([]int32, 1+d),
 				prob: append([]float64{1}, r.probs...),
 			}
-			e, err := New(c, []bool{true, true})
+			// No state is a target, so both kind bytes are rowKinds.
+			e, err := New(c, []bool{false, false})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -489,15 +490,15 @@ func TestGuideSampleMatchesReference(t *testing.T) {
 			if r.clamp && e.cum[b-1] >= 1 {
 				t.Fatalf("last cum = %v, want below 1 so the clamp fires", e.cum[b-1])
 			}
-			if e.shift[0] != 64 {
-				t.Fatalf("one-successor row has shift %d, want 64", e.shift[0])
+			if e.kind[0] != 63 {
+				t.Fatalf("one-successor row has kind %d, want 63", e.kind[0])
 			}
-			want := uint8(0)
+			want := uint8(kindGeneral)
 			if r.uniform {
-				want = uint8(64 - bits.TrailingZeros64(uint64(d)))
+				want = uint8(63 - bits.TrailingZeros64(uint64(d)))
 			}
-			if e.shift[1] != want {
-				t.Fatalf("row has shift %d, want %d", e.shift[1], want)
+			if e.kind[1] != want {
+				t.Fatalf("row has kind %d, want %d", e.kind[1], want)
 			}
 			draws := []float64{0, 1 - 0x1p-53}
 			near := func(v float64) {
@@ -541,7 +542,7 @@ func TestGuideSampleMatchesReference(t *testing.T) {
 				xs = append(xs, rng.Uint64())
 			}
 			for _, x := range xs {
-				if got, want := pick(e.cum, e.guide, a, b, e.shift[1], x), refSample(e.cum, a, b, unit(x)); got != want {
+				if got, want := pick(e.cum, e.guide, a, b, e.kind[1], x), refSample(e.cum, a, b, unit(x)); got != want {
 					t.Fatalf("x=%#x: pick gives position %d, reference %d", x, got, want)
 				}
 			}

@@ -2,23 +2,20 @@ package mc
 
 import "weakstab/internal/sim"
 
-// stream is the counter-based deterministic random stream of one walker
-// (the same construction as netsim's Stream): every draw is a pure hash
-// of the walker key and the step counter, never of how many draws came
-// before it. A walker's whole trajectory is therefore a pure function of
-// (space, target, seed, trial) — bit-identical no matter how trials are
-// batched or how many workers race through the batches.
+// A walker's random stream is counter-based (the same construction as
+// netsim's Stream): every draw is a pure hash of the walker key and the
+// step coordinate, never of how many draws came before it. A walker's
+// whole trajectory is therefore a pure function of (space, target, seed,
+// trial) — bit-identical no matter how trials are batched, how many
+// workers race through the batches or which lane steps the walker.
 //
 // The walker key derives from sim.TrialSeed(seed, trial), the same
 // per-trial derivation every other simulator in the repo uses, so MC
 // trial t is replayable in isolation with the tools that already exist.
-type stream struct {
-	key uint64
-}
 
-// walkerStream returns the private stream of one walker.
-func walkerStream(seed int64, trial int) stream {
-	return stream{key: mix64(uint64(sim.TrialSeed(seed, trial)))}
+// walkerKey returns the stream key of one walker.
+func walkerKey(seed int64, trial int) uint64 {
+	return mix64(uint64(sim.TrialSeed(seed, trial)))
 }
 
 // mix64 is the splitmix64 finalizer.
@@ -31,19 +28,37 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// bits returns the 64 uniform raw bits at step coordinate c.
-func (s stream) bits(c uint64) uint64 {
-	return mix64(s.key ^ mix64(c+0x9e3779b97f4a7c15))
+// draw returns the 64 uniform raw bits of the stream keyed key at step
+// coordinate c: mix64(key ^ stepTerm(c)).
+func draw(key, c uint64) uint64 { return mix64(key ^ stepTerm(c)) }
+
+// stepTerm is the inner hash mix64(c + 0x9e3779b97f4a7c15) of step
+// coordinate c, read from stepTerms when the table covers c.
+func stepTerm(c uint64) uint64 {
+	if c < stepTermsLen {
+		return stepTerms[c]
+	}
+	return mix64(c + 0x9e3779b97f4a7c15)
 }
 
-// float returns the uniform float64 in [0, 1) at step coordinate c.
-func (s stream) float(c uint64) float64 { return unit(s.bits(c)) }
+// stepTermsLen is how many step coordinates stepTerms covers: 8 KiB,
+// past the hitting times of every space the walk benchmarks sample.
+const stepTermsLen = 1 << 10
+
+// stepTerms[c] is the inner hash of step coordinate c < stepTermsLen, so
+// a step's draw costs one mix64 instead of two.
+var stepTerms = func() (t [stepTermsLen]uint64) {
+	for c := range t {
+		t[c] = mix64(uint64(c) + 0x9e3779b97f4a7c15)
+	}
+	return t
+}()
 
 // unit maps 64 raw bits to the float64 in [0, 1) their top 53 bits
 // spell: (x>>11)·2⁻⁵³.
 func unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
-// startCoord is the draw coordinate of the initial-state pick. Step
-// draws use coordinates 0..MaxSteps-1, so the all-ones coordinate can
-// never collide with them.
-const startCoord = ^uint64(0)
+// startTerm is the inner hash of the start draw's coordinate, the
+// all-ones coordinate no step draw uses (steps use 0..MaxSteps-1):
+// mix64(^uint64(0) + 0x9e3779b97f4a7c15), spelled out.
+const startTerm = 0xe4d971771b652c20

@@ -137,3 +137,24 @@ func TestSolverCountersReachDepsObserver(t *testing.T) {
 		t.Fatalf("solver.gs_sweeps = %d on the job's observer, want 400", got)
 	}
 }
+
+// TestAnalysisPhasesReachDepsObserver: with no process default installed,
+// a report job's checker and markov phases are timed on the observer
+// Execute was given, next to its explore phase, so a job's manifest and
+// feed show all three.
+func TestAnalysisPhasesReachDepsObserver(t *testing.T) {
+	prev := obs.SetDefault(nil)
+	defer obs.SetDefault(prev)
+	o := obs.New()
+	req := Request{Alg: "leadertree", Topology: "figure2", Policy: "distributed"}
+	if _, err := Execute(context.Background(), req, Deps{Obs: o}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range o.Phases() {
+		got = append(got, p.Name)
+	}
+	if want := []string{"explore", "checker", "markov"}; !slices.Equal(got, want) {
+		t.Fatalf("phases on the job's observer = %v, want %v", got, want)
+	}
+}
