@@ -12,9 +12,11 @@ import (
 )
 
 // walkCases are the spaces the walk benchmarks sample: tokenring(8) under
-// the central daemon (6,561 states, rows at most 8 wide) and herman(11)
-// under the synchronous daemon (2,048 states, rows up to 2,048 wide — the
-// shape the mc-herman workload walks).
+// the central daemon (6,561 states, rows at most 8 wide, most of them
+// general, so most steps leave the four-lane loop for the per-lane pass)
+// and herman(11) under the synchronous daemon (2,048 states, rows up to
+// 2,048 wide, every one uniform, so the lanes stay in registers from one
+// hit to the next — the shape the mc-herman workload walks).
 var walkCases = []struct {
 	name   string
 	build  func() (protocol.Algorithm, error)
@@ -26,9 +28,10 @@ var walkCases = []struct {
 
 // BenchmarkMCWalk measures raw sampling throughput on real explored
 // spaces; the metric that matters is walker-steps/s. Every herman(11)
-// synchronous row is uniform over a power of two and takes pick's shift
-// path; in tokenring(8) central 1,413 of the 6,561 rows do and the rest
-// take the guide search.
+// synchronous row is uniform over a power of two, so its walk runs in
+// the four-lane loop (batch.fast); in tokenring(8) central 1,413 of the
+// 6,561 rows are uniform and the rest take the guide search in the
+// per-lane pass.
 func BenchmarkMCWalk(b *testing.B) { benchWalk(b, 0) }
 
 // BenchmarkMCWalkSingleWorker isolates per-core throughput.

@@ -12,9 +12,10 @@
 //     (a cumulative-probability array and a guide table, both aliasing
 //     the CSR layout), plus one kind byte per state that says whether the
 //     state is a target, absorbing, a row uniform over 2^s successors (and
-//     its shift) or a general row. A step on a uniform row is a hash, two
-//     loads and a shift: the top s bits of the draw pick the successor,
-//     touching neither table. Every other row takes a short search that
+//     its shift) or a general row. A step on a uniform row is a hash, the
+//     loads of kind, the row offset and the successor, and a shift: the
+//     top s bits of the draw pick the successor, touching neither
+//     table. Every other row takes a short search that
 //     the guide table starts next to its answer — no allocation, no
 //     decoding, no branching on algorithm structure.
 //   - Walkers run in flat batches sharded across a worker pool; inside a
@@ -182,9 +183,11 @@ type System interface {
 // Estimator holds the per-space sampling tables: the CSR triple aliased
 // from the transition system plus a precomputed cumulative-probability
 // array and its guide table (the per-row inverse CDF), and the per-state
-// kind byte that a walker step reads first. Build it once per space with
-// New and run it any number of times; the estimator itself is immutable
-// after construction and safe for concurrent Runs.
+// kind byte that a walker step reads first. The inner hashes of the
+// draws come from stepTerms, one package-level table every estimator
+// shares. A run walks each batch in four lanes (see batch.fast). Build it
+// once per space with New and run it any number of times; the estimator
+// itself is immutable after construction and safe for concurrent Runs.
 type Estimator struct {
 	ts     System
 	target []bool
@@ -514,23 +517,24 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 }
 
 // sortedHits returns the hit times in ascending order, leaving steps in
-// trial order. Hit times are integers, so while the largest is below the
+// trial order. Hit times are integers, so while every one is below the
 // sample size a counting sort over a histogram no longer than the sample
-// orders them in linear time; otherwise it falls back to slices.Sort.
+// orders them in linear time, in one pass that grows the histogram as it
+// counts; at the first that is not, it falls back to slices.Sort.
 func sortedHits(steps []float64) []float64 {
 	sorted := make([]float64, len(steps))
-	top := 0.0
+	var counts []int
 	for _, v := range steps {
-		top = max(top, v)
-	}
-	if top >= float64(len(steps)) {
-		copy(sorted, steps)
-		slices.Sort(sorted)
-		return sorted
-	}
-	counts := make([]int, int(top)+1)
-	for _, v := range steps {
-		counts[int(v)]++
+		i := int(v)
+		if i >= len(steps) {
+			copy(sorted, steps)
+			slices.Sort(sorted)
+			return sorted
+		}
+		if i >= len(counts) {
+			counts = append(counts, make([]int, i+1-len(counts))...)
+		}
+		counts[i]++
 	}
 	i := 0
 	for v, c := range counts {
