@@ -653,13 +653,16 @@ func (e *Estimator) walk(lo, hi int, seed int64, maxSteps, from int) ([]float64,
 }
 
 // finish puts the outcome of the walker on lane w in its trial's slot
-// and starts the batch's next trial there. The caller has checked that
-// one is left.
-func (bt *batch) finish(w *walker, outcome float64) {
+// and starts the batch's next trial there; false when none is left.
+func (bt *batch) finish(w *walker, outcome float64) bool {
 	bt.slots[w.trial-bt.lo] = outcome
 	bt.walked += int64(w.steps)
+	if bt.next == bt.hi {
+		return false
+	}
 	*w = bt.e.start(bt.seed, bt.next, bt.from)
 	bt.next++
+	return true
 }
 
 // pass settles or steps every lane once, in the order of the walk's
@@ -685,15 +688,11 @@ func (bt *batch) pass() {
 			w.steps++
 			continue
 		}
-		if bt.next < bt.hi {
-			bt.finish(w, outcome)
-			continue
+		if !bt.finish(w, outcome) {
+			bt.n--
+			*w = bt.ln[bt.n]
+			l-- // the lane moved into l steps in this pass too
 		}
-		bt.slots[w.trial-bt.lo] = outcome
-		bt.walked += int64(w.steps)
-		bt.n--
-		*w = bt.ln[bt.n]
-		l-- // the lane moved into l steps in this pass too
 	}
 }
 

@@ -29,16 +29,13 @@ func mix64(x uint64) uint64 {
 }
 
 // draw returns the 64 uniform raw bits of the stream keyed key at step
-// coordinate c: mix64(key ^ stepTerm(c)).
-func draw(key, c uint64) uint64 { return mix64(key ^ stepTerm(c)) }
-
-// stepTerm is the inner hash mix64(c + 0x9e3779b97f4a7c15) of step
-// coordinate c, read from stepTerms when the table covers c.
-func stepTerm(c uint64) uint64 {
+// coordinate c: mix64(key ^ mix64(c + 0x9e3779b97f4a7c15)), the inner
+// hash read from stepTerms when the table covers c.
+func draw(key, c uint64) uint64 {
 	if c < stepTermsLen {
-		return stepTerms[c]
+		return mix64(key ^ stepTerms[c])
 	}
-	return mix64(c + 0x9e3779b97f4a7c15)
+	return mix64(key ^ mix64(c+0x9e3779b97f4a7c15))
 }
 
 // stepTermsLen is how many step coordinates stepTerms covers: 8 KiB,
