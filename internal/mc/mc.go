@@ -739,6 +739,8 @@ func (bt *batch) fast() {
 				break
 			}
 		}
+		// Every c < lim <= stepTermsLen, so the masks change no index;
+		// they only spare the bounds checks.
 		s0 = succ[off[s0]+uniformPos(mix64(w0.key^stepTerms[c0&(stepTermsLen-1)]), k0)]
 		s1 = succ[off[s1]+uniformPos(mix64(w1.key^stepTerms[c1&(stepTermsLen-1)]), k1)]
 		s2 = succ[off[s2]+uniformPos(mix64(w2.key^stepTerms[c2&(stepTermsLen-1)]), k2)]
