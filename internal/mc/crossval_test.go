@@ -179,9 +179,8 @@ func TestMCWorkerIdentityOnSpaces(t *testing.T) {
 
 // TestInstanceRowKinds pins how many rows of each cross-validation space
 // are uniform-exact (pick's shift path) and how many take its guide
-// search, target rows included,
-// so the suite keeps covering an all-uniform, a mixed and an all-general
-// space.
+// search, target rows included, so the suite keeps covering an
+// all-uniform, a mixed and an all-general space.
 func TestInstanceRowKinds(t *testing.T) {
 	want := map[string][2]int{ // uniform-exact, general
 		"tokenring5/central":  {10, 22},

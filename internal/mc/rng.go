@@ -28,14 +28,18 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// gamma is the splitmix64 increment a draw's coordinate is offset by
+// before its inner hash.
+const gamma = 0x9e3779b97f4a7c15
+
 // draw returns the 64 uniform raw bits of the stream keyed key at step
-// coordinate c: mix64(key ^ mix64(c + 0x9e3779b97f4a7c15)), the inner
-// hash read from stepTerms when the table covers c.
+// coordinate c: mix64(key ^ mix64(c + gamma)), the inner hash read from
+// stepTerms when the table covers c.
 func draw(key, c uint64) uint64 {
 	if c < stepTermsLen {
 		return mix64(key ^ stepTerms[c])
 	}
-	return mix64(key ^ mix64(c+0x9e3779b97f4a7c15))
+	return mix64(key ^ mix64(c+gamma))
 }
 
 // stepTermsLen is how many step coordinates stepTerms covers: 8 KiB,
@@ -46,7 +50,7 @@ const stepTermsLen = 1 << 10
 // a step's draw costs one mix64 instead of two.
 var stepTerms = func() (t [stepTermsLen]uint64) {
 	for c := range t {
-		t[c] = mix64(uint64(c) + 0x9e3779b97f4a7c15)
+		t[c] = mix64(uint64(c) + gamma)
 	}
 	return t
 }()
@@ -57,5 +61,5 @@ func unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
 // startTerm is the inner hash of the start draw's coordinate, the
 // all-ones coordinate no step draw uses (steps use 0..MaxSteps-1):
-// mix64(^uint64(0) + 0x9e3779b97f4a7c15), spelled out.
+// mix64(^uint64(0) + gamma), spelled out.
 const startTerm = 0xe4d971771b652c20
