@@ -399,7 +399,7 @@ func BallVerdictAt(ss *statespace.Space, localDist []int, k int) KFaultVerdict {
 		return KFaultVerdict{K: k, Possible: true, Certain: true}
 	}
 	sp := FromSpace(ss)
-	return sp.checkKFaults(k, localDist, sp.reverseReach(), sp.divergingStates())
+	return sp.checkKFaults(k, localDist, sp.LegitDistances(), sp.divergingStates())
 }
 
 // SweepResult is the outcome of an incremental k-fault sweep.

@@ -81,9 +81,8 @@ type ConvergenceResult struct {
 // from every configuration some execution reaches a legitimate
 // configuration (reverse reachability from L).
 func (sp *Space) CheckPossibleConvergence() ConvergenceResult {
-	canReach := sp.reverseReach()
-	for s, ok := range canReach {
-		if !ok {
+	for s, d := range sp.LegitDistances() {
+		if d < 0 {
 			return ConvergenceResult{
 				Counterexample: sp.Config(s),
 				Reason:         "no execution from this configuration reaches L",
@@ -91,18 +90,6 @@ func (sp *Space) CheckPossibleConvergence() ConvergenceResult {
 		}
 	}
 	return ConvergenceResult{Holds: true}
-}
-
-// reverseReach returns, per state, whether L is reachable, read off the
-// system's memoized backward distances to L (shared with the radius, the
-// worst-case witness and the Markov analyses of the same system).
-func (sp *Space) reverseReach() []bool {
-	dist := sp.LegitDistances()
-	out := make([]bool, sp.NumStates())
-	for s := range out {
-		out[s] = dist[s] >= 0
-	}
-	return out
 }
 
 // CheckCertainConvergence verifies Definition 1's certain convergence:

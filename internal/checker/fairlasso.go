@@ -40,56 +40,23 @@ func (sp *Space) FindStronglyFairLasso() FairLasso {
 	// shared with the Markov solve; on a frontier-explored closure it
 	// covers the reachable subgraph only, which BuildFromContext closes
 	// under successors before sealing.
-	comp, count := sp.IllegitSCC()
+	cond := sp.IllegitSCC()
 	// Iterate components in ascending id order, members in ascending
 	// state order, so witnesses are deterministic across runs.
-	start, members := bucketComponents(comp, count)
-	parent := make([]int32, len(comp)) // pathWithin's scratch, -1 between calls
+	parent := make([]int32, len(cond.Comp)) // pathWithin's scratch, -1 between calls
 	for i := range parent {
 		parent[i] = -1
 	}
-	for c := 0; c < count; c++ {
-		states := members[start[c]:start[c+1]]
+	for c := 0; c < cond.Count(); c++ {
+		states := cond.Component(c)
 		if !sp.componentHasCycle(states) {
 			continue
 		}
-		if lasso := sp.tryComponentWalk(det, states, comp, parent); lasso.Found {
+		if lasso := sp.tryComponentWalk(det, states, cond.Comp, parent); lasso.Found {
 			return lasso
 		}
 	}
 	return FairLasso{}
-}
-
-// componentSizes counts the states of each of the count components in
-// comp (entries of -1 belong to no component).
-func componentSizes(comp []int32, count int) []int32 {
-	size := make([]int32, count)
-	for _, c := range comp {
-		if c >= 0 {
-			size[c]++
-		}
-	}
-	return size
-}
-
-// bucketComponents groups the states of comp by component with one
-// counting sort: the members of component c are
-// members[start[c]:start[c+1]], in ascending state order.
-func bucketComponents(comp []int32, count int) (start, members []int32) {
-	next := componentSizes(comp, count)
-	start = make([]int32, count+1)
-	for c, n := range next {
-		start[c+1] = start[c] + n
-	}
-	copy(next, start) // next[c]: the write cursor of component c
-	members = make([]int32, start[count])
-	for s, c := range comp {
-		if c >= 0 {
-			members[next[c]] = int32(s)
-			next[c]++
-		}
-	}
-	return start, members
 }
 
 // componentHasCycle reports whether the component contains a cycle: more

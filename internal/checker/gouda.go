@@ -62,25 +62,24 @@ func (sp *Space) GoudaFairLasso(cycle []protocol.Configuration) bool {
 // divergence. It returns a component's member configuration if the check
 // fails (which would refute Theorem 5 on this instance).
 func (sp *Space) NoGoudaFairDivergence() (protocol.Configuration, bool) {
-	canReach := sp.reverseReach()
-	comp, count := sp.IllegitSCC()
+	toL := sp.LegitDistances()
+	cond := sp.IllegitSCC()
 	legit := sp.LegitSet()
-	start, members := bucketComponents(comp, count)
-	for c := 0; c < count; c++ {
-		states := members[start[c]:start[c+1]]
+	for c := 0; c < cond.Count(); c++ {
+		states := cond.Component(c)
 		if !sp.componentHasCycle(states) {
 			continue
 		}
 		cid := int32(c)
 		escapes := false
 		for _, s := range states {
-			if !canReach[s] {
+			if toL[s] < 0 {
 				// L unreachable: possible convergence fails; a Gouda-fair
 				// diverging lasso exists trivially inside this component.
 				return sp.Config(int(s)), false
 			}
 			for _, t := range sp.Succ(int(s)) {
-				if legit[t] || comp[t] != cid {
+				if legit[t] || cond.Comp[t] != cid {
 					escapes = true
 					break
 				}

@@ -104,21 +104,21 @@ func (sp *Space) CheckKFaults(k int, dist []int) KFaultVerdict {
 	if dist == nil {
 		dist = sp.DistanceToLegitimate()
 	}
-	return sp.checkKFaults(k, dist, sp.reverseReach(), sp.divergingStates())
+	return sp.checkKFaults(k, dist, sp.LegitDistances(), sp.divergingStates())
 }
 
-// checkKFaults is the verdict scan over precomputed reachability and
-// divergence vectors, shared by CheckKFaults, BallVerdictAt and
-// BallVerdictsOver (which evaluates many k values over one pair of
-// vectors).
-func (sp *Space) checkKFaults(k int, dist []int, canReach, diverging []bool) KFaultVerdict {
+// checkKFaults is the verdict scan over the distances to L (toL, the
+// LegitDistances memo) and the divergence vector, shared by CheckKFaults,
+// BallVerdictAt and BallVerdictsOver (which evaluates many k values over
+// one pair of vectors).
+func (sp *Space) checkKFaults(k int, dist []int, toL []int32, diverging []bool) KFaultVerdict {
 	v := KFaultVerdict{K: k, Possible: true, Certain: true}
 	for s := range dist {
 		if dist[s] < 0 || dist[s] > k {
 			continue
 		}
 		v.Configs++
-		if !canReach[s] {
+		if toL[s] < 0 {
 			v.Possible = false
 		}
 		if diverging[s] && v.Certain {
@@ -149,12 +149,12 @@ func (sp *Space) divergingStates() []bool {
 // component of the illegitimate subgraph (the memoized IllegitSCC) has a
 // cycle: more than one state, or a singleton with a self-loop.
 func (sp *Space) divergenceSeeds() []bool {
-	comp, count := sp.IllegitSCC()
-	size := componentSizes(comp, count)
+	cond := sp.IllegitSCC()
 	seeds := make([]bool, sp.NumStates())
-	for s, c := range comp {
-		if c >= 0 { // exactly the illegitimate states
-			seeds[s] = size[c] > 1 || sp.hasSelfLoop(int32(s)) || sp.IsTerminal(s)
+	for c := 0; c < cond.Count(); c++ {
+		states := cond.Component(c)
+		for _, s := range states {
+			seeds[s] = len(states) > 1 || sp.hasSelfLoop(s) || sp.IsTerminal(int(s))
 		}
 	}
 	return seeds
@@ -239,10 +239,10 @@ func BallVerdictsOver(ss *statespace.Space, localDist []int, k int) []KFaultVerd
 		return out
 	}
 	sp := FromSpace(ss)
-	canReach := sp.reverseReach()
+	toL := sp.LegitDistances()
 	diverging := sp.divergingStates()
 	for kk := range out {
-		out[kk] = sp.checkKFaults(kk, localDist, canReach, diverging)
+		out[kk] = sp.checkKFaults(kk, localDist, toL, diverging)
 	}
 	return out
 }

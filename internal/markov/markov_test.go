@@ -71,7 +71,7 @@ func TestFromCSRValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if succ := c.rowSucc(0); c.N() != 3 || len(succ) != 2 || succ[1] != 2 || c.prob.At(1) != 0.5 {
-		t.Fatalf("chain rows not aliased: n=%d %v %v", c.N(), succ, c.prob.Floats())
+		t.Fatalf("chain rows not aliased: n=%d %v %v", c.N(), succ, c.prob.At(1))
 	}
 	for _, tc := range []struct {
 		name string

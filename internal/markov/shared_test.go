@@ -103,15 +103,29 @@ func TestCondenseMatchesTarjan(t *testing.T) {
 		for s := range transient {
 			transient[s] = probOne[s] && !target[s]
 		}
-		got, n := chain.condense(target, transient)
-		want, wantN := statespace.SCC(chain.n, chain.off, chain.succ, transient)
+		cond := chain.condense(target, transient)
+		fresh := statespace.SCC(chain.n, chain.off, chain.succ, transient)
+		want, wantN := fresh.Comp, fresh.Count()
+		// The blocks are the condensation's components inside transient.
+		got := make([]int32, chain.n)
+		n := 0
+		for b := range cond.Count() {
+			if transient[cond.Component(b)[0]] {
+				n++
+			}
+		}
+		for s, b := range cond.Comp {
+			got[s] = -1
+			if b >= 0 && transient[s] {
+				got[s] = b
+			}
+		}
 		if n != wantN {
 			t.Fatalf("%s: %d blocks, want %d", label, n, wantN)
 		}
-		_, memoN := ts.IllegitSCC()
-		skipped += memoN - n
+		skipped += ts.IllegitSCC().Count() - n
 		// Block ids may differ; the partition must not.
-		toFresh := make([]int32, n)
+		toFresh := make([]int32, cond.Count())
 		for i := range toFresh {
 			toFresh[i] = -1
 		}
@@ -126,6 +140,11 @@ func TestCondenseMatchesTarjan(t *testing.T) {
 				toFresh[got[s]] = want[s]
 			} else if toFresh[got[s]] != want[s] {
 				t.Fatalf("%s: block %d splits across fresh blocks", label, got[s])
+			}
+		}
+		for b, f := range toFresh {
+			if f >= 0 && !slices.Equal(cond.Component(b), fresh.Component(int(f))) {
+				t.Fatalf("%s: block %d's members differ from the fresh block's", label, b)
 			}
 		}
 		for s := range got {

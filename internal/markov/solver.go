@@ -149,39 +149,27 @@ func (c *Chain) HittingTimesContext(ctx context.Context, target []bool) ([]float
 // under successors), so h of every cross-block edge target is final by the
 // time a block solves. ctx is checked before every block.
 func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []float64) error {
-	comp, numComp := c.condense(target, transient)
-	if numComp == 0 {
-		return nil
-	}
-	// Group the members of each block by counting sort (states ascending
-	// within a block) and record each state's position within its block.
-	blockOff := make([]int32, numComp+1)
-	for s := 0; s < c.n; s++ {
-		if comp[s] >= 0 {
-			blockOff[comp[s]+1]++
-		}
-	}
-	for b := 0; b < numComp; b++ {
-		blockOff[b+1] += blockOff[b]
-	}
-	members := make([]int32, blockOff[numComp])
-	local := make([]int32, c.n)
-	fill := make([]int32, numComp)
-	for s := 0; s < c.n; s++ {
-		if b := comp[s]; b >= 0 {
-			members[blockOff[b]+fill[b]] = int32(s)
-			local[s] = fill[b]
-			fill[b]++
-		}
-	}
-	// Block counts by kind choose the schedule below. They and the size
-	// histogram go to the process observer once per solve: singleton and
-	// dense blocks can number in the hundreds of thousands, so they are
-	// counted, not evented, and no handle is looked up per block. The
+	cond := c.condense(target, transient)
+	// The blocks are the components inside transient, in ascending id:
+	// block i is component blocks[i]. local[s] is s's position within its
+	// block. Block counts by kind choose the schedule below. They and the
+	// size histogram go to the process observer once per solve: singleton
+	// and dense blocks can number in the hundreds of thousands, so they
+	// are counted, not evented, and no handle is looked up per block. The
 	// iterative blocks emit one solver.block event each at convergence.
+	var blocks []int32
+	local := make([]int32, c.n)
 	var kinds [3]int64 // singleton, dense and Gauss–Seidel blocks
-	for b := 0; b < numComp; b++ {
-		switch size := int(blockOff[b+1] - blockOff[b]); {
+	for b := 0; b < cond.Count(); b++ {
+		states := cond.Component(b)
+		if !transient[states[0]] {
+			continue
+		}
+		blocks = append(blocks, int32(b))
+		for i, s := range states {
+			local[s] = int32(i)
+		}
+		switch size := len(states); {
 		case size == 1:
 			kinds[0]++
 		case size <= denseBlockLimit:
@@ -190,10 +178,11 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 			kinds[2]++
 		}
 	}
+	numBlocks := int32(len(blocks))
 	if o := c.observer(); o.On() {
 		sizes := o.Histogram("solver.block_states")
-		for b := 0; b < numComp; b++ {
-			sizes.Observe(int64(blockOff[b+1] - blockOff[b]))
+		for _, b := range blocks {
+			sizes.Observe(int64(len(cond.Component(int(b)))))
 		}
 		for k, name := range []string{"solver.blocks.singleton", "solver.blocks.dense", "solver.blocks.gs"} {
 			if kinds[k] > 0 {
@@ -202,18 +191,19 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 		}
 	}
 	workers := c.analysisWorkers()
-	solve := func(b int32) error {
+	solve := func(i int32) error {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("markov: hitting-time solve canceled at block %d of %d: %w", b, numComp, err)
+			return fmt.Errorf("markov: hitting-time solve canceled at block %d of %d: %w", i, numBlocks, err)
 		}
-		return c.solveBlock(b, members[blockOff[b]:blockOff[b+1]], local, comp, h, workers)
+		b := blocks[i]
+		return c.solveBlock(b, cond.Component(int(b)), local, cond.Comp, h, workers)
 	}
 	if workers <= 1 || kinds[2] < int64(levelMinGS) {
 		// Tarjan emits components in reverse topological order (every
 		// cross edge points into a lower id), so ascending id order is
 		// dependency order; the pool splits large blocks' sweeps.
-		for b := int32(0); b < int32(numComp); b++ {
-			if err := solve(b); err != nil {
+		for i := range numBlocks {
+			if err := solve(i); err != nil {
 				return err
 			}
 		}
@@ -223,14 +213,16 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 	// Level schedule: a block's level is 1 + the highest level of any
 	// block it has an edge into, so the blocks of one level read only
 	// lower levels and solve concurrently. Every cross edge points into a
-	// lower id, so one ascending pass fills every level.
-	level := fill // reused: fill's counts are spent
+	// lower id, so one ascending pass fills every level (indexed by
+	// component id; a transient state's successors are transient or
+	// target, so every cross edge ends in a block).
+	level := make([]int32, cond.Count())
 	numLevels := int32(0)
-	for b := int32(0); b < int32(numComp); b++ {
+	for _, b := range blocks {
 		lv := int32(0)
-		for _, s := range members[blockOff[b]:blockOff[b+1]] {
+		for _, s := range cond.Component(int(b)) {
 			for _, t := range c.rowSucc(int(s)) {
-				if tb := comp[t]; tb >= 0 && tb != b {
+				if tb := cond.Comp[t]; tb >= 0 && tb != b {
 					lv = max(lv, level[tb]+1)
 				}
 			}
@@ -241,27 +233,28 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 	// Counting sort: the blocks of level l, ascending, are
 	// order[levelOff[l]:levelOff[l+1]].
 	levelOff := make([]int32, numLevels+1)
-	for _, lv := range level {
-		levelOff[lv+1]++
+	for _, b := range blocks {
+		levelOff[level[b]+1]++
 	}
 	for l := int32(0); l < numLevels; l++ {
 		levelOff[l+1] += levelOff[l]
 	}
-	order := make([]int32, numComp)
+	order := make([]int32, numBlocks)
 	next := append([]int32(nil), levelOff[:numLevels]...)
-	for b, lv := range level {
-		order[next[lv]] = int32(b)
+	for i, b := range blocks {
+		lv := level[b]
+		order[next[lv]] = int32(i)
 		next[lv]++
 	}
 	// The blocks of the level being solved, cut into chunks: chunk k is
-	// blocks[cut[k]:cut[k+1]].
+	// run[cut[k]:cut[k+1]].
 	var (
-		blocks []int32
-		cut    []int
+		run []int32
+		cut []int
 	)
 	solveChunk := func(k, _ int) error {
-		for _, b := range blocks[cut[k]:cut[k+1]] {
-			if err := solve(b); err != nil {
+		for _, i := range run[cut[k]:cut[k+1]] {
+			if err := solve(i); err != nil {
 				return err
 			}
 		}
@@ -270,22 +263,22 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 	for l := int32(0); l < numLevels; l++ {
 		// Chunks are runs of consecutive blocks holding at least
 		// levelGrain states; a block that large is a chunk of its own.
-		blocks = order[levelOff[l]:levelOff[l+1]]
+		run = order[levelOff[l]:levelOff[l+1]]
 		cut = append(cut[:0], 0)
 		states := 0
-		for i, b := range blocks {
-			size := int(blockOff[b+1] - blockOff[b])
+		for k, i := range run {
+			size := len(cond.Component(int(blocks[i])))
 			if states > 0 && size >= levelGrain {
-				cut = append(cut, i)
+				cut = append(cut, k)
 				states = 0
 			}
 			if states += size; states >= levelGrain {
-				cut = append(cut, i+1)
+				cut = append(cut, k+1)
 				states = 0
 			}
 		}
 		if states > 0 {
-			cut = append(cut, len(blocks))
+			cut = append(cut, len(run))
 		}
 		if err := statespace.ForRanges(len(cut)-1, workers, 1, solveChunk); err != nil {
 			return err
@@ -294,45 +287,19 @@ func (c *Chain) solveSCC(ctx context.Context, target, transient []bool, h []floa
 	return nil
 }
 
-// condense returns the SCC condensation of the transient subgraph:
-// per-state block ids (-1 outside transient) in reverse-topological order,
-// and the block count. When target is the backing system's L, it is read
-// off the system's memoized condensation of the illegitimate subgraph
-// instead of running Tarjan again. Each component of that subgraph lies
-// wholly inside or wholly outside transient, because the probability-1
-// set is closed under non-target successors; so the components inside
-// transient, renumbered densely in their memo order, are exactly the
-// transient blocks, still reverse-topological and with the same ascending
-// members — every block solve, and with it h, is unchanged.
-func (c *Chain) condense(target, transient []bool) ([]int32, int) {
-	if !c.legitTarget(target) {
-		return statespace.SCC(c.n, c.off, c.succ, transient)
+// condense returns a condensation whose components inside transient are
+// the transient blocks. When target is the backing system's L, that is
+// the system's memoized condensation of the illegitimate subgraph, not a
+// second Tarjan: each of its components lies wholly inside or wholly
+// outside transient, because the probability-1 set is closed under
+// non-target successors, so its components inside transient, in
+// ascending id, are exactly the transient blocks, in reverse-topological
+// order with the same ascending members. Otherwise it condenses transient.
+func (c *Chain) condense(target, transient []bool) statespace.Condensation {
+	if c.legitTarget(target) {
+		return c.sp.IllegitSCC()
 	}
-	all, count := c.sp.IllegitSCC()
-	renum := make([]int32, count) // memo id -> block id, -1 when skipped
-	for b := range renum {
-		renum[b] = -1
-	}
-	for s, b := range all {
-		if b >= 0 && transient[s] {
-			renum[b] = 0
-		}
-	}
-	numComp := int32(0)
-	for b, keep := range renum {
-		if keep == 0 {
-			renum[b] = numComp
-			numComp++
-		}
-	}
-	comp := make([]int32, c.n)
-	for s, b := range all {
-		comp[s] = -1
-		if b >= 0 && transient[s] {
-			comp[s] = renum[b]
-		}
-	}
-	return comp, int(numComp)
+	return statespace.SCC(c.n, c.off, c.succ, transient)
 }
 
 // solveBlock solves one strongly connected block, reading final h values

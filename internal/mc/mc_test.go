@@ -82,7 +82,11 @@ func stepBudget(h []float64, target []bool) int {
 func budget(t *testing.T, ts System, target []bool) int {
 	t.Helper()
 	off, succ, prob := ts.CSR()
-	c, err := markov.FromCSR(off, succ, prob.Floats())
+	p := make([]float64, len(succ))
+	for e := range p {
+		p[e] = prob.At(int64(e))
+	}
+	c, err := markov.FromCSR(off, succ, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ type Observer struct {
 
 	mu     sync.Mutex
 	phases []PhaseTiming
-	open   map[string]phaseStart
 
 	heapStop chan struct{}
 	heapDone chan struct{}

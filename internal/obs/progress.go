@@ -16,19 +16,17 @@ import (
 // (normally stderr). Attach with obs.Observer.AddHook(p.Handle) and call
 // Done when the run finishes to terminate the line.
 type Progress struct {
-	mu      sync.Mutex
-	w       io.Writer
-	start   time.Time
-	last    time.Time
-	width   int
-	closed  bool
-	minGap  time.Duration
-	now     func() time.Time
-	states  int64
-	edges   int64
-	rounds  int64
-	procN   int64 // processes per netsim round, for proc-rounds rate
-	procRds int64
+	mu     sync.Mutex
+	w      io.Writer
+	start  time.Time
+	last   time.Time
+	width  int
+	closed bool
+	minGap time.Duration
+	now    func() time.Time
+	states int64
+	edges  int64
+	rounds int64
 }
 
 // NewProgress returns a renderer writing to w, updating at most every

@@ -88,17 +88,19 @@ func TestMemoParity(t *testing.T) {
 			include[s] = !l
 		}
 		off, succ, _ := sp.CSR()
-		wantComp, wantCount := SCC(sp.States, off, succ, include)
-		comp, count := sp.IllegitSCC()
-		if count != wantCount || !slices.Equal(comp, wantComp) {
-			t.Fatalf("%s: IllegitSCC (%d components) differs from a fresh SCC (%d)", name, count, wantCount)
+		want := SCC(sp.States, off, succ, include)
+		cond := sp.IllegitSCC()
+		comp, count := cond.Comp, cond.Count()
+		if count != want.Count() || !slices.Equal(comp, want.Comp) ||
+			!slices.Equal(cond.Start, want.Start) || !slices.Equal(cond.Members, want.Members) {
+			t.Fatalf("%s: IllegitSCC (%d components) differs from a fresh SCC (%d)", name, count, want.Count())
 		}
 
 		// Repeat calls return the memo itself, not a recomputation.
 		if again := sp.LegitDistances(); &again[0] != &dist[0] {
 			t.Fatalf("%s: LegitDistances recomputed", name)
 		}
-		if again, _ := sp.IllegitSCC(); &again[0] != &comp[0] {
+		if again := sp.IllegitSCC(); &again.Comp[0] != &comp[0] || &again.Members[0] != &cond.Members[0] {
 			t.Fatalf("%s: IllegitSCC recomputed", name)
 		}
 		t.Logf("%s: %d states, %d cannot reach L, %d illegitimate components", name, sp.States, unreachable, count)
@@ -119,7 +121,7 @@ func TestMemoConcurrentFirstUse(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				dists[i] = sp.LegitDistances()
-				comps[i], _ = sp.IllegitSCC()
+				comps[i] = sp.IllegitSCC().Comp
 			}()
 		}
 		wg.Wait()

@@ -50,19 +50,6 @@ func (p Probs) Coded() bool { return p.wide == nil }
 // plain one.
 func (p Probs) Palette() []float64 { return p.pal }
 
-// Codes returns the per-edge palette indexes of a coded array, and nil
-// for a plain one.
-func (p Probs) Codes() []uint8 { return p.code }
-
-// Floats returns the probabilities as a fresh float64 array.
-func (p Probs) Floats() []float64 {
-	out := make([]float64, max(len(p.code), len(p.wide)))
-	for e := range out {
-		out[e] = p.At(int64(e))
-	}
-	return out
-}
-
 // clone returns a deep copy that owns its arrays.
 func (p Probs) clone() Probs {
 	return Probs{pal: slices.Clone(p.pal), code: slices.Clone(p.code), wide: slices.Clone(p.wide)}

@@ -145,8 +145,7 @@ type Space struct {
 	dist     []int32 // LegitDistances
 
 	sccOnce sync.Once
-	comp    []int32 // IllegitSCC component ids
-	nComp   int
+	scc     Condensation // IllegitSCC
 }
 
 // SubSpace is the former name of a Space explored from a seed set. It
@@ -210,22 +209,21 @@ func (sp *Space) LegitDistances() []int32 {
 	return sp.dist
 }
 
-// IllegitSCC returns the strongly connected components of the subgraph
-// induced by the illegitimate states — per-state component ids (-1 on
-// legitimate states) in SCC's reverse-topological numbering, and the
-// component count — computed on first use and cached. Certain
-// convergence, the fair-lasso search, the Gouda and k-fault divergence
-// scans and the hitting-time solve for L all condense through it. The
-// slice is shared; callers must not modify it.
-func (sp *Space) IllegitSCC() ([]int32, int) {
+// IllegitSCC returns the condensation of the subgraph induced by the
+// illegitimate states (component ids -1 on legitimate states, members
+// bucketed per component in ascending state order), computed on first use
+// and cached. Certain convergence, the fair-lasso search, the Gouda and
+// k-fault divergence scans and the hitting-time solve for L all walk its
+// buckets. The slices are shared; callers must not modify them.
+func (sp *Space) IllegitSCC() Condensation {
 	sp.sccOnce.Do(func() {
 		include := make([]bool, sp.States)
 		for s, l := range sp.Legit {
 			include[s] = !l
 		}
-		sp.comp, sp.nComp = SCC(sp.States, sp.off, sp.succ, include)
+		sp.scc = SCC(sp.States, sp.off, sp.succ, include)
 	})
-	return sp.comp, sp.nComp
+	return sp.scc
 }
 
 // GlobalIndex returns the global (mixed-radix) index of local state s.
