@@ -86,12 +86,17 @@ func TestGoldenMCEarlyStop(t *testing.T) {
 // worker counts: the estimate must stay byte-identical — the CLI face of
 // the sampler's determinism contract. The herman(11) run with a 4-step
 // budget censors most of its walkers, so it drives the censoring path
-// end to end.
+// end to end. The nine tokenring(8) walkers hit after 6 to 36 steps, on
+// both sides of the hit-time histogram's limit (the walker count), so
+// their summary reads the counts and the sorted overflow together.
 func TestGoldenMCWorkerInvariance(t *testing.T) {
 	for _, w := range []string{"1", "7"} {
 		runGolden(t, "mc_tokenring6", "-alg", "tokenring", "-n", "6", "-mc", "-trials", "2000", "-workers", w)
 		runGolden(t, "json_mc_herman9_distributed", "-alg", "herman", "-n", "9", "-policy", "distributed", "-mc", "-trials", "20000", "-json", "-workers", w)
 		runGolden(t, "json_mc_herman11_censored", "-alg", "herman", "-n", "11", "-policy", "synchronous", "-mc", "-mc-steps", "4", "-json", "-workers", w)
+	}
+	for _, w := range []string{"1", "3", "7"} {
+		runGolden(t, "json_mc_tokenring8_few", "-alg", "tokenring", "-n", "8", "-mc", "-trials", "9", "-json", "-workers", w)
 	}
 }
 

@@ -3,11 +3,12 @@ package mc
 import (
 	"fmt"
 	"math/rand"
-	"slices"
+	"reflect"
 	"strings"
 	"testing"
 
 	"weakstab/internal/sim"
+	"weakstab/internal/stats"
 )
 
 // refWalker walks one trial at a time by the walk's rules in their plain
@@ -99,7 +100,7 @@ func checkLanes(t *testing.T, c lanesCase) lanesTally {
 	steps := make([]int, c.opt.Trials)
 	var (
 		tally    lanesTally
-		hitTimes []float64
+		hitTimes = stats.NewHist(c.opt.Trials)
 		walked   int64
 	)
 	for trial := range want {
@@ -112,14 +113,16 @@ func checkLanes(t *testing.T, c lanesCase) lanesTally {
 		case slotCensored:
 			tally.censored++
 		default:
-			hitTimes = append(hitTimes, want[trial])
+			hitTimes.Add(int(want[trial]))
 		}
 	}
-	tally.hits = len(hitTimes)
+	hitTimes.Seal()
+	tally.hits = hitTimes.Len()
 	for _, batch := range []int{1, 5, 17} {
 		for lo := 0; lo < c.opt.Trials; lo += batch {
 			hi := min(lo+batch, c.opt.Trials)
-			slots, got := e.walk(lo, hi, c.opt.Seed, c.opt.MaxSteps, from)
+			slots := make([]float64, hi-lo)
+			got := e.walk(slots, lo, c.opt.Seed, c.opt.MaxSteps, from)
 			for i, v := range slots {
 				if v != want[lo+i] {
 					t.Fatalf("batch %d: trial %d has outcome %v, the reference %v (after %d steps)", batch, lo+i, v, want[lo+i], steps[lo+i])
@@ -139,9 +142,9 @@ func checkLanes(t *testing.T, c lanesCase) lanesTally {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(res.Steps, hitTimes) || res.Divergent != tally.divergent || res.Censored != tally.censored || res.WalkerSteps != walked {
+		if !reflect.DeepEqual(res.Steps, hitTimes) || res.Divergent != tally.divergent || res.Censored != tally.censored || res.WalkerSteps != walked {
 			t.Fatalf("batch %d: RunContext gives %d hits, %d divergent, %d censored, %d steps; the reference %d, %d, %d, %d",
-				batch, len(res.Steps), res.Divergent, res.Censored, res.WalkerSteps, tally.hits, tally.divergent, tally.censored, walked)
+				batch, res.Steps.Len(), res.Divergent, res.Censored, res.WalkerSteps, tally.hits, tally.divergent, tally.censored, walked)
 		}
 	}
 	return tally

@@ -20,10 +20,10 @@
 //     decoding, no branching on algorithm structure.
 //   - Walkers run in flat batches sharded across a worker pool; inside a
 //     batch four lanes step their walkers in lockstep so the walkers'
-//     independent memory loads overlap. While every lane is on a uniform
-//     row the lanes live in locals (registers), and a lane that hits the
-//     target takes the batch's next trial without leaving that loop. The
-//     inner hash of each step coordinate comes from a package-level
+//     independent memory loads overlap. The lanes live in locals
+//     (registers) on uniform and general rows alike, and a lane that hits
+//     the target takes the batch's next trial without leaving that loop.
+//     The inner hash of each step coordinate comes from a package-level
 //     table. Every walker draws from a counter-based stream keyed by
 //     sim.TrialSeed(seed, trial) (à la netsim/rng.go), so each
 //     trajectory is a pure function of (space, target, seed, trial) and
@@ -34,6 +34,11 @@
 //     deterministic too: the stopping decision only ever reads a
 //     contiguous prefix of batches, so the scheduling of the workers
 //     that computed them cannot change where the run stops.
+//   - The merge counts the hit times into one stats.Hist, which the
+//     summary, the CDF and Result.ECDF read, and hands each batch's slot
+//     buffer back to a free list: a run holds one count per hit time
+//     below the walker count, a list of the longer ones and a few slot
+//     buffers per worker, and no per-walker vector.
 //
 // Cross-validation against the exact engine (markov.HittingTimes /
 // HittingTimeCDF) on instances where both run is pinned by the property
@@ -51,7 +56,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -126,8 +130,11 @@ type Result struct {
 	// MaxSteps is the resolved per-walker budget the censoring is
 	// relative to.
 	MaxSteps int
-	// Steps holds the hitting times of the Hits walkers, in trial order.
-	Steps []float64
+	// Steps is the histogram of the Hits walkers' hitting times: counts
+	// for the times below Requested, a sorted list of the rest. A run
+	// always sets it; a caller that keeps only the summaries may drop it
+	// (nil), but ECDF reads it.
+	Steps *stats.Hist
 	// Summary and CDF describe Steps — the hit walkers only; Divergent
 	// and Censored walkers are excluded and reported by count. Callers
 	// rendering them must surface that censoring.
@@ -150,20 +157,13 @@ func (r *Result) FailureRate() float64 {
 // ECDF evaluates the empirical distribution of the hitting time at t:
 // the fraction of contributing walkers whose hitting time is <= t, with
 // divergent and censored walkers counting as above every finite t (the
-// estimand of markov.HittingTimeCDF). Steps is in trial order, not
-// sorted, so this is a linear scan — fine for validation, not for bulk
-// quantile extraction (use CDF/Summary for that).
+// estimand of markov.HittingTimeCDF). It sums the histogram's counts up
+// to t.
 func (r *Result) ECDF(t float64) float64 {
 	if r.Trials == 0 {
 		return 0
 	}
-	n := 0
-	for _, v := range r.Steps {
-		if v <= t {
-			n++
-		}
-	}
-	return float64(n) / float64(r.Trials)
+	return float64(r.Steps.CountAtMost(t)) / float64(r.Trials)
 }
 
 // System is the slice of an explored space the estimator walks: the CSR
@@ -289,12 +289,14 @@ func (e *Estimator) fillGuide(a, b int64) {
 	}
 }
 
-// The kinds of a state that are not a uniform row's shift (those are
-// below 64, so a kind byte below 64 is the whole uniform-row test).
+// The kinds of a state that are not a uniform row's shift. Those are
+// below 64, so a kind byte below 64 is the whole uniform-row test; the
+// kinds that end a walk are the ones at or above 128, so a kind byte
+// below 128 is the whole "take a step" test.
 const (
-	kindGeneral   = 64 + iota // a row pick searches through the guide table
-	kindAbsorbing             // a non-target state without successors
-	kindTarget                // a target state, whatever its row
+	kindGeneral   = 64  // a row pick searches through the guide table
+	kindAbsorbing = 128 // a non-target state without successors
+	kindTarget    = 129 // a target state, whatever its row
 )
 
 // rowKind classifies one non-empty row by its cumulative sums: 63-s when
@@ -338,8 +340,8 @@ func pick(cum []float64, guide []int32, a, b int64, k uint8, x uint64) int64 {
 // [0, 1): it returns the first position whose cum exceeds u, clamped to
 // the row's last position when float rounding leaves every cum <= u.
 // With as many guide buckets as positions, the scan from the guide entry
-// averages about two comparisons over u. pick calls it for every row
-// that is not uniform-exact.
+// averages about two comparisons over u. pick and batch.fast call it
+// for every row that is not uniform-exact.
 func sample(cum []float64, guide []int32, a, b int64, u float64) int64 {
 	d := b - a
 	k := min(int64(u*float64(d)), d-1)
@@ -378,13 +380,12 @@ func resolveWorkers(workers int, ts System) int {
 	return runtime.NumCPU()
 }
 
-// batchOut is the contribution of one finished batch, merged strictly in
-// batch order.
+// batchOut is one finished batch, merged strictly in batch order: each
+// trial's outcome in its slot, in trial order, and the steps its walkers
+// took.
 type batchOut struct {
-	steps     []float64 // hit times, in trial order within the batch
-	divergent int
-	censored  int
-	walked    int64
+	slots  []float64
+	walked int64
 }
 
 // RunContext estimates with the given options. ctx is checked at batch
@@ -430,45 +431,41 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 		stop atomic.Int64 // exclusive merge bound, lowered by early stopping
 
 		mu       sync.Mutex
-		outs     = make([]batchOut, numBatches)
-		ready    = make([]bool, numBatches)
-		frontier int // batches merged so far (a contiguous prefix)
-		res      = Result{Requested: trials, MaxSteps: maxSteps}
-		sum      float64 // running moments of the merged hit times,
-		sumsq    float64 // feeding the deterministic stopping rule
+		outs     = make([]batchOut, numBatches) // nil slots: not ready or merged
+		frontier int                            // batches merged so far (a contiguous prefix)
+		res      = Result{Requested: trials, MaxSteps: maxSteps, Steps: stats.NewHist(trials)}
+		sum      float64     // running moments of the merged hit times,
+		sumsq    float64     // feeding the deterministic stopping rule
+		free     [][]float64 // slot buffers merge has consumed
 	)
 	stop.Store(int64(numBatches))
-	if opt.TargetCI <= 0 {
-		// Without early stopping every trial contributes, so the hits
-		// fit; an early-stopped run grows Steps only as far as it gets.
-		res.Steps = make([]float64, 0, trials)
-	}
 
-	// merge folds batch b into the result. Caller holds mu; batches
-	// arrive here strictly in batch order, so the accumulation order —
-	// and with it the early-stop decision — is a pure function of the
-	// options, not of worker scheduling.
+	// merge folds batch b into the result and frees its slots. Caller
+	// holds mu; batches arrive here strictly in batch order, so the
+	// accumulation order — and with it the early-stop decision — is a
+	// pure function of the options, not of worker scheduling.
 	merge := func(b int) {
 		out := outs[b]
 		outs[b] = batchOut{}
-		lo := b * batch
-		hi := lo + batch
-		if hi > trials {
-			hi = trials
-		}
-		res.Trials += hi - lo
-		res.Hits += len(out.steps)
-		res.Divergent += out.divergent
-		res.Censored += out.censored
+		res.Trials += len(out.slots)
 		res.WalkerSteps += out.walked
-		res.Steps = append(res.Steps, out.steps...)
-		for _, v := range out.steps {
-			sum += v
-			sumsq += v * v
+		for _, v := range out.slots {
+			switch v {
+			case slotDivergent:
+				res.Divergent++
+			case slotCensored:
+				res.Censored++
+			default:
+				res.Hits++
+				res.Steps.Add(int(v))
+				sum += v
+				sumsq += v * v
+			}
 		}
+		free = append(free, out.slots)
 		if o.On() {
 			o.Counter("mc.batches").Add(1)
-			o.Counter("mc.trials").Add(int64(hi - lo))
+			o.Counter("mc.trials").Add(int64(len(out.slots)))
 			o.Counter("mc.steps").Add(out.walked)
 			mean, ci := prefixMeanCI(res.Hits, sum, sumsq)
 			o.Emit("mc.batch", obs.MCBatch{
@@ -496,11 +493,20 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 		if hi > trials {
 			hi = trials
 		}
-		out := e.runBatch(lo, hi, opt.Seed, maxSteps, from)
 		mu.Lock()
-		outs[b] = out
-		ready[b] = true
-		for frontier < numBatches && int64(frontier) < stop.Load() && ready[frontier] {
+		var slots []float64
+		if n := len(free); n > 0 {
+			slots, free = free[n-1], free[:n-1]
+		}
+		mu.Unlock()
+		if slots == nil {
+			slots = make([]float64, batch)
+		}
+		slots = slots[:hi-lo]
+		walked := e.walk(slots, lo, opt.Seed, maxSteps, from)
+		mu.Lock()
+		outs[b] = batchOut{slots, walked}
+		for frontier < numBatches && int64(frontier) < stop.Load() && outs[frontier].slots != nil {
 			merge(frontier)
 			frontier++
 		}
@@ -510,44 +516,15 @@ func (e *Estimator) RunContext(ctx context.Context, opt Options) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	sorted := sortedHits(res.Steps)
-	res.Summary = stats.SummarizeSorted(sorted)
-	res.CDF = stats.CDFSorted(sorted, nil)
+	res.Steps.Seal()
+	res.Summary = res.Steps.Summary()
+	res.CDF = res.Steps.CDF(nil)
 	return &res, nil
-}
-
-// sortedHits returns the hit times in ascending order, leaving steps in
-// trial order. Hit times are integers, so while every one is below the
-// sample size a counting sort over a histogram no longer than the sample
-// orders them in linear time, in one pass that grows the histogram as it
-// counts; at the first that is not, it falls back to slices.Sort.
-func sortedHits(steps []float64) []float64 {
-	sorted := make([]float64, len(steps))
-	var counts []int
-	for _, v := range steps {
-		i := int(v)
-		if i >= len(steps) {
-			copy(sorted, steps)
-			slices.Sort(sorted)
-			return sorted
-		}
-		if i >= len(counts) {
-			counts = append(counts, make([]int, i+1-len(counts))...)
-		}
-		counts[i]++
-	}
-	i := 0
-	for v, c := range counts {
-		for end := i + c; i < end; i++ {
-			sorted[i] = float64(v)
-		}
-	}
-	return sorted
 }
 
 // prefixMeanCI computes the mean and normal-theory 95% half-width from
 // running moments — the stopping rule's view of the merged prefix. The
-// final Result recomputes both from the full sorted sample;
+// final Result recomputes both from the histogram;
 // tiny floating differences between the two never affect determinism
 // because each is computed in one fixed order.
 func prefixMeanCI(n int, sum, sumsq float64) (mean, ci float64) {
@@ -613,32 +590,14 @@ type batch struct {
 	n        int
 }
 
-// runBatch walks trials [lo, hi) and compacts the hits of their slots in
-// place, so they come out in trial order however the lanes interleave.
-// The only allocation is the slots slice; the walk itself is
+// walk walks the trials from lo on, one per slot, lanes at a time: a
+// lane whose walker finishes takes the batch's next trial. It puts each
+// trial's outcome in its slot — the hit time, slotDivergent or
+// slotCensored — and returns the steps the walkers took. The walk is
 // allocation-free.
-func (e *Estimator) runBatch(lo, hi int, seed int64, maxSteps, from int) batchOut {
-	slots, walked := e.walk(lo, hi, seed, maxSteps, from)
-	out := batchOut{steps: slots[:0], walked: walked}
-	for _, v := range slots {
-		switch v {
-		case slotDivergent:
-			out.divergent++
-		case slotCensored:
-			out.censored++
-		default:
-			out.steps = append(out.steps, v)
-		}
-	}
-	return out
-}
-
-// walk walks trials [lo, hi), lanes at a time: a lane whose walker
-// finishes takes the batch's next trial. It returns each trial's outcome
-// in its slot — the hit time, slotDivergent or slotCensored — and the
-// steps the walkers took.
-func (e *Estimator) walk(lo, hi int, seed int64, maxSteps, from int) ([]float64, int64) {
-	bt := batch{e: e, lo: lo, hi: hi, next: lo, seed: seed, maxSteps: maxSteps, from: from, slots: make([]float64, hi-lo)}
+func (e *Estimator) walk(slots []float64, lo int, seed int64, maxSteps, from int) int64 {
+	hi := lo + len(slots)
+	bt := batch{e: e, lo: lo, hi: hi, next: lo, seed: seed, maxSteps: maxSteps, from: from, slots: slots}
 	for ; bt.n < lanes && bt.next < hi; bt.n++ {
 		bt.ln[bt.n] = e.start(seed, bt.next, from)
 		bt.next++
@@ -649,7 +608,7 @@ func (e *Estimator) walk(lo, hi int, seed int64, maxSteps, from int) ([]float64,
 		}
 		bt.pass()
 	}
-	return bt.slots, bt.walked
+	return bt.walked
 }
 
 // finish puts the outcome of the walker on lane w in its trial's slot
@@ -697,15 +656,16 @@ func (bt *batch) pass() {
 }
 
 // fast steps all four lanes, their states and step counts held in
-// locals, for as long as every lane is on a uniform row and below both
-// the step budget and the end of stepTerms: one step is a hash, the
-// loads of kind and off, a shift and the load of succ. A lane that
+// locals, for as long as no lane has ended its walk and every lane is
+// below both the step budget and the end of stepTerms: one step is a
+// hash, the loads of kind and off, and either a shift (a uniform row) or
+// the guide search (a general row), then the load of succ. A lane that
 // reaches a target records its hit and takes the batch's next trial
-// without leaving the loop. Anything else — a general row, an absorbing
-// state, the budget or the table's end, or a hit with no trial left to
-// start — stores the lanes back for pass.
+// without leaving the loop. Anything else — an absorbing state, the
+// budget or the table's end, or a hit with no trial left to start —
+// stores the lanes back for pass.
 func (bt *batch) fast() {
-	kind, off, succ := bt.e.kind, bt.e.off, bt.e.succ
+	kind, off, succ, cum, guide := bt.e.kind, bt.e.off, bt.e.succ, bt.e.cum, bt.e.guide
 	lim := min(bt.maxSteps, stepTermsLen)
 	w0, w1, w2, w3 := &bt.ln[0], &bt.ln[1], &bt.ln[2], &bt.ln[3]
 	s0, c0 := w0.s, w0.steps
@@ -714,7 +674,7 @@ func (bt *batch) fast() {
 	s3, c3 := w3.s, w3.steps
 	for {
 		k0, k1, k2, k3 := kind[s0], kind[s1], kind[s2], kind[s3]
-		if k0|k1|k2|k3 >= 64 || max(c0, c1, c2, c3) >= lim {
+		if k0|k1|k2|k3 >= kindAbsorbing || max(c0, c1, c2, c3) >= lim {
 			if k0 == kindTarget && bt.next < bt.hi {
 				w0.steps = c0
 				bt.finish(w0, float64(c0))
@@ -735,16 +695,35 @@ func (bt *batch) fast() {
 				bt.finish(w3, float64(c3))
 				s3, c3, k3 = w3.s, 0, kind[w3.s]
 			}
-			if k0|k1|k2|k3 >= 64 || max(c0, c1, c2, c3) >= lim {
+			if k0|k1|k2|k3 >= kindAbsorbing || max(c0, c1, c2, c3) >= lim {
 				break
 			}
 		}
 		// Every c < lim <= stepTermsLen, so the masks change no index;
 		// they only spare the bounds checks.
-		s0 = succ[off[s0]+uniformPos(mix64(w0.key^stepTerms[c0&(stepTermsLen-1)]), k0)]
-		s1 = succ[off[s1]+uniformPos(mix64(w1.key^stepTerms[c1&(stepTermsLen-1)]), k1)]
-		s2 = succ[off[s2]+uniformPos(mix64(w2.key^stepTerms[c2&(stepTermsLen-1)]), k2)]
-		s3 = succ[off[s3]+uniformPos(mix64(w3.key^stepTerms[c3&(stepTermsLen-1)]), k3)]
+		x0 := mix64(w0.key ^ stepTerms[c0&(stepTermsLen-1)])
+		x1 := mix64(w1.key ^ stepTerms[c1&(stepTermsLen-1)])
+		x2 := mix64(w2.key ^ stepTerms[c2&(stepTermsLen-1)])
+		x3 := mix64(w3.key ^ stepTerms[c3&(stepTermsLen-1)])
+		// On a general row uniformPos gives a meaningless position, which
+		// the guide search replaces.
+		p0 := off[s0] + uniformPos(x0, k0)
+		if k0 >= kindGeneral {
+			p0 = sample(cum, guide, off[s0], off[s0+1], unit(x0))
+		}
+		p1 := off[s1] + uniformPos(x1, k1)
+		if k1 >= kindGeneral {
+			p1 = sample(cum, guide, off[s1], off[s1+1], unit(x1))
+		}
+		p2 := off[s2] + uniformPos(x2, k2)
+		if k2 >= kindGeneral {
+			p2 = sample(cum, guide, off[s2], off[s2+1], unit(x2))
+		}
+		p3 := off[s3] + uniformPos(x3, k3)
+		if k3 >= kindGeneral {
+			p3 = sample(cum, guide, off[s3], off[s3+1], unit(x3))
+		}
+		s0, s1, s2, s3 = succ[p0], succ[p1], succ[p2], succ[p3]
 		c0++
 		c1++
 		c2++

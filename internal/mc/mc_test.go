@@ -554,42 +554,6 @@ func TestGuideSampleMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSortedHitsMatchesSort: the counting sort gives exactly what
-// slices.Sort gives, on both sides of its fallback (largest hit at least
-// the sample size), and leaves the trial-order input untouched.
-func TestSortedHitsMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ints := func(n, top int) []float64 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = float64(rng.Intn(top + 1))
-		}
-		return out
-	}
-	for _, tc := range []struct {
-		name  string
-		steps []float64
-	}{
-		{"empty", nil},
-		{"zero", []float64{0}},
-		{"counting", ints(5000, 300)},
-		{"top just below size", append(ints(99, 98), 99)},
-		{"top equals size", append(ints(99, 98), 100)},
-		{"fallback", ints(5000, 1_000_000)},
-	} {
-		in := slices.Clone(tc.steps)
-		want := slices.Clone(tc.steps)
-		slices.Sort(want)
-		got := sortedHits(in)
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: sortedHits differs from slices.Sort", tc.name)
-		}
-		if !slices.Equal(in, tc.steps) {
-			t.Errorf("%s: sortedHits reordered its input", tc.name)
-		}
-	}
-}
-
 // TestLongRowSampling walks a 40-successor row and checks every walker
 // takes its one step to a target.
 func TestLongRowSampling(t *testing.T) {

@@ -1,6 +1,7 @@
 // Package stats provides the summary statistics used by the Monte-Carlo
 // experiments: location and dispersion estimates, quantiles, empirical
-// CDFs and normal-theory confidence intervals.
+// CDFs and normal-theory confidence intervals, over a sorted sample or a
+// Hist of integer samples.
 package stats
 
 import (
@@ -30,55 +31,80 @@ func Summarize(sample []float64) Summary {
 // SummarizeSorted is Summarize over a sample already in ascending order,
 // for callers that sort once and summarize more than once.
 func SummarizeSorted(sorted []float64) Summary {
-	n := len(sorted)
+	return summarize(len(sorted), sliceRanks(sorted))
+}
+
+// ranks reads an ascending sample by rank: it returns the value v of
+// rank i and an end > i such that every rank in [i, end) holds v. The
+// summary routines below read every sample through one, so a sorted
+// slice and a Hist go through the same float operations in the same
+// order.
+type ranks func(i int) (v float64, end int)
+
+// sliceRanks reads a sorted slice, one rank at a time.
+func sliceRanks(sorted []float64) ranks {
+	return func(i int) (float64, int) { return sorted[i], i + 1 }
+}
+
+// summarize is SummarizeSorted over the n ranks of at.
+func summarize(n int, at ranks) Summary {
 	if n == 0 {
 		return Summary{}
 	}
 	sum := 0.0
-	for _, v := range sorted {
-		sum += v
+	for i := 0; i < n; {
+		v, end := at(i)
+		for ; i < end; i++ {
+			sum += v
+		}
 	}
 	mean := sum / float64(n)
 	varAcc := 0.0
-	for _, v := range sorted {
+	for i := 0; i < n; {
+		v, end := at(i)
 		d := v - mean
-		varAcc += d * d
+		for ; i < end; i++ {
+			varAcc += d * d
+		}
 	}
 	std := 0.0
 	if n > 1 {
 		std = math.Sqrt(varAcc / float64(n-1))
 	}
+	lo, _ := at(0)
+	hi, _ := at(n - 1)
 	return Summary{
 		Count:  n,
 		Mean:   mean,
 		Std:    std,
-		Min:    sorted[0],
-		Max:    sorted[n-1],
-		Median: Quantile(sorted, 0.5),
-		P95:    Quantile(sorted, 0.95),
+		Min:    lo,
+		Max:    hi,
+		Median: quantile(n, at, 0.5),
+		P95:    quantile(n, at, 0.95),
 	}
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of an ascending-sorted
-// sample using linear interpolation. It panics on an empty sample.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("stats: quantile of empty sample")
-	}
+// quantile returns the q-quantile (0 <= q <= 1) of the n > 0 ranks of
+// at, interpolating linearly between ranks.
+func quantile(n int, at ranks, q float64) float64 {
 	if q <= 0 {
-		return sorted[0]
+		v, _ := at(0)
+		return v
 	}
 	if q >= 1 {
-		return sorted[len(sorted)-1]
+		v, _ := at(n - 1)
+		return v
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	vlo, _ := at(lo)
 	if lo == hi {
-		return sorted[lo]
+		return vlo
 	}
+	vhi, _ := at(hi)
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return vlo*(1-frac) + vhi*frac
 }
 
 // CDFPoint is one point of an empirical cumulative distribution: the
@@ -94,10 +120,15 @@ var DefaultQuantiles = []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1}
 
 // CDFSorted returns the empirical distribution of a sample in ascending
 // order evaluated at the given quantiles (DefaultQuantiles when qs is
-// nil), using the same linear interpolation as Quantile. An empty sample
-// yields nil.
+// nil), interpolating linearly between ranks as Summary's median and
+// P95 do. An empty sample yields nil.
 func CDFSorted(sorted []float64, qs []float64) []CDFPoint {
-	if len(sorted) == 0 {
+	return cdf(len(sorted), sliceRanks(sorted), qs)
+}
+
+// cdf is CDFSorted over the n ranks of at.
+func cdf(n int, at ranks, qs []float64) []CDFPoint {
+	if n == 0 {
 		return nil
 	}
 	if qs == nil {
@@ -105,7 +136,7 @@ func CDFSorted(sorted []float64, qs []float64) []CDFPoint {
 	}
 	out := make([]CDFPoint, len(qs))
 	for i, q := range qs {
-		out[i] = CDFPoint{P: q, Value: Quantile(sorted, q)}
+		out[i] = CDFPoint{P: q, Value: quantile(n, at, q)}
 	}
 	return out
 }

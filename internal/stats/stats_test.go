@@ -49,25 +49,18 @@ func TestSortedVariantsMatch(t *testing.T) {
 	}
 }
 
+// TestQuantile: CDFSorted interpolates linearly between ranks and clamps
+// quantiles outside [0, 1] to the extremes.
 func TestQuantile(t *testing.T) {
 	sorted := []float64{0, 10, 20, 30, 40}
 	tests := []struct{ q, want float64 }{
 		{0, 0}, {1, 40}, {0.5, 20}, {0.25, 10}, {0.125, 5}, {-1, 0}, {2, 40},
 	}
 	for _, tc := range tests {
-		if got := Quantile(sorted, tc.q); math.Abs(got-tc.want) > 1e-12 {
-			t.Fatalf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
+		if got := CDFSorted(sorted, []float64{tc.q})[0].Value; math.Abs(got-tc.want) > 1e-12 {
+			t.Fatalf("quantile %g = %g, want %g", tc.q, got, tc.want)
 		}
 	}
-}
-
-func TestQuantilePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Quantile(nil, 0.5)
 }
 
 func TestCI95ShrinksWithSampleSize(t *testing.T) {
@@ -144,7 +137,7 @@ func TestCDF(t *testing.T) {
 	if last := pts[len(pts)-1]; last.P != 1 || last.Value != 5 {
 		t.Fatalf("max point %+v, want P=1 Value=5", last)
 	}
-	// Explicit quantiles use the same interpolation as Quantile.
+	// Explicit quantiles interpolate between ranks.
 	custom := CDFSorted(sample, []float64{0, 0.5, 1})
 	if custom[0].Value != 1 || custom[1].Value != 3 || custom[2].Value != 5 {
 		t.Fatalf("custom quantiles %v", custom)
