@@ -115,8 +115,8 @@ func TestCertainConvergenceMatchesDivergingStates(t *testing.T) {
 			}
 		}
 		res := sp.CheckCertainConvergence()
-		if diverges := slices.Contains(sp.divergingStates(), true); res.Holds == diverges {
-			t.Fatalf("%s: certain convergence %v, but some state diverges = %v", tc.name, res.Holds, diverges)
+		if _, diverging := sp.verdictVectors(); res.Holds == slices.Contains(diverging, true) {
+			t.Fatalf("%s: certain convergence %v, but some state diverges = %v", tc.name, res.Holds, res.Holds)
 		}
 		if res.Holds {
 			holds++

@@ -392,14 +392,16 @@ func BallClosureContext(ctx context.Context, cache *spacecache.Cache, a protocol
 // BallVerdictAt classifies the k-fault convergence properties for exactly
 // one radius over an already-built ball closure — the per-step verdict of
 // an incremental sweep (BallVerdictsOver computes the whole 0..k range
-// when a caller wants them all from one subspace). A nil subspace yields
-// the vacuous verdict.
+// when a caller wants them all from one subspace). The distances to L
+// and the divergence seeds are built side by side (verdictVectors). A nil
+// subspace yields the vacuous verdict.
 func BallVerdictAt(ss *statespace.Space, localDist []int, k int) KFaultVerdict {
 	if ss == nil {
 		return KFaultVerdict{K: k, Possible: true, Certain: true}
 	}
 	sp := FromSpace(ss)
-	return sp.checkKFaults(k, localDist, sp.LegitDistances(), sp.divergingStates())
+	toL, diverging := sp.verdictVectors()
+	return sp.checkKFaults(k, localDist, toL, diverging)
 }
 
 // SweepResult is the outcome of an incremental k-fault sweep.

@@ -104,11 +104,12 @@ func (sp *Space) CheckKFaults(k int, dist []int) KFaultVerdict {
 	if dist == nil {
 		dist = sp.DistanceToLegitimate()
 	}
-	return sp.checkKFaults(k, dist, sp.LegitDistances(), sp.divergingStates())
+	toL, diverging := sp.verdictVectors()
+	return sp.checkKFaults(k, dist, toL, diverging)
 }
 
-// checkKFaults is the verdict scan over the distances to L (toL, the
-// LegitDistances memo) and the divergence vector, shared by CheckKFaults,
+// checkKFaults is the verdict scan over the distances to L and the
+// divergence vector (verdictVectors), shared by CheckKFaults,
 // BallVerdictAt and BallVerdictsOver (which evaluates many k values over
 // one pair of vectors).
 func (sp *Space) checkKFaults(k int, dist []int, toL []int32, diverging []bool) KFaultVerdict {
@@ -129,18 +130,29 @@ func (sp *Space) checkKFaults(k int, dist []int, toL []int32, diverging []bool) 
 	return v
 }
 
-// divergingStates marks states from which some execution avoids L forever:
-// states that can reach (via illegitimate states) an illegitimate cycle or
-// an illegitimate terminal state.
-func (sp *Space) divergingStates() []bool {
-	bad := sp.divergenceSeeds()
+// verdictVectors returns the vectors of the verdict scan: the distances
+// to L (LegitDistances) and the diverging states, from which some
+// execution avoids L forever by reaching (via illegitimate states) an
+// illegitimate cycle or terminal state. The distances and the divergence
+// seeds (IllegitSCC) share no memo, so they are built side by side on
+// statespace.ForRanges, in that order at one worker; the seeds' closure
+// runs after both.
+func (sp *Space) verdictVectors() (toL []int32, diverging []bool) {
+	_ = statespace.ForRanges(2, sp.PoolWorkers(), 1, func(task, _ int) error {
+		if task == 0 {
+			toL = sp.LegitDistances()
+		} else {
+			diverging = sp.divergenceSeeds()
+		}
+		return nil
+	})
 	// Backward closure through illegitimate states: a BFS over the shared
 	// reverse CSR with legitimate states excluded from path interiors.
-	dist := sp.Reverse().BackwardBFS(bad, sp.LegitSet(), sp.PoolWorkers())
-	for s := range bad {
-		bad[s] = dist[s] >= 0
+	dist := sp.Reverse().BackwardBFS(diverging, sp.LegitSet(), sp.PoolWorkers())
+	for s := range diverging {
+		diverging[s] = dist[s] >= 0
 	}
-	return bad
+	return toL, diverging
 }
 
 // divergenceSeeds marks the states where an execution can stay outside L
@@ -239,8 +251,7 @@ func BallVerdictsOver(ss *statespace.Space, localDist []int, k int) []KFaultVerd
 		return out
 	}
 	sp := FromSpace(ss)
-	toL := sp.LegitDistances()
-	diverging := sp.divergingStates()
+	toL, diverging := sp.verdictVectors()
 	for kk := range out {
 		out[kk] = sp.checkKFaults(kk, localDist, toL, diverging)
 	}

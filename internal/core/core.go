@@ -100,6 +100,11 @@ type Report struct {
 // one orchestrator that explores (through the space cache) and then calls
 // this.
 //
+// The checker phase runs two tasks side by side on statespace.ForRanges,
+// in this order at one worker: closure and possible convergence (the
+// Reverse and LegitDistances memos), then certain convergence and the
+// fair lasso (the IllegitSCC memo). The phases are the same as serially.
+//
 // A zero-copy mapped system (loaded through the cache's mmap path) is
 // pinned for the duration of the analysis, so a concurrent Close cannot
 // unmap the arrays mid-pass. ctx is checked between the checker and Markov
@@ -116,10 +121,17 @@ func AnalyzeSpaceContext(ctx context.Context, ts *statespace.Space) (*Report, er
 	a := ts.Algorithm()
 	checkDone := o.Phase("checker")
 	sp := checker.FromSpace(ts)
-	closure := sp.CheckClosure()
-	possible := sp.CheckPossibleConvergence()
-	certain := sp.CheckCertainConvergence()
-	lasso := sp.FindStronglyFairLasso()
+	var closure checker.ClosureResult
+	var possible, certain checker.ConvergenceResult
+	var lasso checker.FairLasso
+	_ = statespace.ForRanges(2, ts.Workers, 1, func(task, _ int) error {
+		if task == 0 {
+			closure, possible = sp.CheckClosure(), sp.CheckPossibleConvergence()
+		} else {
+			certain, lasso = sp.CheckCertainConvergence(), sp.FindStronglyFairLasso()
+		}
+		return nil
+	})
 	checkDone()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: analysis of %s canceled after checker phase: %w", a.Name(), err)

@@ -148,14 +148,17 @@ func (b *Builder) Len() int { return b.table.Len() }
 
 // addSeeds admits seed globals into the discovered set (duplicates and
 // already-discovered states are no-ops), leaving them on the pending
-// frontier for the next explore.
+// frontier for the next explore. The seeds go in as one unlimited
+// AddChunks batch, so new ones get ids in seed order as serial Adds would
+// give them, and the cap is checked after.
 func (b *Builder) addSeeds(seeds []int64) error {
 	for _, g := range seeds {
 		if g < 0 || g >= b.enc.Total() {
 			return fmt.Errorf("statespace: seed index %d outside configuration space [0,%d)", g, b.enc.Total())
 		}
-		b.table.Add(g)
 	}
+	ids := slices.Repeat([]int32{-1}, len(seeds))
+	b.table.AddChunks([][]int64{seeds}, [][]int32{ids}, math.MaxInt, b.workers)
 	// Inclusive cap: exactly maxStates distinct seeds are admitted.
 	if int64(b.table.Len()) > b.maxStates {
 		return fmt.Errorf("statespace: %d seeds exceed the %d-state cap", b.table.Len(), b.maxStates)

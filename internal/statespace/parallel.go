@@ -26,8 +26,9 @@ import (
 // legitimacy seed scan, successor
 // validation on load, the reverse-CSR counting sort and backward BFS, the
 // parallel CRC, row checks (markov.CheckRows), the hitting-time level
-// chunks and red-black sweeps, the Monte Carlo batches (mc.RunContext)
-// and the netsim shard phases all run on it.
+// chunks and red-black sweeps, the checker's side-by-side reverse-CSR
+// and condensation passes, the Monte Carlo batches (mc.RunContext) and
+// the netsim shard phases all run on it.
 func ForRanges(total, workers, grain int, fn func(lo, hi int) error) error {
 	if total <= 0 {
 		return nil

@@ -1,13 +1,132 @@
 package statespace
 
-// SCC against an independent oracle: mutual reachability by brute force.
+// SCC against an independent oracle (mutual reachability by brute force)
+// and against Tarjan's algorithm in its textbook three-array form, whose
+// component numbering SCC must reproduce exactly.
 
 import (
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"weakstab/internal/algorithms/leadertree"
+	"weakstab/internal/algorithms/tokenring"
+	"weakstab/internal/graph"
+	"weakstab/internal/protocol"
+	"weakstab/internal/scheduler"
 )
+
+// tarjanReference condenses like SCC by the iterative Tarjan with
+// separate index, low-link and on-stack arrays and an include test per
+// edge: components numbered in completion order, members ascending.
+func tarjanReference(states int, off []int64, succ []int32, include []bool) Condensation {
+	const none = int32(-1)
+	comp := make([]int32, states)
+	index := make([]int32, states)
+	low := make([]int32, states)
+	onStack := make([]bool, states)
+	for i := range comp {
+		comp[i], index[i] = none, none
+	}
+	var (
+		counter int32
+		nextCmp int32
+		tstack  []int32
+	)
+	type frame struct {
+		v    int32
+		next int
+	}
+	var stack []frame
+	for root := 0; root < states; root++ {
+		if (include != nil && !include[root]) || index[root] != none {
+			continue
+		}
+		stack = append(stack[:0], frame{v: int32(root)})
+		index[root], low[root] = counter, counter
+		counter++
+		tstack = append(tstack, int32(root))
+		onStack[root] = true
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			succs := succ[off[f.v]:off[f.v+1]]
+			recursed := false
+			for f.next < len(succs) {
+				w := succs[f.next]
+				f.next++
+				if include != nil && !include[w] {
+					continue
+				}
+				if index[w] == none {
+					index[w], low[w] = counter, counter
+					counter++
+					tstack = append(tstack, w)
+					onStack[w] = true
+					stack = append(stack, frame{v: w})
+					recursed = true
+					break
+				}
+				if onStack[w] && index[w] < low[f.v] {
+					low[f.v] = index[w]
+				}
+			}
+			if recursed {
+				continue
+			}
+			v := f.v
+			if low[v] == index[v] {
+				for {
+					w := tstack[len(tstack)-1]
+					tstack = tstack[:len(tstack)-1]
+					onStack[w] = false
+					comp[w] = nextCmp
+					if w == v {
+						break
+					}
+				}
+				nextCmp++
+			}
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
+				if p := stack[len(stack)-1].v; low[v] < low[p] {
+					low[p] = low[v]
+				}
+			}
+		}
+	}
+	start := make([]int32, nextCmp+1)
+	for _, c := range comp {
+		if c >= 0 {
+			start[c+1]++
+		}
+	}
+	for c := range nextCmp {
+		start[c+1] += start[c]
+	}
+	members := make([]int32, counter)
+	at := slices.Clone(start)
+	for s, c := range comp {
+		if c >= 0 {
+			members[at[c]] = int32(s)
+			at[c]++
+		}
+	}
+	return Condensation{Comp: comp, Start: start, Members: members}
+}
+
+// sameCondensation reports where got's numbering departs from want's.
+func sameCondensation(got, want Condensation) error {
+	for _, f := range []struct {
+		name      string
+		got, want []int32
+	}{{"Comp", got.Comp, want.Comp}, {"Start", got.Start, want.Start}, {"Members", got.Members, want.Members}} {
+		if !slices.Equal(f.got, f.want) {
+			return fmt.Errorf("%s %v, Tarjan's reference numbers %v", f.name, f.got, f.want)
+		}
+	}
+	return nil
+}
 
 // sccOracle returns reach[s][t]: t is reachable from s (s itself
 // included) along edges between included states, s and t both included.
@@ -37,9 +156,13 @@ func sccOracle(states int, off []int64, succ []int32, include []bool) [][]bool {
 // the partition into mutually reachable classes of the included states,
 // Start as the prefix sums of the component sizes, Members as a
 // permutation of the included states ascending within each component,
-// and every edge between two components pointing into the lower id.
+// and every edge between two components pointing into the lower id; then
+// it checks the numbering against tarjanReference.
 func checkCondensation(states int, off []int64, succ []int32, include []bool) error {
 	cond := SCC(states, off, succ, include)
+	if err := sameCondensation(cond, tarjanReference(states, off, succ, include)); err != nil {
+		return err
+	}
 	reach := sccOracle(states, off, succ, include)
 	comp, count := cond.Comp, cond.Count()
 	if len(comp) != states || count < 0 || len(cond.Start) != count+1 || cond.Start[0] != 0 {
@@ -116,7 +239,8 @@ func randomSCCInput(rng *rand.Rand, n, maxDeg int) ([]int64, []int32, []bool) {
 }
 
 // TestSCCMatchesOracle runs SCC on seeded random CSRs of up to 40 states
-// and checks each result against the brute-force oracle.
+// and checks each result against the brute-force oracle and Tarjan's
+// numbering.
 func TestSCCMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for i := range 3000 {
@@ -132,7 +256,8 @@ func TestSCCMatchesOracle(t *testing.T) {
 // include mask and checks SCC against the brute-force oracle. Byte 0
 // gives the state count and, in its top bit, whether a mask follows the
 // rows; each row is a length byte (mod 5) and that many successor bytes
-// (mod the state count); missing bytes read as 0.
+// (mod the state count); missing bytes read as 0. The result must match
+// the oracle and Tarjan's numbering.
 func FuzzSCC(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 0})
@@ -173,4 +298,49 @@ func FuzzSCC(f *testing.F) {
 			t.Fatalf("n=%d, off=%v, succ=%v, include=%v: %v", n, off, succ, include, err)
 		}
 	})
+}
+
+// TestIllegitSCCMatchesTarjan checks the IllegitSCC memo of built spaces
+// whose illegitimate subgraphs have several components with cycles
+// against Tarjan's numbering over the same CSR and legitimacy mask.
+func TestIllegitSCCMatchesTarjan(t *testing.T) {
+	tr, err := tokenring.NewWithModulus(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := leadertree.New(graph.Figure2Tree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		a   protocol.Algorithm
+		pol scheduler.Policy
+	}{
+		{tr, scheduler.CentralPolicy{}},
+		{tr, scheduler.DistributedPolicy{}},
+		{lt, scheduler.DistributedPolicy{}},
+	} {
+		sp, err := Build(c.a, c.pol, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := c.a.Name() + "/" + c.pol.Name()
+		include := make([]bool, sp.States)
+		for s, l := range sp.Legit {
+			include[s] = !l
+		}
+		cond := sp.IllegitSCC()
+		if err := sameCondensation(cond, tarjanReference(sp.States, sp.off, sp.succ, include)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cyclic := 0
+		for id := range cond.Count() {
+			if len(cond.Component(id)) > 1 {
+				cyclic++
+			}
+		}
+		if cyclic < 2 {
+			t.Fatalf("%s: %d components with more than one state; the case needs several", name, cyclic)
+		}
+	}
 }
