@@ -65,9 +65,6 @@ func (a *Algorithm) Graph() *graph.Graph { return a.g }
 // StateCount implements protocol.Algorithm.
 func (a *Algorithm) StateCount(int) int { return a.k }
 
-// K returns the state count per process.
-func (a *Algorithm) K() int { return a.k }
-
 // Privileged reports whether p holds a privilege (its guard is enabled).
 func (a *Algorithm) Privileged(cfg protocol.Configuration, p int) bool {
 	if p == 0 {

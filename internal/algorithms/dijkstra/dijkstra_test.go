@@ -25,7 +25,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("k=1 accepted")
 	}
 	a := mustNew(t, 4, 4)
-	if a.K() != 4 || a.Graph().N() != 4 {
+	if a.StateCount(0) != 4 || a.Graph().N() != 4 {
 		t.Fatal("accessors wrong")
 	}
 	if err := protocol.Validate(a, 0); err != nil {

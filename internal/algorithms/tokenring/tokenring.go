@@ -96,9 +96,6 @@ func (a *Algorithm) StateCount(int) int { return a.m }
 // Pred returns the ring predecessor of p.
 func (a *Algorithm) Pred(p int) int { return (p - 1 + a.n) % a.n }
 
-// Succ returns the ring successor of p.
-func (a *Algorithm) Succ(p int) int { return (p + 1) % a.n }
-
 // HasToken reports whether p satisfies the Token predicate in cfg.
 func (a *Algorithm) HasToken(cfg protocol.Configuration, p int) bool {
 	return cfg[p] != (cfg[a.Pred(p)]+1)%a.m

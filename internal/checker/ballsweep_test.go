@@ -468,7 +468,7 @@ func TestSweepKFaultsCacheKeyedByPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := statespace.Map(data, inner, scheduler.CentralPolicy{}, 0, 0, nil)
+		ss, err := statespace.Map(data, inner, scheduler.CentralPolicy{}, 0, 0, false, nil)
 		if err != nil {
 			t.Fatalf("%s: statespace.Map rejected a ball entry: %v", filepath.Base(path), err)
 		}

@@ -59,9 +59,6 @@ type Chain struct {
 	probOne     []bool // ReachesWithProbOne of the backing system's L
 }
 
-// N returns the number of states.
-func (c *Chain) N() int { return c.n }
-
 // analysisWorkers resolves the worker-pool size the analyses run on: the
 // override, else the exploration pool of the backing system, else NumCPU.
 // Results are identical for every worker count.

@@ -70,8 +70,8 @@ func TestFromCSRValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if succ := c.rowSucc(0); c.N() != 3 || len(succ) != 2 || succ[1] != 2 || c.prob.At(1) != 0.5 {
-		t.Fatalf("chain rows not aliased: n=%d %v %v", c.N(), succ, c.prob.At(1))
+	if succ := c.rowSucc(0); c.n != 3 || len(succ) != 2 || succ[1] != 2 || c.prob.At(1) != 0.5 {
+		t.Fatalf("chain rows not aliased: n=%d %v %v", c.n, succ, c.prob.At(1))
 	}
 	for _, tc := range []struct {
 		name string

@@ -46,8 +46,8 @@ func newRefWalker(ts System, target []bool) *refWalker {
 // walk returns trial's outcome as the walk's slot holds it (the hit
 // time, slotDivergent or slotCensored) and the steps it took.
 func (r *refWalker) walk(seed int64, trial, maxSteps, from int) (float64, int) {
-	key := mix64(uint64(sim.TrialSeed(seed, trial)))
-	bits := func(c uint64) uint64 { return mix64(key ^ mix64(c+0x9e3779b97f4a7c15)) }
+	key := sim.Mix64(uint64(sim.TrialSeed(seed, trial)))
+	bits := func(c uint64) uint64 { return sim.Mix64(key ^ sim.Mix64(c+0x9e3779b97f4a7c15)) }
 	s := from
 	if from < 0 {
 		i := int(unit(bits(^uint64(0))) * float64(len(r.nonTarget)))

@@ -61,6 +61,7 @@ import (
 
 	"weakstab/internal/markov"
 	"weakstab/internal/obs"
+	"weakstab/internal/sim"
 	"weakstab/internal/statespace"
 	"weakstab/internal/stats"
 )
@@ -566,7 +567,7 @@ type walker struct {
 func (e *Estimator) start(seed int64, t, from int) walker {
 	w := walker{key: walkerKey(seed, t), trial: t, s: int32(from)}
 	if from < 0 {
-		i := int(unit(mix64(w.key^startTerm)) * float64(len(e.nonTarget)))
+		i := int(unit(sim.Mix64(w.key^startTerm)) * float64(len(e.nonTarget)))
 		if i >= len(e.nonTarget) {
 			i = len(e.nonTarget) - 1
 		}
@@ -701,10 +702,10 @@ func (bt *batch) fast() {
 		}
 		// Every c < lim <= stepTermsLen, so the masks change no index;
 		// they only spare the bounds checks.
-		x0 := mix64(w0.key ^ stepTerms[c0&(stepTermsLen-1)])
-		x1 := mix64(w1.key ^ stepTerms[c1&(stepTermsLen-1)])
-		x2 := mix64(w2.key ^ stepTerms[c2&(stepTermsLen-1)])
-		x3 := mix64(w3.key ^ stepTerms[c3&(stepTermsLen-1)])
+		x0 := sim.Mix64(w0.key ^ stepTerms[c0&(stepTermsLen-1)])
+		x1 := sim.Mix64(w1.key ^ stepTerms[c1&(stepTermsLen-1)])
+		x2 := sim.Mix64(w2.key ^ stepTerms[c2&(stepTermsLen-1)])
+		x3 := sim.Mix64(w3.key ^ stepTerms[c3&(stepTermsLen-1)])
 		// On a general row uniformPos gives a meaningless position, which
 		// the guide search replaces.
 		p0 := off[s0] + uniformPos(x0, k0)

@@ -15,17 +15,7 @@ import "weakstab/internal/sim"
 
 // walkerKey returns the stream key of one walker.
 func walkerKey(seed int64, trial int) uint64 {
-	return mix64(uint64(sim.TrialSeed(seed, trial)))
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return sim.Mix64(uint64(sim.TrialSeed(seed, trial)))
 }
 
 // gamma is the splitmix64 increment a draw's coordinate is offset by
@@ -33,13 +23,13 @@ func mix64(x uint64) uint64 {
 const gamma = 0x9e3779b97f4a7c15
 
 // draw returns the 64 uniform raw bits of the stream keyed key at step
-// coordinate c: mix64(key ^ mix64(c + gamma)), the inner hash read from
+// coordinate c: Mix64(key ^ Mix64(c + gamma)), the inner hash read from
 // stepTerms when the table covers c.
 func draw(key, c uint64) uint64 {
 	if c < stepTermsLen {
-		return mix64(key ^ stepTerms[c])
+		return sim.Mix64(key ^ stepTerms[c])
 	}
-	return mix64(key ^ mix64(c+gamma))
+	return sim.Mix64(key ^ sim.Mix64(c+gamma))
 }
 
 // stepTermsLen is how many step coordinates stepTerms covers: 8 KiB,
@@ -47,10 +37,10 @@ func draw(key, c uint64) uint64 {
 const stepTermsLen = 1 << 10
 
 // stepTerms[c] is the inner hash of step coordinate c < stepTermsLen, so
-// a step's draw costs one mix64 instead of two.
+// a step's draw costs one Mix64 instead of two.
 var stepTerms = func() (t [stepTermsLen]uint64) {
 	for c := range t {
-		t[c] = mix64(uint64(c) + gamma)
+		t[c] = sim.Mix64(uint64(c) + gamma)
 	}
 	return t
 }()
@@ -61,5 +51,5 @@ func unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
 
 // startTerm is the inner hash of the start draw's coordinate, the
 // all-ones coordinate no step draw uses (steps use 0..MaxSteps-1):
-// mix64(^uint64(0) + gamma), spelled out.
+// Mix64(^uint64(0) + gamma), spelled out.
 const startTerm = 0xe4d971771b652c20

@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"sync/atomic"
+
+	"weakstab/internal/sim"
 )
 
 // Delivery is one scheduled arrival of a published state message: the
@@ -56,7 +58,7 @@ type Batch struct {
 // b.draws(keys, m).at(c) == s.At(uint64(uint32(m.Edge)), uint64(m.Seq), c)
 // for keys = s.edgeKeys(...).
 func (b *Batch) draws(keys []uint64, m *Delivery) edgeDraws {
-	return edgeDraws(mix64(keys[m.Edge] ^ b.seqTerm(m.Seq)))
+	return edgeDraws(sim.Mix64(keys[m.Edge] ^ b.seqTerm(m.Seq)))
 }
 
 // seqTerm is seqTerm(q), from the engine's table when it covers q. The
@@ -66,7 +68,7 @@ func (b *Batch) seqTerm(q uint32) uint64 {
 	if int(q) < len(b.seqTerms) {
 		return b.seqTerms[q]
 	}
-	return mix64(uint64(q) + streamB)
+	return sim.Mix64(uint64(q) + streamB)
 }
 
 // Fault is one layer of the network fault model. A fault owns a private

@@ -1,6 +1,10 @@
 package netsim
 
-import "math"
+import (
+	"math"
+
+	"weakstab/internal/sim"
+)
 
 // Stream is a counter-based deterministic random stream: every draw is a
 // pure hash of the stream key and up to three caller-chosen coordinates
@@ -11,9 +15,9 @@ import "math"
 // contract "same (topology, faults, seed) ⇒ same run" holds bit-for-bit
 // across worker counts.
 //
-// The hash is the splitmix64 finalizer chained over the coordinates; its
-// avalanche behavior is far better than the statistical resolution of any
-// experiment in this package.
+// The hash is the splitmix64 finalizer (sim.Mix64) chained over the
+// coordinates; its avalanche behavior is far better than the statistical
+// resolution of any experiment in this package.
 type Stream struct {
 	key uint64
 }
@@ -26,21 +30,11 @@ func NewStream(seed int64, salt string) Stream {
 	for i := 0; i < len(salt); i++ {
 		h = (h ^ uint64(salt[i])) * 0x100000001b3
 	}
-	return Stream{key: mix64(h)}
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return Stream{key: sim.Mix64(h)}
 }
 
 // The per-coordinate offsets of At: coordinate a, b, c is hashed as
-// mix64(a+streamA), mix64(b+streamB), mix64(c+streamC).
+// Mix64(a+streamA), Mix64(b+streamB), Mix64(c+streamC).
 const (
 	streamA = 0x9e3779b97f4a7c15
 	streamB = 0x6a09e667f3bcc909
@@ -51,9 +45,9 @@ const (
 // (a, b, c).
 func (s Stream) At(a, b, c uint64) uint64 {
 	x := s.key
-	x = mix64(x ^ mix64(a+streamA))
-	x = mix64(x ^ mix64(b+streamB))
-	x = mix64(x ^ mix64(c+streamC))
+	x = sim.Mix64(x ^ sim.Mix64(a+streamA))
+	x = sim.Mix64(x ^ sim.Mix64(b+streamB))
+	x = sim.Mix64(x ^ sim.Mix64(c+streamC))
 	return x
 }
 
@@ -66,8 +60,8 @@ func unit(u uint64) float64 { return float64(u>>11) * (1.0 / (1 << 53)) }
 // A link-fault draw is Stream.At at (edge, sequence, copy), split into the
 // three coordinate rounds so that each is hashed as rarely as possible:
 //
-//	At(e, seq, c) = mix64(mix64(edgeKey[e] ^ seqTerm(seq)) ^ copyTerm(c))
-//	edgeKey[e]    = mix64(key ^ edgeTerm(e))
+//	At(e, seq, c) = Mix64(Mix64(edgeKey[e] ^ seqTerm(seq)) ^ copyTerm(c))
+//	edgeKey[e]    = Mix64(key ^ edgeTerm(e))
 //
 // A fault computes its edgeKeys once per run (Reset), the engine computes
 // seqTerm once per distinct sequence number (Batch.seqTerms) and copyTerm
@@ -76,26 +70,26 @@ func unit(u uint64) float64 { return float64(u>>11) * (1.0 / (1 << 53)) }
 // converting it to a float.
 
 // edgeTerm is At's first-coordinate term for directed edge e.
-func edgeTerm(e int32) uint64 { return mix64(uint64(uint32(e)) + streamA) }
+func edgeTerm(e int32) uint64 { return sim.Mix64(uint64(uint32(e)) + streamA) }
 
 // seqTerm is At's second-coordinate term for sequence number seq.
-func seqTerm(seq uint32) uint64 { return mix64(uint64(seq) + streamB) }
+func seqTerm(seq uint32) uint64 { return sim.Mix64(uint64(seq) + streamB) }
 
 // copyTerms[c] is At's third-coordinate term for the copy coordinates the
 // link faults draw at: copy, 1+copy and 256+copy, all below 512.
 var copyTerms = func() (t [512]uint64) {
 	for c := range t {
-		t[c] = mix64(uint64(c) + streamC)
+		t[c] = sim.Mix64(uint64(c) + streamC)
 	}
 	return t
 }()
 
 // edgeKeys returns the stream's per-edge keys for every edge of t,
-// keys[e] = mix64(key ^ edgeTerm(e)), reusing the storage of keys.
+// keys[e] = Mix64(key ^ edgeTerm(e)), reusing the storage of keys.
 func (s Stream) edgeKeys(keys []uint64, t *Topology) []uint64 {
 	keys = keys[:0]
 	for e := range t.NumEdges() {
-		keys = append(keys, mix64(s.key^edgeTerm(int32(e))))
+		keys = append(keys, sim.Mix64(s.key^edgeTerm(int32(e))))
 	}
 	return keys
 }
@@ -106,7 +100,7 @@ type edgeDraws uint64
 
 // at is Stream.At at third coordinate c < 512, which covers every copy
 // coordinate of a byte-sized copy index.
-func (d edgeDraws) at(c uint64) uint64 { return mix64(uint64(d) ^ copyTerms[c]) }
+func (d edgeDraws) at(c uint64) uint64 { return sim.Mix64(uint64(d) ^ copyTerms[c]) }
 
 // threshold returns the integer form of a probability test:
 // u>>11 < threshold(p) exactly when unit(u) < p. unit(u) is k/2^53 for

@@ -147,13 +147,20 @@ func Execute(a protocol.Algorithm, sched scheduler.Scheduler, init protocol.Conf
 // rerun it) without replaying its predecessors. The netsim backend uses
 // the same derivation for its trial batches.
 func TrialSeed(seed int64, trial int) int64 {
-	x := uint64(seed) + 0x9e3779b97f4a7c15*uint64(trial+1)
+	x := Mix64(uint64(seed) + 0x9e3779b97f4a7c15*uint64(trial+1))
+	return int64(x >> 1) // non-negative, keeps rand.NewSource happy everywhere
+}
+
+// Mix64 is the splitmix64 finalizer, the one hash behind every
+// counter-based random stream in the repo: trial seeds here, the Monte
+// Carlo walkers' draws (internal/mc) and netsim's Stream.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
-	return int64(x >> 1) // non-negative, keeps rand.NewSource happy everywhere
+	return x
 }
 
 // TrialRNG returns the private generator of trial i.

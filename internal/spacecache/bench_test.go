@@ -4,9 +4,9 @@ package spacecache
 // instance (tokenring N=11, modulus 3: 3^11 = 177147 configurations,
 // ~10^6 transitions under the central policy). Cold is a full parallel
 // exploration plus the cache write; warm is a pure load, measured on both
-// load paths — statespace.Read (O(bytes) copied to heap) and zero-copy
-// mmap (validate + alias). The serve-mixed workload of bench/ measures the
-// same pair end to end as spacecache.load_decode.ms and
+// buffers statespace.Map is handed — the file read into the heap and the
+// zero-copy mmap (validate + alias). The serve-mixed workload of bench/
+// measures the same pair end to end as spacecache.load_decode.ms and
 // spacecache.load_mmap.ms.
 
 import (
@@ -101,8 +101,8 @@ func benchWarmLoad(b *testing.B, mmap bool) {
 	}
 }
 
-// BenchmarkWarmLoadDecode is the heap path: statespace.Read copies the
-// file into an aligned buffer and validates it in full.
+// BenchmarkWarmLoadDecode is the heap path: the file is read into memory
+// and statespace.Map validates it in full.
 func BenchmarkWarmLoadDecode(b *testing.B) { benchWarmLoad(b, false) }
 
 // BenchmarkWarmLoadMmap is the steady-state zero-copy path: after the

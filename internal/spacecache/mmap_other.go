@@ -7,7 +7,8 @@ import (
 	"os"
 )
 
-// mmapSupported: no zero-copy path on this platform; loads use statespace.Read.
+// mmapSupported: no zero-copy path on this platform; loads read the file
+// into memory.
 const mmapSupported = false
 
 func mmapOpen(path string) ([]byte, func() error, os.FileInfo, error) {

@@ -9,7 +9,7 @@ import (
 )
 
 // mmapSupported reports whether this platform has the zero-copy mmap load
-// path; when false, every load uses statespace.Read.
+// path; when false, every load reads the file into memory.
 const mmapSupported = true
 
 // maxMapBytes is the largest file the loader will map: a mapping is

@@ -8,11 +8,7 @@
 // observability pays one pointer check per cache operation.
 package spacecache
 
-import (
-	"os"
-
-	"weakstab/internal/obs"
-)
+import "weakstab/internal/obs"
 
 func observeLoad(o *obs.Observer, kind, key, mode string, hit bool, bytes int64) {
 	if !o.On() {
@@ -48,13 +44,4 @@ func observeEvict(o *obs.Observer, e Entry) {
 	o.Counter("cache.evictions").Add(1)
 	o.Counter("cache.bytes_evicted").Add(e.Bytes)
 	o.Emit("cache.evict", obs.CacheEvent{Kind: e.Kind, Key: e.Key, Bytes: e.Bytes})
-}
-
-// sizeOf returns the open file's size for event payloads (0 on error).
-func sizeOf(f *os.File) int64 {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
 }

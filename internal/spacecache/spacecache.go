@@ -14,7 +14,8 @@
 // semantics), and, for the forward closure of a k-fault ball, the radius
 // k. Any semantic change to the instance changes the key, so a stale file
 // is simply never found. All three kinds share one serial format, the
-// statespace one, and one load/store path.
+// statespace one, and one load/store path: a load hands the file to
+// statespace.Map as one buffer, mapped or read.
 //
 // Robustness contract: a cache must never produce a wrong answer, only a
 // slower one. Loads that fail for any reason — missing file, truncation,
@@ -52,13 +53,13 @@ import (
 //
 // Where the platform supports it, loads are zero-copy by default: the
 // cache file is mmap'd read-only and the CSR sections alias the mapping
-// (statespace.Map), so a warm analysis touches only the pages it reads
-// instead of decoding every byte. Systems loaded this way own a mapping
+// (statespace.Map), so a warm load decodes only the legitimacy bits
+// instead of copying every array. Systems loaded this way own a mapping
 // and should be Closed by the caller when done (a finalizer reclaims
 // forgotten ones); callers that cannot tolerate that ownership turn the
-// path off with SetMmap(false) and get heap arrays from statespace.Read,
-// which runs the same decoder over a copy of the file — bit-equal by
-// construction.
+// path off with SetMmap(false): the file is then read into memory and
+// handed to the same loader, so the arrays are bit-equal and own no
+// mapping.
 //
 // The first mapped load of an entry validates the whole file (checksum
 // and structure). Its (device, inode, size, mtime) identity is then
@@ -224,48 +225,48 @@ func ballKey(a protocol.Algorithm, pol scheduler.Policy, k int) string {
 // a full space where a closure belongs or vice versa. A miss is never an
 // error: the caller rebuilds and the rebuild's store overwrites bad bytes.
 //
-// With the mmap path enabled (the default) a hit is zero-copy and the
-// returned space owns a file mapping — Close it when done. Anything Map
-// declines (ErrNotMappable) or rejects falls back to statespace.Read,
-// which re-derives the hit-or-miss verdict on its own. Both readers check
-// opt.MaxStates at the header, so an oversized entry costs a 40-byte read.
+// The file reaches statespace.Map as one buffer: mapped read-only when
+// the mmap path is enabled (the default), read into memory otherwise. A
+// mapped hit aliases the mapping and owns it — Close it when done. An
+// entry beyond opt.MaxStates is rejected at its 40-byte header, after the
+// mapping or the whole read.
 func (c *Cache) load(a protocol.Algorithm, pol scheduler.Policy, kind, key string, opt statespace.Options) (*statespace.Space, bool) {
 	if c == nil {
 		return nil, false
 	}
 	o := obs.Or(opt.Obs)
 	path := filepath.Join(c.dir, key+"."+kind)
-	// A closure carries Globals; the full index range does not.
-	isKind := func(sp *statespace.Space) bool { return (sp.Globals() != nil) == (kind != "space") }
+	var (
+		data    []byte
+		unmap   func() error
+		trusted bool
+		err     error
+	)
 	if c.MmapEnabled() {
-		if data, unmap, fi, err := mmapOpen(path); err == nil {
-			mapFile := statespace.Map
-			if st, ok := stampOf(fi); ok && c.trustedStamp(path, st) {
-				mapFile = statespace.MapTrusted
-			}
-			sp, err := mapFile(data, a, pol, opt.Workers, opt.MaxStates, unmap)
-			if err == nil && isKind(sp) {
-				sp.Obs = opt.Obs
-				touch(path)
-				c.memoize(path)
-				observeLoad(o, kind, key, "mmap", true, fi.Size())
-				return sp, true
-			}
-			if err == nil {
-				sp.Close()
-			} else {
-				unmap()
-			}
+		var fi os.FileInfo
+		if data, unmap, fi, err = mmapOpen(path); err == nil {
+			st, ok := stampOf(fi)
+			trusted = ok && c.trustedStamp(path, st)
 		}
+	} else {
+		data, err = os.ReadFile(path)
 	}
-	if f, err := os.Open(path); err == nil {
-		defer f.Close()
-		sp, err := statespace.Read(f, a, pol, opt.Workers, opt.MaxStates)
-		if err == nil && isKind(sp) {
+	if err == nil {
+		sp, err := statespace.Map(data, a, pol, opt.Workers, opt.MaxStates, trusted, unmap)
+		// A closure carries Globals; the full index range does not.
+		if err == nil && (sp.Globals() != nil) == (kind != "space") {
 			sp.Obs = opt.Obs
 			touch(path)
-			observeLoad(o, kind, key, "decode", true, sizeOf(f))
+			mode := "decode"
+			if sp.Mapped() {
+				mode = "mmap"
+				c.memoize(path)
+			}
+			observeLoad(o, kind, key, mode, true, int64(len(data)))
 			return sp, true
+		}
+		if err == nil {
+			sp.Close()
 		}
 	}
 	observeLoad(o, kind, key, "", false, 0)

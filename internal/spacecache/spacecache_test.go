@@ -146,7 +146,7 @@ func TestBuildSpaceMissThenHit(t *testing.T) {
 
 // probValues returns the space's edge probabilities, read through At.
 func probValues(sp *statespace.Space) []float64 {
-	p := sp.Probs()
+	_, _, p := sp.CSR()
 	out := make([]float64, sp.Edges())
 	for e := range out {
 		out[e] = p.At(int64(e))

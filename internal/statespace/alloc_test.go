@@ -32,7 +32,7 @@ func TestBuildAllocatesFewBytesPerEdge(t *testing.T) {
 		}
 		perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(sp.Edges())
 		t.Logf("workers=%d: %d states, %d edges, %.1f B/edge allocated", workers, sp.States, sp.Edges(), perEdge)
-		if !sp.Probs().Coded() {
+		if !sp.probs.Coded() {
 			t.Errorf("workers=%d: probabilities not palette-coded", workers)
 		}
 		if perEdge > 14 {

@@ -1,48 +1,39 @@
-// Zero-copy loading of serialized transition systems. Given the file's
-// bytes as one contiguous buffer (in practice a read-only mmap established
-// by internal/spacecache), Map validates the header, section counts,
-// padding and CRC-32C once, then aliases the int64/int32/float64/uint8
-// section payloads in place via unsafe.Slice — format v3 guarantees every
-// payload sits on an 8-byte boundary relative to the (page-aligned)
-// buffer start, so the aliased slices are well-aligned by construction,
-// and the loader verifies it anyway. Only the bit-packed legitimacy vector is decoded (it
-// cannot alias []bool; at one bit per state it is the cheapest section by
-// far). The result is a Space whose CSR arrays are backed by the page
-// cache: an analysis touches only the pages it actually reads.
+// Loading serialized transition systems. Map is the format's one loader:
+// given the complete bytes of a system serialized by WriteTo — in
+// practice a read-only mmap of a cache file (internal/spacecache), or the
+// file read into memory — it validates the header, section counts,
+// padding and CRC-32C once and returns the Space. On a little-endian host
+// with an 8-aligned buffer (every mmap is) the int64/int32/float64/uint8
+// section payloads alias the buffer in place via unsafe.Slice: format v3
+// puts every payload on an 8-byte boundary relative to the buffer start,
+// so the aliased slices are well-aligned by construction. Otherwise — a
+// big-endian host, a misaligned buffer — each section is converted into a
+// fresh host-order array, bit-equal to the aliased one. Either way only
+// the bit-packed legitimacy vector is decoded (it cannot alias []bool; at
+// one bit per state it is the cheapest section by far). An aliased space
+// is backed by whatever backs the buffer: for an mmap, the page cache
+// rather than the heap.
 //
-// mapSystem is also the decoder behind Read, which runs it over a heap
-// copy of the stream. The byte order of the format is little-endian; on a
-// big-endian host, or when the buffer is not 8-byte aligned, Map fails
-// with ErrNotMappable and the caller falls back to Read, which then
-// converts each section into a fresh host-order array instead of aliasing.
-//
-// Ownership: a mapped space holds a reference-counted mapping. Analyses
-// that must not race an unmap pin it with Acquire/Release; Close is
-// idempotent and defers the actual unmap until the last reference drops.
-// Materialize promotes a mapped space to ordinary heap arrays for callers
-// that outlive the mapping or mutate the arrays (copy-on-write, one copy).
+// Ownership: a space whose arrays alias a buffer that came with a release
+// function (an mmap's unmap) holds a reference-counted mapping and reports
+// Mapped(). Analyses that must not race an unmap pin it with
+// Acquire/Release; Close is idempotent and defers the actual unmap until
+// the last reference drops.
 package statespace
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"unsafe"
 
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 )
-
-// ErrNotMappable reports a buffer that cannot be zero-copy aliased on this
-// host — a big-endian machine, or a buffer whose base address is not
-// 8-byte aligned (mmap always is; ad-hoc sub-slices may not be). It marks
-// structural unfitness, not corruption: the same bytes remain loadable
-// through Read.
-var ErrNotMappable = errors.New("statespace: buffer not zero-copy mappable on this host")
 
 // hostLittleEndian reports whether the running host stores integers in the
 // format's byte order, decided once at startup.
@@ -105,8 +96,8 @@ func (m *mapping) close() error {
 	return nil
 }
 
-// Mapped reports whether the space's arrays alias an external mapped
-// buffer (loaded by Map) rather than ordinary heap memory.
+// Mapped reports whether the space's arrays alias a buffer Map was handed
+// with a release function (an mmap), rather than ordinary heap memory.
 func (sp *Space) Mapped() bool { return sp.mapped != nil }
 
 // Acquire pins the mapped buffer backing the space so a concurrent Close
@@ -132,8 +123,7 @@ func (sp *Space) Release() error {
 // Close releases the mapped buffer backing the space. It is idempotent and
 // safe concurrently with pinned analyses: the unmap is deferred until the
 // last Acquire is released. After Close the space's accessors must not be
-// used (unpinned) — callers needing the data past Close use Materialize
-// first. Close on an unmapped space is a no-op.
+// used unpinned. Close on an unmapped space is a no-op.
 func (sp *Space) Close() error {
 	if sp.mapped == nil {
 		return nil
@@ -141,79 +131,82 @@ func (sp *Space) Close() error {
 	return sp.mapped.close()
 }
 
-// Materialize promotes a mapped space to ordinary heap arrays (one copy)
-// and closes the mapping, so the space outlives the buffer and its arrays
-// become safely mutable by owners that need that. It must not run
-// concurrently with other users of the space. On an unmapped space it is a
-// no-op.
-func (sp *Space) Materialize() error {
-	if sp.mapped == nil {
-		return nil
-	}
-	sp.off = slices.Clone(sp.off)
-	sp.succ = slices.Clone(sp.succ)
-	sp.probs = sp.probs.clone()
-	if sp.table != nil {
-		sp.table = NewSortedDedup(slices.Clone(sp.table.Globals()))
-	}
-	m := sp.mapped
-	sp.mapped = nil
-	runtime.SetFinalizer(sp, nil)
-	return m.close()
-}
-
-// mappedArrays is the outcome of mapSystem: the section payloads (nil
-// when empty) plus the decoded legitimacy vector.
-type mappedArrays struct {
-	off     []int64
-	succ    []int32
-	probs   Probs
-	legit   []bool
-	globals []int64
-}
-
 // section returns the n little-endian values at data[at:]: aliased in
-// place when alias is set (the caller has checked the host byte order), or
-// converted into a fresh host-order slice.
-func section[T uint8 | int32 | int64 | float64](data []byte, at, n int64, alias bool) ([]T, error) {
+// place when alias is set (the caller has checked the host byte order and
+// the buffer's alignment), or converted into a fresh host-order slice.
+func section[T uint8 | int32 | int64 | float64](data []byte, at, n int64, alias bool) []T {
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
 	size := int64(unsafe.Sizeof(T(0)))
 	src := data[at : at+n*size]
-	if !alias {
-		out := make([]T, n)
-		leCopy(bytesOf(out), src, int(size))
-		return out, nil
+	if alias {
+		return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(src))), n)
 	}
-	p := unsafe.Pointer(unsafe.SliceData(src))
-	if uintptr(p)%uintptr(size) != 0 {
-		return nil, ErrNotMappable
-	}
-	return unsafe.Slice((*T)(p), n), nil
+	out := make([]T, n)
+	leCopy(bytesOf(out), src, int(size))
+	return out
 }
 
-// mapSystem validates a format-v3 buffer whose header h has already been
-// parsed and bound — section counts, padding, CRC-32C, CSR structure — and
-// returns its arrays, aliasing data when alias is set and copying
-// otherwise. It is the format's only decoder: Map and Read both end here,
-// so they accept exactly the same byte strings. It touches the bytes only
-// twice: once for the hardware-assisted checksum, once for validation
-// scans.
+// Map loads the system serialized by WriteTo in data — a full space or a
+// seed-set closure, as its header says — and binds it to the given
+// algorithm and policy (which the format deliberately does not store:
+// they are code, not data). workers sizes the analysis pools of the
+// loaded space (0 = NumCPU) and maxStates caps its state count exactly as
+// Options.MaxStates caps a fresh exploration (0 = DefaultMaxStates). The
+// header and the cap are checked before any section is touched. Bytes
+// after the trailer are ignored.
 //
-// With trusted set, the O(bytes) passes — checksum and the array content
-// validators — are skipped: the caller vouches that these exact bytes
-// already passed a full validation (the spacecache keys that promise on
-// the file's inode identity). Layout, counts and alignment are still
-// checked, so a trusted load of the wrong-shaped buffer fails cleanly.
-func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, error) {
-	var arr mappedArrays
-	if alias && !hostLittleEndian {
-		return arr, ErrNotMappable
+// With trusted set, the O(bytes) passes — checksum, padding scans and the
+// array content validators — are skipped: the caller vouches that these
+// exact bytes already passed a full load and have not changed since (the
+// spacecache keys that promise on the file's (device, inode, size, mtime)
+// identity, which every rewrite path invalidates via rename). Layout and
+// counts are still checked, so a trusted load of a wrong-shaped buffer
+// fails cleanly.
+//
+// Map takes ownership of unmap (nil when data needs no release) and runs
+// it exactly once: at once when the load fails or the arrays are copies,
+// and otherwise — the returned space is Mapped — by Close, the final
+// Release after a Close, or a GC finalizer safety net.
+func Map(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, trusted bool, unmap func() error) (*Space, error) {
+	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
+	sp, err := decode(data, a, pol, workers, maxStates, trusted, alias)
+	if err == nil && alias && unmap != nil {
+		sp.mapped = &mapping{unmap: unmap}
+		// Safety net for owners that drop the space without closing it
+		// (one-shot experiment paths): reclaim the mapping when the space
+		// becomes unreachable. An explicit Close clears it.
+		runtime.SetFinalizer(sp, func(sp *Space) { sp.Close() })
+		return sp, nil
+	}
+	if unmap != nil {
+		err = errors.Join(err, unmap()) // nothing aliases the buffer
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sp, nil
+}
+
+// decode is Map's parse, bind and validation, aliasing data when alias is
+// set and copying it otherwise. It touches the bytes only twice: once for
+// the hardware-assisted checksum, once for the validation scans.
+func decode(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, trusted, alias bool) (*Space, error) {
+	if len(data) < headerSize {
+		return nil, fmt.Errorf("statespace: buffer of %d bytes too short for a serialized space", len(data))
+	}
+	h, err := parseHeader([headerSize]byte(data))
+	if err != nil {
+		return nil, err
+	}
+	enc, err := bind(h, a, maxStates)
+	if err != nil {
+		return nil, err
 	}
 	l := h.layout()
 	if need := l.end + 8; int64(len(data)) < need {
-		return arr, fmt.Errorf("statespace: buffer of %d bytes truncated for a %d-byte serialized system", len(data), need)
+		return nil, fmt.Errorf("statespace: buffer of %d bytes truncated for a %d-byte serialized system", len(data), need)
 	}
 	type count struct {
 		at, want int64
@@ -229,7 +222,7 @@ func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, 
 	}
 	for _, c := range counts {
 		if got := int64(binary.LittleEndian.Uint64(data[c.at-8:])); got != c.want {
-			return arr, fmt.Errorf("statespace: %s section has %d entries, want %d", c.name, got, c.want)
+			return nil, fmt.Errorf("statespace: %s section has %d entries, want %d", c.name, got, c.want)
 		}
 	}
 
@@ -237,9 +230,9 @@ func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, 
 	if !trusted {
 		// Integrity before structure: a corrupted file reports corruption,
 		// not a confusing shape error.
-		want := checksumParallel(data[:l.end])
+		want := crc32.Checksum(data[:l.end], crcTable)
 		if got := binary.LittleEndian.Uint64(data[l.end:]); got != uint64(want) {
-			return arr, fmt.Errorf("statespace: checksum mismatch (file %#x, computed %#x): corrupted cache file", got, want)
+			return nil, fmt.Errorf("statespace: checksum mismatch (file %#x, computed %#x): corrupted cache file", got, want)
 		}
 		pads := [][]byte{data[succEnd : succEnd+pad8(h.edges*4)], data[l.legit+legitBytes : l.legit+legitBytes+pad8(legitBytes)]}
 		if !h.plain {
@@ -248,70 +241,54 @@ func mapSystem(data []byte, h serialHeader, trusted, alias bool) (mappedArrays, 
 		for _, pad := range pads {
 			for _, x := range pad {
 				if x != 0 {
-					return arr, fmt.Errorf("statespace: nonzero section padding")
+					return nil, fmt.Errorf("statespace: nonzero section padding")
 				}
 			}
 		}
 	}
 
-	var err error
-	if arr.off, err = section[int64](data, l.off, h.states+1, alias); err != nil {
-		return arr, err
-	}
-	if arr.succ, err = section[int32](data, l.succ, h.edges, alias); err != nil {
-		return arr, err
-	}
-	if h.plain {
-		arr.probs.wide, err = section[float64](data, l.prob, h.edges, alias)
-	} else if arr.probs.pal, err = section[float64](data, l.pal, h.pal, alias); err == nil {
-		arr.probs.code, err = section[uint8](data, l.code, h.edges, alias)
-	}
-	if err != nil {
-		return arr, err
-	}
-	if arr.legit, err = unpackBools(data[l.legit:l.legit+legitBytes], h.states); err != nil {
-		return arr, err
-	}
-	if h.kind == kindSubSpace {
-		if arr.globals, err = section[int64](data, l.globals, h.states, alias); err != nil {
-			return arr, err
-		}
-	}
-
-	if !trusted {
-		if err := validateOffsets(h.states, h.edges, arr.off); err != nil {
-			return arr, err
-		}
-		if err := validateSucc(h.states, arr.succ); err != nil {
-			return arr, err
-		}
-		if err := validatePalette(arr.probs.pal); err != nil {
-			return arr, err
-		}
-		if err := validateCodes(arr.probs.code, len(arr.probs.pal)); err != nil {
-			return arr, err
-		}
-		if h.kind == kindSubSpace {
-			if err := validateGlobals(h.states, h.total, arr.globals); err != nil {
-				return arr, err
-			}
-		}
-	}
-	return arr, nil
-}
-
-// newSpace assembles a decoded or mapped system bound to (a, pol).
-func newSpace(a protocol.Algorithm, pol scheduler.Policy, enc *protocol.Encoder, h serialHeader, arr mappedArrays, workers int) *Space {
 	sp := &Space{
 		Alg:    a,
 		Pol:    pol,
 		Enc:    enc,
 		States: int(h.states),
-		Legit:  arr.legit,
-		off:    arr.off,
-		succ:   arr.succ,
-		probs:  arr.probs,
+		off:    section[int64](data, l.off, h.states+1, alias),
+		succ:   section[int32](data, l.succ, h.edges, alias),
 	}
+	if h.plain {
+		sp.probs.wide = section[float64](data, l.prob, h.edges, alias)
+	} else {
+		sp.probs.pal = section[float64](data, l.pal, h.pal, alias)
+		sp.probs.code = section[uint8](data, l.code, h.edges, alias)
+	}
+	if sp.Legit, err = unpackBools(data[l.legit:l.legit+legitBytes], h.states); err != nil {
+		return nil, err
+	}
+	var globals []int64
+	if h.kind == kindSubSpace {
+		globals = section[int64](data, l.globals, h.states, alias)
+	}
+
+	if !trusted {
+		if err := validateOffsets(h.states, h.edges, sp.off); err != nil {
+			return nil, err
+		}
+		if err := validateSucc(h.states, sp.succ); err != nil {
+			return nil, err
+		}
+		if err := validatePalette(sp.probs.pal); err != nil {
+			return nil, err
+		}
+		if err := validateCodes(sp.probs.code, len(sp.probs.pal)); err != nil {
+			return nil, err
+		}
+		if h.kind == kindSubSpace {
+			if err := validateGlobals(h.states, h.total, globals); err != nil {
+				return nil, err
+			}
+		}
+	}
+
 	if h.kind == kindSpace {
 		sp.Workers = resolveWorkers(workers, sp.States)
 	} else {
@@ -320,60 +297,7 @@ func newSpace(a protocol.Algorithm, pol scheduler.Policy, enc *protocol.Encoder,
 		// its ascending Globals avoids both the dense O(range) array and the
 		// per-entry hash insertion of a growable dedup (a Builder
 		// re-adopting the closure builds its own).
-		sp.table = NewSortedDedup(arr.globals)
-	}
-	return sp
-}
-
-// Map interprets data — the complete bytes of a system serialized by
-// WriteTo, typically a read-only mmap of a cache file — as a Space whose
-// arrays alias data in place (zero-copy; only the bit-packed legitimacy
-// vector is decoded). It accepts the same bytes as Read and produces
-// bit-equal arrays. ErrNotMappable (big-endian host, misaligned buffer)
-// means the caller should fall back to Read; any other error means the
-// bytes themselves are unusable. workers and maxStates are Read's.
-//
-// unmap, when non-nil, is invoked exactly once — by Close, the final
-// Release after a Close, Materialize, or a GC finalizer safety net — when
-// the returned space is done with the buffer. On error, ownership of the
-// buffer stays with the caller and unmap is not invoked.
-func Map(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*Space, error) {
-	return mapSpace(data, a, pol, workers, maxStates, unmap, false)
-}
-
-// MapTrusted is Map minus the O(bytes) integrity passes (checksum,
-// padding scans, CSR content validators). The caller asserts that these
-// exact bytes already passed a full Map or Read validation and have not
-// changed since — the spacecache keys that promise on the backing file's
-// (device, inode, size, mtime) identity, which every rewrite path
-// invalidates via rename. Layout, counts and alignment are still checked.
-func MapTrusted(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error) (*Space, error) {
-	return mapSpace(data, a, pol, workers, maxStates, unmap, true)
-}
-
-func mapSpace(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64, unmap func() error, trusted bool) (*Space, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("statespace: buffer of %d bytes too short for a serialized space", len(data))
-	}
-	h, err := parseHeader([headerSize]byte(data[0:headerSize]))
-	if err != nil {
-		return nil, err
-	}
-	enc, err := bind(h, a, maxStates)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := mapSystem(data, h, trusted, true)
-	if err != nil {
-		return nil, err
-	}
-	sp := newSpace(a, pol, enc, h, arr, workers)
-	sp.mapped = &mapping{unmap: unmap}
-	if unmap != nil {
-		// Safety net for owners that drop the space without closing it
-		// (one-shot experiment paths): reclaim the mapping when the space
-		// becomes unreachable. Explicit Close/Materialize clears this.
-		runtime.SetFinalizer(sp, func(sp *Space) { sp.Close() })
+		sp.table = NewSortedDedup(globals)
 	}
 	return sp, nil
 }

@@ -1,18 +1,19 @@
 package statespace
 
-// Tests of the zero-copy mapped loader: bit-equal parity with Read, the
-// big-endian copy path, the fallback matrix (misaligned buffers, truncation,
-// corruption, count/structure inconsistencies), and the Acquire/Release/
-// Close lifecycle — including Close racing in-flight readers, which the
-// race-enabled CI job runs under the race detector.
+// Tests of the loader: bit-equal parity of its aliasing and copying modes
+// with the built space, the rejection matrix (truncation, corruption,
+// count/structure inconsistencies), when a loaded space owns its buffer,
+// and the Acquire/Release/Close lifecycle — including Close racing
+// in-flight readers, which the race-enabled CI job runs under the race
+// detector.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -98,20 +99,30 @@ func TestSerialAlignment(t *testing.T) {
 	}
 }
 
+// countUnmaps returns an unmap function and the number of times it ran.
+func countUnmaps() (func() error, *int) {
+	n := new(int)
+	return func() error { *n++; return nil }, n
+}
+
+// TestMapSpaceParity: the same bytes aliased from an 8-aligned buffer and
+// copied from a misaligned one give the built arrays, and the aliased
+// load re-serializes to its input.
 func TestMapSpaceParity(t *testing.T) {
 	sp, a, data := testSpaceBytes(t)
-	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
+	unmap, unmaps := countUnmaps()
+	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, false, unmap)
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
 	if !mapped.Mapped() {
-		t.Fatal("Map result not marked mapped")
+		t.Fatal("aliased load with an unmap function not marked mapped")
 	}
-	decoded, err := Read(bytes.NewReader(data), a, scheduler.CentralPolicy{}, 1, 0)
+	copied, err := Map(copyAt(data, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("Map of a misaligned buffer: %v", err)
 	}
-	for _, got := range []*Space{mapped, decoded} {
+	for _, got := range []*Space{mapped, copied} {
 		if got.States != sp.States || !reflect.DeepEqual(got.Legit, sp.Legit) {
 			t.Fatalf("loaded space differs in states/legitimacy")
 		}
@@ -129,19 +140,22 @@ func TestMapSpaceParity(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatal("mapped space re-serialization differs from its input")
 	}
+	if err := mapped.Close(); err != nil || *unmaps != 1 {
+		t.Fatalf("Close: err %v, unmap ran %d times, want once", err, *unmaps)
+	}
 }
 
 func TestMapSubSpaceParity(t *testing.T) {
 	ss, a, data := testSubSpaceBytes(t)
-	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
+	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, false, nil)
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	decoded, err := Read(bytes.NewReader(data), a, scheduler.CentralPolicy{}, 1, 0)
+	copied, err := Map(copyAt(data, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("Map of a misaligned buffer: %v", err)
 	}
-	for _, got := range []*Space{mapped, decoded} {
+	for _, got := range []*Space{mapped, copied} {
 		if got.States != ss.States || !reflect.DeepEqual(got.Legit, ss.Legit) {
 			t.Fatal("loaded subspace differs in states/legitimacy")
 		}
@@ -165,20 +179,23 @@ func TestMapSubSpaceParity(t *testing.T) {
 	}
 }
 
-// TestMapMisalignedBuffer covers the fallback matrix's misalignment row:
-// the same bytes at a non-8-aligned base are refused with ErrNotMappable
-// (not corruption) and remain loadable by the decode path.
+// TestMapMisalignedBuffer: the same bytes at a non-8-aligned base load as
+// copies. Such a space owns no mapping, and Map releases the buffer at
+// once.
 func TestMapMisalignedBuffer(t *testing.T) {
-	_, a, data := testSpaceBytes(t)
+	sp, a, data := testSpaceBytes(t)
 	for rem := uintptr(1); rem < 8; rem++ {
 		mis := copyAt(data, rem)
-		_, err := Map(mis, a, scheduler.CentralPolicy{}, 1, 0, nil)
-		if !errors.Is(err, ErrNotMappable) {
-			t.Fatalf("base%%8=%d: Map err = %v, want ErrNotMappable", rem, err)
+		unmap, unmaps := countUnmaps()
+		got, err := Map(mis, a, scheduler.CentralPolicy{}, 1, 0, false, unmap)
+		if err != nil {
+			t.Fatalf("base%%8=%d: %v", rem, err)
 		}
-		if _, err := Read(bytes.NewReader(mis), a, scheduler.CentralPolicy{}, 1, 0); err != nil {
-			t.Fatalf("base%%8=%d: decode fallback failed: %v", rem, err)
+		if got.Mapped() || *unmaps != 1 {
+			t.Fatalf("base%%8=%d: Mapped() = %v, unmap ran %d times; want a copy released at once", rem, got.Mapped(), *unmaps)
 		}
+		clear(mis) // nothing may alias the released buffer
+		assertSpaceEqual(t, sp, got)
 	}
 }
 
@@ -187,7 +204,7 @@ func TestMapMisalignedBuffer(t *testing.T) {
 func TestMapTruncatedTail(t *testing.T) {
 	_, a, data := testSubSpaceBytes(t)
 	for _, n := range []int{0, 16, 32, 40, len(data) / 2, len(data) - 9, len(data) - 8, len(data) - 1} {
-		if _, err := Map(copyAt(data[:n], 0), a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+		if _, err := Map(copyAt(data[:n], 0), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
 			t.Fatalf("Map accepted a %d-byte prefix of %d bytes", n, len(data))
 		}
 	}
@@ -197,14 +214,18 @@ func TestMapCorruptPayload(t *testing.T) {
 	_, a, data := testSpaceBytes(t)
 	bad := copyAt(data, 0)
 	bad[64] ^= 0x40
-	_, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil)
-	if err == nil || errors.Is(err, ErrNotMappable) {
+	unmap, unmaps := countUnmaps()
+	_, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, unmap)
+	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted payload: err = %v, want checksum mismatch", err)
+	}
+	if *unmaps != 1 {
+		t.Fatalf("a rejected load ran unmap %d times, want once", *unmaps)
 	}
 }
 
 // TestMapGlobalsConsistency covers the explicit Globals-vs-state-count and
-// strict-ascent checks shared by the decode and mapped paths, with the CRC
+// strict-ascent checks of the aliasing and copying loads, with the CRC
 // refreshed so the structural validation itself is what rejects.
 func TestMapGlobalsConsistency(t *testing.T) {
 	ss, a, data := testSubSpaceBytes(t)
@@ -214,11 +235,11 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		bad := copyAt(data, 0)
 		binary.LittleEndian.PutUint64(bad[globCount:], uint64(ss.States-1))
 		refreshCRC(bad)
-		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("Map accepted a globals count != state count")
+		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+			t.Fatal("aliased load accepted a globals count != state count")
 		}
-		if _, err := Read(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("Read accepted a globals count != state count")
+		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+			t.Fatal("copied load accepted a globals count != state count")
 		}
 	})
 
@@ -231,11 +252,11 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		binary.LittleEndian.PutUint64(bad[first:], g1)
 		binary.LittleEndian.PutUint64(bad[first+8:], g0)
 		refreshCRC(bad)
-		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("Map accepted non-ascending globals")
+		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+			t.Fatal("aliased load accepted non-ascending globals")
 		}
-		if _, err := Read(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("Read accepted non-ascending globals")
+		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+			t.Fatal("copied load accepted non-ascending globals")
 		}
 	})
 
@@ -251,18 +272,19 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		succPadAt := h.layout().succ + h.edges*4
 		bad[succPadAt] = 0xff
 		refreshCRC(bad)
-		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Fatal("Map accepted nonzero section padding")
+		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+			t.Fatal("aliased load accepted nonzero section padding")
 		}
-		if _, err := Read(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Fatal("Read accepted nonzero section padding")
+		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+			t.Fatal("copied load accepted nonzero section padding")
 		}
 	})
 }
 
 // TestMapPaletteConsistency: a stream whose checksum holds but whose
 // palette is out of order, whose codes index past the palette, or whose
-// header declares a palette no layout allows is rejected by both readers.
+// header declares a palette no layout allows is rejected aliased and
+// copied.
 func TestMapPaletteConsistency(t *testing.T) {
 	_, a, data := testSpaceBytes(t)
 	h, err := parseHeader([headerSize]byte(data[:headerSize]))
@@ -287,11 +309,11 @@ func TestMapPaletteConsistency(t *testing.T) {
 		bad := copyAt(data, 0)
 		mutate(bad)
 		refreshCRC(bad)
-		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
-			t.Errorf("%s: Map accepted the stream", name)
+		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+			t.Errorf("%s: aliased load accepted the stream", name)
 		}
-		if _, err := Read(bytes.NewReader(bad), a, scheduler.CentralPolicy{}, 1, 0); err == nil {
-			t.Errorf("%s: Read accepted the stream", name)
+		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+			t.Errorf("%s: copied load accepted the stream", name)
 		}
 	}
 }
@@ -301,7 +323,7 @@ func TestMapPaletteConsistency(t *testing.T) {
 func TestMappingLifecycle(t *testing.T) {
 	_, a, data := testSpaceBytes(t)
 	unmapped := 0
-	sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, func() error {
+	sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, false, func() error {
 		unmapped++
 		return nil
 	})
@@ -331,38 +353,6 @@ func TestMappingLifecycle(t *testing.T) {
 	}
 }
 
-// TestMaterialize promotes a mapped subspace to heap arrays; the unmap
-// hook scribbles over the buffer, so any surviving alias would corrupt the
-// comparison.
-func TestMaterialize(t *testing.T) {
-	ss, a, data := testSubSpaceBytes(t)
-	buf := copyAt(data, 0)
-	mapped, err := Map(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
-		clear(buf)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mapped.Materialize(); err != nil {
-		t.Fatal(err)
-	}
-	if mapped.Mapped() {
-		t.Fatal("subspace still marked mapped after Materialize")
-	}
-	off, succ, prob := mapped.CSR()
-	wantOff, wantSucc, wantProb := ss.CSR()
-	if !reflect.DeepEqual(off, wantOff) || !reflect.DeepEqual(succ, wantSucc) || !reflect.DeepEqual(prob, wantProb) {
-		t.Fatal("materialized CSR corrupted by buffer teardown")
-	}
-	if !reflect.DeepEqual(mapped.Globals(), ss.Globals()) {
-		t.Fatal("materialized globals corrupted by buffer teardown")
-	}
-	if err := mapped.Close(); err != nil {
-		t.Fatal("Close after Materialize:", err)
-	}
-}
-
 // TestMapConcurrentClose races Close against pinned in-flight readers:
 // the unmap hook poisons the buffer, so a premature unmap shows up as a
 // data mismatch (and as a race under -race).
@@ -371,7 +361,7 @@ func TestMapConcurrentClose(t *testing.T) {
 	wantOff, _, _ := ss.CSR()
 	for round := 0; round < 20; round++ {
 		buf := copyAt(data, 0)
-		mapped, err := Map(buf, a, scheduler.CentralPolicy{}, 1, 0, func() error {
+		mapped, err := Map(buf, a, scheduler.CentralPolicy{}, 1, 0, false, func() error {
 			clear(buf)
 			return nil
 		})
@@ -409,65 +399,50 @@ func TestMapConcurrentClose(t *testing.T) {
 	}
 }
 
-// TestMapTrustedParityAndShape pins the trusted fast path: on bytes that
-// already passed a full validation it produces the same arrays as
-// Map, and shape errors — misalignment, truncation — are still
-// caught. Only the O(bytes) integrity passes are the caller's vouched-for
-// territory (the spacecache vouches via inode-identity stamps).
+// TestMapTrustedParityAndShape pins the trusted load: on bytes that
+// already passed a full validation it produces the built arrays, aliased
+// or copied, and shape errors such as truncation are still caught. Only
+// the O(bytes) integrity passes are the caller's vouched-for territory
+// (the spacecache vouches via inode-identity stamps).
 func TestMapTrustedParityAndShape(t *testing.T) {
 	sp, a, data := testSpaceBytes(t)
-	got, err := MapTrusted(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, nil)
-	if err != nil {
-		t.Fatalf("MapTrusted: %v", err)
+	for _, rem := range []uintptr{0, 4} {
+		got, err := Map(copyAt(data, rem), a, scheduler.CentralPolicy{}, 1, 0, true, nil)
+		if err != nil {
+			t.Fatalf("trusted load at base%%8=%d: %v", rem, err)
+		}
+		assertSpaceEqual(t, sp, got)
 	}
-	off, succ, prob := got.CSR()
-	wantOff, wantSucc, wantProb := sp.CSR()
-	if !reflect.DeepEqual(off, wantOff) || !reflect.DeepEqual(succ, wantSucc) ||
-		!reflect.DeepEqual(prob, wantProb) || !reflect.DeepEqual(got.Legit, sp.Legit) {
-		t.Fatal("trusted load differs from the built space")
-	}
-	if _, err := MapTrusted(copyAt(data, 4), a, scheduler.CentralPolicy{}, 1, 0, nil); !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("misaligned trusted load: err = %v, want ErrNotMappable", err)
-	}
-	if _, err := MapTrusted(copyAt(data[:len(data)-16], 0), a, scheduler.CentralPolicy{}, 1, 0, nil); err == nil {
+	if _, err := Map(copyAt(data[:len(data)-16], 0), a, scheduler.CentralPolicy{}, 1, 0, true, nil); err == nil {
 		t.Fatal("trusted load accepted a truncated buffer")
 	}
 
 	ss, sa, sdata := testSubSpaceBytes(t)
-	mss, err := MapTrusted(copyAt(sdata, 0), sa, scheduler.CentralPolicy{}, 1, 0, nil)
+	mss, err := Map(copyAt(sdata, 0), sa, scheduler.CentralPolicy{}, 1, 0, true, nil)
 	if err != nil {
-		t.Fatalf("MapTrusted: %v", err)
+		t.Fatalf("trusted load: %v", err)
 	}
-	if mss.States != ss.States || !reflect.DeepEqual(mss.Globals(), ss.Globals()) {
-		t.Fatal("trusted subspace load differs from the built subspace")
-	}
+	assertSpaceEqual(t, ss, mss)
 }
 
-// TestMapSystemCopyMatchesAlias runs the decoder's copying mode — the one
-// Read takes on big-endian hosts — on this host and pins it bit-equal to
-// the aliasing mode, for a full space and for a closure.
+// TestMapSystemCopyMatchesAlias runs the loader's copying mode — the one
+// big-endian hosts take — on this host and pins it bit-equal to the
+// aliasing mode, for a full space and for a closure.
 func TestMapSystemCopyMatchesAlias(t *testing.T) {
-	_, _, full := testSpaceBytes(t)
-	_, _, sub := testSubSpaceBytes(t)
-	for _, data := range [][]byte{full, sub} {
-		h, err := parseHeader([headerSize]byte(data[:headerSize]))
+	_, a4, full := testSpaceBytes(t)
+	_, a5, sub := testSubSpaceBytes(t)
+	for _, tc := range []struct {
+		a    *tokenring.Algorithm
+		data []byte
+	}{{a4, full}, {a5, sub}} {
+		aliased, err := Map(copyAt(tc.data, 0), tc.a, scheduler.CentralPolicy{}, 1, 0, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aliased, err := mapSystem(copyAt(data, 0), h, false, true)
+		copied, err := Map(copyAt(tc.data, 3), tc.a, scheduler.CentralPolicy{}, 1, 0, false, nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("copying load of a misaligned buffer: %v", err)
 		}
-		copied, err := mapSystem(copyAt(data, 3), h, false, false)
-		if err != nil {
-			t.Fatalf("copying decode of a misaligned buffer: %v", err)
-		}
-		if !reflect.DeepEqual(aliased.off, copied.off) || !reflect.DeepEqual(aliased.succ, copied.succ) ||
-			!reflect.DeepEqual(aliased.legit, copied.legit) || !reflect.DeepEqual(aliased.globals, copied.globals) {
-			t.Fatal("copied arrays differ from aliased ones")
-		}
-		if !slices.Equal(bytesOf(aliased.probs.pal), bytesOf(copied.probs.pal)) || !slices.Equal(aliased.probs.code, copied.probs.code) {
-			t.Fatal("copied probabilities differ bitwise from aliased ones")
-		}
+		assertSpaceEqual(t, aliased, copied)
 	}
 }

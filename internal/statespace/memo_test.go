@@ -55,7 +55,7 @@ func memoSpaces(t *testing.T) map[string]*Space {
 		"mapped/closure": testSubSpaceBytes,
 	} {
 		_, a, data := bytesOf(t)
-		sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 2, 0, nil)
+		sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 2, 0, false, func() error { return nil })
 		if err != nil {
 			t.Fatalf("%s: Map: %v", name, err)
 		}

@@ -73,7 +73,7 @@ func (a manyCoins) Legitimate(cfg protocol.Configuration) bool {
 
 // probValues returns the space's edge probabilities, read through At.
 func probValues(sp *statespace.Space) []float64 {
-	p := sp.Probs()
+	_, _, p := sp.CSR()
 	out := make([]float64, sp.Edges())
 	for e := range out {
 		out[e] = p.At(int64(e))
@@ -90,11 +90,11 @@ func distinct(sp *statespace.Space) int {
 	return len(seen)
 }
 
-// alignedCopy returns data in a buffer whose base is 8-aligned, as Map
-// requires.
-func alignedCopy(data []byte) []byte {
-	words := make([]uint64, (len(data)+7)/8)
-	buf := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(data))
+// bufferAt returns a copy of data whose base address is ≡ rem (mod 8):
+// Map aliases a buffer at rem 0 and copies one at any other.
+func bufferAt(data []byte, rem int) []byte {
+	words := make([]uint64, (len(data)+15)/8)
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)[rem : rem+len(data)]
 	copy(buf, data)
 	return buf
 }
@@ -102,7 +102,9 @@ func alignedCopy(data []byte) []byte {
 // sameProbs reports whether two spaces' probability arrays have the same
 // layout, palette and bits (with one palette, equal bits are equal codes).
 func sameProbs(a, b *statespace.Space) bool {
-	if a.Probs().Coded() != b.Probs().Coded() || !slices.Equal(a.Probs().Palette(), b.Probs().Palette()) {
+	_, _, ap := a.CSR()
+	_, _, bp := b.CSR()
+	if ap.Coded() != bp.Coded() || !slices.Equal(ap.Palette(), bp.Palette()) {
 		return false
 	}
 	af, bf := probValues(a), probValues(b)
@@ -116,9 +118,9 @@ func sameProbs(a, b *statespace.Space) bool {
 
 // TestPaletteOverflowRoundTrip: a space whose alphabet fits the palette is
 // coded and one whose alphabet overflows it keeps plain float64s. Both
-// round-trip bit-exactly through WriteTo, Read and Map, and give the same
-// report and hitting times from every copy, equal bit for bit to a solve
-// over plain float64 arrays (markov.FromCSR).
+// round-trip bit-exactly through WriteTo and Map, aliased and copied, and
+// give the same report and hitting times from every copy, equal bit for
+// bit to a solve over plain float64 arrays (markov.FromCSR).
 func TestPaletteOverflowRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		levels int
@@ -141,11 +143,11 @@ func TestPaletteOverflowRoundTrip(t *testing.T) {
 		if _, err := built.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		read, err := statespace.Read(bytes.NewReader(buf.Bytes()), a, pol, 1, 0)
+		copied, err := statespace.Map(bufferAt(buf.Bytes(), 1), a, pol, 1, 0, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := statespace.Map(alignedCopy(buf.Bytes()), a, pol, 1, 0, nil)
+		mapped, err := statespace.Map(bufferAt(buf.Bytes(), 0), a, pol, 1, 0, false, func() error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +163,7 @@ func TestPaletteOverflowRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wantRep *core.Report
-		for _, sp := range []*statespace.Space{built, read, mapped} {
+		for _, sp := range []*statespace.Space{built, copied, mapped} {
 			if !sameProbs(sp, built) {
 				t.Fatalf("%s: loaded probabilities differ from the built ones", a.Name())
 			}

@@ -23,9 +23,8 @@ import (
 // It is the only worker pool of the analysis: exploration (BuildContext,
 // Builder.explore), the sharded dedup insert (Dedup.AddChunks), the seal's
 // radix sort and row permutation, the fault ball's mutation shells and
-// legitimacy seed scan, successor
-// validation on load, the reverse-CSR counting sort and backward BFS, the
-// parallel CRC, row checks (markov.CheckRows), the hitting-time level
+// legitimacy seed scan, the reverse-CSR counting sort and backward BFS,
+// row checks (markov.CheckRows), the hitting-time level
 // chunks and red-black sweeps, the checker's side-by-side reverse-CSR
 // and condensation passes, the Monte Carlo batches (mc.RunContext) and
 // the netsim shard phases all run on it.

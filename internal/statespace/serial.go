@@ -21,20 +21,19 @@
 // and int64/float64 payloads are naturally 8-wide; the succ, code and
 // legit payloads are zero-padded up to it), so the section layout is a
 // pure function of the header and every payload of an 8-aligned buffer
-// except the bit-packed legit can be aliased in place. Readers reject
+// except the bit-packed legit can be aliased in place. The loader rejects
 // nonzero padding, spare legitimacy bits, unsorted palettes and codes
 // beyond the palette, keeping the byte stream a *bijection* of the
 // explored arrays: an accepted stream re-serializes bit-identically. The
 // checksum is CRC-32C (Castagnoli), hardware-accelerated on the hosts that
 // matter, stored as the low 32 bits of the 8-byte little-endian trailer.
 //
-// There is one decoder, mapSystem (mapped.go), and two ways to feed it:
-// Map hands it a complete buffer (in practice a read-only mmap) and keeps
-// the arrays aliasing it; Read copies a stream into an 8-aligned heap
-// buffer first. Both accept exactly the same byte strings by construction.
+// There is one loader, Map (mapped.go): it takes the complete stream as
+// one byte buffer — an mmap or the file read into memory — and aliases
+// the buffer where the host and the alignment allow, copying otherwise.
 //
 // The format stores only what exploration computed — never the algorithm
-// or policy, which are pure code. A reader therefore binds the arrays to
+// or policy, which are pure code. The loader therefore binds the arrays to
 // (algorithm, policy) objects supplied by the caller and validates the
 // dimensions against the algorithm's own encoder, so a loaded system is
 // indistinguishable from a freshly built one (bit-equal arrays, identical
@@ -54,11 +53,10 @@ import (
 	"unsafe"
 
 	"weakstab/internal/protocol"
-	"weakstab/internal/scheduler"
 )
 
 // SerialVersion is the on-disk format version written by WriteTo and
-// required by the readers. Bump it on any incompatible layout change;
+// required by Map. Bump it on any incompatible layout change;
 // stale cache files then fail the version gate and are rebuilt. Version 2
 // introduced 8-byte section alignment and the CRC-32C trailer, version 3
 // the palette-coded probabilities.
@@ -325,11 +323,11 @@ func (h serialHeader) layout() layout {
 	return l
 }
 
-// bind checks a header against the instance a reader binds it to and
+// bind checks a header against the instance the loader binds it to and
 // against the state cap, before any section is touched: a full space must
 // span a's whole index range, and a closure must live inside it. The cap
 // is Options.MaxStates' (0 = DefaultMaxStates), so an oversized cached
-// system costs a header read, not a decode.
+// system costs a header parse, not a decode.
 func bind(h serialHeader, a protocol.Algorithm, maxStates int64) (*protocol.Encoder, error) {
 	enc, err := protocol.NewEncoder(a, 0)
 	if err != nil {
@@ -399,25 +397,9 @@ func validateSucc(states int64, succ []int32) error {
 	}
 	// Hot on every load: reduce to the maximum successor as an unsigned
 	// value (a negative one wraps huge; states is capped at MaxInt32 by the
-	// header check, so one unsigned bound covers both violations), in
-	// parallel chunks on large arrays, and rescan for the exact culprit
-	// only on failure.
-	const grain = 1 << 19
-	var m uint32
-	if len(succ) >= 2*grain {
-		numChunks := (len(succ) + grain - 1) / grain
-		maxes := make([]uint32, numChunks)
-		ForRanges(len(succ), 0, grain, func(lo, hi int) error {
-			maxes[lo/grain] = maxSucc(succ[lo:hi])
-			return nil
-		})
-		for _, x := range maxes {
-			m = max(m, x)
-		}
-	} else {
-		m = maxSucc(succ)
-	}
-	if int64(m) < states {
+	// header check, so one unsigned bound covers both violations), and
+	// rescan for the exact culprit only on failure.
+	if int64(maxSucc(succ)) < states {
 		return nil
 	}
 	for _, t := range succ {
@@ -480,91 +462,4 @@ func validateGlobals(states, total int64, globals []int64) error {
 		prev = g
 	}
 	return nil
-}
-
-// Read decodes a system serialized by WriteTo — a full space or a
-// seed-set closure, as its header says — and binds it to the given
-// algorithm and policy (which the format deliberately does not store: they
-// are code, not data). workers sizes the analysis pools of the loaded
-// space (0 = NumCPU) and maxStates caps its state count exactly as
-// Options.MaxStates caps a fresh exploration (0 = DefaultMaxStates).
-//
-// The header and the cap are checked before anything else is read. The
-// rest of the stream is then copied into an 8-aligned heap buffer, which
-// mapSystem validates and decodes exactly as it does a mapped file; the
-// result owns that buffer and reports Mapped() == false. Bytes after the
-// trailer are not read.
-func Read(r io.Reader, a protocol.Algorithm, pol scheduler.Policy, workers int, maxStates int64) (*Space, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("statespace: reading header: %w", err)
-	}
-	h, err := parseHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := bind(h, a, maxStates)
-	if err != nil {
-		return nil, err
-	}
-	data, err := readAligned(r, hdr, h.layout().end+8)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := mapSystem(data, h, false, hostLittleEndian)
-	if err != nil {
-		return nil, err
-	}
-	return newSpace(a, pol, enc, h, arr, workers), nil
-}
-
-// readGrain is the first buffer size readAligned allocates for a reader
-// that cannot tell how many bytes it holds. The buffer then doubles only
-// when full, so a header that lies about its dimensions cannot make Read
-// allocate much more than twice the bytes the stream actually delivers.
-const readGrain = 1 << 16
-
-// readAligned returns the size-byte stream that starts with hdr and
-// continues with r, in a heap buffer whose base is 8-aligned. A seekable
-// reader (a file, an in-memory reader) that holds the whole rest of the
-// stream gets the full buffer at once.
-func readAligned(r io.Reader, hdr [headerSize]byte, size int64) ([]byte, error) {
-	first := min(size, readGrain)
-	if s, ok := r.(io.Seeker); ok && remaining(s) >= size-headerSize {
-		first = size
-	}
-	buf := alignedBytes(first)
-	have := int64(copy(buf, hdr[:]))
-	for have < size {
-		if have == int64(len(buf)) {
-			grown := alignedBytes(min(size, 2*have))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := io.ReadFull(r, buf[have:])
-		have += int64(n)
-		if err != nil {
-			return nil, fmt.Errorf("statespace: reading a %d-byte serialized system: %w", size, err)
-		}
-	}
-	return buf, nil
-}
-
-// remaining returns how many bytes s holds past its current offset, or -1
-// when it cannot tell.
-func remaining(s io.Seeker) int64 {
-	cur, err := s.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return -1
-	}
-	end, err := s.Seek(0, io.SeekEnd)
-	if _, err2 := s.Seek(cur, io.SeekStart); err != nil || err2 != nil {
-		return -1
-	}
-	return end - cur
-}
-
-// alignedBytes returns n zero bytes whose base address is 8-aligned.
-func alignedBytes(n int64) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(make([]uint64, (n+7)/8)))), n)
 }

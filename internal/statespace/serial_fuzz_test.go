@@ -1,24 +1,24 @@
 package statespace
 
-// Native fuzzing of the readers. The frontier/dedup/serial stack feeds
+// Native fuzzing of the loader. The frontier/dedup/serial stack feeds
 // every cached analysis, so the contract under hostile bytes must be
 // absolute: an arbitrary mutation of a serialized system either fails
 // cleanly (an error — wrong magic, wrong instance, shape violation,
 // checksum mismatch) or decodes to a system whose re-serialization
 // reproduces the input bytes exactly (the CRC-32C passed, so the payload
 // was untouched). Panics, hangs and silently-wrong spaces are all
-// failures. The targets share two bodies and differ in their seeds — a
-// full space or a closure — and in the instances they read into, so a
-// stream for one instance must also never load into another.
+// failures.
 //
-// Map and Read share one decoder, so they accept the same byte strings
-// by construction; FuzzMapSpace and FuzzMapSubSpace hold them to it, on
-// acceptance and on bit-equal arrays.
+// The FuzzRead* targets load every input aliased and copied, into one or
+// both instances, so a stream for one instance must also never load into
+// another, and hold the two modes to the same verdict and bit-equal
+// arrays. The FuzzMap* targets fuzz Map's ownership and trust contract:
+// unmap runs exactly once whatever the bytes, the space is Mapped only
+// when it aliases them, and a trusted load of accepted bytes gives the
+// same arrays as the full one.
 
 import (
 	"bytes"
-	"errors"
-	"reflect"
 	"testing"
 
 	"weakstab/internal/algorithms/tokenring"
@@ -63,101 +63,115 @@ func serialized(f *testing.F, a protocol.Algorithm, seeds []int64) []byte {
 	return buf.Bytes()
 }
 
-// checkRead: Read must error or round-trip bit-identically, never panic,
-// and an accepted stream must belong to the instance it was read for.
-func checkRead(t *testing.T, data []byte, algs []protocol.Algorithm) {
+// checkLoad: loading must error or round-trip bit-identically, never
+// panic, and an accepted stream must belong to the instance it was loaded
+// for. The aliased load (an 8-aligned buffer) and the copied one (the
+// same bytes one byte off) must agree on acceptance and give bit-equal
+// arrays.
+func checkLoad(t *testing.T, data []byte, algs []protocol.Algorithm) {
 	pol := scheduler.CentralPolicy{}
 	for _, a := range algs {
-		got, err := Read(bytes.NewReader(data), a, pol, 1, 0)
-		if err != nil {
+		aliased, aErr := Map(copyAt(data, 0), a, pol, 1, 0, false, nil)
+		copied, cErr := Map(copyAt(data, 1), a, pol, 1, 0, false, nil)
+		if (aErr == nil) != (cErr == nil) {
+			t.Fatalf("aliased and copied loads disagree on acceptance: aliased=%v copied=%v", aErr, cErr)
+		}
+		if aErr != nil {
 			continue
 		}
-		if want := got.Enc.Total(); got.TotalConfigs() != want || int64(got.States) > want {
+		assertSpaceEqual(t, aliased, copied)
+		if want := aliased.Enc.Total(); aliased.TotalConfigs() != want || int64(aliased.States) > want {
 			t.Fatalf("system of %d states in %d configurations accepted for a %d-configuration instance",
-				got.States, got.TotalConfigs(), want)
+				aliased.States, aliased.TotalConfigs(), want)
 		}
 		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
+		if _, err := aliased.WriteTo(&out); err != nil {
 			t.Fatalf("accepted system failed to re-serialize: %v", err)
 		}
-		// Read consumes exactly out.Len() bytes; trailing garbage is
-		// legitimately ignored, but the consumed prefix must match — the
-		// checksum leaves no room for an accepted-but-different payload.
+		// Bytes after the trailer are legitimately ignored, but the prefix
+		// must match — the checksum leaves no room for an
+		// accepted-but-different payload.
 		if out.Len() > len(data) || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
 			t.Fatalf("accepted system re-serializes to %d bytes differing from its input", out.Len())
 		}
 	}
 }
 
-// checkMap cross-checks Map against Read on an aligned copy of data: on
-// this host (big-endian hosts skip) the two must agree on acceptance and
-// produce bit-equal arrays.
+// checkMap holds Map to its ownership and trust contract on data.
 func checkMap(t *testing.T, data []byte, algs []protocol.Algorithm) {
-	if !hostLittleEndian {
-		t.Skip("mapped loads fall back on big-endian hosts")
-	}
 	pol := scheduler.CentralPolicy{}
 	for _, a := range algs {
-		mapped, mapErr := Map(copyAt(data, 0), a, pol, 1, 0, nil)
-		decoded, decErr := Read(bytes.NewReader(data), a, pol, 1, 0)
-		if errors.Is(mapErr, ErrNotMappable) {
-			t.Fatalf("aligned little-endian buffer reported ErrNotMappable")
-		}
-		if (mapErr == nil) != (decErr == nil) {
-			t.Fatalf("readers disagree on acceptance: map=%v read=%v", mapErr, decErr)
-		}
-		if mapErr != nil {
-			continue
-		}
-		mo, ms, mp := mapped.CSR()
-		do, ds, dp := decoded.CSR()
-		if mapped.States != decoded.States || !reflect.DeepEqual(mapped.Legit, decoded.Legit) ||
-			!reflect.DeepEqual(mo, do) || !reflect.DeepEqual(ms, ds) || !reflect.DeepEqual(mp, dp) ||
-			!reflect.DeepEqual(mapped.Globals(), decoded.Globals()) {
-			t.Fatalf("mapped and read systems differ for the same accepted bytes")
+		for _, at := range []uintptr{0, 1} {
+			buf := copyAt(data, at)
+			unmaps := 0
+			sp, err := Map(buf, a, pol, 1, 0, false, func() error { unmaps++; return nil })
+			aliased := hostLittleEndian && at == 0
+			if err != nil || !aliased {
+				if unmaps != 1 {
+					t.Fatalf("offset %d, err=%v: unmap ran %d times before Map returned, want 1", at, err, unmaps)
+				}
+				if err != nil {
+					continue
+				}
+			}
+			if sp.Mapped() != aliased {
+				t.Fatalf("offset %d: Mapped()=%v, want %v", at, sp.Mapped(), aliased)
+			}
+			trusted, err := Map(buf, a, pol, 1, 0, true, nil)
+			if err != nil {
+				t.Fatalf("offset %d: trusted load rejected bytes the full load accepted: %v", at, err)
+			}
+			assertSpaceEqual(t, sp, trusted)
+			if err := sp.Close(); err != nil {
+				t.Fatalf("offset %d: Close: %v", at, err)
+			}
+			if err := sp.Close(); err != nil || unmaps != 1 {
+				t.Fatalf("offset %d: after two Closes unmap ran %d times (err=%v), want 1", at, unmaps, err)
+			}
 		}
 	}
 }
 
-// FuzzReadSpace mutates a serialized full space of tokenring(4) and reads
+// FuzzReadSpace mutates a serialized full space of tokenring(4) and loads
 // it into both instances.
 func FuzzReadSpace(f *testing.F) {
 	algs := fuzzInstances(f)
 	f.Add(serialized(f, algs[0], nil))
-	f.Fuzz(func(t *testing.T, data []byte) { checkRead(t, data, algs) })
+	f.Fuzz(func(t *testing.T, data []byte) { checkLoad(t, data, algs) })
 }
 
-// FuzzReadSubSpace mutates a serialized closure of tokenring(5), with the
-// Globals section and its strict-ascent validation in play.
+// FuzzReadSubSpace mutates serialized closures of tokenring(5), with the
+// Globals section — its state-count consistency and strict-ascent
+// validation — in play, and loads them into both instances.
 func FuzzReadSubSpace(f *testing.F) {
 	algs := fuzzInstances(f)
 	sub := serialized(f, algs[1], []int64{0, 1, 7, 13})
 	f.Add(sub)
 	f.Add(sub[:40])
 	f.Add([]byte("WSSC\x02\x00\x01"))
-	f.Fuzz(func(t *testing.T, data []byte) { checkRead(t, data, algs) })
+	f.Fuzz(func(t *testing.T, data []byte) { checkLoad(t, data, algs) })
 }
 
-// FuzzReadFromSubSpace reads mutated tokenring(5) closures into
+// FuzzReadFromSubSpace loads mutated tokenring(5) closures into
 // tokenring(4) only, so the dimension validation paths get fuzzed: the
 // seed itself must be rejected, and anything accepted must carry the
 // receiver's 81-configuration total.
 func FuzzReadFromSubSpace(f *testing.F) {
 	algs := fuzzInstances(f)
 	f.Add(serialized(f, algs[1], []int64{0, 3}))
-	f.Fuzz(func(t *testing.T, data []byte) { checkRead(t, data, algs[:1]) })
+	f.Fuzz(func(t *testing.T, data []byte) { checkLoad(t, data, algs[:1]) })
 }
 
-// FuzzMapSpace cross-checks Map against Read on mutated full-space bytes.
+// FuzzMapSpace holds Map's ownership and trust contract on mutated
+// full-space bytes.
 func FuzzMapSpace(f *testing.F) {
 	algs := fuzzInstances(f)
 	f.Add(serialized(f, algs[0], nil))
 	f.Fuzz(func(t *testing.T, data []byte) { checkMap(t, data, algs) })
 }
 
-// FuzzMapSubSpace cross-checks Map against Read on mutated closure bytes,
-// with the Globals section — its state-count consistency and strict-ascent
-// validation — in play on the mapped path.
+// FuzzMapSubSpace holds Map's ownership and trust contract on mutated
+// closure bytes, with the Globals section in play on the trusted path.
 func FuzzMapSubSpace(f *testing.F) {
 	algs := fuzzInstances(f)
 	sub := serialized(f, algs[1], []int64{0, 1, 7, 13})

@@ -62,12 +62,12 @@ func TestSpaceRoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 			}
-			got, err := Read(bytes.NewReader(buf.Bytes()), tc.alg, tc.pol, 0, 0)
+			got, err := Map(buf.Bytes(), tc.alg, tc.pol, 0, 0, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Mapped() {
-				t.Fatal("Read result reports Mapped")
+				t.Fatal("a load without an unmap function reports Mapped")
 			}
 			assertSpaceEqual(t, sp, got)
 		})
@@ -96,7 +96,7 @@ func TestSubSpaceRoundTrip(t *testing.T) {
 			if _, err := ss.WriteTo(&buf); err != nil {
 				t.Fatal(err)
 			}
-			got, err := Read(bytes.NewReader(buf.Bytes()), tc.alg, tc.pol, 0, 0)
+			got, err := Map(buf.Bytes(), tc.alg, tc.pol, 0, 0, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestReadRejectsTruncation(t *testing.T) {
 	// boundary neighborhood, and one byte short of complete.
 	cuts := []int{0, 3, 17, 31, 32, 40, len(data) / 3, len(data) / 2, len(data) - 9, len(data) - 1}
 	for _, cut := range cuts {
-		if _, err := Read(bytes.NewReader(data[:cut]), sp.Alg, sp.Pol, 0, 0); err == nil {
+		if _, err := Map(data[:cut], sp.Alg, sp.Pol, 0, 0, false, nil); err == nil {
 			t.Fatalf("truncation at %d of %d bytes not rejected", cut, len(data))
 		}
 	}
@@ -143,14 +143,14 @@ func TestReadRejectsCorruption(t *testing.T) {
 	for _, at := range []int{40, len(data) / 4, len(data) / 2, len(data) - 12} {
 		bad := bytes.Clone(data)
 		bad[at] ^= 0x40
-		if _, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil {
+		if _, err := Map(bad, sp.Alg, sp.Pol, 0, 0, false, nil); err == nil {
 			t.Fatalf("corrupted byte at %d not rejected", at)
 		}
 	}
 	// Corrupting the stored checksum itself must also fail.
 	bad := bytes.Clone(data)
 	bad[len(bad)-1] ^= 0x01
-	if _, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil ||
+	if _, err := Map(bad, sp.Alg, sp.Pol, 0, 0, false, nil); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Fatal("corrupted trailer checksum not rejected as a checksum mismatch")
 	}
@@ -160,7 +160,7 @@ func TestReadRejectsVersionMismatch(t *testing.T) {
 	data, sp := serializedFixture(t)
 	bad := bytes.Clone(data)
 	binary.LittleEndian.PutUint16(bad[4:6], SerialVersion+1)
-	_, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0)
+	_, err := Map(bad, sp.Alg, sp.Pol, 0, 0, false, nil)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version mismatch not rejected, err=%v", err)
 	}
@@ -170,7 +170,7 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	data, sp := serializedFixture(t)
 	bad := bytes.Clone(data)
 	bad[0] = 'X'
-	if _, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil ||
+	if _, err := Map(bad, sp.Alg, sp.Pol, 0, 0, false, nil); err == nil ||
 		!strings.Contains(err.Error(), "magic") {
 		t.Fatal("bad magic not rejected")
 	}
@@ -179,18 +179,17 @@ func TestReadRejectsBadMagic(t *testing.T) {
 // TestReadRejectsKindMismatch: the header's kind decides the layout, so an
 // unknown kind is refused outright, and a full-space stream relabelled as
 // a closure no longer matches its own layout (it lacks the Globals
-// section) on either reader. Which kind a cache entry must hold is
+// section), aliased or copied. Which kind a cache entry must hold is
 // spacecache's check.
 func TestReadRejectsKindMismatch(t *testing.T) {
 	data, sp := serializedFixture(t)
 	for _, kind := range []byte{kindSubSpace, 2, 0xff} {
 		bad := bytes.Clone(data)
 		bad[6] = kind
-		if _, err := Read(bytes.NewReader(bad), sp.Alg, sp.Pol, 0, 0); err == nil {
-			t.Fatalf("kind %d: full-space stream accepted", kind)
-		}
-		if _, err := Map(copyAt(bad, 0), sp.Alg, sp.Pol, 0, 0, nil); err == nil {
-			t.Fatalf("kind %d: full-space buffer mapped", kind)
+		for rem := uintptr(0); rem < 2; rem++ {
+			if _, err := Map(copyAt(bad, rem), sp.Alg, sp.Pol, 0, 0, false, nil); err == nil {
+				t.Fatalf("kind %d: full-space stream accepted at base%%8=%d", kind, rem)
+			}
 		}
 	}
 }
@@ -201,30 +200,26 @@ func TestReadRejectsWrongInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(data), ring6, scheduler.CentralPolicy{}, 0, 0); err == nil {
+	if _, err := Map(data, ring6, scheduler.CentralPolicy{}, 0, 0, false, nil); err == nil {
 		t.Fatal("n=5 stream accepted for an n=6 instance")
 	}
 }
 
 // TestReadCapBeforeBody: a system beyond the state cap is refused at its
-// header, so only those headerSize bytes are consumed.
+// header — the header alone draws the cap error, not a truncation error.
 func TestReadCapBeforeBody(t *testing.T) {
 	data, sp := serializedFixture(t)
-	r := bytes.NewReader(data)
-	if _, err := Read(r, sp.Alg, sp.Pol, 0, int64(sp.States-1)); err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("over-cap stream: err = %v, want a cap error", err)
+	if _, err := Map(data[:headerSize], sp.Alg, sp.Pol, 0, int64(sp.States-1), false, nil); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("over-cap header: err = %v, want a cap error", err)
 	}
-	if read := len(data) - r.Len(); read != headerSize {
-		t.Fatalf("over-cap stream consumed %d bytes, want the %d-byte header", read, headerSize)
-	}
-	if _, err := Read(bytes.NewReader(data), sp.Alg, sp.Pol, 0, int64(sp.States)); err != nil {
+	if _, err := Map(data, sp.Alg, sp.Pol, 0, int64(sp.States), false, nil); err != nil {
 		t.Fatalf("stream at exactly the cap rejected: %v", err)
 	}
 }
 
 // TestReadBoundedAllocation feeds a header claiming MaxInt32 states — 16
-// GiB of offsets alone — followed by a few bytes. Read must fail having
-// allocated only what the bytes that arrived justify.
+// GiB of offsets alone — followed by a few bytes. Map must fail having
+// allocated nothing for the sections the header claims.
 func TestReadBoundedAllocation(t *testing.T) {
 	ring, err := tokenring.New(31) // modulus 2: 2^31 configurations
 	if err != nil {
@@ -240,13 +235,13 @@ func TestReadBoundedAllocation(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = Read(bytes.NewReader(stream), ring, scheduler.CentralPolicy{}, 1, IndexLimit)
+	_, err = Map(stream, ring, scheduler.CentralPolicy{}, 1, IndexLimit, false, nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("lying header accepted")
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("lying header made Read allocate %d bytes, want < 1 MiB", alloc)
+		t.Fatalf("lying header made Map allocate %d bytes, want < 1 MiB", alloc)
 	}
 }
 
@@ -267,7 +262,7 @@ func TestSubSpaceReadAnalysesMatch(t *testing.T) {
 	if _, err := ss.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(bytes.NewReader(buf.Bytes()), ring, pol, 0, 0)
+	got, err := Map(buf.Bytes(), ring, pol, 0, 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,15 +160,6 @@ type TransitionSystem = *Space
 // ascending. The slice aliases the space; callers must not modify it.
 func (sp *Space) Succ(s int) []int32 { return sp.succ[sp.off[s]:sp.off[s+1]] }
 
-// Probs returns the transition probabilities under the policy's
-// randomized scheduler: the edge at CSR position e (see CSR) has
-// probability Probs().At(e), and the rows of non-terminal states sum to
-// 1. The arrays alias the space.
-func (sp *Space) Probs() Probs { return sp.probs }
-
-// Degree returns the number of distinct successors of s.
-func (sp *Space) Degree(s int) int { return int(sp.off[s+1] - sp.off[s]) }
-
 // IsTerminal reports whether state s has no successors (no enabled
 // process).
 func (sp *Space) IsTerminal(s int) bool { return sp.off[s] == sp.off[s+1] }

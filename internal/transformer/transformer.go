@@ -68,9 +68,6 @@ func NewBiased(inner protocol.Deterministic, p float64) (*Algorithm, error) {
 	return &Algorithm{inner: inner, p: p}, nil
 }
 
-// Bias returns the toss success probability.
-func (a *Algorithm) Bias() float64 { return a.p }
-
 // Name implements protocol.Algorithm.
 func (a *Algorithm) Name() string {
 	return fmt.Sprintf("trans(%s,p=%g)", a.inner.Name(), a.p)

@@ -61,9 +61,28 @@ func TestBiasValidation(t *testing.T) {
 			t.Fatalf("explicit bias %g accepted", p)
 		}
 	}
+	// The default coin moves with probability 1/2: every move's outcomes
+	// are the inner step and staying put, half and half.
 	a := New(inner)
-	if a.Bias() != 0.5 {
-		t.Fatalf("default bias = %g", a.Bias())
+	enc, err := protocol.NewEncoder(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves := 0
+	for idx := int64(0); idx < enc.Total(); idx++ {
+		cfg := enc.Decode(idx, nil)
+		for _, p := range protocol.EnabledProcesses(a, cfg) {
+			out := a.Outcomes(cfg, p, a.EnabledAction(cfg, p))
+			if len(out) == 2 {
+				moves++
+				if out[0].Prob != 0.5 || out[1].Prob != 0.5 {
+					t.Fatalf("default coin outcomes %v, want probability 1/2 each", out)
+				}
+			}
+		}
+	}
+	if moves == 0 {
+		t.Fatal("no move tossed the coin")
 	}
 }
 
