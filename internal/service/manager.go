@@ -62,8 +62,8 @@ type Config struct {
 	// the manager's own service.* metrics (nil falls back to the process
 	// default observer).
 	Deps Deps
-	// Workers is the job worker-pool size (default 1). Distinct from
-	// Request.Workers, the per-job exploration parallelism.
+	// Workers is the job worker-pool size (default 1): how many jobs run
+	// at once. Each job's own pool is one worker per CPU (see Manager).
 	Workers int
 	// QueueDepth bounds the admission queue (default 16); submissions
 	// beyond it fail fast with ErrQueueFull.
@@ -126,7 +126,10 @@ func (j *Job) Result() (*Response, error) {
 	return j.resp, j.err
 }
 
-// Manager runs jobs.
+// Manager runs jobs. A job executes its request identity, which carries
+// no Request.Workers, so every job's exploration and analyses run one
+// worker per CPU (Execute's default), however many workers the request
+// asked for; Config.Workers only sizes how many jobs run at once.
 type Manager struct {
 	cfg Config
 

@@ -24,6 +24,7 @@ import (
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/spacecache"
+	"weakstab/internal/statespace"
 )
 
 // countingAlg counts the calls exploration makes into the algorithm (the
@@ -704,4 +705,23 @@ func TestBoundedHeap(t *testing.T) {
 		t.Errorf("live heap grew from %d B after 2000 jobs to %d B after 10000, above %d", h1, h2, limit)
 	}
 	t.Logf("sources %v, live heap %d B after 2000 jobs, %d B after 10000", sources, h1, h2)
+}
+
+// TestManagerJobsIgnoreRequestWorkers pins what a job's Request.Workers
+// does under the manager: nothing. The job executes the request identity,
+// which drops the field, so a job asking for one worker still explores
+// on one worker per CPU (capped, as every pool is, at the state count).
+func TestManagerJobsIgnoreRequestWorkers(t *testing.T) {
+	var pool atomic.Int64
+	m := NewManager(Config{Deps: Deps{Inspect: func(_ *Response, ts *statespace.Space) {
+		pool.Store(int64(ts.PoolWorkers()))
+	}}})
+	defer m.Shutdown(context.Background())
+	req := Request{Alg: "tokenring", N: 8, K: 3, Workers: 1}
+	if _, err := m.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(min(runtime.NumCPU(), 6561)); pool.Load() != want {
+		t.Fatalf("job with workers 1 explored on %d workers, want runtime.NumCPU() = %d", pool.Load(), want)
+	}
 }

@@ -82,9 +82,11 @@ type Request struct {
 
 	// MaxStates caps the explored configuration space (0 = default).
 	MaxStates int64 `json:"max_states,omitempty"`
-	// Workers sets the exploration worker-pool size (0 = all CPUs). An
-	// execution detail: it never changes the result, so it is excluded
-	// from the job identity and from the result's request echo.
+	// Workers sets the exploration worker-pool size of a direct Execute
+	// call (0 = all CPUs). An execution detail: it never changes the
+	// result, so it is excluded from the job identity and from the
+	// result's request echo. A Manager queues that identity, so every
+	// stabserve job runs with one worker per CPU whatever this field says.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the job wall clock from submission (0 = the
 	// manager's default). An execution detail like Workers.

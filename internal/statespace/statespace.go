@@ -13,9 +13,11 @@
 // configuration is ever materialized; activation subsets are enumerated as
 // the policy's bitmasks (scheduler.Policy.SubsetMasks, cached per
 // enabled-set size), so no per-configuration subset slices are allocated.
-// The result is identical — including per-row probability sums, which
-// accumulate in the same order — to the reference single-threaded
-// enumeration in BuildReference.
+// The index also orders each row: under the central, distributed and
+// synchronous daemons a row is emitted already sorted by target, with no
+// sort or merge (exploreState). The result is identical — including
+// per-row probability sums, which accumulate in the same order — to the
+// reference single-threaded enumeration in BuildReference.
 package statespace
 
 import (
@@ -429,16 +431,25 @@ type explorer struct {
 	n      int
 	counts []int      // per-process state-domain sizes, for outcome validation
 	masks  [][]uint64 // subset masks per enabled-set size, filled on first use
+	shapes []rowShape // the shape of masks[k], classified with it
 
 	cfg      protocol.Configuration
 	enabled  []int
 	actions  []int
-	outDelta [][]int64 // per enabled position: index deltas of the outcomes
+	outDelta [][]int64 // per enabled position: index deltas of the outcomes, sorted stably
 	outProb  [][]float64
-	actPos   []int // activated positions of the current mask
-	odo      []int // odometer over the activated positions' outcomes
+	optDelta [][]int64 // distributed rows: outDelta with "not activated" (delta 0) inserted
+	optProb  [][]float64
+	stride   []int    // odometerRow: rank weight of each position's option index
+	prefix   []prefix // odometerRow: running sums of the positions below and at each one
+	step     []int64  // distributedDetRow: |delta| of each position
+	actPos   []int    // activated positions of the current mask
+	odo      []int    // odometer over the activated positions' outcomes
 	row      []edge
 	tmp      []edge // radixSort's second buffer
+	// ordered and merged count the rows exploreState emitted in order and
+	// through the fallback merge; tests read them.
+	ordered, merged int
 	// rangeSucc and rangeProb accumulate exploreRange's fragment; they
 	// are reused across ranges, and the fragment is their exact-size copy.
 	rangeSucc []int32
@@ -457,9 +468,12 @@ func newExplorer(alg protocol.Algorithm, pol scheduler.Policy, enc *protocol.Enc
 		n:        n,
 		counts:   make([]int, n),
 		masks:    make([][]uint64, n+1),
+		shapes:   make([]rowShape, n+1),
 		cfg:      make(protocol.Configuration, n),
 		outDelta: make([][]int64, n),
 		outProb:  make([][]float64, n),
+		optDelta: make([][]int64, n),
+		optProb:  make([][]float64, n),
 	}
 	for p := 0; p < n; p++ {
 		ex.counts[p] = alg.StateCount(p)
@@ -470,12 +484,54 @@ func newExplorer(alg protocol.Algorithm, pol scheduler.Policy, enc *protocol.Enc
 	return ex
 }
 
-func (ex *explorer) subsetMasks() []uint64 {
+func (ex *explorer) subsetMasks() ([]uint64, rowShape) {
 	k := len(ex.enabled)
 	if ex.masks[k] == nil {
 		ex.masks[k] = ex.pol.SubsetMasks(k)
+		ex.shapes[k] = maskShape(ex.masks[k], k)
 	}
-	return ex.masks[k]
+	return ex.masks[k], ex.shapes[k]
+}
+
+// rowShape names the mask lists whose rows exploreState emits in target
+// order: the three daemons' lists, recognized by their shape alone.
+type rowShape uint8
+
+const (
+	shapeOther       rowShape = iota // any other list: enumerate and merge
+	shapeCentral                     // the k singletons, in any order
+	shapeDistributed                 // all 2^k-1 non-empty masks, in any order
+	shapeSynchronous                 // the one full mask
+)
+
+// maskShape classifies the mask list of a k-element enabled set.
+func maskShape(masks []uint64, k int) rowShape {
+	full := uint64(1)<<uint(k) - 1
+	switch {
+	case len(masks) == 1 && masks[0] == full:
+		return shapeSynchronous
+	case len(masks) == k:
+		seen := uint64(0)
+		for _, m := range masks {
+			if bits.OnesCount64(m) != 1 || seen&m != 0 {
+				return shapeOther
+			}
+			seen |= m
+		}
+		if seen == full {
+			return shapeCentral
+		}
+	case k < 31 && len(masks) == 1<<k-1:
+		seen := make([]bool, len(masks)+1)
+		for _, m := range masks {
+			if m == 0 || m > full || seen[m] {
+				return shapeOther
+			}
+			seen[m] = true
+		}
+		return shapeDistributed
+	}
+	return shapeOther
 }
 
 // exploreRange explores states [lo, hi) into a fresh CSR fragment,
@@ -514,6 +570,19 @@ func (ex *explorer) exploreRange(lo, hi int, legit []bool, deg []int64) (chunk, 
 // legitimacy. Outcome states are validated against the process domains so
 // a misbehaving Algorithm yields a clean error instead of an aliased state
 // index.
+//
+// The row comes out in ascending target order without a sort for the
+// three daemons' mask lists (orderedRow). This rests on one property of
+// the mixed-radix index: a change at enabled position i moves it by a
+// nonzero multiple of Weight(p_i), while all changes below i together move
+// it by at most Weight(p_i)-1 (a position not activated moves it by 0).
+// So of two successor entries, the highest position where their deltas
+// differ decides which target is larger, and two entries share a target
+// only when their deltas agree position by position. Rows where one
+// position has two options of equal delta — a stay outcome under the
+// distributed daemon (herman, -transform), where it ties "not
+// activated", or an Outcomes list repeating a state — and rows of any
+// other mask list are enumerated and merged instead (mergeRow).
 func (ex *explorer) exploreState(g int64) (bool, error) {
 	legit := ex.alg.Legitimate(ex.cfg)
 	ex.outTo = ex.outTo[:0]
@@ -564,11 +633,17 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 		}
 		if len(outs) > 1 {
 			deterministic = false
+			sortOutcomes(ex.outDelta[i], ex.outProb[i])
 		}
 	}
 
-	masks := ex.subsetMasks()
+	masks, shape := ex.subsetMasks()
 	w := 1 / float64(len(masks))
+	if ex.orderedRow(g, masks, shape, w, deterministic) {
+		ex.ordered++
+		return legit, nil
+	}
+	ex.merged++
 	ex.row = ex.row[:0]
 	for _, mask := range masks {
 		if deterministic {
@@ -584,17 +659,249 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 		}
 		ex.enumerateMask(g, mask, w)
 	}
-
 	ex.mergeRow()
 	return legit, nil
+}
+
+// sortOutcomes sorts one position's outcomes by delta, stably. No merged
+// sum moves: two entries of a row share a target only when their deltas
+// agree position by position, and the stable sort keeps equal deltas in
+// enumeration order.
+func sortOutcomes(delta []int64, prob []float64) {
+	for i := 1; i < len(delta); i++ {
+		d, p := delta[i], prob[i]
+		j := i
+		for ; j > 0 && delta[j-1] > d; j-- {
+			delta[j], prob[j] = delta[j-1], prob[j-1]
+		}
+		delta[j], prob[j] = d, p
+	}
+}
+
+// orderedRow emits the current state's merged row into ex.outTo/ex.outP in
+// ascending target order, bit-identical to the enumerate-and-merge path:
+// an entry's probability is w times its outcome probabilities multiplied
+// in ascending position order, as enumerateMask multiplies them, and
+// entries sharing a target sum in enumeration order. It reports false,
+// emitting nothing, for the rows that path must take (see exploreState).
+func (ex *explorer) orderedRow(g int64, masks []uint64, shape rowShape, w float64, det bool) bool {
+	switch shape {
+	case shapeCentral:
+		return ex.centralRow(g, masks, w, det)
+	case shapeDistributed:
+		if det {
+			return ex.distributedDetRow(g, w)
+		}
+		return ex.odometerRow(g, w, true)
+	case shapeSynchronous:
+		if det {
+			delta := int64(0)
+			for i := range ex.enabled {
+				delta += ex.outDelta[i][0]
+			}
+			ex.outTo = append(ex.outTo, g+delta)
+			ex.outP = append(ex.outP, w)
+			return true
+		}
+		return ex.odometerRow(g, w, false)
+	}
+	return false
+}
+
+// tied reports whether some enabled position has two outcomes of equal
+// delta, counting a pair of zero deltas only when zeros is set.
+func (ex *explorer) tied(zeros bool) bool {
+	for i := range ex.enabled {
+		ds := ex.outDelta[i]
+		for j := 1; j < len(ds); j++ {
+			if ds[j] == ds[j-1] && (zeros || ds[j] != 0) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// centralRow emits a central row (one entry per outcome of each enabled
+// position) in one pass from the top position down: negative-delta
+// outcomes fill the row from the front and positive-delta ones from the
+// back, each position's ascending, so the negatives come out top position
+// first and the positives bottom position first. The slots left between
+// them become one self-loop summing the zero-delta outcomes in
+// enumeration order (masks in list order).
+func (ex *explorer) centralRow(g int64, masks []uint64, w float64, det bool) bool {
+	if !det && ex.tied(false) {
+		return false
+	}
+	weight := func(i, j int) float64 {
+		if det {
+			return w
+		}
+		return w * ex.outProb[i][j]
+	}
+	n := 0
+	for i := range ex.enabled {
+		n += len(ex.outDelta[i])
+	}
+	to := slices.Grow(ex.outTo, n)[:n]
+	out := slices.Grow(ex.outP, n)[:n]
+	lo, hi := 0, n
+	for i := len(ex.enabled) - 1; i >= 0; i-- {
+		ds := ex.outDelta[i]
+		for j := 0; j < len(ds) && ds[j] < 0; j++ {
+			to[lo], out[lo] = g+ds[j], weight(i, j)
+			lo++
+		}
+		for j := len(ds) - 1; j >= 0 && ds[j] > 0; j-- {
+			hi--
+			to[hi], out[hi] = g+ds[j], weight(i, j)
+		}
+	}
+	if hi > lo {
+		to[lo], out[lo] = g, 0 // 0+p is p exactly: the sum starts as the merge's does
+		for _, m := range masks {
+			i := bits.TrailingZeros64(m)
+			for j, d := range ex.outDelta[i] {
+				if d == 0 {
+					out[lo] += weight(i, j)
+				}
+			}
+		}
+		copy(out[lo+1:], out[hi:])
+		n = lo + 1 + copy(to[lo+1:], to[hi:])
+	}
+	ex.outTo, ex.outP = to[:n], out[:n]
+	return true
+}
+
+// distributedDetRow emits a deterministic distributed row: position i's
+// options are "not activated" and its one outcome, so entry x of the
+// order activates the positions in x XOR neg, where neg holds the
+// positions with a negative delta, and its target is base plus the
+// subset sum of |delta| over x (base: all negative deltas applied). x =
+// neg activates nothing and is dropped. Every entry weighs w.
+func (ex *explorer) distributedDetRow(g int64, w float64) bool {
+	neg, base := 0, g
+	ex.step = ex.step[:0]
+	for i := range ex.enabled {
+		d := ex.outDelta[i][0]
+		if d == 0 {
+			return false // a stay outcome ties "not activated"
+		}
+		if d < 0 {
+			neg |= 1 << i
+			base += d
+			d = -d
+		}
+		ex.step = append(ex.step, d)
+	}
+	n := 1 << len(ex.enabled)
+	to := slices.Grow(ex.outTo, n)[:n]
+	to[0] = base
+	for x := 1; x < n; x++ {
+		to[x] = to[x&(x-1)] + ex.step[bits.TrailingZeros(uint(x))]
+	}
+	ex.outTo = slices.Delete(to, neg, neg+1)
+	ex.outP = slices.Grow(ex.outP, n-1)[:n-1]
+	for i := range ex.outP {
+		ex.outP[i] = w
+	}
+	return true
+}
+
+// prefix holds odometerRow's running delta, probability product and rank
+// over the positions up to one.
+type prefix struct {
+	delta int64
+	p     float64
+	rank  int
+}
+
+// odometerRow emits a synchronous row (each position's options are its
+// outcomes) or, with idle set, a nondeterministic distributed one ("not
+// activated", delta 0 and factor 1, joins each position's options). In
+// target order the entries are an odometer over the options with the top
+// position varying slowest, so an entry's rank is its option indexes read
+// as a mixed-radix number. The odometer runs the other way round, bottom
+// position slowest as in enumerateMask, so each entry's product extends
+// the cached products of the positions below the one that moved, and
+// writes every entry at its rank. The all-idle combination is skipped.
+func (ex *explorer) odometerRow(g int64, w float64, idle bool) bool {
+	if ex.tied(true) {
+		return false
+	}
+	k := len(ex.enabled)
+	opts, probs := ex.outDelta, ex.outProb
+	ex.stride = ex.stride[:0]
+	total, idleRank := 1, -1
+	if idle {
+		opts, probs, idleRank = ex.optDelta, ex.optProb, 0
+	}
+	for i := range k {
+		if idle {
+			ds := ex.outDelta[i]
+			at := 0
+			for at < len(ds) && ds[at] < 0 {
+				at++
+			}
+			if at < len(ds) && ds[at] == 0 {
+				return false // a stay outcome ties "not activated"
+			}
+			opts[i] = slices.Insert(append(opts[i][:0], ds...), at, 0)
+			probs[i] = slices.Insert(append(probs[i][:0], ex.outProb[i]...), at, 1)
+			idleRank += at * total
+		}
+		ex.stride = append(ex.stride, total)
+		total *= len(opts[i])
+	}
+	n := total
+	if idle {
+		n--
+	}
+	to := slices.Grow(ex.outTo, n)[:n]
+	out := slices.Grow(ex.outP, n)[:n]
+	ex.odo = slices.Grow(ex.odo[:0], k)[:k]
+	clear(ex.odo)
+	pre := slices.Grow(ex.prefix[:0], k)[:k]
+	for j := 0; j >= 0; {
+		cur := prefix{p: w}
+		if j > 0 {
+			cur = pre[j-1]
+		}
+		for i := j; i < k; i++ {
+			c := ex.odo[i]
+			cur.delta += opts[i][c]
+			cur.p *= probs[i][c]
+			cur.rank += c * ex.stride[i]
+			pre[i] = cur
+		}
+		if r := cur.rank; r != idleRank {
+			if idle && r > idleRank {
+				r--
+			}
+			to[r], out[r] = g+cur.delta, cur.p
+		}
+		for j = k - 1; j >= 0; j-- {
+			ex.odo[j]++
+			if ex.odo[j] < len(opts[j]) {
+				break
+			}
+			ex.odo[j] = 0
+		}
+	}
+	ex.outTo, ex.outP, ex.prefix = to, out, pre
+	return true
 }
 
 // smallRow is the longest row mergeRow sorts by insertion; longer rows
 // (the distributed daemon's up to 2^k-1 activation subsets) go through
 // the radix sort, whose per-pass bucket scan short rows cannot amortize.
+// Only the rows orderedRow turns down reach either sort.
 const smallRow = 32
 
-// mergeRow merges the duplicate targets of ex.row into ex.outTo/ex.outP.
+// mergeRow merges the duplicate targets of ex.row into ex.outTo/ex.outP:
+// the fallback for the rows orderedRow cannot emit in order (a position
+// with two options of equal delta, or a mask list of no daemon's shape).
 // Both sorts are stable by target, so enumeration order is kept within a
 // target and probability sums accumulate exactly as in BuildReference's
 // sort.Stable merge (deterministic across worker counts).
@@ -659,7 +966,11 @@ func (ex *explorer) radixSort(row []edge) []edge {
 
 // enumerateMask appends every joint outcome of the activation subset mask
 // (an odometer over the activated positions' outcome lists, last position
-// varying fastest) to the row under construction.
+// varying fastest) to the row under construction, each weighing w times
+// its outcome probabilities multiplied in ascending position order — the
+// products orderedRow reproduces. Only the rows orderedRow turns down are
+// enumerated: a position with two options of equal delta, or a mask list
+// of no daemon's shape.
 func (ex *explorer) enumerateMask(g int64, mask uint64, w float64) {
 	ex.actPos = ex.actPos[:0]
 	for mask != 0 {

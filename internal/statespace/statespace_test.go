@@ -76,9 +76,20 @@ func policies() []scheduler.Policy {
 
 // TestBuildMatchesReference checks that the parallel engine reproduces the
 // seed-era enumeration exactly: same legitimacy vector, same sorted
-// successor rows, identical probability sums.
+// successor rows, identical probability sums. tokenring(7) and herman(7)
+// add distributed rows of up to 127 subsets, longer than smallRow: ordered
+// for tokenring, radix-sorted and merged for herman, whose stay outcomes
+// tie "not activated".
 func TestBuildMatchesReference(t *testing.T) {
-	for _, a := range instances(t) {
+	tr7, err := tokenring.New(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hm7, err := herman.New(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range append(instances(t), tr7, hm7) {
 		for _, pol := range policies() {
 			ref, err := BuildReference(a, pol, 0)
 			if err != nil {
