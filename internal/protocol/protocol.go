@@ -216,31 +216,46 @@ func StepOutcomes(a Algorithm, cfg Configuration, subset []int) []WeightedConfig
 		p    int
 		outs []Outcome
 	}
-	var active []proc
+	next := cfg.Clone()
+	var multi []proc
+	total := 1
 	for _, p := range subset {
 		act := a.EnabledAction(cfg, p)
 		if act == Disabled {
 			continue
 		}
-		active = append(active, proc{p: p, outs: a.Outcomes(cfg, p, act)})
-	}
-	results := []WeightedConfig{{Config: cfg.Clone(), Prob: 1}}
-	for _, pr := range active {
-		if len(pr.outs) == 1 {
-			for i := range results {
-				results[i].Config[pr.p] = pr.outs[0].State
-			}
+		outs := a.Outcomes(cfg, p, act)
+		if len(outs) == 1 {
+			next[p] = outs[0].State
 			continue
 		}
-		grown := make([]WeightedConfig, 0, len(results)*len(pr.outs))
-		for _, r := range results {
-			for _, o := range pr.outs {
-				c := r.Config.Clone()
-				c[pr.p] = o.State
-				grown = append(grown, WeightedConfig{Config: c, Prob: r.Prob * o.Prob})
-			}
+		multi = append(multi, proc{p: p, outs: outs})
+		total *= len(outs)
+	}
+	if total == 1 {
+		return []WeightedConfig{{Config: next, Prob: 1}}
+	}
+	// An odometer over the multi-outcome processes, the last varying
+	// fastest; each successor's probability multiplies in subset order.
+	results := make([]WeightedConfig, total)
+	slab := make([]int, total*len(cfg))
+	odo := make([]int, len(multi))
+	for r := range results {
+		c := Configuration(slab[r*len(cfg) : (r+1)*len(cfg) : (r+1)*len(cfg)])
+		copy(c, next)
+		prob := 1.0
+		for i, pr := range multi {
+			o := pr.outs[odo[i]]
+			c[pr.p] = o.State
+			prob *= o.Prob
 		}
-		results = grown
+		results[r] = WeightedConfig{Config: c, Prob: prob}
+		for i := len(odo) - 1; i >= 0; i-- {
+			if odo[i]++; odo[i] < len(multi[i].outs) {
+				break
+			}
+			odo[i] = 0
+		}
 	}
 	return results
 }

@@ -9,12 +9,15 @@
 //     process ids), used by the exhaustive checker to enumerate all
 //     possible steps, and by the Markov analysis which weights them
 //     uniformly (Definition 6 of the paper: the "randomized scheduler"
-//     chooses uniformly).
+//     chooses uniformly). Policy is a closed set of three daemons that no
+//     outside type implements.
 //
 // The paper's scheduler taxonomy maps as follows: the central scheduler is
 // CentralPolicy/NewCentralRandomized, the distributed scheduler is
 // DistributedPolicy/NewDistributedRandomized, and the synchronous scheduler
-// is SynchronousPolicy/NewSynchronous. Fairness (weak, strong, Gouda) is a
+// is SynchronousPolicy/NewSynchronous — the distribution axis of the
+// Dubois–Tixeuil taxonomy, which names exactly these three daemons, so
+// Policy's Kind identifies each. Fairness (weak, strong, Gouda) is a
 // property of infinite executions; package-level predicates decide them on
 // finite lassos (cycles repeated forever).
 package scheduler
@@ -230,11 +233,16 @@ func (f Func) Select(step int, cfg protocol.Configuration, enabled []int, rng *r
 	return f.F(step, cfg, enabled, rng)
 }
 
-// Policy enumerates the activation subsets a scheduler class permits. The
+// Policy enumerates the activation subsets a daemon permits. The
 // exhaustive checker explores every subset; the Markov analysis weights
 // them uniformly (randomized scheduler). Every policy of the paper depends
 // only on how many processes are enabled, not on which, so a subset is a
 // position bitmask over the enabled set; Subset turns one into process ids.
+//
+// Policy is sealed: CentralPolicy, DistributedPolicy and SynchronousPolicy
+// are its only implementations, and Kind tells them apart, so a consumer
+// such as the explorer may derive the subsets from the kind instead of
+// the mask list.
 type Policy interface {
 	// Name identifies the policy.
 	Name() string
@@ -242,7 +250,24 @@ type Policy interface {
 	// enabled set (k >= 1) as bitmasks over positions [0,k): bit i
 	// selects the i-th enabled process. Every mask is non-empty.
 	SubsetMasks(k int) []uint64
+	// Kind names the daemon.
+	Kind() Kind
+	sealed()
 }
+
+// Kind is one of the three daemons a Policy can be.
+type Kind uint8
+
+const (
+	KindCentral     Kind = iota // the k singletons, in position order
+	KindDistributed             // masks 1 … 2^k-1, ascending
+	KindSynchronous             // the full mask
+)
+
+// DistributedLimit is the widest enabled set the distributed daemon
+// enumerates: 2^20 subsets per configuration is already beyond practical
+// exhaustive checking.
+const DistributedLimit = 20
 
 // Subset returns the processes of enabled that mask selects, in enabled's
 // order.
@@ -263,6 +288,10 @@ type CentralPolicy struct{}
 // Name implements Policy.
 func (CentralPolicy) Name() string { return "central" }
 
+// Kind implements Policy.
+func (CentralPolicy) Kind() Kind { return KindCentral }
+func (CentralPolicy) sealed()    {}
+
 // SubsetMasks implements Policy: the k singletons, in position order.
 func (CentralPolicy) SubsetMasks(k int) []uint64 {
 	if k > 64 {
@@ -282,12 +311,15 @@ type DistributedPolicy struct{}
 // Name implements Policy.
 func (DistributedPolicy) Name() string { return "distributed" }
 
+// Kind implements Policy.
+func (DistributedPolicy) Kind() Kind { return KindDistributed }
+func (DistributedPolicy) sealed()    {}
+
 // SubsetMasks implements Policy: all 2^k-1 non-empty position masks in
-// ascending order. 2^20 subsets per configuration is already beyond
-// practical exhaustive checking, so it refuses enabled sets wider than 20
-// processes rather than drown.
+// ascending order. It refuses enabled sets wider than DistributedLimit
+// rather than drown.
 func (DistributedPolicy) SubsetMasks(k int) []uint64 {
-	if k > 20 {
+	if k > DistributedLimit {
 		panic(fmt.Sprintf("scheduler: DistributedPolicy.SubsetMasks on %d enabled processes", k))
 	}
 	total := uint64(1)<<uint(k) - 1
@@ -304,6 +336,10 @@ type SynchronousPolicy struct{}
 
 // Name implements Policy.
 func (SynchronousPolicy) Name() string { return "synchronous" }
+
+// Kind implements Policy.
+func (SynchronousPolicy) Kind() Kind { return KindSynchronous }
+func (SynchronousPolicy) sealed()    {}
 
 // SubsetMasks implements Policy: the single full mask.
 func (SynchronousPolicy) SubsetMasks(k int) []uint64 {

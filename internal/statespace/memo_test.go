@@ -4,10 +4,7 @@ package statespace
 // of the explorer's row merge.
 
 import (
-	"math"
-	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -130,77 +127,5 @@ func TestMemoConcurrentFirstUse(t *testing.T) {
 				t.Fatalf("%s: caller %d got a different slice", name, i)
 			}
 		}
-	}
-}
-
-// stableMerge is the reference merge: BuildReference's stable sort by
-// target, then per-target sums in enumeration order.
-func stableMerge(row []edge) ([]int64, []float64) {
-	row = slices.Clone(row)
-	sort.Stable(edgeSlice(row))
-	var to []int64
-	var p []float64
-	for i := 0; i < len(row); {
-		t, sum := row[i].to, row[i].p
-		for i++; i < len(row) && row[i].to == t; i++ {
-			sum += row[i].p
-		}
-		to = append(to, t)
-		p = append(p, sum)
-	}
-	return to, p
-}
-
-// TestMergeRowMatchesStableSort pins the explorer's merge to the stable
-// reference bit for bit on rows whose per-target sums depend on the
-// summation order (0.1+0.2+0.3 ≠ 0.3+0.2+0.1 in float64). The rows are
-// duplicate-heavy, short (insertion sort) and long (radix sort, with
-// target spans from one to five bytes), so any merge that reorders equal
-// targets — an unstable sort keyed on the target alone, say — changes a
-// sum.
-func TestMergeRowMatchesStableSort(t *testing.T) {
-	vals := []float64{0.1, 0.2, 0.3, 1e-17, 0.7, 1.0 / 3}
-	if (vals[0]+vals[1])+vals[2] == (vals[2]+vals[1])+vals[0] {
-		t.Fatal("fixture values no longer order-sensitive")
-	}
-	rng := rand.New(rand.NewSource(7))
-	ex := &explorer{}
-	var short, long, multiPass int
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(600)
-		base := rng.Int63n(1 << 40)
-		spanBits := rng.Intn(41)
-		targets := make([]int64, 1+rng.Intn(12))
-		for i := range targets {
-			targets[i] = base + rng.Int63n(1<<spanBits)
-		}
-		row := make([]edge, n)
-		for i := range row {
-			row[i] = edge{to: targets[rng.Intn(len(targets))], p: vals[rng.Intn(len(vals))]}
-		}
-		switch {
-		case n <= smallRow:
-			short++
-		case spanBits > 8:
-			multiPass++
-			fallthrough
-		default:
-			long++
-		}
-		wantTo, wantP := stableMerge(row)
-		ex.row = append(ex.row[:0], row...)
-		ex.outTo, ex.outP = ex.outTo[:0], ex.outP[:0]
-		ex.mergeRow()
-		if !slices.Equal(ex.outTo, wantTo) {
-			t.Fatalf("trial %d (n=%d): merged targets %v, want %v", trial, n, ex.outTo, wantTo)
-		}
-		for i := range wantP {
-			if math.Float64bits(ex.outP[i]) != math.Float64bits(wantP[i]) {
-				t.Fatalf("trial %d (n=%d): target %d sums to %v, want %v (stable order)", trial, n, wantTo[i], ex.outP[i], wantP[i])
-			}
-		}
-	}
-	if short == 0 || long == 0 || multiPass == 0 {
-		t.Fatalf("trials cover %d short, %d long and %d multi-pass rows; want each", short, long, multiPass)
 	}
 }

@@ -11,7 +11,7 @@ package statespace
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
@@ -42,6 +42,8 @@ func BuildReference(a protocol.Algorithm, pol scheduler.Policy, maxStates int64)
 	}
 	cfg := make(protocol.Configuration, a.Graph().N())
 	var probs []float64
+	sums := map[int64]float64{}
+	var targets []int64
 	for s := 0; s < total; s++ {
 		sp.off[s] = int64(len(sp.succ))
 		cfg = enc.Decode(int64(s), cfg)
@@ -52,32 +54,24 @@ func BuildReference(a protocol.Algorithm, pol scheduler.Policy, maxStates int64)
 		}
 		masks := pol.SubsetMasks(len(enabled))
 		w := 1 / float64(len(masks))
-		var row edgeSlice
+		clear(sums)
+		targets = targets[:0]
 		for _, m := range masks {
 			for _, out := range protocol.StepOutcomes(a, cfg, scheduler.Subset(m, enabled)) {
-				row = append(row, edge{to: enc.Encode(out.Config), p: w * out.Prob})
+				to := enc.Encode(out.Config)
+				if _, ok := sums[to]; !ok {
+					targets = append(targets, to)
+				}
+				sums[to] += w * out.Prob // in enumeration order
 			}
 		}
-		sort.Stable(row)
-		for i := 0; i < len(row); {
-			to, p := row[i].to, row[i].p
-			for i++; i < len(row) && row[i].to == to; i++ {
-				p += row[i].p
-			}
+		slices.Sort(targets)
+		for _, to := range targets {
 			sp.succ = append(sp.succ, int32(to))
-			probs = append(probs, p)
+			probs = append(probs, sums[to])
 		}
 	}
 	sp.off[total] = int64(len(sp.succ))
 	sp.probs = packProbs(probs)
 	return sp, nil
 }
-
-// edgeSlice sorts edges by target, stably, so per-target probability sums
-// accumulate in enumeration order. The engine's merge (mergeRow)
-// reproduces this order without the interface sort.
-type edgeSlice []edge
-
-func (e edgeSlice) Len() int           { return len(e) }
-func (e edgeSlice) Less(i, j int) bool { return e[i].to < e[j].to }
-func (e edgeSlice) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }

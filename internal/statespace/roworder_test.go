@@ -1,14 +1,15 @@
 package statespace
 
 // Tests of the explorer's ordered row emission: every row exploreState
-// emits, in order or through the fallback merge, must equal the stable
-// merge of the plain enumeration bit for bit.
+// emits must equal the stable merge of the plain enumeration bit for bit.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"weakstab/internal/algorithms/herman"
@@ -16,6 +17,7 @@ import (
 	"weakstab/internal/graph"
 	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
+	"weakstab/internal/transformer"
 )
 
 // rowAlg is a table algorithm for one configuration: process p has
@@ -109,6 +111,31 @@ func randomRow(rng *rand.Rand) (protocol.Algorithm, protocol.Configuration) {
 	return a, cfg
 }
 
+// edge is one entry of a row before the merge: its global target and its
+// probability.
+type edge struct {
+	to int64
+	p  float64
+}
+
+// stableMerge is the reference merge: a stable sort by target, then
+// per-target sums in enumeration order.
+func stableMerge(row []edge) ([]int64, []float64) {
+	row = slices.Clone(row)
+	slices.SortStableFunc(row, func(a, b edge) int { return cmp.Compare(a.to, b.to) })
+	var to []int64
+	var p []float64
+	for i := 0; i < len(row); {
+		t, sum := row[i].to, row[i].p
+		for i++; i < len(row) && row[i].to == t; i++ {
+			sum += row[i].p
+		}
+		to = append(to, t)
+		p = append(p, sum)
+	}
+	return to, p
+}
+
 // plainRow is the row before any merge: per mask in list order, an
 // odometer over the activated positions' outcomes in Outcomes order (the
 // last position varying fastest), each entry weighing w times its outcome
@@ -161,39 +188,10 @@ func plainRow(a protocol.Algorithm, enc *protocol.Encoder, cfg protocol.Configur
 	return row
 }
 
-// maskPolicy is a test policy with an arbitrary mask list.
-type maskPolicy struct {
-	name  string
-	masks func(k int) []uint64
-}
-
-func (m maskPolicy) Name() string               { return m.name }
-func (m maskPolicy) SubsetMasks(k int) []uint64 { return m.masks(k) }
-
-// rowPolicies are the three daemons, the central singletons in reverse
-// order (still central, but a different self-loop summation order) and a
-// list of no daemon's shape: the singletons, the full mask and the first
-// singleton again.
-func rowPolicies() []scheduler.Policy {
-	return []scheduler.Policy{
-		scheduler.CentralPolicy{},
-		scheduler.DistributedPolicy{},
-		scheduler.SynchronousPolicy{},
-		maskPolicy{"central-reversed", func(k int) []uint64 {
-			m := scheduler.CentralPolicy{}.SubsetMasks(k)
-			slices.Reverse(m)
-			return m
-		}},
-		maskPolicy{"singletons-all-first", func(k int) []uint64 {
-			return append(scheduler.CentralPolicy{}.SubsetMasks(k), 1<<k-1, 1)
-		}},
-	}
-}
-
 // checkRow explores cfg under pol with a fresh explorer and compares the
-// emitted row with the stable merge of plainRow bit for bit. It returns
-// the explorer so callers can read which path the row took.
-func checkRow(t testing.TB, a protocol.Algorithm, cfg protocol.Configuration, pol scheduler.Policy) *explorer {
+// emitted row with the stable merge of plainRow bit for bit. It reports
+// whether two entries of the plain row shared a target.
+func checkRow(t testing.TB, a protocol.Algorithm, cfg protocol.Configuration, pol scheduler.Policy) bool {
 	t.Helper()
 	enc, err := protocol.NewEncoder(a, 0)
 	if err != nil {
@@ -205,7 +203,8 @@ func checkRow(t testing.TB, a protocol.Algorithm, cfg protocol.Configuration, po
 	if _, err := ex.exploreState(g); err != nil {
 		t.Fatal(err)
 	}
-	wantTo, wantP := stableMerge(plainRow(a, enc, cfg, pol.SubsetMasks(len(ex.enabled))))
+	plain := plainRow(a, enc, cfg, pol.SubsetMasks(len(ex.enabled)))
+	wantTo, wantP := stableMerge(plain)
 	if !slices.Equal(ex.outTo, wantTo) {
 		t.Fatalf("%s at %v: targets %v, want %v", pol.Name(), cfg, ex.outTo, wantTo)
 	}
@@ -214,32 +213,25 @@ func checkRow(t testing.TB, a protocol.Algorithm, cfg protocol.Configuration, po
 			t.Fatalf("%s at %v: target %d weighs %v, want %v", pol.Name(), cfg, wantTo[i], ex.outP[i], wantP[i])
 		}
 	}
-	return ex
+	return len(plain) > len(wantTo)
 }
 
 func TestOrderedRowsMatchStableMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	ordered := map[string]int{}
-	merged := map[string]int{}
+	tied := map[string]int{}
 	for trial := 0; trial < 400; trial++ {
 		a, cfg := randomRow(rng)
-		for _, pol := range rowPolicies() {
-			ex := checkRow(t, a, cfg, pol)
-			ordered[pol.Name()] += ex.ordered
-			merged[pol.Name()] += ex.merged
+		for _, pol := range policies() {
+			if checkRow(t, a, cfg, pol) {
+				tied[pol.Name()]++
+			}
 		}
 	}
-	t.Logf("ordered rows %v, merged rows %v", ordered, merged)
-	for _, name := range []string{"central", "distributed", "synchronous", "central-reversed"} {
-		if ordered[name] == 0 {
-			t.Errorf("%s: no ordered row", name)
+	t.Logf("rows with a shared target %v", tied)
+	for _, pol := range policies() {
+		if tied[pol.Name()] == 0 {
+			t.Errorf("%s: no row with a shared target", pol.Name())
 		}
-	}
-	if merged["distributed"] == 0 || merged["synchronous"] == 0 || merged["central"] == 0 {
-		t.Errorf("daemon fallback rows %v: want some under each daemon", merged)
-	}
-	if ordered["singletons-all-first"] != 0 || merged["singletons-all-first"] == 0 {
-		t.Errorf("a mask list of no daemon's shape took the ordered path")
 	}
 }
 
@@ -247,51 +239,16 @@ func FuzzRowOrder(f *testing.F) {
 	for seed := range int64(8) {
 		f.Add(seed, uint8(seed))
 	}
-	pols := rowPolicies()
+	pols := policies()
 	f.Fuzz(func(t *testing.T, seed int64, pol uint8) {
 		a, cfg := randomRow(rand.New(rand.NewSource(seed)))
 		checkRow(t, a, cfg, pols[int(pol)%len(pols)])
 	})
 }
 
-func TestMaskShape(t *testing.T) {
-	for k := 1; k <= 10; k++ {
-		want := map[scheduler.Policy]rowShape{
-			scheduler.CentralPolicy{}:     shapeCentral,
-			scheduler.DistributedPolicy{}: shapeDistributed,
-			scheduler.SynchronousPolicy{}: shapeSynchronous,
-		}
-		if k == 1 {
-			// One enabled process: every daemon's list is the one full mask.
-			want[scheduler.CentralPolicy{}] = shapeSynchronous
-			want[scheduler.DistributedPolicy{}] = shapeSynchronous
-		}
-		for pol, shape := range want {
-			masks := pol.SubsetMasks(k)
-			if got := maskShape(masks, k); got != shape {
-				t.Fatalf("%s k=%d: shape %d, want %d", pol.Name(), k, got, shape)
-			}
-			if k > 1 {
-				// The same count with one mask repeated is no daemon's list.
-				bad := slices.Clone(masks)
-				bad[len(bad)-1] = bad[0]
-				if len(bad) > 1 && maskShape(bad, k) != shapeOther {
-					t.Fatalf("%s k=%d: a repeated mask keeps shape %d", pol.Name(), k, shape)
-				}
-			}
-		}
-	}
-	if got := maskShape([]uint64{1, 2, 4}, 3); got != shapeCentral {
-		t.Fatalf("singletons: shape %d", got)
-	}
-	if got := maskShape([]uint64{1, 2, 8}, 3); got != shapeOther {
-		t.Fatalf("a singleton beyond k: shape %d, want other", got)
-	}
-}
-
 // TestDaemonRowsNeedNoMerge explores the report-full instances whose rows
-// the fallback merge dominated before rows were emitted in order, and
-// requires every row to take the ordered path.
+// a sort and merge dominated before rows were emitted in order, and
+// requires every row to come out strictly ascending.
 func TestDaemonRowsNeedNoMerge(t *testing.T) {
 	tr9, err := tokenring.NewWithModulus(9, 3)
 	if err != nil {
@@ -319,12 +276,79 @@ func TestDaemonRowsNeedNoMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 			total := int(enc.Total())
-			ex := newExplorer(c.a, c.pol, enc)
-			if _, err := ex.exploreRange(0, total, make([]bool, total), make([]int64, total)); err != nil {
+			deg := make([]int64, total)
+			ck, err := newExplorer(c.a, c.pol, enc).exploreRange(0, total, make([]bool, total), deg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if ex.merged != 0 || ex.ordered == 0 {
-				t.Fatalf("%d rows merged, %d ordered; want every row ordered", ex.merged, ex.ordered)
+			row := ck.succ
+			for s, d := range deg {
+				for j := int64(1); j < d; j++ {
+					if row[j-1] >= row[j] {
+						t.Fatalf("state %d: row %v not strictly ascending", s, row[:d])
+					}
+				}
+				row = row[d:]
+			}
+		})
+	}
+}
+
+// TestDistributedLimitIsAnError explores a one-configuration algorithm
+// whose processes are all enabled, one more of them than the distributed
+// daemon enumerates: both engines refuse it with an error naming the
+// limit, and the other daemons explore it.
+func TestDistributedLimitIsAnError(t *testing.T) {
+	n := scheduler.DistributedLimit + 1
+	edges := make([][2]int, n-1)
+	for p := range edges {
+		edges[p] = [2]int{p, p + 1}
+	}
+	a := &rowAlg{g: graph.MustFromEdges(n, edges), radix: make([]int, n), outs: make([][]protocol.Outcome, n)}
+	for p := range n {
+		a.radix[p] = 1
+		a.outs[p] = []protocol.Outcome{{State: 0, Prob: 1}}
+	}
+	want := fmt.Sprintf("%d enabled processes exceed the distributed daemon's limit of %d", n, scheduler.DistributedLimit)
+	for _, pol := range policies() {
+		_, err := Build(a, pol, Options{Workers: 1})
+		_, ferr := BuildFromContext(t.Context(), a, pol, []int64{0}, Options{Workers: 1})
+		for _, err := range []error{err, ferr} {
+			if pol.Kind() != scheduler.KindDistributed {
+				if err != nil {
+					t.Fatalf("%s: %v", pol.Name(), err)
+				}
+			} else if err == nil || !strings.HasPrefix(err.Error(), "statespace: ") || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %v, want one containing %q", pol.Name(), err, want)
+			}
+		}
+	}
+}
+
+// BenchmarkBuildRows times a 1-worker build of the instances whose rows
+// dominate their build: the report-full daemons' rows, and the tie rows
+// of herman and the transformer under the distributed daemon.
+func BenchmarkBuildRows(b *testing.B) {
+	tr9, _ := tokenring.NewWithModulus(9, 3)
+	tr11, _ := tokenring.NewWithModulus(11, 3)
+	tr7, _ := tokenring.New(7)
+	hm9, _ := herman.New(9)
+	hm11, _ := herman.New(11)
+	for _, c := range []struct {
+		a   protocol.Algorithm
+		pol scheduler.Policy
+	}{
+		{tr11, scheduler.CentralPolicy{}},
+		{tr9, scheduler.DistributedPolicy{}},
+		{hm11, scheduler.SynchronousPolicy{}},
+		{hm9, scheduler.DistributedPolicy{}},
+		{transformer.New(tr7), scheduler.DistributedPolicy{}},
+	} {
+		b.Run(fmt.Sprintf("%s/%s", c.a.Name(), c.pol.Name()), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := Build(c.a, c.pol, Options{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

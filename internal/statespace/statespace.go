@@ -10,14 +10,14 @@
 // explored independently by a worker pool and stitched deterministically.
 // Successor indexes are computed by delta re-encoding (changing process p
 // from state a to b moves the index by (b-a)*Weight(p)), so no successor
-// configuration is ever materialized; activation subsets are enumerated as
-// the policy's bitmasks (scheduler.Policy.SubsetMasks, cached per
-// enabled-set size), so no per-configuration subset slices are allocated.
-// The index also orders each row: under the central, distributed and
-// synchronous daemons a row is emitted already sorted by target, with no
-// sort or merge (exploreState). The result is identical — including
-// per-row probability sums, which accumulate in the same order — to the
-// reference single-threaded enumeration in BuildReference.
+// configuration is ever materialized; activation subsets are position
+// bitmasks derived from the daemon's kind (scheduler.Kind), so no
+// per-configuration subset slices are allocated. The index also orders
+// each row: every row is emitted already sorted by target, entries that
+// share a target added at its rank, with no sort or merge (exploreState).
+// The result is identical — including per-row probability sums, which
+// accumulate in the same order — to the reference single-threaded
+// enumeration in BuildReference, which takes the policy's own mask list.
 package statespace
 
 import (
@@ -288,16 +288,6 @@ func (sp *Space) LegitSet() []bool { return sp.Legit }
 // by default: the resolved exploration pool size.
 func (sp *Space) PoolWorkers() int { return sp.Workers }
 
-// edge is one pre-merge transition of the row under construction. Targets
-// are global configuration indexes (int64) so the same explorer serves both
-// the full-range engine (whose spaces fit int32 state indexes) and the
-// frontier engine (whose subspaces may live inside index ranges far beyond
-// int32 — only *discovered* states need dense local ids there).
-type edge struct {
-	to int64
-	p  float64
-}
-
 // chunk is the CSR fragment of one contiguous state range: exact-size
 // copies of its successors and of their probabilities, coded into the
 // fragment's own palette. The range's degrees go straight to the space's
@@ -425,31 +415,20 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 // exploreState call.
 type explorer struct {
 	alg    protocol.Algorithm
-	pol    scheduler.Policy
+	kind   scheduler.Kind
 	enc    *protocol.Encoder
 	det    protocol.Deterministic // non-nil: allocation-free outcome fast path
 	n      int
-	counts []int      // per-process state-domain sizes, for outcome validation
-	masks  [][]uint64 // subset masks per enabled-set size, filled on first use
-	shapes []rowShape // the shape of masks[k], classified with it
+	counts []int // per-process state-domain sizes, for outcome validation
 
-	cfg      protocol.Configuration
-	enabled  []int
-	actions  []int
-	outDelta [][]int64 // per enabled position: index deltas of the outcomes, sorted stably
-	outProb  [][]float64
-	optDelta [][]int64 // distributed rows: outDelta with "not activated" (delta 0) inserted
-	optProb  [][]float64
-	stride   []int    // odometerRow: rank weight of each position's option index
-	prefix   []prefix // odometerRow: running sums of the positions below and at each one
-	step     []int64  // distributedDetRow: |delta| of each position
-	actPos   []int    // activated positions of the current mask
-	odo      []int    // odometer over the activated positions' outcomes
-	row      []edge
-	tmp      []edge // radixSort's second buffer
-	// ordered and merged count the rows exploreState emitted in order and
-	// through the fallback merge; tests read them.
-	ordered, merged int
+	cfg     protocol.Configuration
+	enabled []int
+	actions []int
+	opts    [][]option // per enabled position: its outcomes, sorted stably by delta
+	act     [][]option // rankRow: the activated positions' opts, ascending
+	odo     []int      // rankRow: odometer over act
+	prefix  []option   // rankRow: running sums up to each position of act
+	step    []int64    // distributedDetRow: |delta| of each position
 	// rangeSucc and rangeProb accumulate exploreRange's fragment; they
 	// are reused across ranges, and the fragment is their exact-size copy.
 	rangeSucc []int32
@@ -459,21 +438,26 @@ type explorer struct {
 	outP  []float64 // merged transition probabilities aligned with outTo
 }
 
+// option is one outcome of an enabled position: its index delta, its
+// probability and, in rankRow, the rank offset of its delta group. As a
+// running sum over the activated positions up to one, it is an entry's
+// prefix.
+type option struct {
+	delta int64
+	p     float64
+	rank  int
+}
+
 func newExplorer(alg protocol.Algorithm, pol scheduler.Policy, enc *protocol.Encoder) *explorer {
 	n := alg.Graph().N()
 	ex := &explorer{
-		alg:      alg,
-		pol:      pol,
-		enc:      enc,
-		n:        n,
-		counts:   make([]int, n),
-		masks:    make([][]uint64, n+1),
-		shapes:   make([]rowShape, n+1),
-		cfg:      make(protocol.Configuration, n),
-		outDelta: make([][]int64, n),
-		outProb:  make([][]float64, n),
-		optDelta: make([][]int64, n),
-		optProb:  make([][]float64, n),
+		alg:    alg,
+		kind:   pol.Kind(),
+		enc:    enc,
+		n:      n,
+		counts: make([]int, n),
+		cfg:    make(protocol.Configuration, n),
+		opts:   make([][]option, n),
 	}
 	for p := 0; p < n; p++ {
 		ex.counts[p] = alg.StateCount(p)
@@ -482,56 +466,6 @@ func newExplorer(alg protocol.Algorithm, pol scheduler.Policy, enc *protocol.Enc
 		ex.det = det
 	}
 	return ex
-}
-
-func (ex *explorer) subsetMasks() ([]uint64, rowShape) {
-	k := len(ex.enabled)
-	if ex.masks[k] == nil {
-		ex.masks[k] = ex.pol.SubsetMasks(k)
-		ex.shapes[k] = maskShape(ex.masks[k], k)
-	}
-	return ex.masks[k], ex.shapes[k]
-}
-
-// rowShape names the mask lists whose rows exploreState emits in target
-// order: the three daemons' lists, recognized by their shape alone.
-type rowShape uint8
-
-const (
-	shapeOther       rowShape = iota // any other list: enumerate and merge
-	shapeCentral                     // the k singletons, in any order
-	shapeDistributed                 // all 2^k-1 non-empty masks, in any order
-	shapeSynchronous                 // the one full mask
-)
-
-// maskShape classifies the mask list of a k-element enabled set.
-func maskShape(masks []uint64, k int) rowShape {
-	full := uint64(1)<<uint(k) - 1
-	switch {
-	case len(masks) == 1 && masks[0] == full:
-		return shapeSynchronous
-	case len(masks) == k:
-		seen := uint64(0)
-		for _, m := range masks {
-			if bits.OnesCount64(m) != 1 || seen&m != 0 {
-				return shapeOther
-			}
-			seen |= m
-		}
-		if seen == full {
-			return shapeCentral
-		}
-	case k < 31 && len(masks) == 1<<k-1:
-		seen := make([]bool, len(masks)+1)
-		for _, m := range masks {
-			if m == 0 || m > full || seen[m] {
-				return shapeOther
-			}
-			seen[m] = true
-		}
-		return shapeDistributed
-	}
-	return shapeOther
 }
 
 // exploreRange explores states [lo, hi) into a fresh CSR fragment,
@@ -571,18 +505,17 @@ func (ex *explorer) exploreRange(lo, hi int, legit []bool, deg []int64) (chunk, 
 // a misbehaving Algorithm yields a clean error instead of an aliased state
 // index.
 //
-// The row comes out in ascending target order without a sort for the
-// three daemons' mask lists (orderedRow). This rests on one property of
-// the mixed-radix index: a change at enabled position i moves it by a
-// nonzero multiple of Weight(p_i), while all changes below i together move
-// it by at most Weight(p_i)-1 (a position not activated moves it by 0).
-// So of two successor entries, the highest position where their deltas
-// differ decides which target is larger, and two entries share a target
-// only when their deltas agree position by position. Rows where one
-// position has two options of equal delta — a stay outcome under the
-// distributed daemon (herman, -transform), where it ties "not
-// activated", or an Outcomes list repeating a state — and rows of any
-// other mask list are enumerated and merged instead (mergeRow).
+// The row comes out in ascending target order without a sort. This rests
+// on one property of the mixed-radix index: a change at enabled position i
+// moves it by a nonzero multiple of Weight(p_i), while all changes below i
+// together move it by at most Weight(p_i)-1 (a position not activated
+// moves it by 0). So of two successor entries, the highest position where
+// their deltas differ decides which target is larger, and two entries
+// share a target only when their deltas agree position by position. Each
+// entry weighs w times its outcome probabilities multiplied in ascending
+// position order, and entries sharing a target sum in the order
+// BuildReference enumerates them (masks in the daemon's list order), so
+// every row equals the reference's stable merge bit for bit.
 func (ex *explorer) exploreState(g int64) (bool, error) {
 	legit := ex.alg.Legitimate(ex.cfg)
 	ex.outTo = ex.outTo[:0]
@@ -590,8 +523,8 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 
 	// Enabled processes and their outcome distributions, computed once per
 	// state (every activation subset reuses them): outcome j of enabled
-	// position i moves the state index by outDelta[i][j] with probability
-	// outProb[i][j].
+	// position i moves the state index by opts[i][j].delta with
+	// probability opts[i][j].p.
 	ex.enabled = ex.enabled[:0]
 	ex.actions = ex.actions[:0]
 	for p := 0; p < ex.n; p++ {
@@ -600,22 +533,25 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 			ex.actions = append(ex.actions, act)
 		}
 	}
-	if len(ex.enabled) == 0 {
+	k := len(ex.enabled)
+	if k == 0 {
 		return legit, nil // terminal: empty row, absorbing in the Markov view
+	}
+	if ex.kind == scheduler.KindDistributed && k > scheduler.DistributedLimit {
+		return false, fmt.Errorf("statespace: %s: %d enabled processes exceed the distributed daemon's limit of %d",
+			ex.alg.Name(), k, scheduler.DistributedLimit)
 	}
 	deterministic := true
 	for i, p := range ex.enabled {
 		w := ex.enc.Weight(p)
-		ex.outDelta[i] = ex.outDelta[i][:0]
-		ex.outProb[i] = ex.outProb[i][:0]
+		opts := ex.opts[i][:0]
 		if ex.det != nil {
 			next := ex.det.DeterministicExecute(ex.cfg, p, ex.actions[i])
 			if next < 0 || next >= ex.counts[p] {
 				return false, fmt.Errorf("statespace: %s: outcome state %d out of domain [0,%d) at p=%d in %v",
 					ex.alg.Name(), next, ex.counts[p], p, ex.cfg)
 			}
-			ex.outDelta[i] = append(ex.outDelta[i], int64(next-ex.cfg[p])*w)
-			ex.outProb[i] = append(ex.outProb[i], 1)
+			ex.opts[i] = append(opts, option{delta: int64(next-ex.cfg[p]) * w, p: 1})
 			continue
 		}
 		outs := ex.alg.Outcomes(ex.cfg, p, ex.actions[i])
@@ -628,38 +564,37 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 				return false, fmt.Errorf("statespace: %s: outcome state %d out of domain [0,%d) at p=%d in %v",
 					ex.alg.Name(), o.State, ex.counts[p], p, ex.cfg)
 			}
-			ex.outDelta[i] = append(ex.outDelta[i], int64(o.State-ex.cfg[p])*w)
-			ex.outProb[i] = append(ex.outProb[i], o.Prob)
+			opts = append(opts, option{delta: int64(o.State-ex.cfg[p]) * w, p: o.Prob})
 		}
-		if len(outs) > 1 {
+		if len(outs) == 1 {
+			opts[0].p = 1 // as in StepOutcomes, a lone outcome is certain
+		} else {
 			deterministic = false
-			sortOutcomes(ex.outDelta[i], ex.outProb[i])
+			sortOutcomes(opts)
 		}
+		ex.opts[i] = opts
 	}
 
-	masks, shape := ex.subsetMasks()
-	w := 1 / float64(len(masks))
-	if ex.orderedRow(g, masks, shape, w, deterministic) {
-		ex.ordered++
-		return legit, nil
-	}
-	ex.merged++
-	ex.row = ex.row[:0]
-	for _, mask := range masks {
-		if deterministic {
-			// Single joint outcome: sum the activated deltas directly.
-			delta := int64(0)
-			for mask != 0 {
-				i := bits.TrailingZeros64(mask)
-				mask &= mask - 1
-				delta += ex.outDelta[i][0]
-			}
-			ex.row = append(ex.row, edge{to: g + delta, p: w})
-			continue
+	switch ex.kind {
+	case scheduler.KindCentral:
+		ex.centralRow(g, 1/float64(k))
+	case scheduler.KindDistributed:
+		w := 1 / float64(int(1)<<k-1)
+		if !deterministic || !ex.distributedDetRow(g, w) {
+			ex.rankRow(g, w, true)
 		}
-		ex.enumerateMask(g, mask, w)
+	case scheduler.KindSynchronous:
+		if !deterministic {
+			ex.rankRow(g, 1, false)
+			break
+		}
+		delta := int64(0)
+		for i := range k {
+			delta += ex.opts[i][0].delta
+		}
+		ex.outTo = append(ex.outTo, g+delta)
+		ex.outP = append(ex.outP, 1)
 	}
-	ex.mergeRow()
 	return legit, nil
 }
 
@@ -667,111 +602,76 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 // sum moves: two entries of a row share a target only when their deltas
 // agree position by position, and the stable sort keeps equal deltas in
 // enumeration order.
-func sortOutcomes(delta []int64, prob []float64) {
-	for i := 1; i < len(delta); i++ {
-		d, p := delta[i], prob[i]
+func sortOutcomes(opts []option) {
+	for i := 1; i < len(opts); i++ {
+		o := opts[i]
 		j := i
-		for ; j > 0 && delta[j-1] > d; j-- {
-			delta[j], prob[j] = delta[j-1], prob[j-1]
+		for ; j > 0 && opts[j-1].delta > o.delta; j-- {
+			opts[j] = opts[j-1]
 		}
-		delta[j], prob[j] = d, p
+		opts[j] = o
 	}
-}
-
-// orderedRow emits the current state's merged row into ex.outTo/ex.outP in
-// ascending target order, bit-identical to the enumerate-and-merge path:
-// an entry's probability is w times its outcome probabilities multiplied
-// in ascending position order, as enumerateMask multiplies them, and
-// entries sharing a target sum in enumeration order. It reports false,
-// emitting nothing, for the rows that path must take (see exploreState).
-func (ex *explorer) orderedRow(g int64, masks []uint64, shape rowShape, w float64, det bool) bool {
-	switch shape {
-	case shapeCentral:
-		return ex.centralRow(g, masks, w, det)
-	case shapeDistributed:
-		if det {
-			return ex.distributedDetRow(g, w)
-		}
-		return ex.odometerRow(g, w, true)
-	case shapeSynchronous:
-		if det {
-			delta := int64(0)
-			for i := range ex.enabled {
-				delta += ex.outDelta[i][0]
-			}
-			ex.outTo = append(ex.outTo, g+delta)
-			ex.outP = append(ex.outP, w)
-			return true
-		}
-		return ex.odometerRow(g, w, false)
-	}
-	return false
-}
-
-// tied reports whether some enabled position has two outcomes of equal
-// delta, counting a pair of zero deltas only when zeros is set.
-func (ex *explorer) tied(zeros bool) bool {
-	for i := range ex.enabled {
-		ds := ex.outDelta[i]
-		for j := 1; j < len(ds); j++ {
-			if ds[j] == ds[j-1] && (zeros || ds[j] != 0) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // centralRow emits a central row (one entry per outcome of each enabled
 // position) in one pass from the top position down: negative-delta
 // outcomes fill the row from the front and positive-delta ones from the
 // back, each position's ascending, so the negatives come out top position
-// first and the positives bottom position first. The slots left between
-// them become one self-loop summing the zero-delta outcomes in
-// enumeration order (masks in list order).
-func (ex *explorer) centralRow(g int64, masks []uint64, w float64, det bool) bool {
-	if !det && ex.tied(false) {
-		return false
-	}
-	weight := func(i, j int) float64 {
-		if det {
-			return w
-		}
-		return w * ex.outProb[i][j]
-	}
+// first and the positives bottom position first. A position's equal
+// deltas sum into one entry in outcome order. Between the two sides goes
+// one self-loop summing the zero-delta outcomes in enumeration order
+// (positions ascending), if there are any.
+func (ex *explorer) centralRow(g int64, w float64) {
 	n := 0
 	for i := range ex.enabled {
-		n += len(ex.outDelta[i])
+		n += len(ex.opts[i])
 	}
 	to := slices.Grow(ex.outTo, n)[:n]
 	out := slices.Grow(ex.outP, n)[:n]
-	lo, hi := 0, n
+	lo, hi, stays := 0, n, false
 	for i := len(ex.enabled) - 1; i >= 0; i-- {
-		ds := ex.outDelta[i]
-		for j := 0; j < len(ds) && ds[j] < 0; j++ {
-			to[lo], out[lo] = g+ds[j], weight(i, j)
-			lo++
+		os := ex.opts[i]
+		j := 0
+		for ; j < len(os) && os[j].delta < 0; j++ {
+			if j > 0 && os[j].delta == os[j-1].delta {
+				out[lo-1] += w * os[j].p
+			} else {
+				to[lo], out[lo] = g+os[j].delta, w*os[j].p
+				lo++
+			}
 		}
-		for j := len(ds) - 1; j >= 0 && ds[j] > 0; j-- {
+		stays = stays || j < len(os) && os[j].delta == 0
+		// Positives go from the back, a group of equal deltas [first, last]
+		// at a time, summed in outcome order.
+		for last := len(os) - 1; last >= 0 && os[last].delta > 0; last-- {
+			first := last
+			for first > 0 && os[first-1].delta == os[last].delta {
+				first--
+			}
 			hi--
-			to[hi], out[hi] = g+ds[j], weight(i, j)
+			to[hi], out[hi] = g+os[last].delta, w*os[first].p
+			for x := first + 1; x <= last; x++ {
+				out[hi] += w * os[x].p
+			}
+			last = first
 		}
 	}
-	if hi > lo {
+	if stays {
 		to[lo], out[lo] = g, 0 // 0+p is p exactly: the sum starts as the merge's does
-		for _, m := range masks {
-			i := bits.TrailingZeros64(m)
-			for j, d := range ex.outDelta[i] {
-				if d == 0 {
-					out[lo] += weight(i, j)
+		for i := range ex.enabled {
+			for _, o := range ex.opts[i] {
+				if o.delta == 0 {
+					out[lo] += w * o.p
 				}
 			}
 		}
-		copy(out[lo+1:], out[hi:])
-		n = lo + 1 + copy(to[lo+1:], to[hi:])
+		lo++
+	}
+	if hi > lo {
+		copy(out[lo:], out[hi:])
+		n = lo + copy(to[lo:], to[hi:])
 	}
 	ex.outTo, ex.outP = to[:n], out[:n]
-	return true
 }
 
 // distributedDetRow emits a deterministic distributed row: position i's
@@ -779,14 +679,16 @@ func (ex *explorer) centralRow(g int64, masks []uint64, w float64, det bool) boo
 // order activates the positions in x XOR neg, where neg holds the
 // positions with a negative delta, and its target is base plus the
 // subset sum of |delta| over x (base: all negative deltas applied). x =
-// neg activates nothing and is dropped. Every entry weighs w.
+// neg activates nothing and is dropped. Every entry weighs w. It reports
+// false, emitting nothing, when an outcome keeps its state and so ties
+// "not activated".
 func (ex *explorer) distributedDetRow(g int64, w float64) bool {
 	neg, base := 0, g
 	ex.step = ex.step[:0]
 	for i := range ex.enabled {
-		d := ex.outDelta[i][0]
+		d := ex.opts[i][0].delta
 		if d == 0 {
-			return false // a stay outcome ties "not activated"
+			return false
 		}
 		if d < 0 {
 			neg |= 1 << i
@@ -809,196 +711,100 @@ func (ex *explorer) distributedDetRow(g int64, w float64) bool {
 	return true
 }
 
-// prefix holds odometerRow's running delta, probability product and rank
-// over the positions up to one.
-type prefix struct {
-	delta int64
-	p     float64
-	rank  int
+// rankRow emits a synchronous row (each position's options are its
+// outcomes) or, with idle set, a distributed one, whose options also hold
+// "not activated" (delta 0). A position's options of equal delta form one
+// group, and in target order the entries are an odometer over the groups
+// with the top position varying slowest, so a target's rank is its group
+// indexes read as a mixed-radix number. rankRow replays BuildReference's
+// enumeration — masks ascending, each an odometer over the activated
+// positions' outcomes with the last varying fastest — extending the
+// cached products of the positions before the one that moved, and adds
+// every entry at its rank, so entries sharing a target sum in enumeration
+// order. No entry reaches the all-idle rank unless some outcome keeps its
+// state, and then that rank is dropped.
+func (ex *explorer) rankRow(g int64, w float64, idle bool) {
+	k := len(ex.enabled)
+	total, base, stays := 1, 0, false
+	for i := range k {
+		opts := ex.opts[i]
+		groups, idleGroup := 0, -1
+		for j, o := range opts {
+			d := o.delta
+			if idle && idleGroup < 0 && d >= 0 {
+				idleGroup = groups
+				if d > 0 {
+					groups++ // "not activated" alone
+				}
+			}
+			if j == 0 || d != opts[j-1].delta {
+				groups++
+			}
+			opts[j].rank = (groups - 1) * total
+			stays = stays || d == 0
+		}
+		if idle {
+			if idleGroup < 0 {
+				idleGroup = groups
+				groups++
+			}
+			// Ranks are kept relative to the all-idle rank, base.
+			base += idleGroup * total
+			for j := range opts {
+				opts[j].rank -= idleGroup * total
+			}
+		}
+		total *= groups
+	}
+	ex.outTo = slices.Grow(ex.outTo, total)[:total]
+	ex.outP = slices.Grow(ex.outP, total)[:total]
+	clear(ex.outP)
+	ex.odo = slices.Grow(ex.odo[:0], k)[:k]
+	ex.prefix = slices.Grow(ex.prefix[:0], k)[:k]
+	if !idle {
+		ex.act = append(ex.act[:0], ex.opts[:k]...)
+		ex.rankMask(g, w, 0)
+		return
+	}
+	for mask := 1; mask < 1<<k; mask++ {
+		ex.act = ex.act[:0]
+		for m := mask; m != 0; m &= m - 1 {
+			ex.act = append(ex.act, ex.opts[bits.TrailingZeros(uint(m))])
+		}
+		ex.rankMask(g, w, base)
+	}
+	if !stays {
+		ex.outTo = slices.Delete(ex.outTo, base, base+1)
+		ex.outP = slices.Delete(ex.outP, base, base+1)
+	}
 }
 
-// odometerRow emits a synchronous row (each position's options are its
-// outcomes) or, with idle set, a nondeterministic distributed one ("not
-// activated", delta 0 and factor 1, joins each position's options). In
-// target order the entries are an odometer over the options with the top
-// position varying slowest, so an entry's rank is its option indexes read
-// as a mixed-radix number. The odometer runs the other way round, bottom
-// position slowest as in enumerateMask, so each entry's product extends
-// the cached products of the positions below the one that moved, and
-// writes every entry at its rank. The all-idle combination is skipped.
-func (ex *explorer) odometerRow(g int64, w float64, idle bool) bool {
-	if ex.tied(true) {
-		return false
-	}
-	k := len(ex.enabled)
-	opts, probs := ex.outDelta, ex.outProb
-	ex.stride = ex.stride[:0]
-	total, idleRank := 1, -1
-	if idle {
-		opts, probs, idleRank = ex.optDelta, ex.optProb, 0
-	}
-	for i := range k {
-		if idle {
-			ds := ex.outDelta[i]
-			at := 0
-			for at < len(ds) && ds[at] < 0 {
-				at++
-			}
-			if at < len(ds) && ds[at] == 0 {
-				return false // a stay outcome ties "not activated"
-			}
-			opts[i] = slices.Insert(append(opts[i][:0], ds...), at, 0)
-			probs[i] = slices.Insert(append(probs[i][:0], ex.outProb[i]...), at, 1)
-			idleRank += at * total
-		}
-		ex.stride = append(ex.stride, total)
-		total *= len(opts[i])
-	}
-	n := total
-	if idle {
-		n--
-	}
-	to := slices.Grow(ex.outTo, n)[:n]
-	out := slices.Grow(ex.outP, n)[:n]
-	ex.odo = slices.Grow(ex.odo[:0], k)[:k]
-	clear(ex.odo)
-	pre := slices.Grow(ex.prefix[:0], k)[:k]
+// rankMask adds the entries of one activation subset, whose positions'
+// options are ex.act, to the row at their ranks, base being the all-idle
+// one.
+func (ex *explorer) rankMask(g int64, w float64, base int) {
+	act, odo, pre := ex.act, ex.odo[:len(ex.act)], ex.prefix
+	to, out := ex.outTo, ex.outP
+	clear(odo)
 	for j := 0; j >= 0; {
-		cur := prefix{p: w}
+		cur := option{p: w, rank: base}
 		if j > 0 {
 			cur = pre[j-1]
 		}
-		for i := j; i < k; i++ {
-			c := ex.odo[i]
-			cur.delta += opts[i][c]
-			cur.p *= probs[i][c]
-			cur.rank += c * ex.stride[i]
-			pre[i] = cur
+		for x := j; x < len(act); x++ {
+			o := act[x][odo[x]]
+			cur.delta += o.delta
+			cur.p *= o.p
+			cur.rank += o.rank
+			pre[x] = cur
 		}
-		if r := cur.rank; r != idleRank {
-			if idle && r > idleRank {
-				r--
-			}
-			to[r], out[r] = g+cur.delta, cur.p
-		}
-		for j = k - 1; j >= 0; j-- {
-			ex.odo[j]++
-			if ex.odo[j] < len(opts[j]) {
+		to[cur.rank] = g + cur.delta
+		out[cur.rank] += cur.p
+		for j = len(act) - 1; j >= 0; j-- {
+			if odo[j]++; odo[j] < len(act[j]) {
 				break
 			}
-			ex.odo[j] = 0
-		}
-	}
-	ex.outTo, ex.outP, ex.prefix = to, out, pre
-	return true
-}
-
-// smallRow is the longest row mergeRow sorts by insertion; longer rows
-// (the distributed daemon's up to 2^k-1 activation subsets) go through
-// the radix sort, whose per-pass bucket scan short rows cannot amortize.
-// Only the rows orderedRow turns down reach either sort.
-const smallRow = 32
-
-// mergeRow merges the duplicate targets of ex.row into ex.outTo/ex.outP:
-// the fallback for the rows orderedRow cannot emit in order (a position
-// with two options of equal delta, or a mask list of no daemon's shape).
-// Both sorts are stable by target, so enumeration order is kept within a
-// target and probability sums accumulate exactly as in BuildReference's
-// sort.Stable merge (deterministic across worker counts).
-func (ex *explorer) mergeRow() {
-	row := ex.row
-	if len(row) <= smallRow {
-		for i := 1; i < len(row); i++ {
-			e := row[i]
-			j := i
-			for ; j > 0 && row[j-1].to > e.to; j-- {
-				row[j] = row[j-1]
-			}
-			row[j] = e
-		}
-	} else {
-		row = ex.radixSort(row)
-	}
-	for i := 0; i < len(row); {
-		to, p := row[i].to, row[i].p
-		for i++; i < len(row) && row[i].to == to; i++ {
-			p += row[i].p
-		}
-		ex.outTo = append(ex.outTo, to)
-		ex.outP = append(ex.outP, p)
-	}
-}
-
-// radixSort sorts row stably by target with a least-significant-digit
-// radix sort on to - min(to), one byte per pass and only as many passes
-// as the row's target span needs, ping-ponging between row and ex.tmp.
-// It returns whichever of the two holds the sorted row.
-func (ex *explorer) radixSort(row []edge) []edge {
-	lo, hi := row[0].to, row[0].to
-	for _, e := range row[1:] {
-		lo = min(lo, e.to)
-		hi = max(hi, e.to)
-	}
-	span := uint64(hi - lo) // targets are non-negative indexes: no overflow
-	if cap(ex.tmp) < len(row) {
-		ex.tmp = make([]edge, len(row))
-	}
-	src, dst := row, ex.tmp[:len(row)]
-	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
-		var count [256]int32
-		for _, e := range src {
-			count[uint64(e.to-lo)>>shift&0xff]++
-		}
-		at := int32(0)
-		for d, c := range count {
-			count[d] = at
-			at += c
-		}
-		for _, e := range src {
-			d := uint64(e.to-lo) >> shift & 0xff
-			dst[count[d]] = e
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
-
-// enumerateMask appends every joint outcome of the activation subset mask
-// (an odometer over the activated positions' outcome lists, last position
-// varying fastest) to the row under construction, each weighing w times
-// its outcome probabilities multiplied in ascending position order — the
-// products orderedRow reproduces. Only the rows orderedRow turns down are
-// enumerated: a position with two options of equal delta, or a mask list
-// of no daemon's shape.
-func (ex *explorer) enumerateMask(g int64, mask uint64, w float64) {
-	ex.actPos = ex.actPos[:0]
-	for mask != 0 {
-		i := bits.TrailingZeros64(mask)
-		mask &= mask - 1
-		ex.actPos = append(ex.actPos, i)
-	}
-	ex.odo = ex.odo[:0]
-	for range ex.actPos {
-		ex.odo = append(ex.odo, 0)
-	}
-	for {
-		delta, p := int64(0), w
-		for j, i := range ex.actPos {
-			delta += ex.outDelta[i][ex.odo[j]]
-			p *= ex.outProb[i][ex.odo[j]]
-		}
-		ex.row = append(ex.row, edge{to: g + delta, p: p})
-		j := len(ex.actPos) - 1
-		for ; j >= 0; j-- {
-			ex.odo[j]++
-			if ex.odo[j] < len(ex.outDelta[ex.actPos[j]]) {
-				break
-			}
-			ex.odo[j] = 0
-		}
-		if j < 0 {
-			return
+			odo[j] = 0
 		}
 	}
 }

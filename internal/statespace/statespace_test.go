@@ -77,9 +77,10 @@ func policies() []scheduler.Policy {
 // TestBuildMatchesReference checks that the parallel engine reproduces the
 // seed-era enumeration exactly: same legitimacy vector, same sorted
 // successor rows, identical probability sums. tokenring(7) and herman(7)
-// add distributed rows of up to 127 subsets, longer than smallRow: ordered
-// for tokenring, radix-sorted and merged for herman, whose stay outcomes
-// tie "not activated".
+// add distributed rows of up to 127 subsets. herman's stay outcomes, like
+// the transformer's (instances' Trans(tokenring(5))), tie "not activated"
+// under the distributed daemon, so their rows sum entries that share a
+// target; herman(9)'s, of up to 3^9-1 entries, are the largest shipped.
 func TestBuildMatchesReference(t *testing.T) {
 	tr7, err := tokenring.New(7)
 	if err != nil {
@@ -89,8 +90,16 @@ func TestBuildMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range append(instances(t), tr7, hm7) {
-		for _, pol := range policies() {
+	hm9, err := herman.New(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range append(instances(t), tr7, hm7, hm9) {
+		pols := policies()
+		if a == hm9 {
+			pols = []scheduler.Policy{scheduler.DistributedPolicy{}}
+		}
+		for _, pol := range pols {
 			ref, err := BuildReference(a, pol, 0)
 			if err != nil {
 				t.Fatalf("%s/%s: reference: %v", a.Name(), pol.Name(), err)

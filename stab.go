@@ -64,7 +64,9 @@ type (
 	Outcome = protocol.Outcome
 	// Scheduler selects the activation subset of each step online.
 	Scheduler = scheduler.Scheduler
-	// Policy enumerates the activation subsets a scheduler class allows.
+	// Policy enumerates the activation subsets a daemon allows. It is a
+	// closed set of three daemons, CentralPolicy, DistributedPolicy and
+	// SynchronousPolicy, that no outside type implements.
 	Policy = scheduler.Policy
 	// Report is the exact classification of an instance (see Classify).
 	Report = core.Report
