@@ -93,7 +93,7 @@ func BenchmarkCheckerExplore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := statespace.Build(alg, scheduler.CentralPolicy{}, statespace.Options{}); err != nil {
+		if _, err := statespace.Build(alg, scheduler.CentralPolicy, statespace.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func BenchmarkMarkovHittingTimes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts, err := statespace.Build(alg, scheduler.CentralPolicy{}, statespace.Options{})
+		ts, err := statespace.Build(alg, scheduler.CentralPolicy, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func BenchmarkMarkovSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts, err := statespace.Build(alg, scheduler.CentralPolicy{}, statespace.Options{})
+	ts, err := statespace.Build(alg, scheduler.CentralPolicy, statespace.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,39 +367,39 @@ func centersElectorChain5() (protocol.Algorithm, error) {
 func tokenring6() (protocol.Algorithm, error) { return tokenring.New(6) }
 
 func BenchmarkExploreLeadertreeReference(b *testing.B) {
-	benchSpaceReference(b, leadertreeFigure2, scheduler.DistributedPolicy{})
+	benchSpaceReference(b, leadertreeFigure2, scheduler.DistributedPolicy)
 }
 
 func BenchmarkExploreLeadertree1Worker(b *testing.B) {
-	benchSpace(b, leadertreeFigure2, scheduler.DistributedPolicy{}, 1)
+	benchSpace(b, leadertreeFigure2, scheduler.DistributedPolicy, 1)
 }
 
 func BenchmarkExploreLeadertreeAllWorkers(b *testing.B) {
-	benchSpace(b, leadertreeFigure2, scheduler.DistributedPolicy{}, 0)
+	benchSpace(b, leadertreeFigure2, scheduler.DistributedPolicy, 0)
 }
 
 func BenchmarkExploreCentersReference(b *testing.B) {
-	benchSpaceReference(b, centersElectorChain5, scheduler.CentralPolicy{})
+	benchSpaceReference(b, centersElectorChain5, scheduler.CentralPolicy)
 }
 
 func BenchmarkExploreCenters1Worker(b *testing.B) {
-	benchSpace(b, centersElectorChain5, scheduler.CentralPolicy{}, 1)
+	benchSpace(b, centersElectorChain5, scheduler.CentralPolicy, 1)
 }
 
 func BenchmarkExploreCentersAllWorkers(b *testing.B) {
-	benchSpace(b, centersElectorChain5, scheduler.CentralPolicy{}, 0)
+	benchSpace(b, centersElectorChain5, scheduler.CentralPolicy, 0)
 }
 
 func BenchmarkExploreTokenringReference(b *testing.B) {
-	benchSpaceReference(b, tokenring6, scheduler.DistributedPolicy{})
+	benchSpaceReference(b, tokenring6, scheduler.DistributedPolicy)
 }
 
 func BenchmarkExploreTokenring1Worker(b *testing.B) {
-	benchSpace(b, tokenring6, scheduler.DistributedPolicy{}, 1)
+	benchSpace(b, tokenring6, scheduler.DistributedPolicy, 1)
 }
 
 func BenchmarkExploreTokenringAllWorkers(b *testing.B) {
-	benchSpace(b, tokenring6, scheduler.DistributedPolicy{}, 0)
+	benchSpace(b, tokenring6, scheduler.DistributedPolicy, 0)
 }
 
 // --- Frontier-exploration throughput ---------------------------------------
@@ -443,15 +443,15 @@ func benchFrontierBall(b *testing.B, build func() (protocol.Algorithm, error), p
 func tokenring14() (protocol.Algorithm, error) { return tokenring.New(14) }
 
 func BenchmarkExploreFrontierBallK0(b *testing.B) {
-	benchFrontierBall(b, tokenring14, scheduler.CentralPolicy{}, 0)
+	benchFrontierBall(b, tokenring14, scheduler.CentralPolicy, 0)
 }
 
 func BenchmarkExploreFrontierBallK1(b *testing.B) {
-	benchFrontierBall(b, tokenring14, scheduler.CentralPolicy{}, 1)
+	benchFrontierBall(b, tokenring14, scheduler.CentralPolicy, 1)
 }
 
 func BenchmarkExploreFrontierBallK2(b *testing.B) {
-	benchFrontierBall(b, tokenring14, scheduler.CentralPolicy{}, 2)
+	benchFrontierBall(b, tokenring14, scheduler.CentralPolicy, 2)
 }
 
 // BenchmarkExploreFrontierFullSpace is the comparison point: the classic
@@ -465,7 +465,7 @@ func BenchmarkExploreFrontierFullSpace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp, err := statespace.Build(alg, scheduler.CentralPolicy{}, statespace.Options{MaxStates: statespace.IndexLimit})
+		sp, err := statespace.Build(alg, scheduler.CentralPolicy, statespace.Options{MaxStates: statespace.IndexLimit})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func BenchmarkAnalyzeSharedSpace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp, err := statespace.BuildContext(b.Context(), alg, scheduler.CentralPolicy{}, statespace.Options{})
+		sp, err := statespace.BuildContext(b.Context(), alg, scheduler.CentralPolicy, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -510,8 +510,8 @@ func BenchmarkAnalyzeSpace(b *testing.B) {
 		n    int
 		pol  scheduler.Policy
 	}{
-		{"tokenring11/central", 11, scheduler.CentralPolicy{}},
-		{"tokenring9/distributed", 9, scheduler.DistributedPolicy{}},
+		{"tokenring11/central", 11, scheduler.CentralPolicy},
+		{"tokenring9/distributed", 9, scheduler.DistributedPolicy},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			alg, err := tokenring.NewWithModulus(c.n, 3)

@@ -25,7 +25,7 @@ func primeCache(t *testing.T) (dir string, keys []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	for i, n := range []int{4, 5} {
 		a, err := tokenring.New(n)
 		if err != nil {

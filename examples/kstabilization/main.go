@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	const maxFaults = 2
 
 	// One incremental sweep: the k=0 ball is the closed-form legitimate

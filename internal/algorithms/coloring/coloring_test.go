@@ -122,13 +122,13 @@ func TestSpectrumAcrossSchedulers(t *testing.T) {
 	g, err := graph.Ring(4)
 	a := mustNew(t, g, err)
 
-	if weak, self := classes(t, a, scheduler.CentralPolicy{}); !weak || !self {
+	if weak, self := classes(t, a, scheduler.CentralPolicy); !weak || !self {
 		t.Fatal("coloring must be self-stabilizing under the central scheduler")
 	}
-	if weak, self := classes(t, a, scheduler.DistributedPolicy{}); !weak || self {
+	if weak, self := classes(t, a, scheduler.DistributedPolicy); !weak || self {
 		t.Fatalf("coloring under distributed: weak=%v self=%v, want weak only", weak, self)
 	}
-	if weak, _ := classes(t, a, scheduler.SynchronousPolicy{}); weak {
+	if weak, _ := classes(t, a, scheduler.SynchronousPolicy); weak {
 		t.Fatal("coloring must not be weak-stabilizing synchronously (uniform ring livelock)")
 	}
 }
@@ -171,7 +171,7 @@ func TestTransformedConvergesSynchronously(t *testing.T) {
 	g, err := graph.Ring(4)
 	a := mustNew(t, g, err)
 	trans := transformer.New(a)
-	ts, err := statespace.Build(trans, scheduler.SynchronousPolicy{}, statespace.Options{})
+	ts, err := statespace.Build(trans, scheduler.SynchronousPolicy, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,13 +49,13 @@ func ballMatrix(t *testing.T) []struct {
 		alg  protocol.Algorithm
 		pol  scheduler.Policy
 	}{
-		{"tokenring5/central", ring5, scheduler.CentralPolicy{}},
-		{"tokenring5/distributed", ring5, scheduler.DistributedPolicy{}},
-		{"tokenring6/central", ring6, scheduler.CentralPolicy{}},
-		{"tokenring6/synchronous", ring6, scheduler.SynchronousPolicy{}},
-		{"coloring-ring4/central", col, scheduler.CentralPolicy{}},
-		{"coloring-ring4/distributed", col, scheduler.DistributedPolicy{}},
-		{"dijkstra4/central", dijk, scheduler.CentralPolicy{}},
+		{"tokenring5/central", ring5, scheduler.CentralPolicy},
+		{"tokenring5/distributed", ring5, scheduler.DistributedPolicy},
+		{"tokenring6/central", ring6, scheduler.CentralPolicy},
+		{"tokenring6/synchronous", ring6, scheduler.SynchronousPolicy},
+		{"coloring-ring4/central", col, scheduler.CentralPolicy},
+		{"coloring-ring4/distributed", col, scheduler.DistributedPolicy},
+		{"dijkstra4/central", dijk, scheduler.CentralPolicy},
 	}
 }
 
@@ -89,9 +89,9 @@ func TestCertainConvergenceMatchesDivergingStates(t *testing.T) {
 		alg  protocol.Algorithm
 		pol  scheduler.Policy
 	}{
-		{"tokenring6-mod3/central", deadlocking, scheduler.CentralPolicy{}},
-		{"leadertree-chain4/synchronous", elect, scheduler.SynchronousPolicy{}},
-		{"herman3/central", h3, scheduler.CentralPolicy{}},
+		{"tokenring6-mod3/central", deadlocking, scheduler.CentralPolicy},
+		{"leadertree-chain4/synchronous", elect, scheduler.SynchronousPolicy},
+		{"herman3/central", h3, scheduler.CentralPolicy},
 	}...)
 	var holds, terminal, cyclic, selfLoops int
 	for _, tc := range cases {

@@ -49,7 +49,7 @@ func TestBallPipelineExploresOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &countingAlg{Algorithm: inner}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	n := int64(inner.Graph().N())
 	enc, err := protocol.NewEncoder(inner, 0)
 	if err != nil {

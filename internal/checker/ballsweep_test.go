@@ -148,7 +148,7 @@ func subSpacesEqual(t *testing.T, a, b *statespace.Space) bool {
 // its enumerator, and every radius: the paths must be indistinguishable
 // downstream.
 func TestFaultBallEnumeratorMatchesScan(t *testing.T) {
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	for _, a := range enumeratorAlgorithms(t) {
 		for k := 0; k <= 2; k++ {
 			gEnum, dEnum, err := FaultBallContext(t.Context(), a, k, 0, 0)
@@ -205,7 +205,7 @@ func TestBallSweepIncrementalParity(t *testing.T) {
 	}
 	for _, a := range []protocol.Algorithm{ring, dk} {
 		for _, pol := range []scheduler.Policy{
-			scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}, scheduler.SynchronousPolicy{},
+			scheduler.CentralPolicy, scheduler.DistributedPolicy, scheduler.SynchronousPolicy,
 		} {
 			for _, workers := range []int{1, 3, 8} {
 				opt := statespace.Options{Workers: workers}
@@ -251,7 +251,7 @@ func TestSweepKFaultsMatchesFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	opt := statespace.Options{}
 	const kmax = 2
 	n := int64(inner.Graph().N())
@@ -315,7 +315,7 @@ func TestSweepKFaultsScanAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	counted := &countingAlg{Algorithm: scanOnly{inner}}
 	const kmax = 2
 	res, err := SweepKFaultsContext(t.Context(), nil, counted, pol, kmax, statespace.Options{}, false)
@@ -340,7 +340,7 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	opt := statespace.Options{}
 	const kmax = 2
 	cache, err := spacecache.Open(t.TempDir())
@@ -455,7 +455,7 @@ func TestSweepKFaultsCacheKeyedByPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	central, err := SweepKFaultsContext(t.Context(), cache, inner, scheduler.CentralPolicy{}, kmax, opt, false)
+	central, err := SweepKFaultsContext(t.Context(), cache, inner, scheduler.CentralPolicy, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +468,7 @@ func TestSweepKFaultsCacheKeyedByPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := statespace.Map(data, inner, scheduler.CentralPolicy{}, 0, 0, false, nil)
+		ss, err := statespace.Map(data, inner, scheduler.CentralPolicy, 0, 0, false, nil)
 		if err != nil {
 			t.Fatalf("%s: statespace.Map rejected a ball entry: %v", filepath.Base(path), err)
 		}
@@ -478,7 +478,7 @@ func TestSweepKFaultsCacheKeyedByPolicy(t *testing.T) {
 		}
 	}
 
-	dist := scheduler.DistributedPolicy{}
+	dist := scheduler.DistributedPolicy
 	warm, err := SweepKFaultsContext(t.Context(), cache, inner, dist, kmax, opt, false)
 	if err != nil {
 		t.Fatal(err)
@@ -525,7 +525,7 @@ func TestSweepKFaultsErrorReleasesMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	cache, err := spacecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -592,7 +592,7 @@ func TestBallWarmPipelineZeroCallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	opt := statespace.Options{}
 	c, err := spacecache.Open(t.TempDir())
 	if err != nil {
@@ -624,7 +624,7 @@ func TestSweepKFaultsEmptyLegitimateSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SweepKFaultsContext(t.Context(), nil, ablation, scheduler.CentralPolicy{}, 2, statespace.Options{}, false)
+	res, err := SweepKFaultsContext(t.Context(), nil, ablation, scheduler.CentralPolicy, 2, statespace.Options{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestSweepKFaultsContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = SweepKFaultsContext(ctx, nil, ring, scheduler.CentralPolicy{}, 3, statespace.Options{}, true)
+	_, err = SweepKFaultsContext(ctx, nil, ring, scheduler.CentralPolicy, 3, statespace.Options{}, true)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled sweep: err = %v, want a wrapped context.Canceled", err)
 	}
@@ -49,7 +49,7 @@ func TestSweepKFaultsContextCancelAtRadius(t *testing.T) {
 	})
 	// stopAtBreak=false would walk all of kmax; the cancel must cut the
 	// walk short well before that.
-	_, err = SweepKFaultsContext(ctx, nil, ring, scheduler.CentralPolicy{}, 3, statespace.Options{Obs: o}, false)
+	_, err = SweepKFaultsContext(ctx, nil, ring, scheduler.CentralPolicy, 3, statespace.Options{Obs: o}, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled sweep: err = %v, want a wrapped context.Canceled", err)
 	}

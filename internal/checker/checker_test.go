@@ -70,7 +70,7 @@ func TestTheorem2TokenRingWeakNotSelf(t *testing.T) {
 	// exhaustively for several ring sizes.
 	for _, n := range []int{3, 4, 5, 6} {
 		a := mustTokenRing(t, n)
-		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}} {
+		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy, scheduler.DistributedPolicy} {
 			v := classify(t, a, pol)
 			if !v.Closure.Holds {
 				t.Fatalf("n=%d %s: closure fails: %v -> %v", n, pol.Name(), v.Closure.From, v.Closure.To)
@@ -105,7 +105,7 @@ func TestTheorem1SynchronousWeakIffSelf(t *testing.T) {
 		sp,
 	}
 	for _, a := range algs {
-		v := classify(t, a, scheduler.SynchronousPolicy{})
+		v := classify(t, a, scheduler.SynchronousPolicy)
 		if v.WeakStabilizing() != v.SelfStabilizing() {
 			t.Fatalf("%s: weak=%v self=%v under synchronous scheduler",
 				a.Name(), v.WeakStabilizing(), v.SelfStabilizing())
@@ -121,18 +121,18 @@ func TestSyncpairClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := classify(t, a, scheduler.DistributedPolicy{})
+	dist := classify(t, a, scheduler.DistributedPolicy)
 	if !dist.WeakStabilizing() {
 		t.Fatal("syncpair must be weak-stabilizing under the distributed scheduler")
 	}
 	if dist.SelfStabilizing() {
 		t.Fatal("syncpair must not be self-stabilizing under the distributed scheduler")
 	}
-	central := classify(t, a, scheduler.CentralPolicy{})
+	central := classify(t, a, scheduler.CentralPolicy)
 	if central.Possible.Holds {
 		t.Fatal("syncpair cannot possibly converge under the central scheduler")
 	}
-	sync := classify(t, a, scheduler.SynchronousPolicy{})
+	sync := classify(t, a, scheduler.SynchronousPolicy)
 	if !sync.SelfStabilizing() {
 		t.Fatal("syncpair must be self-stabilizing under the synchronous scheduler")
 	}
@@ -140,7 +140,7 @@ func TestSyncpairClassification(t *testing.T) {
 
 func TestTheorem4LeaderTreeWeakNotSelf(t *testing.T) {
 	a := mustLeaderChain(t, 4)
-	dist := classify(t, a, scheduler.DistributedPolicy{})
+	dist := classify(t, a, scheduler.DistributedPolicy)
 	if !dist.WeakStabilizing() {
 		t.Fatal("Algorithm 2 must be weak-stabilizing under the distributed scheduler")
 	}
@@ -150,7 +150,7 @@ func TestTheorem4LeaderTreeWeakNotSelf(t *testing.T) {
 	// Under synchronous the Figure 3 livelock kills even weak
 	// stabilization (per Theorem 1 it would otherwise be self-stabilizing,
 	// contradicting Theorem 3).
-	sync := classify(t, a, scheduler.SynchronousPolicy{})
+	sync := classify(t, a, scheduler.SynchronousPolicy)
 	if sync.WeakStabilizing() {
 		t.Fatal("Algorithm 2 must not be weak-stabilizing under the synchronous scheduler")
 	}
@@ -166,7 +166,7 @@ func TestTheorem4AllTreesN4N5(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := classify(t, a, scheduler.CentralPolicy{})
+			v := classify(t, a, scheduler.CentralPolicy)
 			if !v.WeakStabilizing() {
 				t.Fatalf("tree %v: Algorithm 2 not weak-stabilizing", g)
 			}
@@ -184,7 +184,7 @@ func TestDijkstraSelfStabilizing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}} {
+		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy, scheduler.DistributedPolicy} {
 			v := classify(t, a, pol)
 			if !v.SelfStabilizing() {
 				t.Fatalf("dijkstra n=%d under %s: want self-stabilizing (closure=%v possible=%v certain=%v: %s)",
@@ -200,7 +200,7 @@ func TestDijkstraTooFewStatesFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := classify(t, a, scheduler.CentralPolicy{})
+	v := classify(t, a, scheduler.CentralPolicy)
 	if v.SelfStabilizing() {
 		t.Fatal("dijkstra with K=2, N=4 must not be self-stabilizing")
 	}
@@ -209,7 +209,7 @@ func TestDijkstraTooFewStatesFails(t *testing.T) {
 func TestClosureViolationWitness(t *testing.T) {
 	// An algorithm with a broken legitimate set yields a closure witness.
 	a := badClosure{mustTokenRing(t, 3)}
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	res := sp.CheckClosure()
 	if res.Holds {
 		t.Fatal("closure should fail for the doctored legitimate set")
@@ -240,7 +240,7 @@ func TestCertainConvergenceDeadlockWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	res := sp.CheckCertainConvergence()
 	if res.Holds {
 		t.Fatal("certain convergence should fail")
@@ -252,7 +252,7 @@ func TestCertainConvergenceDeadlockWitness(t *testing.T) {
 
 func TestWitnessPath(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	// A multi-token configuration.
 	start := protocol.Configuration{0, 0, 0, 0, 0}
 	path := sp.WitnessPath(start)
@@ -285,7 +285,7 @@ func TestWitnessPath(t *testing.T) {
 
 func TestWitnessPathFromLegitimate(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	start := a.LegitimateWithTokenAt(2)
 	path := sp.WitnessPath(start)
 	if len(path) != 1 {
@@ -297,7 +297,7 @@ func TestTheorem6FairLassoOnTokenRing(t *testing.T) {
 	// The checker finds a strongly fair non-converging lasso for the
 	// 6-ring (Theorem 6's two-token alternation, machine-discovered).
 	a := mustTokenRing(t, 6)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	lasso := sp.FindStronglyFairLasso()
 	if !lasso.Found {
 		t.Fatal("no strongly fair lasso found for the 6-ring token circulation")
@@ -320,7 +320,7 @@ func TestNoFairLassoForSelfStabilizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	if lasso := sp.FindStronglyFairLasso(); lasso.Found {
 		t.Fatal("self-stabilizing algorithm cannot have a non-converging lasso")
 	}
@@ -328,7 +328,7 @@ func TestNoFairLassoForSelfStabilizing(t *testing.T) {
 
 func TestFigure3LivelockDetectedSynchronously(t *testing.T) {
 	a := mustLeaderChain(t, 4)
-	sp := explore(t, a, scheduler.SynchronousPolicy{})
+	sp := explore(t, a, scheduler.SynchronousPolicy)
 	res := sp.CheckCertainConvergence()
 	if res.Holds {
 		t.Fatal("synchronous Algorithm 2 must have a diverging execution")
@@ -341,7 +341,7 @@ func TestFigure3LivelockDetectedSynchronously(t *testing.T) {
 
 func TestMaxShortestConvergencePath(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	d := sp.MaxShortestConvergencePath()
 	if math.IsInf(d, 1) || d <= 0 {
 		t.Fatalf("convergence radius = %g, want finite positive", d)
@@ -351,7 +351,7 @@ func TestMaxShortestConvergencePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spBad := explore(t, bad, scheduler.CentralPolicy{})
+	spBad := explore(t, bad, scheduler.CentralPolicy)
 	if !math.IsInf(spBad.MaxShortestConvergencePath(), 1) {
 		t.Fatal("deadlocked instance must have infinite convergence radius")
 	}
@@ -359,7 +359,7 @@ func TestMaxShortestConvergencePath(t *testing.T) {
 
 func TestExploreTerminalStates(t *testing.T) {
 	a := mustLeaderChain(t, 2)
-	sp := explore(t, a, scheduler.DistributedPolicy{})
+	sp := explore(t, a, scheduler.DistributedPolicy)
 	terminals := 0
 	for s := 0; s < sp.NumStates(); s++ {
 		if sp.IsTerminal(s) {

@@ -15,7 +15,7 @@ func TestStronglyFairLassoIsNotGoudaFair(t *testing.T) {
 	// diverging lasso of the 6-ring omits transitions (e.g. merging
 	// moves), so it is not Gouda fair.
 	a := mustTokenRing(t, 6)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	lasso := sp.FindStronglyFairLasso()
 	if !lasso.Found {
 		t.Fatal("no strongly fair lasso")
@@ -29,7 +29,7 @@ func TestGoudaFairLassoWithinLegitimateSet(t *testing.T) {
 	// The legitimate token circulation takes its unique transition every
 	// step: the full 1-token rotation is a Gouda-fair lasso.
 	a := mustTokenRing(t, 5)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	var cycle []protocol.Configuration
 	cfg := a.LegitimateWithTokenAt(0)
 	for i := 0; i < 5*a.Modulus(); i++ { // full period of the rotation
@@ -50,7 +50,7 @@ func TestGoudaFairLassoWithinLegitimateSet(t *testing.T) {
 
 func TestGoudaFairLassoEmptyAndPartial(t *testing.T) {
 	a := mustTokenRing(t, 4)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	if !sp.GoudaFairLasso(nil) {
 		t.Fatal("empty lasso is vacuously Gouda fair")
 	}
@@ -86,7 +86,7 @@ func TestNoGoudaFairDivergenceOnWeakStabilizers(t *testing.T) {
 	}
 	algs := []protocol.Algorithm{mustTokenRing(t, 5), mustTokenRing(t, 6), lt}
 	for _, a := range algs {
-		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}} {
+		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy, scheduler.DistributedPolicy} {
 			sp := explore(t, a, pol)
 			if witness, ok := sp.NoGoudaFairDivergence(); !ok {
 				t.Fatalf("%s under %s: Gouda-fair divergence possible at %v (refutes Thm 5)",
@@ -103,7 +103,7 @@ func TestGoudaFairDivergenceExistsWhenNotWeakStabilizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := explore(t, a, scheduler.SynchronousPolicy{})
+	sp := explore(t, a, scheduler.SynchronousPolicy)
 	res := sp.CheckPossibleConvergence()
 	if res.Holds {
 		t.Skip("instance unexpectedly weak-stabilizing; pick another ablation")

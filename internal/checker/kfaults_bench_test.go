@@ -18,7 +18,7 @@ func BenchmarkDistanceToLegitimate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp := explore(b, a, scheduler.CentralPolicy{})
+	sp := explore(b, a, scheduler.CentralPolicy)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,7 +60,7 @@ func BenchmarkBallVerdicts(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ss, globals, dist, err := BallClosureContext(b.Context(), nil, a, scheduler.CentralPolicy{}, 2, statespace.Options{})
+		ss, globals, dist, err := BallClosureContext(b.Context(), nil, a, scheduler.CentralPolicy, 2, statespace.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 
 func TestDistanceToLegitimateTokenRing(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	dist := sp.DistanceToLegitimate()
 	// Distance 0 exactly on L.
 	for s := 0; s < sp.NumStates(); s++ {
@@ -40,7 +40,7 @@ func TestDistanceToLegitimateTokenRing(t *testing.T) {
 func TestDistanceTriangleUnderMutation(t *testing.T) {
 	// Changing one process's state changes the distance by at most 1.
 	a := mustTokenRing(t, 4)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	dist := sp.DistanceToLegitimate()
 	cfg := make(protocol.Configuration, 4)
 	for s := 0; s < sp.NumStates(); s++ {
@@ -69,7 +69,7 @@ func TestKFaultsDijkstraAlwaysCertain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	dist := sp.DistanceToLegitimate()
 	for k := 0; k <= 4; k++ {
 		v := sp.CheckKFaults(k, dist)
@@ -83,7 +83,7 @@ func TestKFaultsTokenRingCertainFailsBeyondZero(t *testing.T) {
 	// Algorithm 1 is not deterministically k-stabilizing for any k >= 1:
 	// one corrupted process can already yield two alternating tokens.
 	a := mustTokenRing(t, 6)
-	sp := explore(t, a, scheduler.CentralPolicy{})
+	sp := explore(t, a, scheduler.CentralPolicy)
 	dist := sp.DistanceToLegitimate()
 	zero := sp.CheckKFaults(0, dist)
 	if !zero.Certain || !zero.Possible {
@@ -106,7 +106,7 @@ func TestKFaultsTokenRingCertainFailsBeyondZero(t *testing.T) {
 
 func TestKFaultsMonotoneInK(t *testing.T) {
 	a := mustTokenRing(t, 5)
-	sp := explore(t, a, scheduler.DistributedPolicy{})
+	sp := explore(t, a, scheduler.DistributedPolicy)
 	dist := sp.DistanceToLegitimate()
 	prevConfigs := 0
 	prevCertain := true

@@ -33,7 +33,7 @@ func BenchmarkKSweepIncremental(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := SweepKFaultsContext(b.Context(), nil, a, scheduler.CentralPolicy{}, benchSweepK, statespace.Options{}, false)
+		res, err := SweepKFaultsContext(b.Context(), nil, a, scheduler.CentralPolicy, benchSweepK, statespace.Options{}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func BenchmarkKSweepFromScratch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k <= benchSweepK; k++ {
-			ss, globals, dist, err := BallClosureContext(b.Context(), nil, a, scheduler.CentralPolicy{}, k, statespace.Options{})
+			ss, globals, dist, err := BallClosureContext(b.Context(), nil, a, scheduler.CentralPolicy, k, statespace.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func BenchmarkKSweepPrePR5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k <= benchSweepK; k++ {
-			ss, globals, dist, err := BallClosureContext(b.Context(), nil, scanOnly{a}, scheduler.CentralPolicy{}, k, statespace.Options{})
+			ss, globals, dist, err := BallClosureContext(b.Context(), nil, scanOnly{a}, scheduler.CentralPolicy, k, statespace.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -35,10 +35,10 @@ func TestWorstCaseWitnessMatchesQuadraticReference(t *testing.T) {
 		alg  protocol.Algorithm
 		pol  scheduler.Policy
 	}{
-		{"tokenring5/central", ring5, scheduler.CentralPolicy{}},
-		{"tokenring5/distributed", ring5, scheduler.DistributedPolicy{}},
-		{"leadertree-fig2/synchronous", fig2, scheduler.SynchronousPolicy{}},
-		{"dijkstra4/central", dijk, scheduler.CentralPolicy{}},
+		{"tokenring5/central", ring5, scheduler.CentralPolicy},
+		{"tokenring5/distributed", ring5, scheduler.DistributedPolicy},
+		{"leadertree-fig2/synchronous", fig2, scheduler.SynchronousPolicy},
+		{"dijkstra4/central", dijk, scheduler.CentralPolicy},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -152,11 +152,11 @@ func BuildScheduler(name string) (scheduler.Scheduler, error) {
 func BuildPolicy(name string) (scheduler.Policy, error) {
 	switch strings.ToLower(name) {
 	case "", "central":
-		return scheduler.CentralPolicy{}, nil
+		return scheduler.CentralPolicy, nil
 	case "distributed", "dist":
-		return scheduler.DistributedPolicy{}, nil
+		return scheduler.DistributedPolicy, nil
 	case "synchronous", "sync":
-		return scheduler.SynchronousPolicy{}, nil
+		return scheduler.SynchronousPolicy, nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q (central, distributed, synchronous)", name)
 	}

@@ -62,7 +62,7 @@ func TestAnalyzeCachedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pol := range []scheduler.Policy{
-		scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}, scheduler.SynchronousPolicy{},
+		scheduler.CentralPolicy, scheduler.DistributedPolicy, scheduler.SynchronousPolicy,
 	} {
 		dir := t.TempDir()
 		cold := analyzeCached(t, dir, inner, pol, statespace.Options{}, false)
@@ -86,7 +86,7 @@ func TestAnalyzeFromCachedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	seeds := []protocol.Configuration{{1, 0, 2, 1, 0, 3}, {0, 0, 0, 0, 0, 0}}
 	cache, err := spacecache.Open(t.TempDir())
 	if err != nil {
@@ -130,7 +130,7 @@ func TestAnalyzeCachedLargeInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	dir := t.TempDir()
 	opt := statespace.Options{MaxStates: 1 << 21}
 	cold := analyzeCached(t, dir, inner, pol, opt, false)

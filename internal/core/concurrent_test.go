@@ -19,7 +19,7 @@ func TestConcurrentAnalysesShareOneSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.SynchronousPolicy{}} {
+	for _, pol := range []scheduler.Policy{scheduler.CentralPolicy, scheduler.SynchronousPolicy} {
 		want, err := analyzeFull(t, a, pol, statespace.Options{})
 		if err != nil {
 			t.Fatal(err)

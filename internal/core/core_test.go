@@ -49,7 +49,7 @@ func TestTokenRingClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := analyze(t, a, scheduler.CentralPolicy{})
+	rep := analyze(t, a, scheduler.CentralPolicy)
 	if rep.Strongest() != ClassProbabilistic {
 		t.Fatalf("classification = %v, want probabilistic", rep.Strongest())
 	}
@@ -72,7 +72,7 @@ func TestDijkstraClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := analyze(t, a, scheduler.CentralPolicy{})
+	rep := analyze(t, a, scheduler.CentralPolicy)
 	if rep.Strongest() != ClassSelf {
 		t.Fatalf("classification = %v, want self-stabilizing", rep.Strongest())
 	}
@@ -87,17 +87,17 @@ func TestSyncpairClassifications(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Central: cannot even possibly converge.
-	central := analyze(t, a, scheduler.CentralPolicy{})
+	central := analyze(t, a, scheduler.CentralPolicy)
 	if central.Strongest() != ClassNone {
 		t.Fatalf("central classification = %v, want none", central.Strongest())
 	}
 	// Distributed: weak and probabilistically self-stabilizing.
-	dist := analyze(t, a, scheduler.DistributedPolicy{})
+	dist := analyze(t, a, scheduler.DistributedPolicy)
 	if dist.Strongest() != ClassProbabilistic {
 		t.Fatalf("distributed classification = %v, want probabilistic", dist.Strongest())
 	}
 	// Synchronous: deterministic convergence in <= 2 steps.
-	sync := analyze(t, a, scheduler.SynchronousPolicy{})
+	sync := analyze(t, a, scheduler.SynchronousPolicy)
 	if sync.Strongest() != ClassSelf {
 		t.Fatalf("synchronous classification = %v, want self", sync.Strongest())
 	}
@@ -115,13 +115,13 @@ func TestLeaderTreeSynchronousNotWeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := analyze(t, a, scheduler.SynchronousPolicy{})
+	rep := analyze(t, a, scheduler.SynchronousPolicy)
 	if rep.Strongest() != ClassNone {
 		t.Fatalf("synchronous Algorithm 2 = %v, want none (Figure 3)", rep.Strongest())
 	}
 	// Transformed it becomes probabilistically self-stabilizing
 	// (Theorem 8), the central claim of §4.
-	trans := analyze(t, transformer.New(a), scheduler.SynchronousPolicy{})
+	trans := analyze(t, transformer.New(a), scheduler.SynchronousPolicy)
 	if !trans.ProbabilisticallySelfStabilizing() {
 		t.Fatal("transformed Algorithm 2 must converge w.p. 1 synchronously")
 	}
@@ -152,7 +152,7 @@ func TestTheorem5ConsistencyOnInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	algs := []protocol.Algorithm{lt, tr5, sp}
-	pols := []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}, scheduler.SynchronousPolicy{}}
+	pols := []scheduler.Policy{scheduler.CentralPolicy, scheduler.DistributedPolicy, scheduler.SynchronousPolicy}
 	for _, a := range algs {
 		for _, pol := range pols {
 			rep := analyze(t, a, pol)
@@ -183,7 +183,7 @@ func TestReportString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := analyze(t, a, scheduler.CentralPolicy{})
+	rep := analyze(t, a, scheduler.CentralPolicy)
 	out := rep.String()
 	for _, want := range []string{"tokenring(n=4,m=3)", "strong closure", "classification", "expected stabilization"} {
 		if !strings.Contains(out, want) {

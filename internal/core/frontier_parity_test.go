@@ -51,13 +51,13 @@ func parityMatrix(t *testing.T) []parityCase {
 	}
 	trans := transformer.New(ring5)
 	return []parityCase{
-		{"tokenring5/central", ring5, scheduler.CentralPolicy{}},
-		{"tokenring5/distributed", ring5, scheduler.DistributedPolicy{}},
-		{"tokenring5/synchronous", ring5, scheduler.SynchronousPolicy{}},
-		{"coloring-ring4/central", col, scheduler.CentralPolicy{}},
-		{"coloring-ring4/distributed", col, scheduler.DistributedPolicy{}},
-		{"dijkstra4/central", dijk, scheduler.CentralPolicy{}},
-		{"trans(tokenring5)/distributed", trans, scheduler.DistributedPolicy{}},
+		{"tokenring5/central", ring5, scheduler.CentralPolicy},
+		{"tokenring5/distributed", ring5, scheduler.DistributedPolicy},
+		{"tokenring5/synchronous", ring5, scheduler.SynchronousPolicy},
+		{"coloring-ring4/central", col, scheduler.CentralPolicy},
+		{"coloring-ring4/distributed", col, scheduler.DistributedPolicy},
+		{"dijkstra4/central", dijk, scheduler.CentralPolicy},
+		{"trans(tokenring5)/distributed", trans, scheduler.DistributedPolicy},
 	}
 }
 
@@ -173,7 +173,7 @@ func TestAnalyzeFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	var cache *spacecache.Cache
 	seeds := []protocol.Configuration{{1, 1, 1, 1, 1}}
 	fromCfgs, _, err := cache.BuildSubSpaceFromConfigsContext(t.Context(), ring, pol, seeds, statespace.Options{})

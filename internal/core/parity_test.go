@@ -80,9 +80,9 @@ func parityInstances(t *testing.T) []protocol.Algorithm {
 
 func TestAnalyzeParityWithTwoPassReference(t *testing.T) {
 	policies := []scheduler.Policy{
-		scheduler.CentralPolicy{},
-		scheduler.DistributedPolicy{},
-		scheduler.SynchronousPolicy{},
+		scheduler.CentralPolicy,
+		scheduler.DistributedPolicy,
+		scheduler.SynchronousPolicy,
 	}
 	for _, a := range parityInstances(t) {
 		for _, pol := range policies {

@@ -63,9 +63,9 @@ func TestHierarchySweepAllAlgorithms(t *testing.T) {
 	add(hm, err)
 
 	pols := []scheduler.Policy{
-		scheduler.CentralPolicy{},
-		scheduler.DistributedPolicy{},
-		scheduler.SynchronousPolicy{},
+		scheduler.CentralPolicy,
+		scheduler.DistributedPolicy,
+		scheduler.SynchronousPolicy,
 	}
 	for _, a := range algs {
 		for _, pol := range pols {
@@ -118,9 +118,9 @@ func TestTransformerNeverWeakens(t *testing.T) {
 	}
 	dets = append(dets, tr, lt, cl, sp)
 	pols := []scheduler.Policy{
-		scheduler.CentralPolicy{},
-		scheduler.DistributedPolicy{},
-		scheduler.SynchronousPolicy{},
+		scheduler.CentralPolicy,
+		scheduler.DistributedPolicy,
+		scheduler.SynchronousPolicy,
 	}
 	for _, det := range dets {
 		for _, pol := range pols {

@@ -42,11 +42,11 @@ func TestAnalyzeWorkerInvariance(t *testing.T) {
 		a   protocol.Algorithm
 		pol scheduler.Policy
 	}{
-		{tr, scheduler.CentralPolicy{}},
-		{tr, scheduler.DistributedPolicy{}},
-		{lt, scheduler.DistributedPolicy{}},
-		{transformer.New(tr5), scheduler.DistributedPolicy{}},
-		{hm, scheduler.SynchronousPolicy{}},
+		{tr, scheduler.CentralPolicy},
+		{tr, scheduler.DistributedPolicy},
+		{lt, scheduler.DistributedPolicy},
+		{transformer.New(tr5), scheduler.DistributedPolicy},
+		{hm, scheduler.SynchronousPolicy},
 	} {
 		name := c.a.Name() + "/" + c.pol.Name()
 		var (
@@ -87,7 +87,7 @@ func TestAnalyzeWorkerInvariance(t *testing.T) {
 	}
 	var want *checker.SweepResult
 	for _, workers := range []int{1, 4} {
-		res, err := checker.SweepKFaultsContext(t.Context(), nil, dk, scheduler.CentralPolicy{}, 2, statespace.Options{Workers: workers}, false)
+		res, err := checker.SweepKFaultsContext(t.Context(), nil, dk, scheduler.CentralPolicy, 2, statespace.Options{Workers: workers}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

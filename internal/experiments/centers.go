@@ -56,7 +56,7 @@ func runE16(ctx context.Context, w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		rf, err := analyze(ctx, finder, scheduler.CentralPolicy{}, opt)
+		rf, err := analyze(ctx, finder, scheduler.CentralPolicy, opt)
 		if err != nil {
 			return err
 		}
@@ -65,7 +65,7 @@ func runE16(ctx context.Context, w io.Writer, opt Options) error {
 		}
 		var cells []string
 		for _, pol := range []scheduler.Policy{
-			scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}, scheduler.SynchronousPolicy{},
+			scheduler.CentralPolicy, scheduler.DistributedPolicy, scheduler.SynchronousPolicy,
 		} {
 			re, err := analyze(ctx, elector, pol, opt)
 			if err != nil {

@@ -67,7 +67,7 @@ func runE13(ctx context.Context, w io.Writer, opt Options) error {
 	}
 	// One shared exploration feeds both the fault-distance checker and the
 	// exact Markov recovery times.
-	ts, err := statespace.BuildContext(ctx, a, scheduler.CentralPolicy{}, statespace.Options{Workers: opt.Workers})
+	ts, err := statespace.BuildContext(ctx, a, scheduler.CentralPolicy, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}
@@ -180,12 +180,12 @@ func runE15(ctx context.Context, w io.Writer, opt Options) error {
 		want core.Class
 	}
 	rows := []row{
-		{a, scheduler.CentralPolicy{}, core.ClassSelf},
-		{a, scheduler.DistributedPolicy{}, core.ClassProbabilistic}, // weak + Thm 7 ⇒ prob
-		{a, scheduler.SynchronousPolicy{}, core.ClassNone},
-		{trans, scheduler.CentralPolicy{}, core.ClassProbabilistic},
-		{trans, scheduler.DistributedPolicy{}, core.ClassProbabilistic},
-		{trans, scheduler.SynchronousPolicy{}, core.ClassProbabilistic},
+		{a, scheduler.CentralPolicy, core.ClassSelf},
+		{a, scheduler.DistributedPolicy, core.ClassProbabilistic}, // weak + Thm 7 ⇒ prob
+		{a, scheduler.SynchronousPolicy, core.ClassNone},
+		{trans, scheduler.CentralPolicy, core.ClassProbabilistic},
+		{trans, scheduler.DistributedPolicy, core.ClassProbabilistic},
+		{trans, scheduler.SynchronousPolicy, core.ClassProbabilistic},
 	}
 	for _, r := range rows {
 		rep, err := analyze(ctx, r.alg, r.pol, opt)

@@ -48,7 +48,7 @@ func runE18(ctx context.Context, w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	ssOpt := statespace.Options{Workers: opt.Workers}
 
 	// Full-space reference verdicts (the classic path) — through the cache,
@@ -98,7 +98,7 @@ func runE18(ctx context.Context, w io.Writer, opt Options) error {
 	// path: closure of L under the coin-toss transformer, verified
 	// convergent with probability 1 on the subspace.
 	trans := transformer.New(inner)
-	ss, _, _, err := checker.BallClosureContext(ctx, opt.Cache, trans, scheduler.DistributedPolicy{}, 0, ssOpt)
+	ss, _, _, err := checker.BallClosureContext(ctx, opt.Cache, trans, scheduler.DistributedPolicy, 0, ssOpt)
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,7 @@ func netsimExactParity(ctx context.Context, w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	sp, err := statespace.BuildContext(ctx, a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
+	sp, err := statespace.BuildContext(ctx, a, scheduler.SynchronousPolicy, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}
@@ -124,7 +124,7 @@ func netsimStatisticalParity(ctx context.Context, w io.Writer, opt Options) erro
 	if err != nil {
 		return err
 	}
-	sp, err := statespace.BuildContext(ctx, a, scheduler.SynchronousPolicy{}, statespace.Options{Workers: opt.Workers})
+	sp, err := statespace.BuildContext(ctx, a, scheduler.SynchronousPolicy, statespace.Options{Workers: opt.Workers})
 	if err != nil {
 		return err
 	}

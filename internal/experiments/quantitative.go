@@ -112,11 +112,11 @@ func runE12a(ctx context.Context, w io.Writer, opt Options) error {
 			alg protocol.Algorithm
 			pol scheduler.Policy
 		}{
-			{a, scheduler.CentralPolicy{}},
-			{a, scheduler.DistributedPolicy{}},
-			{trans, scheduler.CentralPolicy{}},
-			{trans, scheduler.DistributedPolicy{}},
-			{trans, scheduler.SynchronousPolicy{}},
+			{a, scheduler.CentralPolicy},
+			{a, scheduler.DistributedPolicy},
+			{trans, scheduler.CentralPolicy},
+			{trans, scheduler.DistributedPolicy},
+			{trans, scheduler.SynchronousPolicy},
 		}
 		row := make([]string, 0, len(cells))
 		var rawDist float64
@@ -257,7 +257,7 @@ func runE12c(ctx context.Context, w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		tokenMean, err := meanHittingTime(ctx, tr, scheduler.DistributedPolicy{}, opt)
+		tokenMean, err := meanHittingTime(ctx, tr, scheduler.DistributedPolicy, opt)
 		if err != nil {
 			return err
 		}
@@ -265,7 +265,7 @@ func runE12c(ctx context.Context, w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		spMean, err := meanHittingTime(ctx, spTr, scheduler.SynchronousPolicy{}, opt)
+		spMean, err := meanHittingTime(ctx, spTr, scheduler.SynchronousPolicy, opt)
 		if err != nil {
 			return err
 		}
@@ -296,7 +296,7 @@ func runE12d(ctx context.Context, w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		transMean, err := meanHittingTime(ctx, transformer.New(a), scheduler.DistributedPolicy{}, opt)
+		transMean, err := meanHittingTime(ctx, transformer.New(a), scheduler.DistributedPolicy, opt)
 		if err != nil {
 			return err
 		}
@@ -305,7 +305,7 @@ func runE12d(ctx context.Context, w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		hermanMean, err := meanHittingTime(ctx, h, scheduler.SynchronousPolicy{}, opt)
+		hermanMean, err := meanHittingTime(ctx, h, scheduler.SynchronousPolicy, opt)
 		if err != nil {
 			return err
 		}

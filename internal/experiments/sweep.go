@@ -64,7 +64,7 @@ func runE19(ctx context.Context, w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	ssOpt := statespace.Options{Workers: opt.Workers}
 
 	// The incremental sweep, with exact callback accounting: the closure

@@ -47,11 +47,11 @@ func runE17(ctx context.Context, w io.Writer, opt Options) error {
 		return err
 	}
 	cases := []caseT{
-		{"trans(tokenring N=5)", transformer.New(tr5), scheduler.DistributedPolicy{},
+		{"trans(tokenring N=5)", transformer.New(tr5), scheduler.DistributedPolicy,
 			protocol.Configuration{0, 0, 0, 0, 0}, 600},
-		{"trans(syncpair)", transformer.New(sp), scheduler.SynchronousPolicy{},
+		{"trans(syncpair)", transformer.New(sp), scheduler.SynchronousPolicy,
 			protocol.Configuration{0, 0}, 600},
-		{"tokenring N=5 (raw)", tr5, scheduler.CentralPolicy{},
+		{"tokenring N=5 (raw)", tr5, scheduler.CentralPolicy,
 			protocol.Configuration{0, 0, 0, 0, 0}, 600},
 	}
 	if !opt.Quick {
@@ -62,9 +62,9 @@ func runE17(ctx context.Context, w io.Writer, opt Options) error {
 			return err
 		}
 		cases = append(cases,
-			caseT{"tokenring N=6 (raw)", tr6, scheduler.CentralPolicy{},
+			caseT{"tokenring N=6 (raw)", tr6, scheduler.CentralPolicy,
 				protocol.Configuration{0, 0, 0, 0, 0, 0}, 1500},
-			caseT{"trans(tokenring N=6)", transformer.New(tr6), scheduler.CentralPolicy{},
+			caseT{"trans(tokenring N=6)", transformer.New(tr6), scheduler.CentralPolicy,
 				protocol.Configuration{0, 0, 0, 0, 0, 0}, 4000},
 		)
 	}

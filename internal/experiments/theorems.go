@@ -113,7 +113,7 @@ func runE4(ctx context.Context, w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "instance\tweak(sync)\tself(sync)\tagree")
 	for _, a := range algs {
-		sp, err := explore(ctx, a, scheduler.SynchronousPolicy{}, opt)
+		sp, err := explore(ctx, a, scheduler.SynchronousPolicy, opt)
 		if err != nil {
 			return err
 		}
@@ -149,7 +149,7 @@ func runE5(ctx context.Context, w io.Writer, opt Options) error {
 		// distributed strongly fair scheduler. (For n=3 the only diverging
 		// executions flip all processes simultaneously, so the central
 		// space alone contains no illegitimate cycle.)
-		sp, err := explore(ctx, a, scheduler.DistributedPolicy{}, opt)
+		sp, err := explore(ctx, a, scheduler.DistributedPolicy, opt)
 		if err != nil {
 			return err
 		}
@@ -304,7 +304,7 @@ func runE7(ctx context.Context, w io.Writer, opt Options) error {
 				weakAll = false
 				return false
 			}
-			sp, err := explore(ctx, a, scheduler.CentralPolicy{}, opt)
+			sp, err := explore(ctx, a, scheduler.CentralPolicy, opt)
 			if err != nil || !sp.CheckClosure().Holds || !sp.CheckPossibleConvergence().Holds {
 				weakAll = false
 				return false
@@ -344,7 +344,7 @@ func runE8(ctx context.Context, w io.Writer, opt Options) error {
 	if err != nil {
 		return err
 	}
-	sp, err := explore(ctx, a, scheduler.CentralPolicy{}, opt)
+	sp, err := explore(ctx, a, scheduler.CentralPolicy, opt)
 	if err != nil {
 		return err
 	}
@@ -363,7 +363,7 @@ func runE8(ctx context.Context, w io.Writer, opt Options) error {
 	// The same instance under the randomized central scheduler: prob-1
 	// convergence everywhere with finite expected times (Gouda fairness
 	// route via Theorem 7).
-	rep, err := analyze(ctx, a, scheduler.CentralPolicy{}, opt)
+	rep, err := analyze(ctx, a, scheduler.CentralPolicy, opt)
 	if err != nil {
 		return err
 	}
@@ -384,7 +384,7 @@ func runE9(ctx context.Context, w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "instance\tpolicy\tweak\tprob-1\tE[steps] mean\tmax")
 	for _, a := range algs {
-		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.DistributedPolicy{}} {
+		for _, pol := range []scheduler.Policy{scheduler.CentralPolicy, scheduler.DistributedPolicy} {
 			rep, err := analyze(ctx, a, pol, opt)
 			if err != nil {
 				return err
@@ -429,16 +429,16 @@ func runE10(ctx context.Context, w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "instance\traw sync prob-1\ttrans sync prob-1\ttrans dist prob-1")
 	for _, inner := range inners {
-		rawOne, err := probOneEverywhere(ctx, inner, scheduler.SynchronousPolicy{}, opt.Workers)
+		rawOne, err := probOneEverywhere(ctx, inner, scheduler.SynchronousPolicy, opt.Workers)
 		if err != nil {
 			return err
 		}
 		trans := transformerFor(inner)
-		syncOne, err := probOneEverywhere(ctx, trans, scheduler.SynchronousPolicy{}, opt.Workers)
+		syncOne, err := probOneEverywhere(ctx, trans, scheduler.SynchronousPolicy, opt.Workers)
 		if err != nil {
 			return err
 		}
-		distOne, err := probOneEverywhere(ctx, trans, scheduler.DistributedPolicy{}, opt.Workers)
+		distOne, err := probOneEverywhere(ctx, trans, scheduler.DistributedPolicy, opt.Workers)
 		if err != nil {
 			return err
 		}
@@ -454,7 +454,7 @@ func runE10(ctx context.Context, w io.Writer, opt Options) error {
 }
 
 func probOneEverywhere(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, workers int) (bool, error) {
-	ts, err := statespace.BuildContext(ctx, a, pol, statespace.Options{MaxStates: markov.DefaultMaxStates, Workers: workers})
+	ts, err := statespace.BuildContext(ctx, a, pol, statespace.Options{Workers: workers})
 	if err != nil {
 		return false, err
 	}

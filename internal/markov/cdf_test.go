@@ -56,7 +56,7 @@ func TestHittingTimeCDFMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, target, enc := mustChain(t, transformer.New(sp), scheduler.SynchronousPolicy{})
+	chain, target, enc := mustChain(t, transformer.New(sp), scheduler.SynchronousPolicy)
 	from := int(enc.Encode(protocol.Configuration{0, 0}))
 	cdf, err := chain.HittingTimeCDF(target, from, 200)
 	if err != nil {

@@ -34,11 +34,6 @@ import (
 	"weakstab/internal/statespace"
 )
 
-// DefaultMaxStates caps the configuration space of Markov-only analyses
-// when callers pass 0 (the chain needs no successor-set bookkeeping, so it
-// historically affords a larger cap than the checker's default).
-const DefaultMaxStates = 1 << 22
-
 // Chain is a finite discrete-time Markov chain over states 0..N-1 in CSR
 // form. Every non-empty row is a distribution over strictly ascending
 // targets; an empty row is an absorbing state. A chain is immutable, so

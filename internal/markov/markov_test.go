@@ -216,7 +216,7 @@ func TestFromAlgorithmSyncpairCentralNeverConverges(t *testing.T) {
 	// Under the central randomized scheduler Algorithm 3 cannot reach
 	// (T,T) at all: hitting probability 0, not just < 1.
 	a := mustSyncpair(t)
-	chain, target, enc := mustChain(t, a, scheduler.CentralPolicy{})
+	chain, target, enc := mustChain(t, a, scheduler.CentralPolicy)
 	ff := int(enc.Encode(protocol.Configuration{syncpair.False, syncpair.False}))
 	if chain.distances(target)[ff] >= 0 {
 		t.Fatal("central scheduler should never reach (T,T) from (F,F)")
@@ -230,7 +230,7 @@ func TestFromAlgorithmSyncpairCentralNeverConverges(t *testing.T) {
 func TestFromAlgorithmSyncpairDistributedExactTimes(t *testing.T) {
 	// Under the distributed randomized scheduler: h(F,F) = 5, h(T,F) = 6.
 	a := mustSyncpair(t)
-	chain, target, enc := mustChain(t, a, scheduler.DistributedPolicy{})
+	chain, target, enc := mustChain(t, a, scheduler.DistributedPolicy)
 	h, err := chain.HittingTimes(target)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestFromAlgorithmSyncpairSynchronous(t *testing.T) {
 	// The synchronous scheduler converges deterministically: h(F,F) = 1,
 	// h(T,F) = 2.
 	a := mustSyncpair(t)
-	chain, target, enc := mustChain(t, a, scheduler.SynchronousPolicy{})
+	chain, target, enc := mustChain(t, a, scheduler.SynchronousPolicy)
 	h, err := chain.HittingTimes(target)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestHermanExactExpectedTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, target, enc := mustChain(t, a, scheduler.SynchronousPolicy{})
+	chain, target, enc := mustChain(t, a, scheduler.SynchronousPolicy)
 	h, err := chain.HittingTimes(target)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestHermanExactExpectedTime(t *testing.T) {
 
 func TestTargetFromSpaceAndSummarize(t *testing.T) {
 	a := mustSyncpair(t)
-	ts, err := statespace.Build(a, scheduler.DistributedPolicy{}, statespace.Options{})
+	ts, err := statespace.Build(a, scheduler.DistributedPolicy, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,9 @@ func solverCases(t *testing.T) []*statespace.Space {
 	}
 	algs = append(algs, h3)
 	policies := []scheduler.Policy{
-		scheduler.CentralPolicy{},
-		scheduler.DistributedPolicy{},
-		scheduler.SynchronousPolicy{},
+		scheduler.CentralPolicy,
+		scheduler.DistributedPolicy,
+		scheduler.SynchronousPolicy,
 	}
 	var spaces []*statespace.Space
 	for _, a := range algs {
@@ -145,11 +145,11 @@ func TestLevelScheduleBitIdentical(t *testing.T) {
 		alg protocol.Algorithm
 		pol scheduler.Policy
 	}{
-		{must(dijkstra.New(5, 5)), scheduler.CentralPolicy{}},
-		{must(dijkstra.New(5, 5)), scheduler.DistributedPolicy{}},
-		{must(coloring.New(ring6)), scheduler.DistributedPolicy{}},
-		{must(tokenring.NewWithModulus(7, 3)), scheduler.CentralPolicy{}},
-		{must(herman.New(5)), scheduler.SynchronousPolicy{}},
+		{must(dijkstra.New(5, 5)), scheduler.CentralPolicy},
+		{must(dijkstra.New(5, 5)), scheduler.DistributedPolicy},
+		{must(coloring.New(ring6)), scheduler.DistributedPolicy},
+		{must(tokenring.NewWithModulus(7, 3)), scheduler.CentralPolicy},
+		{must(herman.New(5)), scheduler.SynchronousPolicy},
 	}
 	for _, cs := range cases {
 		ts, err := statespace.Build(cs.alg, cs.pol, statespace.Options{})

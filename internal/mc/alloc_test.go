@@ -20,7 +20,7 @@ func TestRunAllocatesLittle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := statespace.Build(a, scheduler.SynchronousPolicy{}, statespace.Options{})
+	sp, err := statespace.Build(a, scheduler.SynchronousPolicy, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

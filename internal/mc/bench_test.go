@@ -22,8 +22,8 @@ var walkCases = []struct {
 	build  func() (protocol.Algorithm, error)
 	policy scheduler.Policy
 }{
-	{"tokenring8/central", func() (protocol.Algorithm, error) { return tokenring.New(8) }, scheduler.CentralPolicy{}},
-	{"herman11/synchronous", func() (protocol.Algorithm, error) { return herman.New(11) }, scheduler.SynchronousPolicy{}},
+	{"tokenring8/central", func() (protocol.Algorithm, error) { return tokenring.New(8) }, scheduler.CentralPolicy},
+	{"herman11/synchronous", func() (protocol.Algorithm, error) { return herman.New(11) }, scheduler.SynchronousPolicy},
 }
 
 // BenchmarkMCWalk measures raw sampling throughput on real explored

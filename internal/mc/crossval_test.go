@@ -32,11 +32,11 @@ type instance struct {
 
 func instances() []instance {
 	return []instance{
-		{"tokenring5/central", func() (protocol.Algorithm, error) { return tokenring.New(5) }, scheduler.CentralPolicy{}},
-		{"tokenring6/central", func() (protocol.Algorithm, error) { return tokenring.New(6) }, scheduler.CentralPolicy{}},
-		{"dijkstra55/central", func() (protocol.Algorithm, error) { return dijkstra.New(5, 5) }, scheduler.CentralPolicy{}},
-		{"herman5/synchronous", func() (protocol.Algorithm, error) { return herman.New(5) }, scheduler.SynchronousPolicy{}},
-		{"herman5/distributed", func() (protocol.Algorithm, error) { return herman.New(5) }, scheduler.DistributedPolicy{}},
+		{"tokenring5/central", func() (protocol.Algorithm, error) { return tokenring.New(5) }, scheduler.CentralPolicy},
+		{"tokenring6/central", func() (protocol.Algorithm, error) { return tokenring.New(6) }, scheduler.CentralPolicy},
+		{"dijkstra55/central", func() (protocol.Algorithm, error) { return dijkstra.New(5, 5) }, scheduler.CentralPolicy},
+		{"herman5/synchronous", func() (protocol.Algorithm, error) { return herman.New(5) }, scheduler.SynchronousPolicy},
+		{"herman5/distributed", func() (protocol.Algorithm, error) { return herman.New(5) }, scheduler.DistributedPolicy},
 	}
 }
 

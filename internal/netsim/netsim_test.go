@@ -20,7 +20,7 @@ import (
 // the synchronous daemon.
 func syncHittingTimes(t *testing.T, a protocol.Algorithm) (*statespace.Space, []float64) {
 	t.Helper()
-	sp, err := statespace.Build(a, scheduler.SynchronousPolicy{}, statespace.Options{})
+	sp, err := statespace.Build(a, scheduler.SynchronousPolicy, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSyncParityHerman(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := statespace.Build(a, scheduler.SynchronousPolicy{}, statespace.Options{})
+	sp, err := statespace.Build(a, scheduler.SynchronousPolicy, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

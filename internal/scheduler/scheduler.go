@@ -9,17 +9,16 @@
 //     process ids), used by the exhaustive checker to enumerate all
 //     possible steps, and by the Markov analysis which weights them
 //     uniformly (Definition 6 of the paper: the "randomized scheduler"
-//     chooses uniformly). Policy is a closed set of three daemons that no
-//     outside type implements.
+//     chooses uniformly). A Policy is a value, one of exactly three.
 //
 // The paper's scheduler taxonomy maps as follows: the central scheduler is
 // CentralPolicy/NewCentralRandomized, the distributed scheduler is
 // DistributedPolicy/NewDistributedRandomized, and the synchronous scheduler
 // is SynchronousPolicy/NewSynchronous — the distribution axis of the
 // Dubois–Tixeuil taxonomy, which names exactly these three daemons, so
-// Policy's Kind identifies each. Fairness (weak, strong, Gouda) is a
-// property of infinite executions; package-level predicates decide them on
-// finite lassos (cycles repeated forever).
+// they are the only values a Policy takes. Fairness (weak, strong, Gouda)
+// is a property of infinite executions; package-level predicates decide
+// them on finite lassos (cycles repeated forever).
 package scheduler
 
 import (
@@ -233,35 +232,33 @@ func (f Func) Select(step int, cfg protocol.Configuration, enabled []int, rng *r
 	return f.F(step, cfg, enabled, rng)
 }
 
-// Policy enumerates the activation subsets a daemon permits. The
-// exhaustive checker explores every subset; the Markov analysis weights
-// them uniformly (randomized scheduler). Every policy of the paper depends
-// only on how many processes are enabled, not on which, so a subset is a
-// position bitmask over the enabled set; Subset turns one into process ids.
+// Policy is one of the paper's three daemons: CentralPolicy,
+// DistributedPolicy or SynchronousPolicy. It enumerates the activation
+// subsets the daemon permits (SubsetMasks): the exhaustive checker
+// explores every subset; the Markov analysis weights them uniformly
+// (randomized scheduler). Every policy of the paper depends only on how
+// many processes are enabled, not on which, so a subset is a position
+// bitmask over the enabled set; Subset turns one into process ids.
 //
-// Policy is sealed: CentralPolicy, DistributedPolicy and SynchronousPolicy
-// are its only implementations, and Kind tells them apart, so a consumer
-// such as the explorer may derive the subsets from the kind instead of
-// the mask list.
-type Policy interface {
-	// Name identifies the policy.
-	Name() string
-	// SubsetMasks returns the allowed activation subsets of any k-element
-	// enabled set (k >= 1) as bitmasks over positions [0,k): bit i
-	// selects the i-th enabled process. Every mask is non-empty.
-	SubsetMasks(k int) []uint64
-	// Kind names the daemon.
-	Kind() Kind
-	sealed()
-}
+// The three are the only values a Policy takes, so a consumer such as the
+// explorer may switch on the policy itself and derive the subsets instead
+// of reading the mask list. The zero value, nil, is no daemon.
+type Policy = *daemon
 
-// Kind is one of the three daemons a Policy can be.
-type Kind uint8
+// daemon is what a Policy points to; the three below are all there are.
+type daemon struct{ name string }
 
-const (
-	KindCentral     Kind = iota // the k singletons, in position order
-	KindDistributed             // masks 1 … 2^k-1, ascending
-	KindSynchronous             // the full mask
+// The three daemons.
+var (
+	// CentralPolicy permits exactly the singletons (the paper's central
+	// scheduler).
+	CentralPolicy Policy = &daemon{"central"}
+	// DistributedPolicy permits every non-empty subset (the paper's
+	// distributed scheduler).
+	DistributedPolicy Policy = &daemon{"distributed"}
+	// SynchronousPolicy permits only the full enabled set (the paper's
+	// synchronous scheduler).
+	SynchronousPolicy Policy = &daemon{"synchronous"}
 )
 
 // DistributedLimit is the widest enabled set the distributed daemon
@@ -281,72 +278,40 @@ func Subset(mask uint64, enabled []int) []int {
 	return sub
 }
 
-// CentralPolicy permits exactly the singletons (the paper's central
-// scheduler).
-type CentralPolicy struct{}
+// Name identifies the policy: "central", "distributed" or "synchronous".
+func (d *daemon) Name() string { return d.name }
 
-// Name implements Policy.
-func (CentralPolicy) Name() string { return "central" }
-
-// Kind implements Policy.
-func (CentralPolicy) Kind() Kind { return KindCentral }
-func (CentralPolicy) sealed()    {}
-
-// SubsetMasks implements Policy: the k singletons, in position order.
-func (CentralPolicy) SubsetMasks(k int) []uint64 {
-	if k > 64 {
-		panic(fmt.Sprintf("scheduler: CentralPolicy.SubsetMasks on %d enabled processes", k))
+// SubsetMasks returns the allowed activation subsets of any k-element
+// enabled set (k >= 1) as bitmasks over positions [0,k): bit i selects the
+// i-th enabled process. Every mask is non-empty. The central daemon gives
+// the k singletons in position order, the distributed daemon all 2^k-1
+// masks in ascending order (refusing, rather than drowning in, enabled
+// sets wider than DistributedLimit), the synchronous daemon the full mask.
+func (d *daemon) SubsetMasks(k int) []uint64 {
+	switch d {
+	case CentralPolicy:
+		if k <= 64 {
+			out := make([]uint64, k)
+			for i := range out {
+				out[i] = 1 << uint(i)
+			}
+			return out
+		}
+	case DistributedPolicy:
+		if k <= DistributedLimit {
+			total := uint64(1)<<uint(k) - 1
+			out := make([]uint64, total)
+			for m := uint64(1); m <= total; m++ {
+				out[m-1] = m
+			}
+			return out
+		}
+	case SynchronousPolicy:
+		if k < 64 {
+			return []uint64{uint64(1)<<uint(k) - 1}
+		}
 	}
-	out := make([]uint64, k)
-	for i := range out {
-		out[i] = 1 << uint(i)
-	}
-	return out
-}
-
-// DistributedPolicy permits every non-empty subset (the paper's distributed
-// scheduler).
-type DistributedPolicy struct{}
-
-// Name implements Policy.
-func (DistributedPolicy) Name() string { return "distributed" }
-
-// Kind implements Policy.
-func (DistributedPolicy) Kind() Kind { return KindDistributed }
-func (DistributedPolicy) sealed()    {}
-
-// SubsetMasks implements Policy: all 2^k-1 non-empty position masks in
-// ascending order. It refuses enabled sets wider than DistributedLimit
-// rather than drown.
-func (DistributedPolicy) SubsetMasks(k int) []uint64 {
-	if k > DistributedLimit {
-		panic(fmt.Sprintf("scheduler: DistributedPolicy.SubsetMasks on %d enabled processes", k))
-	}
-	total := uint64(1)<<uint(k) - 1
-	out := make([]uint64, total)
-	for m := uint64(1); m <= total; m++ {
-		out[m-1] = m
-	}
-	return out
-}
-
-// SynchronousPolicy permits only the full enabled set (the paper's
-// synchronous scheduler).
-type SynchronousPolicy struct{}
-
-// Name implements Policy.
-func (SynchronousPolicy) Name() string { return "synchronous" }
-
-// Kind implements Policy.
-func (SynchronousPolicy) Kind() Kind { return KindSynchronous }
-func (SynchronousPolicy) sealed()    {}
-
-// SubsetMasks implements Policy: the single full mask.
-func (SynchronousPolicy) SubsetMasks(k int) []uint64 {
-	if k >= 64 {
-		panic(fmt.Sprintf("scheduler: SynchronousPolicy.SubsetMasks on %d enabled processes", k))
-	}
-	return []uint64{uint64(1)<<uint(k) - 1}
+	panic(fmt.Sprintf("scheduler: %s SubsetMasks on %d enabled processes", d.name, k))
 }
 
 var (
@@ -357,7 +322,4 @@ var (
 	_ Scheduler = LexMin{}
 	_ Scheduler = (*Scripted)(nil)
 	_ Scheduler = Func{}
-	_ Policy    = CentralPolicy{}
-	_ Policy    = DistributedPolicy{}
-	_ Policy    = SynchronousPolicy{}
 )

@@ -189,14 +189,14 @@ func subsets(pol Policy, enabled []int) [][]int {
 }
 
 func TestCentralPolicySubsets(t *testing.T) {
-	subs := subsets(CentralPolicy{}, []int{1, 4})
+	subs := subsets(CentralPolicy, []int{1, 4})
 	if len(subs) != 2 || len(subs[0]) != 1 || subs[0][0] != 1 || subs[1][0] != 4 {
 		t.Fatalf("subsets = %v", subs)
 	}
 }
 
 func TestDistributedPolicySubsets(t *testing.T) {
-	subs := subsets(DistributedPolicy{}, []int{0, 1, 2})
+	subs := subsets(DistributedPolicy, []int{0, 1, 2})
 	if len(subs) != 7 {
 		t.Fatalf("got %d subsets, want 7", len(subs))
 	}
@@ -217,7 +217,7 @@ func TestDistributedPolicySubsets(t *testing.T) {
 }
 
 func TestSynchronousPolicySubsets(t *testing.T) {
-	subs := subsets(SynchronousPolicy{}, []int{2, 3})
+	subs := subsets(SynchronousPolicy, []int{2, 3})
 	if len(subs) != 1 || len(subs[0]) != 2 {
 		t.Fatalf("subsets = %v", subs)
 	}
@@ -293,9 +293,9 @@ func TestSubsetMasksMatchSubsets(t *testing.T) {
 		pol  Policy
 		want [][]int
 	}{
-		{CentralPolicy{}, [][]int{{2}, {5}, {7}}},
-		{DistributedPolicy{}, [][]int{{2}, {5}, {2, 5}, {7}, {2, 7}, {5, 7}, {2, 5, 7}}},
-		{SynchronousPolicy{}, [][]int{{2, 5, 7}}},
+		{CentralPolicy, [][]int{{2}, {5}, {7}}},
+		{DistributedPolicy, [][]int{{2}, {5}, {2, 5}, {7}, {2, 7}, {5, 7}, {2, 5, 7}}},
+		{SynchronousPolicy, [][]int{{2, 5, 7}}},
 	} {
 		got := subsets(tc.pol, enabled)
 		if !slices.EqualFunc(got, tc.want, slices.Equal[[]int]) {

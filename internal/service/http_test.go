@@ -131,7 +131,7 @@ func TestHTTPResultConflictAndGone(t *testing.T) {
 	g := newGateAlg(ring5)
 	mgr, srv := newTestServer(t, Config{
 		Deps: Deps{Build: func(Request) (protocol.Algorithm, scheduler.Policy, error) {
-			return g, scheduler.CentralPolicy{}, nil
+			return g, scheduler.CentralPolicy, nil
 		}},
 		Workers: 1, FeedDepth: 16,
 	})
@@ -323,7 +323,7 @@ func TestHTTPEventsWithoutFeed(t *testing.T) {
 	}
 	g := newGateAlg(ring5)
 	mgr, srv = newTestServer(t, Config{Deps: Deps{Build: func(Request) (protocol.Algorithm, scheduler.Policy, error) {
-		return g, scheduler.CentralPolicy{}, nil
+		return g, scheduler.CentralPolicy, nil
 	}}})
 	st := postJob(t, srv, `{"alg":"tokenring","n":5}`)
 	<-g.entered

@@ -77,7 +77,7 @@ func ringRequest(n int) Request {
 
 func buildCounting(c *countingAlg) func(Request) (protocol.Algorithm, scheduler.Policy, error) {
 	return func(Request) (protocol.Algorithm, scheduler.Policy, error) {
-		return c, scheduler.CentralPolicy{}, nil
+		return c, scheduler.CentralPolicy, nil
 	}
 }
 
@@ -233,7 +233,7 @@ func TestCancelMidExploration(t *testing.T) {
 		Deps: Deps{
 			Cache: cache,
 			Build: func(Request) (protocol.Algorithm, scheduler.Policy, error) {
-				return g, scheduler.CentralPolicy{}, nil
+				return g, scheduler.CentralPolicy, nil
 			},
 		},
 		Workers: 1,
@@ -291,7 +291,7 @@ func TestDeadlineCancelsJob(t *testing.T) {
 	g := newGateAlg(inner)
 	m := NewManager(Config{
 		Deps: Deps{Build: func(Request) (protocol.Algorithm, scheduler.Policy, error) {
-			return g, scheduler.CentralPolicy{}, nil
+			return g, scheduler.CentralPolicy, nil
 		}},
 		Workers: 1,
 	})
@@ -329,13 +329,13 @@ func TestQueueFullRejects(t *testing.T) {
 	g := newGateAlg(ring5) // only the first request gates
 	build := func(r Request) (protocol.Algorithm, scheduler.Policy, error) {
 		if r.N == 5 {
-			return g, scheduler.CentralPolicy{}, nil
+			return g, scheduler.CentralPolicy, nil
 		}
 		inner, err := tokenring.New(r.N)
 		if err != nil {
 			return nil, nil, err
 		}
-		return inner, scheduler.CentralPolicy{}, nil
+		return inner, scheduler.CentralPolicy, nil
 	}
 	m := NewManager(Config{Deps: Deps{Build: build}, Workers: 1, QueueDepth: 1})
 
@@ -398,7 +398,7 @@ func TestShutdownDeadlineCancelsOutstanding(t *testing.T) {
 	g := newGateAlg(inner)
 	m := NewManager(Config{
 		Deps: Deps{Build: func(Request) (protocol.Algorithm, scheduler.Policy, error) {
-			return g, scheduler.CentralPolicy{}, nil
+			return g, scheduler.CentralPolicy, nil
 		}},
 		Workers: 1,
 	})
@@ -439,9 +439,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	cb := &countingAlg{Algorithm: ring6}
 	build := func(r Request) (protocol.Algorithm, scheduler.Policy, error) {
 		if r.N == 5 {
-			return g, scheduler.CentralPolicy{}, nil
+			return g, scheduler.CentralPolicy, nil
 		}
-		return cb, scheduler.CentralPolicy{}, nil
+		return cb, scheduler.CentralPolicy, nil
 	}
 	m := NewManager(Config{Deps: Deps{Build: build}, Workers: 1, QueueDepth: 2})
 	a, _, err := m.Submit(ringRequest(5))
@@ -493,7 +493,7 @@ func TestRunningGauge(t *testing.T) {
 	o := obs.New()
 	m := NewManager(Config{
 		Deps: Deps{Obs: o, Build: func(r Request) (protocol.Algorithm, scheduler.Policy, error) {
-			return gates[r.N], scheduler.CentralPolicy{}, nil
+			return gates[r.N], scheduler.CentralPolicy, nil
 		}},
 		Workers: N,
 	})
@@ -553,9 +553,9 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 		Deps: Deps{Obs: o, Build: func(r Request) (protocol.Algorithm, scheduler.Policy, error) {
 			switch r.N {
 			case 5:
-				return panicAlg{small}, scheduler.CentralPolicy{}, nil
+				return panicAlg{small}, scheduler.CentralPolicy, nil
 			case 8:
-				return panicAlg{large}, scheduler.CentralPolicy{}, nil
+				return panicAlg{large}, scheduler.CentralPolicy, nil
 			}
 			return buildInstance(r)
 		}},

@@ -109,7 +109,7 @@ func TestTrialsRandomInitial(t *testing.T) {
 	}
 	// Cross-check against the exact mean hitting time over all
 	// configurations (uniform initial distribution).
-	ts, err := statespace.Build(a, scheduler.DistributedPolicy{}, statespace.Options{})
+	ts, err := statespace.Build(a, scheduler.DistributedPolicy, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

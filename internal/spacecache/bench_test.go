@@ -29,7 +29,7 @@ func benchInstance(b *testing.B) *tokenring.Algorithm {
 // BenchmarkSpaceCacheCold measures the miss path: explore + persist.
 func BenchmarkSpaceCacheCold(b *testing.B) {
 	a := benchInstance(b)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	c, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -49,7 +49,7 @@ func BenchmarkSpaceCacheCold(b *testing.B) {
 // BenchmarkSpaceCacheWarm measures the hit path: load the persisted space.
 func BenchmarkSpaceCacheWarm(b *testing.B) {
 	a := benchInstance(b)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	c, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -75,7 +75,7 @@ func BenchmarkSpaceCacheWarm(b *testing.B) {
 // hand back a usable system, close).
 func benchWarmLoad(b *testing.B, mmap bool) {
 	a := benchInstance(b)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	c, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -116,7 +116,7 @@ func BenchmarkWarmLoadMmap(b *testing.B) { benchWarmLoad(b, true) }
 // validators run over the mapping before any section is trusted.
 func BenchmarkWarmLoadMmapFirst(b *testing.B) {
 	a := benchInstance(b)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	c, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -144,7 +144,7 @@ func BenchmarkWarmLoadMmapFirst(b *testing.B) {
 // every load path, warm or cold).
 func BenchmarkSpaceCacheKey(b *testing.B) {
 	a := benchInstance(b)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if Key(a, pol) == "" {

@@ -22,7 +22,7 @@ import (
 // that age order.
 func primeEntries(t *testing.T, c *Cache) []string {
 	t.Helper()
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	if _, _, err := c.BuildSpaceContext(t.Context(), ring(t, 4), pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestGCOldestFirst(t *testing.T) {
 	}
 
 	// Survivors are untouched and still load as hits.
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil || !hit {
 		t.Fatalf("surviving space corrupted by gc: hit=%v err=%v", hit, err)
 	}
@@ -155,7 +155,7 @@ func TestGCWhileMapped(t *testing.T) {
 	}
 	c := openTemp(t)
 	a := ring(t, 5)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	built, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestGCWhileMapped(t *testing.T) {
 func TestMmapDecodeParity(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
-	pol := scheduler.DistributedPolicy{}
+	pol := scheduler.DistributedPolicy
 	seeds := []int64{0, 7, 11}
 	builtSp, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestMmapDecodeParity(t *testing.T) {
 func TestLoadTouchesLastUse(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 4)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	if _, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
 	}

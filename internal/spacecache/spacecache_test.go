@@ -53,14 +53,14 @@ func openTemp(t *testing.T) *Cache {
 
 func TestKeyCanonical(t *testing.T) {
 	r5, r5b, r6 := ring(t, 5), ring(t, 5), ring(t, 6)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	if Key(r5, pol) != Key(r5b, pol) {
 		t.Fatal("two constructions of the same instance must share a key")
 	}
 	distinct := map[string]string{
 		"same":        Key(r5, pol),
 		"other n":     Key(r6, pol),
-		"other pol":   Key(r5, scheduler.DistributedPolicy{}),
+		"other pol":   Key(r5, scheduler.DistributedPolicy),
 		"transformed": mustKey(t, r5, pol),
 	}
 	seen := map[string]string{}
@@ -91,14 +91,14 @@ func TestKeySensitiveToBias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Key(a, scheduler.CentralPolicy{}) == Key(b, scheduler.CentralPolicy{}) {
+	if Key(a, scheduler.CentralPolicy) == Key(b, scheduler.CentralPolicy) {
 		t.Fatal("coin bias must be part of the cache key")
 	}
 }
 
 func TestSubKeySeedSetSemantics(t *testing.T) {
 	r := ring(t, 5)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	base := SubKey(r, pol, []int64{3, 1, 2})
 	if SubKey(r, pol, []int64{2, 3, 1}) != base {
 		t.Fatal("seed order must not affect the key")
@@ -117,7 +117,7 @@ func TestSubKeySeedSetSemantics(t *testing.T) {
 func TestBuildSpaceMissThenHit(t *testing.T) {
 	c := openTemp(t)
 	a := &countingAlg{Algorithm: ring(t, 5)}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 
 	cold, hit, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
@@ -173,7 +173,7 @@ func assertSameSpace(t *testing.T, want, got *statespace.Space) {
 func TestBuildSubSpaceMissThenHit(t *testing.T) {
 	c := openTemp(t)
 	a := &countingAlg{Algorithm: ring(t, 5)}
-	pol := scheduler.DistributedPolicy{}
+	pol := scheduler.DistributedPolicy
 	seeds := []int64{0, 7, 11}
 
 	cold, hit, err := c.build(t.Context(), a, pol, seeds, true, statespace.Options{})
@@ -213,14 +213,14 @@ func TestBuildSubSpaceMissThenHit(t *testing.T) {
 // cache can never serve the wrong instance.
 func TestStaleKeyMiss(t *testing.T) {
 	c := openTemp(t)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), pol, statespace.Options{}); err != nil || hit {
 		t.Fatalf("prime: hit=%v err=%v", hit, err)
 	}
 	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 6), pol, statespace.Options{}); err != nil || hit {
 		t.Fatalf("n=6 after caching n=5 must miss, hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), scheduler.SynchronousPolicy{}, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 5), scheduler.SynchronousPolicy, statespace.Options{}); err != nil || hit {
 		t.Fatalf("other policy must miss, hit=%v err=%v", hit, err)
 	}
 	// The original triple still hits.
@@ -236,7 +236,7 @@ func TestStaleKeyMiss(t *testing.T) {
 func TestBallClosureKey(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	ss, err := statespace.BuildFromContext(t.Context(), a, pol, []int64{0, 7, 11}, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestBallClosureKey(t *testing.T) {
 		k    int
 	}{
 		{"other radius", a, pol, 2},
-		{"other policy", a, scheduler.DistributedPolicy{}, 1},
+		{"other policy", a, scheduler.DistributedPolicy, 1},
 		{"other instance", ring(t, 6), pol, 1},
 	} {
 		if _, ok := c.LoadBallClosure(other.a, other.pol, other.k, statespace.Options{}); ok {
@@ -284,7 +284,7 @@ func TestBallClosureKey(t *testing.T) {
 func TestCorruptEntryRebuildsAndRepairs(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	ref, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestFormatV2EntryRebuilt(t *testing.T) {
 		t.Fatalf("testdata file is format v%d, want v2", v)
 	}
 	a := ring(t, 4)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	ref, err := statespace.Build(a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func TestFormatV2EntryRebuilt(t *testing.T) {
 func TestLoadRejectsWrongKind(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	seeds := []int64{0, 7}
 	if _, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{}); err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestLoadRejectsWrongKind(t *testing.T) {
 func TestLoadRespectsStateCap(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	sp, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -433,14 +433,14 @@ func TestLoadRespectsStateCap(t *testing.T) {
 // cache can never turn a successful analysis into a failure.
 func TestStoreFailureDoesNotFailBuild(t *testing.T) {
 	c := &Cache{dir: "/dev/null/not-a-directory"} // every CreateTemp fails
-	sp, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
+	sp, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy, statespace.Options{})
 	if err != nil {
 		t.Fatalf("store failure surfaced as a build error: %v", err)
 	}
 	if hit || sp == nil {
 		t.Fatalf("expected a fresh build, got hit=%v sp=%v", hit, sp != nil)
 	}
-	ss, hit, err := c.build(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, true, statespace.Options{})
+	ss, hit, err := c.build(t.Context(), ring(t, 4), scheduler.CentralPolicy, []int64{0}, true, statespace.Options{})
 	if err != nil || hit || ss == nil {
 		t.Fatalf("subspace path: hit=%v err=%v", hit, err)
 	}
@@ -452,14 +452,14 @@ func TestStoreFailureDoesNotFailBuild(t *testing.T) {
 
 func TestNilCacheBuilds(t *testing.T) {
 	var c *Cache // also what Open("") returns
-	sp, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, statespace.Options{})
+	sp, hit, err := c.BuildSpaceContext(t.Context(), ring(t, 4), scheduler.CentralPolicy, statespace.Options{})
 	if err != nil || hit || sp == nil {
 		t.Fatalf("nil cache must plain-build: sp=%v hit=%v err=%v", sp != nil, hit, err)
 	}
 	if c2, err := Open(""); c2 != nil || err != nil {
 		t.Fatalf(`Open("") = %v, %v; want nil no-op cache`, c2, err)
 	}
-	if _, hit, err := c.build(t.Context(), ring(t, 4), scheduler.CentralPolicy{}, []int64{0}, true, statespace.Options{}); err != nil || hit {
+	if _, hit, err := c.build(t.Context(), ring(t, 4), scheduler.CentralPolicy, []int64{0}, true, statespace.Options{}); err != nil || hit {
 		t.Fatalf("nil cache subspace: hit=%v err=%v", hit, err)
 	}
 }
@@ -472,7 +472,7 @@ func TestNilCacheBuilds(t *testing.T) {
 func TestTrustedWarmLoadsStayCorrect(t *testing.T) {
 	c := openTemp(t)
 	a := ring(t, 5)
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	ref, _, err := c.BuildSpaceContext(t.Context(), a, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestBuildAllocatesFewBytesPerEdge(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		sp, err := Build(ring, scheduler.DistributedPolicy{}, Options{Workers: workers})
+		sp, err := Build(ring, scheduler.DistributedPolicy, Options{Workers: workers})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -138,7 +138,10 @@ func ResumeFrom(ss *Space, opt Options) (*Builder, error) {
 		legit: slices.Clone(ss.Legit),
 	}}
 	b.edges = int64(len(succ))
-	b.table = NewDedupFromGlobals(b.enc.Total(), ss.Globals())
+	// The globals are distinct, so they get the ids 0… their rows use.
+	if err := b.addSeeds(ss.Globals()); err != nil {
+		return nil, err
+	}
 	b.explored = ss.States
 	return b, nil
 }
@@ -323,8 +326,8 @@ func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
 // an empty builder (no seeds ever admitted) returns nil.
 //
 // The discovery-order segments are permuted straight into fresh canonical
-// storage, and the snapshot gets the sealed binary-search table over its
-// sorted globals (a snapshot never grows, so it needs no hash table).
+// storage, and the snapshot keeps its sorted globals, which LocalIndex
+// binary-searches (a snapshot never grows, so it needs no hash table).
 func (b *Builder) Seal() *Space {
 	if b.table.Len() == 0 {
 		return nil
@@ -337,7 +340,7 @@ func (b *Builder) Seal() *Space {
 		States:  b.table.Len(),
 		Workers: b.workers,
 		Obs:     b.o,
-		table:   NewSortedDedup(sorted),
+		globals: sorted,
 	}
 	ss.off, ss.succ, ss.probs, ss.Legit = permuteCSR(order, b.shells, b.edges, b.workers)
 	return ss

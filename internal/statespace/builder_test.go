@@ -22,7 +22,7 @@ func TestBuilderWavesMatchBuildFrom(t *testing.T) {
 		{1, 2, 5}, // overlaps wave 1
 		{20, 17},
 	}
-	for _, pol := range []scheduler.Policy{scheduler.CentralPolicy{}, scheduler.SynchronousPolicy{}} {
+	for _, pol := range []scheduler.Policy{scheduler.CentralPolicy, scheduler.SynchronousPolicy} {
 		for _, workers := range []int{1, 4} {
 			opt := Options{Workers: workers}
 			b, err := NewBuilder(a, pol, opt)
@@ -56,7 +56,7 @@ func TestBuilderSealIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	b, err := NewBuilder(a, pol, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestBuilderResumeFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.DistributedPolicy{}
+	pol := scheduler.DistributedPolicy
 	base, err := BuildFromContext(t.Context(), a, pol, []int64{0, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestBuilderCapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	full, err := BuildFromContext(t.Context(), a, pol, []int64{0}, Options{})
 	if err != nil {
 		t.Fatal(err)

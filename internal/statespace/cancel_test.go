@@ -23,7 +23,7 @@ func TestBuildContextPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildContext(ctx, ring, scheduler.CentralPolicy{}, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := BuildContext(ctx, ring, scheduler.CentralPolicy, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled BuildContext: err = %v, want a wrapped context.Canceled", err)
 	}
 }
@@ -47,7 +47,7 @@ func TestBuildFromContextCancelAtShell(t *testing.T) {
 	})
 	// A single seed forces a deep BFS: many shells, so the first-shell
 	// cancel leaves real work undone.
-	_, err = BuildFromContext(ctx, ring, scheduler.CentralPolicy{}, []int64{0}, Options{Obs: o})
+	_, err = BuildFromContext(ctx, ring, scheduler.CentralPolicy, []int64{0}, Options{Obs: o})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled BuildFromContext: err = %v, want a wrapped context.Canceled", err)
 	}
@@ -65,7 +65,7 @@ func TestBuildFromContextCancelIsClean(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ss, err := BuildFromContext(ctx, ring, scheduler.CentralPolicy{}, []int64{0}, Options{})
+	ss, err := BuildFromContext(ctx, ring, scheduler.CentralPolicy, []int64{0}, Options{})
 	if err == nil || ss != nil {
 		t.Fatalf("canceled build returned (%v, %v), want (nil, error)", ss, err)
 	}

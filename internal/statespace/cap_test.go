@@ -36,7 +36,7 @@ func TestBuildFromCapBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	full, err := Build(ring, pol, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -97,22 +97,22 @@ func checkCapBoundaryHashed(t *testing.T) {
 	}
 	seeds := faultBall(t, ring, 1)
 	for _, workers := range []int{1, 4} {
-		ref, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{Workers: workers})
+		ref, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, seeds, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		S := int64(ref.NumStates())
-		ss, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{Workers: workers, MaxStates: S})
+		ss, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, seeds, Options{Workers: workers, MaxStates: S})
 		if err != nil || int64(ss.NumStates()) != S {
 			t.Fatalf("w=%d MaxStates=%d on a %d-state closure: err=%v", workers, S, S, err)
 		}
 		want := fmt.Sprintf("statespace: %d seeds exceed the %d-state cap", S, S-1)
-		if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, ref.Globals(), Options{Workers: workers, MaxStates: S - 1}); err == nil || err.Error() != want {
+		if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, ref.Globals(), Options{Workers: workers, MaxStates: S - 1}); err == nil || err.Error() != want {
 			t.Fatalf("w=%d: %d seeds under MaxStates=%d: err=%v, want %q", workers, S, S-1, err, want)
 		}
 		for _, cap := range []int64{S - 1, (int64(len(seeds)) + S) / 2} {
 			want := fmt.Sprintf("statespace: frontier exploration exceeds the %d-state cap", cap)
-			if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{Workers: workers, MaxStates: cap}); err == nil || err.Error() != want {
+			if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, seeds, Options{Workers: workers, MaxStates: cap}); err == nil || err.Error() != want {
 				t.Fatalf("w=%d MaxStates=%d on a %d-state closure: err=%v, want %q", workers, cap, S, err, want)
 			}
 		}
@@ -131,12 +131,12 @@ func TestBuildCapBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := enc.Total()
-	if sp, err := Build(ring, scheduler.CentralPolicy{}, Options{MaxStates: total}); err != nil {
+	if sp, err := Build(ring, scheduler.CentralPolicy, Options{MaxStates: total}); err != nil {
 		t.Fatalf("MaxStates=%d on a %d-configuration space: %v", total, total, err)
 	} else if int64(sp.NumStates()) != total {
 		t.Fatalf("explored %d states, want %d", sp.NumStates(), total)
 	}
-	if _, err := Build(ring, scheduler.CentralPolicy{}, Options{MaxStates: total - 1}); err == nil {
+	if _, err := Build(ring, scheduler.CentralPolicy, Options{MaxStates: total - 1}); err == nil {
 		t.Fatalf("MaxStates=%d must fail on a %d-configuration space", total-1, total)
 	}
 }

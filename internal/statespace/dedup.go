@@ -25,12 +25,11 @@ import (
 // allocation, no Go map. The shard count is fixed, never derived from a
 // worker count.
 //
-// Concurrency contract: Lookup is safe from any number of goroutines while
-// no insertion runs (Lookup only reads the table; the frontier engine
-// alternates a parallel read-only expansion phase with an insertion
-// phase). AddChunks is the parallel insertion: on a hash table it runs its
-// own workers, one per shard at a time. It must not overlap Lookup or
-// another insert.
+// Concurrency contract: Globals may be read from any number of goroutines
+// while no insertion runs (the frontier engine alternates a parallel
+// read-only expansion phase with an insertion phase). AddChunks is the
+// parallel insertion: on a hash table it runs its own workers, one per
+// shard at a time. It must not overlap a read or another insert.
 // Add inserts one global and must be serialized by the caller.
 
 // DenseDedupLimit is the index-range size up to which Dedup uses the dense
@@ -50,12 +49,10 @@ const (
 const minDedupSlots = 1 << 10
 
 // Dedup maps global configuration indexes to the dense local ids
-// [0, Len()). The zero value is not usable; call NewDedup (growable) or
-// NewSortedDedup (sealed, binary-searched).
+// [0, Len()). The zero value is not usable; call NewDedup.
 type Dedup struct {
 	dense   []int32      // global -> local id, -1 when absent (small ranges)
 	shards  []dedupShard // hash table (large ranges)
-	sorted  bool         // sealed: globals strictly ascending, Lookup binary-searches
 	globals []int64      // local id -> global index
 
 	routes []dedupRoute // AddChunks scratch, one per chunk of a round
@@ -163,41 +160,9 @@ func (sh *dedupShard) insert(i int, g int64, id int32) {
 	}
 }
 
-// Lookup returns the local id of g, or -1 when g has not been added.
-func (d *Dedup) Lookup(g int64) int32 {
-	if d.sorted {
-		lo, hi := 0, len(d.globals)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if d.globals[mid] < g {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(d.globals) && d.globals[lo] == g {
-			return int32(lo)
-		}
-		return -1
-	}
-	if d.dense != nil {
-		return d.dense[g]
-	}
-	h := hashGlobal(g)
-	sh := d.shardOf(h)
-	if e := sh.slots[sh.probe(h, g)]; e >= 0 {
-		return sh.ents[e].id
-	}
-	return -1
-}
-
 // Add inserts g if absent and returns its local id (existing or newly
-// assigned as the next id, Len()). Add must not be called on a sealed
-// (NewSortedDedup) table.
+// assigned as the next id, Len()).
 func (d *Dedup) Add(g int64) int32 {
-	if d.sorted {
-		panic("statespace: Add on a sealed dedup table")
-	}
 	id := int32(len(d.globals))
 	if d.dense != nil {
 		if v := d.dense[g]; v >= 0 {
@@ -261,9 +226,6 @@ const addBatch = 1 << 20
 // globals, AddChunks stops there and returns false with the count of new
 // globals so far; the table is then unusable.
 func (d *Dedup) AddChunks(to [][]int64, ids [][]int32, limit, workers int) (added int, ok bool) {
-	if d.sorted {
-		panic("statespace: AddChunks on a sealed dedup table")
-	}
 	if d.dense != nil {
 		before := len(d.globals)
 		for c := range to {
@@ -387,29 +349,6 @@ func (d *Dedup) assignRound(to [][]int64, ids [][]int32, workers int) {
 		}
 		return nil
 	})
-}
-
-// NewDedupFromGlobals rebuilds a growable table over [0, total) whose id
-// order is exactly the given global list (id i -> globals[i]). The
-// resumable frontier Builder uses it to re-adopt a sealed subspace it will
-// keep growing; the list must be duplicate-free.
-func NewDedupFromGlobals(total int64, globals []int64) *Dedup {
-	d := NewDedup(total)
-	for _, g := range globals {
-		d.Add(g)
-	}
-	return d
-}
-
-// NewSortedDedup returns a sealed table whose id order is the given
-// strictly-ascending global list: Lookup binary-searches the list itself —
-// no dense array over the range, no hash table, no per-entry insertion
-// cost. Canonical subspaces (sealed snapshots, deserialized caches) are
-// exactly this shape: their ids are ascending-global by construction and
-// their state set never grows. The list is adopted, not copied; Add and
-// AddChunks panic.
-func NewSortedDedup(globals []int64) *Dedup {
-	return &Dedup{sorted: true, globals: globals}
 }
 
 // Len returns the number of distinct globals added.

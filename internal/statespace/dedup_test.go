@@ -1,11 +1,27 @@
 package statespace
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 )
+
+// Lookup returns the local id of g, or -1 when g has not been added. Like
+// Globals it only reads the table, so any number of goroutines may call it
+// while no insertion runs.
+func (d *Dedup) Lookup(g int64) int32 {
+	if d.dense != nil {
+		return d.dense[g]
+	}
+	h := hashGlobal(g)
+	sh := d.shardOf(h)
+	if e := sh.slots[sh.probe(h, g)]; e >= 0 {
+		return sh.ents[e].id
+	}
+	return -1
+}
 
 // dedupTables returns both implementations: the dense visited array and
 // the hash table (forced by a range just past the dense limit).
@@ -98,44 +114,42 @@ func TestDedupHashedMatchesMap(t *testing.T) {
 			t.Fatalf("Lookup(%d) of an absent global = %d", g, d.Lookup(g))
 		}
 	}
-	// A rebuilt table over the same list answers identically.
-	r := NewDedupFromGlobals(DenseDedupLimit+1, d.Globals())
+	// A table rebuilt from the list in one batch, as ResumeFrom rebuilds
+	// its builder's, answers identically.
+	r := NewDedup(DenseDedupLimit + 1)
+	to, ids := addChunksBatches(d.Globals(), len(keys))
+	r.AddChunks(to, ids, math.MaxInt, 3)
 	for g, want := range model {
 		if got := r.Lookup(g); got != want {
-			t.Fatalf("NewDedupFromGlobals: Lookup(%d) = %d, want %d", g, got, want)
+			t.Fatalf("rebuilt: Lookup(%d) = %d, want %d", g, got, want)
 		}
 	}
 }
 
-// TestSortedDedupOverGrownTable seals a hashed table that has doubled
+// TestSealedLocalIndexOverGrownTable seals a hashed table that has doubled
 // several times the way Builder.Seal does — CanonicalOrder over its
-// globals, then NewSortedDedup — and checks that the sealed table maps
-// every global to its ascending-global rank and refuses inserts.
-func TestSortedDedupOverGrownTable(t *testing.T) {
+// globals, kept as the space's sorted globals — and checks that
+// LocalIndex maps every global to its ascending-global rank.
+func TestSealedLocalIndexOverGrownTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDedup(DenseDedupLimit + 1)
 	for _, g := range stridedGlobals(rng, 8*minDedupSlots) {
 		d.Add(g)
 	}
 	sorted, order := CanonicalOrder(d.Globals(), 3)
-	sealed := NewSortedDedup(sorted)
+	sealed := &Space{States: len(sorted), globals: sorted}
 	for i, g := range sorted {
 		if d.Globals()[order[i]] != g {
 			t.Fatalf("order[%d] = %d does not hold global %d", i, order[i], g)
 		}
-		if got := sealed.Lookup(g); got != int32(i) {
-			t.Fatalf("sealed Lookup(%d) = %d, want %d", g, got, i)
+		if got := sealed.LocalIndex(g); got != int32(i) {
+			t.Fatalf("sealed LocalIndex(%d) = %d, want %d", g, got, i)
 		}
 	}
-	if sealed.Lookup(-5) != -1 || sealed.Lookup(1<<40) != -1 {
-		t.Fatal("sealed Lookup of an absent global succeeded")
+	absent := sorted[len(sorted)/2] + 4 // a strided global's low part is below 4
+	if sealed.LocalIndex(-5) != -1 || sealed.LocalIndex(1<<40) != -1 || sealed.LocalIndex(absent) != -1 {
+		t.Fatal("sealed LocalIndex of an absent global succeeded")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add on a sealed table did not panic")
-		}
-	}()
-	sealed.Add(1 << 40)
 }
 
 // addChunksBatches splits keys into chunk batches of the given size, all

@@ -23,7 +23,7 @@ func TestSerialFormatPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	full, err := statespace.Build(ring, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -45,12 +45,12 @@ func frontierMatrix(t *testing.T) []struct {
 		alg  protocol.Algorithm
 		pol  scheduler.Policy
 	}{
-		{"tokenring5/central", ring5, scheduler.CentralPolicy{}},
-		{"tokenring5/distributed", ring5, scheduler.DistributedPolicy{}},
-		{"tokenring6/synchronous", ring6, scheduler.SynchronousPolicy{}},
-		{"leadertree4/central", leader, scheduler.CentralPolicy{}},
-		{"leadertree4/distributed", leader, scheduler.DistributedPolicy{}},
-		{"dijkstra4/central", dijk, scheduler.CentralPolicy{}},
+		{"tokenring5/central", ring5, scheduler.CentralPolicy},
+		{"tokenring5/distributed", ring5, scheduler.DistributedPolicy},
+		{"tokenring6/synchronous", ring6, scheduler.SynchronousPolicy},
+		{"leadertree4/central", leader, scheduler.CentralPolicy},
+		{"leadertree4/distributed", leader, scheduler.DistributedPolicy},
+		{"dijkstra4/central", dijk, scheduler.CentralPolicy},
 	}
 }
 
@@ -264,7 +264,7 @@ func TestBuildFromDeterministicAcrossWorkers(t *testing.T) {
 				shells = append(shells, payload.(obs.FrontierShell))
 			}
 		})
-		got, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{Workers: workers, Obs: o})
+		got, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, seeds, Options{Workers: workers, Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,16 +300,16 @@ func TestBuildFromValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, nil, Options{}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, nil, Options{}); err == nil {
 		t.Fatal("empty seed set accepted")
 	}
-	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{-1}, Options{}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, []int64{-1}, Options{}); err == nil {
 		t.Fatal("negative seed accepted")
 	}
-	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{1 << 40}, Options{}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, []int64{1 << 40}, Options{}); err == nil {
 		t.Fatal("out-of-range seed accepted")
 	}
-	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{0}, Options{MaxStates: 4}); err == nil {
+	if _, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, []int64{0}, Options{MaxStates: 4}); err == nil {
 		t.Fatal("cap-exceeding exploration accepted")
 	}
 	if _, err := EncodeConfigs(ring, []protocol.Configuration{{0, 0}}); err == nil {
@@ -340,11 +340,11 @@ func TestBuildFromConfigsMatchesBuildFrom(t *testing.T) {
 	if !slices.Equal(encoded, seeds) {
 		t.Fatalf("EncodeConfigs = %v, want %v", encoded, seeds)
 	}
-	a, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, encoded, Options{})
+	a, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, encoded, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, seeds, Options{})
+	b, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, seeds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestSubSpaceStateOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Build(ring, scheduler.CentralPolicy{}, Options{})
+	full, err := Build(ring, scheduler.CentralPolicy, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestSubSpaceStateOf(t *testing.T) {
 			break
 		}
 	}
-	ss, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy{}, []int64{legitSeed}, Options{})
+	ss, err := BuildFromContext(t.Context(), ring, scheduler.CentralPolicy, []int64{legitSeed}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestLoaderModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.DistributedPolicy{}
+	pol := scheduler.DistributedPolicy
 	seeds := []int64{0, 1, 7, 13}
 	full, err := statespace.Build(a, pol, statespace.Options{})
 	if err != nil {

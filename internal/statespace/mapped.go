@@ -293,11 +293,13 @@ func decode(data []byte, a protocol.Algorithm, pol scheduler.Policy, workers int
 		sp.Workers = resolveWorkers(workers, sp.States)
 	} else {
 		sp.Workers = resolveWorkers(workers, math.MaxInt)
-		// A loaded closure never grows: the sealed binary-search table over
-		// its ascending Globals avoids both the dense O(range) array and the
-		// per-entry hash insertion of a growable dedup (a Builder
-		// re-adopting the closure builds its own).
-		sp.table = NewSortedDedup(globals)
+		// A loaded closure never grows: LocalIndex binary-searches its
+		// ascending globals, with neither a dense O(range) array nor a
+		// hash table (a Builder re-adopting the closure builds its own).
+		sp.globals = globals
+		if globals == nil { // a closure of no states: empty, not the full range
+			sp.globals = []int64{}
+		}
 	}
 	return sp, nil
 }

@@ -28,7 +28,7 @@ func testSpaceBytes(t *testing.T) (*Space, *tokenring.Algorithm, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Build(a, scheduler.CentralPolicy{}, Options{})
+	sp, err := Build(a, scheduler.CentralPolicy, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func testSubSpaceBytes(t *testing.T) (*Space, *tokenring.Algorithm, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := BuildFromContext(t.Context(), a, scheduler.CentralPolicy{}, []int64{0, 1, 7, 13}, Options{})
+	ss, err := BuildFromContext(t.Context(), a, scheduler.CentralPolicy, []int64{0, 1, 7, 13}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func countUnmaps() (func() error, *int) {
 func TestMapSpaceParity(t *testing.T) {
 	sp, a, data := testSpaceBytes(t)
 	unmap, unmaps := countUnmaps()
-	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, false, unmap)
+	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy, 1, 0, false, unmap)
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
 	if !mapped.Mapped() {
 		t.Fatal("aliased load with an unmap function not marked mapped")
 	}
-	copied, err := Map(copyAt(data, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil)
+	copied, err := Map(copyAt(data, 1), a, scheduler.CentralPolicy, 1, 0, false, nil)
 	if err != nil {
 		t.Fatalf("Map of a misaligned buffer: %v", err)
 	}
@@ -147,11 +147,11 @@ func TestMapSpaceParity(t *testing.T) {
 
 func TestMapSubSpaceParity(t *testing.T) {
 	ss, a, data := testSubSpaceBytes(t)
-	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, false, nil)
+	mapped, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy, 1, 0, false, nil)
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	copied, err := Map(copyAt(data, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil)
+	copied, err := Map(copyAt(data, 1), a, scheduler.CentralPolicy, 1, 0, false, nil)
 	if err != nil {
 		t.Fatalf("Map of a misaligned buffer: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestMapSubSpaceParity(t *testing.T) {
 			t.Fatal("loaded globals differ")
 		}
 	}
-	// The sealed table binary-searches the aliased globals.
+	// LocalIndex binary-searches the aliased globals.
 	for s := 0; s < ss.States; s++ {
 		if got := mapped.LocalIndex(ss.GlobalIndex(s)); got != int32(s) {
 			t.Fatalf("LocalIndex(%d) = %d, want %d", ss.GlobalIndex(s), got, s)
@@ -187,7 +187,7 @@ func TestMapMisalignedBuffer(t *testing.T) {
 	for rem := uintptr(1); rem < 8; rem++ {
 		mis := copyAt(data, rem)
 		unmap, unmaps := countUnmaps()
-		got, err := Map(mis, a, scheduler.CentralPolicy{}, 1, 0, false, unmap)
+		got, err := Map(mis, a, scheduler.CentralPolicy, 1, 0, false, unmap)
 		if err != nil {
 			t.Fatalf("base%%8=%d: %v", rem, err)
 		}
@@ -204,7 +204,7 @@ func TestMapMisalignedBuffer(t *testing.T) {
 func TestMapTruncatedTail(t *testing.T) {
 	_, a, data := testSubSpaceBytes(t)
 	for _, n := range []int{0, 16, 32, 40, len(data) / 2, len(data) - 9, len(data) - 8, len(data) - 1} {
-		if _, err := Map(copyAt(data[:n], 0), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(copyAt(data[:n], 0), a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Fatalf("Map accepted a %d-byte prefix of %d bytes", n, len(data))
 		}
 	}
@@ -215,7 +215,7 @@ func TestMapCorruptPayload(t *testing.T) {
 	bad := copyAt(data, 0)
 	bad[64] ^= 0x40
 	unmap, unmaps := countUnmaps()
-	_, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, unmap)
+	_, err := Map(bad, a, scheduler.CentralPolicy, 1, 0, false, unmap)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted payload: err = %v, want checksum mismatch", err)
 	}
@@ -235,10 +235,10 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		bad := copyAt(data, 0)
 		binary.LittleEndian.PutUint64(bad[globCount:], uint64(ss.States-1))
 		refreshCRC(bad)
-		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(bad, a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Fatal("aliased load accepted a globals count != state count")
 		}
-		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Fatal("copied load accepted a globals count != state count")
 		}
 	})
@@ -252,10 +252,10 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		binary.LittleEndian.PutUint64(bad[first:], g1)
 		binary.LittleEndian.PutUint64(bad[first+8:], g0)
 		refreshCRC(bad)
-		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(bad, a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Fatal("aliased load accepted non-ascending globals")
 		}
-		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Fatal("copied load accepted non-ascending globals")
 		}
 	})
@@ -272,10 +272,10 @@ func TestMapGlobalsConsistency(t *testing.T) {
 		succPadAt := h.layout().succ + h.edges*4
 		bad[succPadAt] = 0xff
 		refreshCRC(bad)
-		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(bad, a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Fatal("aliased load accepted nonzero section padding")
 		}
-		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Fatal("copied load accepted nonzero section padding")
 		}
 	})
@@ -309,10 +309,10 @@ func TestMapPaletteConsistency(t *testing.T) {
 		bad := copyAt(data, 0)
 		mutate(bad)
 		refreshCRC(bad)
-		if _, err := Map(bad, a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(bad, a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Errorf("%s: aliased load accepted the stream", name)
 		}
-		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy{}, 1, 0, false, nil); err == nil {
+		if _, err := Map(copyAt(bad, 1), a, scheduler.CentralPolicy, 1, 0, false, nil); err == nil {
 			t.Errorf("%s: copied load accepted the stream", name)
 		}
 	}
@@ -323,7 +323,7 @@ func TestMapPaletteConsistency(t *testing.T) {
 func TestMappingLifecycle(t *testing.T) {
 	_, a, data := testSpaceBytes(t)
 	unmapped := 0
-	sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 1, 0, false, func() error {
+	sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy, 1, 0, false, func() error {
 		unmapped++
 		return nil
 	})
@@ -361,7 +361,7 @@ func TestMapConcurrentClose(t *testing.T) {
 	wantOff, _, _ := ss.CSR()
 	for round := 0; round < 20; round++ {
 		buf := copyAt(data, 0)
-		mapped, err := Map(buf, a, scheduler.CentralPolicy{}, 1, 0, false, func() error {
+		mapped, err := Map(buf, a, scheduler.CentralPolicy, 1, 0, false, func() error {
 			clear(buf)
 			return nil
 		})
@@ -407,18 +407,18 @@ func TestMapConcurrentClose(t *testing.T) {
 func TestMapTrustedParityAndShape(t *testing.T) {
 	sp, a, data := testSpaceBytes(t)
 	for _, rem := range []uintptr{0, 4} {
-		got, err := Map(copyAt(data, rem), a, scheduler.CentralPolicy{}, 1, 0, true, nil)
+		got, err := Map(copyAt(data, rem), a, scheduler.CentralPolicy, 1, 0, true, nil)
 		if err != nil {
 			t.Fatalf("trusted load at base%%8=%d: %v", rem, err)
 		}
 		assertSpaceEqual(t, sp, got)
 	}
-	if _, err := Map(copyAt(data[:len(data)-16], 0), a, scheduler.CentralPolicy{}, 1, 0, true, nil); err == nil {
+	if _, err := Map(copyAt(data[:len(data)-16], 0), a, scheduler.CentralPolicy, 1, 0, true, nil); err == nil {
 		t.Fatal("trusted load accepted a truncated buffer")
 	}
 
 	ss, sa, sdata := testSubSpaceBytes(t)
-	mss, err := Map(copyAt(sdata, 0), sa, scheduler.CentralPolicy{}, 1, 0, true, nil)
+	mss, err := Map(copyAt(sdata, 0), sa, scheduler.CentralPolicy, 1, 0, true, nil)
 	if err != nil {
 		t.Fatalf("trusted load: %v", err)
 	}
@@ -435,11 +435,11 @@ func TestMapSystemCopyMatchesAlias(t *testing.T) {
 		a    *tokenring.Algorithm
 		data []byte
 	}{{a4, full}, {a5, sub}} {
-		aliased, err := Map(copyAt(tc.data, 0), tc.a, scheduler.CentralPolicy{}, 1, 0, false, nil)
+		aliased, err := Map(copyAt(tc.data, 0), tc.a, scheduler.CentralPolicy, 1, 0, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copied, err := Map(copyAt(tc.data, 3), tc.a, scheduler.CentralPolicy{}, 1, 0, false, nil)
+		copied, err := Map(copyAt(tc.data, 3), tc.a, scheduler.CentralPolicy, 1, 0, false, nil)
 		if err != nil {
 			t.Fatalf("copying load of a misaligned buffer: %v", err)
 		}

@@ -28,8 +28,8 @@ func memoSpaces(t *testing.T) map[string]*Space {
 	}
 	spaces := map[string]*Space{}
 	for name, pol := range map[string]scheduler.Policy{
-		"central":     scheduler.CentralPolicy{},
-		"synchronous": scheduler.SynchronousPolicy{},
+		"central":     scheduler.CentralPolicy,
+		"synchronous": scheduler.SynchronousPolicy,
 	} {
 		sp, err := Build(tr, pol, Options{Workers: 2})
 		if err != nil {
@@ -37,12 +37,12 @@ func memoSpaces(t *testing.T) map[string]*Space {
 		}
 		spaces["full/tokenring5/"+name] = sp
 	}
-	full, err := Build(dk, scheduler.DistributedPolicy{}, Options{Workers: 2})
+	full, err := Build(dk, scheduler.DistributedPolicy, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spaces["full/dijkstra4/distributed"] = full
-	closure, err := BuildFromContext(t.Context(), tr, scheduler.CentralPolicy{}, []int64{0, 1, 7, 13, 20}, Options{Workers: 2})
+	closure, err := BuildFromContext(t.Context(), tr, scheduler.CentralPolicy, []int64{0, 1, 7, 13, 20}, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func memoSpaces(t *testing.T) map[string]*Space {
 		"mapped/closure": testSubSpaceBytes,
 	} {
 		_, a, data := bytesOf(t)
-		sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy{}, 2, 0, false, func() error { return nil })
+		sp, err := Map(copyAt(data, 0), a, scheduler.CentralPolicy, 2, 0, false, func() error { return nil })
 		if err != nil {
 			t.Fatalf("%s: Map: %v", name, err)
 		}

@@ -127,7 +127,7 @@ func TestPaletteOverflowRoundTrip(t *testing.T) {
 		coded  bool
 	}{{2, true}, {97, false}} {
 		a := newManyCoins(t, 5, 4, tc.levels)
-		pol := scheduler.CentralPolicy{}
+		pol := scheduler.CentralPolicy
 		built, err := statespace.Build(a, pol, statespace.Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -228,11 +228,11 @@ func paletteInstances(t *testing.T) []struct {
 		a   protocol.Algorithm
 		pol scheduler.Policy
 	}{
-		{ring, scheduler.CentralPolicy{}},
-		{ring, scheduler.DistributedPolicy{}},
-		{trans, scheduler.DistributedPolicy{}},
-		{h, scheduler.DistributedPolicy{}},
-		{newManyCoins(t, 5, 4, 97), scheduler.DistributedPolicy{}},
+		{ring, scheduler.CentralPolicy},
+		{ring, scheduler.DistributedPolicy},
+		{trans, scheduler.DistributedPolicy},
+		{h, scheduler.DistributedPolicy},
+		{newManyCoins(t, 5, 4, 97), scheduler.DistributedPolicy},
 	}
 }
 

@@ -111,6 +111,36 @@ func randomRow(rng *rand.Rand) (protocol.Algorithm, protocol.Configuration) {
 	return a, cfg
 }
 
+// repeatRow draws a row of the shape randomRow almost never gives (its
+// repeats come only from draws that also keep the state a third of the
+// time): up to 6 processes of radix 2–9, each enabled one with 2 or 3
+// outcomes of which none keeps the state, the first enabled position's
+// first two the same state. The repeat is then a tie with no self-loop in
+// the row.
+func repeatRow(rng *rand.Rand) (protocol.Algorithm, protocol.Configuration) {
+	n := 1 + rng.Intn(6)
+	edges := make([][2]int, n-1)
+	for p := range edges {
+		edges[p] = [2]int{p, p + 1}
+	}
+	a := &rowAlg{g: graph.MustFromEdges(n, edges), radix: make([]int, n), outs: make([][]protocol.Outcome, n)}
+	cfg := make(protocol.Configuration, n)
+	for p := range n {
+		a.radix[p] = 2 + rng.Intn(8)
+		cfg[p] = rng.Intn(a.radix[p])
+	}
+	for i, p := range rng.Perm(n)[:1+rng.Intn(n)] {
+		for j := range 2 + rng.Intn(2) {
+			s := (cfg[p] + 1 + rng.Intn(a.radix[p]-1)) % a.radix[p]
+			if i == 0 && j == 1 {
+				s = a.outs[p][0].State
+			}
+			a.outs[p] = append(a.outs[p], protocol.Outcome{State: s, Prob: orderVals[rng.Intn(len(orderVals))]})
+		}
+	}
+	return a, cfg
+}
+
 // edge is one entry of a row before the merge: its global target and its
 // probability.
 type edge struct {
@@ -227,10 +257,20 @@ func TestOrderedRowsMatchStableMerge(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("rows with a shared target %v", tied)
+	repeats := map[string]int{}
+	rng = rand.New(rand.NewSource(41)) // randomRow's draws above stay as they were
+	for trial := 0; trial < 100; trial++ {
+		a, cfg := repeatRow(rng)
+		for _, pol := range policies() {
+			if checkRow(t, a, cfg, pol) {
+				repeats[pol.Name()]++
+			}
+		}
+	}
+	t.Logf("rows with a shared target %v, repeat rows with one %v", tied, repeats)
 	for _, pol := range policies() {
-		if tied[pol.Name()] == 0 {
-			t.Errorf("%s: no row with a shared target", pol.Name())
+		if tied[pol.Name()] == 0 || repeats[pol.Name()] == 0 {
+			t.Errorf("%s: %d rows and %d repeat rows with a shared target", pol.Name(), tied[pol.Name()], repeats[pol.Name()])
 		}
 	}
 }
@@ -266,9 +306,9 @@ func TestDaemonRowsNeedNoMerge(t *testing.T) {
 		a   protocol.Algorithm
 		pol scheduler.Policy
 	}{
-		{tr9, scheduler.DistributedPolicy{}},
-		{tr11, scheduler.CentralPolicy{}},
-		{hm11, scheduler.SynchronousPolicy{}},
+		{tr9, scheduler.DistributedPolicy},
+		{tr11, scheduler.CentralPolicy},
+		{hm11, scheduler.SynchronousPolicy},
 	} {
 		t.Run(fmt.Sprintf("%s/%s", c.a.Name(), c.pol.Name()), func(t *testing.T) {
 			enc, err := protocol.NewEncoder(c.a, 0)
@@ -314,7 +354,7 @@ func TestDistributedLimitIsAnError(t *testing.T) {
 		_, err := Build(a, pol, Options{Workers: 1})
 		_, ferr := BuildFromContext(t.Context(), a, pol, []int64{0}, Options{Workers: 1})
 		for _, err := range []error{err, ferr} {
-			if pol.Kind() != scheduler.KindDistributed {
+			if pol != scheduler.DistributedPolicy {
 				if err != nil {
 					t.Fatalf("%s: %v", pol.Name(), err)
 				}
@@ -338,11 +378,11 @@ func BenchmarkBuildRows(b *testing.B) {
 		a   protocol.Algorithm
 		pol scheduler.Policy
 	}{
-		{tr11, scheduler.CentralPolicy{}},
-		{tr9, scheduler.DistributedPolicy{}},
-		{hm11, scheduler.SynchronousPolicy{}},
-		{hm9, scheduler.DistributedPolicy{}},
-		{transformer.New(tr7), scheduler.DistributedPolicy{}},
+		{tr11, scheduler.CentralPolicy},
+		{tr9, scheduler.DistributedPolicy},
+		{hm11, scheduler.SynchronousPolicy},
+		{hm9, scheduler.DistributedPolicy},
+		{transformer.New(tr7), scheduler.DistributedPolicy},
 	} {
 		b.Run(fmt.Sprintf("%s/%s", c.a.Name(), c.pol.Name()), func(b *testing.B) {
 			for b.Loop() {

@@ -316,9 +316,9 @@ func TestIllegitSCCMatchesTarjan(t *testing.T) {
 		a   protocol.Algorithm
 		pol scheduler.Policy
 	}{
-		{tr, scheduler.CentralPolicy{}},
-		{tr, scheduler.DistributedPolicy{}},
-		{lt, scheduler.DistributedPolicy{}},
+		{tr, scheduler.CentralPolicy},
+		{tr, scheduler.DistributedPolicy},
+		{lt, scheduler.DistributedPolicy},
 	} {
 		sp, err := Build(c.a, c.pol, Options{Workers: 2})
 		if err != nil {

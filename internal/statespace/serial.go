@@ -112,7 +112,7 @@ func (sp *Space) WriteTo(w io.Writer) (int64, error) {
 	var hdr [headerSize]byte
 	copy(hdr[0:4], serialMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], SerialVersion)
-	if sp.table != nil {
+	if sp.globals != nil {
 		hdr[6] = kindSubSpace
 	}
 	coded := sp.probs.Coded()
@@ -140,8 +140,8 @@ func (sp *Space) WriteTo(w io.Writer) (int64, error) {
 	if err == nil {
 		err = writeBools(cw, sp.Legit)
 	}
-	if err == nil && sp.table != nil {
-		err = writeSection(cw, sp.table.Globals())
+	if err == nil && sp.globals != nil {
+		err = writeSection(cw, sp.globals)
 	}
 	if err != nil {
 		return cw.n, err

@@ -45,7 +45,7 @@ func fuzzInstances(f *testing.F) []protocol.Algorithm {
 // of the closure of seeds in a.
 func serialized(f *testing.F, a protocol.Algorithm, seeds []int64) []byte {
 	f.Helper()
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	var sp *Space
 	var err error
 	if seeds == nil {
@@ -69,7 +69,7 @@ func serialized(f *testing.F, a protocol.Algorithm, seeds []int64) []byte {
 // same bytes one byte off) must agree on acceptance and give bit-equal
 // arrays.
 func checkLoad(t *testing.T, data []byte, algs []protocol.Algorithm) {
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	for _, a := range algs {
 		aliased, aErr := Map(copyAt(data, 0), a, pol, 1, 0, false, nil)
 		copied, cErr := Map(copyAt(data, 1), a, pol, 1, 0, false, nil)
@@ -99,7 +99,7 @@ func checkLoad(t *testing.T, data []byte, algs []protocol.Algorithm) {
 
 // checkMap holds Map to its ownership and trust contract on data.
 func checkMap(t *testing.T, data []byte, algs []protocol.Algorithm) {
-	pol := scheduler.CentralPolicy{}
+	pol := scheduler.CentralPolicy
 	for _, a := range algs {
 		for _, at := range []uintptr{0, 1} {
 			buf := copyAt(data, at)
@@ -149,6 +149,17 @@ func FuzzReadSubSpace(f *testing.F) {
 	f.Add(sub)
 	f.Add(sub[:40])
 	f.Add([]byte("WSSC\x02\x00\x01"))
+	// A closure of no states, which no exploration seals, still loads as
+	// a closure.
+	enc, err := protocol.NewEncoder(algs[1], 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var empty bytes.Buffer
+	if _, err := (&Space{Enc: enc, globals: []int64{}, off: []int64{0}}).WriteTo(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) { checkLoad(t, data, algs) })
 }
 

@@ -112,7 +112,7 @@ func serializedFixture(t *testing.T) ([]byte, *Space) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Build(ring, scheduler.CentralPolicy{}, Options{})
+	sp, err := Build(ring, scheduler.CentralPolicy, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestReadRejectsWrongInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Map(data, ring6, scheduler.CentralPolicy{}, 0, 0, false, nil); err == nil {
+	if _, err := Map(data, ring6, scheduler.CentralPolicy, 0, 0, false, nil); err == nil {
 		t.Fatal("n=5 stream accepted for an n=6 instance")
 	}
 }
@@ -235,7 +235,7 @@ func TestReadBoundedAllocation(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = Map(stream, ring, scheduler.CentralPolicy{}, 1, IndexLimit, false, nil)
+	_, err = Map(stream, ring, scheduler.CentralPolicy, 1, IndexLimit, false, nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("lying header accepted")
@@ -253,7 +253,7 @@ func TestSubSpaceReadAnalysesMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.DistributedPolicy{}
+	pol := scheduler.DistributedPolicy
 	ss, err := BuildFromContext(t.Context(), ring, pol, []int64{0, 1, 5}, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@
 // Successor indexes are computed by delta re-encoding (changing process p
 // from state a to b moves the index by (b-a)*Weight(p)), so no successor
 // configuration is ever materialized; activation subsets are position
-// bitmasks derived from the daemon's kind (scheduler.Kind), so no
+// bitmasks derived from the daemon (a scheduler.Policy value), so no
 // per-configuration subset slices are allocated. The index also orders
 // each row: every row is emitted already sorted by target, entries that
 // share a target added at its rank, with no sort or merge (exploreState).
@@ -102,8 +102,8 @@ func resolveWorkers(workers, limit int) int {
 // configuration is its mixed-radix index under Enc. BuildFromContext and the
 // frontier Builder explore the forward closure of a seed set — a fault
 // ball, the closure of L — whose local ids are the discovered states in
-// ascending-global order, tied back to the index range by a Dedup table.
-// Every analysis runs over either unchanged, on local ids.
+// ascending-global order, tied back to the index range by their sorted
+// globals. Every analysis runs over either unchanged, on local ids.
 //
 // A sealed space never changes: its CSR arrays and Legit are written once,
 // by the engine that built or loaded it, and read-only afterwards. The
@@ -123,9 +123,9 @@ type Space struct {
 	// default pool size of the analyses run over this space.
 	Workers int
 
-	// table maps global indexes to local ids; nil means the full index
-	// range, where the two coincide.
-	table *Dedup
+	// globals lists each local id's global index, ascending; nil means
+	// the full index range, where the two coincide.
+	globals []int64
 
 	off   []int64 // row offsets, len States+1
 	succ  []int32 // successor local ids, sorted per row
@@ -221,32 +221,30 @@ func (sp *Space) IllegitSCC() Condensation {
 
 // GlobalIndex returns the global (mixed-radix) index of local state s.
 func (sp *Space) GlobalIndex(s int) int64 {
-	if sp.table == nil {
+	if sp.globals == nil {
 		return int64(s)
 	}
-	return sp.table.Globals()[s]
+	return sp.globals[s]
 }
 
 // Globals returns the global indexes of all states in local-id (=
 // ascending global) order, or nil for the full index range. The slice
 // aliases the space.
-func (sp *Space) Globals() []int64 {
-	if sp.table == nil {
-		return nil
-	}
-	return sp.table.Globals()
-}
+func (sp *Space) Globals() []int64 { return sp.globals }
 
 // LocalIndex returns the local id of the global index g, or -1 when g is
 // not a state of the space.
 func (sp *Space) LocalIndex(g int64) int32 {
-	if sp.table == nil {
+	if sp.globals == nil {
 		if g < 0 || g >= int64(sp.States) {
 			return -1
 		}
 		return int32(g)
 	}
-	return sp.table.Lookup(g)
+	if l, ok := slices.BinarySearch(sp.globals, g); ok {
+		return int32(l)
+	}
+	return -1
 }
 
 // Config decodes state s into a fresh configuration.
@@ -415,7 +413,7 @@ func BuildContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Polic
 // exploreState call.
 type explorer struct {
 	alg    protocol.Algorithm
-	kind   scheduler.Kind
+	pol    scheduler.Policy
 	enc    *protocol.Encoder
 	det    protocol.Deterministic // non-nil: allocation-free outcome fast path
 	n      int
@@ -452,7 +450,7 @@ func newExplorer(alg protocol.Algorithm, pol scheduler.Policy, enc *protocol.Enc
 	n := alg.Graph().N()
 	ex := &explorer{
 		alg:    alg,
-		kind:   pol.Kind(),
+		pol:    pol,
 		enc:    enc,
 		n:      n,
 		counts: make([]int, n),
@@ -537,7 +535,7 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 	if k == 0 {
 		return legit, nil // terminal: empty row, absorbing in the Markov view
 	}
-	if ex.kind == scheduler.KindDistributed && k > scheduler.DistributedLimit {
+	if ex.pol == scheduler.DistributedPolicy && k > scheduler.DistributedLimit {
 		return false, fmt.Errorf("statespace: %s: %d enabled processes exceed the distributed daemon's limit of %d",
 			ex.alg.Name(), k, scheduler.DistributedLimit)
 	}
@@ -575,15 +573,15 @@ func (ex *explorer) exploreState(g int64) (bool, error) {
 		ex.opts[i] = opts
 	}
 
-	switch ex.kind {
-	case scheduler.KindCentral:
+	switch ex.pol {
+	case scheduler.CentralPolicy:
 		ex.centralRow(g, 1/float64(k))
-	case scheduler.KindDistributed:
+	case scheduler.DistributedPolicy:
 		w := 1 / float64(int(1)<<k-1)
 		if !deterministic || !ex.distributedDetRow(g, w) {
 			ex.rankRow(g, w, true)
 		}
-	case scheduler.KindSynchronous:
+	case scheduler.SynchronousPolicy:
 		if !deterministic {
 			ex.rankRow(g, 1, false)
 			break

@@ -68,9 +68,9 @@ func instances(t testing.TB) []protocol.Algorithm {
 
 func policies() []scheduler.Policy {
 	return []scheduler.Policy{
-		scheduler.CentralPolicy{},
-		scheduler.DistributedPolicy{},
-		scheduler.SynchronousPolicy{},
+		scheduler.CentralPolicy,
+		scheduler.DistributedPolicy,
+		scheduler.SynchronousPolicy,
 	}
 }
 
@@ -97,7 +97,7 @@ func TestBuildMatchesReference(t *testing.T) {
 	for _, a := range append(instances(t), tr7, hm7, hm9) {
 		pols := policies()
 		if a == hm9 {
-			pols = []scheduler.Policy{scheduler.DistributedPolicy{}}
+			pols = []scheduler.Policy{scheduler.DistributedPolicy}
 		}
 		for _, pol := range pols {
 			ref, err := BuildReference(a, pol, 0)
@@ -120,7 +120,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := scheduler.DistributedPolicy{}
+	pol := scheduler.DistributedPolicy
 	base, err := Build(a, pol, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestTerminalAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := Build(a, scheduler.CentralPolicy{}, Options{})
+	sp, err := Build(a, scheduler.CentralPolicy, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +233,10 @@ func TestMaxStatesCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(a, scheduler.CentralPolicy{}, Options{MaxStates: 100}); err == nil {
+	if _, err := Build(a, scheduler.CentralPolicy, Options{MaxStates: 100}); err == nil {
 		t.Fatal("expected cap error")
 	}
-	if _, err := BuildReference(a, scheduler.CentralPolicy{}, 100); err == nil {
+	if _, err := BuildReference(a, scheduler.CentralPolicy, 100); err == nil {
 		t.Fatal("expected cap error from reference")
 	}
 }
@@ -269,7 +269,7 @@ func TestBuildRejectsInvalidOutcomes(t *testing.T) {
 		{"out-of-domain", badOutcome{Algorithm: inner}},
 		{"empty", badOutcome{Algorithm: inner, empty: true}},
 	} {
-		if _, err := Build(tc.alg, scheduler.CentralPolicy{}, Options{Workers: 2}); err == nil {
+		if _, err := Build(tc.alg, scheduler.CentralPolicy, Options{Workers: 2}); err == nil {
 			t.Fatalf("%s: expected error from Build", tc.name)
 		}
 	}

@@ -150,7 +150,7 @@ func TestTheorem8SynchronousProbabilisticConvergence(t *testing.T) {
 	// probability 1 under the synchronous scheduler, although the
 	// untransformed algorithm livelocks.
 	inner := mustLeaderChain(t, 4)
-	raw, rawTarget, _ := mustMarkov(t, inner, scheduler.SynchronousPolicy{})
+	raw, rawTarget, _ := mustMarkov(t, inner, scheduler.SynchronousPolicy)
 	rawOne := raw.ReachesWithProbOne(rawTarget)
 	allOne := true
 	for _, b := range rawOne {
@@ -161,7 +161,7 @@ func TestTheorem8SynchronousProbabilisticConvergence(t *testing.T) {
 	}
 
 	trans := New(inner)
-	chain, target, enc := mustMarkov(t, trans, scheduler.SynchronousPolicy{})
+	chain, target, enc := mustMarkov(t, trans, scheduler.SynchronousPolicy)
 	one := chain.ReachesWithProbOne(target)
 	for s, ok := range one {
 		if !ok {
@@ -178,7 +178,7 @@ func TestTheorem9DistributedRandomizedConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	trans := New(inner)
-	chain, target, enc := mustMarkov(t, trans, scheduler.DistributedPolicy{})
+	chain, target, enc := mustMarkov(t, trans, scheduler.DistributedPolicy)
 	for s, ok := range chain.ReachesWithProbOne(target) {
 		if !ok {
 			t.Fatalf("transformed token ring fails prob-1 convergence from %v", enc.Decode(int64(s), nil))
@@ -190,7 +190,7 @@ func TestTransformedSyncpairExactHittingTimes(t *testing.T) {
 	// Hand-computed: under the synchronous scheduler with p = 1/2,
 	// h(F,F) = 8 and h(T,F) = h(F,T) = 10.
 	trans := New(mustSyncpair(t))
-	chain, target, enc := mustMarkov(t, trans, scheduler.SynchronousPolicy{})
+	chain, target, enc := mustMarkov(t, trans, scheduler.SynchronousPolicy)
 	h, err := chain.HittingTimes(target)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestCoinBiasMonotonicity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chain, target, enc := mustMarkov(t, trans, scheduler.SynchronousPolicy{})
+		chain, target, enc := mustMarkov(t, trans, scheduler.SynchronousPolicy)
 		h, err := chain.HittingTimes(target)
 		if err != nil {
 			t.Fatal(err)
@@ -242,14 +242,14 @@ func TestBisimulationExplicitVsProjected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			proj := New(tc.inner)
-			projChain, projTarget, projEnc := mustMarkov(t, proj, scheduler.SynchronousPolicy{})
+			projChain, projTarget, projEnc := mustMarkov(t, proj, scheduler.SynchronousPolicy)
 			hProj, err := projChain.HittingTimes(projTarget)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			expl := NewExplicit(tc.inner)
-			explChain, explTarget, explEnc := mustMarkov(t, expl, scheduler.SynchronousPolicy{})
+			explChain, explTarget, explEnc := mustMarkov(t, expl, scheduler.SynchronousPolicy)
 			hExpl, err := explChain.HittingTimes(explTarget)
 			if err != nil {
 				t.Fatal(err)
@@ -322,7 +322,7 @@ func TestTransformedFrontierSubspaceParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	trans := New(inner)
-	pol := scheduler.DistributedPolicy{}
+	pol := scheduler.DistributedPolicy
 	full, err := statespace.Build(trans, pol, statespace.Options{})
 	if err != nil {
 		t.Fatal(err)

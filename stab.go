@@ -64,9 +64,9 @@ type (
 	Outcome = protocol.Outcome
 	// Scheduler selects the activation subset of each step online.
 	Scheduler = scheduler.Scheduler
-	// Policy enumerates the activation subsets a daemon allows. It is a
-	// closed set of three daemons, CentralPolicy, DistributedPolicy and
-	// SynchronousPolicy, that no outside type implements.
+	// Policy is a daemon: the activation subsets it allows. It takes
+	// exactly three values, those CentralPolicy, DistributedPolicy and
+	// SynchronousPolicy return.
 	Policy = scheduler.Policy
 	// Report is the exact classification of an instance (see Classify).
 	Report = core.Report
@@ -112,13 +112,13 @@ func DistributedScheduler() Scheduler { return scheduler.NewDistributedRandomize
 func SynchronousScheduler() Scheduler { return scheduler.NewSynchronous() }
 
 // CentralPolicy returns the central scheduler's activation-subset policy.
-func CentralPolicy() Policy { return scheduler.CentralPolicy{} }
+func CentralPolicy() Policy { return scheduler.CentralPolicy }
 
 // DistributedPolicy returns the distributed scheduler's policy.
-func DistributedPolicy() Policy { return scheduler.DistributedPolicy{} }
+func DistributedPolicy() Policy { return scheduler.DistributedPolicy }
 
 // SynchronousPolicy returns the synchronous scheduler's policy.
-func SynchronousPolicy() Policy { return scheduler.SynchronousPolicy{} }
+func SynchronousPolicy() Policy { return scheduler.SynchronousPolicy }
 
 // Classify decides exactly where the instance sits in the stabilization
 // hierarchy under the given scheduler policy: strong closure, possible /
