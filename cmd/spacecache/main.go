@@ -35,11 +35,9 @@ func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
 		return errors.New("usage: spacecache <stats|gc> -dir DIR [-max-bytes N]")
 	}
-	sub, rest := args[0], args[1:]
+	sub := args[0]
 	fs := cli.FlagSet("spacecache " + sub)
 	dir := fs.String("dir", "", "cache directory (as given to stabcheck/stabbench -cache)")
-	var of cli.ObsFlags
-	of.Register(fs)
 	var maxBytes *int64
 	switch sub {
 	case "stats":
@@ -48,38 +46,27 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown subcommand %q (want stats or gc)", sub)
 	}
-	if done, err := cli.Parse(fs, rest); done {
-		return err
-	}
-	if *dir == "" {
-		return errors.New("-dir is required")
-	}
-	if _, err := os.Stat(*dir); err != nil {
-		return err // inspecting must not create the directory, unlike Open
-	}
-	cache, err := spacecache.Open(*dir)
-	if err != nil {
-		return err
-	}
 	// The observability scope makes gc's cache.evict events land in a
-	// trace or manifest like any other cache traffic.
-	orun, err := of.Start("spacecache "+sub, args)
-	if err != nil {
-		return err
-	}
-	var runErr error
-	switch {
-	case sub == "stats":
-		runErr = runStats(cache, out)
-	case *maxBytes < 0:
-		runErr = errors.New("gc requires -max-bytes N (0 empties the cache)")
-	default:
-		runErr = runGC(cache, out, *maxBytes)
-	}
-	if err := orun.Finish(runErr); runErr == nil {
-		runErr = err
-	}
-	return runErr
+	// trace or manifest like any other cache traffic, and records a bad
+	// -dir as the run's error.
+	return cli.Run(fs, args[1:], false, func(*cli.ObsRun) error {
+		if *dir == "" {
+			return errors.New("-dir is required")
+		}
+		if _, err := os.Stat(*dir); err != nil {
+			return err // inspecting must not create the directory, unlike Open
+		}
+		cache, err := spacecache.Open(*dir)
+		switch {
+		case err != nil:
+			return err
+		case sub == "stats":
+			return runStats(cache, out)
+		case *maxBytes < 0:
+			return errors.New("gc requires -max-bytes N (0 empties the cache)")
+		}
+		return runGC(cache, out, *maxBytes)
+	})
 }
 
 // runStats prints the cache's entries oldest last-use first — the order gc

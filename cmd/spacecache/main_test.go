@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"weakstab/internal/algorithms/tokenring"
 	"weakstab/internal/cli"
+	"weakstab/internal/obs"
 	"weakstab/internal/scheduler"
 	"weakstab/internal/spacecache"
 	"weakstab/internal/statespace"
@@ -105,5 +107,37 @@ func TestBadUsage(t *testing.T) {
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
 		t.Fatal("stats left a directory behind")
+	}
+}
+
+// TestFailingRunWritesManifest checks that a run failing after flag
+// parsing still finishes its observability scope: the manifest is
+// written with the error recorded, and the trace file is closed.
+func TestFailingRunWritesManifest(t *testing.T) {
+	for _, args := range [][]string{
+		{"stats"},
+		{"stats", "-dir", filepath.Join(t.TempDir(), "nope")},
+	} {
+		dir := t.TempDir()
+		manifest, tracePath := filepath.Join(dir, "run.json"), filepath.Join(dir, "trace.jsonl")
+		args = append(args, "-manifest", manifest, "-trace-out", tracePath)
+		runErr := run(args, &strings.Builder{})
+		if runErr == nil {
+			t.Fatalf("run(%v) succeeded", args)
+		}
+		raw, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatalf("run(%v): no manifest: %v", args, err)
+		}
+		var m obs.Manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("run(%v): manifest is not valid JSON: %v\n%s", args, err, raw)
+		}
+		if m.Command != "spacecache stats" || m.Error != runErr.Error() {
+			t.Errorf("run(%v): manifest (command %q, error %q), want (spacecache stats, %q)", args, m.Command, m.Error, runErr)
+		}
+		if _, err := os.Stat(tracePath); err != nil {
+			t.Errorf("run(%v): trace file missing: %v", args, err)
+		}
 	}
 }

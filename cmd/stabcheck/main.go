@@ -113,28 +113,11 @@ func run(args []string, out io.Writer) error {
 		ci        = fs.Float64("ci", 0, "-mc target 95% confidence half-width: stop early once the mean estimate is at least this tight (0 = run every trial)")
 		mcSteps   = fs.Int("mc-steps", 0, "-mc per-walker step budget; walkers that exhaust it count as censored (0 = 1000000)")
 	)
-	var of cli.ObsFlags
-	var pf cli.ProfileFlags
-	of.Register(fs)
-	pf.Register(fs)
-	if done, err := cli.Parse(fs, args); done {
-		return err
-	}
-
 	// The observability scope and profilers bracket the whole analysis;
 	// both write to side channels only (stderr, trace/manifest/profile
 	// files), so the report on out stays byte-identical with them on.
-	orun, err := of.Start("stabcheck", args)
-	if err != nil {
-		return err
-	}
-	stopProf, err := pf.Start()
-	if err != nil {
-		orun.Finish(err)
-		return err
-	}
-	orun.SetSeed(*seed)
-	runErr := func() error {
+	return cli.Run(fs, args, true, func(orun *cli.ObsRun) error {
+		orun.SetSeed(*seed)
 		cache, err := spacecache.Open(*cacheDir)
 		if err != nil {
 			return err
@@ -206,14 +189,7 @@ func run(args []string, out io.Writer) error {
 			printSweep(out, resp)
 		}
 		return nil
-	}()
-	if err := stopProf(); runErr == nil {
-		runErr = err
-	}
-	if err := orun.Finish(runErr); runErr == nil {
-		runErr = err
-	}
-	return runErr
+	})
 }
 
 // printReport renders the classic text report from the job's result

@@ -49,29 +49,12 @@ func run(args []string, out io.Writer) error {
 		workers     = fs.Int("workers", 0, "worker goroutines (0 = all CPUs; never affects results)")
 		shards      = fs.Int("shards", 0, "graph partitions owning state (0 = auto; never affects results)")
 	)
-	var of cli.ObsFlags
-	var pf cli.ProfileFlags
-	of.Register(fs)
-	pf.Register(fs)
-	if done, err := cli.Parse(fs, args); done {
-		return err
-	}
-
 	// Observability and profilers bracket the whole batch; both write to
 	// side channels only, so the report on out stays byte-identical with
 	// them on, and the manifest records the effective master seed every
 	// trial derives from.
-	orun, err := of.Start("stabnetsim", args)
-	if err != nil {
-		return err
-	}
-	stopProf, err := pf.Start()
-	if err != nil {
-		orun.Finish(err)
-		return err
-	}
-	orun.SetSeed(*seed)
-	runErr := func() error {
+	return cli.Run(fs, args, true, func(orun *cli.ObsRun) error {
+		orun.SetSeed(*seed)
 		spec := cli.Spec{Algorithm: *alg, N: *n, Topology: *topology, K: *k,
 			Transform: *transform, Bias: *bias, Seed: *seed}
 		a, err := spec.Build()
@@ -137,12 +120,5 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%d of %d trials failed", res.Failures, *trials)
 		}
 		return nil
-	}()
-	if err := stopProf(); runErr == nil {
-		runErr = err
-	}
-	if err := orun.Finish(runErr); runErr == nil {
-		runErr = err
-	}
-	return runErr
+	})
 }

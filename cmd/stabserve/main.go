@@ -61,29 +61,18 @@ func run(args []string) error {
 		timeout  = fs.Duration("timeout", 0, "default per-job deadline from admission (0 = none)")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM before outstanding jobs are canceled")
 	)
-	var of cli.ObsFlags
-	of.Register(fs)
-	if done, err := cli.Parse(fs, args); done {
-		return err
-	}
-
-	orun, err := of.Start("stabserve", args)
-	if err != nil {
-		return err
-	}
-
-	// A server always has a live observer — /metrics must scrape even
-	// when no obs flag is set (the CLI's "off by default" does not apply
-	// to a daemon whose whole point includes the scrape endpoint).
-	o := orun.Observer()
-	if o == nil {
-		o = obs.Default()
-	}
-	if o == nil {
-		o = obs.New()
-	}
-
-	srvErr := func() error {
+	return cli.Run(fs, args, false, func(orun *cli.ObsRun) error {
+		// A server always has a live observer — /metrics must scrape even
+		// when no obs flag is set (the CLI's "off by default" does not
+		// apply to a daemon whose whole point includes the scrape
+		// endpoint).
+		o := orun.Observer()
+		if o == nil {
+			o = obs.Default()
+		}
+		if o == nil {
+			o = obs.New()
+		}
 		cache, err := spacecache.Open(*cacheDir)
 		if err != nil {
 			return err
@@ -125,9 +114,5 @@ func run(args []string) error {
 			fmt.Fprintln(os.Stderr, "stabserve: drain:", err)
 		}
 		return srv.Shutdown(drainCtx)
-	}()
-	if err := orun.Finish(srvErr); srvErr == nil {
-		srvErr = err
-	}
-	return srvErr
+	})
 }

@@ -32,10 +32,8 @@ func main() {
 	cli.Exit("stabsim", err)
 }
 
-// run is the whole command behind a testable seam: flag parsing, the
-// observability scope and the simulation, printed to an injected writer.
-// The scope is finished on every path past flag parsing, so a failing run
-// still writes its manifest and closes its trace.
+// run is the whole command behind a testable seam: the simulation inside
+// cli.Run's scope, printed to an injected writer.
 func run(args []string, out io.Writer) error {
 	fs := cli.FlagSet("stabsim")
 	var (
@@ -53,20 +51,10 @@ func run(args []string, out io.Writer) error {
 		bursts    = fs.Int("bursts", 50, "number of fault bursts (with -faults)")
 		period    = fs.Int("period", 20, "legitimate steps between bursts (with -faults)")
 	)
-	var of cli.ObsFlags
-	of.Register(fs)
-	if done, err := cli.Parse(fs, args); done {
-		return err
-	}
-
 	// The effective seed is printed on every report line and recorded in
 	// the manifest, so any run is replayable from either.
-	orun, err := of.Start("stabsim", args)
-	if err != nil {
-		return err
-	}
-	orun.SetSeed(*seed)
-	runErr := func() error {
+	return cli.Run(fs, args, false, func(orun *cli.ObsRun) error {
+		orun.SetSeed(*seed)
 		spec := cli.Spec{Algorithm: *alg, N: *n, Topology: *topology, K: *k,
 			Transform: *transform, Bias: *bias, Seed: *seed}
 		a, err := spec.Build()
@@ -98,9 +86,5 @@ func run(args []string, out io.Writer) error {
 			return errFailures
 		}
 		return nil
-	}()
-	if err := orun.Finish(runErr); runErr == nil {
-		runErr = err
-	}
-	return runErr
+	})
 }

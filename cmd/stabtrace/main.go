@@ -8,7 +8,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -21,21 +20,12 @@ import (
 )
 
 // errUsage is a run with no instance to trace.
-var errUsage = errors.New("pass -alg <name> (the paper's figures are stabbench -run E1|E2|E3)")
+var errUsage = fmt.Errorf("%w: pass -alg <name> (the paper's figures are stabbench -run E1|E2|E3)", cli.ErrUsage)
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
-	if errors.Is(err, errUsage) {
-		fmt.Fprintln(os.Stderr, "stabtrace:", err)
-		os.Exit(2)
-	}
-	cli.Exit("stabtrace", err)
-}
+func main() { cli.Exit("stabtrace", run(os.Args[1:], os.Stdout)) }
 
-// run is the whole command behind a testable seam: flag parsing, the
-// observability scope and the trace, printed to an injected writer. The
-// scope is finished on every path past flag parsing, so a failing run
-// still writes its manifest and closes its trace.
+// run is the whole command behind a testable seam: the trace inside
+// cli.Run's scope, printed to an injected writer.
 func run(args []string, out io.Writer) error {
 	fs := cli.FlagSet("stabtrace")
 	var (
@@ -45,22 +35,10 @@ func run(args []string, out io.Writer) error {
 		steps = fs.Int("steps", 10, "steps to record")
 		seed  = fs.Int64("seed", 1, "random seed")
 	)
-	var of cli.ObsFlags
-	of.Register(fs)
-	if done, err := cli.Parse(fs, args); done {
-		return err
-	}
-
-	orun, err := of.Start("stabtrace", args)
-	if err != nil {
-		return err
-	}
-	orun.SetSeed(*seed)
-	runErr := record(out, *alg, *n, *sched, *steps, *seed)
-	if err := orun.Finish(runErr); runErr == nil {
-		runErr = err
-	}
-	return runErr
+	return cli.Run(fs, args, false, func(orun *cli.ObsRun) error {
+		orun.SetSeed(*seed)
+		return record(out, *alg, *n, *sched, *steps, *seed)
+	})
 }
 
 // record traces steps steps of the instance from a random configuration.

@@ -1,11 +1,11 @@
 // Observability wiring shared by every command: the -progress,
 // -trace-out, -debug-addr and -manifest flags, and the run scope that
-// turns them into an installed Observer. Each command registers the
-// flags on its FlagSet, calls Start after parsing, and Finish when the
-// run ends; everything in between — engine instrumentation, progress
-// rendering, the debug endpoint, manifest assembly — happens through
-// the process-default observer, so the commands themselves stay free of
-// observability plumbing. When no observability flag is set, Start
+// turns them into an installed Observer. Run registers the flags,
+// starts the scope after parsing and finishes it when the body returns;
+// everything in between — engine instrumentation, progress rendering,
+// the debug endpoint, manifest assembly — happens through the
+// process-default observer, so the commands themselves stay free of
+// observability plumbing. When no observability flag is set, the scope
 // installs nothing and the hot paths keep their zero-overhead nil
 // observer.
 
@@ -19,8 +19,8 @@ import (
 	"weakstab/internal/obs"
 )
 
-// ObsFlags holds the shared observability flag values.
-type ObsFlags struct {
+// obsFlags holds the shared observability flag values.
+type obsFlags struct {
 	// Progress renders a live one-line progress display on stderr.
 	Progress bool
 	// TraceOut writes structured JSONL progress events to a file.
@@ -33,9 +33,8 @@ type ObsFlags struct {
 	Manifest string
 }
 
-// Register adds the shared observability flags to fs; pass
-// flag.CommandLine from commands using the global flag set.
-func (f *ObsFlags) Register(fs *flag.FlagSet) {
+// register adds the shared observability flags to fs.
+func (f *obsFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Progress, "progress", false, "render a live progress line (rates, ETA) on stderr")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write structured JSONL progress events to `file`")
 	fs.StringVar(&f.DebugAddr, "debug-addr", "", "serve net/http/pprof and /metrics on `addr` (e.g. localhost:6060) while the run lasts")
@@ -43,17 +42,17 @@ func (f *ObsFlags) Register(fs *flag.FlagSet) {
 }
 
 // enabled reports whether any observability flag was set.
-func (f ObsFlags) enabled() bool {
+func (f obsFlags) enabled() bool {
 	return f.Progress || f.TraceOut != "" || f.DebugAddr != "" || f.Manifest != ""
 }
 
 // ObsRun is one command invocation's observability scope: the observer
-// Start installed as the process default, plus what Finish needs to
+// start installed as the process default, plus what finish needs to
 // unwind it (the displaced default, the progress renderer to terminate,
 // the debug server to shut down) and to write the manifest (command
 // identity, effective seed, extra fields).
 type ObsRun struct {
-	flags   ObsFlags
+	flags   obsFlags
 	command string
 	args    []string
 
@@ -67,15 +66,15 @@ type ObsRun struct {
 	extra   map[string]any
 }
 
-// Start begins the observability scope for one command run: it builds
+// start begins the observability scope for one command run: it builds
 // an Observer from the flags (event sink on -trace-out, progress hook
 // on -progress, debug HTTP server on -debug-addr, heap watcher on
 // -manifest) and installs it as the process default, which every engine
 // package resolves through obs.Or. With no observability flag set it
-// installs nothing — the returned run is inert and Finish is a no-op —
+// installs nothing — the returned run is inert and finish is a no-op —
 // so the process default (nil, or the WEAKSTAB_TRACE observer) stays in
 // place. command and args identify the run in its manifest.
-func (f ObsFlags) Start(command string, args []string) (*ObsRun, error) {
+func (f obsFlags) start(command string, args []string) (*ObsRun, error) {
 	r := &ObsRun{flags: f, command: command, args: args}
 	if !f.enabled() {
 		return r, nil
@@ -111,45 +110,32 @@ func (f ObsFlags) Start(command string, args []string) (*ObsRun, error) {
 
 // Observer returns the run's observer; nil when no observability flag
 // was set.
-func (r *ObsRun) Observer() *obs.Observer {
-	if r == nil {
-		return nil
-	}
-	return r.o
-}
+func (r *ObsRun) Observer() *obs.Observer { return r.o }
 
 // SetSeed records the run's effective seed for the manifest, making the
 // run replayable from the manifest alone.
-func (r *ObsRun) SetSeed(seed int64) {
-	if r != nil {
-		r.seed, r.seedSet = seed, true
-	}
-}
+func (r *ObsRun) SetSeed(seed int64) { r.seed, r.seedSet = seed, true }
 
 // AddExtra attaches a command-specific field to the manifest's extra
 // map.
 func (r *ObsRun) AddExtra(key string, val any) {
-	if r == nil {
-		return
-	}
 	if r.extra == nil {
 		r.extra = make(map[string]any)
 	}
 	r.extra[key] = val
 }
 
-// Finish ends the scope: terminates the progress line, writes the
+// finish ends the scope: terminates the progress line, writes the
 // manifest (recording runErr as the run's failure, if any), closes the
 // event sink, shuts down the debug server and restores the previously
-// installed default observer. Idempotent, and a no-op on an inert run.
-// The returned error covers the teardown itself — manifest or trace
-// write failures — never runErr.
-func (r *ObsRun) Finish(runErr error) error {
-	if r == nil || r.o == nil {
+// installed default observer. It is a no-op on an inert run. The
+// returned error covers the teardown itself — manifest or trace write
+// failures — never runErr.
+func (r *ObsRun) finish(runErr error) error {
+	o := r.o
+	if o == nil {
 		return nil
 	}
-	o := r.o
-	r.o = nil
 	if r.progress != nil {
 		r.progress.Done()
 	}

@@ -1,9 +1,7 @@
-// Profiling wiring shared by the commands: the -cpuprofile and
-// -memprofile flags and the start/stop pair around a run. Extracted
-// from stabbench so every long-running tool offers the same pprof
-// workflow; the extraction also closes the profile file when
-// StartCPUProfile itself fails, which the inline version leaked until
-// process exit.
+// Profiling wiring for the long-running commands: the -cpuprofile and
+// -memprofile flags, which Run registers when a command asks for them,
+// and the start/stop pair Run puts around the body. A failing
+// StartCPUProfile closes the profile file instead of leaking it.
 
 package cli
 
@@ -16,8 +14,8 @@ import (
 	"runtime/pprof"
 )
 
-// ProfileFlags holds the shared profiling flag values.
-type ProfileFlags struct {
+// profileFlags holds the shared profiling flag values.
+type profileFlags struct {
 	// CPU is the CPU-profile output path ("" = off).
 	CPU string
 	// Mem is the heap-profile output path ("" = off); the profile is
@@ -25,19 +23,18 @@ type ProfileFlags struct {
 	Mem string
 }
 
-// Register adds the shared profiling flags to fs; pass flag.CommandLine
-// from commands using the global flag set.
-func (f *ProfileFlags) Register(fs *flag.FlagSet) {
+// register adds the shared profiling flags to fs.
+func (f *profileFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.CPU, "cpuprofile", "", "write a CPU profile of the run to `file`")
 	fs.StringVar(&f.Mem, "memprofile", "", "write a heap profile taken after the run to `file`")
 }
 
-// Start begins CPU profiling when -cpuprofile was set and returns the
-// stop function the command must call when the run ends: it stops and
+// start begins CPU profiling when -cpuprofile was set and returns the
+// stop function Run calls when the body returns: it stops and
 // closes the CPU profile and writes the post-GC heap profile when
 // -memprofile was set. With neither flag set, stop is a cheap no-op.
 // On error nothing is left running and no file handle stays open.
-func (f ProfileFlags) Start() (stop func() error, err error) {
+func (f profileFlags) start() (stop func() error, err error) {
 	var cpu *os.File
 	if f.CPU != "" {
 		cpu, err = os.Create(f.CPU)
