@@ -16,7 +16,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -33,7 +32,7 @@ func main() { cli.Exit("spacecache", run(os.Args[1:], os.Stdout)) }
 // output against an injected writer.
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return errors.New("usage: spacecache <stats|gc> -dir DIR [-max-bytes N]")
+		return fmt.Errorf("%w: spacecache <stats|gc> -dir DIR [-max-bytes N]", cli.ErrUsage)
 	}
 	sub := args[0]
 	fs := cli.FlagSet("spacecache " + sub)
@@ -44,14 +43,17 @@ func run(args []string, out io.Writer) error {
 	case "gc":
 		maxBytes = fs.Int64("max-bytes", -1, "delete oldest entries until the rest total at most this many bytes")
 	default:
-		return fmt.Errorf("unknown subcommand %q (want stats or gc)", sub)
+		return fmt.Errorf("%w: unknown subcommand %q (want stats or gc)", cli.ErrUsage, sub)
 	}
 	// The observability scope makes gc's cache.evict events land in a
 	// trace or manifest like any other cache traffic, and records a bad
 	// -dir as the run's error.
 	return cli.Run(fs, args[1:], false, func(*cli.ObsRun) error {
-		if *dir == "" {
-			return errors.New("-dir is required")
+		switch {
+		case *dir == "":
+			return fmt.Errorf("%w: -dir is required", cli.ErrUsage)
+		case maxBytes != nil && *maxBytes < 0:
+			return fmt.Errorf("%w: gc requires -max-bytes N (0 empties the cache)", cli.ErrUsage)
 		}
 		if _, err := os.Stat(*dir); err != nil {
 			return err // inspecting must not create the directory, unlike Open
@@ -60,10 +62,8 @@ func run(args []string, out io.Writer) error {
 		switch {
 		case err != nil:
 			return err
-		case sub == "stats":
+		case maxBytes == nil:
 			return runStats(cache, out)
-		case *maxBytes < 0:
-			return errors.New("gc requires -max-bytes N (0 empties the cache)")
 		}
 		return runGC(cache, out, *maxBytes)
 	})

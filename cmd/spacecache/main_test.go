@@ -89,9 +89,10 @@ func TestBadUsage(t *testing.T) {
 		{"prune", "-dir", "x"},      // unknown subcommand
 		{"stats"},                   // missing -dir
 		{"gc", "-dir", t.TempDir()}, // gc without -max-bytes
+		{"gc", "-dir", filepath.Join(t.TempDir(), "nope")}, // checked before -dir is opened
 	} {
-		if err := run(args, &out); err == nil {
-			t.Fatalf("run(%q) accepted bad usage", args)
+		if err := run(args, &out); !errors.Is(err, cli.ErrUsage) {
+			t.Fatalf("run(%q) = %v, want cli.ErrUsage", args, err)
 		}
 	}
 	if err := run([]string{"stats", "-bogus"}, &out); !errors.Is(err, cli.ErrParse) {

@@ -60,7 +60,7 @@
 //
 // Every analysis runs through the same job-execution path the stabserve
 // daemon uses (internal/service): the command assembles a service.Request
-// from its flags, drives it through a single-worker service.Manager, and
+// from its flags, runs it with service.Execute on a -workers pool, and
 // renders the result — as the classic text report, or with -json as the
 // exact result document stabserve's GET /jobs/{id}/result returns
 // (byte-identical, so the two surfaces diff clean).
@@ -91,7 +91,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		alg       = fs.String("alg", "tokenring", "algorithm: "+strings.Join(cli.Algorithms(), ", "))
 		n         = fs.Int("n", 5, "number of processes")
-		topology  = fs.String("topology", "chain", "tree topology: chain, star, random, figure2")
+		topology  = fs.String("topology", "", cli.TopologyUsage)
 		k         = fs.Int("k", 0, "dijkstra state count / token ring modulus override")
 		transform = fs.Bool("transform", false, "apply the §4 coin-toss transformer")
 		bias      = fs.Float64("bias", 0.5, "transformer coin bias")
@@ -124,9 +124,10 @@ func run(args []string, out io.Writer) error {
 		}
 		cache.SetMmap(*mmap)
 
-		// The flags become a service.Request and run through a
-		// single-worker Manager — the same job-execution path stabserve
-		// drives, so CLI and daemon cannot drift apart.
+		// The flags become a service.Request and run through
+		// service.Execute — the job-execution path stabserve's jobs take,
+		// so CLI and daemon cannot drift apart. Unlike a job, a direct
+		// call honours Request.Workers.
 		req := service.Request{Alg: *alg, N: *n, Topology: *topology, K: *k,
 			Transform: *transform, Bias: *bias, Seed: *seed, Policy: *policy,
 			Reachable: *reachable, From: *from, MaxStates: *maxStates, Workers: *workers}
@@ -137,7 +138,7 @@ func run(args []string, out io.Writer) error {
 		if *kmax >= 0 {
 			// service.Request rejects -kmax with -kfaults, -reachable or -from.
 			if *witness || *lasso {
-				return fmt.Errorf("-kmax prints sweep verdicts only; drop -witness/-lasso or use -kfaults")
+				return fmt.Errorf("%w: -kmax prints sweep verdicts only; drop -witness/-lasso or use -kfaults", cli.ErrUsage)
 			}
 			v := *kmax
 			req.KMax = &v
@@ -146,16 +147,20 @@ func run(args []string, out io.Writer) error {
 		if *mcMode {
 			switch {
 			case *kfaults >= 0 || *kmax >= 0:
-				return fmt.Errorf("-mc estimates stabilization times by simulation; drop -kfaults/-kmax")
+				return fmt.Errorf("%w: -mc estimates stabilization times by simulation; drop -kfaults/-kmax", cli.ErrUsage)
 			case *witness || *lasso:
-				return fmt.Errorf("-mc prints the estimate only; drop -witness/-lasso")
+				return fmt.Errorf("%w: -mc prints the estimate only; drop -witness/-lasso", cli.ErrUsage)
 			}
 			req.Mode = service.ModeMC
 			req.Trials = *trials
 			req.CI = *ci
 			req.MCMaxSteps = *mcSteps
 		} else if *trials != 0 || *ci != 0 || *mcSteps != 0 {
-			return fmt.Errorf("-trials/-ci/-mc-steps tune the Monte Carlo estimator; add -mc")
+			return fmt.Errorf("%w: -trials/-ci/-mc-steps tune the Monte Carlo estimator; add -mc", cli.ErrUsage)
+		}
+
+		if *jsonOut && (*witness || *lasso) {
+			return fmt.Errorf("%w: -json emits the result document only; drop -witness/-lasso", cli.ErrUsage)
 		}
 
 		deps := service.Deps{Cache: cache}
@@ -171,9 +176,7 @@ func run(args []string, out io.Writer) error {
 				printReport(out, resp, ts, *witness, *lasso)
 			}
 		}
-		mgr := service.NewManager(service.Config{Deps: deps, Workers: 1})
-		defer mgr.Shutdown(context.Background())
-		resp, err := mgr.Do(context.Background(), req)
+		resp, err := service.Execute(context.Background(), req, deps)
 		if err != nil {
 			if resp != nil && resp.CoreReport != nil && !*jsonOut {
 				// A hierarchy violation (a library bug) still renders the

@@ -14,10 +14,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"weakstab/internal/cli"
+	"weakstab/internal/service"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files with the observed output")
@@ -141,6 +143,40 @@ func TestGoldenJSONReachableKFaultsTokenring13(t *testing.T) {
 	runGolden(t, "json_reachable_kfaults2_tokenring13", "-alg", "tokenring", "-n", "13", "-k", "3", "-reachable", "-kfaults", "2", "-json")
 }
 
+// TestDefaultTopologyMatchesService pins that stabcheck's -topology
+// default leaves the choice to the algorithm, as a minimal stabserve
+// request does: coloring runs on the ring, tree algorithms on the chain.
+func TestDefaultTopologyMatchesService(t *testing.T) {
+	for _, req := range []service.Request{
+		{Alg: "coloring", N: 5},
+		{Alg: "leadertree", N: 4},
+	} {
+		var got strings.Builder
+		if err := run([]string{"-alg", req.Alg, "-n", strconv.Itoa(req.N), "-json"}, &got); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := service.Execute(t.Context(), req, service.Deps{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var direct strings.Builder
+		if err := resp.WriteJSON(&direct); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != direct.String() {
+			t.Errorf("stabcheck -alg %s -n %d -json differs from Execute(%+v):\n--- stabcheck ---\n%s--- Execute ---\n%s",
+				req.Alg, req.N, req, got.String(), direct.String())
+		}
+	}
+	var out strings.Builder
+	if err := run([]string{"-alg", "coloring", "-n", "5"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "243 configurations") {
+		t.Errorf("stabcheck -alg coloring -n 5 does not explore the ring's 3^5 configurations:\n%s", out.String())
+	}
+}
+
 func TestGoldenCacheWarmRuns(t *testing.T) {
 	// Cold and warm runs through one cache directory must render
 	// byte-identical output, for the report, the ball pipeline and the
@@ -160,28 +196,38 @@ func TestGoldenCacheWarmRuns(t *testing.T) {
 	}
 }
 
+// TestFlagConflicts pins the refused flag combinations. Those stabcheck
+// rejects itself are usage errors (exit 2); those service.Request's
+// validation rejects, and unknown names, fail the run (exit 1).
 func TestFlagConflicts(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
 		wantErr string
+		usage   bool
 	}{
-		{[]string{"-kmax", "2", "-kfaults", "1"}, "not both"},
-		{[]string{"-kmax", "2", "-reachable"}, "drop -reachable"},
-		{[]string{"-kmax", "2", "-from", "0,0,0,0,0"}, "drop -from"},
-		{[]string{"-kmax", "2", "-witness"}, "drop -witness"},
-		{[]string{"-kmax", "2", "-lasso"}, "drop -witness"},
-		{[]string{"-alg", "nosuch"}, "unknown algorithm"},
-		{[]string{"-mc", "-kfaults", "1"}, "drop -kfaults/-kmax"},
-		{[]string{"-mc", "-kmax", "2"}, "drop -kfaults/-kmax"},
-		{[]string{"-mc", "-witness"}, "drop -witness/-lasso"},
-		{[]string{"-mc", "-lasso"}, "drop -witness/-lasso"},
-		{[]string{"-trials", "5000"}, "add -mc"},
-		{[]string{"-ci", "0.5"}, "add -mc"},
-		{[]string{"-mc", "-trials", "-3"}, "trials must be >= 0"},
+		{[]string{"-kmax", "2", "-kfaults", "1"}, "not both", false},
+		{[]string{"-kmax", "2", "-reachable"}, "drop -reachable", false},
+		{[]string{"-kmax", "2", "-from", "0,0,0,0,0"}, "drop -from", false},
+		{[]string{"-kmax", "2", "-witness"}, "drop -witness", true},
+		{[]string{"-kmax", "2", "-lasso"}, "drop -witness", true},
+		{[]string{"-alg", "nosuch"}, "unknown algorithm", false},
+		{[]string{"-mc", "-kfaults", "1"}, "drop -kfaults/-kmax", true},
+		{[]string{"-mc", "-kmax", "2"}, "drop -kfaults/-kmax", true},
+		{[]string{"-mc", "-witness"}, "drop -witness/-lasso", true},
+		{[]string{"-mc", "-lasso"}, "drop -witness/-lasso", true},
+		{[]string{"-trials", "5000"}, "add -mc", true},
+		{[]string{"-ci", "0.5"}, "add -mc", true},
+		{[]string{"-mc", "-trials", "-3"}, "trials must be >= 0", false},
+		{[]string{"-json", "-witness"}, "drop -witness/-lasso", true},
+		{[]string{"-json", "-lasso"}, "drop -witness/-lasso", true},
+		{[]string{"-alg", "tokenring", "-n", "3", "-from", "1,0,2"}, "add -reachable", false},
 	} {
 		err := run(tc.args, &strings.Builder{})
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.wantErr)
+		}
+		if errors.Is(err, cli.ErrUsage) != tc.usage {
+			t.Errorf("run(%v) = %v: errors.Is(err, cli.ErrUsage) = %v, want %v", tc.args, err, !tc.usage, tc.usage)
 		}
 	}
 	// -h prints the usage (to the FlagSet's output) and succeeds; an

@@ -138,3 +138,37 @@ func TestManifest(t *testing.T) {
 		}
 	}
 }
+
+// TestManifestHasNoServiceCounters pins that a run executes its request
+// directly: no job manager admits it, so the manifest counts no
+// service.jobs.* or service.lru.* traffic, in any mode.
+func TestManifestHasNoServiceCounters(t *testing.T) {
+	for _, args := range [][]string{
+		{"-alg", "tokenring", "-n", "5"},
+		{"-alg", "tokenring", "-n", "5", "-kmax", "2"},
+		{"-alg", "tokenring", "-n", "5", "-mc", "-trials", "100"},
+	} {
+		manifest := filepath.Join(t.TempDir(), "run.json")
+		if err := run(append(args, "-manifest", manifest), &strings.Builder{}); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		raw, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Metrics map[string]int64 `json:"metrics"`
+		}
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("manifest is not valid JSON: %v\n%s", err, raw)
+		}
+		if len(m.Metrics) == 0 {
+			t.Fatalf("run(%v): manifest holds no metrics", args)
+		}
+		for name := range m.Metrics {
+			if strings.HasPrefix(name, "service.jobs.") || strings.HasPrefix(name, "service.lru.") {
+				t.Errorf("run(%v): manifest counts %s = %d", args, name, m.Metrics[name])
+			}
+		}
+	}
+}

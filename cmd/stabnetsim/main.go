@@ -36,7 +36,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		alg         = fs.String("alg", "coloring", "algorithm: "+strings.Join(cli.Algorithms(), ", "))
 		n           = fs.Int("n", 64, "number of processes")
-		topology    = fs.String("topology", "", "topology where the algorithm allows one: ring (coloring default), chain, star, random, figure2")
+		topology    = fs.String("topology", "", cli.TopologyUsage)
 		k           = fs.Int("k", 0, "dijkstra state count / token ring modulus override")
 		transform   = fs.Bool("transform", false, "apply the §4 coin-toss transformer")
 		bias        = fs.Float64("bias", 0.5, "transformer coin bias")

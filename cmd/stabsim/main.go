@@ -39,7 +39,7 @@ func run(args []string, out io.Writer) error {
 	var (
 		alg       = fs.String("alg", "tokenring", "algorithm: "+strings.Join(cli.Algorithms(), ", "))
 		n         = fs.Int("n", 8, "number of processes")
-		topology  = fs.String("topology", "chain", "tree topology: chain, star, random, figure2")
+		topology  = fs.String("topology", "", cli.TopologyUsage)
 		k         = fs.Int("k", 0, "dijkstra state count / token ring modulus override")
 		transform = fs.Bool("transform", false, "apply the §4 coin-toss transformer")
 		bias      = fs.Float64("bias", 0.5, "transformer coin bias")

@@ -76,3 +76,18 @@ func TestFailuresAndBadUsage(t *testing.T) {
 		t.Error("run(-sched bogus) succeeded")
 	}
 }
+
+// TestDefaultTopology pins that -topology defaults to the algorithm's own
+// choice, as in stabcheck, stabnetsim and stabserve: the ring for
+// coloring, the chain for tree algorithms.
+func TestDefaultTopology(t *testing.T) {
+	for alg, want := range map[string]string{"coloring": "coloring(ring(5))", "leadertree": "chain(5)"} {
+		var sb strings.Builder
+		if err := run([]string{"-alg", alg, "-n", "5", "-trials", "3"}, &sb); err != nil {
+			t.Fatalf("run(-alg %s): %v", alg, err)
+		}
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("stabsim -alg %s -n 5 does not run %s:\n%s", alg, want, sb.String())
+		}
+	}
+}

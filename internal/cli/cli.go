@@ -21,6 +21,10 @@ import (
 	"weakstab/internal/transformer"
 )
 
+// TopologyUsage is the help text of every command's -topology flag, whose
+// default "" leaves the choice to the algorithm (Spec.Topology).
+const TopologyUsage = "topology where the algorithm allows one: ring (coloring default), chain, star, random, figure2"
+
 // Spec selects an algorithm instance.
 type Spec struct {
 	// Algorithm is one of: tokenring, leadertree, centerelector,

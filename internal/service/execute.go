@@ -1,7 +1,7 @@
-// Execute: the one job-execution path. stabcheck calls it through a
-// single-worker Manager and stabserve through a pooled one, so the
-// exploration order, cache traffic and observability stream of a given
-// request are identical no matter which surface submitted it.
+// Execute: the one job-execution path. stabcheck calls it directly and
+// stabserve through a Manager, so the exploration order, cache traffic
+// and observability stream of a given request are identical no matter
+// which surface submitted it.
 package service
 
 import (

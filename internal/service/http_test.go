@@ -248,20 +248,26 @@ func TestHTTPMetricsScrape(t *testing.T) {
 	}
 }
 
-// TestHTTPErrors pins 404s and unknown-field rejection.
+// TestHTTPErrors pins 404s and the rejection of an unknown field and of
+// an invalid request.
 func TestHTTPErrors(t *testing.T) {
 	_, srv := newTestServer(t, Config{})
 	code, _, _ := get(t, srv.URL+"/jobs/job-99")
 	if code != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", code)
 	}
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alg":"tokenring","n":5,"bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown-field submit = %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"alg":"tokenring","n":5,"bogus":1}`,
+		`{"alg":"tokenring","n":3,"from":"1,0,2"}`, // from without reachable
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s = %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

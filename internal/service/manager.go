@@ -71,8 +71,8 @@ type Config struct {
 	// LRUSize bounds the in-memory result LRU (default 64 documents).
 	LRUSize int
 	// FeedDepth is the per-job event ring capacity; 0 disables per-job
-	// feeds entirely (the CLI path: events flow to the process observer
-	// only, exactly as if no manager were present).
+	// feeds entirely (events flow to the process observer only, exactly
+	// as if no manager were present).
 	FeedDepth int
 	// DefaultTimeout bounds each job's wall clock from submission when
 	// the request carries no TimeoutMS (0 = unbounded).
@@ -331,22 +331,6 @@ func (m *Manager) cancelJob(j *Job) {
 		// The worker will skip it on dequeue; report it terminal now.
 		m.finish(j, nil, context.Canceled)
 	}
-}
-
-// Do submits and waits: the synchronous surface stabcheck uses. A ctx
-// cancellation cancels the job and returns its (canceled) outcome.
-func (m *Manager) Do(ctx context.Context, req Request) (*Response, error) {
-	j, _, err := m.Submit(req)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-		m.cancelJob(j)
-		<-j.done
-	}
-	return j.Result()
 }
 
 // Shutdown drains gracefully: no new submissions, queued and running

@@ -75,6 +75,15 @@ func ringRequest(n int) Request {
 	return Request{Alg: "tokenring", N: n}
 }
 
+// submitWait submits req and waits for the job's outcome.
+func submitWait(m *Manager, req Request) (*Response, error) {
+	j, _, err := m.Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	return j.Result()
+}
+
 func buildCounting(c *countingAlg) func(Request) (protocol.Algorithm, scheduler.Policy, error) {
 	return func(Request) (protocol.Algorithm, scheduler.Policy, error) {
 		return c, scheduler.CentralPolicy, nil
@@ -92,7 +101,7 @@ func TestConcurrentSubmitsExploreOnce(t *testing.T) {
 	// Solo run: snapshot the exact call counts of one exploration.
 	solo := &countingAlg{Algorithm: inner}
 	m := NewManager(Config{Deps: Deps{Build: buildCounting(solo)}})
-	if _, err := m.Do(context.Background(), ringRequest(5)); err != nil {
+	if _, err := submitWait(m, ringRequest(5)); err != nil {
 		t.Fatal(err)
 	}
 	m.Shutdown(context.Background())
@@ -268,7 +277,7 @@ func TestCancelMidExploration(t *testing.T) {
 
 	// The slot is free: the same request resubmitted runs to completion
 	// (nothing cached, so it is a real second run through the ungated alg).
-	resp, err := m.Do(context.Background(), req)
+	resp, err := submitWait(m, req)
 	if err != nil {
 		t.Fatalf("job after cancel: %v", err)
 	}
@@ -718,7 +727,7 @@ func TestManagerJobsIgnoreRequestWorkers(t *testing.T) {
 	}}})
 	defer m.Shutdown(context.Background())
 	req := Request{Alg: "tokenring", N: 8, K: 3, Workers: 1}
-	if _, err := m.Do(context.Background(), req); err != nil {
+	if _, err := submitWait(m, req); err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(min(runtime.NumCPU(), 6561)); pool.Load() != want {

@@ -1,6 +1,6 @@
 // Package service is the stabilization-as-a-service layer: one
-// job-execution path (Execute) shared by the stabcheck CLI and the
-// stabserve daemon, and a Manager that runs jobs on a bounded worker
+// job-execution path (Execute), which the stabcheck CLI calls directly,
+// and the Manager the stabserve daemon runs it through: a bounded worker
 // pool with in-flight singleflight dedupe, an in-memory LRU of decoded
 // results over the disk space cache, per-job cancellation and deadlines,
 // per-job event feeds for streaming subscribers, and graceful drain.
@@ -82,11 +82,12 @@ type Request struct {
 
 	// MaxStates caps the explored configuration space (0 = default).
 	MaxStates int64 `json:"max_states,omitempty"`
-	// Workers sets the exploration worker-pool size of a direct Execute
-	// call (0 = all CPUs). An execution detail: it never changes the
+	// Workers sets the worker-pool size of the exploration and analyses
+	// (0 = all CPUs). Execute honours it, which is how stabcheck's
+	// -workers takes effect. An execution detail: it never changes the
 	// result, so it is excluded from the job identity and from the
-	// result's request echo. A Manager queues that identity, so every
-	// stabserve job runs with one worker per CPU whatever this field says.
+	// result's request echo. A Manager queues that identity, so it drops
+	// the field: every stabserve job runs with one worker per CPU.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the job wall clock from submission (0 = the
 	// manager's default). An execution detail like Workers.
@@ -204,6 +205,9 @@ func (r Request) validate() error {
 	}
 	if r.KFaults != nil && *r.KFaults < 0 {
 		return errors.New("kfaults must be >= 0")
+	}
+	if r.From != "" && !r.Reachable {
+		return errors.New("-from seeds the -reachable exploration; add -reachable or drop -from")
 	}
 	return nil
 }
