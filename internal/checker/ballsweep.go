@@ -280,7 +280,10 @@ func (b *ballGrower) sorted() ([]int64, []int) {
 // states not yet discovered and snapshots a canonical subspace plus the
 // sorted ball — bit-identical to the from-scratch FaultBallContext +
 // BallClosureContext at the current radius. A k+1 sweep therefore extends
-// the k ball and its subspace instead of restarting.
+// the k ball and its subspace instead of restarting. SealContext leaves the
+// sweep growable; SweepKFaultsContext seals its last radius with an
+// unexported consuming seal instead, which releases the ball grower and the
+// builder's exploration state.
 type BallSweep struct {
 	a       protocol.Algorithm
 	pol     scheduler.Policy
@@ -319,7 +322,21 @@ func (s *BallSweep) GrowToContext(ctx context.Context, k int) error { return s.b
 // set) seals to a nil subspace with empty globals, mirroring
 // BallClosureContext. ctx is checked at every BFS shell boundary.
 func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64, []int, error) {
+	return s.seal(ctx, false)
+}
+
+// seal is SealContext, and with last set the seal of a walk's last radius,
+// which consumes the sweep: the ball grower is dropped as soon as the ball
+// is sorted, before the closure exploration, and the builder seals with
+// Finish, so the exploration, the seal and the caller's verdict never
+// share the heap with the sweep's dead enumeration state. A consumed sweep
+// cannot grow or seal again.
+func (s *BallSweep) seal(ctx context.Context, last bool) (*statespace.Space, []int64, []int, error) {
 	globals, dist := s.ball.sorted()
+	k := s.ball.k
+	if last {
+		s.ball = nil
+	}
 	if len(globals) == 0 {
 		return nil, globals, dist, nil
 	}
@@ -345,7 +362,10 @@ func (s *BallSweep) SealContext(ctx context.Context) (*statespace.Space, []int64
 	if err := s.builder.ExtendContext(ctx, seeds); err != nil {
 		return nil, nil, nil, fmt.Errorf("checker: %w", err)
 	}
-	s.extended = s.ball.k
+	s.extended = k
+	if last {
+		return s.builder.Finish(), globals, dist, nil
+	}
 	return s.builder.Seal(), globals, dist, nil
 }
 
@@ -431,6 +451,20 @@ type SweepResult struct {
 	Dist    []int
 }
 
+// afterVerdict, when non-nil, sees the walk's state right after each
+// radius's verdict: the sweep (nil once the last radius has consumed it)
+// and the radius's closure. Tests set it to check what the walk releases.
+var afterVerdict func(k int, sweep *BallSweep, ss *statespace.Space)
+
+// release closes and drops the last walked radius's subspace, which may
+// own a warm-loaded file mapping, and its ball.
+func (r *SweepResult) release() {
+	if r.Sub != nil {
+		r.Sub.Close()
+	}
+	r.Sub, r.Globals, r.Dist = nil, nil, nil
+}
+
 // SweepKFaultsContext walks k = 0..kmax on one BallSweep — one
 // incremental ball enumeration and one incremental closure exploration in
 // total: each radius extends the previous ball and subspace instead of
@@ -448,6 +482,14 @@ type SweepResult struct {
 // shell-granular checks of the ball enumeration and closure exploration,
 // so a cancelled sweep returns an error wrapping ctx.Err() without
 // finishing the walk, and the cache only ever sees completed radii.
+//
+// The walk holds one radius at a time: radius k-1's closure and its memos
+// are released before radius k grows (after ResumeFrom has copied it, on
+// the first cold radius of a warm prefix). The last radius (k == kmax)
+// consumes the sweep: the ball grower is dropped once the ball is sorted,
+// before the closure exploration, and the builder seals with Finish, so
+// the verdict's passes run with only the sealed closure and the sorted
+// ball alive.
 func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt statespace.Options, stopAtBreak bool) (*SweepResult, error) {
 	if kmax < 0 {
 		return nil, fmt.Errorf("checker: negative sweep radius %d", kmax)
@@ -456,9 +498,7 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 	// fail releases the last walked radius's subspace, which may own a
 	// warm-loaded file mapping, before returning err: no result carries it.
 	fail := func(err error) (*SweepResult, error) {
-		if res.Sub != nil {
-			res.Sub.Close()
-		}
+		res.release()
 		return nil, err
 	}
 	var sweep *BallSweep // the one ball of the whole walk
@@ -491,6 +531,10 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 			}
 			ss, warm = loaded, ok
 		}
+		// Radius k-1's closure has served its verdict, and ResumeFrom has
+		// copied it if this radius needed it: release it before radius k
+		// grows, so the walk never holds two sealed closures.
+		res.release()
 		if err := sweep.GrowToContext(ctx, k); err != nil {
 			if warm {
 				ss.Close()
@@ -501,18 +545,25 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 			globals []int64
 			dist    []int
 		)
+		last := k == kmax
 		if warm {
 			globals, dist = sweep.ball.sorted()
 		} else {
 			var err error
-			if ss, globals, dist, err = sweep.SealContext(ctx); err != nil {
+			if ss, globals, dist, err = sweep.seal(ctx, last); err != nil {
 				return fail(err)
 			}
 			if ss != nil {
 				_ = cache.StoreBallClosure(ss, k) // best-effort persistence
 			}
 		}
+		if last {
+			sweep = nil // nothing reads the ball or the builder again
+		}
 		v := BallVerdictAt(ss, BallLocalDistances(ss, globals, dist), k)
+		if afterVerdict != nil {
+			afterVerdict(k, sweep, ss)
+		}
 		res.Verdicts = append(res.Verdicts, v)
 		states := 0
 		if ss != nil {
@@ -533,12 +584,6 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 				Certain:  v.Certain,
 				CacheHit: warm,
 			})
-		}
-		if res.Sub != nil && res.Sub != ss {
-			// A warm-loaded subspace may own a zero-copy mapping; release it
-			// once the walk has extended past its radius (ResumeFrom
-			// deep-copied whatever it needed).
-			res.Sub.Close()
 		}
 		res.Sub, res.Globals, res.Dist = ss, globals, dist
 		if !v.Possible && res.BreaksPossibleAt < 0 {

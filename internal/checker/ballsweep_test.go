@@ -9,6 +9,7 @@ package checker
 // exploration total, zero callbacks on a warm cache.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +17,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"weakstab/internal/algorithms/coloring"
 	"weakstab/internal/algorithms/dijkstra"
@@ -636,4 +638,161 @@ func TestSweepKFaultsEmptyLegitimateSet(t *testing.T) {
 			t.Errorf("k=%d: vacuous verdict %+v, want 0 configs and trivially converged", k, v)
 		}
 	}
+}
+
+// TestSweepKFaultsReleasesBallSweep pins what the walk holds at each
+// verdict: after a garbage collection, radius k-1's closure is gone at
+// radius k, and at the last radius the ball grower's Dedup table and the
+// closure builder are gone too (TestFinishMatchesSeal pins that Finish
+// itself drops the builder's table), while the returned closure lives on. A
+// prefix-warm walk never has two cache files mapped. Every walk, with and
+// without stopAtBreak, equals the from-scratch pipeline at every radius.
+func TestSweepKFaultsReleasesBallSweep(t *testing.T) {
+	t.Cleanup(func() { afterVerdict = nil })
+	dk, err := dijkstra.New(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := tokenring.New(5) // breaks certain convergence at k=1
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := scheduler.CentralPolicy
+	opt := statespace.Options{}
+	const kmax = 2
+	for _, a := range []protocol.Algorithm{dk, ring} {
+		checkFinishConsumes(t, a, pol, kmax, opt)
+		for _, warm := range []bool{false, true} {
+			var cache *spacecache.Cache
+			if warm {
+				if cache, err = spacecache.Open(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				// Radii 0 and 1 are cached: the walks below resume cold
+				// at radius 2 from the loaded radius-1 closure.
+				prefix, err := SweepKFaultsContext(t.Context(), cache, a, pol, 1, opt, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prefix.Sub.Close()
+			}
+			for _, stop := range []bool{false, true} {
+				for km := 0; km <= kmax; km++ {
+					checkSweepReleases(t, cache, a, pol, km, opt, stop)
+				}
+			}
+		}
+	}
+}
+
+// checkFinishConsumes pins the last radius's seal: the consuming seal
+// returns what SealContext returns on an identically grown sweep, and
+// leaves the sweep without its ball grower and with a finished builder.
+func checkFinishConsumes(t *testing.T, a protocol.Algorithm, pol scheduler.Policy, k int, opt statespace.Options) {
+	t.Helper()
+	grown := func() *BallSweep {
+		sw, err := NewBallSweepContext(t.Context(), a, pol, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := sw.SealContext(t.Context()); err != nil { // a builder to resume
+			t.Fatal(err)
+		}
+		if err := sw.GrowToContext(t.Context(), k); err != nil {
+			t.Fatal(err)
+		}
+		return sw
+	}
+	wantSS, wantG, wantD, err := grown().SealContext(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := grown()
+	gotSS, gotG, gotD, err := sw.seal(t.Context(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !subSpacesEqual(t, wantSS, gotSS) || !int64sEqual(wantG, gotG) || !intsEqual(wantD, gotD) {
+		t.Errorf("%s: the consuming seal differs from SealContext at k=%d", a.Name(), k)
+	}
+	if sw.ball != nil || sw.builder.Len() != 0 {
+		t.Errorf("%s: the consuming seal kept the ball grower (%v) or an unfinished builder (%d states)", a.Name(), sw.ball != nil, sw.builder.Len())
+	}
+}
+
+func checkSweepReleases(t *testing.T, cache *spacecache.Cache, a protocol.Algorithm, pol scheduler.Policy, kmax int, opt statespace.Options, stop bool) {
+	t.Helper()
+	name := fmt.Sprintf("%s kmax=%d stop=%v cache=%v", a.Name(), kmax, stop, cache != nil)
+	var (
+		ballTable weak.Pointer[statespace.Dedup]
+		builder   weak.Pointer[statespace.Builder]
+		prev      weak.Pointer[statespace.Space] // the latest verdict's closure
+	)
+	afterVerdict = func(k int, sweep *BallSweep, ss *statespace.Space) {
+		runtime.GC()
+		if k > 0 && prev.Value() != nil {
+			t.Errorf("%s: radius %d's closure is still alive at radius %d's verdict", name, k-1, k)
+		}
+		if cache != nil && runtime.GOOS == "linux" {
+			if n := mappedFiles(t, cache.Dir()); n > 1 {
+				t.Errorf("%s: %d cache files mapped at radius %d's verdict, want at most 1", name, n, k)
+			}
+		}
+		if k == kmax {
+			if sweep != nil {
+				t.Errorf("%s: the sweep survives its last radius", name)
+			}
+			if ballTable.Value() != nil || builder.Value() != nil {
+				t.Errorf("%s: ball table freed %v, builder freed %v at the last verdict; want both freed",
+					name, ballTable.Value() == nil, builder.Value() == nil)
+			}
+		} else {
+			ballTable = weak.Make(sweep.ball.ball)
+			builder = weak.Make(sweep.builder)
+		}
+		prev = weak.Make(ss)
+	}
+	res, err := SweepKFaultsContext(t.Context(), cache, a, pol, kmax, opt, stop)
+	afterVerdict = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Sub.Close()
+	runtime.GC()
+	if prev.Value() != res.Sub {
+		t.Errorf("%s: the result does not hold the last radius's closure", name)
+	}
+	for k, v := range res.Verdicts {
+		refSS, refG, refD, err := BallClosureContext(t.Context(), nil, a, pol, k, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := BallVerdictAt(refSS, BallLocalDistances(refSS, refG, refD), k)
+		if v.K != r.K || v.Configs != r.Configs || v.Possible != r.Possible || v.Certain != r.Certain ||
+			!v.Counterexample.Equal(r.Counterexample) {
+			t.Errorf("%s: k=%d verdict %+v differs from from-scratch %+v", name, k, v, r)
+		}
+		if res.ClosureStates[k] != refSS.NumStates() {
+			t.Errorf("%s: k=%d closure of %d states, from scratch %d", name, k, res.ClosureStates[k], refSS.NumStates())
+		}
+		if k == len(res.Verdicts)-1 && (!subSpacesEqual(t, res.Sub, refSS) || !int64sEqual(res.Globals, refG) || !intsEqual(res.Dist, refD)) {
+			t.Errorf("%s: last radius k=%d closure or ball differs from from-scratch", name, k)
+		}
+	}
+}
+
+// mappedFiles counts the distinct files under dir mapped into the process.
+func mappedFiles(t *testing.T, dir string) int {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]bool{}
+	for _, line := range strings.Split(string(maps), "\n") {
+		if i := strings.Index(line, dir); i >= 0 {
+			files[line[i:]] = true
+		}
+	}
+	return len(files)
 }

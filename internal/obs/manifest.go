@@ -26,7 +26,8 @@ type phaseStart struct {
 
 // Phase marks the start of a named run phase and returns its closer.
 // The closer records the phase's wall and CPU span on the observer's
-// timeline and emits a "phase" event. Nil-safe: on a disabled observer
+// timeline, takes a heap sample while the heap watch is on (see
+// StartHeapWatch), and emits a "phase" event. Nil-safe: on a disabled observer
 // both the call and the closer are no-ops. Phases may nest or repeat;
 // repeated names accumulate as separate timeline entries.
 func (o *Observer) Phase(name string) func() {
@@ -42,7 +43,11 @@ func (o *Observer) Phase(name string) func() {
 		}
 		o.mu.Lock()
 		o.phases = append(o.phases, PhaseTiming{Name: name, WallMS: wall, CPUMS: cpu})
+		watching := o.heapStop != nil
 		o.mu.Unlock()
+		if watching {
+			o.sampleHeap()
+		}
 		o.Emit("phase", PhaseEvent{Name: name, WallMS: wall, CPUMS: cpu})
 	}
 }
@@ -57,9 +62,12 @@ func (o *Observer) Phases() []PhaseTiming {
 	return append([]PhaseTiming(nil), o.phases...)
 }
 
-// StartHeapWatch begins sampling runtime heap usage into the
-// "mem.heap_inuse_peak" gauge every interval (250ms when interval ≤ 0).
-// Idempotent; StopHeapWatch (or Close) ends it. Nil-safe.
+// StartHeapWatch begins sampling runtime heap usage (HeapInuse) into the
+// "mem.heap_inuse_peak" gauge: once at start, every interval (250ms when
+// interval ≤ 0), whenever a Phase ends, and once more at StopHeapWatch.
+// The phase-end samples catch what a phase leaves live, such as an
+// explored space, even in a run shorter than one interval. Idempotent;
+// StopHeapWatch (or Close) ends it. Nil-safe.
 func (o *Observer) StartHeapWatch(interval time.Duration) {
 	if o == nil {
 		return
@@ -76,15 +84,12 @@ func (o *Observer) StartHeapWatch(interval time.Duration) {
 	done := make(chan struct{})
 	o.heapStop, o.heapDone = stop, done
 	o.mu.Unlock()
-	peak := o.Gauge("mem.heap_inuse_peak")
 	go func() {
 		defer close(done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
-		var ms runtime.MemStats
 		for {
-			runtime.ReadMemStats(&ms)
-			peak.SetMax(int64(ms.HeapInuse))
+			o.sampleHeap()
 			select {
 			case <-stop:
 				return
@@ -92,6 +97,14 @@ func (o *Observer) StartHeapWatch(interval time.Duration) {
 			}
 		}
 	}()
+}
+
+// sampleHeap raises the "mem.heap_inuse_peak" gauge to the current
+// HeapInuse.
+func (o *Observer) sampleHeap() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	o.Gauge("mem.heap_inuse_peak").SetMax(int64(ms.HeapInuse))
 }
 
 // StopHeapWatch stops the heap sampler after one final sample. Nil-safe
@@ -131,7 +144,8 @@ type Manifest struct {
 	Phases []PhaseTiming `json:"phases,omitempty"`
 
 	// PeakHeapBytes is the high-water HeapInuse seen by the heap
-	// watcher (0 when the watcher never ran).
+	// watcher's samples: periodic, at every phase end and at stop (0 when
+	// the watcher never ran).
 	PeakHeapBytes int64 `json:"peak_heap_bytes,omitempty"`
 
 	// Metrics is the flat registry snapshot (counters, gauges,

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -314,3 +315,25 @@ func TestSinkErrorLatches(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }
+
+// TestHeapWatchSamplesPhaseEnd pins the phase-end heap sample: a phase
+// that holds 32 MiB when it ends is seen by the watch even when the run
+// is far shorter than one sampling interval.
+func TestHeapWatchSamplesPhaseEnd(t *testing.T) {
+	o := New()
+	o.StartHeapWatch(time.Hour)
+	// Wait for the start sample, so only a phase-end sample can see the
+	// allocation below.
+	for o.Gauge("mem.heap_inuse_peak").Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	done := o.Phase("hold")
+	held := make([]byte, 32<<20)
+	done()
+	runtime.KeepAlive(held)
+	runtime.GC()
+	o.StopHeapWatch()
+	if got := o.BuildManifest("test", nil).PeakHeapBytes; got < 32<<20 {
+		t.Fatalf("PeakHeapBytes = %d, want ≥ %d: the phase end was not sampled", got, 32<<20)
+	}
+}

@@ -8,6 +8,9 @@
 // the current closure as a canonical Space without disturbing the
 // builder — so a k=0..kmax sweep pays for one exploration of the final
 // closure, total, while still observing a sealed subspace at every k.
+// Finish is the consuming last seal: the one-shot BuildFromContext and the
+// sweep's last radius take it, releasing the builder's table and segments
+// as soon as the canonical space no longer needs them.
 //
 // Sealing canonicalizes a *copy*: the builder's own table and CSR stay in
 // discovery order, which is what makes further ExtendContext calls valid.
@@ -21,6 +24,7 @@ package statespace
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -33,7 +37,9 @@ import (
 
 // Builder is a resumable frontier exploration: a BuildFromContext whose seed
 // set can grow between explorations. The zero value is not usable; call
-// NewBuilder or ResumeFrom.
+// NewBuilder or ResumeFrom. Seal snapshots the closure and keeps the
+// builder growable; Finish snapshots it and consumes the builder, which
+// is the cheaper seal when no extension follows.
 type Builder struct {
 	alg       protocol.Algorithm
 	pol       scheduler.Policy
@@ -58,7 +64,11 @@ type Builder struct {
 	o     *obs.Observer
 	shell int
 
-	pool   sync.Pool
+	// pool is a pointer because a sync.Pool, once used, sits in a
+	// runtime-global list until the next garbage collection: embedded, it
+	// would keep a dropped builder, table and segments included, alive
+	// through one more collection.
+	pool   *sync.Pool
 	chunks []frontierChunk // one exploration's chunk buffers, reused across its levels
 }
 
@@ -108,7 +118,7 @@ func NewBuilder(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Build
 		table:     NewDedup(enc.Total()),
 		o:         obs.Or(opt.Obs),
 	}
-	b.pool.New = func() any { return newExplorer(a, pol, enc) }
+	b.pool = &sync.Pool{New: func() any { return newExplorer(a, pol, enc) }}
 	return b, nil
 }
 
@@ -146,8 +156,13 @@ func ResumeFrom(ss *Space, opt Options) (*Builder, error) {
 	return b, nil
 }
 
-// Len returns the number of discovered states.
-func (b *Builder) Len() int { return b.table.Len() }
+// Len returns the number of discovered states (0 after Finish).
+func (b *Builder) Len() int {
+	if b.table == nil {
+		return 0
+	}
+	return b.table.Len()
+}
 
 // addSeeds admits seed globals into the discovered set (duplicates and
 // already-discovered states are no-ops), leaving them on the pending
@@ -306,9 +321,12 @@ func (b *Builder) explore(ctx context.Context) error {
 // closure, growing the discovered set by exactly the states not already
 // known. A seed that was already discovered costs nothing. ctx is checked
 // at every BFS shell boundary, so a cancelled extension returns an error
-// wrapping ctx.Err() without finishing the closure. On error the builder
-// is no longer usable.
+// wrapping ctx.Err() without finishing the closure. On error, and after
+// Finish, the builder is no longer usable.
 func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
+	if b.table == nil {
+		return errors.New("statespace: ExtendContext on a finished Builder")
+	}
 	before := b.table.Len()
 	if err := b.addSeeds(seeds); err != nil {
 		return err
@@ -328,20 +346,38 @@ func (b *Builder) ExtendContext(ctx context.Context, seeds []int64) error {
 // The discovery-order segments are permuted straight into fresh canonical
 // storage, and the snapshot keeps its sorted globals, which LocalIndex
 // binary-searches (a snapshot never grows, so it needs no hash table).
-func (b *Builder) Seal() *Space {
-	if b.table.Len() == 0 {
+func (b *Builder) Seal() *Space { return b.seal(false) }
+
+// Finish is the builder's last seal: it returns what Seal would, but
+// consumes the builder on the way. The Dedup table is released once the
+// canonical sort has read its globals, before the canonical CSR is
+// allocated, and the discovery-order segments once they are permuted, so
+// the returned space, and whatever analyses its caller runs next, never
+// share the heap with the builder's exploration state. Afterwards the
+// builder is unusable: ExtendContext returns an error, Len is 0, and Seal
+// and Finish return nil.
+func (b *Builder) Finish() *Space { return b.seal(true) }
+
+// seal is Seal and, when consume is set, Finish.
+func (b *Builder) seal(consume bool) *Space {
+	table, shells := b.table, b.shells
+	if consume {
+		b.table, b.shells = nil, nil
+	}
+	if table == nil || table.Len() == 0 {
 		return nil
 	}
-	sorted, order := CanonicalOrder(b.table.Globals(), b.workers)
+	n := table.Len()
+	sorted, order := CanonicalOrder(table.Globals(), b.workers)
 	ss := &Space{
 		Alg:     b.alg,
 		Pol:     b.pol,
 		Enc:     b.enc,
-		States:  b.table.Len(),
+		States:  n,
 		Workers: b.workers,
 		Obs:     b.o,
 		globals: sorted,
 	}
-	ss.off, ss.succ, ss.probs, ss.Legit = permuteCSR(order, b.shells, b.edges, b.workers)
+	ss.off, ss.succ, ss.probs, ss.Legit = permuteCSR(order, shells, b.edges, b.workers)
 	return ss
 }

@@ -1,10 +1,15 @@
 package statespace
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
+	"weakstab/internal/algorithms/dijkstra"
+	"weakstab/internal/algorithms/herman"
 	"weakstab/internal/algorithms/tokenring"
+	"weakstab/internal/protocol"
 	"weakstab/internal/scheduler"
 )
 
@@ -158,5 +163,104 @@ func TestBuilderCapSemantics(t *testing.T) {
 	}
 	if ss := b.Seal(); ss != nil {
 		t.Fatalf("empty builder sealed to %d states, want nil", ss.NumStates())
+	}
+}
+
+// legitAndShell returns a's legitimate configurations and the single-process
+// mutations of them that are not legitimate, as global indexes: the radius-0
+// ball and the new members of the radius-1 ball.
+func legitAndShell(t *testing.T, a protocol.Algorithm) (legit, shell []int64) {
+	t.Helper()
+	enc, err := protocol.NewEncoder(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[int64]bool{}
+	for g := range enc.Total() {
+		if a.Legitimate(enc.Decode(g, nil)) {
+			legit = append(legit, g)
+			in[g] = true
+		}
+	}
+	for _, g := range legit {
+		cfg := enc.Decode(g, nil)
+		for p, orig := range cfg {
+			for v := range a.StateCount(p) {
+				if m := g + int64(v-orig)*enc.Weight(p); v != orig && !in[m] {
+					shell = append(shell, m)
+					in[m] = true
+				}
+			}
+		}
+	}
+	return legit, shell
+}
+
+// TestFinishMatchesSeal pins the consuming seal: Finish returns exactly
+// what Seal returns on an identically built builder, releases the builder's
+// Dedup table and discovery-order segments, and leaves the builder unusable.
+func TestFinishMatchesSeal(t *testing.T) {
+	dk, err := dijkstra.New(5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := tokenring.NewWithModulus(7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := herman.New(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dkL, dkShell := legitAndShell(t, dk)
+	ringL, _ := legitAndShell(t, ring)
+	cases := []struct {
+		name  string
+		alg   protocol.Algorithm
+		pol   scheduler.Policy
+		waves [][]int64
+	}{
+		{"dijkstra5/ball1", dk, scheduler.CentralPolicy, [][]int64{dkL, dkShell}},
+		{"tokenring7/reachable", ring, scheduler.CentralPolicy, [][]int64{ringL}},
+		{"herman5/distributed", hr, scheduler.DistributedPolicy, [][]int64{{5}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Builder {
+				b, err := NewBuilder(tc.alg, tc.pol, Options{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, wave := range tc.waves {
+					if err := b.ExtendContext(t.Context(), wave); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return b
+			}
+			want := build().Seal()
+			b := build()
+			table, shells := weak.Make(b.table), weak.Make(&b.shells[0])
+			got := b.Finish()
+			assertSpaceEqual(t, want, got)
+			runtime.GC()
+			if table.Value() != nil || shells.Value() != nil {
+				t.Fatalf("Finish kept the table (%v) or the discovery-order segments (%v) alive",
+					table.Value() != nil, shells.Value() != nil)
+			}
+			if err := b.ExtendContext(t.Context(), tc.waves[0]); err == nil || !strings.HasPrefix(err.Error(), "statespace:") {
+				t.Fatalf("ExtendContext after Finish: err = %v, want a statespace: error", err)
+			}
+			if b.Len() != 0 || b.Seal() != nil || b.Finish() != nil {
+				t.Fatal("a finished builder still reports states or seals a space")
+			}
+		})
+	}
+	b, err := NewBuilder(ring, scheduler.CentralPolicy, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss := b.Finish(); ss != nil {
+		t.Fatalf("empty builder finished to %d states, want nil", ss.NumStates())
 	}
 }

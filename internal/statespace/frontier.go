@@ -62,7 +62,9 @@ type frontierChunk struct {
 //
 // BuildFromContext is the one-shot face of the resumable Builder: callers
 // that grow their seed set incrementally (the checker's k-fault sweeps)
-// keep a Builder alive and extend it instead of rebuilding per wave.
+// keep a Builder alive and extend it instead of rebuilding per wave. It
+// never extends again, so it seals with Finish: the discovery table is
+// freed before the canonical CSR is allocated.
 func BuildFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.Policy, seeds []int64, opt Options) (*Space, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("statespace: BuildFromContext needs at least one seed")
@@ -74,7 +76,7 @@ func BuildFromContext(ctx context.Context, a protocol.Algorithm, pol scheduler.P
 	if err := b.ExtendContext(ctx, seeds); err != nil {
 		return nil, err
 	}
-	return b.Seal(), nil
+	return b.Finish(), nil
 }
 
 // EncodeConfigs validates each configuration against a's process domains
