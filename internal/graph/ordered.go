@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FromOrderedAdjacency builds a graph whose local neighbor indexing is
 // given explicitly: adj[p][i] is the global id of p's i-th neighbor. This
@@ -9,45 +12,52 @@ import "fmt"
 // symmetric ones) are exactly what symmetry-based proofs such as Theorem 3
 // exploit. The adjacency must be symmetric (q appears in adj[p] iff p
 // appears in adj[q]), simple, and connected.
+//
+// The rows keep the caller's order, so LocalIndex and Adjacent scan a row
+// linearly instead of binary-searching it, and the symmetry check costs
+// the sum of squared degrees. That suits the one constructor built on it,
+// MirrorChain, whose degrees are at most 2.
 func FromOrderedAdjacency(adj [][]int) (*Graph, error) {
 	n := len(adj)
 	if n < 1 {
 		return nil, fmt.Errorf("graph: need at least 1 node")
 	}
-	cp := make([][]int, n)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d nodes exceed the int32 layout", n)
+	}
+	off := make([]int32, n+1)
 	for p, nbrs := range adj {
-		seen := map[int]bool{}
-		for _, q := range nbrs {
+		if int(off[p])+len(nbrs) > math.MaxInt32 {
+			return nil, fmt.Errorf("graph: more than %d directed edges", math.MaxInt32)
+		}
+		off[p+1] = off[p] + int32(len(nbrs))
+	}
+	nbr := make([]int32, off[n])
+	// last[q] = p+1 while row p is copied: a repeat of q is a duplicate.
+	last := make([]int32, n)
+	for p, nbrs := range adj {
+		for i, q := range nbrs {
 			if q < 0 || q >= n {
 				return nil, fmt.Errorf("graph: neighbor %d of %d out of range [0,%d)", q, p, n)
 			}
 			if q == p {
 				return nil, fmt.Errorf("graph: self-loop at node %d", p)
 			}
-			if seen[q] {
+			if last[q] == int32(p+1) {
 				return nil, fmt.Errorf("graph: duplicate neighbor %d at node %d", q, p)
 			}
-			seen[q] = true
+			last[q] = int32(p + 1)
+			nbr[int(off[p])+i] = int32(q)
 		}
-		cp[p] = append([]int(nil), nbrs...)
 	}
-	// Symmetry.
-	for p, nbrs := range cp {
-		for _, q := range nbrs {
-			found := false
-			for _, r := range cp[q] {
-				if r == p {
-					found = true
-					break
-				}
-			}
-			if !found {
+	g := &Graph{off: off, nbr: nbr, ordered: true, name: fmt.Sprintf("ordered(n=%d)", n)}
+	for p := range n {
+		for _, q := range g.row(p) {
+			if !g.Adjacent(int(q), p) {
 				return nil, fmt.Errorf("graph: edge %d->%d has no reverse", p, q)
 			}
 		}
 	}
-	g := &Graph{adj: cp, name: fmt.Sprintf("ordered(n=%d)", n)}
-	g.buildIndex()
 	if !g.isConnected() {
 		return nil, fmt.Errorf("graph: not connected")
 	}
@@ -98,9 +108,9 @@ func (g *Graph) IsEquivariantUnder(perm []int) bool {
 	if !g.IsAutomorphism(perm) {
 		return false
 	}
-	for p := range g.adj {
-		for i, q := range g.adj[p] {
-			if g.adj[perm[p]][i] != perm[q] {
+	for p := range g.N() {
+		for i, q := range g.row(p) {
+			if g.Neighbor(perm[p], i) != perm[q] {
 				return false
 			}
 		}

@@ -56,40 +56,35 @@ func (t *Topology) N() int { return t.n }
 // edge count).
 func (t *Topology) NumEdges() int { return len(t.sender) }
 
-// NewTopology precomputes the directed-edge layout of a's graph.
+// NewTopology precomputes the directed-edge layout of a's graph. The
+// in-edge slots and senders are the graph's own CSR (Graph.CSR), shared
+// read-only; only recv, out and domain are allocated here.
 func NewTopology(a protocol.Algorithm) (*Topology, error) {
 	g := a.Graph()
 	n := g.N()
-	t := &Topology{n: n, off: make([]int32, n+1), domain: make([]int32, n)}
-	total := 0
+	off, sender := g.CSR()
+	t := &Topology{
+		n: n, off: off, sender: sender,
+		recv:   make([]int32, len(sender)),
+		out:    make([]int32, len(sender)),
+		domain: make([]int32, n),
+	}
 	for p := 0; p < n; p++ {
-		total += g.Degree(p)
-		if total > 1<<31-1 {
-			return nil, fmt.Errorf("netsim: graph too large (%d directed edges)", total)
-		}
-		t.off[p+1] = int32(total)
 		sc := a.StateCount(p)
 		if sc < 1 || sc > 1<<31-1 {
 			return nil, fmt.Errorf("netsim: process %d has state domain %d, need [1, 2^31)", p, sc)
 		}
 		t.domain[p] = int32(sc)
-	}
-	t.sender = make([]int32, total)
-	t.recv = make([]int32, total)
-	t.out = make([]int32, total)
-	for p := 0; p < n; p++ {
-		for i := 0; i < g.Degree(p); i++ {
-			q := g.Neighbor(p, i)
-			e := t.off[p] + int32(i)
-			t.sender[e] = int32(q)
+		for e := off[p]; e < off[p+1]; e++ {
+			q := int(sender[e])
 			t.recv[e] = int32(p)
-			// The same slot, seen from the sender side: p's i-th in-edge
+			// The same slot, seen from the sender side: p's in-edge e
 			// is q's out-edge towards p, at q's local index of p.
 			j, ok := g.LocalIndex(q, p)
 			if !ok {
 				return nil, fmt.Errorf("netsim: asymmetric adjacency at (%d,%d)", p, q)
 			}
-			t.out[t.off[q]+int32(j)] = e
+			t.out[off[q]+int32(j)] = e
 		}
 	}
 	return t, nil

@@ -85,11 +85,16 @@ var copyTerms = func() (t [512]uint64) {
 }()
 
 // edgeKeys returns the stream's per-edge keys for every edge of t,
-// keys[e] = Mix64(key ^ edgeTerm(e)), reusing the storage of keys.
+// keys[e] = Mix64(key ^ edgeTerm(e)), reusing the storage of keys. When
+// keys has less room than t.NumEdges() it allocates once, that long.
 func (s Stream) edgeKeys(keys []uint64, t *Topology) []uint64 {
-	keys = keys[:0]
-	for e := range t.NumEdges() {
-		keys = append(keys, sim.Mix64(s.key^edgeTerm(int32(e))))
+	if n := t.NumEdges(); cap(keys) < n {
+		keys = make([]uint64, n)
+	} else {
+		keys = keys[:n]
+	}
+	for e := range keys {
+		keys[e] = sim.Mix64(s.key ^ edgeTerm(int32(e)))
 	}
 	return keys
 }
