@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"weakstab/internal/algorithms/coloring"
@@ -158,11 +159,7 @@ func TestBallVerdictsMatchFullSpace(t *testing.T) {
 	const maxK = 2
 	for _, tc := range ballMatrix(t) {
 		full := explore(t, tc.alg, tc.pol)
-		dist := full.DistanceToLegitimate()
-		var want []KFaultVerdict
-		for k := 0; k <= maxK; k++ {
-			want = append(want, full.CheckKFaults(k, dist))
-		}
+		want := BallVerdictsOver(full.Space, full.DistanceToLegitimate(), maxK)
 		for _, workers := range []int{1, 4} {
 			ss, globals, ballDist, err := BallClosureContext(t.Context(), nil, tc.alg, tc.pol, maxK, statespace.Options{Workers: workers})
 			if err != nil {
@@ -328,4 +325,25 @@ func TestFaultBallDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBallLocalDistancesRejectsForeignGlobal pins the mapping's one
+// failure: a ball configuration outside its closure panics with the
+// "not a state of its closure" message, also when it lies above every
+// closure global, where the merge walk runs off the end of the closure.
+func TestBallLocalDistancesRejectsForeignGlobal(t *testing.T) {
+	ring := mustTokenRing(t, 5)
+	ss, globals, dist, err := BallClosureContext(t.Context(), nil, ring, scheduler.CentralPolicy, 0, statespace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := ss.Globals()
+	g := local[len(local)-1] + 1
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "is not a state of its closure") {
+			t.Errorf("global %d above the closure: panic %q, want the not-a-state message", g, msg)
+		}
+	}()
+	BallLocalDistances(ss, append(slices.Clone(globals), g), append(slices.Clone(dist), 1))
 }

@@ -8,10 +8,12 @@ package checker
 // pairs it with a resumable statespace.Builder for the closure, and
 // SweepKFaultsContext drives the walk upward — sealing a canonical
 // subspace and classifying the k-fault verdict at every radius, stopping
-// early at the smallest k that breaks convergence when asked. Every sealed
-// snapshot is bit-identical to the from-scratch
-// FaultBallContext/BallClosureContext at that k (pinned by the parity
-// tests), so incremental is purely a cost saving.
+// early at the smallest k that breaks convergence when asked. The one-shot
+// BallClosureContext is a BallSweep grown to k and sealed once, so every
+// fault-ball closure the package explores is sealed by BallSweep.seal;
+// every incrementally sealed snapshot is bit-identical to the one-shot
+// closure at that k (pinned by the parity tests), so incremental is purely
+// a cost saving.
 //
 // An optional *spacecache.Cache adds on-disk persistence (nil means no
 // caching): each sealed closure persists as one entry under its
@@ -20,7 +22,7 @@ package checker
 // from the loaded closure's legitimate states (closureBallGrower) and
 // regrows it — zero legitimacy scans, zero exploration, zero algorithm
 // callbacks. A sweep served warm up to some radius keeps that one grower
-// and hands it, with a copy of the last loaded closure, to the cold radii.
+// for its cold radii; the first of them explores its whole closure.
 
 import (
 	"context"
@@ -278,12 +280,12 @@ func (b *ballGrower) sorted() ([]int64, []int) {
 // closure, both grown incrementally. GrowToContext extends the ball one
 // mutation shell at a time; SealContext explores exactly the closure
 // states not yet discovered and snapshots a canonical subspace plus the
-// sorted ball — bit-identical to the from-scratch FaultBallContext +
-// BallClosureContext at the current radius. A k+1 sweep therefore extends
-// the k ball and its subspace instead of restarting. SealContext leaves the
-// sweep growable; SweepKFaultsContext seals its last radius with an
-// unexported consuming seal instead, which releases the ball grower and the
-// builder's exploration state.
+// sorted ball — bit-identical to the one-shot BallClosureContext at the
+// current radius. A k+1 sweep therefore extends the k ball and its
+// subspace instead of restarting. SealContext leaves the sweep growable;
+// SweepKFaultsContext and BallClosureContext seal their last radius with
+// an unexported consuming seal instead, which releases the ball grower and
+// the builder's exploration state.
 type BallSweep struct {
 	a       protocol.Algorithm
 	pol     scheduler.Policy
@@ -340,6 +342,8 @@ func (s *BallSweep) seal(ctx context.Context, last bool) (*statespace.Space, []i
 	if len(globals) == 0 {
 		return nil, globals, dist, nil
 	}
+	// The first seal, also the first cold one after warm radii, seeds the
+	// new builder with the whole ball (extended is -1).
 	if s.builder == nil {
 		b, err := statespace.NewBuilder(s.a, s.pol, s.opt)
 		if err != nil {
@@ -369,10 +373,11 @@ func (s *BallSweep) seal(ctx context.Context, last bool) (*statespace.Space, []i
 	return s.builder.Seal(), globals, dist, nil
 }
 
-// BallClosureContext enumerates the distance-≤k fault ball
-// (FaultBallContext) and frontier-explores its forward closure — exactly
-// once each. It returns the closure subspace together with the ball's
-// global indexes and exact fault distances, so one exploration can feed
+// BallClosureContext enumerates the distance-≤k fault ball and
+// frontier-explores its forward closure — exactly once each, as a
+// BallSweep grown to k and sealed once. It returns the closure subspace
+// together with the ball's global indexes and exact fault distances, so
+// one exploration can feed
 // both a full classification report (core.AnalyzeSpaceContext over the
 // subspace) and the per-k verdicts (BallVerdictsOver). When the legitimate
 // set is empty there is nothing to explore: the subspace is nil and
@@ -394,18 +399,20 @@ func BallClosureContext(ctx context.Context, cache *spacecache.Cache, a protocol
 		globals, ballDist := b.sorted()
 		return ss, globals, ballDist, nil
 	}
-	globals, ballDist, err := FaultBallContext(ctx, a, k, opt.Workers, opt.MaxStates)
+	sweep, err := NewBallSweepContext(ctx, a, pol, opt)
+	if err == nil {
+		err = sweep.GrowToContext(ctx, k)
+	}
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(globals) == 0 {
-		return nil, globals, ballDist, nil
-	}
-	ss, err := statespace.BuildFromContext(ctx, a, pol, globals, opt)
+	ss, globals, ballDist, err := sweep.seal(ctx, true)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("checker: %w", err)
+		return nil, nil, nil, err
 	}
-	_ = cache.StoreBallClosure(ss, k) // best-effort persistence
+	if ss != nil {
+		_ = cache.StoreBallClosure(ss, k) // best-effort persistence
+	}
 	return ss, globals, ballDist, nil
 }
 
@@ -476,16 +483,15 @@ func (r *SweepResult) release() {
 // A non-nil cache makes the sweep cache-aware end to end: radii whose
 // closure is persisted are served with zero algorithm callbacks (the
 // sweep's ball is seeded from the first loaded closure's legitimate states
-// and regrown), and at the first radius that misses the same sweep resumes
-// exploration from a copy of the last loaded closure (statespace.ResumeFrom).
-// ctx is checked at every sweep-radius boundary and threads through to the
-// shell-granular checks of the ball enumeration and closure exploration,
+// and regrown), and at the first radius that misses the same sweep
+// explores that radius's whole closure from its ball, as a cold sweep's
+// radius 0 does, and extends it from there. ctx is checked at every
+// sweep-radius boundary and threads through to the shell-granular checks of the ball enumeration and closure exploration,
 // so a cancelled sweep returns an error wrapping ctx.Err() without
 // finishing the walk, and the cache only ever sees completed radii.
 //
 // The walk holds one radius at a time: radius k-1's closure and its memos
-// are released before radius k grows (after ResumeFrom has copied it, on
-// the first cold radius of a warm prefix). The last radius (k == kmax)
+// are released before radius k grows. The last radius (k == kmax)
 // consumes the sweep: the ball grower is dropped once the ball is sorted,
 // before the closure exploration, and the builder seals with Finish, so
 // the verdict's passes run with only the sealed closure and the sorted
@@ -510,30 +516,20 @@ func SweepKFaultsContext(ctx context.Context, cache *spacecache.Cache, a protoco
 		var ss *statespace.Space
 		if warm {
 			loaded, ok := cache.LoadBallClosure(a, pol, k, opt)
-			switch {
-			case ok && sweep == nil:
+			if ok && sweep == nil {
 				// The first loaded closure seeds the ball.
 				sweep = &BallSweep{a: a, pol: pol, opt: opt, ball: closureBallGrower(loaded, opt.MaxStates), extended: -1}
-			case !ok && sweep == nil:
-				var err error
-				if sweep, err = NewBallSweepContext(ctx, a, pol, opt); err != nil {
-					return fail(err)
-				}
-			case !ok:
-				// First cold radius after a warm prefix: the closure of
-				// radius k-1 is the last loaded one, so exploration resumes
-				// from a copy of it and seeds only shell k.
-				b, err := statespace.ResumeFrom(res.Sub, opt)
-				if err != nil {
-					return fail(err)
-				}
-				sweep.builder, sweep.extended = b, k-1
 			}
 			ss, warm = loaded, ok
 		}
-		// Radius k-1's closure has served its verdict, and ResumeFrom has
-		// copied it if this radius needed it: release it before radius k
-		// grows, so the walk never holds two sealed closures.
+		if sweep == nil {
+			var err error
+			if sweep, err = NewBallSweepContext(ctx, a, pol, opt); err != nil {
+				return fail(err)
+			}
+		}
+		// Radius k-1's closure has served its verdict: release it before
+		// radius k grows, so the walk never holds two sealed closures.
 		res.release()
 		if err := sweep.GrowToContext(ctx, k); err != nil {
 			if warm {

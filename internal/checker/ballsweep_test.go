@@ -379,64 +379,75 @@ func TestSweepKFaultsWarmCache(t *testing.T) {
 	if !subSpacesEqual(t, cold.Sub, warm.Sub) {
 		t.Error("warm sweep closure subspace differs from cold")
 	}
+}
 
-	// Prefix-warm resume: a cache holding only radii 0..kmax serves a
-	// kmax+1 sweep warm up to kmax and explores just the last shell — no
-	// seed pass, and one Legitimate call per newly explored closure state —
-	// and the last radius equals the cache-less from-scratch pipeline bit
-	// for bit. dijkstra(5,5) runs it because its closures grow at every
-	// radius (85, 1125, 2885, 3125 states at k=0..3), so the last shell
-	// really has states to explore.
+// TestSweepKFaultsPrefixWarmHandoff pins the handoff from warm to cold
+// radii at every split point: a cache holding radii 0..j serves a kmax
+// sweep warm through j, and the first cold radius seals its closure from
+// the whole ball, so the walk explores each state of its last closure
+// exactly once (one Legitimate call per state, no seed pass) and equals a
+// cache-less sweep — verdicts, closure sizes, ball and subspace arrays.
+// dijkstra(5,5) grows its closure at every radius (85, 1125, 2885, 3125
+// states at k=0..3), so every split has states left to explore.
+func TestSweepKFaultsPrefixWarmHandoff(t *testing.T) {
 	dk, err := dijkstra.New(5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcache, err := spacecache.Open(t.TempDir())
+	ring, err := tokenring.New(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix, err := SweepKFaultsContext(t.Context(), dcache, dk, pol, kmax, opt, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix.Sub.Close()
-	counted2 := &countingEnumAlg{LegitEnumerator: dk}
-	extended, err := SweepKFaultsContext(t.Context(), dcache, counted2, pol, kmax+1, opt, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer extended.Sub.Close()
-	newStates := int64(extended.ClosureStates[kmax+1] - extended.ClosureStates[kmax])
-	if newStates <= 0 {
-		t.Fatalf("the k=%d shell adds %d closure states: the prefix-warm check would be vacuous", kmax+1, newStates)
-	}
-	if got := counted2.legit.Load(); got != newStates {
-		t.Errorf("prefix-warm sweep made %d Legitimate calls, want %d (the missing shell's closure states only)", got, newStates)
-	}
-	refSS, refG, refD, err := BallClosureContext(t.Context(), nil, dk, pol, kmax+1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := BallVerdictsOver(refSS, BallLocalDistances(refSS, refG, refD), kmax+1)
-	for k, v := range extended.Verdicts {
-		r := ref[k]
-		if v.Configs != r.Configs || v.Possible != r.Possible || v.Certain != r.Certain {
-			t.Errorf("extended sweep k=%d: verdict %+v differs from from-scratch %+v", k, v, r)
+	pol := scheduler.CentralPolicy
+	opt := statespace.Options{}
+	const kmax = 3
+	for _, a := range []protocol.LegitEnumerator{dk, ring} {
+		ref, err := SweepKFaultsContext(t.Context(), nil, a, pol, kmax, opt, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !int64sEqual(extended.Globals, refG) || !intsEqual(extended.Dist, refD) {
-		t.Error("prefix-warm sweep ball differs from from-scratch")
-	}
-	if !subSpacesEqual(t, extended.Sub, refSS) {
-		t.Error("prefix-warm sweep closure subspace differs from from-scratch")
-	}
-	for k := 0; k <= kmax; k++ {
-		if !extended.CacheHits[k] {
-			t.Errorf("extended sweep should have been warm at k=%d", k)
+		for j := 0; j < kmax; j++ {
+			name := fmt.Sprintf("%s split=%d", a.Name(), j)
+			cache, err := spacecache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix, err := SweepKFaultsContext(t.Context(), cache, a, pol, j, opt, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix.Sub.Close()
+			counted := &countingEnumAlg{LegitEnumerator: a}
+			res, err := SweepKFaultsContext(t.Context(), cache, counted, pol, kmax, opt, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, hit := range res.CacheHits {
+				if hit != (k <= j) {
+					t.Errorf("%s: cache hit %v at k=%d", name, hit, k)
+				}
+			}
+			if got, want := counted.legit.Load(), int64(res.ClosureStates[kmax]); got != want {
+				t.Errorf("%s: %d Legitimate calls, want %d (each state of the last closure once)", name, got, want)
+			}
+			if len(res.Verdicts) != len(ref.Verdicts) || !slices.Equal(res.ClosureStates, ref.ClosureStates) {
+				t.Fatalf("%s: walked closures %v, cache-less %v", name, res.ClosureStates, ref.ClosureStates)
+			}
+			for k, r := range ref.Verdicts {
+				v := res.Verdicts[k]
+				if v.K != r.K || v.Configs != r.Configs || v.Possible != r.Possible || v.Certain != r.Certain ||
+					!v.Counterexample.Equal(r.Counterexample) {
+					t.Errorf("%s: k=%d verdict %+v differs from cache-less %+v", name, k, v, r)
+				}
+			}
+			if !int64sEqual(res.Globals, ref.Globals) || !intsEqual(res.Dist, ref.Dist) {
+				t.Errorf("%s: ball differs from cache-less", name)
+			}
+			if !subSpacesEqual(t, res.Sub, ref.Sub) {
+				t.Errorf("%s: closure subspace differs from cache-less", name)
+			}
+			res.Sub.Close()
 		}
-	}
-	if extended.CacheHits[kmax+1] {
-		t.Errorf("extended sweep cannot be warm at the never-cached k=%d", kmax+1)
 	}
 }
 
@@ -586,9 +597,11 @@ func (c *countingBallAlg) EnumerateLegitimate(yield func(protocol.Configuration)
 }
 
 // TestBallWarmPipelineZeroCallbacks pins the warm single-k pipeline: with
-// ball and closure both cached, BallClosureContext (the
-// `stabcheck -reachable -kfaults` path) performs zero legitimacy scans and
-// zero exploration callbacks.
+// the closure cached, BallClosureContext (the `stabcheck -reachable
+// -kfaults` path) performs zero legitimacy scans and zero exploration
+// callbacks and returns the cold closure, ball and distances. The cache
+// may have been filled by BallClosureContext itself or by a sweep: a
+// stop-at-break sweep's entries serve every radius it walked.
 func TestBallWarmPipelineZeroCallbacks(t *testing.T) {
 	inner, err := tokenring.New(5)
 	if err != nil {
@@ -596,6 +609,22 @@ func TestBallWarmPipelineZeroCallbacks(t *testing.T) {
 	}
 	pol := scheduler.CentralPolicy
 	opt := statespace.Options{}
+	warmEquals := func(name string, c *spacecache.Cache, k int, wantSS *statespace.Space, wantG []int64, wantD []int) {
+		t.Helper()
+		counted := &countingBallAlg{LegitEnumerator: inner}
+		ss, g, d, err := BallClosureContext(t.Context(), c, counted, pol, k, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ss.Close()
+		if got := counted.calls.Load(); got != 0 {
+			t.Errorf("%s: warm ball pipeline at k=%d made %d algorithm callbacks, want 0", name, k, got)
+		}
+		if !subSpacesEqual(t, ss, wantSS) || !int64sEqual(g, wantG) || !intsEqual(d, wantD) {
+			t.Errorf("%s: warm ball pipeline at k=%d differs from cold", name, k)
+		}
+	}
+
 	c, err := spacecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -605,17 +634,30 @@ func TestBallWarmPipelineZeroCallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counted := &countingBallAlg{LegitEnumerator: inner}
-	warmSS, warmG, warmD, err := BallClosureContext(t.Context(), c, counted, pol, k, opt)
+	warmEquals("single-radius cache", c, k, coldSS, coldG, coldD)
+
+	// tokenring(5) breaks certain convergence at k=1, so a stop-at-break
+	// sweep to kmax 2 walks and stores radii 0 and 1 only.
+	sc, err := spacecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := counted.calls.Load(); got != 0 {
-		t.Fatalf("warm ball pipeline made %d algorithm callbacks, want 0", got)
+	res, err := SweepKFaultsContext(t.Context(), sc, inner, pol, 2, opt, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if warmSS.NumStates() != coldSS.NumStates() || len(warmG) != len(coldG) || len(warmD) != len(coldD) {
-		t.Fatal("warm ball pipeline result differs from cold")
+	defer res.Sub.Close()
+	if len(res.Verdicts) != 2 {
+		t.Fatalf("stop-at-break sweep walked %d radii, want 2", len(res.Verdicts))
 	}
+	for r := range res.Verdicts {
+		refSS, refG, refD, err := BallClosureContext(t.Context(), nil, inner, pol, r, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmEquals("sweep cache", sc, r, refSS, refG, refD)
+	}
+	warmEquals("sweep cache", sc, 1, res.Sub, res.Globals, res.Dist)
 }
 
 // TestSweepKFaultsEmptyLegitimateSet pins the vacuous path: an empty L
@@ -668,8 +710,8 @@ func TestSweepKFaultsReleasesBallSweep(t *testing.T) {
 				if cache, err = spacecache.Open(t.TempDir()); err != nil {
 					t.Fatal(err)
 				}
-				// Radii 0 and 1 are cached: the walks below resume cold
-				// at radius 2 from the loaded radius-1 closure.
+				// Radii 0 and 1 are cached: the walks below go cold at
+				// radius 2 on the ball seeded from the loaded closures.
 				prefix, err := SweepKFaultsContext(t.Context(), cache, a, pol, 1, opt, false)
 				if err != nil {
 					t.Fatal(err)

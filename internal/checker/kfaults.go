@@ -8,14 +8,13 @@ package checker
 // for every explored configuration; KFaultVerdict restricts the paper's
 // convergence properties to configurations reachable by at most k faults.
 //
-// Two exploration strategies feed the verdict. CheckKFaults classifies over
-// an already-built system (historically the full space). The ball pipeline
-// is the frontier path: FaultBallContext enumerates the distance-≤k ball
-// directly (a BFS over single-process mutations, no transition
-// exploration), BallClosureContext frontier-explores only the ball's
-// forward closure (statespace.BuildFromContext), and BallVerdictsOver
-// classifies over that subspace — bit-identical verdicts at the cost of
-// the ball's closure instead of the whole configuration space. The ball
+// BallVerdictsOver classifies over any explored space, given its fault
+// distances. Over the full space they come from DistanceToLegitimate. The
+// ball pipeline is the frontier path: FaultBallContext enumerates the
+// distance-≤k ball directly (a BFS over single-process mutations, no
+// transition exploration) and BallClosureContext frontier-explores only
+// the ball's forward closure — bit-identical verdicts at the cost of the
+// ball's closure instead of the whole configuration space. The ball
 // enumeration seeds from the algorithm's closed-form legitimate set
 // (protocol.LegitEnumerator) when available, so the pipeline is strictly
 // ball-sized; BallSweep and SweepKFaultsContext (ballsweep.go) make it
@@ -98,20 +97,10 @@ type KFaultVerdict struct {
 	Counterexample protocol.Configuration
 }
 
-// CheckKFaults evaluates KFaultVerdict for the given k using a
-// precomputed distance vector (pass nil to compute it).
-func (sp *Space) CheckKFaults(k int, dist []int) KFaultVerdict {
-	if dist == nil {
-		dist = sp.DistanceToLegitimate()
-	}
-	toL, diverging := sp.verdictVectors()
-	return sp.checkKFaults(k, dist, toL, diverging)
-}
-
 // checkKFaults is the verdict scan over the distances to L and the
-// divergence vector (verdictVectors), shared by CheckKFaults,
-// BallVerdictAt and BallVerdictsOver (which evaluates many k values over
-// one pair of vectors).
+// divergence vector (verdictVectors), shared by BallVerdictAt and
+// BallVerdictsOver (which evaluates many k values over one pair of
+// vectors).
 func (sp *Space) checkKFaults(k int, dist []int, toL []int32, diverging []bool) KFaultVerdict {
 	v := KFaultVerdict{K: k, Possible: true, Certain: true}
 	for s := range dist {
@@ -220,10 +209,10 @@ func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) [
 	}
 	local, j := ss.Globals(), 0
 	for i, g := range globals {
-		for local[j] < g {
+		for j < len(local) && local[j] < g {
 			j++
 		}
-		if local[j] != g {
+		if j == len(local) || local[j] != g {
 			panic(fmt.Sprintf("checker: ball configuration %d is not a state of its closure", g))
 		}
 		dist[j] = ballDist[i]
@@ -236,8 +225,9 @@ func BallLocalDistances(ss *statespace.Space, globals []int64, ballDist []int) [
 // kind happens here, so a caller that has the subspace in hand (from
 // BallClosureContext, or loaded from an on-disk cache) pays only for the
 // verdict scans. localDist is the per-local-state fault-distance vector
-// (BallLocalDistances), taken precomputed so callers that also need it —
-// e.g. for per-distance hitting times — compute it once. A nil subspace
+// (BallLocalDistances, or DistanceToLegitimate over a full space), taken
+// precomputed so callers that also need it — e.g. for per-distance
+// hitting times — compute it once. A nil subspace
 // (BallClosureContext's empty-legitimate-set result) yields the vacuous
 // verdicts of an empty legitimate set — every property holds over no
 // initial configurations — so the whole ball pipeline composes without a

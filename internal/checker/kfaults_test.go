@@ -70,9 +70,7 @@ func TestKFaultsDijkstraAlwaysCertain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := explore(t, a, scheduler.CentralPolicy)
-	dist := sp.DistanceToLegitimate()
-	for k := 0; k <= 4; k++ {
-		v := sp.CheckKFaults(k, dist)
+	for k, v := range BallVerdictsOver(sp.Space, sp.DistanceToLegitimate(), 4) {
 		if !v.Possible || !v.Certain {
 			t.Fatalf("k=%d: possible=%v certain=%v, want both", k, v.Possible, v.Certain)
 		}
@@ -84,12 +82,11 @@ func TestKFaultsTokenRingCertainFailsBeyondZero(t *testing.T) {
 	// one corrupted process can already yield two alternating tokens.
 	a := mustTokenRing(t, 6)
 	sp := explore(t, a, scheduler.CentralPolicy)
-	dist := sp.DistanceToLegitimate()
-	zero := sp.CheckKFaults(0, dist)
+	verdicts := BallVerdictsOver(sp.Space, sp.DistanceToLegitimate(), 1)
+	zero, one := verdicts[0], verdicts[1]
 	if !zero.Certain || !zero.Possible {
 		t.Fatal("k=0 (legitimate set) must trivially converge")
 	}
-	one := sp.CheckKFaults(1, dist)
 	if !one.Possible {
 		t.Fatal("possible convergence must hold within one fault")
 	}
@@ -107,11 +104,10 @@ func TestKFaultsTokenRingCertainFailsBeyondZero(t *testing.T) {
 func TestKFaultsMonotoneInK(t *testing.T) {
 	a := mustTokenRing(t, 5)
 	sp := explore(t, a, scheduler.DistributedPolicy)
-	dist := sp.DistanceToLegitimate()
+	verdicts := BallVerdictsOver(sp.Space, sp.DistanceToLegitimate(), 5)
 	prevConfigs := 0
 	prevCertain := true
-	for k := 0; k <= 5; k++ {
-		v := sp.CheckKFaults(k, dist)
+	for k, v := range verdicts {
 		if v.Configs < prevConfigs {
 			t.Fatalf("ball size shrank at k=%d", k)
 		}
@@ -121,8 +117,7 @@ func TestKFaultsMonotoneInK(t *testing.T) {
 		prevConfigs = v.Configs
 		prevCertain = v.Certain
 	}
-	full := sp.CheckKFaults(5, dist)
-	if full.Configs != sp.NumStates() {
+	if full := verdicts[5]; full.Configs != sp.NumStates() {
 		t.Fatalf("k=N ball covers %d of %d states", full.Configs, sp.NumStates())
 	}
 }

@@ -85,8 +85,8 @@ func runE13(ctx context.Context, w io.Writer, opt Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "faults k\tconfigs at distance k\tdet. k-stabilizing\tE[recovery] mean\tmax")
 	prevMean := 0.0
-	for k := 0; k <= a.Graph().N(); k++ {
-		verdict := sp.CheckKFaults(k, dist)
+	verdicts := checker.BallVerdictsOver(ts, dist, a.Graph().N())
+	for k, verdict := range verdicts {
 		var sample []float64
 		for s := 0; s < sp.NumStates(); s++ {
 			if dist[s] == k {

@@ -73,12 +73,12 @@ func runE18(ctx context.Context, w io.Writer, opt Options) error {
 	}
 	defer ballSS.Close()
 	verdicts := checker.BallVerdictsOver(ballSS, checker.BallLocalDistances(ballSS, globals, ballDist), maxK)
+	refs := checker.BallVerdictsOver(fullTS, dist, maxK)
 	ballSp := checker.FromSpace(ballSS)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "k\tball configs\tpossible\tcertain\tfull-space verdict agrees")
 	for k := 0; k <= maxK; k++ {
-		ref := full.CheckKFaults(k, dist)
-		v := verdicts[k]
+		ref, v := refs[k], verdicts[k]
 		agrees := v.Configs == ref.Configs && v.Possible == ref.Possible && v.Certain == ref.Certain
 		fmt.Fprintf(tw, "%d\t%d\t%v\t%v\t%v\n", k, v.Configs, v.Possible, v.Certain, agrees)
 		if !agrees {

@@ -37,7 +37,7 @@ import (
 
 // Builder is a resumable frontier exploration: a BuildFromContext whose seed
 // set can grow between explorations. The zero value is not usable; call
-// NewBuilder or ResumeFrom. Seal snapshots the closure and keeps the
+// NewBuilder. Seal snapshots the closure and keeps the
 // builder growable; Finish snapshots it and consumes the builder, which
 // is the cheaper seal when no extension follows.
 type Builder struct {
@@ -49,7 +49,7 @@ type Builder struct {
 
 	table *Dedup
 	// shells holds the discovery-order CSR as one segment per explored
-	// BFS level (one more for a resumed closure), ascending in base; edges
+	// BFS level, ascending in base; edges
 	// counts their references. explored counts the states whose successor
 	// rows are stored; states [explored, table.Len()) are the pending BFS
 	// frontier. ExtendContext restores explored == table.Len() (closure).
@@ -119,40 +119,6 @@ func NewBuilder(a protocol.Algorithm, pol scheduler.Policy, opt Options) (*Build
 		o:         obs.Or(opt.Obs),
 	}
 	b.pool = &sync.Pool{New: func() any { return newExplorer(a, pol, enc) }}
-	return b, nil
-}
-
-// ResumeFrom returns a builder whose already-explored closure is a deep copy
-// of the sealed closure ss — the resume path of incremental sweeps whose
-// earlier radii were loaded from an on-disk cache rather than explored in
-// this process. ss is not touched or aliased: the builder can grow while ss
-// keeps serving analyses. ss must be a seed-set closure (non-nil Globals),
-// which every Space produced by BuildFromContext or Seal, and every loaded
-// one of them, is.
-func ResumeFrom(ss *Space, opt Options) (*Builder, error) {
-	b, err := NewBuilder(ss.Alg, ss.Pol, opt)
-	if err != nil {
-		return nil, err
-	}
-	if int64(ss.States) > b.maxStates {
-		return nil, fmt.Errorf("statespace: resumed subspace of %d states exceeds the %d-state cap", ss.States, b.maxStates)
-	}
-	if ss.Globals() == nil {
-		return nil, fmt.Errorf("statespace: ResumeFrom needs a seed-set closure, not the full index range")
-	}
-	off, succ, prob := ss.CSR()
-	b.shells = []shellRows{{
-		off:   slices.Clone(off),
-		succ:  slices.Clone(succ),
-		prob:  prob.clone(),
-		legit: slices.Clone(ss.Legit),
-	}}
-	b.edges = int64(len(succ))
-	// The globals are distinct, so they get the ids 0… their rows use.
-	if err := b.addSeeds(ss.Globals()); err != nil {
-		return nil, err
-	}
-	b.explored = ss.States
 	return b, nil
 }
 

@@ -86,43 +86,6 @@ func TestBuilderSealIsolation(t *testing.T) {
 	}
 }
 
-// TestBuilderResumeFrom pins ResumeFrom: a builder adopted from a sealed
-// subspace continues bit-identically to one that never stopped, and the
-// adopted subspace is never mutated.
-func TestBuilderResumeFrom(t *testing.T) {
-	a, err := tokenring.New(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := scheduler.DistributedPolicy
-	base, err := BuildFromContext(t.Context(), a, pol, []int64{0, 3}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := BuildFromContext(t.Context(), a, pol, []int64{0, 3}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := ResumeFrom(base, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Len() != base.NumStates() {
-		t.Fatalf("resumed builder holds %d states, want %d", rb.Len(), base.NumStates())
-	}
-	if err := rb.ExtendContext(t.Context(), []int64{11, 29}); err != nil {
-		t.Fatal(err)
-	}
-	got := rb.Seal()
-	want, err := BuildFromContext(t.Context(), a, pol, []int64{0, 3, 11, 29}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSpaceEqual(t, want, got)
-	// The adopted subspace must be untouched by the growth.
-	assertSpaceEqual(t, ref, base)
-}
-
 // TestBuilderCapSemantics pins the inclusive cap across waves: the cap
 // counts every discovered state since NewBuilder, not per Extend.
 func TestBuilderCapSemantics(t *testing.T) {
@@ -151,10 +114,6 @@ func TestBuilderCapSemantics(t *testing.T) {
 	}
 	if err := b.ExtendContext(t.Context(), []int64{0}); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("cap of %d states on a %d-state closure: err=%v", n-1, n, err)
-	}
-	// ResumeFrom under a too-small cap is rejected up front.
-	if _, err := ResumeFrom(full, Options{MaxStates: n - 1}); err == nil || !strings.Contains(err.Error(), "cap") {
-		t.Fatalf("resume of a %d-state subspace under a %d-state cap: err=%v", n, n-1, err)
 	}
 	// Sealing an empty builder yields nil.
 	b, err = NewBuilder(a, pol, Options{})

@@ -114,8 +114,8 @@ func TestDedupHashedMatchesMap(t *testing.T) {
 			t.Fatalf("Lookup(%d) of an absent global = %d", g, d.Lookup(g))
 		}
 	}
-	// A table rebuilt from the list in one batch, as ResumeFrom rebuilds
-	// its builder's, answers identically.
+	// A table rebuilt from the list in one batch, as a builder admits a
+	// seed wave, answers identically.
 	r := NewDedup(DenseDedupLimit + 1)
 	to, ids := addChunksBatches(d.Globals(), len(keys))
 	r.AddChunks(to, ids, math.MaxInt, 3)

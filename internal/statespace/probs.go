@@ -50,11 +50,6 @@ func (p Probs) Coded() bool { return p.wide == nil }
 // plain one.
 func (p Probs) Palette() []float64 { return p.pal }
 
-// clone returns a deep copy that owns its arrays.
-func (p Probs) clone() Probs {
-	return Probs{pal: slices.Clone(p.pal), code: slices.Clone(p.code), wide: slices.Clone(p.wide)}
-}
-
 // palCmp is the palette order: ascending by value, ties between distinct
 // bit patterns (−0 and +0, NaN payloads) broken by bits, so a palette's
 // order is a function of its value set alone.
